@@ -24,7 +24,7 @@ pub enum BlockState {
 }
 
 /// Per-block occupancy counters, maintained incrementally by `GuestMm`.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockCounters {
     /// Pages in buddy free lists.
     pub free: u32,

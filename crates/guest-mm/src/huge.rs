@@ -156,14 +156,8 @@ impl GuestMm {
             debug_assert_eq!(d.state, PageState::HugeHead);
             (d.zone, d.a, d.b)
         };
-        let mut zonelist = vec![zone];
-        if zone != crate::ZONE_MOVABLE {
-            zonelist.push(crate::ZONE_MOVABLE);
-        }
-        if zone != crate::ZONE_NORMAL {
-            zonelist.push(crate::ZONE_NORMAL);
-        }
-        if let Some(target) = self.alloc_order_from_zonelist(&zonelist, HUGE_ORDER) {
+        let (zonelist, n) = crate::migration_zonelist(zone);
+        if let Some(target) = self.alloc_order_from_zonelist(&zonelist[..n], HUGE_ORDER) {
             // Whole-huge migration: claim the target, patch the owner's
             // huge set, isolate the source range.
             self.claim_huge(target, owner, slot);

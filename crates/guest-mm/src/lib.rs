@@ -142,7 +142,7 @@ pub struct FileFaultOutcome {
 }
 
 /// Cumulative mechanical statistics (monotonic counters).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MmStats {
     /// Anonymous pages ever faulted in (4 KiB units; huge faults add 512).
     pub anon_faults: u64,
@@ -200,6 +200,39 @@ impl Default for GuestMmConfig {
 pub const ZONE_NORMAL: u8 = 0;
 /// Zone index of `ZONE_MOVABLE` (always created at boot).
 pub const ZONE_MOVABLE: u8 = 1;
+
+/// The zones a page of `zone` migrates to, in the order the kernel's
+/// migration-target selection tries them: the page's own zone first,
+/// then `ZONE_MOVABLE`, then `ZONE_NORMAL`, each once. The first `len`
+/// entries of the returned array are the list.
+pub(crate) fn migration_zonelist(zone: u8) -> ([u8; 3], usize) {
+    match zone {
+        ZONE_NORMAL => ([ZONE_NORMAL, ZONE_MOVABLE, 0], 2),
+        ZONE_MOVABLE => ([ZONE_MOVABLE, ZONE_NORMAL, 0], 2),
+        z => ([z, ZONE_MOVABLE, ZONE_NORMAL], 3),
+    }
+}
+
+/// A run of frame-consecutive used base pages sharing one state and
+/// owner, gathered by [`GuestMm::offline_block`] for run-wise migration.
+struct UsedRun {
+    start: Gfn,
+    len: u64,
+    /// `(state, owner)` of every page in the run.
+    key: (PageState, u32),
+}
+
+impl UsedRun {
+    /// Appends the `len` pages at `g`, whose state and owner are `d`'s,
+    /// to the last run of `runs` if they continue it, else opens a run.
+    fn push(runs: &mut Vec<UsedRun>, g: Gfn, len: u64, d: PageDesc) {
+        let key = (d.state, d.a);
+        match runs.last_mut() {
+            Some(r) if r.key == key && r.start.0 + r.len == g.0 => r.len += len,
+            _ => runs.push(UsedRun { start: g, len, key }),
+        }
+    }
+}
 
 /// The guest kernel memory manager.
 pub struct GuestMm {
@@ -803,28 +836,36 @@ impl GuestMm {
         let zero_on_isolate = self.config.init_on_alloc && !self.unplug_aware_zeroing_skip;
 
         // Phase 1: isolate every free page of the block out of the buddy
-        // so nothing new is allocated inside it.
+        // so nothing new is allocated inside it. Buddy chunks are aligned
+        // and never straddle a block, so the ascending scan meets each
+        // one at its head and isolates it whole (exactly what per-page
+        // takes would leave; see `Zone::isolate_free_chunk`). Used base
+        // pages are gathered as runs for phase 2b.
         let frames = b.frames();
-        let mut used: Vec<Gfn> = Vec::new();
+        let mut used: Vec<UsedRun> = Vec::new();
         let mut used_huge: Vec<Gfn> = Vec::new();
-        for g in frames.iter() {
-            match self.memmap.state(g) {
-                s if s.is_free() => {
-                    self.zones[zone as usize].take_free_page(&mut self.memmap, g);
-                    self.memmap.page_mut(g).state = PageState::Isolated;
+        let mut g = frames.start;
+        while g < frames.end() {
+            let d = *self.memmap.page(g);
+            match d.state {
+                PageState::FreeHead => {
+                    let n = self.zones[zone as usize].isolate_free_chunk(&mut self.memmap, g);
                     let c = self.blocks.counters_mut(b);
-                    c.free -= 1;
-                    c.isolated += 1;
-                    out.isolated_free += 1;
+                    c.free -= n as u32;
+                    c.isolated += n as u32;
+                    out.isolated_free += n;
                     if zero_on_isolate {
-                        out.zeroed += 1;
+                        out.zeroed += n;
                     }
+                    g = Gfn(g.0 + n);
+                    continue;
                 }
+                PageState::FreeTail => unreachable!("free chunk straddles block start at {g:?}"),
                 PageState::HugeHead => used_huge.push(g),
                 // Tails are handled with their head (heads come first in
                 // the ascending scan).
                 PageState::HugeTail => {}
-                s if s.is_movable() => used.push(g),
+                PageState::Anon | PageState::File => UsedRun::push(&mut used, g, 1, d),
                 PageState::Kernel => {
                     self.rollback_isolation(b, zone);
                     return Err(OfflineFailure {
@@ -840,6 +881,7 @@ impl GuestMm {
                     });
                 }
             }
+            g = Gfn(g.0 + 1);
         }
 
         // Phase 2a: evacuate huge pages — whole-unit migration when an
@@ -857,35 +899,41 @@ impl GuestMm {
                 }
                 huge::HugeEvacuation::Split => {
                     out.huge_splits += 1;
-                    used.extend((h.0..h.0 + PAGES_PER_HUGE).map(Gfn));
+                    let d = *self.memmap.page(h);
+                    UsedRun::push(&mut used, h, PAGES_PER_HUGE, d);
                 }
             }
         }
 
-        // Phase 2b: migrate the occupied movable base pages elsewhere.
-        for g in used {
-            match self.migrate_page(g, b) {
-                Ok(()) => {
-                    out.migrated += 1;
-                    // Migration target allocation is zeroed by
-                    // init_on_alloc before the copy overwrites it — the
-                    // waste §2.2 calls out.
-                    if zero_on_isolate {
-                        out.zeroed += 1;
-                    }
-                }
-                Err(e) => {
-                    // Roll isolated pages back into the buddy; pages that
-                    // already migrated stay migrated (partial progress,
-                    // as in the kernel).
+        // Phase 2b: migrate the occupied movable base pages elsewhere, a
+        // run at a time. Every source page lives in the block's zone, so
+        // the target zonelist is the same throughout.
+        let (zonelist, n) = migration_zonelist(zone);
+        for run in used {
+            let mut done = 0;
+            while done < run.len {
+                let src = Gfn(run.start.0 + done);
+                let Some(len) = self.migrate_run(src, run.len - done, run.key, &zonelist[..n])
+                else {
+                    // Out of targets: roll isolated pages back into the
+                    // buddy; pages that already migrated stay migrated
+                    // (partial progress, as in the kernel).
                     self.rollback_isolation(b, zone);
                     self.stats.offline_failures += 1;
                     self.stats.pages_migrated += out.migrated;
                     self.stats.pages_zeroed += out.zeroed;
                     return Err(OfflineFailure {
-                        error: e,
+                        error: MmError::OutOfMemory,
                         partial: out,
                     });
+                };
+                done += len;
+                out.migrated += len;
+                // Migration target allocation is zeroed by init_on_alloc
+                // before the copy overwrites it — the waste §2.2 calls
+                // out.
+                if zero_on_isolate {
+                    out.zeroed += len;
                 }
             }
         }
@@ -1079,63 +1127,94 @@ impl GuestMm {
         self.zones[zone as usize].free_block(&mut self.memmap, g, 0);
     }
 
-    /// Migrates used movable page `g` (inside offlining block `from`) to
-    /// a target page outside it, patching the owner's bookkeeping.
-    fn migrate_page(&mut self, g: Gfn, from: BlockId) -> Result<(), MmError> {
-        let (state, zone, owner, slot) = {
-            let d = self.memmap.page(g);
-            (d.state, d.zone, d.a, d.b)
-        };
-        debug_assert!(state.is_movable());
-        // Allocation order mirrors the kernel's migration-target
-        // selection: same zone first, then the remaining fallbacks.
-        let mut zonelist = vec![zone];
-        if zone != ZONE_MOVABLE {
-            zonelist.push(ZONE_MOVABLE);
-        }
-        if zone != ZONE_NORMAL {
-            zonelist.push(ZONE_NORMAL);
-        }
-        let target = self
-            .alloc_from_zonelist(&zonelist)
-            .ok_or(MmError::OutOfMemory)?;
-        debug_assert_ne!(target.block(), from, "isolation left frees behind");
-        self.claim(target, state, owner, slot);
-        // Patch the owner's bookkeeping.
-        match state {
+    /// Migrates up to `want` frame-consecutive used pages starting at
+    /// `src` (inside an offlining block, all with state and owner `key`)
+    /// to one buddy run of targets, patching the owner's bookkeeping
+    /// after a single lookup. Returns how many pages moved, or `None`
+    /// when no zone in `zonelist` has a free page.
+    ///
+    /// Identical to migrating the pages one at a time: the targets are
+    /// the pages repeated order-0 allocations would return (see
+    /// [`Zone::alloc_run`]), each target takes its source's slot, and a
+    /// buddy run never straddles a block, so both blocks' counters move
+    /// by the run length at once.
+    fn migrate_run(
+        &mut self,
+        src: Gfn,
+        want: u64,
+        key: (PageState, u32),
+        zonelist: &[u8],
+    ) -> Option<u64> {
+        let (target, len) = self.alloc_run_from_zonelist(zonelist, want)?;
+        debug_assert_ne!(target.block(), src.block(), "isolation left frees behind");
+        let (state, owner) = key;
+        let zone = self.memmap.page(target).zone;
+        let pages = match state {
             PageState::Anon => {
-                let p = self
+                &mut self
                     .procs
                     .get_mut(&owner)
-                    .expect("anon page owned by live process");
-                p.pages[slot as usize] = target;
+                    .expect("anon page owned by live process")
+                    .pages
             }
             PageState::File => {
-                let f = self
+                &mut self
                     .files
                     .get_mut(&owner)
-                    .expect("file page owned by cached file");
-                f.pages[slot as usize] = target;
+                    .expect("file page owned by cached file")
+                    .pages
             }
-            _ => unreachable!(),
+            _ => unreachable!("migrating a non-movable base page"),
+        };
+        for i in 0..len {
+            // The source joins the isolated set, keeping its owner words.
+            let s = self.memmap.page_mut(Gfn(src.0 + i));
+            debug_assert_eq!((s.state, s.a), key);
+            s.state = PageState::Isolated;
+            let slot = s.b;
+            let t = Gfn(target.0 + i);
+            let d = self.memmap.page_mut(t);
+            debug_assert_eq!(d.state, PageState::FreeTail);
+            *d = PageDesc {
+                state,
+                order: 0,
+                zone,
+                flags: 0,
+                a: owner,
+                b: slot,
+            };
+            pages[slot as usize] = t;
         }
-        // Source page joins the isolated set.
-        self.memmap.page_mut(g).state = PageState::Isolated;
-        let c = self.blocks.counters_mut(from);
-        c.used_movable -= 1;
-        c.isolated += 1;
-        Ok(())
+        let c = self.blocks.counters_mut(target.block());
+        c.free -= len as u32;
+        c.used_movable += len as u32;
+        let c = self.blocks.counters_mut(src.block());
+        c.used_movable -= len as u32;
+        c.isolated += len as u32;
+        Some(len)
     }
 
-    /// Returns all isolated pages of `b` to the buddy (offline failure).
+    /// Returns all isolated pages of `b` to the buddy (offline failure),
+    /// freeing each maximal isolated run with [`Zone::free_run`] — the
+    /// same buddy state, down to list order, as per-page frees in
+    /// ascending order.
     fn rollback_isolation(&mut self, b: BlockId, zone: u8) {
-        for g in b.frames().iter() {
-            if self.memmap.state(g) == PageState::Isolated {
-                let c = self.blocks.counters_mut(b);
-                c.isolated -= 1;
-                c.free += 1;
-                self.zones[zone as usize].free_block(&mut self.memmap, g, 0);
+        let end = b.frames().end().0;
+        let mut g = b.first_frame().0;
+        while g < end {
+            if self.memmap.state(Gfn(g)) != PageState::Isolated {
+                g += 1;
+                continue;
             }
+            let start = g;
+            while g < end && self.memmap.state(Gfn(g)) == PageState::Isolated {
+                g += 1;
+            }
+            let len = g - start;
+            let c = self.blocks.counters_mut(b);
+            c.isolated -= len as u32;
+            c.free += len as u32;
+            self.zones[zone as usize].free_run(&mut self.memmap, Gfn(start), len);
         }
     }
 
@@ -1573,5 +1652,419 @@ mod tests {
             assert_eq!(mm.memmap().page(g).zone, z);
         }
         mm.assert_consistent();
+    }
+}
+
+/// The per-page offline path, kept as the reference the run-based
+/// [`GuestMm::offline_block`] is pinned to: free pages are carved out one
+/// [`Zone::take_free_page`] at a time, used pages migrate one order-0
+/// target at a time, and a rollback frees isolated pages one by one.
+#[cfg(test)]
+mod offline_twin {
+    use super::*;
+    use mem_types::MIB;
+
+    impl GuestMm {
+        fn offline_block_per_page(&mut self, b: BlockId) -> Result<OfflineOutcome, OfflineFailure> {
+            let fail = |error| OfflineFailure {
+                error,
+                partial: OfflineOutcome::default(),
+            };
+            let BlockState::Online { zone } = self.blocks.state(b) else {
+                return Err(fail(MmError::BadBlockState));
+            };
+            if self.blocks.counters(b).used_unmovable > 0 {
+                return Err(fail(MmError::BlockPinned));
+            }
+            let mut out = OfflineOutcome {
+                scanned: PAGES_PER_BLOCK,
+                ..OfflineOutcome::default()
+            };
+            let zero_on_isolate = self.config.init_on_alloc && !self.unplug_aware_zeroing_skip;
+
+            let mut used: Vec<Gfn> = Vec::new();
+            let mut used_huge: Vec<Gfn> = Vec::new();
+            for g in b.frames().iter() {
+                match self.memmap.state(g) {
+                    s if s.is_free() => {
+                        self.zones[zone as usize].take_free_page(&mut self.memmap, g);
+                        self.memmap.page_mut(g).state = PageState::Isolated;
+                        let c = self.blocks.counters_mut(b);
+                        c.free -= 1;
+                        c.isolated += 1;
+                        out.isolated_free += 1;
+                        if zero_on_isolate {
+                            out.zeroed += 1;
+                        }
+                    }
+                    PageState::HugeHead => used_huge.push(g),
+                    PageState::HugeTail => {}
+                    s if s.is_movable() => used.push(g),
+                    PageState::Kernel => {
+                        self.rollback_isolation_per_page(b, zone);
+                        return Err(OfflineFailure {
+                            error: MmError::BlockPinned,
+                            partial: out,
+                        });
+                    }
+                    _ => {
+                        self.rollback_isolation_per_page(b, zone);
+                        return Err(OfflineFailure {
+                            error: MmError::BadBlockState,
+                            partial: out,
+                        });
+                    }
+                }
+            }
+            for h in used_huge {
+                match self.evacuate_huge(h) {
+                    huge::HugeEvacuation::Whole => {
+                        out.migrated_huge += 1;
+                        if zero_on_isolate {
+                            out.zeroed += PAGES_PER_HUGE;
+                        }
+                    }
+                    huge::HugeEvacuation::Split => {
+                        out.huge_splits += 1;
+                        used.extend((h.0..h.0 + PAGES_PER_HUGE).map(Gfn));
+                    }
+                }
+            }
+            for g in used {
+                match self.migrate_page(g, b) {
+                    Ok(()) => {
+                        out.migrated += 1;
+                        if zero_on_isolate {
+                            out.zeroed += 1;
+                        }
+                    }
+                    Err(e) => {
+                        self.rollback_isolation_per_page(b, zone);
+                        self.stats.offline_failures += 1;
+                        self.stats.pages_migrated += out.migrated;
+                        self.stats.pages_zeroed += out.zeroed;
+                        return Err(OfflineFailure {
+                            error: e,
+                            partial: out,
+                        });
+                    }
+                }
+            }
+            self.finish_offline(b, zone);
+            self.stats.blocks_offlined += 1;
+            self.stats.pages_migrated += out.migrated;
+            self.stats.pages_zeroed += out.zeroed;
+            Ok(out)
+        }
+
+        fn migrate_page(&mut self, g: Gfn, from: BlockId) -> Result<(), MmError> {
+            let (state, zone, owner, slot) = {
+                let d = self.memmap.page(g);
+                (d.state, d.zone, d.a, d.b)
+            };
+            let (zonelist, n) = migration_zonelist(zone);
+            let target = self
+                .alloc_from_zonelist(&zonelist[..n])
+                .ok_or(MmError::OutOfMemory)?;
+            assert_ne!(target.block(), from, "isolation left frees behind");
+            self.claim(target, state, owner, slot);
+            match state {
+                PageState::Anon => {
+                    self.procs.get_mut(&owner).unwrap().pages[slot as usize] = target
+                }
+                PageState::File => {
+                    self.files.get_mut(&owner).unwrap().pages[slot as usize] = target
+                }
+                _ => unreachable!(),
+            }
+            self.memmap.page_mut(g).state = PageState::Isolated;
+            let c = self.blocks.counters_mut(from);
+            c.used_movable -= 1;
+            c.isolated += 1;
+            Ok(())
+        }
+
+        fn rollback_isolation_per_page(&mut self, b: BlockId, zone: u8) {
+            for g in b.frames().iter() {
+                if self.memmap.state(g) == PageState::Isolated {
+                    let c = self.blocks.counters_mut(b);
+                    c.isolated -= 1;
+                    c.free += 1;
+                    self.zones[zone as usize].free_block(&mut self.memmap, g, 0);
+                }
+            }
+        }
+    }
+
+    /// Asserts the two guests are indistinguishable: every frame's state
+    /// and zone, the owner words of used pages and the links and order of
+    /// free heads (elsewhere `a`/`b`/`order` carry nothing), every zone's
+    /// free lists in order, block states and counters, process and file
+    /// page vectors, kernel pages and statistics.
+    fn assert_twins(a: &GuestMm, b: &GuestMm) {
+        for i in 0..a.memmap.len() {
+            let (x, y) = (a.memmap.page(Gfn(i)), b.memmap.page(Gfn(i)));
+            assert_eq!((x.state, x.zone), (y.state, y.zone), "frame {i:#x}");
+            if x.state.is_used() || x.state == PageState::FreeHead {
+                assert_eq!((x.a, x.b), (y.a, y.b), "frame {i:#x} words");
+            }
+            if x.state == PageState::FreeHead {
+                assert_eq!(x.order, y.order, "frame {i:#x} order");
+            }
+        }
+        assert_eq!(a.zones.len(), b.zones.len());
+        for (za, zb) in a.zones.iter().zip(&b.zones) {
+            assert_eq!(
+                (za.free_pages, za.managed_pages),
+                (zb.free_pages, zb.managed_pages)
+            );
+            for o in 0..=MAX_ORDER {
+                assert_eq!(
+                    za.free_list(&a.memmap, o),
+                    zb.free_list(&b.memmap, o),
+                    "zone {} order {o} list",
+                    za.id
+                );
+            }
+        }
+        for i in 0..a.blocks.len() {
+            let blk = BlockId(i);
+            assert_eq!(a.blocks.state(blk), b.blocks.state(blk), "block {i}");
+            assert_eq!(a.blocks.counters(blk), b.blocks.counters(blk), "block {i}");
+        }
+        assert_eq!(a.procs.len(), b.procs.len());
+        for (pid, p) in &a.procs {
+            let q = &b.procs[pid];
+            assert_eq!(p.pages, q.pages, "pid {pid} pages");
+            assert_eq!(p.huge_pages, q.huge_pages, "pid {pid} huge pages");
+            assert_eq!(p.swapped, q.swapped);
+        }
+        assert_eq!(a.files.len(), b.files.len());
+        for (id, f) in &a.files {
+            assert_eq!(f.pages, b.files[id].pages, "file {id} pages");
+        }
+        assert_eq!(a.kernel_pages, b.kernel_pages);
+        assert_eq!(a.stats, b.stats);
+    }
+
+    /// One guest operation, applied identically to both twins.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Spawn(AllocPolicy),
+        Anon(Pid, u64),
+        Huge(Pid, u64),
+        File(FileId, u64),
+        Punch(Pid, Gfn),
+        Exit(Pid),
+        SwapOut(Pid, u64),
+        Pin,
+        Online(BlockId, u8),
+        Offline(BlockId),
+    }
+
+    /// Applies `op`, returning the offline outcome (if any) for comparison.
+    fn apply(
+        mm: &mut GuestMm,
+        op: Op,
+        reference: bool,
+    ) -> Option<Result<OfflineOutcome, OfflineFailure>> {
+        match op {
+            Op::Spawn(p) => {
+                mm.spawn_process(p);
+            }
+            Op::Anon(pid, n) => {
+                let _ = mm.fault_anon(pid, n);
+            }
+            Op::Huge(pid, n) => {
+                let _ = mm.fault_anon_huge(pid, n);
+            }
+            Op::File(f, n) => {
+                let _ = mm.fault_file(f, n);
+            }
+            Op::Punch(pid, g) => mm.free_anon_page(pid, g).unwrap(),
+            Op::Exit(pid) => {
+                mm.exit_process(pid).unwrap();
+            }
+            Op::SwapOut(pid, n) => {
+                mm.swap_out_anon(pid, n).unwrap();
+            }
+            Op::Pin => {
+                let _ = mm.alloc_unmovable();
+            }
+            Op::Online(blk, z) => mm.online_block(blk, z).unwrap(),
+            Op::Offline(blk) => {
+                return Some(if reference {
+                    mm.offline_block_per_page(blk)
+                } else {
+                    mm.offline_block(blk)
+                })
+            }
+        }
+        None
+    }
+
+    /// Which code paths the randomized guests reached.
+    #[derive(Default, Debug)]
+    struct Coverage {
+        migrated: bool,
+        file_migrated: bool,
+        cross_zone: bool,
+        oom_mid_run: bool,
+        pinned: bool,
+        huge_whole: bool,
+        huge_split: bool,
+    }
+
+    /// Drives two identical guests through one seeded random history,
+    /// offlining with the run-based path on one and the per-page
+    /// reference on the other, and compares them after every offline.
+    fn run_twins(seed: u64, cov: &mut Coverage) {
+        let config = GuestMmConfig {
+            boot_bytes: 256 * MIB,
+            hotplug_bytes: 768 * MIB,
+            kernel_bytes: 32 * MIB,
+            init_on_alloc: seed.is_multiple_of(2),
+        };
+        let (mut a, mut b) = (GuestMm::new(config), GuestMm::new(config));
+        a.unplug_aware_zeroing_skip = seed % 4 == 3;
+        b.unplug_aware_zeroing_skip = a.unplug_aware_zeroing_skip;
+        // Hot-plug blocks 2..8; every third seed carves a partition zone
+        // out of the last two, whose migrations fall back across zones.
+        let partition = FrameRange::new(Gfn(6 * PAGES_PER_BLOCK), 2 * PAGES_PER_BLOCK);
+        let part = seed.is_multiple_of(3).then(|| {
+            let kind = ZoneKind::SqueezyPrivate { partition: 0 };
+            b.create_zone(kind, partition);
+            a.create_zone(kind, partition)
+        });
+        let zone_for = |blk: u64| match part {
+            Some(z) if blk >= 6 => z,
+            _ => ZONE_MOVABLE,
+        };
+        for blk in 2..8 {
+            for mm in [&mut a, &mut b] {
+                mm.hot_add_block(BlockId(blk)).unwrap();
+                mm.online_block(BlockId(blk), zone_for(blk)).unwrap();
+            }
+        }
+
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rnd = move |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for _ in 0..120 {
+            let pids: Vec<Pid> = {
+                let mut v: Vec<Pid> = a.procs.keys().map(|&p| Pid(p)).collect();
+                v.sort();
+                v
+            };
+            let pid = (!pids.is_empty()).then(|| pids[rnd(pids.len() as u64) as usize]);
+            let op = match (rnd(100), pid) {
+                (0..=5, _) | (_, None) => Op::Spawn(match part {
+                    Some(z) if rnd(2) == 0 => AllocPolicy::PinnedZone(z),
+                    _ => AllocPolicy::MovableDefault,
+                }),
+                (6..=39, Some(p)) => Op::Anon(p, 1 + rnd(600)),
+                (40..=45, Some(p)) => Op::Huge(p, 1 + rnd(3)),
+                (46..=53, _) => {
+                    let f = FileId(rnd(3) as u32);
+                    let have = a.file(f).map_or(0, |c| c.resident_pages());
+                    Op::File(f, have + 1 + rnd(400))
+                }
+                (54..=63, Some(p)) => match a.process(p).unwrap().pages.len() as u64 {
+                    0 => Op::Anon(p, 1 + rnd(50)),
+                    n => Op::Punch(p, a.process(p).unwrap().pages[rnd(n) as usize]),
+                },
+                (64..=66, Some(p)) => Op::Exit(p),
+                (67..=68, Some(p)) => Op::SwapOut(p, rnd(100)),
+                (69, _) => Op::Pin,
+                (70..=73, Some(p)) => {
+                    // Fill memory to within a few hundred pages so a later
+                    // offline runs out of targets part-way (or, below 512,
+                    // must split its huge pages).
+                    Op::Anon(p, (a.free_bytes() / PAGE_SIZE).saturating_sub(rnd(2000)))
+                }
+                _ => {
+                    let offline: Vec<u64> = (2..8)
+                        .filter(|&i| a.blocks.state(BlockId(i)) == BlockState::AddedOffline)
+                        .collect();
+                    if !offline.is_empty() && rnd(3) == 0 {
+                        let blk = offline[rnd(offline.len() as u64) as usize];
+                        Op::Online(BlockId(blk), zone_for(blk))
+                    } else {
+                        Op::Offline(BlockId(rnd(8)))
+                    }
+                }
+            };
+
+            let before = match op {
+                Op::Offline(blk) => {
+                    let c = a.blocks.counters(blk);
+                    let own_free = match a.blocks.state(blk) {
+                        BlockState::Online { zone } => a.zone(zone).free_pages - c.free as u64,
+                        _ => 0,
+                    };
+                    let files = a
+                        .memmap
+                        .count_in(blk.frames(), |d| d.state == PageState::File);
+                    Some((own_free, files))
+                }
+                _ => None,
+            };
+            let got = apply(&mut a, op, false);
+            let want = apply(&mut b, op, true);
+            assert_eq!(got, want, "seed {seed}: {op:?}");
+            if let (Some(out), Some((own_free, files))) = (got, before) {
+                let migrated = match out {
+                    Ok(o) => {
+                        cov.huge_whole |= o.migrated_huge > 0;
+                        cov.huge_split |= o.huge_splits > 0;
+                        o.migrated
+                    }
+                    Err(f) => {
+                        cov.huge_split |= f.partial.huge_splits > 0;
+                        cov.pinned |= f.error == MmError::BlockPinned;
+                        cov.oom_mid_run |=
+                            f.error == MmError::OutOfMemory && f.partial.migrated > 0;
+                        f.partial.migrated
+                    }
+                };
+                cov.migrated |= migrated > 0;
+                cov.file_migrated |= migrated > 0 && files > 0;
+                cov.cross_zone |= migrated > own_free;
+                assert_twins(&a, &b);
+            }
+        }
+        assert_twins(&a, &b);
+        a.assert_consistent();
+    }
+
+    #[test]
+    fn run_based_offline_matches_per_page_reference() {
+        let mut cov = Coverage::default();
+        for seed in 0..12 {
+            run_twins(seed, &mut cov);
+        }
+        let Coverage {
+            migrated,
+            file_migrated,
+            cross_zone,
+            oom_mid_run,
+            pinned,
+            huge_whole,
+            huge_split,
+        } = cov;
+        assert!(
+            migrated
+                && file_migrated
+                && cross_zone
+                && oom_mid_run
+                && pinned
+                && huge_whole
+                && huge_split,
+            "randomized guests missed a path: {cov:?}"
+        );
     }
 }

@@ -296,23 +296,39 @@ impl Zone {
         let mut g = range.start.0;
         let end = range.start.0 + range.count;
         while g < end {
-            let d = *mm.page(Gfn(g));
-            debug_assert_eq!(d.state, PageState::FreeHead, "free walk off a chunk head");
-            debug_assert_eq!(d.zone, self.id, "page in wrong zone");
-            let order = d.order;
-            self.unlink(mm, Gfn(g), order);
-            mm.range_mut(FrameRange::new(Gfn(g), 1 << order))
-                .fill(PageDesc {
-                    state: PageState::Isolated,
-                    order: 0,
-                    zone: self.id,
-                    flags: 0,
-                    a: NIL,
-                    b: NIL,
-                });
-            g += 1 << order;
+            g += self.isolate_free_chunk(mm, Gfn(g));
         }
-        self.free_pages -= range.count;
+    }
+
+    /// Isolates the whole free buddy chunk headed by `head`: unlinks it
+    /// and marks every page [`PageState::Isolated`] in one descriptor
+    /// sweep. Returns the chunk's length in pages.
+    ///
+    /// Equivalent to [`Zone::take_free_page`] on each of its pages in
+    /// ascending order: the first take unlinks the chunk and pushes the
+    /// split-off halves to the fronts of the lower-order lists, and
+    /// every later take pops exactly the half it needs back off a front,
+    /// so the other chunks' free lists end as they began.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `head` is not a free chunk head of this zone.
+    pub(crate) fn isolate_free_chunk(&mut self, mm: &mut MemMap, head: Gfn) -> u64 {
+        let d = *mm.page(head);
+        debug_assert_eq!(d.state, PageState::FreeHead, "free walk off a chunk head");
+        debug_assert_eq!(d.zone, self.id, "page in wrong zone");
+        let len = 1u64 << d.order;
+        self.unlink(mm, head, d.order);
+        mm.range_mut(FrameRange::new(head, len)).fill(PageDesc {
+            state: PageState::Isolated,
+            order: 0,
+            zone: self.id,
+            flags: 0,
+            a: NIL,
+            b: NIL,
+        });
+        self.free_pages -= len;
+        len
     }
 
     /// Returns the number of free blocks currently on the `order` list
@@ -325,6 +341,19 @@ impl Zone {
             cur = mm.page(Gfn(cur as u64)).b;
         }
         n
+    }
+
+    /// Returns the head frames on the `order` free list, front first
+    /// (twin tests compare intra-list order with this).
+    #[cfg(test)]
+    pub(crate) fn free_list(&self, mm: &MemMap, order: u8) -> Vec<Gfn> {
+        let mut out = Vec::new();
+        let mut cur = self.free_heads[order as usize];
+        while cur != NIL {
+            out.push(Gfn(cur as u64));
+            cur = mm.page(Gfn(cur as u64)).b;
+        }
+        out
     }
 
     /// Returns the head frames of every free chunk of order at least
