@@ -629,6 +629,11 @@ fn json_f64(v: f64) -> String {
     }
 }
 
+/// Formats an optional peak RSS as a JSON value.
+fn json_rss(mib: Option<f64>) -> String {
+    mib.map_or_else(|| "null".to_string(), |m| format!("{m:.1}"))
+}
+
 /// Serializes the run summary (no external crates: the schema is flat
 /// and the only free-form strings — section names, cell labels — are
 /// escaped).
@@ -652,13 +657,14 @@ fn to_json(
     if let Some(p) = perf {
         s.push_str(&format!(
             "  \"perf\": {{\"hosts\": {}, \"invocations\": {}, \"completed\": {}, \
-             \"events_processed\": {}, \"peak_queue_depth\": {}, \"setup_wall_s\": {:.3}, \
-             \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
+             \"events_processed\": {}, \"peak_queue_depth\": {}, \"peak_rss_mib\": {}, \
+             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
             p.hosts,
             p.invocations,
             p.completed,
             p.events,
             p.peak_depth,
+            json_rss(p.peak_rss_mib),
             p.setup_s,
             p.run_s,
             p.events_per_sec
@@ -678,8 +684,7 @@ fn to_json(
             p.peak_depth,
             p.reservoir_len,
             p.max_func_samples,
-            p.peak_rss_mib
-                .map_or_else(|| "null".to_string(), |m| format!("{m:.1}")),
+            json_rss(p.peak_rss_mib),
             p.setup_s,
             p.run_s,
             p.events_per_sec

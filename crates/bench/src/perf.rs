@@ -132,6 +132,8 @@ pub struct PerfCell {
     pub events: u64,
     /// High-water mark of the event queue.
     pub peak_depth: usize,
+    /// Process peak RSS (`VmHWM`) in MiB, where the platform exposes it.
+    pub peak_rss_mib: Option<f64>,
     /// Wall time to boot the hosts (not part of the throughput figure).
     pub setup_s: f64,
     /// Wall time of the event loop + result assembly.
@@ -160,10 +162,16 @@ pub fn run(cfg: &PerfConfig) -> PerfCell {
         completed: out.completed,
         events: out.events_processed,
         peak_depth: out.peak_queue_depth,
+        peak_rss_mib: peak_rss_mib(),
         setup_s,
         run_s,
         events_per_sec: out.events_processed as f64 / run_s,
     }
+}
+
+/// Formats an optional peak RSS as a table cell.
+fn rss_cell(mib: Option<f64>) -> String {
+    mib.map_or_else(|| "n/a".to_string(), |m| format!("{m:.0}"))
 }
 
 /// Renders the perf summary. Wall-time figures vary by machine, so this
@@ -175,6 +183,7 @@ pub fn render(c: &PerfCell) -> String {
         "Completed",
         "Events",
         "PeakQ",
+        "PeakRSS(MiB)",
         "Setup(s)",
         "Run(s)",
         "Events/s",
@@ -185,6 +194,7 @@ pub fn render(c: &PerfCell) -> String {
         format!("{}", c.completed),
         format!("{}", c.events),
         format!("{}", c.peak_depth),
+        rss_cell(c.peak_rss_mib),
         format!("{:.2}", c.setup_s),
         format!("{:.2}", c.run_s),
         format!("{:.0}", c.events_per_sec),
@@ -418,8 +428,7 @@ pub fn render_trace(c: &TracePerfCell) -> String {
         format!("{}", c.peak_depth),
         format!("{}/{}", c.reservoir_len, LATENCY_RESERVOIR_CAP),
         format!("{}/{}", c.max_func_samples, LATENCY_RESERVOIR_CAP),
-        c.peak_rss_mib
-            .map_or_else(|| "n/a".to_string(), |m| format!("{m:.0}")),
+        rss_cell(c.peak_rss_mib),
         format!("{:.2}", c.setup_s),
         format!("{:.2}", c.run_s),
         format!("{:.0}", c.events_per_sec),

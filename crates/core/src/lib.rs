@@ -339,16 +339,14 @@ impl SqueezyManager {
             .find(|p| p.state == PartitionState::Unpopulated)
             .ok_or(SqueezyError::NoUnpopulatedPartition)?;
         let id = part.id;
-        let zone = part.zone;
-        let blocks = part.blocks.clone();
         part.state = PartitionState::Free;
         let report = match vm
             .virtio_mem
-            .plug_blocks(&mut vm.guest, &blocks, zone, cost)
+            .plug_blocks(&mut vm.guest, &part.blocks, part.zone, cost)
         {
             Ok(r) => r,
             Err(e) => {
-                self.partitions[id.0 as usize].state = PartitionState::Unpopulated;
+                part.state = PartitionState::Unpopulated;
                 return Err(e.into());
             }
         };
@@ -371,9 +369,8 @@ impl SqueezyManager {
             .find(|p| p.state == PartitionState::Free)
             .ok_or(SqueezyError::NoReclaimablePartition)?;
         let id = part.id;
-        let blocks = part.blocks.clone();
-        let report = vm.unplug_blocks_instant(host, &blocks, cost)?;
-        self.partitions[id.0 as usize].state = PartitionState::Unpopulated;
+        let report = vm.unplug_blocks_instant(host, &part.blocks, cost)?;
+        part.state = PartitionState::Unpopulated;
         self.stats.unplugs += 1;
         Ok((id, report))
     }
@@ -404,7 +401,7 @@ impl SqueezyManager {
         }
         let blocks: Vec<BlockId> = free
             .iter()
-            .flat_map(|id| self.partitions[id.0 as usize].blocks.clone())
+            .flat_map(|id| self.partitions[id.0 as usize].blocks.iter().copied())
             .collect();
         let report = vm
             .virtio_mem

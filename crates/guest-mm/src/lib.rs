@@ -3,7 +3,8 @@
 //! This crate reimplements, over simulated state, the slice of the Linux
 //! physical memory manager that the Squeezy paper patches and measures:
 //!
-//! * a per-frame `memmap` ([`memmap::MemMap`]);
+//! * a per-frame `memmap` with one section per present memory block
+//!   ([`memmap::MemMap`]);
 //! * zones with buddy free lists ([`zone::Zone`]) — `ZONE_NORMAL`,
 //!   `ZONE_MOVABLE`, and (created by the `squeezy` crate) one zone per
 //!   Squeezy partition;
@@ -300,12 +301,9 @@ impl GuestMm {
             stats: MmStats::default(),
         };
 
-        // Online all boot blocks into ZONE_NORMAL.
+        // Materialize and online all boot blocks into ZONE_NORMAL.
         for b in 0..boot_blocks {
-            let blk = BlockId(b);
-            mm.pages_to_offline_state(blk);
-            mm.blocks.set_state(blk, BlockState::AddedOffline);
-            mm.online_block(blk, ZONE_NORMAL)
+            mm.hot_add_online_block(BlockId(b), ZONE_NORMAL)
                 .expect("boot block onlines");
         }
         mm.stats.blocks_onlined = 0; // Boot onlining is not a hotplug op.
@@ -631,16 +629,20 @@ impl GuestMm {
         let mut i = 0usize;
         while i < pages.len() {
             let head = pages[i];
-            let d = *self.memmap.page(head);
+            // A run never leaves its block, so one section serves it.
+            let section = self
+                .memmap
+                .section(head.block())
+                .expect("process page is materialized");
+            let run = &section[head.index_in_block() as usize..];
+            let d = run[0];
             debug_assert!(d.state.is_used(), "releasing non-used page {head:?}");
-            let block_end = (head.block().0 + 1) * PAGES_PER_BLOCK;
             let mut j = i + 1;
-            while j < pages.len() && pages[j].0 == pages[j - 1].0 + 1 && pages[j].0 < block_end {
-                let nd = self.memmap.page(pages[j]);
-                if nd.state != d.state || nd.zone != d.zone {
-                    break;
+            while j < pages.len() && pages[j].0 == head.0 + (j - i) as u64 {
+                match run.get(j - i) {
+                    Some(nd) if nd.state == d.state && nd.zone == d.zone => j += 1,
+                    _ => break,
                 }
-                j += 1;
             }
             let len = (j - i) as u32;
             let c = self.blocks.counters_mut(head.block());
@@ -760,12 +762,13 @@ impl GuestMm {
 
     // --- Hot(un)plug ---------------------------------------------------------
 
-    /// Hot-adds block `b`: creates its memmap coverage (Absent → offline).
+    /// Hot-adds block `b`: materializes its memmap section, every
+    /// descriptor Offline (Absent → offline).
     pub fn hot_add_block(&mut self, b: BlockId) -> Result<(), MmError> {
         if self.blocks.state(b) != BlockState::Absent {
             return Err(MmError::BadBlockState);
         }
-        self.pages_to_offline_state(b);
+        self.memmap.materialize(b).fill(PageDesc::OFFLINE);
         self.blocks.set_state(b, BlockState::AddedOffline);
         Ok(())
     }
@@ -774,13 +777,19 @@ impl GuestMm {
     /// plug request does. One descriptor sweep instead of two: the
     /// intermediate Offline state of [`GuestMm::hot_add_block`] followed
     /// by [`GuestMm::online_block`] is unobservable (both happen inside
-    /// one plug request), so the descriptors go straight from Absent to
-    /// the buddy's free states.
+    /// one plug request), so the freshly materialized section goes
+    /// straight to the buddy's free states. A rejected plug leaves no
+    /// section behind.
     pub fn hot_add_online_block(&mut self, b: BlockId, z: u8) -> Result<(), MmError> {
         if self.blocks.state(b) != BlockState::Absent {
             return Err(MmError::BadBlockState);
         }
-        self.online_pages_of(b, z)
+        self.check_span(b, z)?;
+        // Onlining overwrites every descriptor, so a reused section
+        // needs no refill first.
+        self.memmap.materialize(b);
+        self.online_pages_of(b, z);
+        Ok(())
     }
 
     /// Onlines block `b` into zone `z`: releases its pages to the buddy.
@@ -788,17 +797,24 @@ impl GuestMm {
         if self.blocks.state(b) != BlockState::AddedOffline {
             return Err(MmError::BadBlockState);
         }
-        self.online_pages_of(b, z)
+        self.check_span(b, z)?;
+        self.online_pages_of(b, z);
+        Ok(())
+    }
+
+    /// Rejects onlining block `b` into a zone whose span misses it.
+    fn check_span(&self, b: BlockId, z: u8) -> Result<(), MmError> {
+        let span = self.zones[z as usize].span;
+        if span.contains(b.first_frame()) && span.contains(Gfn(b.frames().end().0 - 1)) {
+            Ok(())
+        } else {
+            Err(MmError::BadBlockState)
+        }
     }
 
     /// Shared tail of the online paths: hands `b`'s pages to zone `z`'s
-    /// buddy and marks the block online.
-    fn online_pages_of(&mut self, b: BlockId, z: u8) -> Result<(), MmError> {
-        let zone = &self.zones[z as usize];
-        if !zone.span.contains(b.first_frame()) || !zone.span.contains(Gfn(b.frames().end().0 - 1))
-        {
-            return Err(MmError::BadBlockState);
-        }
+    /// buddy, overwriting every descriptor, and marks the block online.
+    fn online_pages_of(&mut self, b: BlockId, z: u8) {
         let chunk = 1u64 << MAX_ORDER;
         let start = b.first_frame().0;
         let zone = &mut self.zones[z as usize];
@@ -808,7 +824,6 @@ impl GuestMm {
         zone.managed_pages += PAGES_PER_BLOCK;
         self.blocks.mark_online(b, z);
         self.stats.blocks_onlined += 1;
-        Ok(())
     }
 
     /// Offlines block `b`, migrating its occupied movable pages away.
@@ -836,28 +851,31 @@ impl GuestMm {
         let zero_on_isolate = self.config.init_on_alloc && !self.unplug_aware_zeroing_skip;
 
         // Phase 1: isolate every free page of the block out of the buddy
-        // so nothing new is allocated inside it. Buddy chunks are aligned
-        // and never straddle a block, so the ascending scan meets each
-        // one at its head and isolates it whole (exactly what per-page
-        // takes would leave; see `Zone::isolate_free_chunk`). Used base
-        // pages are gathered as runs for phase 2b.
-        let frames = b.frames();
+        // so nothing new is allocated inside it. One ascending scan of
+        // the block's section gathers its free buddy chunks (aligned and
+        // never straddling a block, so the scan meets each one at its
+        // head), its huge heads and its used base pages as runs for
+        // phase 2b. Isolating a chunk then rewrites only that chunk and
+        // free-list links, none of which the scan read, so isolating
+        // after the scan leaves what isolating during it would (see
+        // `Zone::isolate_free_chunk`).
+        let first = b.first_frame().0;
+        let mut free_heads: Vec<Gfn> = Vec::new();
         let mut used: Vec<UsedRun> = Vec::new();
         let mut used_huge: Vec<Gfn> = Vec::new();
-        let mut g = frames.start;
-        while g < frames.end() {
-            let d = *self.memmap.page(g);
+        let mut blocker = None;
+        let section = self
+            .memmap
+            .section(b)
+            .expect("online block is materialized");
+        let mut i = 0;
+        while i < section.len() {
+            let d = section[i];
+            let g = Gfn(first + i as u64);
             match d.state {
                 PageState::FreeHead => {
-                    let n = self.zones[zone as usize].isolate_free_chunk(&mut self.memmap, g);
-                    let c = self.blocks.counters_mut(b);
-                    c.free -= n as u32;
-                    c.isolated += n as u32;
-                    out.isolated_free += n;
-                    if zero_on_isolate {
-                        out.zeroed += n;
-                    }
-                    g = Gfn(g.0 + n);
+                    free_heads.push(g);
+                    i += 1 << d.order;
                     continue;
                 }
                 PageState::FreeTail => unreachable!("free chunk straddles block start at {g:?}"),
@@ -867,21 +885,32 @@ impl GuestMm {
                 PageState::HugeTail => {}
                 PageState::Anon | PageState::File => UsedRun::push(&mut used, g, 1, d),
                 PageState::Kernel => {
-                    self.rollback_isolation(b, zone);
-                    return Err(OfflineFailure {
-                        error: MmError::BlockPinned,
-                        partial: out,
-                    });
+                    blocker = Some(MmError::BlockPinned);
+                    break;
                 }
                 _ => {
-                    self.rollback_isolation(b, zone);
-                    return Err(OfflineFailure {
-                        error: MmError::BadBlockState,
-                        partial: out,
-                    });
+                    blocker = Some(MmError::BadBlockState);
+                    break;
                 }
             }
-            g = Gfn(g.0 + 1);
+            i += 1;
+        }
+        for g in free_heads {
+            let n = self.zones[zone as usize].isolate_free_chunk(&mut self.memmap, g);
+            let c = self.blocks.counters_mut(b);
+            c.free -= n as u32;
+            c.isolated += n as u32;
+            out.isolated_free += n;
+            if zero_on_isolate {
+                out.zeroed += n;
+            }
+        }
+        if let Some(error) = blocker {
+            self.rollback_isolation(b, zone);
+            return Err(OfflineFailure {
+                error,
+                partial: out,
+            });
         }
 
         // Phase 2a: evacuate huge pages — whole-unit migration when an
@@ -977,12 +1006,13 @@ impl GuestMm {
         Ok(out)
     }
 
-    /// Hot-removes block `b` (offline → absent), destroying its memmap.
+    /// Hot-removes block `b` (offline → absent), retiring its memmap
+    /// section.
     pub fn hot_remove_block(&mut self, b: BlockId) -> Result<(), MmError> {
         if self.blocks.state(b) != BlockState::AddedOffline {
             return Err(MmError::BadBlockState);
         }
-        self.memmap.range_mut(b.frames()).fill(PageDesc::ABSENT);
+        self.memmap.retire(b);
         self.blocks.set_state(b, BlockState::Absent);
         self.blocks.reset_counters(b);
         Ok(())
@@ -1166,14 +1196,13 @@ impl GuestMm {
             }
             _ => unreachable!("migrating a non-movable base page"),
         };
-        for i in 0..len {
+        let (srcs, dsts) = self
+            .memmap
+            .range_pair_mut(FrameRange::new(src, len), FrameRange::new(target, len));
+        for ((s, d), t) in srcs.iter_mut().zip(dsts).zip(target.0..) {
             // The source joins the isolated set, keeping its owner words.
-            let s = self.memmap.page_mut(Gfn(src.0 + i));
             debug_assert_eq!((s.state, s.a), key);
             s.state = PageState::Isolated;
-            let slot = s.b;
-            let t = Gfn(target.0 + i);
-            let d = self.memmap.page_mut(t);
             debug_assert_eq!(d.state, PageState::FreeTail);
             *d = PageDesc {
                 state,
@@ -1181,9 +1210,9 @@ impl GuestMm {
                 zone,
                 flags: 0,
                 a: owner,
-                b: slot,
+                b: s.b,
             };
-            pages[slot as usize] = t;
+            pages[s.b as usize] = Gfn(t);
         }
         let c = self.blocks.counters_mut(target.block());
         c.free -= len as u32;
@@ -1199,22 +1228,28 @@ impl GuestMm {
     /// same buddy state, down to list order, as per-page frees in
     /// ascending order.
     fn rollback_isolation(&mut self, b: BlockId, zone: u8) {
-        let end = b.frames().end().0;
-        let mut g = b.first_frame().0;
-        while g < end {
-            if self.memmap.state(Gfn(g)) != PageState::Isolated {
-                g += 1;
+        // Gather the runs first: freeing one rewrites only its own pages
+        // and free buddies, never an isolated page further up.
+        let first = b.first_frame().0;
+        let section = self
+            .memmap
+            .section(b)
+            .expect("online block is materialized");
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for (i, d) in section.iter().enumerate() {
+            if d.state != PageState::Isolated {
                 continue;
             }
-            let start = g;
-            while g < end && self.memmap.state(Gfn(g)) == PageState::Isolated {
-                g += 1;
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == i as u64 => *len += 1,
+                _ => runs.push((i as u64, 1)),
             }
-            let len = g - start;
+        }
+        for (start, len) in runs {
             let c = self.blocks.counters_mut(b);
             c.isolated -= len as u32;
             c.free += len as u32;
-            self.zones[zone as usize].free_run(&mut self.memmap, Gfn(start), len);
+            self.zones[zone as usize].free_run(&mut self.memmap, Gfn(first + start), len);
         }
     }
 
@@ -1231,14 +1266,6 @@ impl GuestMm {
         self.blocks.reset_counters(b);
     }
 
-    /// Initializes memmap coverage for `b` (pages → Offline state).
-    fn pages_to_offline_state(&mut self, b: BlockId) {
-        for d in self.memmap.range_mut(b.frames()) {
-            d.state = PageState::Offline;
-            d.zone = page::NO_ZONE;
-        }
-    }
-
     /// Debug validation of all zones' free lists, block counters and
     /// huge-page structure.
     ///
@@ -1252,29 +1279,40 @@ impl GuestMm {
         for bi in 0..self.blocks.len() {
             let b = BlockId(bi);
             let c = self.blocks.counters(b);
-            if let BlockState::Online { .. } = self.blocks.state(b) {
+            let state = self.blocks.state(b);
+            assert_eq!(
+                self.memmap.is_present(b),
+                state != BlockState::Absent,
+                "block {bi} is {state:?} but its section presence disagrees"
+            );
+            if let BlockState::Online { .. } = state {
                 assert_eq!(c.total(), PAGES_PER_BLOCK, "block {bi} counters drifted");
                 let free = self.memmap.count_in(b.frames(), |p| p.state.is_free());
                 assert_eq!(free, c.free as u64, "block {bi} free count drifted");
             }
         }
         // Huge-page structure: heads 512-aligned, exactly 511 tails each,
-        // no orphan tails.
+        // no orphan tails. Absent blocks hold no pages to scan.
         let mut tails_expected = 0u64;
-        for i in 0..self.memmap.len() {
-            let g = Gfn(i);
-            match self.memmap.state(g) {
-                PageState::HugeHead => {
-                    assert_eq!(tails_expected, 0, "head {i:#x} inside another huge page");
-                    assert_eq!(i % PAGES_PER_HUGE, 0, "huge head {i:#x} misaligned");
-                    tails_expected = PAGES_PER_HUGE - 1;
-                }
-                PageState::HugeTail => {
-                    assert!(tails_expected > 0, "orphan huge tail at {i:#x}");
-                    tails_expected -= 1;
-                }
-                _ => {
-                    assert_eq!(tails_expected, 0, "huge page truncated before {i:#x}");
+        for bi in 0..self.blocks.len() {
+            let Some(section) = self.memmap.section(BlockId(bi)) else {
+                assert_eq!(tails_expected, 0, "huge page truncated before block {bi}");
+                continue;
+            };
+            for (i, d) in (bi * PAGES_PER_BLOCK..).zip(section) {
+                match d.state {
+                    PageState::HugeHead => {
+                        assert_eq!(tails_expected, 0, "head {i:#x} inside another huge page");
+                        assert_eq!(i % PAGES_PER_HUGE, 0, "huge head {i:#x} misaligned");
+                        tails_expected = PAGES_PER_HUGE - 1;
+                    }
+                    PageState::HugeTail => {
+                        assert!(tails_expected > 0, "orphan huge tail at {i:#x}");
+                        tails_expected -= 1;
+                    }
+                    _ => {
+                        assert_eq!(tails_expected, 0, "huge page truncated before {i:#x}");
+                    }
                 }
             }
         }
@@ -1650,6 +1688,107 @@ mod tests {
         let got = mm.fault_anon(pid, 5).unwrap();
         for g in got {
             assert_eq!(mm.memmap().page(g).zone, z);
+        }
+        mm.assert_consistent();
+    }
+
+    fn fields(d: &PageDesc) -> (PageState, u8, u8, u8, u32, u32) {
+        (d.state, d.order, d.zone, d.flags, d.a, d.b)
+    }
+
+    #[test]
+    fn boot_materializes_only_boot_sections() {
+        let mm = GuestMm::new(GuestMmConfig {
+            boot_bytes: 1024 * MIB,
+            hotplug_bytes: 256 * 1024 * MIB,
+            kernel_bytes: 32 * MIB,
+            init_on_alloc: true,
+        });
+        assert_eq!(mm.blocks().len(), 8 + 2048);
+        assert_eq!(mm.memmap().present_sections(), 8);
+        assert_eq!(mm.memmap().spare_sections(), 0);
+        assert!((0..8).all(|b| mm.memmap().is_present(BlockId(b))));
+        mm.assert_consistent();
+    }
+
+    #[test]
+    fn plug_cycles_keep_sections_with_present_blocks() {
+        let mut mm = GuestMm::new(small_config());
+        let pid = mm.spawn_process(AllocPolicy::MovableDefault);
+        let mut peak = 0;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..80 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Hotplug covers blocks 2..6.
+            let b = BlockId(2 + x % 4);
+            match mm.blocks().state(b) {
+                BlockState::Absent if x & 16 == 0 => mm.hot_add_block(b).unwrap(),
+                BlockState::Absent => {
+                    mm.hot_add_online_block(b, ZONE_MOVABLE).unwrap();
+                    // Leave pages behind for the offline to migrate.
+                    mm.fault_anon(pid, 300).unwrap();
+                }
+                BlockState::AddedOffline => mm.hot_remove_block(b).unwrap(),
+                BlockState::Online { .. } => {
+                    let _ = mm.offline_block(b);
+                }
+            }
+            let m = mm.memmap();
+            let present = (0..mm.blocks().len())
+                .filter(|&i| mm.blocks().state(BlockId(i)) != BlockState::Absent)
+                .count();
+            peak = peak.max(m.present_sections());
+            assert_eq!(m.present_sections(), present);
+            assert!(m.present_sections() + m.spare_sections() <= peak);
+            mm.assert_consistent();
+        }
+        assert!(mm.stats().blocks_offlined > 0 && mm.stats().pages_migrated > 0);
+    }
+
+    #[test]
+    fn removed_block_reads_absent() {
+        let mut mm = GuestMm::new(small_config());
+        let b = BlockId(2);
+        mm.hot_add_online_block(b, ZONE_MOVABLE).unwrap();
+        let pid = mm.spawn_process(AllocPolicy::MovableDefault);
+        mm.fault_anon(pid, 100).unwrap();
+        mm.offline_block(b).unwrap();
+        mm.hot_remove_block(b).unwrap();
+        for g in b.frames().iter() {
+            assert_eq!(fields(mm.memmap().page(g)), fields(&PageDesc::ABSENT));
+        }
+        mm.assert_consistent();
+    }
+
+    #[test]
+    #[should_panic(expected = "absent")]
+    fn writing_an_absent_block_panics() {
+        let mut mm = GuestMm::new(small_config());
+        mm.memmap.page_mut(BlockId(3).first_frame()).state = PageState::Anon;
+    }
+
+    #[test]
+    fn hot_add_onto_a_reused_section_reads_offline() {
+        let mut mm = GuestMm::new(small_config());
+        let (b, c) = (BlockId(2), BlockId(3));
+        mm.hot_add_online_block(b, ZONE_MOVABLE).unwrap();
+        let pid = mm.spawn_process(AllocPolicy::MovableDefault);
+        mm.fault_anon(pid, 64).unwrap();
+        // The migrated sources keep their owner words through offline,
+        // so the retired section holds stale links.
+        assert_eq!(mm.offline_block(b).unwrap().migrated, 64);
+        mm.hot_remove_block(b).unwrap();
+        assert_eq!(mm.memmap().spare_sections(), 1);
+        mm.hot_add_block(c).unwrap();
+        assert_eq!(mm.memmap().spare_sections(), 0);
+        for g in c.frames().iter() {
+            assert_eq!(fields(mm.memmap().page(g)), fields(&PageDesc::OFFLINE));
+            assert_eq!(
+                (mm.memmap().page(g).a, mm.memmap().page(g).b),
+                (page::NIL, page::NIL)
+            );
         }
         mm.assert_consistent();
     }

@@ -1,9 +1,10 @@
 //! Per-page metadata: the simulator's `struct page`.
 //!
 //! The guest memory map ([`crate::memmap::MemMap`]) holds one 12-byte
-//! [`PageDesc`] per 4 KiB guest frame, mirroring the Linux `memmap` array
-//! the paper discusses in §2.2. The two word fields are overloaded the way
-//! the kernel overloads `struct page`: free pages use them as intrusive
+//! [`PageDesc`] per 4 KiB frame of every present memory block, in one
+//! section per 128 MiB block, mirroring the Linux `memmap` the paper
+//! discusses in §2.2. The two word fields are overloaded the way the
+//! kernel overloads `struct page`: free pages use them as intrusive
 //! free-list links, allocated pages as owner back-references.
 
 /// Sentinel for "no link" in intrusive free lists.
@@ -109,6 +110,12 @@ impl PageDesc {
         a: NIL,
         b: NIL,
     };
+
+    /// A hot-added page that is not onlined: no zone, no links.
+    pub const OFFLINE: PageDesc = PageDesc {
+        state: PageState::Offline,
+        ..PageDesc::ABSENT
+    };
 }
 
 #[cfg(test)]
@@ -119,7 +126,8 @@ mod tests {
     fn page_desc_is_small() {
         assert!(
             core::mem::size_of::<PageDesc>() <= 12,
-            "PageDesc grew to {} bytes; a 64 GiB VM memmap would bloat",
+            "PageDesc grew to {} bytes; every 128 MiB memmap section (and every \
+             spare one kept for reuse) would grow with it",
             core::mem::size_of::<PageDesc>()
         );
     }

@@ -410,9 +410,11 @@ impl Zone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_types::BlockId;
 
     fn make(span_pages: u64) -> (MemMap, Zone) {
-        let mm = MemMap::new(span_pages);
+        let mut mm = MemMap::new(span_pages);
+        mm.materialize(BlockId(0));
         let zone = Zone::new(0, ZoneKind::Normal, FrameRange::new(Gfn(0), span_pages));
         (mm, zone)
     }
@@ -547,8 +549,8 @@ mod tests {
     fn merge_does_not_cross_span() {
         // Zone covering only the upper half of a would-be order-10 pair:
         // merging must stop at the span edge.
-        let mm = MemMap::new(2048);
-        let mut mm = mm;
+        let mut mm = MemMap::new(2048);
+        mm.materialize(BlockId(0));
         let mut zone = Zone::new(0, ZoneKind::Normal, FrameRange::new(Gfn(1024), 1024));
         zone.free_block(&mut mm, Gfn(1024), MAX_ORDER);
         zone.managed_pages += 1024;
