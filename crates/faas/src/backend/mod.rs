@@ -3,7 +3,7 @@
 //! Each backend of §5.2 lives in its own module and implements
 //! [`ElasticityBackend`]: how guest memory is sized, plugged on
 //! scale-up, reclaimed on evict, and (for §7 soft memory) revoked under
-//! host pressure. The host event loop (`crate::sim::host`) is backend
+//! host pressure. The host runtime (`crate::sim::host`) is backend
 //! agnostic — it drives these hooks and never dispatches on
 //! [`BackendKind`]; the only `BackendKind` match in the runtime is the
 //! [`make`] factory below.

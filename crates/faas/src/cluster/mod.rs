@@ -1,18 +1,13 @@
-//! The multi-host cluster simulator.
+//! The multi-host cluster: N hosts with a fixed host set, a pluggable
+//! [`Router`] and the tenant traces it spreads over them.
 //!
-//! [`ClusterSim`] runs N [`HostSim`]s under **one** event engine: a
-//! single deterministic queue interleaves every host's events with the
-//! cluster-level tenant arrivals, and a pluggable [`Router`] assigns
-//! each arriving request to a host at pop time — so dynamic policies
-//! (least-loaded, warm-affinity) see real-time load, not a static
-//! partition of the trace.
-//!
-//! Determinism is structural: the shared queue breaks time ties FIFO,
-//! arrivals are scheduled in tenant order at construction (exactly the
-//! order [`crate::FaasSim`] uses), and routers are deterministic. With
-//! one host and the [`SingleHost`] router, the queue contents and hence
-//! the run are *byte-identical* to the single-host simulator — a
-//! property the `cluster_equivalence` test pins for random traces.
+//! [`ClusterSim`] runs on the crate's one event engine,
+//! [`crate::FleetSim`]: it wraps the [`ClusterConfig`] into a frozen
+//! fleet ([`FleetConfig::fixed`], no autoscaling, no failures) and
+//! projects the [`crate::FleetResult`] onto a [`ClusterResult`]. The
+//! router assigns each arriving request to a host at pop time, so
+//! dynamic policies (least-loaded, warm-affinity) see real-time load,
+//! not a static partition of the trace.
 
 mod router;
 
@@ -23,15 +18,13 @@ pub use router::{
 
 use std::collections::BTreeMap;
 
-use sim_core::{DetRng, EventQueue, Histogram, Reservoir, SimTime};
+use sim_core::{Histogram, Reservoir};
 use vmm::VmmError;
 use workloads::{FunctionKind, TraceSource};
 
 use crate::config::SimConfig;
-use crate::feed::ArrivalFeed;
-use crate::metrics::SimResult;
-use crate::sim::events::{Event, EventSink};
-use crate::sim::host::HostSim;
+use crate::fleet::{FixedFleet, FleetConfig, FleetResult, FleetSim};
+use crate::metrics::{self, SimResult};
 
 /// One tenant's invocation trace, addressed to a deployment slot every
 /// host exposes.
@@ -100,23 +93,23 @@ impl ClusterConfig {
         }
     }
 
-    /// Wraps a single-host config into a cluster: its deployments'
-    /// arrival traces become the tenant traces. With the
-    /// [`SingleHost`] router this reproduces `FaasSim::new(cfg)`
-    /// byte-for-byte.
-    pub fn from_single(cfg: SimConfig) -> ClusterConfig {
+    /// Wraps a single-host config into a one-host cluster: its
+    /// deployments' arrival traces move into the tenant traces, in
+    /// flattened `(vm, dep)` order. Run with the [`SingleHost`] router,
+    /// this is how [`crate::FaasSim`] runs a host.
+    pub fn from_single(mut cfg: SimConfig) -> ClusterConfig {
         let tenants = cfg
             .vms
-            .iter()
+            .iter_mut()
             .enumerate()
             .flat_map(|(vi, spec)| {
                 spec.deployments
-                    .iter()
+                    .iter_mut()
                     .enumerate()
                     .map(move |(di, d)| TenantTrace {
                         vm: vi,
                         dep: di,
-                        arrivals: d.arrivals.clone(),
+                        arrivals: std::mem::take(&mut d.arrivals),
                     })
             })
             .collect();
@@ -125,31 +118,13 @@ impl ClusterConfig {
             tenants,
         }
     }
-}
 
-/// Events of the shared cluster engine. Tenant arrivals never enter
-/// the queue: the run loop pulls them lazily from an [`ArrivalFeed`]
-/// and routes them inline, so queue memory is O(pending host events).
-enum ClusterEvent {
-    /// A host-internal event.
-    Host { host: usize, ev: Event },
-}
-
-/// Adapter tagging one host's scheduled events into the shared queue.
-struct HostSink<'a> {
-    q: &'a mut EventQueue<ClusterEvent>,
-    host: usize,
-}
-
-impl EventSink for HostSink<'_> {
-    fn push(&mut self, at: SimTime, ev: Event) {
-        self.q.push(
-            at,
-            ClusterEvent::Host {
-                host: self.host,
-                ev,
-            },
-        );
+    /// The frozen fleet this cluster runs as; the fleet's reservoir
+    /// stream derives from the first host's seed.
+    pub(crate) fn into_fixed_fleet(self) -> FleetConfig {
+        assert!(!self.hosts.is_empty(), "a cluster needs at least one host");
+        let seed = self.hosts[0].seed;
+        FleetConfig::fixed(self, seed)
     }
 }
 
@@ -157,10 +132,6 @@ impl EventSink for HostSink<'_> {
 /// reservoirs: enough for windowed means over any run length, constant
 /// memory no matter how many requests complete.
 pub const LATENCY_RESERVOIR_CAP: usize = 4096;
-
-/// Derivation tag of the reservoir's replacement stream (from the
-/// first host's seed), distinct from every per-host jitter stream.
-pub(crate) const RESERVOIR_STREAM: u64 = 0x5E5E;
 
 /// Everything a cluster run produces.
 pub struct ClusterResult {
@@ -185,28 +156,32 @@ pub struct ClusterResult {
 }
 
 impl ClusterResult {
+    /// Projects a fixed fleet's result onto the cluster's fields.
+    pub(crate) fn from_fleet(fleet: FleetResult) -> ClusterResult {
+        ClusterResult {
+            hosts: fleet.hosts.into_iter().map(|h| h.result).collect(),
+            routed: fleet.routed,
+            completed: fleet.completed,
+            latency_over_time: fleet.latency_over_time,
+            events_processed: fleet.events_processed,
+            peak_queue_depth: fleet.peak_queue_depth,
+            injected: fleet.injected,
+        }
+    }
+
     /// Cluster-wide request-latency histograms, merged per function.
     pub fn merged_latency(&self) -> BTreeMap<FunctionKind, Histogram> {
-        let mut merged: BTreeMap<FunctionKind, Histogram> = BTreeMap::new();
-        for host in &self.hosts {
-            for (&kind, m) in &host.per_func {
-                merged.entry(kind).or_default().merge(&m.latency);
-            }
-        }
-        merged
+        metrics::merged_latency(&self.hosts)
     }
 
     /// Cluster-wide cold and warm start counts.
     pub fn cold_warm_starts(&self) -> (u64, u64) {
-        self.hosts
-            .iter()
-            .flat_map(|h| h.per_func.values())
-            .fold((0, 0), |(c, w), m| (c + m.cold_starts, w + m.warm_starts))
+        metrics::cold_warm_starts(&self.hosts)
     }
 
     /// Integrated host memory footprint across the cluster (GiB·s).
     pub fn total_gib_seconds(&self) -> f64 {
-        self.hosts.iter().map(|h| h.gib_seconds()).sum()
+        metrics::total_gib_seconds(&self.hosts)
     }
 
     /// Requests routed per host (imbalance diagnostics).
@@ -218,30 +193,19 @@ impl ClusterResult {
     }
 }
 
-/// The multi-host FaaS cluster simulator.
+/// The multi-host FaaS cluster simulator: a fixed fleet under a
+/// caller-chosen router.
 pub struct ClusterSim {
-    hosts: Vec<HostSim>,
-    tenants: Vec<TenantTrace>,
-    router: Box<dyn Router>,
-    events: EventQueue<ClusterEvent>,
-    feed: ArrivalFeed,
-    routed: Vec<Vec<u64>>,
-    latency_over_time: Reservoir,
+    fleet: FleetSim,
 }
 
 impl ClusterSim {
     /// Boots every host and takes the tenant traces into a lazy feed
-    /// (tenant-ordered, exactly the order the former pre-push used);
-    /// only the per-host sample chains enter the queue up front.
-    pub fn new(mut config: ClusterConfig, router: Box<dyn Router>) -> Result<ClusterSim, VmmError> {
-        let duration_s = ClusterSim::check(&config);
-        let slots = config
-            .tenants
-            .iter_mut()
-            .map(|t| std::mem::take(&mut t.arrivals))
-            .collect();
-        let feed = ArrivalFeed::merged(slots, duration_s);
-        ClusterSim::build(config, router, feed, false)
+    /// (tenant-ordered); only the per-host sample chains enter the
+    /// queue up front.
+    pub fn new(config: ClusterConfig, router: Box<dyn Router>) -> Result<ClusterSim, VmmError> {
+        let fleet = FleetSim::new(config.into_fixed_fleet(), router, Box::new(FixedFleet))?;
+        Ok(ClusterSim { fleet })
     }
 
     /// Boots every host and streams arrivals from a trace source:
@@ -256,157 +220,19 @@ impl ClusterSim {
         source: Box<dyn TraceSource>,
         origin: &str,
     ) -> Result<ClusterSim, VmmError> {
-        let duration_s = ClusterSim::check(&config);
-        let feed = ArrivalFeed::stream(source, duration_s, origin);
-        ClusterSim::build(config, router, feed, true)
-    }
-
-    fn check(config: &ClusterConfig) -> f64 {
-        assert!(
-            !config.hosts.is_empty(),
-            "a cluster needs at least one host"
-        );
-        config.hosts[0].duration_s
-    }
-
-    fn build(
-        config: ClusterConfig,
-        router: Box<dyn Router>,
-        feed: ArrivalFeed,
-        bounded: bool,
-    ) -> Result<ClusterSim, VmmError> {
-        let reservoir_rng = DetRng::new(config.hosts[0].seed).derive(RESERVOIR_STREAM);
-        let mut hosts: Vec<HostSim> = config
-            .hosts
-            .into_iter()
-            .map(HostSim::new)
-            .collect::<Result<_, _>>()?;
-        for h in &mut hosts {
-            h.enable_latency_tap();
-            if bounded {
-                h.enable_bounded_metrics();
-            }
-        }
-        let mut events = EventQueue::new();
-        for host in 0..hosts.len() {
-            events.push(
-                SimTime::ZERO,
-                ClusterEvent::Host {
-                    host,
-                    ev: Event::Sample,
-                },
-            );
-        }
-        let routed = vec![vec![0; config.tenants.len()]; hosts.len()];
-        Ok(ClusterSim {
-            hosts,
-            tenants: config.tenants,
+        let fleet = FleetSim::with_source(
+            config.into_fixed_fleet(),
             router,
-            events,
-            feed,
-            routed,
-            latency_over_time: Reservoir::new(LATENCY_RESERVOIR_CAP, reservoir_rng),
-        })
-    }
-
-    /// Routes one tenant arrival at `now` and returns the chosen host.
-    fn route_arrival(
-        &mut self,
-        now: SimTime,
-        tenant: usize,
-        needs_loads: bool,
-        loads: &mut Vec<HostLoad>,
-    ) -> usize {
-        let t = &self.tenants[tenant];
-        if needs_loads {
-            loads.clear();
-            loads.extend(self.hosts.iter().map(|h| h.load_snapshot(t.vm, t.dep)));
-        }
-        let h = self.router.route(tenant, loads);
-        assert!(
-            h < self.hosts.len(),
-            "router returned host {h} of {}",
-            self.hosts.len()
-        );
-        self.routed[h][tenant] += 1;
-        let (vm, dep) = (t.vm, t.dep);
-        let mut sink = HostSink {
-            q: &mut self.events,
-            host: h,
-        };
-        self.hosts[h].handle(now, Event::Arrival { vm, dep }, &mut sink);
-        h
+            Box::new(FixedFleet),
+            source,
+            origin,
+        )?;
+        Ok(ClusterSim { fleet })
     }
 
     /// Runs the cluster to completion.
-    pub fn run(mut self) -> ClusterResult {
-        // One reusable snapshot buffer instead of a fresh Vec per
-        // arrival; load-blind routers (see [`Router::needs_loads`])
-        // skip the O(hosts) snapshot entirely and only see the slice's
-        // length, which the placeholder entries preserve.
-        let needs_loads = self.router.needs_loads();
-        let mut loads: Vec<HostLoad> = vec![
-            HostLoad {
-                warm_idle: 0,
-                alive: 0,
-                queued: 0,
-                active: 0,
-                free_bytes: 0,
-            };
-            self.hosts.len()
-        ];
-        // Two-stream merge with batched pops: a fed arrival is routed
-        // inline whenever its time is <= the queue's next tick (it
-        // would have held the lower sequence number in the pre-push
-        // era), otherwise one tick's batch pops — in the exact (time,
-        // seq) order sequential pops would yield.
-        let mut batch = Vec::new();
-        loop {
-            let arrival_next = match (self.feed.peek(), self.events.peek_time()) {
-                (Some((at, _)), Some(qt)) => at <= qt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if arrival_next {
-                let (at, tenant) = self.feed.pop().expect("peeked");
-                let touched = self.route_arrival(at, tenant, needs_loads, &mut loads);
-                self.drain_tap(touched);
-            } else if let Some(now) = self.events.pop_batch(&mut batch) {
-                for ev in batch.drain(..) {
-                    let ClusterEvent::Host { host, ev } = ev;
-                    let mut sink = HostSink {
-                        q: &mut self.events,
-                        host,
-                    };
-                    self.hosts[host].handle(now, ev, &mut sink);
-                    self.drain_tap(host);
-                }
-            }
-        }
-        let injected = self.feed.injected();
-        let events_processed = self.events.processed() + injected;
-        let peak_queue_depth = self.events.peak_len();
-        let hosts: Vec<SimResult> = self.hosts.into_iter().map(HostSim::finish).collect();
-        let completed = hosts.iter().map(|h| h.completed).sum();
-        ClusterResult {
-            hosts,
-            routed: self.routed,
-            completed,
-            latency_over_time: self.latency_over_time,
-            events_processed,
-            peak_queue_depth,
-            injected,
-        }
-    }
-
-    /// Moves the touched host's freshly recorded completions into the
-    /// cluster reservoir.
-    fn drain_tap(&mut self, host: usize) {
-        for &(_, arrival_s, latency_ms) in self.hosts[host].recent_latencies() {
-            self.latency_over_time.offer(arrival_s, latency_ms);
-        }
-        self.hosts[host].clear_recent_latencies();
+    pub fn run(self) -> ClusterResult {
+        ClusterResult::from_fleet(self.fleet.run())
     }
 }
 

@@ -162,7 +162,8 @@ impl SimConfig {
     /// tenant traces directly.
     ///
     /// Part of the scenario front door — the `scenario_equivalence`
-    /// test pins `Scenario::run_trial` byte-identical to
+    /// test pins `Scenario::run_trial`, which runs this config on the
+    /// fleet engine as a one-host fixed fleet, byte-identical to
     /// `FaasSim::new(SimConfig::from_scenario(..)).run()`.
     pub fn from_scenario(
         spec: &crate::scenario::Scenario,

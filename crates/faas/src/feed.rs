@@ -5,7 +5,7 @@
 //! for synthetic minute-scale traces, fatal for multi-day replays with
 //! millions of invocations. A feed holds either the materialized
 //! per-slot arrival lists (legacy generators) or a streaming
-//! [`TraceSource`] (file-backed replays), and the run loops merge it
+//! [`TraceSource`] (file-backed replays), and the fleet engine merges it
 //! with the event queue one arrival at a time, so queue memory stays
 //! O(pending events).
 //!
@@ -18,17 +18,16 @@
 //! queue's next tick (the arrival wins ties), and the feed itself
 //! yields in `(converted SimTime, slot, position)` order — the same
 //! total order the queue's `(time, seq)` tie-break produced. The
-//! `golden`, `cluster_equivalence` and `fleet_equivalence` suites pin
-//! this.
+//! `golden` and `stream_equivalence` suites pin this.
 
 use sim_core::{SimDuration, SimTime};
 use workloads::TraceSource;
 
 /// A source of `(time, slot)` arrivals in non-decreasing time order.
 ///
-/// `slot` is the feed-local arrival address: the flattened `(vm, dep)`
-/// deployment index for the single-host simulator, the tenant index for
-/// the cluster and fleet simulators.
+/// `slot` is the feed-local arrival address: the index of a
+/// [`crate::TenantTrace`] (for a single host, its flattened `(vm, dep)`
+/// deployment index).
 pub(crate) enum ArrivalFeed {
     Merged(MergedFeed),
     Stream(StreamFeed),

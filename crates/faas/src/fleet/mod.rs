@@ -1,9 +1,11 @@
-//! The fleet simulator: an elastic host set over the shared event
-//! engine.
+//! The fleet simulator: the crate's one event engine, with an elastic
+//! host set.
 //!
-//! [`crate::ClusterSim`] (PR 3) runs N hosts, but N is frozen for the
-//! whole run — it is a *data plane*. [`FleetSim`] adds the control
-//! plane a real serverless fleet runs on top:
+//! [`FleetSim`] merges the arrival feed with one shared [`EventQueue`]
+//! and dispatches every host's events; [`crate::FaasSim`] (one host)
+//! and [`crate::ClusterSim`] (N hosts) are shells that run it as a
+//! fixed fleet. On top of that data plane it runs the control plane a
+//! real serverless fleet has:
 //!
 //! * **Host lifecycle** — every host moves through
 //!   [`HostState::Booting`] → [`HostState::Active`] →
@@ -25,13 +27,12 @@
 //!   requeued to the surviving fleet (fresh arrival clocks, as a
 //!   client retry would), its in-flight executions are counted lost.
 //!
-//! Determinism is inherited from the cluster layer: one shared
-//! [`EventQueue`] with FIFO tie-breaks, pop-time routing, and every
-//! random choice (crash times, victims, power-of-two probes, reservoir
-//! replacement) on its own derived [`DetRng`] stream. With a fixed
-//! fleet ([`FixedFleet`]) and failures off, the event stream is
-//! *byte-identical* to [`crate::ClusterSim`]'s — the
-//! `fleet_equivalence` property test pins it over random traces.
+//! Determinism is structural: the shared queue breaks time ties FIFO,
+//! arrivals are routed at pop time, and every random choice (crash
+//! times, victims, power-of-two probes, reservoir replacement) draws
+//! from its own derived [`DetRng`] stream. A fixed fleet
+//! ([`FixedFleet`], failures off) schedules no control or crash event,
+//! so its run is exactly the plain multi-host data plane.
 
 mod failure;
 mod policy;
@@ -48,12 +49,10 @@ use sim_core::{DetRng, EventQueue, Histogram, Reservoir, SimDuration, SimTime, T
 use vmm::VmmError;
 use workloads::{FunctionKind, TraceSource};
 
-use crate::cluster::{
-    ClusterConfig, HostLoad, Router, TenantTrace, LATENCY_RESERVOIR_CAP, RESERVOIR_STREAM,
-};
+use crate::cluster::{ClusterConfig, HostLoad, Router, TenantTrace, LATENCY_RESERVOIR_CAP};
 use crate::config::SimConfig;
 use crate::feed::ArrivalFeed;
-use crate::metrics::SimResult;
+use crate::metrics::{self, SimResult};
 use crate::sim::events::{Event, EventSink};
 use crate::sim::host::HostSim;
 use failure::FailureInjector;
@@ -61,6 +60,10 @@ use failure::FailureInjector;
 /// Derivation tag of the failure injector's stream (from the fleet
 /// seed).
 const FAILURE_STREAM: u64 = 0xFA11;
+
+/// Derivation tag of the latency reservoir's replacement stream (from
+/// the fleet seed), distinct from every per-host jitter stream.
+const RESERVOIR_STREAM: u64 = 0x5E5E;
 
 /// Derivation tag of booted-host config seeds (from the template
 /// seed).
@@ -137,18 +140,12 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// Wraps a [`ClusterConfig`] into a frozen fleet: same hosts, same
-    /// tenants, autoscaling and failures off. With the same router and
-    /// the [`FixedFleet`] policy this reproduces
-    /// [`crate::ClusterSim`] byte-for-byte.
+    /// tenants, autoscaling, failures and SLO accounting off. Run with
+    /// the [`FixedFleet`] policy, this is how [`crate::ClusterSim`]
+    /// runs a cluster.
     pub fn fixed(cluster: ClusterConfig, seed: u64) -> FleetConfig {
         let template = cluster.hosts[0].clone();
         let n = cluster.hosts.len();
-        let slo = default_slos(
-            template
-                .vms
-                .iter()
-                .flat_map(|v| v.deployments.iter().map(|d| d.kind)),
-        );
         FleetConfig {
             initial_hosts: cluster.hosts,
             template,
@@ -159,7 +156,7 @@ impl FleetConfig {
                 ..AutoscaleOpts::default()
             },
             failures: FailureConfig::off(),
-            slo,
+            slo: Vec::new(),
             seed,
         }
     }
@@ -370,26 +367,17 @@ impl FleetResult {
 
     /// Fleet-wide request-latency histograms, merged per function.
     pub fn merged_latency(&self) -> BTreeMap<FunctionKind, Histogram> {
-        let mut merged: BTreeMap<FunctionKind, Histogram> = BTreeMap::new();
-        for host in &self.hosts {
-            for (&kind, m) in &host.result.per_func {
-                merged.entry(kind).or_default().merge(&m.latency);
-            }
-        }
-        merged
+        metrics::merged_latency(self.hosts.iter().map(|h| &h.result))
     }
 
     /// Fleet-wide cold and warm start counts.
     pub fn cold_warm_starts(&self) -> (u64, u64) {
-        self.hosts
-            .iter()
-            .flat_map(|h| h.result.per_func.values())
-            .fold((0, 0), |(c, w), m| (c + m.cold_starts, w + m.warm_starts))
+        metrics::cold_warm_starts(self.hosts.iter().map(|h| &h.result))
     }
 
     /// Integrated host memory footprint across the fleet (GiB·s).
     pub fn total_gib_seconds(&self) -> f64 {
-        self.hosts.iter().map(|h| h.result.gib_seconds()).sum()
+        metrics::total_gib_seconds(self.hosts.iter().map(|h| &h.result))
     }
 }
 
@@ -405,11 +393,18 @@ pub struct FleetSim {
     /// Cached [`Router::needs_loads`]: load-blind routers skip the
     /// per-arrival snapshot sweep entirely.
     router_needs_loads: bool,
+    /// Indices of the Active hosts in ascending order: the routable
+    /// set, kept in step with every lifecycle transition so routing
+    /// never sweeps the whole fleet.
+    active: Vec<usize>,
     /// Per-arrival routing scratch (reused, never reallocated in
-    /// steady state).
-    route_eligible: Vec<usize>,
+    /// steady state). Load-blind routers only see its length, so its
+    /// placeholder entries are resized only when `active` changes size.
     route_loads: Vec<HostLoad>,
     policy: Box<dyn AutoscalePolicy>,
+    /// Cached `policy.period_s().is_some()`: whether the control loop
+    /// runs at all.
+    control_loop: bool,
     opts: AutoscaleOpts,
     slo: Vec<(FunctionKind, f64)>,
     slots_per_host: usize,
@@ -438,12 +433,10 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// Boots the initial hosts and schedules the tenant traces, the
-    /// control loop (if the policy has one) and the crash plan.
-    ///
-    /// Construction order matches [`crate::ClusterSim`] exactly —
-    /// arrivals in tenant order, then one sample chain per host — so a
-    /// fixed fleet's event queue is byte-identical to the cluster's.
+    /// Boots the initial hosts and takes the tenant traces into a lazy
+    /// feed (tenant-ordered); one sample chain per host, the control
+    /// loop (if the policy has one) and the crash plan enter the queue
+    /// up front.
     pub fn new(
         mut config: FleetConfig,
         router: Box<dyn Router>,
@@ -511,7 +504,6 @@ impl FleetSim {
         let mut hosts = Vec::new();
         for cfg in config.initial_hosts {
             let mut sim = HostSim::new(cfg)?;
-            sim.enable_latency_tap();
             if bounded_metrics {
                 sim.enable_bounded_metrics();
             }
@@ -569,8 +561,9 @@ impl FleetSim {
             tenant_of_slot,
             router_needs_loads: router.needs_loads(),
             router,
-            route_eligible: Vec::new(),
+            active: (0..hosts.len()).collect(),
             route_loads: Vec::new(),
+            control_loop: policy.period_s().is_some(),
             policy,
             opts: config.autoscale,
             slo: config.slo,
@@ -683,22 +676,21 @@ impl FleetSim {
     // --- Data plane --------------------------------------------------------
 
     fn on_incoming(&mut self, now: SimTime, tenant: usize) {
-        let t = &self.tenants[tenant];
-        self.route_eligible.clear();
-        self.route_eligible.extend(
-            self.hosts
+        debug_assert!(
+            self.active.iter().copied().eq(self
+                .hosts
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.state == HostState::Active)
-                .map(|(i, _)| i),
+                .map(|(i, _)| i)),
+            "active-host index out of step with host states"
         );
-        if self.route_eligible.is_empty() {
+        if self.active.is_empty() {
             // No routable host. If capacity is provisioning — or the
             // control loop is still alive to provision some — park the
             // request briefly; otherwise it is genuinely unservable.
             let provisioning = self.hosts.iter().any(|s| s.state == HostState::Booting);
-            let loop_alive =
-                self.policy.period_s().is_some() && now.as_secs_f64() < self.duration_s;
+            let loop_alive = self.control_loop && now.as_secs_f64() < self.duration_s;
             if provisioning || loop_alive {
                 self.deferred += 1;
                 self.events.push(
@@ -710,18 +702,17 @@ impl FleetSim {
             }
             return;
         }
-        // Load-aware routers get fresh snapshots; load-blind ones only
-        // see the slice's length, which the placeholder entries keep.
-        self.route_loads.clear();
+        let t = &self.tenants[tenant];
         if self.router_needs_loads {
+            self.route_loads.clear();
             self.route_loads.extend(
-                self.route_eligible
+                self.active
                     .iter()
                     .map(|&i| self.hosts[i].sim.load_snapshot(t.vm, t.dep)),
             );
-        } else {
+        } else if self.route_loads.len() != self.active.len() {
             self.route_loads.resize(
-                self.route_eligible.len(),
+                self.active.len(),
                 HostLoad {
                     warm_idle: 0,
                     alive: 0,
@@ -733,11 +724,11 @@ impl FleetSim {
         }
         let r = self.router.route(tenant, &self.route_loads);
         assert!(
-            r < self.route_eligible.len(),
+            r < self.active.len(),
             "router returned host {r} of {}",
-            self.route_eligible.len()
+            self.active.len()
         );
-        let h = self.route_eligible[r];
+        let h = self.active[r];
         self.routed[h][tenant] += 1;
         let (vm, dep) = (t.vm, t.dep);
         let mut sink = HostSink {
@@ -754,7 +745,7 @@ impl FleetSim {
     /// reservoir, SLO counters and (when the control loop is on) the
     /// policy's latency window.
     fn drain_tap(&mut self, host: usize) {
-        let window_on = self.policy.period_s().is_some();
+        let window_on = self.control_loop;
         for &(kind, arrival_s, latency_ms) in self.hosts[host].sim.recent_latencies() {
             self.latency_over_time.offer(arrival_s, latency_ms);
             if let Some(&(_, target)) = self.slo.iter().find(|(k, _)| *k == kind) {
@@ -779,15 +770,14 @@ impl FleetSim {
         // replacements up to `min_hosts` outside the policy and its
         // cooldown. A fixed fleet has no control loop and therefore no
         // healing — its crash losses are permanent by design.
-        let provisioned = self.count(HostState::Active) + self.count(HostState::Booting);
+        let provisioned = self.active.len() + self.count(HostState::Booting);
         if provisioned < self.opts.min_hosts {
             self.boot_hosts(now, self.opts.min_hosts - provisioned);
         }
         let active_loads: Vec<HostLoad> = self
-            .hosts
+            .active
             .iter()
-            .filter(|s| s.state == HostState::Active)
-            .map(|s| s.sim.total_load())
+            .map(|&i| self.hosts[i].sim.total_load())
             .collect();
         let booting = self.count(HostState::Booting);
         let draining = self.count(HostState::Draining);
@@ -827,7 +817,7 @@ impl FleetSim {
     }
 
     fn scale_up(&mut self, now: SimTime, n: u32) {
-        let provisioned = self.count(HostState::Active) + self.count(HostState::Booting);
+        let provisioned = self.active.len() + self.count(HostState::Booting);
         let room = self.opts.max_hosts.saturating_sub(provisioned);
         let n = (n as usize).min(room);
         if n > 0 {
@@ -851,7 +841,6 @@ impl FleetSim {
                 .derive(ordinal)
                 .seed();
             let mut sim = HostSim::new(cfg).expect("fleet template host boots");
-            sim.enable_latency_tap();
             if self.bounded_metrics {
                 sim.enable_bounded_metrics();
             }
@@ -872,24 +861,23 @@ impl FleetSim {
     }
 
     fn scale_down(&mut self, now: SimTime, n: u32) {
-        let provisioned = self.count(HostState::Active) + self.count(HostState::Booting);
+        let provisioned = self.active.len() + self.count(HostState::Booting);
         let allowed = provisioned.saturating_sub(self.opts.min_hosts);
-        let n = (n as usize).min(allowed).min(self.count(HostState::Active));
+        let n = (n as usize).min(allowed).min(self.active.len());
         if n == 0 {
             return;
         }
         // Drain the least-pressured hosts: they quiesce fastest and
         // carry the least warm state worth keeping.
         let mut candidates: Vec<(usize, usize)> = self
-            .hosts
+            .active
             .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == HostState::Active)
-            .map(|(i, s)| (s.sim.total_load().pressure(), i))
+            .map(|&i| (self.hosts[i].sim.total_load().pressure(), i))
             .collect();
         candidates.sort_unstable();
         for &(_, host) in candidates.iter().take(n) {
             self.hosts[host].state = HostState::Draining;
+            self.active.retain(|&i| i != host);
             self.scale_downs += 1;
             self.maybe_retire(now, host);
         }
@@ -902,6 +890,8 @@ impl FleetSim {
             return;
         }
         self.hosts[host].state = HostState::Active;
+        let at = self.active.partition_point(|&i| i < host);
+        self.active.insert(at, host);
         // Start the host's metrics sample chain.
         let mut sink = HostSink {
             q: &mut self.events,
@@ -936,6 +926,7 @@ impl FleetSim {
         };
         // Flush completions that happened before the crash.
         self.drain_tap(victim);
+        self.active.retain(|&i| i != victim);
         let slot = &mut self.hosts[victim];
         slot.state = HostState::Failed;
         slot.stop_at = Some(now);
@@ -956,15 +947,15 @@ impl FleetSim {
     // --- Accounting --------------------------------------------------------
 
     fn push_active_count(&mut self, now: SimTime) {
-        let active = self.count(HostState::Active);
-        self.active_hosts_over_time.push(now, active as f64);
+        self.active_hosts_over_time
+            .push(now, self.active.len() as f64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{LeastLoaded, RoundRobin};
+    use crate::cluster::{LeastLoaded, PowerOfTwoChoices, RoundRobin, WarmAffinity};
     use crate::config::{BackendKind, Deployment, HarvestConfig, VmSpec};
 
     fn host_cfg(tenants: usize, seed: u64, duration_s: f64) -> SimConfig {
@@ -1058,21 +1049,33 @@ mod tests {
                 ..AutoscaleOpts::default()
             },
         );
-        let r = FleetSim::new(cfg, Box::new(RoundRobin::default()), Box::new(FixedFleet))
-            .expect("boot")
-            .run();
-        assert_eq!(r.completed, 8);
-        assert_eq!(r.scale_ups + r.scale_downs + r.crashes, 0);
-        assert_eq!(r.lost + r.deferred, 0);
-        assert_eq!(r.peak_active(), 2);
-        assert_eq!(r.min_active(), 2);
-        assert!(r.hosts.iter().all(|h| h.final_state == HostState::Active));
-        assert_eq!(
-            r.latency_over_time.seen(),
-            8,
-            "reservoir sees every completion"
-        );
-        assert!(r.slo_total == 8, "every completion is SLO-tracked");
+        let routers: [Box<dyn Router>; 4] = [
+            Box::new(RoundRobin::default()),
+            Box::new(LeastLoaded),
+            Box::new(WarmAffinity),
+            Box::new(PowerOfTwoChoices::from_seed(7)),
+        ];
+        for router in routers {
+            let name = router.name();
+            let r = FleetSim::new(cfg.clone(), router, Box::new(FixedFleet))
+                .expect("boot")
+                .run();
+            assert_eq!(
+                r.scale_ups + r.scale_downs + r.crashes + r.lost + r.deferred,
+                0,
+                "{name}: a fixed fleet takes no control action"
+            );
+            assert_eq!(r.completed, 8);
+            assert_eq!(r.peak_active(), 2);
+            assert_eq!(r.min_active(), 2);
+            assert!(r.hosts.iter().all(|h| h.final_state == HostState::Active));
+            assert_eq!(
+                r.latency_over_time.seen(),
+                8,
+                "reservoir sees every completion"
+            );
+            assert!(r.slo_total == 8, "every completion is SLO-tracked");
+        }
     }
 
     #[test]

@@ -8,28 +8,29 @@
 //!   HarvestVM-opts, Squeezy, Squeezy+soft — each in its own module
 //!   behind one `ElasticityBackend` trait (plug/scale-up cost,
 //!   reclaim-on-evict, pressure/revocation hooks).
-//! * **Host layer** ([`sim`]): one host's backend-agnostic event loop —
-//!   a controller routes invocations to per-VM agents that reuse warm
-//!   instances, scale up with memory plugs, keep idle instances alive
-//!   and scale down with memory reclamation. [`FaasSim`] drives a
-//!   single host, the paper's deployment.
-//! * **Cluster layer** ([`cluster`]): [`ClusterSim`] runs N hosts under
-//!   one event engine with a pluggable [`Router`] (round-robin,
-//!   least-loaded, warm-affinity, power-of-two-choices); with one host
-//!   and the [`cluster::SingleHost`] router it reproduces [`FaasSim`]
-//!   byte-for-byte.
-//! * **Fleet layer** ([`fleet`]): [`FleetSim`] puts a control plane
-//!   over the cluster data plane — host lifecycle
-//!   (Booting → Active → Draining → Retired, plus injected Failed),
-//!   pluggable [`AutoscalePolicy`]s (target-utilization, queue-depth,
-//!   SLAM-style SLO-aware), graceful drains and seeded failure
-//!   injection. With a fixed fleet it reproduces [`ClusterSim`]
-//!   byte-for-byte.
+//! * **Host layer** ([`sim`]): one host's backend-agnostic event
+//!   handlers — a controller routes invocations to per-VM agents that
+//!   reuse warm instances, scale up with memory plugs, keep idle
+//!   instances alive and scale down with memory reclamation.
+//!   [`FaasSim`] runs a single host, the paper's deployment.
+//! * **Cluster layer** ([`cluster`]): [`ClusterSim`] runs N hosts with
+//!   a pluggable [`Router`] (round-robin, least-loaded, warm-affinity,
+//!   power-of-two-choices).
+//! * **Fleet layer** ([`fleet`]): [`FleetSim`] is the crate's one event
+//!   engine. It merges the arrival feed with one shared queue, routes
+//!   requests at pop time, and runs a control plane over the hosts —
+//!   host lifecycle (Booting → Active → Draining → Retired, plus
+//!   injected Failed), pluggable [`AutoscalePolicy`]s
+//!   (target-utilization, queue-depth, SLAM-style SLO-aware), graceful
+//!   drains and seeded failure injection. [`FaasSim`] and
+//!   [`ClusterSim`] are shells that run a fixed fleet on it (one host
+//!   under [`cluster::SingleHost`], or N hosts under the caller's
+//!   router) and project its result.
 //!
 //! The **scenario front door** ([`scenario`]) sits above all four:
 //! a declarative, serializable [`Scenario`] spec names a workload, a
 //! topology, backends, a router, a policy and SLOs, and
-//! [`Scenario::run`] dispatches to the right simulator — every layer
+//! [`Scenario::run`] runs it on the fleet engine — every layer
 //! gains a `from_scenario` constructor and every experiment becomes a
 //! data change.
 //!

@@ -195,6 +195,32 @@ impl SimResult {
     }
 }
 
+/// Request-latency histograms of `hosts`, merged per function.
+pub(crate) fn merged_latency<'a>(
+    hosts: impl IntoIterator<Item = &'a SimResult>,
+) -> BTreeMap<FunctionKind, Histogram> {
+    let mut merged: BTreeMap<FunctionKind, Histogram> = BTreeMap::new();
+    for host in hosts {
+        for (&kind, m) in &host.per_func {
+            merged.entry(kind).or_default().merge(&m.latency);
+        }
+    }
+    merged
+}
+
+/// Cold and warm start counts summed over `hosts`.
+pub(crate) fn cold_warm_starts<'a>(hosts: impl IntoIterator<Item = &'a SimResult>) -> (u64, u64) {
+    hosts
+        .into_iter()
+        .flat_map(|h| h.per_func.values())
+        .fold((0, 0), |(c, w), m| (c + m.cold_starts, w + m.warm_starts))
+}
+
+/// Integrated host memory footprint summed over `hosts` (GiB·s).
+pub(crate) fn total_gib_seconds<'a>(hosts: impl IntoIterator<Item = &'a SimResult>) -> f64 {
+    hosts.into_iter().map(SimResult::gib_seconds).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,12 @@
-//! The declarative scenario API: one front door to all three
-//! simulators.
+//! The declarative scenario API: one front door to every topology.
 //!
 //! A [`Scenario`] names everything an experiment needs — a workload
 //! from the [`workloads::registry`], a topology
 //! ([`Topology::SingleVm`] | [`Topology::Cluster`] | [`Topology::Fleet`]),
 //! an elasticity backend per host (or a sweep list of them), a router,
 //! an autoscale policy, SLOs, duration/seed/trials — and
-//! [`Scenario::run`] dispatches to [`crate::FaasSim`],
-//! [`crate::ClusterSim`] or [`crate::FleetSim`] and returns one unified
-//! [`ScenarioResult`]. Every future experiment becomes a data change:
+//! [`Scenario::run`] runs each cell on the fleet engine
+//! ([`crate::FleetSim`]) and returns one unified [`ScenarioResult`]. Every future experiment becomes a data change:
 //! a spec file (see [`Scenario::parse`] / [`Scenario::render`] for the
 //! line-oriented `key = value` format) instead of another ~100 lines
 //! of hand-wired config glue.
@@ -38,10 +36,10 @@ use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::DetRng;
 use workloads::{FunctionKind, TenantLoad, WorkloadKind, WorkloadParams};
 
-use crate::cluster::RouterKind;
+use crate::cluster::{ClusterConfig, ClusterResult, Router, RouterKind, SingleHost};
 use crate::config::{BackendKind, HarvestConfig, SimConfig};
-use crate::fleet::{default_slos, PolicyKind};
-use crate::{ClusterConfig, ClusterSim, FaasSim, FleetConfig, FleetSim};
+use crate::fleet::{default_slos, AutoscalePolicy, FixedFleet, FleetConfig, FleetSim, PolicyKind};
+use crate::sim::single_host;
 
 /// Derivation tag of the tenant-trace stream: traces depend on
 /// `(seed, trial)` only, never on the backend or router under test.
@@ -517,82 +515,59 @@ impl Scenario {
     /// experiments (`bench::cluster`, `bench::fleet`) call it directly
     /// from their own sweep engines.
     ///
+    /// Every topology runs on the fleet engine: the topology picks the
+    /// fleet config, the router and the projection of the result; the
+    /// workload picks a materialized or a streamed (`trace(<path>)`)
+    /// feed. Streamed arrivals are never materialized, and their
+    /// metrics are bounded. `offered` is the number of arrivals the
+    /// feed injected within the duration.
+    ///
     /// # Panics
     ///
     /// Panics if a host fails to boot (e.g. `host_capacity` smaller
     /// than the VMs' boot memory) — the same contract as constructing
     /// the simulators by hand.
     pub fn run_trial(&self, backend: BackendKind, trial: u64) -> ScenarioOutcome {
-        if let WorkloadSpec::Trace(path) = &self.workload {
-            return self.run_trace_trial(path, backend, trial);
-        }
-        let duration_s = self.params.duration_s;
-        let offered_of = |arrivals: &[f64]| arrivals.iter().filter(|&&a| a < duration_s).count();
+        let (config, router, policy): (FleetConfig, Box<dyn Router>, Box<dyn AutoscalePolicy>) =
+            match self.topology {
+                Topology::SingleVm => (
+                    ClusterConfig::from_single(SimConfig::from_scenario(self, backend, trial))
+                        .into_fixed_fleet(),
+                    Box::new(SingleHost),
+                    Box::new(FixedFleet),
+                ),
+                Topology::Cluster(_) => (
+                    ClusterConfig::from_scenario(self, backend, trial).into_fixed_fleet(),
+                    self.router.build(self.router_seed(trial)),
+                    Box::new(FixedFleet),
+                ),
+                Topology::Fleet => (
+                    FleetConfig::from_scenario(self, backend, trial),
+                    self.router.build(self.router_seed(trial)),
+                    self.policy.build(),
+                ),
+            };
+        let sim = match &self.workload {
+            WorkloadSpec::Named(_) => FleetSim::new(config, router, policy),
+            WorkloadSpec::Trace(path) => {
+                let source = workloads::open_trace(path, trial)
+                    .unwrap_or_else(|e| panic!("trace {path}: {e}"));
+                FleetSim::with_source(config, router, policy, source, path)
+            }
+        };
+        let result = sim.expect("scenario hosts boot").run();
+        let offered = result.injected;
         match self.topology {
             Topology::SingleVm => {
-                let cfg = SimConfig::from_scenario(self, backend, trial);
-                let offered: usize = cfg
-                    .vms
-                    .iter()
-                    .flat_map(|v| &v.deployments)
-                    .map(|d| offered_of(&d.arrivals))
-                    .sum();
-                let result = FaasSim::new(cfg).expect("scenario host boots").run();
-                ScenarioOutcome::from_sim(backend, trial, offered as u64, result)
+                ScenarioOutcome::from_sim(backend, trial, offered, single_host(result))
             }
-            Topology::Cluster(_) => {
-                let cfg = ClusterConfig::from_scenario(self, backend, trial);
-                let offered: usize = cfg.tenants.iter().map(|t| offered_of(&t.arrivals)).sum();
-                let router = self.router.build(self.router_seed(trial));
-                let result = ClusterSim::new(cfg, router)
-                    .expect("scenario hosts boot")
-                    .run();
-                ScenarioOutcome::from_cluster(backend, trial, offered as u64, result)
-            }
-            Topology::Fleet => {
-                let cfg = FleetConfig::from_scenario(self, backend, trial);
-                let offered: usize = cfg.tenants.iter().map(|t| offered_of(&t.arrivals)).sum();
-                let router = self.router.build(self.router_seed(trial));
-                let result = FleetSim::new(cfg, router, self.policy.build())
-                    .expect("scenario fleet boots")
-                    .run();
-                ScenarioOutcome::from_fleet(backend, trial, offered as u64, result)
-            }
-        }
-    }
-
-    /// One `(backend, trial)` cell of a `trace(<path>)` workload: the
-    /// same topology dispatch as the named path, but arrivals stream
-    /// from the file through the simulators' `with_source` ctors —
-    /// never materialized, metrics bounded. `offered` is the number of
-    /// arrivals the feed actually injected within the duration.
-    fn run_trace_trial(&self, path: &str, backend: BackendKind, trial: u64) -> ScenarioOutcome {
-        let source =
-            workloads::open_trace(path, trial).unwrap_or_else(|e| panic!("trace {path}: {e}"));
-        match self.topology {
-            Topology::SingleVm => {
-                let cfg = SimConfig::from_scenario(self, backend, trial);
-                let (result, injected) = FaasSim::with_source(cfg, source, path)
-                    .expect("scenario host boots")
-                    .run_counted();
-                ScenarioOutcome::from_sim(backend, trial, injected, result)
-            }
-            Topology::Cluster(_) => {
-                let cfg = ClusterConfig::from_scenario(self, backend, trial);
-                let router = self.router.build(self.router_seed(trial));
-                let result = ClusterSim::with_source(cfg, router, source, path)
-                    .expect("scenario hosts boot")
-                    .run();
-                ScenarioOutcome::from_cluster(backend, trial, result.injected, result)
-            }
-            Topology::Fleet => {
-                let cfg = FleetConfig::from_scenario(self, backend, trial);
-                let router = self.router.build(self.router_seed(trial));
-                let result = FleetSim::with_source(cfg, router, self.policy.build(), source, path)
-                    .expect("scenario fleet boots")
-                    .run();
-                ScenarioOutcome::from_fleet(backend, trial, result.injected, result)
-            }
+            Topology::Cluster(_) => ScenarioOutcome::from_cluster(
+                backend,
+                trial,
+                offered,
+                ClusterResult::from_fleet(result),
+            ),
+            Topology::Fleet => ScenarioOutcome::from_fleet(backend, trial, offered, result),
         }
     }
 

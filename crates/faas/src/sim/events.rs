@@ -1,14 +1,12 @@
 //! The event vocabulary of the host runtime and the sink the handlers
 //! schedule into.
 //!
-//! Handlers never own the queue: [`FaasSim`](crate::FaasSim) hands them
-//! its private [`EventQueue`], while the cluster simulator hands them a
-//! tagging adapter that wraps the same events into its shared
-//! multi-host queue. Either way scheduling order — and therefore the
-//! queue's FIFO tie-breaking — is identical, which is what makes the
-//! one-host cluster byte-identical to the single-host simulator.
+//! Handlers never own the queue: the fleet engine hands them a sink
+//! that tags each event with its host and pushes it onto the one shared
+//! queue, so a host's scheduling order is the queue's FIFO tie-break
+//! order.
 
-use sim_core::{EventQueue, SimTime};
+use sim_core::SimTime;
 
 /// Events driving one host's simulation.
 #[derive(Clone, Copy, Debug)]
@@ -42,10 +40,4 @@ pub(crate) enum Work {
 pub(crate) trait EventSink {
     /// Schedules `ev` at absolute time `at`.
     fn push(&mut self, at: SimTime, ev: Event);
-}
-
-impl EventSink for EventQueue<Event> {
-    fn push(&mut self, at: SimTime, ev: Event) {
-        EventQueue::push(self, at, ev);
-    }
 }

@@ -1,4 +1,4 @@
-//! One host's runtime: the backend-agnostic event loop.
+//! One host's runtime: the backend-agnostic event handlers.
 //!
 //! [`HostSim`] owns the host memory, the per-VM agents ([`VmRt`]) and
 //! the elasticity backend, and handles [`Event`]s: route arrivals to
@@ -7,9 +7,9 @@
 //! never dispatches on `BackendKind` — all backend behavior goes
 //! through the [`ElasticityBackend`] hooks.
 //!
-//! The loop is driven externally: [`crate::FaasSim`] pumps a private
-//! event queue for one host; [`crate::ClusterSim`] pumps a shared
-//! queue for many.
+//! The handlers are driven externally: [`crate::FleetSim`], the
+//! crate's one event engine, hands each host its events and drains its
+//! latency tap.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -103,9 +103,8 @@ pub(crate) struct HostSim {
     /// steady-state completion path does not allocate).
     finished_scratch: Vec<(TaskId, Work)>,
     rng: DetRng,
-    /// When set, completed requests are also appended to
-    /// `recent_latencies` for the cluster/fleet drivers to drain.
-    latency_tap: bool,
+    /// Latency tap: completed requests since the engine last drained
+    /// it, as `(kind, arrival_s, latency_ms)`.
     recent_latencies: Vec<(FunctionKind, f64, f64)>,
     /// Bounded-metrics mode (streamed trace replays): per-function
     /// histograms become capped reservoirs and the memory/instance
@@ -205,7 +204,6 @@ impl HostSim {
             completed: 0,
             finished_scratch: Vec::new(),
             rng,
-            latency_tap: false,
             recent_latencies: Vec::new(),
             bounded_metrics: false,
             usage_last: None,
@@ -371,16 +369,10 @@ impl HostSim {
 
     // --- Fleet lifecycle hooks --------------------------------------------
 
-    /// Turns on the latency tap: every completed request is also pushed
-    /// to a drainable buffer. The cluster/fleet drivers enable this to
-    /// feed bounded reservoirs and SLO accounting; the buffer is not
-    /// part of [`SimResult`], so tapping never perturbs digests.
-    pub fn enable_latency_tap(&mut self) {
-        self.latency_tap = true;
-    }
-
-    /// Drains `(kind, arrival_s, latency_ms)` completions recorded
-    /// since the last drain.
+    /// The `(kind, arrival_s, latency_ms)` completions recorded since
+    /// the last drain. The engine feeds them to its reservoir and SLO
+    /// accounting; the tap is not part of [`SimResult`], so it never
+    /// perturbs digests.
     pub fn recent_latencies(&self) -> &[(FunctionKind, f64, f64)] {
         &self.recent_latencies
     }
@@ -923,10 +915,8 @@ impl HostSim {
         self.mark_idle(vm, inst);
         let kind = self.dep_kind(vm, dep);
         let latency_ms = now.since(arrival).as_millis_f64();
-        if self.latency_tap {
-            self.recent_latencies
-                .push((kind, arrival.as_secs_f64(), latency_ms));
-        }
+        self.recent_latencies
+            .push((kind, arrival.as_secs_f64(), latency_ms));
         let record_points = self.config.record_latency_points;
         let m = self.metrics(kind);
         m.latency.record(latency_ms);

@@ -14,11 +14,11 @@
 //! * [`events`] — the event vocabulary and the sink handlers schedule
 //!   into;
 //! * [`instance`] — per-instance lifecycle state;
-//! * [`host`] — one host's event loop (`HostSim`), backend agnostic.
+//! * [`host`] — one host's event handlers (`HostSim`), backend agnostic.
 //!
-//! [`FaasSim`] drives a single host on a private queue — the paper's
-//! deployment. [`crate::ClusterSim`] drives many hosts on one shared
-//! queue.
+//! [`FaasSim`] runs a single host — the paper's deployment — as a
+//! one-host fixed fleet on [`crate::FleetSim`], the crate's one event
+//! engine.
 //!
 //! Time is event-driven; CPU contention inside each VM is the fluid
 //! model of [`sim_core::CpuPool`], so a virtio-mem driver kthread
@@ -29,42 +29,29 @@ pub(crate) mod events;
 pub(crate) mod host;
 pub(crate) mod instance;
 
-use sim_core::{EventQueue, SimTime};
 use vmm::VmmError;
 use workloads::TraceSource;
 
+use crate::cluster::{ClusterConfig, SingleHost};
 use crate::config::SimConfig;
-use crate::feed::ArrivalFeed;
+use crate::fleet::{FixedFleet, FleetResult, FleetSim};
 use crate::metrics::SimResult;
-use events::Event;
-use host::HostSim;
 
 /// The single-host FaaS runtime simulator.
 pub struct FaasSim {
-    host: HostSim,
-    events: EventQueue<Event>,
-    /// Arrivals, pulled lazily — queue memory stays O(pending events),
-    /// not O(total invocations).
-    feed: ArrivalFeed,
-    /// Feed slot index → `(vm, dep)` deployment address.
-    slot_map: Vec<(usize, usize)>,
+    fleet: FleetSim,
 }
 
 impl FaasSim {
     /// Builds a simulation: boots the VMs, installs the backend, and
     /// takes the configured arrival traces into a lazy feed.
-    pub fn new(mut config: SimConfig) -> Result<FaasSim, VmmError> {
-        let duration_s = config.duration_s;
-        let mut slots = Vec::new();
-        let mut slot_map = Vec::new();
-        for (vi, spec) in config.vms.iter_mut().enumerate() {
-            for (di, d) in spec.deployments.iter_mut().enumerate() {
-                slot_map.push((vi, di));
-                slots.push(std::mem::take(&mut d.arrivals));
-            }
-        }
-        let feed = ArrivalFeed::merged(slots, duration_s);
-        FaasSim::build(config, feed, slot_map, false)
+    pub fn new(config: SimConfig) -> Result<FaasSim, VmmError> {
+        let fleet = FleetSim::new(
+            ClusterConfig::from_single(config).into_fixed_fleet(),
+            Box::new(SingleHost),
+            Box::new(FixedFleet),
+        )?;
+        Ok(FaasSim { fleet })
     }
 
     /// Builds a simulation fed by a streaming trace source instead of
@@ -79,35 +66,14 @@ impl FaasSim {
         source: Box<dyn TraceSource>,
         origin: &str,
     ) -> Result<FaasSim, VmmError> {
-        let duration_s = config.duration_s;
-        let slot_map: Vec<(usize, usize)> = config
-            .vms
-            .iter()
-            .enumerate()
-            .flat_map(|(vi, spec)| (0..spec.deployments.len()).map(move |di| (vi, di)))
-            .collect();
-        let feed = ArrivalFeed::stream(source, duration_s, origin);
-        FaasSim::build(config, feed, slot_map, true)
-    }
-
-    fn build(
-        config: SimConfig,
-        feed: ArrivalFeed,
-        slot_map: Vec<(usize, usize)>,
-        bounded: bool,
-    ) -> Result<FaasSim, VmmError> {
-        let mut host = HostSim::new(config)?;
-        if bounded {
-            host.enable_bounded_metrics();
-        }
-        let mut events = EventQueue::new();
-        events.push(SimTime::ZERO, Event::Sample);
-        Ok(FaasSim {
-            host,
-            events,
-            feed,
-            slot_map,
-        })
+        let fleet = FleetSim::with_source(
+            ClusterConfig::from_single(config).into_fixed_fleet(),
+            Box::new(SingleHost),
+            Box::new(FixedFleet),
+            source,
+            origin,
+        )?;
+        Ok(FaasSim { fleet })
     }
 
     /// Runs the simulation to completion and returns the results.
@@ -117,34 +83,16 @@ impl FaasSim {
 
     /// Like [`Self::run`], also returning how many arrivals the feed
     /// injected (the offered-load count for trace-driven runs).
-    pub fn run_counted(mut self) -> (SimResult, u64) {
-        // Two-stream merge: a fed arrival is processed whenever its
-        // time is <= the queue's next tick (it would have held the
-        // lower sequence number in the pre-push era), otherwise one
-        // tick's batch pops — in the exact (time, seq) order
-        // sequential pops would yield.
-        let mut batch = Vec::new();
-        loop {
-            let arrival_next = match (self.feed.peek(), self.events.peek_time()) {
-                (Some((at, _)), Some(qt)) => at <= qt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if arrival_next {
-                let (at, slot) = self.feed.pop().expect("peeked");
-                let (vm, dep) = self.slot_map[slot];
-                self.host
-                    .handle(at, Event::Arrival { vm, dep }, &mut self.events);
-            } else if let Some(now) = self.events.pop_batch(&mut batch) {
-                for ev in batch.drain(..) {
-                    self.host.handle(now, ev, &mut self.events);
-                }
-            }
-        }
-        let injected = self.feed.injected();
-        (self.host.finish(), injected)
+    pub fn run_counted(self) -> (SimResult, u64) {
+        let fleet = self.fleet.run();
+        let injected = fleet.injected;
+        (single_host(fleet), injected)
     }
+}
+
+/// Projects a one-host fleet's result onto its only host.
+pub(crate) fn single_host(fleet: FleetResult) -> SimResult {
+    fleet.hosts.into_iter().next().expect("one host").result
 }
 
 #[cfg(test)]

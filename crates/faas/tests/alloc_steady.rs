@@ -11,13 +11,15 @@
 //! twice as long as the other. The extra invocations ride entirely on
 //! warmed-up buffers, so the allocation *delta* per extra invocation
 //! must be far below one — a per-event allocation anywhere in the
-//! engine would push it to one or more.
+//! engine would push it to one or more. The drumbeat runs on a single
+//! host and on a 2-host least-loaded cluster, whose per-arrival path
+//! also takes load snapshots for the router.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
-use faas::FaasSim;
+use faas::{ClusterConfig, ClusterSim, FaasSim, LeastLoaded};
 use workloads::FunctionKind;
 
 /// A pass-through allocator that counts allocation calls.
@@ -80,32 +82,49 @@ fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
 }
 
 /// Allocation calls spent inside `run()` for a drumbeat of `duration_s`
-/// (setup is excluded: booting VMs legitimately allocates).
-fn allocs_for(duration_s: f64) -> (u64, u64) {
+/// on `hosts` hosts (setup is excluded: booting VMs legitimately
+/// allocates). One host runs as `FaasSim`; more run as a least-loaded
+/// `ClusterSim`, the drumbeat's deployment on every host.
+fn allocs_for(duration_s: f64, hosts: u64) -> (u64, u64) {
     let (cfg, n) = drumbeat(duration_s);
-    let sim = FaasSim::new(cfg).expect("host boots");
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let result = sim.run();
-    let spent = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(result.completed, n, "drumbeat must be fully served");
+    let (spent, completed) = if hosts == 1 {
+        let sim = FaasSim::new(cfg).expect("host boots");
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let result = sim.run();
+        (ALLOCS.load(Ordering::Relaxed) - before, result.completed)
+    } else {
+        let mut cluster = ClusterConfig::from_single(cfg);
+        let template = cluster.hosts[0].clone();
+        cluster.hosts.extend((1..hosts).map(|h| SimConfig {
+            seed: template.seed + h,
+            ..template.clone()
+        }));
+        let sim = ClusterSim::new(cluster, Box::new(LeastLoaded)).expect("hosts boot");
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let result = sim.run();
+        (ALLOCS.load(Ordering::Relaxed) - before, result.completed)
+    };
+    assert_eq!(completed, n, "drumbeat must be fully served");
     (spent, n)
 }
 
 #[test]
 fn steady_state_invocations_do_not_allocate_per_event() {
-    let (short, n_short) = allocs_for(100.0);
-    let (long, n_long) = allocs_for(200.0);
-    let extra_invocations = (n_long - n_short) as f64;
-    // The longer run's extra invocations are pure steady state; allow a
-    // generous budget for amortized growth and per-sample metrics, but
-    // a true per-event allocation (≥1 per invocation, usually several)
-    // is far outside it.
-    let delta = long.saturating_sub(short) as f64;
-    let per_invocation = delta / extra_invocations;
-    assert!(
-        per_invocation < 0.5,
-        "steady state allocates {per_invocation:.2} times per invocation \
-         (short run: {short} allocs / {n_short} inv, \
-         long run: {long} allocs / {n_long} inv)"
-    );
+    for hosts in [1, 2] {
+        let (short, n_short) = allocs_for(100.0, hosts);
+        let (long, n_long) = allocs_for(200.0, hosts);
+        let extra_invocations = (n_long - n_short) as f64;
+        // The longer run's extra invocations are pure steady state; allow a
+        // generous budget for amortized growth and per-sample metrics, but
+        // a true per-event allocation (≥1 per invocation, usually several)
+        // is far outside it.
+        let delta = long.saturating_sub(short) as f64;
+        let per_invocation = delta / extra_invocations;
+        assert!(
+            per_invocation < 0.5,
+            "{hosts} host(s): steady state allocates {per_invocation:.2} times per invocation \
+             (short run: {short} allocs / {n_short} inv, \
+             long run: {long} allocs / {n_long} inv)"
+        );
+    }
 }
