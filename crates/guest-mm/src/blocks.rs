@@ -1,9 +1,10 @@
 //! The 128 MiB memory-block hot(un)plug state machine.
 //!
 //! Linux adds and removes memory in block granularity (§2.2): hot-add
-//! creates the memmap, online hands the pages to the buddy, offline
-//! retracts them (migrating occupied pages away) and hot-remove destroys
-//! the metadata. [`BlockTable`] tracks each block's lifecycle state plus
+//! makes a block known, online hands its pages to the buddy, offline
+//! retracts them (migrating occupied pages away) and hot-remove forgets
+//! the block. The simulator's memmap holds a block's descriptors only
+//! while it is online. [`BlockTable`] tracks each block's lifecycle state plus
 //! per-block occupancy counters that the unplug paths consult when
 //! choosing eviction candidates.
 
@@ -14,7 +15,7 @@ use mem_types::{BlockId, PAGES_PER_BLOCK};
 pub enum BlockState {
     /// Not hot-added: no memmap, invisible to the guest kernel.
     Absent,
-    /// Hot-added (memmap exists) but offline: not usable by the buddy.
+    /// Hot-added but offline: not usable by the buddy.
     AddedOffline,
     /// Onlined into zone `zone`: pages live in that zone's buddy.
     Online {

@@ -16,9 +16,9 @@
 //!   hot-unplug compose poorly on vanilla paths. Squeezy side-steps both
 //!   cases: partitions are reclaimed only when empty.
 
-use mem_types::Gfn;
+use mem_types::{FrameRange, Gfn};
 
-use crate::page::{PageState, HUGE_ORDER, PAGES_PER_HUGE};
+use crate::page::{PageDesc, PageState, HUGE_ORDER, PAGES_PER_HUGE};
 use crate::{GuestMm, MmError, Pid};
 
 /// Result of a huge-backed anonymous fault burst.
@@ -68,15 +68,15 @@ impl GuestMm {
     /// attached to the process, as with [`GuestMm::fault_anon`].
     pub fn fault_anon_huge(&mut self, pid: Pid, n_huge: u64) -> Result<HugeFaultOutcome, MmError> {
         let policy = self.procs.get(&pid.0).ok_or(MmError::NoSuchProcess)?.policy;
-        let zonelist = self.zonelist_for(policy);
+        let (zonelist, zones) = crate::zonelist_for(policy);
         let mut out = HugeFaultOutcome::default();
         for _ in 0..n_huge {
-            match self.alloc_order_from_zonelist(&zonelist, HUGE_ORDER) {
-                Some(head) => {
+            match self.alloc_order_from_zonelist(&zonelist[..zones], HUGE_ORDER) {
+                Some((head, zone)) => {
                     let proc = self.procs.get_mut(&pid.0).expect("checked above");
                     let slot = proc.huge_pages.len() as u32;
                     proc.huge_pages.push(head);
-                    self.claim_huge(head, pid.0, slot);
+                    self.claim_huge(head, zone, pid.0, slot);
                     out.huge_heads.push(head);
                     self.stats.huge_faults += 1;
                 }
@@ -114,21 +114,25 @@ impl GuestMm {
         Ok(freed)
     }
 
-    /// Claims a freshly allocated order-9 block (pages in `FreeTail`
-    /// state, already out of the buddy) as a huge page for `owner`.
-    pub(crate) fn claim_huge(&mut self, head: Gfn, owner: u32, slot: u32) {
+    /// Claims an order-9 block freshly allocated from `zone` (already
+    /// out of the buddy) as a huge page for `owner`, overwriting all 512
+    /// descriptors.
+    pub(crate) fn claim_huge(&mut self, head: Gfn, zone: u8, owner: u32, slot: u32) {
         debug_assert_eq!(head.0 % PAGES_PER_HUGE, 0, "huge head misaligned");
-        for i in 0..PAGES_PER_HUGE {
-            let g = Gfn(head.0 + i);
-            debug_assert_eq!(self.memmap.state(g), PageState::FreeTail);
-            let d = self.memmap.page_mut(g);
-            d.state = if i == 0 {
-                PageState::HugeHead
-            } else {
-                PageState::HugeTail
+        let range = FrameRange::new(head, PAGES_PER_HUGE);
+        for (i, d) in self.memmap.range_mut(range).iter_mut().enumerate() {
+            *d = PageDesc {
+                state: if i == 0 {
+                    PageState::HugeHead
+                } else {
+                    PageState::HugeTail
+                },
+                order: 0,
+                zone,
+                flags: 0,
+                a: owner,
+                b: slot,
             };
-            d.a = owner;
-            d.b = slot;
         }
         // A 2 MiB huge page never straddles a 128 MiB block.
         let c = self.blocks.counters_mut(head.block());
@@ -138,8 +142,8 @@ impl GuestMm {
 
     /// Frees a whole huge page back to its zone's buddy.
     pub(crate) fn release_huge(&mut self, head: Gfn) {
-        debug_assert_eq!(self.memmap.state(head), PageState::HugeHead);
-        let zone = self.memmap.page(head).zone;
+        let zone = self.memmap.raw(head).zone;
+        debug_assert_eq!(self.memmap.raw(head).state, PageState::HugeHead);
         let c = self.blocks.counters_mut(head.block());
         c.used_movable -= PAGES_PER_HUGE as u32;
         c.free += PAGES_PER_HUGE as u32;
@@ -152,23 +156,25 @@ impl GuestMm {
     /// base pages individually).
     pub(crate) fn evacuate_huge(&mut self, head: Gfn) -> HugeEvacuation {
         let (zone, owner, slot) = {
-            let d = self.memmap.page(head);
+            let d = self.memmap.raw(head);
             debug_assert_eq!(d.state, PageState::HugeHead);
             (d.zone, d.a, d.b)
         };
         let (zonelist, n) = crate::migration_zonelist(zone);
-        if let Some(target) = self.alloc_order_from_zonelist(&zonelist[..n], HUGE_ORDER) {
+        if let Some((target, target_zone)) =
+            self.alloc_order_from_zonelist(&zonelist[..n], HUGE_ORDER)
+        {
             // Whole-huge migration: claim the target, patch the owner's
             // huge set, isolate the source range.
-            self.claim_huge(target, owner, slot);
+            self.claim_huge(target, target_zone, owner, slot);
             let proc = self
                 .procs
                 .get_mut(&owner)
                 .expect("huge page owned by live process");
             proc.huge_pages[slot as usize] = target;
             let from = head.block();
-            for i in 0..PAGES_PER_HUGE {
-                self.memmap.page_mut(Gfn(head.0 + i)).state = PageState::Isolated;
+            for d in self.memmap.range_mut(FrameRange::new(head, PAGES_PER_HUGE)) {
+                d.state = PageState::Isolated;
             }
             let c = self.blocks.counters_mut(from);
             c.used_movable -= PAGES_PER_HUGE as u32;
@@ -187,7 +193,7 @@ impl GuestMm {
     /// the base-page set.
     pub(crate) fn split_huge(&mut self, head: Gfn) {
         let (owner, slot) = {
-            let d = self.memmap.page(head);
+            let d = self.memmap.raw(head);
             debug_assert_eq!(d.state, PageState::HugeHead);
             (d.a, d.b)
         };
@@ -203,8 +209,8 @@ impl GuestMm {
             proc.huge_pages.get(slot as usize).copied()
         };
         if let Some(m) = moved {
-            for i in 0..PAGES_PER_HUGE {
-                self.memmap.page_mut(Gfn(m.0 + i)).b = slot;
+            for d in self.memmap.range_mut(FrameRange::new(m, PAGES_PER_HUGE)) {
+                d.b = slot;
             }
         }
         // Rewrite every frame as an individual Anon page owned by the
@@ -214,7 +220,7 @@ impl GuestMm {
             let proc = self.procs.get_mut(&owner).expect("owner alive");
             let base_slot = proc.pages.len() as u32;
             proc.pages.push(g);
-            let d = self.memmap.page_mut(g);
+            let d = self.memmap.raw_mut(g);
             d.state = PageState::Anon;
             d.a = owner;
             d.b = base_slot;
@@ -223,11 +229,15 @@ impl GuestMm {
     }
 
     /// Allocates one order-`order` block from the first zone in
-    /// `zonelist` that can serve it.
-    pub(crate) fn alloc_order_from_zonelist(&mut self, zonelist: &[u8], order: u8) -> Option<Gfn> {
+    /// `zonelist` that can serve it, returning the block and that zone.
+    pub(crate) fn alloc_order_from_zonelist(
+        &mut self,
+        zonelist: &[u8],
+        order: u8,
+    ) -> Option<(Gfn, u8)> {
         for &z in zonelist {
             if let Some(g) = self.zones[z as usize].alloc_block(&mut self.memmap, order) {
-                return Some(g);
+                return Some((g, z));
             }
         }
         None

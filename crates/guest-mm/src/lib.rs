@@ -3,7 +3,8 @@
 //! This crate reimplements, over simulated state, the slice of the Linux
 //! physical memory manager that the Squeezy paper patches and measures:
 //!
-//! * a per-frame `memmap` with one section per present memory block
+//! * a `memmap` with one section per online memory block, in which
+//!   free buddy memory carries state only at chunk heads
 //!   ([`memmap::MemMap`]);
 //! * zones with buddy free lists ([`zone::Zone`]) — `ZONE_NORMAL`,
 //!   `ZONE_MOVABLE`, and (created by the `squeezy` crate) one zone per
@@ -202,6 +203,15 @@ pub const ZONE_NORMAL: u8 = 0;
 /// Zone index of `ZONE_MOVABLE` (always created at boot).
 pub const ZONE_MOVABLE: u8 = 1;
 
+/// The zones a fault under `policy` tries, in order. The first `len`
+/// entries of the returned array are the list.
+fn zonelist_for(policy: AllocPolicy) -> ([u8; 2], usize) {
+    match policy {
+        AllocPolicy::MovableDefault => ([ZONE_MOVABLE, ZONE_NORMAL], 2),
+        AllocPolicy::PinnedZone(z) => ([z, 0], 1),
+    }
+}
+
 /// The zones a page of `zone` migrates to, in the order the kernel's
 /// migration-target selection tries them: the page's own zone first,
 /// then `ZONE_MOVABLE`, then `ZONE_NORMAL`, each once. The first `len`
@@ -311,10 +321,10 @@ impl GuestMm {
         // Reserve the kernel's unmovable footprint.
         let kpages = bytes_to_pages(config.kernel_bytes);
         for _ in 0..kpages {
-            let g = mm
+            let (g, zone) = mm
                 .alloc_from_zonelist(&[ZONE_NORMAL])
                 .expect("boot memory fits the kernel");
-            mm.claim(g, PageState::Kernel, 0, mm.kernel_pages.len() as u32);
+            mm.claim(g, zone, PageState::Kernel, 0, mm.kernel_pages.len() as u32);
             mm.kernel_pages.push(g);
         }
         mm
@@ -489,15 +499,15 @@ impl GuestMm {
         runs: &mut Vec<FrameRange>,
     ) -> Result<(), MmError> {
         let policy = self.procs.get(&pid.0).ok_or(MmError::NoSuchProcess)?.policy;
-        let zonelist = self.zonelist_for(policy);
+        let (zonelist, zones) = zonelist_for(policy);
         let mut remaining = n;
         while remaining > 0 {
-            match self.alloc_run_from_zonelist(&zonelist, remaining) {
-                Some((head, len)) => {
+            match self.alloc_run_from_zonelist(&zonelist[..zones], remaining) {
+                Some((head, len, zone)) => {
                     let proc = self.procs.get_mut(&pid.0).expect("checked above");
                     let first_slot = proc.pages.len() as u32;
                     proc.pages.extend((head.0..head.0 + len).map(Gfn));
-                    self.claim_run(head, len, PageState::Anon, pid.0, first_slot);
+                    self.claim_run(head, len, zone, PageState::Anon, pid.0, first_slot);
                     runs.push(FrameRange::new(head, len));
                     remaining -= len;
                 }
@@ -533,20 +543,20 @@ impl GuestMm {
 
     /// Releases one specific anonymous page of `pid` (a page-granular
     /// `munmap`/`MADV_DONTNEED`; fragmentation workloads punch holes with
-    /// this). O(1) via the slot back-reference.
+    /// this). O(1) via the slot back-reference; the page's state is
+    /// resolved, so a frame inside a free chunk is refused even though
+    /// its descriptor may still name its last owner.
     pub fn free_anon_page(&mut self, pid: Pid, g: Gfn) -> Result<(), MmError> {
-        let (state, owner, slot) = {
-            let d = self.memmap.page(g);
-            (d.state, d.a, d.b)
-        };
-        if state != PageState::Anon || owner != pid.0 {
+        let d = self.memmap.page(g);
+        if d.state != PageState::Anon || d.a != pid.0 {
             return Err(MmError::NotOwner);
         }
+        let slot = d.b;
         let proc = self.procs.get_mut(&pid.0).ok_or(MmError::NoSuchProcess)?;
         debug_assert_eq!(proc.pages[slot as usize], g);
         proc.pages.swap_remove(slot as usize);
         if let Some(&moved) = proc.pages.get(slot as usize) {
-            self.memmap.page_mut(moved).b = slot;
+            self.memmap.raw_mut(moved).b = slot;
         }
         self.release_used_page(g);
         Ok(())
@@ -565,9 +575,8 @@ impl GuestMm {
         proc.swapped += victims.len() as u64;
         // Draining the front shifted every remaining slot: repair the
         // back-references.
-        let remaining: Vec<Gfn> = proc.pages.clone();
-        for (slot, g) in remaining.into_iter().enumerate() {
-            self.memmap.page_mut(g).b = slot as u32;
+        for (slot, &g) in proc.pages.iter().enumerate() {
+            self.memmap.raw_mut(g).b = slot as u32;
         }
         for &g in &victims {
             self.release_used_page(g);
@@ -693,16 +702,16 @@ impl GuestMm {
                 cached_pages: cached,
             });
         }
-        let zonelist = self.zonelist_for(self.file_policy);
+        let (zonelist, zones) = zonelist_for(self.file_policy);
         let mut remaining = missing;
         while remaining > 0 {
-            let (head, len) = self
-                .alloc_run_from_zonelist(&zonelist, remaining)
+            let (head, len, zone) = self
+                .alloc_run_from_zonelist(&zonelist[..zones], remaining)
                 .ok_or(MmError::OutOfMemory)?;
             let entry = self.files.get_mut(&file.0).expect("created above");
             let first_slot = entry.pages.len() as u32;
             entry.pages.extend((head.0..head.0 + len).map(Gfn));
-            self.claim_run(head, len, PageState::File, file.0, first_slot);
+            self.claim_run(head, len, zone, PageState::File, file.0, first_slot);
             runs.push(FrameRange::new(head, len));
             remaining -= len;
         }
@@ -729,10 +738,16 @@ impl GuestMm {
     /// their blocks against offlining).
     pub fn alloc_kernel(&mut self, n: u64) -> Result<(), MmError> {
         for _ in 0..n {
-            let g = self
+            let (g, zone) = self
                 .alloc_from_zonelist(&[ZONE_NORMAL])
                 .ok_or(MmError::OutOfMemory)?;
-            self.claim(g, PageState::Kernel, 0, self.kernel_pages.len() as u32);
+            self.claim(
+                g,
+                zone,
+                PageState::Kernel,
+                0,
+                self.kernel_pages.len() as u32,
+            );
             self.kernel_pages.push(g);
         }
         Ok(())
@@ -743,10 +758,10 @@ impl GuestMm {
     /// allocations, but the page pins its block either way — one of the
     /// fragmentation pathologies of ballooning (§2.2).
     pub fn alloc_unmovable(&mut self) -> Result<Gfn, MmError> {
-        let g = self
+        let (g, zone) = self
             .alloc_from_zonelist(&[ZONE_MOVABLE, ZONE_NORMAL])
             .ok_or(MmError::OutOfMemory)?;
-        self.claim(g, PageState::Kernel, u32::MAX, 0);
+        self.claim(g, zone, PageState::Kernel, u32::MAX, 0);
         Ok(g)
     }
 
@@ -762,32 +777,25 @@ impl GuestMm {
 
     // --- Hot(un)plug ---------------------------------------------------------
 
-    /// Hot-adds block `b`: materializes its memmap section, every
-    /// descriptor Offline (Absent → offline).
+    /// Hot-adds block `b` (Absent → offline). The block gets no memmap
+    /// section until it is onlined.
     pub fn hot_add_block(&mut self, b: BlockId) -> Result<(), MmError> {
         if self.blocks.state(b) != BlockState::Absent {
             return Err(MmError::BadBlockState);
         }
-        self.memmap.materialize(b).fill(PageDesc::OFFLINE);
+        self.memmap.hot_add(b);
         self.blocks.set_state(b, BlockState::AddedOffline);
         Ok(())
     }
 
     /// Hot-adds and immediately onlines block `b` into zone `z` — what a
-    /// plug request does. One descriptor sweep instead of two: the
-    /// intermediate Offline state of [`GuestMm::hot_add_block`] followed
-    /// by [`GuestMm::online_block`] is unobservable (both happen inside
-    /// one plug request), so the freshly materialized section goes
-    /// straight to the buddy's free states. A rejected plug leaves no
-    /// section behind.
+    /// plug request does. A rejected plug leaves the block absent.
     pub fn hot_add_online_block(&mut self, b: BlockId, z: u8) -> Result<(), MmError> {
         if self.blocks.state(b) != BlockState::Absent {
             return Err(MmError::BadBlockState);
         }
         self.check_span(b, z)?;
-        // Onlining overwrites every descriptor, so a reused section
-        // needs no refill first.
-        self.memmap.materialize(b);
+        self.memmap.hot_add(b);
         self.online_pages_of(b, z);
         Ok(())
     }
@@ -812,9 +820,11 @@ impl GuestMm {
         }
     }
 
-    /// Shared tail of the online paths: hands `b`'s pages to zone `z`'s
-    /// buddy, overwriting every descriptor, and marks the block online.
+    /// Shared tail of the online paths: materializes `b`'s section and
+    /// hands its pages to zone `z`'s buddy by linking one head per
+    /// MAX_ORDER chunk, and marks the block online.
     fn online_pages_of(&mut self, b: BlockId, z: u8) {
+        self.memmap.online(b);
         let chunk = 1u64 << MAX_ORDER;
         let start = b.first_frame().0;
         let zone = &mut self.zones[z as usize];
@@ -928,7 +938,7 @@ impl GuestMm {
                 }
                 huge::HugeEvacuation::Split => {
                     out.huge_splits += 1;
-                    let d = *self.memmap.page(h);
+                    let d = *self.memmap.raw(h);
                     UsedRun::push(&mut used, h, PAGES_PER_HUGE, d);
                 }
             }
@@ -987,9 +997,10 @@ impl GuestMm {
             return Err(MmError::BlockNotEmpty);
         }
         let mut out = OfflineOutcome::default();
-        // The block is entirely free: isolate it chunk-at-a-time rather
-        // than page-at-a-time (the per-page splits are pure overhead
-        // when every page is being taken).
+        // The block is entirely free: take it off the free lists a chunk
+        // at a time rather than a page at a time (the per-page splits
+        // are pure overhead when every page is being taken), touching
+        // only chunk heads before the section is retired.
         self.zones[zone as usize].isolate_free_range(&mut self.memmap, b.frames());
         out.isolated_free = PAGES_PER_BLOCK;
         if self.config.init_on_alloc && !self.unplug_aware_zeroing_skip {
@@ -1006,13 +1017,12 @@ impl GuestMm {
         Ok(out)
     }
 
-    /// Hot-removes block `b` (offline → absent), retiring its memmap
-    /// section.
+    /// Hot-removes block `b` (offline → absent).
     pub fn hot_remove_block(&mut self, b: BlockId) -> Result<(), MmError> {
         if self.blocks.state(b) != BlockState::AddedOffline {
             return Err(MmError::BadBlockState);
         }
-        self.memmap.retire(b);
+        self.memmap.hot_remove(b);
         self.blocks.set_state(b, BlockState::Absent);
         self.blocks.reset_counters(b);
         Ok(())
@@ -1053,46 +1063,37 @@ impl GuestMm {
 
     // --- Internals ----------------------------------------------------------
 
-    /// Orders zones to try for a given policy.
-    fn zonelist_for(&self, policy: AllocPolicy) -> Vec<u8> {
-        match policy {
-            AllocPolicy::MovableDefault => vec![ZONE_MOVABLE, ZONE_NORMAL],
-            AllocPolicy::PinnedZone(z) => vec![z],
-        }
-    }
-
-    /// Allocates one order-0 page from the first zone that can serve it.
-    fn alloc_from_zonelist(&mut self, zonelist: &[u8]) -> Option<Gfn> {
-        for &z in zonelist {
-            if let Some(g) = self.zones[z as usize].alloc_block(&mut self.memmap, 0) {
-                return Some(g);
-            }
-        }
-        None
+    /// Allocates one order-0 page from the first zone that can serve
+    /// it, returning the page and that zone.
+    fn alloc_from_zonelist(&mut self, zonelist: &[u8]) -> Option<(Gfn, u8)> {
+        self.alloc_order_from_zonelist(zonelist, 0)
     }
 
     /// Allocates a contiguous run of up to `want` pages from the first
-    /// zone that can serve it (see [`Zone::alloc_run`] for why this is
-    /// order-identical to repeated [`GuestMm::alloc_from_zonelist`]).
-    fn alloc_run_from_zonelist(&mut self, zonelist: &[u8], want: u64) -> Option<(Gfn, u64)> {
+    /// zone that can serve it, returning the run and that zone (see
+    /// [`Zone::alloc_run`] for why this is order-identical to repeated
+    /// [`GuestMm::alloc_from_zonelist`]).
+    fn alloc_run_from_zonelist(&mut self, zonelist: &[u8], want: u64) -> Option<(Gfn, u64, u8)> {
         for &z in zonelist {
-            if let Some(run) = self.zones[z as usize].alloc_run(&mut self.memmap, want) {
-                return Some(run);
+            if let Some((g, len)) = self.zones[z as usize].alloc_run(&mut self.memmap, want) {
+                return Some((g, len, z));
             }
         }
         None
     }
 
-    /// Claims a freshly allocated page (state `FreeTail`, already out of
-    /// the buddy) for a user, updating block counters.
-    fn claim(&mut self, g: Gfn, state: PageState, owner: u32, slot: u32) {
-        debug_assert_eq!(self.memmap.state(g), PageState::FreeTail);
-        {
-            let d = self.memmap.page_mut(g);
-            d.state = state;
-            d.a = owner;
-            d.b = slot;
-        }
+    /// Claims a page freshly allocated from `zone` (already out of the
+    /// buddy) for a user, overwriting its descriptor and updating block
+    /// counters.
+    fn claim(&mut self, g: Gfn, zone: u8, state: PageState, owner: u32, slot: u32) {
+        *self.memmap.raw_mut(g) = PageDesc {
+            state,
+            order: 0,
+            zone,
+            flags: 0,
+            a: owner,
+            b: slot,
+        };
         let c = self.blocks.counters_mut(g.block());
         c.free -= 1;
         match state {
@@ -1102,26 +1103,30 @@ impl GuestMm {
         }
     }
 
-    /// Claims a freshly allocated contiguous run (all `FreeTail`, already
+    /// Claims a contiguous run freshly allocated from `zone` (already
     /// out of the buddy) for one owner, slots numbered consecutively from
     /// `first_slot`. Equivalent to `len` [`GuestMm::claim`] calls, but
     /// the descriptor writes are one sequential sweep and the block
     /// counters are updated once — a buddy run (≤ 4 MiB, size-aligned)
     /// never straddles a 128 MiB block boundary.
-    fn claim_run(&mut self, head: Gfn, len: u64, state: PageState, owner: u32, first_slot: u32) {
+    fn claim_run(
+        &mut self,
+        head: Gfn,
+        len: u64,
+        zone: u8,
+        state: PageState,
+        owner: u32,
+        first_slot: u32,
+    ) {
         debug_assert_eq!(head.block(), Gfn(head.0 + len - 1).block());
-        // A buddy run comes from a single zone, so whole-descriptor
-        // stores (no read-modify-write per field) are exact; `order` and
-        // `flags` are meaningless outside the free lists.
-        let zone = self.memmap.page(head).zone;
+        // Whole-descriptor stores (no read-modify-write per field);
+        // `order` and `flags` are meaningless outside the free lists.
         for (i, d) in self
             .memmap
             .range_mut(FrameRange::new(head, len))
             .iter_mut()
             .enumerate()
         {
-            debug_assert_eq!(d.state, PageState::FreeTail);
-            debug_assert_eq!(d.zone, zone);
             *d = PageDesc {
                 state,
                 order: 0,
@@ -1143,7 +1148,7 @@ impl GuestMm {
     /// Frees a used page back to its zone's buddy, updating counters.
     fn release_used_page(&mut self, g: Gfn) {
         let (state, zone) = {
-            let d = self.memmap.page(g);
+            let d = self.memmap.raw(g);
             (d.state, d.zone)
         };
         debug_assert!(state.is_used(), "releasing non-used page {g:?}");
@@ -1175,10 +1180,9 @@ impl GuestMm {
         key: (PageState, u32),
         zonelist: &[u8],
     ) -> Option<u64> {
-        let (target, len) = self.alloc_run_from_zonelist(zonelist, want)?;
+        let (target, len, zone) = self.alloc_run_from_zonelist(zonelist, want)?;
         debug_assert_ne!(target.block(), src.block(), "isolation left frees behind");
         let (state, owner) = key;
-        let zone = self.memmap.page(target).zone;
         let pages = match state {
             PageState::Anon => {
                 &mut self
@@ -1203,7 +1207,6 @@ impl GuestMm {
             // The source joins the isolated set, keeping its owner words.
             debug_assert_eq!((s.state, s.a), key);
             s.state = PageState::Isolated;
-            debug_assert_eq!(d.state, PageState::FreeTail);
             *d = PageDesc {
                 state,
                 order: 0,
@@ -1229,21 +1232,29 @@ impl GuestMm {
     /// ascending order.
     fn rollback_isolation(&mut self, b: BlockId, zone: u8) {
         // Gather the runs first: freeing one rewrites only its own pages
-        // and free buddies, never an isolated page further up.
+        // and free buddies, never an isolated page further up. The scan
+        // skips free chunks at their heads, since a page rolled back
+        // earlier keeps a stale `Isolated` descriptor.
         let first = b.first_frame().0;
         let section = self
             .memmap
             .section(b)
             .expect("online block is materialized");
         let mut runs: Vec<(u64, u64)> = Vec::new();
-        for (i, d) in section.iter().enumerate() {
-            if d.state != PageState::Isolated {
+        let mut i = 0;
+        while i < section.len() {
+            let d = section[i];
+            if d.state == PageState::FreeHead {
+                i += 1 << d.order;
                 continue;
             }
-            match runs.last_mut() {
-                Some((start, len)) if *start + *len == i as u64 => *len += 1,
-                _ => runs.push((i as u64, 1)),
+            if d.state == PageState::Isolated {
+                match runs.last_mut() {
+                    Some((start, len)) if *start + *len == i as u64 => *len += 1,
+                    _ => runs.push((i as u64, 1)),
+                }
             }
+            i += 1;
         }
         for (start, len) in runs {
             let c = self.blocks.counters_mut(b);
@@ -1253,53 +1264,63 @@ impl GuestMm {
         }
     }
 
-    /// Completes an offline: all pages isolated → offline state.
+    /// Completes an offline: with every page isolated, the block's
+    /// section is retired and the block reads offline.
     fn finish_offline(&mut self, b: BlockId, zone: u8) {
         debug_assert_eq!(self.blocks.counters(b).isolated as u64, PAGES_PER_BLOCK);
-        for d in self.memmap.range_mut(b.frames()) {
-            debug_assert_eq!(d.state, PageState::Isolated);
-            d.state = PageState::Offline;
-            d.zone = page::NO_ZONE;
-        }
+        self.memmap.offline(b);
         self.zones[zone as usize].managed_pages -= PAGES_PER_BLOCK;
         self.blocks.set_state(b, BlockState::AddedOffline);
         self.blocks.reset_counters(b);
     }
 
-    /// Debug validation of all zones' free lists, block counters and
-    /// huge-page structure.
+    /// Debug validation of all zones' free lists, the memmap's sections
+    /// and free heads, block counters and huge-page structure.
     ///
     /// # Panics
     ///
     /// Panics on any inconsistency.
     pub fn assert_consistent(&self) {
+        // Each zone checks that its raw free heads are all on its lists;
+        // here every raw free head must belong to a zone spanning it.
         for z in &self.zones {
             z.assert_consistent(&self.memmap);
         }
+        let mut tails_expected = 0u64;
         for bi in 0..self.blocks.len() {
             let b = BlockId(bi);
             let c = self.blocks.counters(b);
             let state = self.blocks.state(b);
-            assert_eq!(
-                self.memmap.is_present(b),
-                state != BlockState::Absent,
-                "block {bi} is {state:?} but its section presence disagrees"
-            );
-            if let BlockState::Online { .. } = state {
-                assert_eq!(c.total(), PAGES_PER_BLOCK, "block {bi} counters drifted");
-                let free = self.memmap.count_in(b.frames(), |p| p.state.is_free());
-                assert_eq!(free, c.free as u64, "block {bi} free count drifted");
-            }
-        }
-        // Huge-page structure: heads 512-aligned, exactly 511 tails each,
-        // no orphan tails. Absent blocks hold no pages to scan.
-        let mut tails_expected = 0u64;
-        for bi in 0..self.blocks.len() {
-            let Some(section) = self.memmap.section(BlockId(bi)) else {
+            let Some(section) = self.memmap.section(b) else {
+                let reads = match state {
+                    BlockState::Absent => PageState::Absent,
+                    BlockState::AddedOffline => PageState::Offline,
+                    BlockState::Online { .. } => panic!("online block {bi} has no section"),
+                };
+                assert_eq!(self.memmap.state(b.first_frame()), reads, "block {bi} tag");
                 assert_eq!(tails_expected, 0, "huge page truncated before block {bi}");
                 continue;
             };
+            assert!(
+                matches!(state, BlockState::Online { .. }),
+                "{state:?} block {bi} holds a section"
+            );
             for (i, d) in (bi * PAGES_PER_BLOCK..).zip(section) {
+                if d.state == PageState::FreeHead {
+                    let span = self.zones.get(d.zone as usize).map(|z| z.span);
+                    assert!(
+                        span.is_some_and(|s| s.contains(Gfn(i))),
+                        "free head {i:#x} outside its zone {}",
+                        d.zone
+                    );
+                }
+            }
+            assert_eq!(c.total(), PAGES_PER_BLOCK, "block {bi} counters drifted");
+            let mut free = 0u64;
+            // Huge-page structure, from resolved states: heads
+            // 512-aligned, exactly 511 tails each, no orphan tails.
+            for (i, d) in (bi * PAGES_PER_BLOCK..).zip(self.memmap.block_pages(b)) {
+                free += d.state.is_free() as u64;
                 match d.state {
                     PageState::HugeHead => {
                         assert_eq!(tails_expected, 0, "head {i:#x} inside another huge page");
@@ -1315,6 +1336,7 @@ impl GuestMm {
                     }
                 }
             }
+            assert_eq!(free, c.free as u64, "block {bi} free count drifted");
         }
         assert_eq!(tails_expected, 0, "huge page truncated at end of memory");
         // Owner back-references of huge sets.
@@ -1509,6 +1531,15 @@ mod tests {
         assert_eq!(mm.stats().offline_failures, before + 1);
         // Rollback: block is still online and consistent.
         assert!(matches!(mm.blocks().state(b), BlockState::Online { .. }));
+        mm.assert_consistent();
+        // Rolled-back pages inside free chunks keep a stale `Isolated`
+        // descriptor, which a later rollback must not return again.
+        assert!(b.frames().iter().any(|g| {
+            mm.memmap.raw(g).state == PageState::Isolated && mm.memmap.state(g).is_free()
+        }));
+        let counters = *mm.blocks().counters(b);
+        mm.rollback_isolation(b, ZONE_MOVABLE);
+        assert_eq!(*mm.blocks().counters(b), counters);
         mm.assert_consistent();
     }
 
@@ -1707,12 +1738,12 @@ mod tests {
         assert_eq!(mm.blocks().len(), 8 + 2048);
         assert_eq!(mm.memmap().present_sections(), 8);
         assert_eq!(mm.memmap().spare_sections(), 0);
-        assert!((0..8).all(|b| mm.memmap().is_present(BlockId(b))));
+        assert!((0..8).all(|b| mm.memmap().has_section(BlockId(b))));
         mm.assert_consistent();
     }
 
     #[test]
-    fn plug_cycles_keep_sections_with_present_blocks() {
+    fn plug_cycles_keep_sections_with_online_blocks() {
         let mut mm = GuestMm::new(small_config());
         let pid = mm.spawn_process(AllocPolicy::MovableDefault);
         let mut peak = 0;
@@ -1736,11 +1767,11 @@ mod tests {
                 }
             }
             let m = mm.memmap();
-            let present = (0..mm.blocks().len())
-                .filter(|&i| mm.blocks().state(BlockId(i)) != BlockState::Absent)
+            let online = (0..mm.blocks().len())
+                .filter(|&i| matches!(mm.blocks().state(BlockId(i)), BlockState::Online { .. }))
                 .count();
             peak = peak.max(m.present_sections());
-            assert_eq!(m.present_sections(), present);
+            assert_eq!(m.present_sections(), online);
             assert!(m.present_sections() + m.spare_sections() <= peak);
             mm.assert_consistent();
         }
@@ -1757,7 +1788,7 @@ mod tests {
         mm.offline_block(b).unwrap();
         mm.hot_remove_block(b).unwrap();
         for g in b.frames().iter() {
-            assert_eq!(fields(mm.memmap().page(g)), fields(&PageDesc::ABSENT));
+            assert_eq!(fields(&mm.memmap().page(g)), fields(&PageDesc::ABSENT));
         }
         mm.assert_consistent();
     }
@@ -1766,30 +1797,58 @@ mod tests {
     #[should_panic(expected = "absent")]
     fn writing_an_absent_block_panics() {
         let mut mm = GuestMm::new(small_config());
-        mm.memmap.page_mut(BlockId(3).first_frame()).state = PageState::Anon;
+        mm.memmap.raw_mut(BlockId(3).first_frame()).state = PageState::Anon;
     }
 
     #[test]
-    fn hot_add_onto_a_reused_section_reads_offline() {
+    fn onlining_onto_a_reused_section_reads_free() {
         let mut mm = GuestMm::new(small_config());
         let (b, c) = (BlockId(2), BlockId(3));
         mm.hot_add_online_block(b, ZONE_MOVABLE).unwrap();
         let pid = mm.spawn_process(AllocPolicy::MovableDefault);
         mm.fault_anon(pid, 64).unwrap();
         // The migrated sources keep their owner words through offline,
-        // so the retired section holds stale links.
+        // so the retired section holds stale owners.
         assert_eq!(mm.offline_block(b).unwrap().migrated, 64);
-        mm.hot_remove_block(b).unwrap();
         assert_eq!(mm.memmap().spare_sections(), 1);
         mm.hot_add_block(c).unwrap();
-        assert_eq!(mm.memmap().spare_sections(), 0);
         for g in c.frames().iter() {
-            assert_eq!(fields(mm.memmap().page(g)), fields(&PageDesc::OFFLINE));
-            assert_eq!(
-                (mm.memmap().page(g).a, mm.memmap().page(g).b),
-                (page::NIL, page::NIL)
-            );
+            assert_eq!(fields(&mm.memmap().page(g)), fields(&PageDesc::OFFLINE));
         }
+        assert_eq!(mm.memmap().spare_sections(), 1, "hot-add takes no section");
+        mm.online_block(c, ZONE_MOVABLE).unwrap();
+        assert_eq!(mm.memmap().spare_sections(), 0);
+        for (i, g) in c.frames().iter().enumerate() {
+            let (state, zone) = (mm.memmap().state(g), mm.memmap().page(g).zone);
+            let head = i % (1 << MAX_ORDER) == 0;
+            assert_eq!(
+                state,
+                [PageState::FreeTail, PageState::FreeHead][head as usize]
+            );
+            assert_eq!(zone, ZONE_MOVABLE);
+        }
+        mm.assert_consistent();
+    }
+
+    #[test]
+    fn freeing_a_page_inside_a_free_chunk_is_refused() {
+        let mut mm = GuestMm::new(small_config());
+        let pid = mm.spawn_process(AllocPolicy::MovableDefault);
+        let got = mm.fault_anon(pid, 8).unwrap();
+        // Free an even frame, then its odd buddy: the odd one merges
+        // into a chunk below its head without its descriptor being
+        // written, so it still names `pid` and a slot.
+        let i = (0..7)
+            .find(|&i| got[i].0.is_multiple_of(2) && got[i + 1].0 == got[i].0 + 1)
+            .unwrap();
+        mm.free_anon_page(pid, got[i]).unwrap();
+        mm.free_anon_page(pid, got[i + 1]).unwrap();
+        let g = got[i + 1];
+        let raw = *mm.memmap.raw(g);
+        assert_eq!((raw.state, raw.a), (PageState::Anon, pid.0));
+        assert_eq!(mm.memmap().state(g), PageState::FreeTail);
+        assert_eq!(mm.free_anon_page(pid, g), Err(MmError::NotOwner));
+        assert_eq!(mm.process(pid).unwrap().rss_pages(), 6);
         mm.assert_consistent();
     }
 }
@@ -1827,7 +1886,7 @@ mod offline_twin {
                 match self.memmap.state(g) {
                     s if s.is_free() => {
                         self.zones[zone as usize].take_free_page(&mut self.memmap, g);
-                        self.memmap.page_mut(g).state = PageState::Isolated;
+                        self.memmap.raw_mut(g).state = PageState::Isolated;
                         let c = self.blocks.counters_mut(b);
                         c.free -= 1;
                         c.isolated += 1;
@@ -1898,15 +1957,15 @@ mod offline_twin {
 
         fn migrate_page(&mut self, g: Gfn, from: BlockId) -> Result<(), MmError> {
             let (state, zone, owner, slot) = {
-                let d = self.memmap.page(g);
+                let d = self.memmap.raw(g);
                 (d.state, d.zone, d.a, d.b)
             };
             let (zonelist, n) = migration_zonelist(zone);
-            let target = self
+            let (target, target_zone) = self
                 .alloc_from_zonelist(&zonelist[..n])
                 .ok_or(MmError::OutOfMemory)?;
             assert_ne!(target.block(), from, "isolation left frees behind");
-            self.claim(target, state, owner, slot);
+            self.claim(target, target_zone, state, owner, slot);
             match state {
                 PageState::Anon => {
                     self.procs.get_mut(&owner).unwrap().pages[slot as usize] = target
@@ -1916,7 +1975,7 @@ mod offline_twin {
                 }
                 _ => unreachable!(),
             }
-            self.memmap.page_mut(g).state = PageState::Isolated;
+            self.memmap.raw_mut(g).state = PageState::Isolated;
             let c = self.blocks.counters_mut(from);
             c.used_movable -= 1;
             c.isolated += 1;
@@ -1935,20 +1994,23 @@ mod offline_twin {
         }
     }
 
-    /// Asserts the two guests are indistinguishable: every frame's state
-    /// and zone, the owner words of used pages and the links and order of
-    /// free heads (elsewhere `a`/`b`/`order` carry nothing), every zone's
-    /// free lists in order, block states and counters, process and file
-    /// page vectors, kernel pages and statistics.
+    /// Asserts the two guests are indistinguishable: every frame's
+    /// resolved state and zone, the owner words of used pages and the
+    /// links and order of free heads (elsewhere `a`/`b`/`order` carry
+    /// nothing), every zone's free lists in order, block states and
+    /// counters, process and file page vectors, kernel pages and
+    /// statistics.
     fn assert_twins(a: &GuestMm, b: &GuestMm) {
-        for i in 0..a.memmap.len() {
-            let (x, y) = (a.memmap.page(Gfn(i)), b.memmap.page(Gfn(i)));
-            assert_eq!((x.state, x.zone), (y.state, y.zone), "frame {i:#x}");
-            if x.state.is_used() || x.state == PageState::FreeHead {
-                assert_eq!((x.a, x.b), (y.a, y.b), "frame {i:#x} words");
-            }
-            if x.state == PageState::FreeHead {
-                assert_eq!(x.order, y.order, "frame {i:#x} order");
+        for blk in (0..a.blocks.len()).map(BlockId) {
+            let pages = a.memmap.block_pages(blk).zip(b.memmap.block_pages(blk));
+            for ((x, y), i) in pages.zip(blk.frames().start.0..) {
+                assert_eq!((x.state, x.zone), (y.state, y.zone), "frame {i:#x}");
+                if x.state.is_used() || x.state == PageState::FreeHead {
+                    assert_eq!((x.a, x.b), (y.a, y.b), "frame {i:#x} words");
+                }
+                if x.state == PageState::FreeHead {
+                    assert_eq!(x.order, y.order, "frame {i:#x} order");
+                }
             }
         }
         assert_eq!(a.zones.len(), b.zones.len());
@@ -1999,6 +2061,8 @@ mod offline_twin {
         Pin,
         Online(BlockId, u8),
         Offline(BlockId),
+        Plug(BlockId, u8),
+        InstantOffline(BlockId),
     }
 
     /// Applies `op`, returning the offline outcome (if any) for comparison.
@@ -2031,6 +2095,17 @@ mod offline_twin {
                 let _ = mm.alloc_unmovable();
             }
             Op::Online(blk, z) => mm.online_block(blk, z).unwrap(),
+            Op::Plug(blk, z) => mm.hot_add_online_block(blk, z).unwrap(),
+            Op::InstantOffline(blk) => {
+                let out = mm.offline_block_instant(blk);
+                if out.is_ok() {
+                    mm.hot_remove_block(blk).unwrap();
+                }
+                return Some(out.map_err(|error| OfflineFailure {
+                    error,
+                    partial: OfflineOutcome::default(),
+                }));
+            }
             Op::Offline(blk) => {
                 return Some(if reference {
                     mm.offline_block_per_page(blk)
@@ -2052,11 +2127,14 @@ mod offline_twin {
         pinned: bool,
         huge_whole: bool,
         huge_split: bool,
+        instant: bool,
+        replugged: bool,
     }
 
     /// Drives two identical guests through one seeded random history,
     /// offlining with the run-based path on one and the per-page
-    /// reference on the other, and compares them after every offline.
+    /// reference on the other, and compares them after every offline or
+    /// plug (instant offlines and plugs take the same path on both).
     fn run_twins(seed: u64, cov: &mut Coverage) {
         let config = GuestMmConfig {
             boot_bytes: 256 * MIB,
@@ -2126,14 +2204,33 @@ mod offline_twin {
                     Op::Anon(p, (a.free_bytes() / PAGE_SIZE).saturating_sub(rnd(2000)))
                 }
                 _ => {
-                    let offline: Vec<u64> = (2..8)
-                        .filter(|&i| a.blocks.state(BlockId(i)) == BlockState::AddedOffline)
-                        .collect();
-                    if !offline.is_empty() && rnd(3) == 0 {
-                        let blk = offline[rnd(offline.len() as u64) as usize];
-                        Op::Online(BlockId(blk), zone_for(blk))
-                    } else {
-                        Op::Offline(BlockId(rnd(8)))
+                    let pick =
+                        |want: fn(BlockState, &blocks::BlockCounters) -> bool| -> Vec<BlockId> {
+                            (2..8)
+                                .map(BlockId)
+                                .filter(|&blk| want(a.blocks.state(blk), a.blocks.counters(blk)))
+                                .collect()
+                        };
+                    let offline = pick(|s, _| s == BlockState::AddedOffline);
+                    let absent = pick(|s, _| s == BlockState::Absent);
+                    let empty = pick(|s, c| {
+                        matches!(s, BlockState::Online { .. })
+                            && c.used_movable + c.used_unmovable == 0
+                    });
+                    // 60 is a multiple of every list length (at most 6).
+                    let (arm, k) = (rnd(6), rnd(60) as usize);
+                    let any = |v: &[BlockId]| v[k % v.len()];
+                    match arm {
+                        0 | 1 if !offline.is_empty() => {
+                            let blk = any(&offline);
+                            Op::Online(blk, zone_for(blk.0))
+                        }
+                        2 if !absent.is_empty() => {
+                            let blk = any(&absent);
+                            Op::Plug(blk, zone_for(blk.0))
+                        }
+                        3 if !empty.is_empty() => Op::InstantOffline(any(&empty)),
+                        _ => Op::Offline(BlockId(rnd(8))),
                     }
                 }
             };
@@ -2152,9 +2249,21 @@ mod offline_twin {
                 }
                 _ => None,
             };
+            let spare = a.memmap.spare_sections();
             let got = apply(&mut a, op, false);
             let want = apply(&mut b, op, true);
             assert_eq!(got, want, "seed {seed}: {op:?}");
+            match (op, got) {
+                (Op::Plug(..), _) => {
+                    cov.replugged |= spare > 0;
+                    assert_twins(&a, &b);
+                }
+                (Op::InstantOffline(_), Some(out)) => {
+                    cov.instant |= out.is_ok();
+                    assert_twins(&a, &b);
+                }
+                _ => {}
+            }
             if let (Some(out), Some((own_free, files))) = (got, before) {
                 let migrated = match out {
                     Ok(o) => {
@@ -2194,6 +2303,8 @@ mod offline_twin {
             pinned,
             huge_whole,
             huge_split,
+            instant,
+            replugged,
         } = cov;
         assert!(
             migrated
@@ -2202,7 +2313,9 @@ mod offline_twin {
                 && oom_mid_run
                 && pinned
                 && huge_whole
-                && huge_split,
+                && huge_split
+                && instant
+                && replugged,
             "randomized guests missed a path: {cov:?}"
         );
     }

@@ -1,11 +1,13 @@
 //! Per-page metadata: the simulator's `struct page`.
 //!
-//! The guest memory map ([`crate::memmap::MemMap`]) holds one 12-byte
-//! [`PageDesc`] per 4 KiB frame of every present memory block, in one
-//! section per 128 MiB block, mirroring the Linux `memmap` the paper
+//! The guest memory map ([`crate::memmap::MemMap`]) holds a 12-byte
+//! [`PageDesc`] slot per 4 KiB frame of every online memory block, in
+//! one section per 128 MiB block, mirroring the Linux `memmap` the paper
 //! discusses in §2.2. The two word fields are overloaded the way the
-//! kernel overloads `struct page`: free pages use them as intrusive
-//! free-list links, allocated pages as owner back-references.
+//! kernel overloads `struct page`: free chunk heads use them as
+//! intrusive free-list links, allocated pages as owner back-references.
+//! Only a free chunk's head carries state; the map resolves the state of
+//! the chunk's other frames from it.
 
 /// Sentinel for "no link" in intrusive free lists.
 pub const NIL: u32 = u32::MAX;
@@ -32,7 +34,8 @@ pub enum PageState {
     Offline = 1,
     /// Head page of a free buddy block of `order` pages.
     FreeHead = 2,
-    /// Interior page of a free buddy block (its head is below it).
+    /// Interior page of a free buddy block (its head is below it). A
+    /// resolved state: the memmap derives it from the head.
     FreeTail = 3,
     /// Anonymous page owned by a process (`owner` = pid).
     Anon = 4,

@@ -7,10 +7,14 @@
 //! structs), similar to ZONE_MOVABLE", §4.1).
 //!
 //! Each zone owns per-order intrusive free lists threaded through the
-//! [`PageDesc`](crate::page::PageDesc) words, exactly like the kernel's
-//! `free_area[]`, giving O(1) allocation, free and buddy merging.
+//! [`PageDesc`] words of free chunk heads, exactly like the kernel's
+//! `free_area[]`, giving O(1) allocation, free and buddy merging. Only
+//! a chunk's head descriptor is written when the chunk is linked, and
+//! only its state when it is unlinked; the chunk's other frames are
+//! never touched (see [`MemMap`] for how their state is resolved), so
+//! freeing, merging and onlining cost O(chunks), not O(frames).
 
-use mem_types::{FrameRange, Gfn};
+use mem_types::{BlockId, FrameRange, Gfn, PAGES_PER_BLOCK};
 
 use crate::memmap::MemMap;
 use crate::page::{PageDesc, PageState, MAX_ORDER, NIL};
@@ -70,33 +74,34 @@ impl Zone {
         self.free_heads.iter().all(|&h| h == NIL)
     }
 
-    /// Unlinks free block `head` (of `order`) from its free list.
+    /// Unlinks free block `head` (of `order`) from its free list and
+    /// demotes its head descriptor, keeping the memmap's invariant that
+    /// only listed heads read `FreeHead`.
     fn unlink(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         let (prev, next) = {
-            let d = mm.page(head);
+            let d = mm.raw_mut(head);
             debug_assert_eq!(d.state, PageState::FreeHead);
             debug_assert_eq!(d.order, order);
             debug_assert_eq!(d.zone, self.id);
+            d.state = PageState::FreeTail;
             (d.a, d.b)
         };
         if prev == NIL {
             self.free_heads[order as usize] = next;
         } else {
-            mm.page_mut(Gfn(prev as u64)).b = next;
+            mm.raw_mut(Gfn(prev as u64)).b = next;
         }
         if next != NIL {
-            mm.page_mut(Gfn(next as u64)).a = prev;
+            mm.raw_mut(Gfn(next as u64)).a = prev;
         }
     }
 
-    /// Links `head` as a free block of `order` at the front of its list.
-    ///
-    /// The head page's state becomes `FreeHead`; interior pages must
-    /// already be `FreeTail` (callers arrange this).
+    /// Links `head` as a free block of `order` at the front of its list,
+    /// writing its head descriptor alone.
     fn link(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         let old = self.free_heads[order as usize];
         {
-            let d = mm.page_mut(head);
+            let d = mm.raw_mut(head);
             d.state = PageState::FreeHead;
             d.order = order;
             d.zone = self.id;
@@ -104,7 +109,7 @@ impl Zone {
             d.b = old;
         }
         if old != NIL {
-            mm.page_mut(Gfn(old as u64)).a = head.0 as u32;
+            mm.raw_mut(Gfn(old as u64)).a = head.0 as u32;
         }
         self.free_heads[order as usize] = head.0 as u32;
     }
@@ -114,31 +119,26 @@ impl Zone {
     ///
     /// All pages in the range must currently be non-free (just-released
     /// allocations, isolated pages being rolled back, or pages being
-    /// onlined); their states are overwritten.
+    /// onlined). Only the final merged head's descriptor and the heads
+    /// of merged buddies are written; the range's other descriptors keep
+    /// their contents.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `head` is not `order`-aligned.
+    /// Panics (debug) if `head` is not `order`-aligned or a page of the
+    /// range is already free.
     pub fn free_block(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         debug_assert_eq!(head.0 & ((1 << order) - 1), 0, "misaligned free");
         debug_assert!(order <= MAX_ORDER);
-        // Mark the whole range as free interior pages first (one
-        // sequential descriptor fill); the final head is promoted at
-        // the end. `order` is meaningful only on `FreeHead` pages and
-        // `flags` is a spare byte, so a uniform fill is exact.
-        #[cfg(debug_assertions)]
-        for d in mm.range_mut(FrameRange::new(head, 1 << order)) {
-            debug_assert!(!d.state.is_free(), "double free near {head:?}");
-        }
-        mm.range_mut(FrameRange::new(head, 1 << order))
-            .fill(PageDesc {
-                state: PageState::FreeTail,
-                order: 0,
-                zone: self.id,
-                flags: 0,
-                a: NIL,
-                b: NIL,
-            });
+        // A free chunk overlapping the range either covers its head or
+        // has its own head inside it.
+        debug_assert!(
+            mm.free_chunk_of(head).is_none()
+                && FrameRange::new(head, 1 << order)
+                    .iter()
+                    .all(|g| mm.raw(g).state != PageState::FreeHead),
+            "double free near {head:?}"
+        );
         self.free_pages += 1 << order;
 
         let mut head = head;
@@ -148,12 +148,12 @@ impl Zone {
             if !self.span.contains(buddy) {
                 break;
             }
-            let bd = *mm.page(buddy);
+            // Below MAX_ORDER a buddy shares its block, which is online.
+            let bd = *mm.raw(buddy);
             if bd.state != PageState::FreeHead || bd.order != order || bd.zone != self.id {
                 break;
             }
             self.unlink(mm, buddy, order);
-            mm.page_mut(buddy).state = PageState::FreeTail;
             head = Gfn(head.0.min(buddy.0));
             order += 1;
         }
@@ -188,9 +188,9 @@ impl Zone {
     }
 
     /// Allocates a contiguous 2^`order` block, splitting larger blocks as
-    /// needed. Returns the head frame, with every page in the block left
-    /// in `FreeTail` state for the caller to claim, or `None` if the zone
-    /// cannot satisfy the request.
+    /// needed. Returns the head frame, with every page's descriptor left
+    /// for the caller to overwrite when it claims the block, or `None`
+    /// if the zone cannot satisfy the request.
     pub fn alloc_block(&mut self, mm: &mut MemMap, order: u8) -> Option<Gfn> {
         let mut have = None;
         for o in order..=MAX_ORDER {
@@ -202,7 +202,6 @@ impl Zone {
         let mut o = have?;
         let head = Gfn(self.free_heads[o as usize] as u64);
         self.unlink(mm, head, o);
-        mm.page_mut(head).state = PageState::FreeTail;
         // Split down, freeing upper halves.
         while o > order {
             o -= 1;
@@ -214,9 +213,9 @@ impl Zone {
     }
 
     /// Allocates a contiguous run of up to `want` pages with one buddy
-    /// operation. Returns the head frame and run length, with every page
-    /// left in `FreeTail` state for the caller to claim, or `None` if the
-    /// zone is empty.
+    /// operation. Returns the head frame and run length, with every
+    /// page's descriptor left for the caller to overwrite, or `None` if
+    /// the zone is empty.
     ///
     /// Exactly equivalent to draining the run via repeated
     /// `alloc_block(mm, 0)` calls: order-0 allocation always consumes
@@ -243,24 +242,23 @@ impl Zone {
         }
         let head = Gfn(self.free_heads[o as usize] as u64);
         self.unlink(mm, head, o);
-        mm.page_mut(head).state = PageState::FreeTail;
         self.free_pages -= 1 << o;
         Some((head, 1 << o))
     }
 
     /// Carves a specific free page `g` out of the buddy (the isolation
-    /// primitive used by the offlining path). The page is left in
-    /// `FreeTail` state for the caller to claim.
+    /// primitive used by the offlining path). The page's descriptor is
+    /// left for the caller to overwrite.
     ///
     /// # Panics
     ///
     /// Panics if `g` is not currently free in this zone.
     pub fn take_free_page(&mut self, mm: &mut MemMap, g: Gfn) {
-        assert!(mm.state(g).is_free(), "page {g:?} is not free");
-        let (head, order) = mm.free_block_head(g);
-        debug_assert_eq!(mm.page(head).zone, self.id, "page in wrong zone");
+        let (head, order) = mm
+            .free_chunk_of(g)
+            .unwrap_or_else(|| panic!("page {g:?} is not free"));
+        debug_assert_eq!(mm.raw(head).zone, self.id, "page in wrong zone");
         self.unlink(mm, head, order);
-        mm.page_mut(head).state = PageState::FreeTail;
         // Repeatedly halve, keeping the half containing `g` out of the
         // lists and freeing the other half.
         let mut head = head;
@@ -279,24 +277,27 @@ impl Zone {
         self.free_pages -= 1;
     }
 
-    /// Isolates an entirely-free page range, unlinking whole buddy
-    /// chunks and marking every page [`PageState::Isolated`] in one
-    /// descriptor sweep per chunk.
+    /// Takes an entirely-free page range off the free lists a whole
+    /// buddy chunk at a time, writing only the chunk heads — the
+    /// isolation of an instant offline, whose caller retires the
+    /// range's section next.
     ///
     /// `range` must be MAX_ORDER-aligned at both ends and contain only
     /// free pages of this zone; buddy chunks never straddle such a
-    /// boundary, so every chunk touching the range lies wholly inside
-    /// it. Equivalent to [`Zone::take_free_page`] on every page (the
-    /// per-page path's intermediate splits only ever link and unlink
-    /// chunks inside the range, all of which are gone at the end, so
-    /// the surviving free lists match exactly).
+    /// boundary, so the walk meets each one at its head. Equivalent to
+    /// [`Zone::take_free_page`] on every page (the per-page path's
+    /// intermediate splits only ever link and unlink chunks inside the
+    /// range, all of which are gone at the end, so the surviving free
+    /// lists match exactly).
     pub fn isolate_free_range(&mut self, mm: &mut MemMap, range: FrameRange) {
         debug_assert_eq!(range.start.0 & ((1 << MAX_ORDER) - 1), 0);
         debug_assert_eq!(range.count & ((1 << MAX_ORDER) - 1), 0);
-        let mut g = range.start.0;
-        let end = range.start.0 + range.count;
-        while g < end {
-            g += self.isolate_free_chunk(mm, Gfn(g));
+        let mut g = range.start;
+        while g.0 < range.end().0 {
+            let order = mm.raw(g).order;
+            self.unlink(mm, g, order);
+            self.free_pages -= 1 << order;
+            g.0 += 1 << order;
         }
     }
 
@@ -314,7 +315,7 @@ impl Zone {
     ///
     /// Panics (debug) if `head` is not a free chunk head of this zone.
     pub(crate) fn isolate_free_chunk(&mut self, mm: &mut MemMap, head: Gfn) -> u64 {
-        let d = *mm.page(head);
+        let d = *mm.raw(head);
         debug_assert_eq!(d.state, PageState::FreeHead, "free walk off a chunk head");
         debug_assert_eq!(d.zone, self.id, "page in wrong zone");
         let len = 1u64 << d.order;
@@ -338,7 +339,7 @@ impl Zone {
         let mut cur = self.free_heads[order as usize];
         while cur != NIL {
             n += 1;
-            cur = mm.page(Gfn(cur as u64)).b;
+            cur = mm.raw(Gfn(cur as u64)).b;
         }
         n
     }
@@ -351,7 +352,7 @@ impl Zone {
         let mut cur = self.free_heads[order as usize];
         while cur != NIL {
             out.push(Gfn(cur as u64));
-            cur = mm.page(Gfn(cur as u64)).b;
+            cur = mm.raw(Gfn(cur as u64)).b;
         }
         out
     }
@@ -365,7 +366,7 @@ impl Zone {
             let mut cur = self.free_heads[order as usize];
             while cur != NIL {
                 out.push((Gfn(cur as u64), order));
-                cur = mm.page(Gfn(cur as u64)).b;
+                cur = mm.raw(Gfn(cur as u64)).b;
             }
         }
         out.sort_unstable_by_key(|&(g, _)| g.0);
@@ -373,37 +374,42 @@ impl Zone {
     }
 
     /// Debug validation: walks every free list and checks link integrity,
-    /// state consistency and the free-page count.
+    /// head state, the free-page count, and that every raw `FreeHead` of
+    /// this zone in its span is on a list.
     ///
     /// # Panics
     ///
     /// Panics on any inconsistency.
     pub fn assert_consistent(&self, mm: &MemMap) {
-        let mut counted = 0u64;
+        let (mut counted, mut listed) = (0u64, 0usize);
         for order in 0..=MAX_ORDER {
             let mut prev = NIL;
             let mut cur = self.free_heads[order as usize];
             while cur != NIL {
                 let g = Gfn(cur as u64);
-                let d = mm.page(g);
+                let d = mm.raw(g);
                 assert_eq!(d.state, PageState::FreeHead, "list node not a head");
                 assert_eq!(d.order, order, "order mismatch");
                 assert_eq!(d.zone, self.id, "zone mismatch");
                 assert_eq!(d.a, prev, "broken prev link");
                 assert_eq!(g.0 & ((1 << order) - 1), 0, "misaligned block");
-                for t in g.0 + 1..g.0 + (1 << order) {
-                    assert_eq!(
-                        mm.state(Gfn(t)),
-                        PageState::FreeTail,
-                        "interior page {t:#x} not FreeTail"
-                    );
-                }
                 counted += 1 << order;
+                listed += 1;
                 prev = cur;
                 cur = d.b;
             }
         }
         assert_eq!(counted, self.free_pages, "free_pages count drifted");
+        let blocks = self.span.start.block().0..self.span.end().0.div_ceil(PAGES_PER_BLOCK);
+        let heads: usize = blocks
+            .filter_map(|b| mm.section(BlockId(b)))
+            .map(|s| {
+                s.iter()
+                    .filter(|d| d.state == PageState::FreeHead && d.zone == self.id)
+                    .count()
+            })
+            .sum();
+        assert_eq!(heads, listed, "a raw FreeHead is not on a free list");
     }
 }
 
@@ -414,7 +420,8 @@ mod tests {
 
     fn make(span_pages: u64) -> (MemMap, Zone) {
         let mut mm = MemMap::new(span_pages);
-        mm.materialize(BlockId(0));
+        mm.hot_add(BlockId(0));
+        mm.online(BlockId(0));
         let zone = Zone::new(0, ZoneKind::Normal, FrameRange::new(Gfn(0), span_pages));
         (mm, zone)
     }
@@ -425,7 +432,7 @@ mod tests {
         let chunk = 1u64 << MAX_ORDER;
         let mut g = 0;
         while g < pages {
-            // Pages start Absent; free_block overwrites states.
+            // free_block writes the chunk head alone.
             zone.free_block(mm, Gfn(g), MAX_ORDER);
             g += chunk;
         }
@@ -441,10 +448,10 @@ mod tests {
 
         let p = zone.alloc_block(&mut mm, 0).unwrap();
         assert_eq!(zone.free_pages, 2047);
-        mm.page_mut(p).state = PageState::Anon;
+        mm.raw_mut(p).state = PageState::Anon;
         zone.assert_consistent(&mm);
 
-        mm.page_mut(p).state = PageState::Isolated; // any non-free state
+        mm.raw_mut(p).state = PageState::Isolated; // any non-free state
         zone.free_block(&mut mm, p, 0);
         assert_eq!(zone.free_pages, 2048);
         zone.assert_consistent(&mm);
@@ -475,7 +482,7 @@ mod tests {
         fill(&mut mm, &mut zone, 1024);
         for _ in 0..1024 {
             let g = zone.alloc_block(&mut mm, 0).unwrap();
-            mm.page_mut(g).state = PageState::Anon;
+            mm.raw_mut(g).state = PageState::Anon;
         }
         assert_eq!(zone.free_pages, 0);
         assert!(zone.alloc_block(&mut mm, 0).is_none());
@@ -499,8 +506,8 @@ mod tests {
         let target = Gfn(777);
         zone.take_free_page(&mut mm, target);
         assert_eq!(zone.free_pages, 1023);
-        assert_eq!(mm.state(target), PageState::FreeTail);
-        mm.page_mut(target).state = PageState::Isolated;
+        assert!(!mm.state(target).is_free());
+        mm.raw_mut(target).state = PageState::Isolated;
         zone.assert_consistent(&mm);
         // Freeing it back restores full merge.
         zone.free_block(&mut mm, target, 0);
@@ -515,7 +522,7 @@ mod tests {
         fill(&mut mm, &mut zone, 1024);
         for g in 0..1024 {
             zone.take_free_page(&mut mm, Gfn(g));
-            mm.page_mut(Gfn(g)).state = PageState::Isolated;
+            mm.raw_mut(Gfn(g)).state = PageState::Isolated;
         }
         assert_eq!(zone.free_pages, 0);
         assert!(zone.buddy_is_empty());
@@ -534,7 +541,7 @@ mod tests {
         // An order-0 allocation splits one chunk: the order-9 remainder
         // appears, the order-10 count drops.
         let g = zone.alloc_block(&mut mm, 0).unwrap();
-        mm.page_mut(g).state = PageState::Anon;
+        mm.raw_mut(g).state = PageState::Anon;
         let chunks = zone.free_chunks(&mm, 9);
         assert_eq!(chunks.iter().filter(|&&(_, o)| o == MAX_ORDER).count(), 3);
         assert_eq!(chunks.iter().filter(|&&(_, o)| o == 9).count(), 1);
@@ -550,7 +557,8 @@ mod tests {
         // Zone covering only the upper half of a would-be order-10 pair:
         // merging must stop at the span edge.
         let mut mm = MemMap::new(2048);
-        mm.materialize(BlockId(0));
+        mm.hot_add(BlockId(0));
+        mm.online(BlockId(0));
         let mut zone = Zone::new(0, ZoneKind::Normal, FrameRange::new(Gfn(1024), 1024));
         zone.free_block(&mut mm, Gfn(1024), MAX_ORDER);
         zone.managed_pages += 1024;
@@ -564,7 +572,7 @@ mod tests {
         let (mut mm, mut zone) = make(1024);
         fill(&mut mm, &mut zone, 1024);
         let g = zone.alloc_block(&mut mm, 0).unwrap();
-        mm.page_mut(g).state = PageState::Anon;
+        mm.raw_mut(g).state = PageState::Anon;
         zone.take_free_page(&mut mm, g);
     }
 
@@ -597,7 +605,7 @@ mod tests {
                     break;
                 };
                 for g in head.0..head.0 + len {
-                    mm_a.page_mut(Gfn(g)).state = PageState::Anon;
+                    mm_a.raw_mut(Gfn(g)).state = PageState::Anon;
                     run_pages.push(Gfn(g));
                 }
                 want -= len;
@@ -605,7 +613,7 @@ mod tests {
             let seq_pages: Vec<Gfn> = (0..run_pages.len())
                 .map(|_| {
                     let g = zb.alloc_block(&mut mm_b, 0).unwrap();
-                    mm_b.page_mut(g).state = PageState::Anon;
+                    mm_b.raw_mut(g).state = PageState::Anon;
                     g
                 })
                 .collect();
@@ -655,8 +663,8 @@ mod tests {
                 let (hb, lb) = zb.alloc_run(&mut mm_b, want).unwrap();
                 assert_eq!((head, len), (hb, lb));
                 for g in head.0..head.0 + len {
-                    mm_a.page_mut(Gfn(g)).state = PageState::Anon;
-                    mm_b.page_mut(Gfn(g)).state = PageState::Anon;
+                    mm_a.raw_mut(Gfn(g)).state = PageState::Anon;
+                    mm_b.raw_mut(Gfn(g)).state = PageState::Anon;
                 }
                 held.push((head, len));
             }
@@ -699,8 +707,8 @@ mod tests {
                 zb.alloc_block(&mut mm_b, 0).unwrap(),
             );
             assert_eq!(ga, gb);
-            mm_a.page_mut(ga).state = PageState::Anon;
-            mm_b.page_mut(gb).state = PageState::Anon;
+            mm_a.raw_mut(ga).state = PageState::Anon;
+            mm_b.raw_mut(gb).state = PageState::Anon;
             if (2048..4096).contains(&ga.0) {
                 // Give the page back if it landed in the target range.
                 za.free_block(&mut mm_a, ga, 0);
@@ -714,12 +722,9 @@ mod tests {
         za.isolate_free_range(&mut mm_a, range);
         for g in range.iter() {
             zb.take_free_page(&mut mm_b, g);
-            mm_b.page_mut(g).state = PageState::Isolated;
+            mm_b.raw_mut(g).state = PageState::Isolated;
         }
         assert_eq!(za.free_pages, zb.free_pages);
-        for g in range.iter() {
-            assert_eq!(mm_a.state(g), PageState::Isolated);
-        }
         za.assert_consistent(&mm_a);
         zb.assert_consistent(&mm_b);
         for o in 0..=MAX_ORDER {
@@ -742,7 +747,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             if !x.is_multiple_of(3) || held.is_empty() {
                 if let Some(g) = zone.alloc_block(&mut mm, 0) {
-                    mm.page_mut(g).state = PageState::Anon;
+                    mm.raw_mut(g).state = PageState::Anon;
                     held.push(g);
                 }
             } else {

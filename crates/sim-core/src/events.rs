@@ -18,12 +18,9 @@
 //! vectors in push order, cascades only ever refile into *empty* lower
 //! levels (the wheel position below a cascading slot has been fully
 //! drained), so every slot vector stays sequence-ordered and the wheel
-//! pops in exactly the (time, seq) order of the reference
-//! [`BinaryHeapQueue`] — a property the differential and property tests
-//! pin.
+//! pops in exactly the (time, seq) order of a reference binary heap —
+//! a property the differential tests in `tests/wheel_order.rs` pin.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem;
 
 use crate::time::SimTime;
@@ -280,115 +277,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `BinaryHeap` is a max-heap; invert so the earliest event pops
-        // first, with the lowest sequence number breaking ties.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The straightforward binary-heap event queue: same (time, seq) FIFO
-/// contract as [`EventQueue`], O(log n) per operation.
-///
-/// Kept as the *reference implementation* the timer wheel is tested
-/// against (differential and property tests) and benchmarked against
-/// (`crates/bench/benches/event_queue.rs`) — not used by the
-/// simulators.
-pub struct BinaryHeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for BinaryHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BinaryHeapQueue<E> {
-    /// Creates an empty queue with the clock at zero.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Returns the current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule in the past: {at} < now {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Pops the earliest event and advances the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.at >= self.now);
-        self.now = s.at;
-        Some((s.at, s.event))
-    }
-
-    /// Returns the timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::DetRng;
     use crate::time::SimDuration;
 
     #[test]
@@ -507,43 +398,5 @@ mod tests {
         assert_eq!(q.processed(), 10);
         assert_eq!(q.peak_len(), 10);
         assert_eq!(q.len(), 0);
-    }
-
-    /// Differential check against the reference heap on a seeded random
-    /// interleaving of pushes and pops with heavy time ties and
-    /// far-future outliers (the proptest suite widens this further).
-    #[test]
-    fn wheel_matches_reference_heap_on_random_interleavings() {
-        for seed in 0..8 {
-            let mut rng = DetRng::new(0xE0E0 + seed);
-            let mut wheel = EventQueue::new();
-            let mut heap = BinaryHeapQueue::new();
-            let mut tag = 0u32;
-            for _ in 0..2_000 {
-                if rng.range(0, 3) > 0 || wheel.is_empty() {
-                    let base = wheel.now().0;
-                    let dt = match rng.range(0, 10) {
-                        0 => 0,
-                        1..=6 => rng.range(0, 1 << 12),
-                        7 | 8 => rng.range(0, 1 << 30),
-                        _ => rng.range(0, 1 << 45),
-                    };
-                    wheel.push(SimTime(base + dt), tag);
-                    heap.push(SimTime(base + dt), tag);
-                    tag += 1;
-                } else {
-                    assert_eq!(wheel.pop(), heap.pop());
-                    assert_eq!(wheel.peek_time(), heap.peek_time());
-                }
-                assert_eq!(wheel.len(), heap.len());
-            }
-            loop {
-                let (a, b) = (wheel.pop(), heap.pop());
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
     }
 }

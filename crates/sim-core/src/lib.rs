@@ -47,7 +47,7 @@ pub mod time;
 pub use collections::IdMap;
 pub use cost::{CostModel, LatencyBreakdown};
 pub use cpu::{CpuPool, TaskId};
-pub use events::{BinaryHeapQueue, EventQueue};
+pub use events::EventQueue;
 pub use experiment::{run_experiment, run_reduced, ExpOpts, Experiment, Summary, TrialCtx};
 pub use metrics::{fnv1a, BusyRecorder, Fnv1a, Histogram, Reservoir, TimeSeries};
 pub use rng::{nhpp_thinned_arrivals, poisson_arrivals_into, DetRng};

@@ -1,11 +1,56 @@
 //! Property: the timer-wheel [`EventQueue`] pops in exactly the same
-//! (time, seq) order as the reference [`BinaryHeapQueue`] over
-//! arbitrary push/pop interleavings — including same-instant FIFO ties
-//! and far-future events that rest in the wheel's overflow levels and
-//! cascade down through every level on their way out.
+//! (time, seq) order as a reference binary heap over arbitrary push/pop
+//! interleavings — including same-instant FIFO ties and far-future
+//! events that rest in the wheel's overflow levels and cascade down
+//! through every level on their way out.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sim_core::{BinaryHeapQueue, EventQueue, SimTime};
+use sim_core::{DetRng, EventQueue, SimTime};
+
+/// The straightforward event queue the wheel is pinned to: a binary
+/// heap ordered by (time, push sequence), O(log n) per operation.
+struct BinaryHeapQueue<E> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl<E: Ord> BinaryHeapQueue<E> {
+    fn new() -> Self {
+        BinaryHeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: SimTime::ZERO,
+        }
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn push(&mut self, at: SimTime, event: E) {
+        assert!(at >= self.now, "cannot schedule in the past");
+        self.heap.push(Reverse((at, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let Reverse((at, _, event)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, event))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// One step of an interleaving: `kind` selects push flavor vs pop,
 /// `raw` supplies the time offset entropy.
@@ -87,5 +132,43 @@ proptest! {
             batch.clear();
         }
         prop_assert!(heap.pop().is_none());
+    }
+}
+
+/// Differential check against the reference heap on a seeded random
+/// interleaving of pushes and pops with heavy time ties and
+/// far-future outliers (the proptest suite widens this further).
+#[test]
+fn wheel_matches_reference_heap_on_random_interleavings() {
+    for seed in 0..8 {
+        let mut rng = DetRng::new(0xE0E0 + seed);
+        let mut wheel = EventQueue::new();
+        let mut heap = BinaryHeapQueue::new();
+        let mut tag = 0u32;
+        for _ in 0..2_000 {
+            if rng.range(0, 3) > 0 || wheel.is_empty() {
+                let base = wheel.now().0;
+                let dt = match rng.range(0, 10) {
+                    0 => 0,
+                    1..=6 => rng.range(0, 1 << 12),
+                    7 | 8 => rng.range(0, 1 << 30),
+                    _ => rng.range(0, 1 << 45),
+                };
+                wheel.push(SimTime(base + dt), tag);
+                heap.push(SimTime(base + dt), tag);
+                tag += 1;
+            } else {
+                assert_eq!(wheel.pop(), heap.pop());
+                assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+            assert_eq!(wheel.len(), heap.len());
+        }
+        loop {
+            let (a, b) = (wheel.pop(), heap.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
     }
 }
