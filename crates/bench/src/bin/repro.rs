@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|hybrid|cluster|fleet]
+//! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|hybrid]
 //!       [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro perf [--trace] [--quick] [--json <path>]
 //! repro run <spec.scn>... [--compare] [--quick] [--jobs N] [--trials N] [--json <path>]
@@ -12,6 +12,9 @@
 //! repro scenarios
 //! ```
 //!
+//! * `repro all` — every paper section, plus the committed cluster and
+//!   fleet grids (`examples/scenarios/{cluster,fleet}_grid.scn`), run
+//!   like `repro run` would.
 //! * `repro run` — execute scenario spec files (`faas::SweepSpec`
 //!   format; see `examples/scenarios/`) with one report section per
 //!   spec. Specs are parsed and validated up front: a bad file fails
@@ -50,7 +53,7 @@ use squeezy_bench as bench;
 
 /// Every target the CLI accepts, in help order. Unknown targets are
 /// rejected at parse time against this list.
-const TARGETS: [&str; 22] = [
+const TARGETS: [&str; 20] = [
     "all",
     "table1",
     "fig1",
@@ -67,8 +70,6 @@ const TARGETS: [&str; 22] = [
     "fpr",
     "temporal",
     "hybrid",
-    "cluster",
-    "fleet",
     "perf",
     "run",
     "gen-trace",
@@ -216,26 +217,37 @@ impl Experiment for Report {
 /// Loads, optionally quick-scales, and validates every spec file; any
 /// bad file dies before the first simulation starts. Specs may be
 /// plain scenarios or sweep grids — `SweepSpec::parse` is a strict
-/// superset of the scalar format.
-fn load_specs(files: &[String], quick: bool) -> Vec<(String, SweepSpec)> {
+/// superset of the scalar format. Each entry is `(section name, path)`.
+fn load_specs(files: &[(String, String)], quick: bool) -> Vec<(String, SweepSpec)> {
     files
         .iter()
-        .map(|path| {
+        .map(|(name, path)| {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
-            let spec = SweepSpec::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            (path.clone(), if quick { spec.quick() } else { spec })
+            let spec = SweepSpec::parse(&text).unwrap_or_else(|e| die(&format!("{name}: {e}")));
+            (name.clone(), if quick { spec.quick() } else { spec })
         })
         .collect()
 }
+
+/// The repository root, anchored on the crate manifest so committed
+/// files resolve whatever the working directory.
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// The committed grid specs `repro all` runs, repo-relative: section
+/// names stay the same wherever the repository is checked out.
+const ALL_GRIDS: [&str; 2] = [
+    "examples/scenarios/cluster_grid.scn",
+    "examples/scenarios/fleet_grid.scn",
+];
 
 /// (Re)writes the committed example traces from their pinned in-crate
 /// generators. Paths are anchored on the crate manifest, so this lands
 /// in `examples/traces/` whatever the working directory; the output is
 /// byte-deterministic and a bench test pins the committed files to it.
 fn gen_traces() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/traces");
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir}: {e}")));
+    let dir = format!("{REPO_ROOT}/examples/traces");
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| die(&format!("creating {dir}: {e}")));
     let files = [
         ("azure_3day.csv", workloads::sample_azure_3day()),
         ("opendc_sample.csv", workloads::sample_opendc()),
@@ -274,7 +286,15 @@ fn main() {
         }
     };
 
-    let specs = load_specs(&args.files, quick);
+    let files: Vec<(String, String)> = if all {
+        ALL_GRIDS
+            .iter()
+            .map(|rel| (rel.to_string(), format!("{REPO_ROOT}/{rel}")))
+            .collect()
+    } else {
+        args.files.iter().map(|f| (f.clone(), f.clone())).collect()
+    };
+    let specs = load_specs(&files, quick);
     if args.compare {
         for (path, spec) in &specs {
             let cells = spec.cells().len();
@@ -291,23 +311,6 @@ fn main() {
     // and the gate exit code.
     let grids: Arc<Mutex<Vec<Option<GridOutcome>>>> =
         Arc::new(Mutex::new(specs.iter().map(|_| None).collect()));
-    for (i, (path, spec)) in specs.into_iter().enumerate() {
-        let spec_opts = opts;
-        let grids = grids.clone();
-        add(
-            &path.clone(),
-            true,
-            Box::new(move || {
-                let outcome = spec
-                    .run(&spec_opts)
-                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-                let text = outcome.render();
-                grids.lock().expect("grid lock")[i] = Some(outcome);
-                text
-            }),
-        );
-    }
-
     add(
         "Table 1",
         all || args.what == "table1",
@@ -448,30 +451,23 @@ fn main() {
         all || args.what == "temporal",
         Box::new(move || bench::temporal::render(&bench::temporal::run_with(&opts))),
     );
-    add(
-        "Cluster",
-        all || args.what == "cluster",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::cluster::ClusterBenchConfig::quick()
-            } else {
-                bench::cluster::ClusterBenchConfig::paper()
-            };
-            bench::cluster::render(&bench::cluster::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Fleet",
-        all || args.what == "fleet",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fleet::FleetBenchConfig::quick()
-            } else {
-                bench::fleet::FleetBenchConfig::paper()
-            };
-            bench::fleet::render(&bench::fleet::run_with(&cfg, &opts))
-        }),
-    );
+    // Spec sections: the files of `run`, or the committed grids of `all`.
+    for (i, (path, spec)) in specs.into_iter().enumerate() {
+        let spec_opts = opts;
+        let grids = grids.clone();
+        add(
+            &path.clone(),
+            true,
+            Box::new(move || {
+                let outcome = spec
+                    .run(&spec_opts)
+                    .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+                let text = outcome.render();
+                grids.lock().expect("grid lock")[i] = Some(outcome);
+                text
+            }),
+        );
+    }
     // The perf target is wall-time-dependent by design (events/sec),
     // so it is NOT part of `all` — the `all` report stays byte-stable
     // across machines. The cell is captured for the JSON summary.

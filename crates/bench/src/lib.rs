@@ -8,8 +8,13 @@
 //! ```text
 //! cargo run --release -p squeezy-bench --bin repro -- all
 //! ```
+//!
+//! The multi-host grids beyond the paper (routing × backend on a
+//! cluster, autoscale policy × backend on a fleet) are not modules:
+//! they are the committed sweep specs
+//! `examples/scenarios/{cluster,fleet}_grid.scn`, which `repro all`
+//! and `repro run` execute through `faas::SweepSpec::run`.
 
-pub mod cluster;
 pub mod fig1;
 pub mod fig10;
 pub mod fig11;
@@ -19,7 +24,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod fleet;
 pub mod fpr;
 pub mod hybrid;
 pub mod perf;

@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 
 use sim_core::{DetRng, EventQueue, Histogram, Reservoir, SimDuration, SimTime, TimeSeries};
 use vmm::VmmError;
-use workloads::{FunctionKind, TraceSource};
+use workloads::{FunctionKind, MaterializedSource, TenantLoad, TraceSource};
 
 use crate::cluster::{ClusterConfig, HostLoad, Router, TenantTrace, LATENCY_RESERVOIR_CAP};
 use crate::config::SimConfig;
@@ -437,18 +437,38 @@ impl FleetSim {
     /// feed (tenant-ordered); one sample chain per host, the control
     /// loop (if the policy has one) and the crash plan enter the queue
     /// up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the first initial host lacks a tenant's `(vm, dep)`
+    /// slot, which [`FleetConfig::tenants`] requires every host to
+    /// expose.
     pub fn new(
         mut config: FleetConfig,
         router: Box<dyn Router>,
         policy: Box<dyn AutoscalePolicy>,
     ) -> Result<FleetSim, VmmError> {
         let duration_s = Self::check(&config);
-        let slots: Vec<Vec<f64>> = config
+        let vms = &config.initial_hosts[0].vms;
+        let loads: Vec<TenantLoad> = config
             .tenants
             .iter_mut()
-            .map(|t| std::mem::take(&mut t.arrivals))
+            .map(|t| TenantLoad {
+                kind: vms[t.vm].deployments[t.dep].kind,
+                // The horizon cut in seconds, as the arrival lists are
+                // written: `injected` counts exactly the `a < duration_s`
+                // arrivals.
+                arrivals: std::mem::take(&mut t.arrivals)
+                    .into_iter()
+                    .filter(|&a| a < duration_s)
+                    .collect(),
+            })
             .collect();
-        let feed = ArrivalFeed::merged(slots, duration_s);
+        let feed = ArrivalFeed::new(
+            Box::new(MaterializedSource::new(loads)),
+            duration_s,
+            "materialized arrivals",
+        );
         Self::build(config, router, policy, feed, false)
     }
 
@@ -472,7 +492,7 @@ impl FleetSim {
         for t in config.tenants.iter_mut() {
             t.arrivals.clear();
         }
-        let feed = ArrivalFeed::stream(source, duration_s, origin);
+        let feed = ArrivalFeed::new(source, duration_s, origin);
         Self::build(config, router, policy, feed, true)
     }
 

@@ -30,7 +30,8 @@
 //! The **scenario front door** ([`scenario`]) sits above all four:
 //! a declarative, serializable [`Scenario`] spec names a workload, a
 //! topology, backends, a router, a policy and SLOs, and
-//! [`Scenario::run`] runs it on the fleet engine — every layer
+//! [`SweepSpec::run`] runs it (or a grid of it) on the fleet engine —
+//! every layer
 //! gains a `from_scenario` constructor and every experiment becomes a
 //! data change.
 //!

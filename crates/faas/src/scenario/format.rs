@@ -59,7 +59,7 @@ pub(crate) const KEYS: [&str; 24] = [
 /// Renders a byte count the way specs write them: whole `GiB`/`MiB`/
 /// `KiB` when exact, raw bytes otherwise. Round-trips through
 /// [`parse_bytes`].
-fn render_bytes(b: u64) -> String {
+pub(crate) fn render_bytes(b: u64) -> String {
     if b.is_multiple_of(GIB) {
         format!("{}GiB", b / GIB)
     } else if b.is_multiple_of(MIB) {

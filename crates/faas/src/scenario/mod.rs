@@ -5,11 +5,12 @@
 //! ([`Topology::SingleVm`] | [`Topology::Cluster`] | [`Topology::Fleet`]),
 //! an elasticity backend per host (or a sweep list of them), a router,
 //! an autoscale policy, SLOs, duration/seed/trials — and
-//! [`Scenario::run`] runs each cell on the fleet engine
-//! ([`crate::FleetSim`]) and returns one unified [`ScenarioResult`]. Every future experiment becomes a data change:
-//! a spec file (see [`Scenario::parse`] / [`Scenario::render`] for the
-//! line-oriented `key = value` format) instead of another ~100 lines
-//! of hand-wired config glue.
+//! [`SweepSpec::run`] runs its cells on the fleet engine
+//! ([`crate::FleetSim`]); a spec without sweep axes is one cell that
+//! yields one unified [`ScenarioResult`]. Every future experiment
+//! becomes a data change: a spec file (see [`Scenario::parse`] /
+//! [`Scenario::render`] for the line-oriented `key = value` format)
+//! instead of another ~100 lines of hand-wired config glue.
 //!
 //! Determinism contract: a scenario's RNG streams are derived from
 //! `(seed, trial)` through the *same* stream tags the bench harness
@@ -32,7 +33,6 @@ pub use expect::{render_verdicts, ExpectKind, ExpectVerdict, Expectation};
 pub use result::{FleetStats, ScenarioOutcome, ScenarioResult};
 pub use sweep::{AxisValues, GridOutcome, SweepAxis, SweepCell, SweepSpec, MAX_CELLS};
 
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 use sim_core::DetRng;
 use workloads::{FunctionKind, TenantLoad, WorkloadKind, WorkloadParams};
 
@@ -418,7 +418,7 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if a trace file's header cannot be read — [`Scenario::run`]
+    /// Panics if a trace file's header cannot be read — [`SweepSpec::run`]
     /// preflights the whole file first, so this only fires when
     /// `run_trial` is driven directly against a bad path.
     pub fn tenant_loads(&self, trial: u64) -> Vec<TenantLoad> {
@@ -509,11 +509,8 @@ impl Scenario {
         slos
     }
 
-    /// Runs one `(backend, trial)` cell on the topology's simulator.
-    ///
-    /// This is the composable core [`Scenario::run`] loops over; grid
-    /// experiments (`bench::cluster`, `bench::fleet`) call it directly
-    /// from their own sweep engines.
+    /// Runs one `(backend, trial)` cell on the topology's simulator —
+    /// the unit [`SweepSpec::run`] shards over the experiment engine.
     ///
     /// Every topology runs on the fleet engine: the topology picks the
     /// fleet config, the router and the projection of the result; the
@@ -522,12 +519,10 @@ impl Scenario {
     /// metrics are bounded. `offered` is the number of arrivals the
     /// feed injected within the duration.
     ///
-    /// # Panics
-    ///
-    /// Panics if a host fails to boot (e.g. `host_capacity` smaller
-    /// than the VMs' boot memory) — the same contract as constructing
-    /// the simulators by hand.
-    pub fn run_trial(&self, backend: BackendKind, trial: u64) -> ScenarioOutcome {
+    /// `Err` names `host_capacity` and carries the VMM error when the
+    /// hosts cannot boot (e.g. a capacity below the VMs' boot memory),
+    /// or names the trace file when it cannot be opened.
+    pub fn run_trial(&self, backend: BackendKind, trial: u64) -> Result<ScenarioOutcome, String> {
         let (config, router, policy): (FleetConfig, Box<dyn Router>, Box<dyn AutoscalePolicy>) =
             match self.topology {
                 Topology::SingleVm => (
@@ -550,14 +545,23 @@ impl Scenario {
         let sim = match &self.workload {
             WorkloadSpec::Named(_) => FleetSim::new(config, router, policy),
             WorkloadSpec::Trace(path) => {
-                let source = workloads::open_trace(path, trial)
-                    .unwrap_or_else(|e| panic!("trace {path}: {e}"));
+                let source =
+                    workloads::open_trace(path, trial).map_err(|e| format!("trace {path}: {e}"))?;
                 FleetSim::with_source(config, router, policy, source, path)
             }
         };
-        let result = sim.expect("scenario hosts boot").run();
+        let result = sim
+            .map_err(|e| {
+                format!(
+                    "scenario {:?}: hosts do not boot with host_capacity = {} ({} backend): {e}",
+                    self.name,
+                    format::render_bytes(self.host_capacity),
+                    backend.key()
+                )
+            })?
+            .run();
         let offered = result.injected;
-        match self.topology {
+        Ok(match self.topology {
             Topology::SingleVm => {
                 ScenarioOutcome::from_sim(backend, trial, offered, single_host(result))
             }
@@ -568,56 +572,6 @@ impl Scenario {
                 ClusterResult::from_fleet(result),
             ),
             Topology::Fleet => ScenarioOutcome::from_fleet(backend, trial, offered, result),
-        }
-    }
-
-    /// Runs the whole scenario — every backend of the sweep × every
-    /// trial — through the experiment engine (`opts.jobs` shards the
-    /// grid; output is byte-identical for any job count) and returns
-    /// the unified result.
-    ///
-    /// `opts.trials > 1` overrides the spec's own trial count.
-    pub fn run(&self, opts: &ExpOpts) -> Result<ScenarioResult, String> {
-        self.validate()?;
-        if let WorkloadSpec::Trace(path) = &self.workload {
-            // Preflight the whole file (every row parsed, time order
-            // checked) so a malformed trace fails here with a line
-            // number instead of mid-simulation.
-            workloads::validate_trace(path).map_err(|e| format!("trace {path}: {e}"))?;
-        }
-        let trials = if opts.trials > 1 {
-            opts.trials
-        } else {
-            self.trials
-        };
-        struct Exp<'a> {
-            spec: &'a Scenario,
-            trials: u32,
-        }
-        impl Experiment for Exp<'_> {
-            type Point = BackendKind;
-            type Output = ScenarioOutcome;
-
-            fn points(&self) -> Vec<BackendKind> {
-                self.spec.backends.clone()
-            }
-
-            fn trials(&self) -> u32 {
-                self.trials
-            }
-
-            fn seed(&self) -> u64 {
-                self.spec.seed
-            }
-
-            fn run_trial(&self, &backend: &BackendKind, ctx: &mut TrialCtx) -> ScenarioOutcome {
-                self.spec.run_trial(backend, ctx.trial)
-            }
-        }
-        let grouped = run_experiment(&Exp { spec: self, trials }, opts.effective_jobs());
-        Ok(ScenarioResult {
-            spec: self.clone(),
-            cells: self.backends.iter().copied().zip(grouped).collect(),
         })
     }
 }

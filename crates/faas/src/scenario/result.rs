@@ -253,8 +253,8 @@ impl ScenarioOutcome {
     }
 }
 
-/// The unified outcome of [`Scenario::run`]: one column of trials per
-/// backend in the sweep, plus the spec that produced them.
+/// The unified outcome of one scenario cell of [`super::SweepSpec::run`]:
+/// one column of trials per backend, plus the spec that produced them.
 pub struct ScenarioResult {
     /// The scenario that ran.
     pub spec: Scenario,
@@ -275,9 +275,8 @@ impl ScenarioResult {
         h.finish()
     }
 
-    /// Renders the backend-comparison table (trial means per cell).
-    /// Columns a topology doesn't produce are omitted entirely rather
-    /// than shown as zeros.
+    /// Renders the scenario header and the backend-comparison table
+    /// (see [`render_table`]).
     pub fn render(&self) -> String {
         let spec = &self.spec;
         let trials = self.cells.first().map(|(_, t)| t.len()).unwrap_or(0);
@@ -308,103 +307,126 @@ impl ScenarioResult {
             )),
         }
 
-        let mut header = vec![
-            "Backend", "Served", "p50(ms)", "p99(ms)", "Cold(%)", "GiB*s",
-        ];
-        if matches!(spec.topology, Topology::Cluster(_)) {
-            header.push("Hot(%)");
-        }
-        if spec.topology == Topology::Fleet {
-            header.extend([
-                "Hosts", "Host-hrs", "SLOv(%)", "Scale+", "Scale-", "Crash", "Lost",
-            ]);
-        }
-        let mut table = TextTable::new(&header);
-        for (backend, trials) in &self.cells {
-            // One merge pass per trial serves both percentiles.
-            let mut merged: Vec<Histogram> =
-                trials.iter().map(ScenarioOutcome::merged_latency).collect();
-            let quantile_mean = |merged: &mut [Histogram], q: f64| {
-                let qs: Vec<f64> = merged.iter_mut().map(|h| h.quantile(q)).collect();
-                sim_core::metrics::mean(&qs)
-            };
-            let mut row = vec![
-                backend.name().to_string(),
-                format!(
-                    "{:.0}/{:.0}",
-                    mean_over(trials, |t| t.completed as f64),
-                    mean_over(trials, |t| t.offered as f64)
-                ),
-                format!("{:.0}", quantile_mean(&mut merged, 0.5)),
-                format!("{:.0}", quantile_mean(&mut merged, 0.99)),
-                format!("{:.1}", 100.0 * mean_over(trials, |t| t.cold_ratio())),
-                format!("{:.1}", mean_over(trials, |t| t.gib_seconds)),
-            ];
-            if matches!(spec.topology, Topology::Cluster(_)) {
-                row.push(format!(
-                    "{:.1}",
-                    100.0 * mean_over(trials, |t| t.hot_share().unwrap_or(0.0))
-                ));
-            }
-            if spec.topology == Topology::Fleet {
-                let f = |get: fn(&FleetStats) -> f64| {
-                    mean_over(trials, |t| t.fleet.as_ref().map(get).unwrap_or(0.0))
-                };
-                row.push(format!(
-                    "{:.0}→{:.0}",
-                    f(|s| s.min_active as f64),
-                    f(|s| s.peak_active as f64)
-                ));
-                row.push(format!("{:.2}", f(|s| s.host_hours)));
-                row.push(format!("{:.1}", 100.0 * f(|s| s.slo_violation_rate())));
-                row.push(format!("{:.0}", f(|s| s.scale_ups as f64)));
-                row.push(format!("{:.0}", f(|s| s.scale_downs as f64)));
-                row.push(format!("{:.0}", f(|s| s.crashes as f64)));
-                row.push(format!("{:.0}", f(|s| s.lost as f64)));
-            }
-            table.row(row);
-        }
-        out.push_str(&table.render());
-
-        // The time-resolved view, where the topology records one.
-        let quarters: Vec<String> = self
+        let rows: Vec<TableRow> = self
             .cells
             .iter()
-            .filter_map(|(backend, trials)| {
-                let q = spec.params.duration_s / 4.0;
-                let means: Vec<Vec<f64>> = trials
-                    .iter()
-                    .filter_map(|t| {
-                        t.latency_over_time.as_ref().map(|res| {
-                            (0..4)
-                                .map(|i| {
-                                    res.mean_in(i as f64 * q, (i + 1) as f64 * q).unwrap_or(0.0)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                if means.is_empty() {
-                    return None;
-                }
-                let avg = |i: usize| means.iter().map(|m| m[i]).sum::<f64>() / means.len() as f64;
-                Some(format!(
-                    "  {}: {:.0} / {:.0} / {:.0} / {:.0} ms",
-                    backend.name(),
-                    avg(0),
-                    avg(1),
-                    avg(2),
-                    avg(3)
-                ))
+            .map(|(backend, trials)| {
+                (
+                    backend.name().to_string(),
+                    spec.params.duration_s,
+                    trials.as_slice(),
+                )
             })
             .collect();
-        if !quarters.is_empty() {
-            out.push_str("Time-resolved mean latency (reservoir-sampled quarters):\n");
-            for line in quarters {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
+        out.push_str(&render_table("Backend", spec.topology, &rows));
         out
     }
+}
+
+/// One row of a results table: its label, the run's duration in
+/// seconds (the time-resolved quarters split it) and the trials whose
+/// means the row shows.
+pub(super) type TableRow<'a> = (String, f64, &'a [ScenarioOutcome]);
+
+/// Renders the results table (trial means per row) and the
+/// time-resolved latency quarters: the shared body of
+/// [`ScenarioResult::render`] (one row per backend) and
+/// [`super::GridOutcome::render`] (one row per cell). Columns a
+/// topology doesn't produce are omitted entirely rather than shown as
+/// zeros.
+pub(super) fn render_table(first: &str, topology: Topology, rows: &[TableRow]) -> String {
+    let cluster = matches!(topology, Topology::Cluster(_));
+    let fleet = topology == Topology::Fleet;
+    let mut header = vec![first, "Served", "p50(ms)", "p99(ms)", "Cold(%)", "GiB*s"];
+    if cluster {
+        header.push("Hot(%)");
+    }
+    if fleet {
+        header.extend([
+            "Hosts", "Host-hrs", "SLOv(%)", "Scale+", "Scale-", "Crash", "Lost",
+        ]);
+    }
+    let mut table = TextTable::new(&header);
+    for (label, _, trials) in rows {
+        // One merge pass per trial serves both percentiles.
+        let mut merged: Vec<Histogram> =
+            trials.iter().map(ScenarioOutcome::merged_latency).collect();
+        let quantile_mean = |merged: &mut [Histogram], q: f64| {
+            let qs: Vec<f64> = merged.iter_mut().map(|h| h.quantile(q)).collect();
+            sim_core::metrics::mean(&qs)
+        };
+        let mut row = vec![
+            label.clone(),
+            format!(
+                "{:.0}/{:.0}",
+                mean_over(trials, |t| t.completed as f64),
+                mean_over(trials, |t| t.offered as f64)
+            ),
+            format!("{:.0}", quantile_mean(&mut merged, 0.5)),
+            format!("{:.0}", quantile_mean(&mut merged, 0.99)),
+            format!("{:.1}", 100.0 * mean_over(trials, |t| t.cold_ratio())),
+            format!("{:.1}", mean_over(trials, |t| t.gib_seconds)),
+        ];
+        if cluster {
+            row.push(format!(
+                "{:.1}",
+                100.0 * mean_over(trials, |t| t.hot_share().unwrap_or(0.0))
+            ));
+        }
+        if fleet {
+            let f = |get: fn(&FleetStats) -> f64| {
+                mean_over(trials, |t| t.fleet.as_ref().map(get).unwrap_or(0.0))
+            };
+            row.push(format!(
+                "{:.0}→{:.0}",
+                f(|s| s.min_active as f64),
+                f(|s| s.peak_active as f64)
+            ));
+            row.push(format!("{:.2}", f(|s| s.host_hours)));
+            row.push(format!("{:.1}", 100.0 * f(|s| s.slo_violation_rate())));
+            row.push(format!("{:.0}", f(|s| s.scale_ups as f64)));
+            row.push(format!("{:.0}", f(|s| s.scale_downs as f64)));
+            row.push(format!("{:.0}", f(|s| s.crashes as f64)));
+            row.push(format!("{:.0}", f(|s| s.lost as f64)));
+        }
+        table.row(row);
+    }
+    let mut out = table.render();
+
+    // The time-resolved view, where the topology records one.
+    let quarters: Vec<String> = rows
+        .iter()
+        .filter_map(|(label, duration_s, trials)| {
+            let q = duration_s / 4.0;
+            let means: Vec<Vec<f64>> = trials
+                .iter()
+                .filter_map(|t| {
+                    t.latency_over_time.as_ref().map(|res| {
+                        (0..4)
+                            .map(|i| res.mean_in(i as f64 * q, (i + 1) as f64 * q).unwrap_or(0.0))
+                            .collect()
+                    })
+                })
+                .collect();
+            if means.is_empty() {
+                return None;
+            }
+            let avg = |i: usize| means.iter().map(|m| m[i]).sum::<f64>() / means.len() as f64;
+            Some(format!(
+                "  {label}: {:.0} / {:.0} / {:.0} / {:.0} ms",
+                avg(0),
+                avg(1),
+                avg(2),
+                avg(3)
+            ))
+        })
+        .collect();
+    if !quarters.is_empty() {
+        out.push_str("Time-resolved mean latency (reservoir-sampled quarters):\n");
+        for line in quarters {
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out
 }

@@ -19,6 +19,7 @@
 use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
 
 use super::expect::{self, ExpectVerdict, Expectation};
+use super::result::{render_table, TableRow};
 use super::{compare, format, Scenario, ScenarioOutcome, ScenarioResult, Topology, WorkloadSpec};
 use crate::config::BackendKind;
 
@@ -512,7 +513,7 @@ impl SweepSpec {
         }
         impl Experiment for Exp<'_> {
             type Point = (usize, BackendKind, u64);
-            type Output = ScenarioOutcome;
+            type Output = Result<ScenarioOutcome, String>;
 
             fn points(&self) -> Vec<Self::Point> {
                 self.units.to_vec()
@@ -532,7 +533,7 @@ impl SweepSpec {
                 &self,
                 &(ci, backend, trial): &Self::Point,
                 _ctx: &mut TrialCtx,
-            ) -> ScenarioOutcome {
+            ) -> Result<ScenarioOutcome, String> {
                 self.cells[ci].scenario.run_trial(backend, trial)
             }
         }
@@ -544,9 +545,13 @@ impl SweepSpec {
             },
             opts.effective_jobs(),
         );
+        // The first failed unit in expansion order is the error, so it
+        // does not depend on the job count.
         let mut flat = grouped
             .into_iter()
-            .map(|mut per_point| per_point.pop().expect("one trial per unit"));
+            .map(|mut per_point| per_point.pop().expect("one trial per unit"))
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter();
         let mut results: Vec<(String, ScenarioResult)> = Vec::with_capacity(cells.len());
         for c in &cells {
             let trials_n = trials_of(c) as usize;
@@ -631,59 +636,20 @@ impl GridOutcome {
                 base.workload.key(),
                 base.seed,
             ));
-            let fleet = base.topology == Topology::Fleet;
-            let mut header = vec!["Cell", "Served", "p50(ms)", "p99(ms)", "Cold(%)", "GiB*s"];
-            if fleet {
-                header.extend(["SLOv(%)", "Lost"]);
-            }
             let prefix = format!("{}/", base.name);
-            let mut table = sim_core::TextTable::new(&header);
-            for (name, result) in &self.cells {
-                let Some((_, trials)) = result.cells.first() else {
-                    continue;
-                };
-                use sim_core::experiment::mean_over;
-                let quantile_mean = |q: f64| {
-                    let qs: Vec<f64> = trials
-                        .iter()
-                        .map(|t| t.merged_latency().quantile(q))
-                        .collect();
-                    sim_core::metrics::mean(&qs)
-                };
-                let mut row = vec![
-                    name.strip_prefix(&prefix).unwrap_or(name).to_string(),
-                    format!(
-                        "{:.0}/{:.0}",
-                        mean_over(trials, |t| t.completed as f64),
-                        mean_over(trials, |t| t.offered as f64)
-                    ),
-                    format!("{:.0}", quantile_mean(0.5)),
-                    format!("{:.0}", quantile_mean(0.99)),
-                    format!("{:.1}", 100.0 * mean_over(trials, |t| t.cold_ratio())),
-                    format!("{:.1}", mean_over(trials, |t| t.gib_seconds)),
-                ];
-                if fleet {
-                    row.push(format!(
-                        "{:.1}",
-                        100.0
-                            * mean_over(trials, |t| t
-                                .fleet
-                                .as_ref()
-                                .map(|f| f.slo_violation_rate())
-                                .unwrap_or(0.0))
-                    ));
-                    row.push(format!(
-                        "{:.0}",
-                        mean_over(trials, |t| t
-                            .fleet
-                            .as_ref()
-                            .map(|f| f.lost as f64)
-                            .unwrap_or(0.0))
-                    ));
-                }
-                table.row(row);
-            }
-            out.push_str(&table.render());
+            let rows: Vec<TableRow> = self
+                .cells
+                .iter()
+                .filter_map(|(name, result)| {
+                    let (_, trials) = result.cells.first()?;
+                    Some((
+                        name.strip_prefix(&prefix).unwrap_or(name).to_string(),
+                        result.spec.params.duration_s,
+                        trials.as_slice(),
+                    ))
+                })
+                .collect();
+            out.push_str(&render_table("Cell", base.topology, &rows));
             if self.cells.len() > 1 {
                 out.push_str(&compare::render_grid_baseline(&self.cells, &prefix));
             }
@@ -861,13 +827,26 @@ mod tests {
     }
 
     #[test]
-    fn invalid_cells_fail_at_parse_time() {
+    fn invalid_cells_fail_with_errors() {
         // hosts above the stream-tag cap is rejected per cell, up front.
         let err = SweepSpec::parse(
             "name = x\ntopology = fleet\nworkload = diurnal\nhosts = 16..64 step 2x\n",
         )
         .unwrap_err();
         assert!(err.contains("max_hosts must be ≤ 32"), "{err}");
+        // Hosts too small to boot their VMs fail the run with an error
+        // naming the key, not a panic.
+        let spec = SweepSpec::parse(
+            "name = tiny-hosts\ntopology = cluster(2)\nworkload = churn\n\
+             host_capacity = 64MiB\nduration_s = 10\n",
+        )
+        .expect("parses");
+        let err = spec
+            .run(&ExpOpts::serial())
+            .err()
+            .expect("hosts cannot boot");
+        assert!(err.contains("host_capacity = 64MiB"), "{err}");
+        assert!(err.contains("out of memory"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 use faas::{
     default_slos, AutoscaleOpts, BackendKind, ClusterConfig, ClusterSim, Deployment, FaasSim,
     FailureConfig, FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind,
-    Scenario, SimConfig, SimResult, SlamSlo, TenantTrace, Topology, VmSpec, WarmAffinity,
+    Scenario, SimConfig, SimResult, SlamSlo, SweepSpec, TenantTrace, Topology, VmSpec,
+    WarmAffinity,
 };
 use mem_types::GIB;
 use sim_core::{DetRng, ExpOpts};
@@ -105,7 +106,7 @@ fn single_vm_scenario_is_byte_identical_to_hand_built_sim_config() {
             cfg.record_latency_points = true;
             let hand = FaasSim::new(cfg).expect("boot").run();
 
-            let out = spec.run_trial(backend, trial);
+            let out = spec.run_trial(backend, trial).expect("hosts boot");
             assert_eq!(
                 out.host_digests,
                 vec![hand.digest()],
@@ -148,7 +149,7 @@ fn cluster_scenario_is_byte_identical_to_hand_built_cluster_config() {
             .expect("boot")
             .run();
 
-        let out = spec.run_trial(backend, trial);
+        let out = spec.run_trial(backend, trial).expect("hosts boot");
         let hand_digests: Vec<u64> = hand.hosts.iter().map(SimResult::digest).collect();
         assert_eq!(out.host_digests, hand_digests, "{}", backend.name());
         assert_eq!(
@@ -224,7 +225,7 @@ fn fleet_scenario_is_byte_identical_to_hand_built_fleet_config() {
         .expect("boot")
         .run();
 
-        let out = spec.run_trial(backend, trial);
+        let out = spec.run_trial(backend, trial).expect("hosts boot");
         let hand_digests: Vec<u64> = hand.hosts.iter().map(|h| h.result.digest()).collect();
         assert_eq!(out.host_digests, hand_digests, "{}", backend.name());
         let stats = out.fleet.expect("fleet stats present");
@@ -259,9 +260,12 @@ fn scenario_run_is_byte_identical_for_any_job_count() {
     spec.params.rps = 2.0;
     spec.keepalive_s = 8.0;
     spec.trials = 2;
+    // A spec without sweep axes runs as one grid cell.
+    let spec = SweepSpec::new(spec, Vec::new(), Vec::new()).expect("valid spec");
 
     let serial = spec.run(&ExpOpts::serial()).expect("runs");
     let parallel = spec.run(&ExpOpts::serial().with_jobs(4)).expect("runs");
+    let (serial, parallel) = (&serial.cells[0].1, &parallel.cells[0].1);
     assert_eq!(serial.digest(), parallel.digest());
     assert_eq!(serial.render(), parallel.render());
     // Fields a cluster doesn't produce report as absent, not zeros.

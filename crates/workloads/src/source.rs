@@ -603,9 +603,10 @@ impl<R: BufRead> TraceSource for OpenDcSource<R> {
 }
 
 /// Wraps materialized per-tenant arrival lists as a [`TraceSource`],
-/// merging them into one `(t_ns, tenant)`-ordered stream — the same
-/// order the simulators' in-memory merge uses, so a workload streamed
-/// through this adapter replays byte-identically to its legacy path.
+/// merging them into one `(t_ns, tenant)`-ordered stream, FIFO within
+/// a tenant. This is how the simulators replay generated workloads:
+/// the order matches the slot-major pre-push order they were pinned
+/// on, so replays stay byte-identical.
 pub struct MaterializedSource {
     kinds: Vec<FunctionKind>,
     arrivals: Vec<Vec<f64>>,
@@ -1035,6 +1036,28 @@ mod tests {
                 (3_000_000_000, 0)
             ],
             "ties break by tenant"
+        );
+
+        // Same-tenant ties stay FIFO, and an empty tenant is skipped.
+        let loads = [vec![1.0, 2.0, 2.0], vec![0.5, 2.0], vec![]]
+            .into_iter()
+            .map(|arrivals| TenantLoad {
+                kind: FunctionKind::Html,
+                arrivals,
+            })
+            .collect();
+        let mut src = MaterializedSource::new(loads);
+        let seq: Vec<(u64, usize)> = drain(&mut src).iter().map(|a| (a.t_ns, a.tenant)).collect();
+        assert_eq!(
+            seq,
+            vec![
+                (500_000_000, 1),
+                (1_000_000_000, 0),
+                (2_000_000_000, 0),
+                (2_000_000_000, 0),
+                (2_000_000_000, 1),
+            ],
+            "ties break by tenant, then FIFO within a tenant"
         );
     }
 

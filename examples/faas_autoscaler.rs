@@ -8,7 +8,7 @@
 //! cargo run --release --example faas_autoscaler
 //! ```
 
-use faas::Scenario;
+use faas::SweepSpec;
 use sim_core::ExpOpts;
 
 const SPEC: &str = "\
@@ -28,11 +28,13 @@ seed = 7
 ";
 
 fn main() {
-    let scenario = Scenario::parse(SPEC).expect("spec is valid");
-    println!("spec (canonical render):\n\n{}", scenario.render());
+    let spec = SweepSpec::parse(SPEC).expect("spec is valid");
+    println!("spec (canonical render):\n\n{}", spec.render());
 
-    let result = scenario.run(&ExpOpts::auto()).expect("scenario runs");
-    println!("{}", result.render());
+    // No sweep axes: the grid is the one scenario cell.
+    let outcome = spec.run(&ExpOpts::auto()).expect("scenario runs");
+    println!("{}", outcome.render());
+    let (_, result) = &outcome.cells[0];
 
     // The unified result keeps per-cell detail: show what the
     // elasticity bought, backend by backend.
