@@ -47,34 +47,94 @@ use std::time::Instant;
 use std::sync::{Arc, Mutex};
 
 use faas::{compare_results, CompareReport, ExpectVerdict, GridOutcome, SweepSpec};
-use sim_core::experiment::{run_experiment, Experiment, TrialCtx};
-use sim_core::{fnv1a, ExpOpts};
+use sim_core::{fnv1a, run_experiment, ExpOpts};
 use squeezy_bench as bench;
 
-/// Every target the CLI accepts, in help order. Unknown targets are
-/// rejected at parse time against this list.
-const TARGETS: [&str; 20] = [
-    "all",
-    "table1",
-    "fig1",
-    "fig2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "thp",
-    "soft",
-    "fpr",
-    "temporal",
-    "hybrid",
-    "perf",
-    "run",
-    "gen-trace",
-    "scenarios",
+/// A report section of the paper or an ablation: its target key, its
+/// title, and how to render it at quick or paper scale.
+type PaperSection = (&'static str, &'static str, fn(bool, &ExpOpts) -> String);
+
+/// The paper's tables and figures and the ablations, in report order.
+/// `repro all` renders every one; `repro <key>` renders one.
+const SECTIONS: [PaperSection; 15] = [
+    ("table1", "Table 1", |_, _| bench::table1::render()),
+    ("fig1", "Figure 1", |quick, opts| {
+        use bench::fig1::*;
+        let cfg = pick(quick, Fig1Config::quick, Fig1Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig2", "Figure 2", |quick, opts| {
+        use bench::fig2::*;
+        let cfg = pick(quick, Fig2Config::quick, Fig2Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig5", "Figure 5", |quick, opts| {
+        use bench::fig5::*;
+        let cfg = pick(quick, Fig5Config::quick, Fig5Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig6", "Figure 6", |quick, opts| {
+        use bench::fig6::*;
+        let cfg = pick(quick, Fig6Config::quick, Fig6Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig7", "Figure 7", |quick, opts| {
+        use bench::fig7::*;
+        let cfg = pick(quick, Fig7Config::quick, Fig7Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig8", "Figure 8", |quick, opts| {
+        use bench::fig8::*;
+        let cfg = pick(quick, Fig8Config::quick, Fig8Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig9", "Figure 9", |quick, opts| {
+        use bench::fig9::*;
+        let cfg = pick(quick, Fig9Config::quick, Fig9Config::paper);
+        render(&run(&cfg, opts), &cfg)
+    }),
+    ("fig10", "Figure 10", |quick, opts| {
+        use bench::fig10::*;
+        let cfg = pick(quick, Fig10Config::quick, Fig10Config::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("fig11", "Figure 11", |_, opts| {
+        bench::fig11::render(&bench::fig11::run(opts))
+    }),
+    ("thp", "Ablation: THP", |quick, opts| {
+        use bench::thp::*;
+        let cfg = pick(quick, ThpConfig::quick, ThpConfig::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("soft", "Ablation: soft memory", |_, opts| {
+        bench::soft::render(&bench::soft::run(opts))
+    }),
+    ("fpr", "Ablation: free page reporting", |quick, opts| {
+        use bench::fpr::*;
+        let cfg = pick(quick, FprConfig::quick, FprConfig::paper);
+        render(&run(&cfg, opts))
+    }),
+    ("temporal", "Ablation: temporal segregation", |_, opts| {
+        bench::temporal::render(&bench::temporal::run(opts))
+    }),
+    ("hybrid", "Ablation: hybrid scaling", |quick, opts| {
+        use bench::hybrid::*;
+        let cfg = pick(quick, HybridConfig::quick, HybridConfig::paper);
+        render(&cfg, &run(&cfg, opts))
+    }),
 ];
+
+/// The targets besides `all` that are not paper sections.
+const COMMANDS: [&str; 4] = ["perf", "run", "gen-trace", "scenarios"];
+
+/// A config preset: `quick()` at CI scale, `paper()` otherwise.
+fn pick<C>(quick: bool, quick_cfg: fn() -> C, paper_cfg: fn() -> C) -> C {
+    if quick {
+        quick_cfg()
+    } else {
+        paper_cfg()
+    }
+}
 
 struct Args {
     what: String,
@@ -127,13 +187,21 @@ fn parse_args() -> Args {
                 Some(first) => die(&format!(
                     "multiple targets ({first:?} and {positional:?}); pass one"
                 )),
-                None if TARGETS.contains(&positional) => what = Some(positional.to_string()),
-                // A typo'd target dies here, at parse time, with the
-                // full valid list — not after the run completes.
-                None => die(&format!(
-                    "unknown target {positional:?} (valid targets: {})",
-                    TARGETS.join(", ")
-                )),
+                None => {
+                    let valid: Vec<&str> = std::iter::once("all")
+                        .chain(SECTIONS.iter().map(|s| s.0))
+                        .chain(COMMANDS)
+                        .collect();
+                    // A typo'd target dies here, at parse time, with the
+                    // full valid list — not after the run completes.
+                    if !valid.contains(&positional) {
+                        die(&format!(
+                            "unknown target {positional:?} (valid targets: {})",
+                            valid.join(", ")
+                        ));
+                    }
+                    what = Some(positional.to_string());
+                }
             },
         }
     }
@@ -179,40 +247,6 @@ struct Section {
 
 /// A renderable section of the report.
 type Renderer = Box<dyn Fn() -> String + Sync>;
-
-/// The report itself is an experiment: each section is a sweep point,
-/// so `--jobs` pipelines whole figures against each other (a section
-/// with a serial phase, like Figure 10's abundant baseline, no longer
-/// blocks the machine) while the ordered reduction prints them in
-/// canonical order.
-struct Report {
-    sections: Vec<(String, Renderer)>,
-}
-
-impl Experiment for Report {
-    type Point = usize;
-    type Output = Section;
-
-    fn points(&self) -> Vec<usize> {
-        (0..self.sections.len()).collect()
-    }
-
-    fn run_trial(&self, &i: &usize, _ctx: &mut TrialCtx) -> Section {
-        let (name, render) = &self.sections[i];
-        let t = Instant::now();
-        let text = render();
-        // Progress goes to stderr in completion order; stdout stays
-        // buffered and byte-identical in canonical order.
-        eprintln!("[repro] {name} done in {:.1}s", t.elapsed().as_secs_f64());
-        Section {
-            name: name.clone(),
-            wall_s: t.elapsed().as_secs_f64(),
-            digest: fnv1a(&text),
-            bytes: text.len(),
-            text,
-        }
-    }
-}
 
 /// Loads, optionally quick-scales, and validates every spec file; any
 /// bad file dies before the first simulation starts. Specs may be
@@ -277,14 +311,14 @@ fn main() {
     let quick = args.quick;
     let opts = args.opts;
 
-    let mut report = Report {
-        sections: Vec::new(),
-    };
-    let mut add = |name: &str, enabled: bool, render: Renderer| {
-        if enabled {
-            report.sections.push((name.to_string(), render));
-        }
-    };
+    let mut report: Vec<(String, Renderer)> = SECTIONS
+        .iter()
+        .filter(|(key, _, _)| all || args.what == *key)
+        .map(|&(_, title, render)| {
+            let r: Renderer = Box::new(move || render(quick, &opts));
+            (title.to_string(), r)
+        })
+        .collect();
 
     let files: Vec<(String, String)> = if all {
         ALL_GRIDS
@@ -311,238 +345,96 @@ fn main() {
     // and the gate exit code.
     let grids: Arc<Mutex<Vec<Option<GridOutcome>>>> =
         Arc::new(Mutex::new(specs.iter().map(|_| None).collect()));
-    add(
-        "Table 1",
-        all || args.what == "table1",
-        Box::new(bench::table1::render),
-    );
-    add(
-        "Figure 1",
-        all || args.what == "fig1",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig1::Fig1Config::quick()
-            } else {
-                bench::fig1::Fig1Config::paper()
-            };
-            bench::fig1::render(&bench::fig1::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 2",
-        all || args.what == "fig2",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig2::Fig2Config::quick()
-            } else {
-                bench::fig2::Fig2Config::paper()
-            };
-            bench::fig2::render(&bench::fig2::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 5",
-        all || args.what == "fig5",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig5::Fig5Config::quick()
-            } else {
-                bench::fig5::Fig5Config::paper()
-            };
-            bench::fig5::render(&bench::fig5::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 6",
-        all || args.what == "fig6",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig6::Fig6Config::quick()
-            } else {
-                bench::fig6::Fig6Config::paper()
-            };
-            bench::fig6::render(&bench::fig6::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 7",
-        all || args.what == "fig7",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig7::Fig7Config::quick()
-            } else {
-                bench::fig7::Fig7Config::paper()
-            };
-            bench::fig7::render(&bench::fig7::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 8",
-        all || args.what == "fig8",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig8::Fig8Config::quick()
-            } else {
-                bench::fig8::Fig8Config::paper()
-            };
-            bench::fig8::render(&bench::fig8::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 9",
-        all || args.what == "fig9",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig9::Fig9Config::quick()
-            } else {
-                bench::fig9::Fig9Config::paper()
-            };
-            bench::fig9::render(&bench::fig9::run_with(&cfg, &opts), &cfg)
-        }),
-    );
-    add(
-        "Figure 10",
-        all || args.what == "fig10",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fig10::Fig10Config::quick()
-            } else {
-                bench::fig10::Fig10Config::paper()
-            };
-            bench::fig10::render(&bench::fig10::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Figure 11",
-        all || args.what == "fig11",
-        Box::new(move || bench::fig11::render(&bench::fig11::run_with(&opts))),
-    );
-    add(
-        "Ablation: THP",
-        all || args.what == "thp",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::thp::ThpConfig::quick()
-            } else {
-                bench::thp::ThpConfig::paper()
-            };
-            bench::thp::render(&bench::thp::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Ablation: soft memory",
-        all || args.what == "soft",
-        Box::new(move || bench::soft::render(&bench::soft::run_with(&opts))),
-    );
-    add(
-        "Ablation: free page reporting",
-        all || args.what == "fpr",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::fpr::FprConfig::quick()
-            } else {
-                bench::fpr::FprConfig::paper()
-            };
-            bench::fpr::render(&bench::fpr::run_with(&cfg, &opts))
-        }),
-    );
-    add(
-        "Ablation: temporal segregation",
-        all || args.what == "temporal",
-        Box::new(move || bench::temporal::render(&bench::temporal::run_with(&opts))),
-    );
     // Spec sections: the files of `run`, or the committed grids of `all`.
     for (i, (path, spec)) in specs.into_iter().enumerate() {
-        let spec_opts = opts;
         let grids = grids.clone();
-        add(
-            &path.clone(),
-            true,
+        report.push((
+            path.clone(),
             Box::new(move || {
                 let outcome = spec
-                    .run(&spec_opts)
+                    .run(&opts)
                     .unwrap_or_else(|e| die(&format!("{path}: {e}")));
                 let text = outcome.render();
                 grids.lock().expect("grid lock")[i] = Some(outcome);
                 text
             }),
-        );
+        ));
     }
     // The perf target is wall-time-dependent by design (events/sec),
     // so it is NOT part of `all` — the `all` report stays byte-stable
     // across machines. The cell is captured for the JSON summary.
-    let perf_cell: std::sync::Arc<std::sync::Mutex<Option<bench::perf::PerfCell>>> =
-        std::sync::Arc::new(std::sync::Mutex::new(None));
-    {
+    let perf_cell: Arc<Mutex<Option<bench::perf::PerfCell>>> = Arc::new(Mutex::new(None));
+    if args.what == "perf" && !args.trace {
         let perf_cell = perf_cell.clone();
-        add(
-            "Perf",
-            args.what == "perf" && !args.trace,
+        report.push((
+            "Perf".to_string(),
             Box::new(move || {
-                let cfg = if quick {
-                    bench::perf::PerfConfig::quick()
-                } else {
-                    bench::perf::PerfConfig::paper()
-                };
+                let cfg = pick(
+                    quick,
+                    bench::perf::PerfConfig::quick,
+                    bench::perf::PerfConfig::paper,
+                );
                 let cell = bench::perf::run(&cfg);
                 let text = bench::perf::render(&cell);
                 *perf_cell.lock().expect("perf cell lock") = Some(cell);
                 text
             }),
-        );
+        ));
     }
     // The streaming-replay variant (`perf --trace`): wall-time numbers
     // vary by machine like the drumbeat benchmark, and the cell lands
     // in the JSON summary the same way.
-    let trace_cell: std::sync::Arc<std::sync::Mutex<Option<bench::perf::TracePerfCell>>> =
-        std::sync::Arc::new(std::sync::Mutex::new(None));
-    {
+    let trace_cell: Arc<Mutex<Option<bench::perf::TracePerfCell>>> = Arc::new(Mutex::new(None));
+    if args.what == "perf" && args.trace {
         let trace_cell = trace_cell.clone();
-        add(
-            "Perf (trace replay)",
-            args.what == "perf" && args.trace,
+        report.push((
+            "Perf (trace replay)".to_string(),
             Box::new(move || {
-                let cfg = if quick {
-                    bench::perf::TracePerfConfig::quick()
-                } else {
-                    bench::perf::TracePerfConfig::paper()
-                };
+                let cfg = pick(
+                    quick,
+                    bench::perf::TracePerfConfig::quick,
+                    bench::perf::TracePerfConfig::paper,
+                );
                 let cell = bench::perf::run_trace(&cfg);
                 let text = bench::perf::render_trace(&cell);
                 *trace_cell.lock().expect("trace cell lock") = Some(cell);
                 text
             }),
-        );
-    }
-    add(
-        "Ablation: hybrid scaling",
-        all || args.what == "hybrid",
-        Box::new(move || {
-            let cfg = if quick {
-                bench::hybrid::HybridConfig::quick()
-            } else {
-                bench::hybrid::HybridConfig::paper()
-            };
-            bench::hybrid::render(&cfg, &bench::hybrid::run_with(&cfg, &opts))
-        }),
-    );
-
-    // Parse-time target validation means every valid invocation has
-    // sections; this is a belt-and-braces guard for new targets wired
-    // into TARGETS but not into the section list.
-    if report.sections.is_empty() {
-        die(&format!("target {:?} produced no sections", args.what));
+        ));
     }
 
     let t0 = Instant::now();
-    // The outer section level is capped at 4 workers: only one section
-    // (Figure 10) is long enough to need overlap, and an uncapped outer
-    // level would multiply with each section's inner workers into
-    // jobs^2 busy threads on big machines.
-    let sections: Vec<Section> = run_experiment(&report, opts.effective_jobs().min(4))
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect();
+    // The report itself is an experiment: each section is a sweep
+    // point, so `--jobs` pipelines whole figures against each other (a
+    // section with a serial phase, like Figure 10's abundant baseline,
+    // no longer blocks the machine) while the ordered reduction prints
+    // them in canonical order. The outer section level is capped at 4
+    // workers: only one section (Figure 10) is long enough to need
+    // overlap, and an uncapped outer level would multiply with each
+    // section's inner workers into jobs^2 busy threads on big machines.
+    let sections: Vec<Section> = run_experiment(
+        &report,
+        1,
+        0,
+        opts.effective_jobs().min(4),
+        |(name, render), _ctx| {
+            let t = Instant::now();
+            let text = render();
+            // Progress goes to stderr in completion order; stdout stays
+            // buffered and byte-identical in canonical order.
+            eprintln!("[repro] {name} done in {:.1}s", t.elapsed().as_secs_f64());
+            Section {
+                name: name.clone(),
+                wall_s: t.elapsed().as_secs_f64(),
+                digest: fnv1a(&text),
+                bytes: text.len(),
+                text,
+            }
+        },
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect();
     for sec in &sections {
         println!("{}", "=".repeat(72));
         println!("== {}", sec.name);

@@ -3,11 +3,9 @@
 //! host keeps the peak allocated because nothing reclaims it.
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig, SimResult, VmSpec};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::SimDuration;
+use sim_core::experiment::{run_experiment, ExpOpts, TrialCtx};
+use sim_core::{SimDuration, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -48,39 +46,14 @@ impl Fig1Config {
     }
 }
 
-/// The motivation experiment as a one-point sweep on the engine: the
-/// output is a single timeline, so it clamps to one trial.
-struct Fig1Exp<'a> {
-    cfg: &'a Fig1Config,
-}
-
-impl Experiment for Fig1Exp<'_> {
-    type Point = ();
-    type Output = SimResult;
-
-    fn points(&self) -> Vec<()> {
-        vec![()]
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, _point: &(), ctx: &mut TrialCtx) -> SimResult {
-        run_trial(self.cfg, ctx)
-    }
-}
-
 /// Runs the motivation experiment on the static (vanilla N:1) backend.
-pub fn run(cfg: &Fig1Config) -> SimResult {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig1Config, opts: &ExpOpts) -> SimResult {
-    run_experiment(&Fig1Exp { cfg }, opts.effective_jobs())
-        .remove(0)
-        .remove(0)
+/// The output is a single timeline, so it runs one trial.
+pub fn run(cfg: &Fig1Config, opts: &ExpOpts) -> SimResult {
+    run_experiment(&[()], 1, cfg.seed, opts.effective_jobs(), |_, ctx| {
+        run_trial(cfg, ctx)
+    })
+    .remove(0)
+    .remove(0)
 }
 
 fn run_trial(cfg: &Fig1Config, ctx: &mut TrialCtx) -> SimResult {
@@ -178,7 +151,7 @@ mod tests {
 
     #[test]
     fn host_keeps_peak_while_guest_shrinks() {
-        let result = run(&Fig1Config::quick());
+        let result = run(&Fig1Config::quick(), &ExpOpts::serial());
         assert!(result.completed > 20, "trace served");
         let guest = &result.guest_usage[0];
         let host = &result.host_usage;
@@ -200,7 +173,7 @@ mod tests {
 
     #[test]
     fn instances_scale_up_and_down() {
-        let result = run(&Fig1Config::quick());
+        let result = run(&Fig1Config::quick(), &ExpOpts::serial());
         let insts = &result.instance_counts[0];
         let peak = insts.max_value();
         assert!(peak >= 3.0, "burst created instances: peak {peak}");

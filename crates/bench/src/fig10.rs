@@ -10,12 +10,10 @@
 use std::collections::BTreeMap;
 
 use faas::{BackendKind, Deployment, FaasSim, HarvestConfig, SimConfig, SimResult, VmSpec};
-use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{mean_over, run_experiment, ExpOpts};
 use sim_core::metrics::geomean;
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -210,86 +208,6 @@ fn run_one(
     }
 }
 
-/// Phase 1 on the engine: the abundant-memory baseline, one point,
-/// `trials` repetitions over independently derived traces.
-struct AbundantExp<'a> {
-    cfg: &'a Fig10Config,
-    traces: &'a [Trace],
-}
-
-impl Experiment for AbundantExp<'_> {
-    type Point = ();
-    type Output = Fig10Run;
-
-    fn points(&self) -> Vec<()> {
-        vec![()]
-    }
-
-    fn trials(&self) -> u32 {
-        self.traces.len() as u32
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, _point: &(), ctx: &mut TrialCtx) -> Fig10Run {
-        run_one(
-            "Abundant Memory",
-            BackendKind::Squeezy,
-            u64::MAX / 2,
-            self.cfg,
-            &self.traces[ctx.trial as usize],
-            ctx.trial,
-        )
-    }
-}
-
-/// Phase 2 on the engine: the four restricted backends, each trial
-/// capped at that trial's abundant peak × `capacity_fraction` and fed
-/// that trial's traces, so every backend faces identical conditions.
-struct RestrictedExp<'a> {
-    cfg: &'a Fig10Config,
-    traces: &'a [Trace],
-    capacities: Vec<u64>,
-}
-
-impl Experiment for RestrictedExp<'_> {
-    type Point = (&'static str, BackendKind);
-    type Output = Fig10Run;
-
-    fn points(&self) -> Vec<(&'static str, BackendKind)> {
-        vec![
-            ("Virtio-mem", BackendKind::VirtioMem),
-            ("HarvestVM-opts", BackendKind::HarvestOpts),
-            ("Squeezy", BackendKind::Squeezy),
-            // Extension run (§7 soft memory): idle instances donate
-            // their partitions under pressure instead of being evicted.
-            ("Squeezy+soft", BackendKind::SqueezySoft),
-        ]
-    }
-
-    fn trials(&self) -> u32 {
-        self.traces.len() as u32
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, &(label, backend): &Self::Point, ctx: &mut TrialCtx) -> Fig10Run {
-        let t = ctx.trial as usize;
-        run_one(
-            label,
-            backend,
-            self.capacities[t],
-            self.cfg,
-            &self.traces[t],
-            ctx.trial,
-        )
-    }
-}
-
 /// Collapses per-trial runs of one backend: scalar metrics (P99s,
 /// GiB·s) become trial means; the timeline and reclaim log keep trial
 /// 0's deterministic artifact.
@@ -308,23 +226,32 @@ fn aggregate(mut trials: Vec<Fig10Run>) -> Fig10Run {
 }
 
 /// Runs the baseline and the four restricted backends (the paper's
-/// three plus the §7 soft-memory extension).
-pub fn run(cfg: &Fig10Config) -> Fig10Output {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options: `opts.trials` repetitions per
-/// backend (averaging out trace sampling noise), sharded over
+/// three plus the §7 soft-memory extension): `opts.trials` repetitions
+/// per backend (averaging out trace sampling noise), sharded over
 /// `opts.jobs` workers.
-pub fn run_with(cfg: &Fig10Config, opts: &ExpOpts) -> Fig10Output {
+pub fn run(cfg: &Fig10Config, opts: &ExpOpts) -> Fig10Output {
+    let trials = opts.trials.max(1);
     let root = DetRng::new(cfg.seed);
-    let tr: Vec<Trace> = (0..opts.trials.max(1) as u64)
+    let tr: Vec<Trace> = (0..trials as u64)
         .map(|t| traces(cfg, &root.derive(t)))
         .collect();
 
-    // Baseline: Squeezy resizing with abundant host memory. Its peak
-    // usage calibrates each trial's restricted capacity.
-    let abundant_trials = run_experiment(&AbundantExp { cfg, traces: &tr }, opts.effective_jobs())
+    // Phase 1, the baseline: Squeezy resizing with abundant host
+    // memory, one point, `trials` repetitions over independently
+    // derived traces. Its peak usage calibrates each trial's
+    // restricted capacity.
+    let abundant_trials =
+        run_experiment(&[()], trials, cfg.seed, opts.effective_jobs(), |_, ctx| {
+            let t = ctx.trial;
+            run_one(
+                "Abundant Memory",
+                BackendKind::Squeezy,
+                u64::MAX / 2,
+                cfg,
+                &tr[t as usize],
+                t,
+            )
+        })
         .pop()
         .expect("one point");
     let capacities: Vec<u64> = abundant_trials
@@ -334,13 +261,26 @@ pub fn run_with(cfg: &Fig10Config, opts: &ExpOpts) -> Fig10Output {
     let abundant = aggregate(abundant_trials);
     let peak = abundant.result.host_usage.max_value();
 
+    // Phase 2: the four restricted backends, each trial capped at that
+    // trial's abundant peak × `capacity_fraction` and fed that trial's
+    // traces, so every backend faces identical conditions.
+    let backends = [
+        ("Virtio-mem", BackendKind::VirtioMem),
+        ("HarvestVM-opts", BackendKind::HarvestOpts),
+        ("Squeezy", BackendKind::Squeezy),
+        // Extension run (§7 soft memory): idle instances donate their
+        // partitions under pressure instead of being evicted.
+        ("Squeezy+soft", BackendKind::SqueezySoft),
+    ];
     let restricted = run_experiment(
-        &RestrictedExp {
-            cfg,
-            traces: &tr,
-            capacities,
-        },
+        &backends,
+        trials,
+        cfg.seed,
         opts.effective_jobs(),
+        |&(label, backend), ctx| {
+            let t = ctx.trial as usize;
+            run_one(label, backend, capacities[t], cfg, &tr[t], ctx.trial)
+        },
     );
     let mut runs = vec![abundant];
     runs.extend(restricted.into_iter().map(aggregate));
@@ -416,7 +356,7 @@ mod tests {
     /// aggregate (25 simulations) instead of re-running it each.
     fn quick_out() -> &'static Fig10Output {
         static OUT: OnceLock<Fig10Output> = OnceLock::new();
-        OUT.get_or_init(|| run_with(&Fig10Config::quick(), &ExpOpts::auto().with_trials(3)))
+        OUT.get_or_init(|| run(&Fig10Config::quick(), &ExpOpts::auto().with_trials(3)))
     }
 
     fn norm_geomean(out: &Fig10Output, label: &str) -> f64 {

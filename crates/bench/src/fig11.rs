@@ -2,12 +2,10 @@
 //! breakdown (a) and per-instance host memory footprint (b).
 
 use faas::{microvm_cold_start, n_to_one_cold_start, ColdStartBreakdown};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_experiment, ExpOpts};
 use sim_core::metrics::mean;
-use sim_core::CostModel;
+use sim_core::{CostModel, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// One function's comparison.
 pub struct Fig11Row {
@@ -23,43 +21,30 @@ pub struct Fig11Row {
     pub n_footprint: u64,
 }
 
-/// The per-function sweep on the engine; the cold-start model is
-/// deterministic, so it clamps to one trial.
-struct Fig11Exp;
-
-impl Experiment for Fig11Exp {
-    type Point = FunctionKind;
-    type Output = Fig11Row;
-
-    fn points(&self) -> Vec<FunctionKind> {
-        FunctionKind::ALL.to_vec()
-    }
-
-    fn run_trial(&self, &kind: &FunctionKind, _ctx: &mut TrialCtx) -> Fig11Row {
-        let cost = CostModel::default();
-        let (one, one_fp) = microvm_cold_start(kind, &cost).expect("1:1 runs");
-        let (n, n_fp) = n_to_one_cold_start(kind, &cost).expect("N:1 runs");
-        Fig11Row {
-            kind,
-            one_to_one: one,
-            n_to_one: n,
-            one_footprint: one_fp,
-            n_footprint: n_fp,
-        }
-    }
-}
-
-/// Runs both cold-start paths for every Table-1 function.
-pub fn run() -> Vec<Fig11Row> {
-    run_with(&ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(opts: &ExpOpts) -> Vec<Fig11Row> {
-    run_experiment(&Fig11Exp, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+/// Runs both cold-start paths for every Table-1 function. The
+/// cold-start model is deterministic, so it runs one trial.
+pub fn run(opts: &ExpOpts) -> Vec<Fig11Row> {
+    run_experiment(
+        &FunctionKind::ALL,
+        1,
+        0,
+        opts.effective_jobs(),
+        |&kind, _ctx| {
+            let cost = CostModel::default();
+            let (one, one_fp) = microvm_cold_start(kind, &cost).expect("1:1 runs");
+            let (n, n_fp) = n_to_one_cold_start(kind, &cost).expect("N:1 runs");
+            Fig11Row {
+                kind,
+                one_to_one: one,
+                n_to_one: n,
+                one_footprint: one_fp,
+                n_footprint: n_fp,
+            }
+        },
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// Renders both subfigures.
@@ -141,7 +126,7 @@ mod tests {
 
     #[test]
     fn n_to_one_wins_on_both_axes() {
-        let rows = run();
+        let rows = run(&ExpOpts::serial());
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(
@@ -159,7 +144,7 @@ mod tests {
 
     #[test]
     fn average_ratios_near_paper() {
-        let rows = run();
+        let rows = run(&ExpOpts::serial());
         let mean_speedup: f64 = rows
             .iter()
             .map(|r| r.one_to_one.total().as_nanos() as f64 / r.n_to_one.total().as_nanos() as f64)
@@ -182,7 +167,7 @@ mod tests {
 
     #[test]
     fn render_contains_both_subfigures() {
-        let s = render(&run());
+        let s = render(&run(&ExpOpts::serial()));
         assert!(s.contains("Figure 11a"));
         assert!(s.contains("Figure 11b"));
         assert!(s.contains("paper: 2.53x"));

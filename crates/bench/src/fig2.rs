@@ -2,10 +2,9 @@
 //! hour — thousands of creations and evictions per minute motivate agile
 //! N:1 resizing.
 
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::TextTable;
 use workloads::{analyze_churn, zipf_function_traces, ChurnResult};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -50,26 +49,10 @@ impl Fig2Config {
     }
 }
 
-/// The churn analysis as a one-point sweep on the engine: the output is
-/// a single per-minute timeline, so it clamps to one trial.
-struct Fig2Exp<'a> {
-    cfg: &'a Fig2Config,
-}
-
-impl Experiment for Fig2Exp<'_> {
-    type Point = ();
-    type Output = ChurnResult;
-
-    fn points(&self) -> Vec<()> {
-        vec![()]
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, _point: &(), ctx: &mut TrialCtx) -> ChurnResult {
-        let cfg = self.cfg;
+/// Runs the churn analysis over synthesized Azure-like traces. The
+/// output is a single per-minute timeline, so it runs one trial.
+pub fn run(cfg: &Fig2Config, opts: &ExpOpts) -> ChurnResult {
+    run_experiment(&[()], 1, cfg.seed, opts.effective_jobs(), |_, ctx| {
         let traces = zipf_function_traces(
             cfg.functions,
             cfg.duration_s,
@@ -79,19 +62,9 @@ impl Experiment for Fig2Exp<'_> {
         );
         let exec = vec![cfg.exec_s; cfg.functions];
         analyze_churn(&traces, &exec, cfg.keepalive_s, cfg.duration_s)
-    }
-}
-
-/// Runs the churn analysis over synthesized Azure-like traces.
-pub fn run(cfg: &Fig2Config) -> ChurnResult {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig2Config, opts: &ExpOpts) -> ChurnResult {
-    run_experiment(&Fig2Exp { cfg }, opts.effective_jobs())
-        .remove(0)
-        .remove(0)
+    })
+    .remove(0)
+    .remove(0)
 }
 
 /// Renders per-minute creations/evictions.
@@ -124,7 +97,7 @@ mod tests {
 
     #[test]
     fn churn_is_substantial_and_balanced() {
-        let r = run(&Fig2Config::quick());
+        let r = run(&Fig2Config::quick(), &ExpOpts::serial());
         assert!(r.total_creations() > 20, "{}", r.total_creations());
         // Evictions trail creations by at most the live pool at the end.
         assert!(r.total_evictions() <= r.total_creations());
@@ -133,7 +106,7 @@ mod tests {
 
     #[test]
     fn paper_scale_reaches_hundreds_per_minute() {
-        let r = run(&Fig2Config::paper());
+        let r = run(&Fig2Config::paper(), &ExpOpts::serial());
         assert!(
             r.peak_creations() > 100,
             "peak {} creations/min",
@@ -143,8 +116,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(&Fig2Config::quick());
-        let b = run(&Fig2Config::quick());
+        let a = run(&Fig2Config::quick(), &ExpOpts::serial());
+        let b = run(&Fig2Config::quick(), &ExpOpts::serial());
         assert_eq!(a.total_creations(), b.total_creations());
         assert_eq!(a.per_minute.len(), b.per_minute.len());
     }

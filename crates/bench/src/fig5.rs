@@ -3,11 +3,10 @@
 //! rest, for Balloon, vanilla virtio-mem and Squeezy.
 
 use mem_types::MIB;
-use sim_core::experiment::{run_reduced, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng, LatencyBreakdown};
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::{CostModel, DetRng, LatencyBreakdown, TextTable};
 
 use crate::setup::{FarmKind, MemhogFarm};
-use crate::table::TextTable;
 
 /// The reclamation methods under comparison.
 const METHODS: [&str; 3] = ["Balloon", "Virtio-mem", "Squeezy"];
@@ -54,79 +53,43 @@ pub struct Fig5Row {
     pub breakdown: LatencyBreakdown,
 }
 
-/// The `sizes × methods` sweep on the engine; trials re-churn the farm
-/// from independent streams and the breakdowns are averaged. The farm
-/// stream is derived from `(size, trial)` only — NOT the method — so
-/// the three methods of one size are always measured on an identically
-/// churned farm (the paired comparison the figure reports).
-struct Fig5Exp<'a> {
-    cfg: &'a Fig5Config,
-    trials: u32,
-}
-
-impl Experiment for Fig5Exp<'_> {
-    type Point = (u64, &'static str);
-    type Output = LatencyBreakdown;
-
-    fn points(&self) -> Vec<(u64, &'static str)> {
-        self.cfg
-            .sizes_mib
-            .iter()
-            .flat_map(|&size| METHODS.iter().map(move |&m| (size, m)))
-            .collect()
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        crate::setup::CHURN_SEED
-    }
-
-    fn run_trial(&self, &(size_mib, method): &Self::Point, ctx: &mut TrialCtx) -> LatencyBreakdown {
-        // Points are laid out sizes-major, so the size index is the
-        // point index with the method dimension divided out.
-        let size_idx = (ctx.point / METHODS.len()) as u64;
-        let mut rng = DetRng::new(self.seed()).derive(size_idx).derive(ctx.trial);
-        run_method(
-            method,
-            size_mib * MIB,
-            self.cfg,
-            &CostModel::default(),
-            &mut rng,
-        )
-    }
-}
-
 /// Runs the experiment: for each size and method, fill a VM with
 /// memhogs, kill them iteratively, reclaim the killed instance's size at
 /// every step, and average the latency across steps (and trials).
-pub fn run(cfg: &Fig5Config) -> Vec<Fig5Row> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig5Config, opts: &ExpOpts) -> Vec<Fig5Row> {
-    let exp = Fig5Exp {
-        cfg,
-        trials: opts.trials,
-    };
-    let points = exp.points();
-    let means = run_reduced(&exp, opts.effective_jobs(), |trials| {
-        let mut acc = LatencyBreakdown::default();
-        for b in &trials {
-            acc.accumulate(b);
-        }
-        acc.scale_down(trials.len() as u64)
-    });
+///
+/// Trials re-churn the farm from independent streams. The farm stream
+/// is derived from `(size, trial)` only — NOT the method — so the three
+/// methods of one size are always measured on an identically churned
+/// farm (the paired comparison the figure reports).
+pub fn run(cfg: &Fig5Config, opts: &ExpOpts) -> Vec<Fig5Row> {
+    let points: Vec<(u64, u64, &'static str)> = (0u64..)
+        .zip(&cfg.sizes_mib)
+        .flat_map(|(idx, &size)| METHODS.iter().map(move |&m| (idx, size, m)))
+        .collect();
+    let seed = crate::setup::CHURN_SEED;
+    let cells = run_experiment(
+        &points,
+        opts.trials,
+        seed,
+        opts.effective_jobs(),
+        |&(size_idx, size_mib, method), ctx| {
+            let mut rng = DetRng::new(seed).derive(size_idx).derive(ctx.trial);
+            run_method(method, size_mib * MIB, cfg, &CostModel::default(), &mut rng)
+        },
+    );
     points
         .into_iter()
-        .zip(means)
-        .map(|((size_mib, method), breakdown)| Fig5Row {
-            size_mib,
-            method,
-            breakdown,
+        .zip(cells)
+        .map(|((_, size_mib, method), trials)| {
+            let mut acc = LatencyBreakdown::default();
+            for b in &trials {
+                acc.accumulate(b);
+            }
+            Fig5Row {
+                size_mib,
+                method,
+                breakdown: acc.scale_down(trials.len() as u64),
+            }
         })
         .collect()
 }
@@ -260,7 +223,7 @@ mod tests {
 
     #[test]
     fn quick_run_reproduces_ordering() {
-        let rows = run(&Fig5Config::quick());
+        let rows = run(&Fig5Config::quick(), &ExpOpts::serial());
         assert_eq!(rows.len(), 6);
         for size in [128u64, 256] {
             let get = |m: &str| {
@@ -279,7 +242,7 @@ mod tests {
 
     #[test]
     fn virtio_breakdown_is_migration_dominated() {
-        let rows = run(&Fig5Config::quick());
+        let rows = run(&Fig5Config::quick(), &ExpOpts::serial());
         let v = rows
             .iter()
             .find(|r| r.size_mib == 256 && r.method == "Virtio-mem")
@@ -291,7 +254,7 @@ mod tests {
 
     #[test]
     fn squeezy_has_no_migration_or_zeroing() {
-        let rows = run(&Fig5Config::quick());
+        let rows = run(&Fig5Config::quick(), &ExpOpts::serial());
         for r in rows.iter().filter(|r| r.method == "Squeezy") {
             assert_eq!(r.breakdown.migration.as_nanos(), 0);
             assert_eq!(r.breakdown.zeroing.as_nanos(), 0);
@@ -300,7 +263,7 @@ mod tests {
 
     #[test]
     fn render_produces_table() {
-        let rows = run(&Fig5Config::quick());
+        let rows = run(&Fig5Config::quick(), &ExpOpts::serial());
         let s = render(&rows);
         assert!(s.contains("Figure 5"));
         assert!(s.contains("Squeezy"));

@@ -7,14 +7,13 @@
 
 use guest_mm::GuestMmConfig;
 use mem_types::{GIB, MIB};
-use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng, SimDuration};
+use sim_core::experiment::{mean_over, run_experiment, ExpOpts};
+use sim_core::{CostModel, DetRng, SimDuration, TextTable};
 use squeezy::{SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::Memhog;
 
 use crate::setup::{churn_seeded, fill_interleaved};
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -65,59 +64,32 @@ enum Method {
     Squeezy,
 }
 
-/// The `utilizations × methods` sweep on the engine. Virtio trials
-/// re-shuffle the survivor subset and churn from independent streams
-/// and the latencies are averaged — the sampling noise shrinks with
+/// Runs the `utilizations × methods` sweep. Virtio trials re-shuffle
+/// the survivor subset and churn from independent streams and the
+/// latencies are averaged — the sampling noise shrinks with
 /// `1/sqrt(trials)`. The Squeezy path is fully deterministic, so its
 /// cells run once and skip (return `None` for) the repeat trials
 /// instead of re-simulating identical results.
-struct Fig6Exp<'a> {
-    cfg: &'a Fig6Config,
-    trials: u32,
-}
-
-impl Experiment for Fig6Exp<'_> {
-    type Point = (u32, Method);
-    type Output = Option<SimDuration>;
-
-    fn points(&self) -> Vec<(u32, Method)> {
-        self.cfg
-            .utilizations
-            .iter()
-            .flat_map(|&u| [(u, Method::Virtio), (u, Method::Squeezy)])
-            .collect()
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        0x51EE2
-    }
-
-    fn run_trial(&self, &(u, method): &Self::Point, ctx: &mut TrialCtx) -> Option<SimDuration> {
-        let cost = CostModel::default();
-        match method {
-            Method::Virtio => Some(virtio_point(self.cfg, u, &cost, &mut ctx.rng)),
-            Method::Squeezy if ctx.trial == 0 => Some(squeezy_point(self.cfg, u, &cost)),
-            Method::Squeezy => None,
-        }
-    }
-}
-
-/// Runs the sweep.
-pub fn run(cfg: &Fig6Config) -> Vec<Fig6Point> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig6Config, opts: &ExpOpts) -> Vec<Fig6Point> {
-    let exp = Fig6Exp {
-        cfg,
-        trials: opts.trials,
-    };
-    let cells = run_experiment(&exp, opts.effective_jobs());
+pub fn run(cfg: &Fig6Config, opts: &ExpOpts) -> Vec<Fig6Point> {
+    let points: Vec<(u32, Method)> = cfg
+        .utilizations
+        .iter()
+        .flat_map(|&u| [(u, Method::Virtio), (u, Method::Squeezy)])
+        .collect();
+    let cells = run_experiment(
+        &points,
+        opts.trials,
+        0x51EE2,
+        opts.effective_jobs(),
+        |&(u, method), ctx| {
+            let cost = CostModel::default();
+            match method {
+                Method::Virtio => Some(virtio_point(cfg, u, &cost, &mut ctx.rng)),
+                Method::Squeezy if ctx.trial == 0 => Some(squeezy_point(cfg, u, &cost)),
+                Method::Squeezy => None,
+            }
+        },
+    );
     // Cells arrive as (virtio, squeezy) pairs per utilization; skipped
     // repeat trials (deterministic Squeezy cells) drop out of the mean.
     let mean_ms = |trials: &[Option<SimDuration>]| {
@@ -278,7 +250,7 @@ mod tests {
         ignore = "heavy simulation; enable with --features slow-tests"
     )]
     fn virtio_grows_with_utilization_squeezy_flat() {
-        let points = run_with(&Fig6Config::quick(), &ExpOpts::auto().with_trials(2));
+        let points = run(&Fig6Config::quick(), &ExpOpts::auto().with_trials(2));
         assert_eq!(points.len(), 3);
         let lo = &points[0];
         let hi = &points[2];
@@ -307,7 +279,7 @@ mod tests {
         ignore = "heavy simulation; enable with --features slow-tests"
     )]
     fn render_mentions_paper_target() {
-        let points = run(&Fig6Config::quick());
+        let points = run(&Fig6Config::quick(), &ExpOpts::serial());
         let s = render(&points);
         assert!(s.contains("Figure 6"));
         assert!(s.contains("paper: flat"));

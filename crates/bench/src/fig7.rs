@@ -4,12 +4,11 @@
 //! hammers the guest vCPU with migrations; Squeezy needs almost nothing.
 
 use mem_types::MIB;
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_experiment, ExpOpts};
 use sim_core::metrics::mean;
-use sim_core::{BusyRecorder, CostModel, DetRng, SimDuration, SimTime};
+use sim_core::{BusyRecorder, CostModel, DetRng, SimDuration, SimTime, TextTable};
 
 use crate::setup::{FarmKind, MemhogFarm};
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -83,43 +82,20 @@ impl Fig7Series {
     }
 }
 
-/// The per-method sweep on the engine: the output is a utilization
-/// timeline, so it clamps to one trial. The farm stream is derived from
-/// the trial only — NOT the method — so all three methods are measured
-/// on an identically churned farm.
-struct Fig7Exp<'a> {
-    cfg: &'a Fig7Config,
-}
-
-impl Experiment for Fig7Exp<'_> {
-    type Point = &'static str;
-    type Output = Fig7Series;
-
-    fn points(&self) -> Vec<&'static str> {
-        vec!["Balloon", "Virtio-mem", "Squeezy"]
-    }
-
-    fn seed(&self) -> u64 {
-        crate::setup::CHURN_SEED
-    }
-
-    fn run_trial(&self, method: &&'static str, ctx: &mut TrialCtx) -> Fig7Series {
-        let mut rng = DetRng::new(self.seed()).derive(ctx.trial);
-        run_method(method, self.cfg, &mut rng)
-    }
-}
-
-/// Runs the experiment for all three methods.
-pub fn run(cfg: &Fig7Config) -> Vec<Fig7Series> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig7Config, opts: &ExpOpts) -> Vec<Fig7Series> {
-    run_experiment(&Fig7Exp { cfg }, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+/// Runs the experiment for all three methods. The output is a
+/// utilization timeline, so it runs one trial. The farm stream is
+/// derived from the trial only — NOT the method — so all three methods
+/// are measured on an identically churned farm.
+pub fn run(cfg: &Fig7Config, opts: &ExpOpts) -> Vec<Fig7Series> {
+    let seed = crate::setup::CHURN_SEED;
+    let methods = ["Balloon", "Virtio-mem", "Squeezy"];
+    run_experiment(&methods, 1, seed, opts.effective_jobs(), |&method, ctx| {
+        let mut rng = DetRng::new(seed).derive(ctx.trial);
+        run_method(method, cfg, &mut rng)
+    })
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// One reclaim/re-add cycle per period; kernel threads are pinned to
@@ -223,7 +199,7 @@ mod tests {
 
     #[test]
     fn virtio_guest_heavy_balloon_host_heavy_squeezy_negligible() {
-        let series = run(&Fig7Config::quick());
+        let series = run(&Fig7Config::quick(), &ExpOpts::serial());
         let get = |m: &str| series.iter().find(|s| s.method == m).unwrap();
         let balloon = get("Balloon");
         let virtio = get("Virtio-mem");
@@ -252,7 +228,7 @@ mod tests {
     #[test]
     fn utilization_series_cover_duration() {
         let cfg = Fig7Config::quick();
-        let series = run(&cfg);
+        let series = run(&cfg, &ExpOpts::serial());
         for s in &series {
             assert_eq!(s.guest_util.len() as u64, cfg.duration_s);
             assert!(s.guest_util.iter().all(|&u| (0.0..=1.0).contains(&u)));
@@ -261,7 +237,7 @@ mod tests {
 
     #[test]
     fn render_has_all_methods() {
-        let s = render(&run(&Fig7Config::quick()));
+        let s = render(&run(&Fig7Config::quick(), &ExpOpts::serial()));
         for m in ["Balloon", "Virtio-mem", "Squeezy"] {
             assert!(s.contains(m));
         }

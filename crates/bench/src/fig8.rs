@@ -3,12 +3,10 @@
 //! vanilla virtio-mem vs Squeezy, per function plus geomean.
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig};
-use sim_core::experiment::{mean_over, run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{mean_over, run_experiment, ExpOpts};
 use sim_core::metrics::geomean;
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -56,59 +54,27 @@ pub struct Fig8Row {
     pub squeezy_mibs: f64,
 }
 
-/// The `functions × backends` sweep on the engine. The trace stream is
-/// derived from `(seed, function, trial)` only — NOT the backend — so
-/// the two backends of a pair always face identical arrivals, and
-/// trials average the throughput over independent traces.
-struct Fig8Exp<'a> {
-    cfg: &'a Fig8Config,
-    trials: u32,
-}
-
-impl Experiment for Fig8Exp<'_> {
-    type Point = (FunctionKind, BackendKind);
-    type Output = f64;
-
-    fn points(&self) -> Vec<(FunctionKind, BackendKind)> {
-        FunctionKind::ALL
-            .iter()
-            .flat_map(|&k| [(k, BackendKind::VirtioMem), (k, BackendKind::Squeezy)])
-            .collect()
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, &(kind, backend): &Self::Point, ctx: &mut TrialCtx) -> f64 {
-        // Pair the backends on one trace: derive from the function
-        // index and trial, ignoring the point's backend half.
-        let kind_idx = FunctionKind::ALL.iter().position(|&k| k == kind).unwrap() as u64;
-        let mut rng = DetRng::new(self.cfg.seed)
-            .derive(kind_idx)
-            .derive(ctx.trial);
-        run_one(kind, backend, self.cfg, &mut rng, ctx.trial)
-    }
-}
-
 /// Runs each Table-1 function on its own N:1 VM under a bursty trace,
 /// once per backend, and reports eviction-driven reclaim throughput
-/// (averaged over trials).
-pub fn run(cfg: &Fig8Config) -> Vec<Fig8Row> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig8Config, opts: &ExpOpts) -> Vec<Fig8Row> {
-    let exp = Fig8Exp {
-        cfg,
-        trials: opts.trials,
-    };
-    let cells = run_experiment(&exp, opts.effective_jobs());
+/// (averaged over trials). The trace stream is derived from
+/// `(seed, function, trial)` only — NOT the backend — so the two
+/// backends of a pair always face identical arrivals, and trials
+/// average the throughput over independent traces.
+pub fn run(cfg: &Fig8Config, opts: &ExpOpts) -> Vec<Fig8Row> {
+    let points: Vec<(u64, FunctionKind, BackendKind)> = (0u64..)
+        .zip(FunctionKind::ALL)
+        .flat_map(|(i, k)| [(i, k, BackendKind::VirtioMem), (i, k, BackendKind::Squeezy)])
+        .collect();
+    let cells = run_experiment(
+        &points,
+        opts.trials,
+        cfg.seed,
+        opts.effective_jobs(),
+        |&(kind_idx, kind, backend), ctx| {
+            let mut rng = DetRng::new(cfg.seed).derive(kind_idx).derive(ctx.trial);
+            run_one(kind, backend, cfg, &mut rng, ctx.trial)
+        },
+    );
     FunctionKind::ALL
         .iter()
         .zip(cells.chunks(2))
@@ -190,7 +156,7 @@ mod tests {
 
     #[test]
     fn squeezy_throughput_dominates_every_function() {
-        let rows = run(&Fig8Config::quick());
+        let rows = run(&Fig8Config::quick(), &ExpOpts::serial());
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(
@@ -210,7 +176,7 @@ mod tests {
 
     #[test]
     fn render_includes_geomean() {
-        let s = render(&run(&Fig8Config::quick()));
+        let s = render(&run(&Fig8Config::quick(), &ExpOpts::serial()));
         assert!(s.contains("Geomean"));
         assert!(s.contains("Figure 8"));
     }

@@ -3,11 +3,9 @@
 //! than double CNN latency; Squeezy does not interfere.
 
 use faas::{BackendKind, Deployment, FaasSim, SimConfig, VmSpec};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::DetRng;
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::{DetRng, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -83,49 +81,30 @@ impl Fig9Series {
     }
 }
 
-/// The per-backend sweep on the engine. Both backends must see the same
-/// arrival jitter (the figure is a paired comparison), so the trace
-/// stream is derived from the seed alone, not the point; the output is
-/// a per-second timeline, so it clamps to one trial.
-struct Fig9Exp<'a> {
-    cfg: &'a Fig9Config,
-}
-
-impl Experiment for Fig9Exp<'_> {
-    type Point = BackendKind;
-    type Output = Fig9Series;
-
-    fn points(&self) -> Vec<BackendKind> {
-        vec![BackendKind::VirtioMem, BackendKind::Squeezy]
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn run_trial(&self, &backend: &BackendKind, ctx: &mut TrialCtx) -> Fig9Series {
-        // A dedicated tag separates the trace stream from the FaaS
-        // sim's jitter stream (`DetRng::new(seed).derive(trial)`) —
-        // without it the two noise sources would replay the same draws.
-        const TRACE_STREAM: u64 = 0x9A;
-        let mut rng = DetRng::new(self.cfg.seed)
-            .derive(TRACE_STREAM)
-            .derive(ctx.trial);
-        run_one(backend, self.cfg, &mut rng)
-    }
-}
-
-/// Runs the co-location experiment for both backends.
-pub fn run(cfg: &Fig9Config) -> Vec<Fig9Series> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &Fig9Config, opts: &ExpOpts) -> Vec<Fig9Series> {
-    run_experiment(&Fig9Exp { cfg }, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+/// Runs the co-location experiment for both backends. Both backends
+/// must see the same arrival jitter (the figure is a paired
+/// comparison), so the trace stream is derived from the seed alone,
+/// not the point; the output is a per-second timeline, so it runs one
+/// trial.
+pub fn run(cfg: &Fig9Config, opts: &ExpOpts) -> Vec<Fig9Series> {
+    // A dedicated tag separates the trace stream from the FaaS sim's
+    // jitter stream (`DetRng::new(seed).derive(trial)`) — without it
+    // the two noise sources would replay the same draws.
+    const TRACE_STREAM: u64 = 0x9A;
+    let backends = [BackendKind::VirtioMem, BackendKind::Squeezy];
+    run_experiment(
+        &backends,
+        1,
+        cfg.seed,
+        opts.effective_jobs(),
+        |&backend, ctx| {
+            let mut rng = DetRng::new(cfg.seed).derive(TRACE_STREAM).derive(ctx.trial);
+            run_one(backend, cfg, &mut rng)
+        },
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Series {
@@ -252,7 +231,7 @@ mod tests {
     #[test]
     fn virtio_scale_down_spikes_cnn_latency() {
         let cfg = Fig9Config::quick();
-        let series = run(&cfg);
+        let series = run(&cfg, &ExpOpts::serial());
         let virtio = series
             .iter()
             .find(|s| s.backend == BackendKind::VirtioMem)
@@ -282,7 +261,7 @@ mod tests {
     #[test]
     fn render_summarizes_slowdown() {
         let cfg = Fig9Config::quick();
-        let s = render(&run(&cfg), &cfg);
+        let s = render(&run(&cfg, &ExpOpts::serial()), &cfg);
         assert!(s.contains("Figure 9"));
         assert!(s.contains("slowdown"));
     }

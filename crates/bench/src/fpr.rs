@@ -13,12 +13,11 @@
 //! usable).
 
 use mem_types::MIB;
-use sim_core::experiment::{mean_over, run_reduced, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng, SimDuration};
+use sim_core::experiment::{mean_over, run_experiment, ExpOpts};
+use sim_core::{CostModel, DetRng, SimDuration, TextTable};
 use vmm::Vm;
 
 use crate::setup::{FarmKind, MemhogFarm};
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -66,61 +65,38 @@ pub struct FprRow {
     pub usable_after_mib: f64,
 }
 
-/// The per-interface sweep on the engine; trials re-churn the farms
-/// from independent streams and the numeric columns are averaged. The
-/// farm stream is derived from the trial only — NOT the interface — so
-/// all four interfaces really do reclaim from identical farms.
-struct FprExp<'a> {
-    cfg: &'a FprConfig,
-    trials: u32,
-}
-
-impl Experiment for FprExp<'_> {
-    type Point = &'static str;
-    type Output = FprRow;
-
-    fn points(&self) -> Vec<&'static str> {
-        vec!["free-page-reporting", "balloon", "virtio-mem", "squeezy"]
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        crate::setup::CHURN_SEED
-    }
-
-    fn run_trial(&self, method: &&'static str, ctx: &mut TrialCtx) -> FprRow {
-        let cost = CostModel::default();
-        let mut rng = DetRng::new(self.seed()).derive(ctx.trial);
-        match *method {
-            "free-page-reporting" => fpr_row(self.cfg, &cost, &mut rng),
-            "balloon" => balloon_row(self.cfg, &cost, &mut rng),
-            "virtio-mem" => virtio_row(self.cfg, &cost, &mut rng),
-            _ => squeezy_row(self.cfg, &cost, &mut rng),
-        }
-    }
-}
-
-/// Runs the four interfaces over identical farms.
-pub fn run(cfg: &FprConfig) -> Vec<FprRow> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &FprConfig, opts: &ExpOpts) -> Vec<FprRow> {
-    let exp = FprExp {
-        cfg,
-        trials: opts.trials,
-    };
-    run_reduced(&exp, opts.effective_jobs(), |trials| FprRow {
+/// Runs the four interfaces over identical farms. Trials re-churn the
+/// farms from independent streams and the numeric columns are averaged.
+/// The farm stream is derived from the trial only — NOT the interface —
+/// so all four interfaces really do reclaim from identical farms.
+pub fn run(cfg: &FprConfig, opts: &ExpOpts) -> Vec<FprRow> {
+    let seed = crate::setup::CHURN_SEED;
+    let methods = ["free-page-reporting", "balloon", "virtio-mem", "squeezy"];
+    run_experiment(
+        &methods,
+        opts.trials,
+        seed,
+        opts.effective_jobs(),
+        |&method, ctx| {
+            let cost = CostModel::default();
+            let mut rng = DetRng::new(seed).derive(ctx.trial);
+            match method {
+                "free-page-reporting" => fpr_row(cfg, &cost, &mut rng),
+                "balloon" => balloon_row(cfg, &cost, &mut rng),
+                "virtio-mem" => virtio_row(cfg, &cost, &mut rng),
+                _ => squeezy_row(cfg, &cost, &mut rng),
+            }
+        },
+    )
+    .into_iter()
+    .map(|trials| FprRow {
         method: trials[0].method,
         reclaimed_mib: mean_over(&trials, |r| r.reclaimed_mib),
         latency_ms: mean_over(&trials, |r| r.latency_ms),
         guest_cpu_ms: mean_over(&trials, |r| r.guest_cpu_ms),
         usable_after_mib: mean_over(&trials, |r| r.usable_after_mib),
     })
+    .collect()
 }
 
 /// Kills every other hog, returning the freed bytes.
@@ -287,7 +263,7 @@ mod tests {
 
     #[test]
     fn interfaces_reclaim_comparable_memory() {
-        let rows = run(&FprConfig::quick());
+        let rows = run(&FprConfig::quick(), &ExpOpts::serial());
         let get = |m: &str| *rows.iter().find(|r| r.method == m).unwrap();
         let fpr = get("free-page-reporting");
         let blln = get("balloon");
@@ -317,7 +293,7 @@ mod tests {
 
     #[test]
     fn reporting_preserves_usable_capacity() {
-        let rows = run(&FprConfig::quick());
+        let rows = run(&FprConfig::quick(), &ExpOpts::serial());
         let get = |m: &str| *rows.iter().find(|r| r.method == m).unwrap();
         // Reporting leaves the freed memory allocatable in the guest;
         // balloon pins it; unplug removes it.
@@ -332,7 +308,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_methods() {
-        let s = render(&run(&FprConfig::quick()));
+        let s = render(&run(&FprConfig::quick(), &ExpOpts::serial()));
         for m in ["free-page-reporting", "balloon", "virtio-mem", "squeezy"] {
             assert!(s.contains(m), "{m} missing");
         }

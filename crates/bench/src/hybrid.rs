@@ -8,11 +8,9 @@
 //! above it, paying one clone per extra VM.
 
 use faas::{absorb_burst, BurstOutcome, ScaleStrategy};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::CostModel;
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::{CostModel, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -45,42 +43,28 @@ impl HybridConfig {
     }
 }
 
-/// The `bursts × strategies` sweep on the engine; the burst model is
-/// deterministic, so it clamps to one trial.
-struct HybridExp<'a> {
-    cfg: &'a HybridConfig,
-}
-
-impl Experiment for HybridExp<'_> {
-    type Point = (u32, ScaleStrategy);
-    type Output = BurstOutcome;
-
-    fn points(&self) -> Vec<(u32, ScaleStrategy)> {
-        self.cfg
-            .bursts
-            .iter()
-            .flat_map(|&b| ScaleStrategy::ALL.into_iter().map(move |s| (b, s)))
-            .collect()
-    }
-
-    fn run_trial(&self, &(burst, strategy): &Self::Point, _ctx: &mut TrialCtx) -> BurstOutcome {
-        let cost = CostModel::default();
-        absorb_burst(self.cfg.kind, strategy, self.cfg.n_per_vm, burst, &cost)
-            .expect("host is unconstrained")
-    }
-}
-
-/// Runs the sweep: one outcome per burst × strategy.
-pub fn run(cfg: &HybridConfig) -> Vec<BurstOutcome> {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &HybridConfig, opts: &ExpOpts) -> Vec<BurstOutcome> {
-    run_experiment(&HybridExp { cfg }, opts.effective_jobs())
-        .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+/// Runs the sweep: one outcome per burst × strategy. The burst model
+/// is deterministic, so it runs one trial.
+pub fn run(cfg: &HybridConfig, opts: &ExpOpts) -> Vec<BurstOutcome> {
+    let points: Vec<(u32, ScaleStrategy)> = cfg
+        .bursts
+        .iter()
+        .flat_map(|&b| ScaleStrategy::ALL.into_iter().map(move |s| (b, s)))
+        .collect();
+    run_experiment(
+        &points,
+        1,
+        0,
+        opts.effective_jobs(),
+        |&(burst, strategy), _ctx| {
+            let cost = CostModel::default();
+            absorb_burst(cfg.kind, strategy, cfg.n_per_vm, burst, &cost)
+                .expect("host is unconstrained")
+        },
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// Renders the sweep as a text table.
@@ -121,7 +105,7 @@ mod tests {
     #[test]
     fn crossover_shape_holds() {
         let cfg = HybridConfig::quick();
-        let rows = run(&cfg);
+        let rows = run(&cfg, &ExpOpts::serial());
         let get = |burst: u32, s: ScaleStrategy| {
             *rows
                 .iter()
@@ -152,7 +136,7 @@ mod tests {
     #[test]
     fn render_includes_all_strategies() {
         let cfg = HybridConfig::quick();
-        let s = render(&cfg, &run(&cfg));
+        let s = render(&cfg, &run(&cfg, &ExpOpts::serial()));
         assert!(s.contains("vertical"));
         assert!(s.contains("horizontal"));
         assert!(s.contains("hybrid"));

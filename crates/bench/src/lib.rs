@@ -1,7 +1,8 @@
 //! The benchmark harness: one module per table/figure of the paper.
 //!
 //! Every module exposes a `Config` with `paper()` (full scale) and
-//! `quick()` (CI scale) presets, a `run()` driver returning structured
+//! `quick()` (CI scale) presets, one `run(cfg, opts)` driver that runs
+//! its sweep through `sim_core::run_experiment` and returns structured
 //! results, and a `render()` that prints the same rows/series the paper
 //! reports. The `repro` binary regenerates everything:
 //!
@@ -29,7 +30,6 @@ pub mod hybrid;
 pub mod perf;
 pub mod setup;
 pub mod soft;
-pub mod table;
 pub mod table1;
 pub mod temporal;
 pub mod thp;

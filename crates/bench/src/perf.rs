@@ -19,10 +19,8 @@ use std::time::Instant;
 use faas::cluster::{ClusterConfig, ClusterSim, RoundRobin, TenantTrace, LATENCY_RESERVOIR_CAP};
 use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
 use faas::fleet::{FixedFleet, FleetConfig, FleetSim};
-use sim_core::DetRng;
+use sim_core::{DetRng, TextTable};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Root seed of the pinned scenario's per-host jitter streams.
 const PERF_SEED: u64 = 0x9EF0;

@@ -1,6 +1,6 @@
 //! Shared experiment scaffolding: memhog farms on differently-backed VMs.
 
-use guest_mm::GuestMmConfig;
+use guest_mm::{GuestMmConfig, PAGES_PER_HUGE};
 use mem_types::{align_up_to_block, GIB, MIB, PAGE_SIZE};
 use sim_core::{CostModel, DetRng};
 use squeezy::{SqueezyConfig, SqueezyManager};
@@ -147,19 +147,24 @@ impl MemhogFarm {
 
 /// Warms up `hogs` by faulting their footprints in interleaved 16 MiB
 /// chunks — concurrent warm-up, the source of the Figure-3 interleaving.
+/// Huge-backed hogs fault each chunk as 2 MiB pages.
 pub fn fill_interleaved(vm: &mut Vm, host: &mut HostMemory, hogs: &[Memhog], cost: &CostModel) {
     let mut faulted = vec![0u64; hogs.len()];
     loop {
         let mut progressed = false;
         for (i, hog) in hogs.iter().enumerate() {
-            let chunk_pages = (16 * MIB / PAGE_SIZE).min(hog.pages);
             let left = hog.pages - faulted[i];
             if left == 0 {
                 continue;
             }
-            let n = left.min(chunk_pages);
-            vm.touch_anon(host, hog.pid, n, cost)
-                .expect("workload sized to fit");
+            let n = left.min(16 * MIB / PAGE_SIZE);
+            if hog.huge {
+                vm.touch_anon_huge(host, hog.pid, n / PAGES_PER_HUGE, cost)
+                    .expect("workload sized to fit");
+            } else {
+                vm.touch_anon(host, hog.pid, n, cost)
+                    .expect("workload sized to fit");
+            }
             faulted[i] += n;
             progressed = true;
         }
@@ -174,12 +179,7 @@ pub const CHURN_SEED: u64 = 0xC0FFEE;
 
 /// Runs `rounds` of concurrent free/refault churn over a quarter of each
 /// hog's footprint, scattering footprints the way long-running memhogs
-/// do.
-pub fn churn(vm: &mut Vm, host: &mut HostMemory, hogs: &[Memhog], rounds: u32, cost: &CostModel) {
-    churn_seeded(vm, host, hogs, rounds, cost, &mut DetRng::new(CHURN_SEED));
-}
-
-/// [`churn`] with an explicit stream, so repeated trials differ.
+/// do. `rng` orders the frees and refaults, so repeated trials differ.
 pub fn churn_seeded(
     vm: &mut Vm,
     host: &mut HostMemory,

@@ -17,13 +17,11 @@
 
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, SimDuration};
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::{CostModel, SimDuration, TextTable};
 use squeezy::{SoftWake, SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// The idle-instance policies under comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,37 +78,23 @@ pub struct SoftRow {
     pub restart_ms: f64,
 }
 
-/// The `functions × policies` grid on the engine; the warm/idle/restart
-/// cycle is deterministic, so it clamps to one trial.
-struct SoftExp;
-
-impl Experiment for SoftExp {
-    type Point = (FunctionKind, IdlePolicy);
-    type Output = SoftRow;
-
-    fn points(&self) -> Vec<(FunctionKind, IdlePolicy)> {
-        FunctionKind::ALL
-            .into_iter()
-            .flat_map(|k| IdlePolicy::ALL.into_iter().map(move |p| (k, p)))
-            .collect()
-    }
-
-    fn run_trial(&self, &(kind, policy): &Self::Point, _ctx: &mut TrialCtx) -> SoftRow {
-        measure(kind, policy, &CostModel::default())
-    }
-}
-
-/// Runs the ablation over every Table-1 function × policy.
-pub fn run() -> Vec<SoftRow> {
-    run_with(&ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(opts: &ExpOpts) -> Vec<SoftRow> {
-    run_experiment(&SoftExp, opts.effective_jobs())
+/// Runs the ablation over every Table-1 function × policy. The
+/// warm/idle/restart cycle is deterministic, so it runs one trial.
+pub fn run(opts: &ExpOpts) -> Vec<SoftRow> {
+    let points: Vec<(FunctionKind, IdlePolicy)> = FunctionKind::ALL
         .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+        .flat_map(|k| IdlePolicy::ALL.into_iter().map(move |p| (k, p)))
+        .collect();
+    run_experiment(
+        &points,
+        1,
+        0,
+        opts.effective_jobs(),
+        |&(kind, policy), _ctx| measure(kind, policy, &CostModel::default()),
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 /// Measures one function × policy cycle: warm instance → idle → restart.
@@ -307,7 +291,7 @@ mod tests {
 
     #[test]
     fn soft_releases_like_evict_but_restarts_faster() {
-        let rows = run();
+        let rows = run(&ExpOpts::serial());
         for kind in FunctionKind::ALL {
             let get = |p: IdlePolicy| {
                 *rows
@@ -343,7 +327,7 @@ mod tests {
 
     #[test]
     fn swap_policies_trade_restore_speed_for_savings() {
-        let rows = run();
+        let rows = run(&ExpOpts::serial());
         for kind in FunctionKind::ALL {
             let get = |p: IdlePolicy| {
                 *rows
@@ -376,7 +360,7 @@ mod tests {
 
     #[test]
     fn render_covers_grid() {
-        let rows = run();
+        let rows = run(&ExpOpts::serial());
         assert_eq!(rows.len(), 20);
         let s = render(&rows);
         assert!(s.contains("soft restart is"));

@@ -18,13 +18,11 @@
 
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB, PAGE_SIZE};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, SimDuration};
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::{CostModel, SimDuration, TextTable};
 use squeezy::{FlexManager, TemporalInstance};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::FunctionKind;
-
-use crate::table::TextTable;
 
 /// Memory layout policy under comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -64,37 +62,23 @@ pub struct TemporalRow {
 const SCRATCH_NUM: u64 = 6;
 const SCRATCH_DEN: u64 = 10;
 
-/// The `functions × granularities` grid on the engine; the invocation
-/// cycle is deterministic, so it clamps to one trial.
-struct TemporalExp;
-
-impl Experiment for TemporalExp {
-    type Point = (FunctionKind, Granularity);
-    type Output = TemporalRow;
-
-    fn points(&self) -> Vec<(FunctionKind, Granularity)> {
-        FunctionKind::ALL
-            .into_iter()
-            .flat_map(|k| [(k, Granularity::Instance), (k, Granularity::Invocation)])
-            .collect()
-    }
-
-    fn run_trial(&self, &(kind, granularity): &Self::Point, _ctx: &mut TrialCtx) -> TemporalRow {
-        measure(kind, granularity, 5, &CostModel::default())
-    }
-}
-
 /// Runs the ablation: every function × both granularities, 5 rounds.
-pub fn run() -> Vec<TemporalRow> {
-    run_with(&ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(opts: &ExpOpts) -> Vec<TemporalRow> {
-    run_experiment(&TemporalExp, opts.effective_jobs())
+/// The invocation cycle is deterministic, so it runs one trial.
+pub fn run(opts: &ExpOpts) -> Vec<TemporalRow> {
+    let points: Vec<(FunctionKind, Granularity)> = FunctionKind::ALL
         .into_iter()
-        .map(|mut trials| trials.remove(0))
-        .collect()
+        .flat_map(|k| [(k, Granularity::Instance), (k, Granularity::Invocation)])
+        .collect();
+    run_experiment(
+        &points,
+        1,
+        0,
+        opts.effective_jobs(),
+        |&(kind, granularity), _ctx| measure(kind, granularity, 5, &CostModel::default()),
+    )
+    .into_iter()
+    .map(|mut trials| trials.remove(0))
+    .collect()
 }
 
 fn boot(cost: &CostModel) -> (Vm, HostMemory, FlexManager) {
@@ -230,7 +214,7 @@ mod tests {
 
     #[test]
     fn invocation_granularity_slims_idle_footprint() {
-        let rows = run();
+        let rows = run(&ExpOpts::serial());
         for kind in FunctionKind::ALL {
             let inst = rows
                 .iter()
@@ -258,7 +242,7 @@ mod tests {
 
     #[test]
     fn render_reports_saving() {
-        let s = render(&run());
+        let s = render(&run(&ExpOpts::serial()));
         assert!(s.contains("per-invocation reclamation cuts idle host memory"));
         assert!(s.contains("per-instance"));
     }

@@ -15,14 +15,14 @@
 //!   whole-block free, so its huge faults always succeed.
 
 use guest_mm::{GuestMmConfig, PAGES_PER_HUGE};
-use mem_types::{align_up_to_block, GIB, MIB, PAGE_SIZE};
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
-use sim_core::{CostModel, DetRng};
+use mem_types::{align_up_to_block, GIB, MIB};
+use sim_core::experiment::{run_experiment, ExpOpts};
+use sim_core::{CostModel, DetRng, TextTable};
 use squeezy::{SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::Memhog;
 
-use crate::table::TextTable;
+use crate::setup::fill_interleaved;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -103,55 +103,31 @@ enum ThpPartOut {
     Contiguity { aged: f64, partition: f64 },
 }
 
-/// The three-part ablation as a five-point sweep on the engine (cold
+/// Runs all three parts of the ablation as a five-point sweep (cold
 /// touch and reclaim split per backing); the aging shuffle draws from
 /// the trial stream.
-struct ThpExp<'a> {
-    cfg: &'a ThpConfig,
-}
-
-impl Experiment for ThpExp<'_> {
-    type Point = ThpPart;
-    type Output = ThpPartOut;
-
-    fn points(&self) -> Vec<ThpPart> {
-        vec![
-            ThpPart::Cold { huge: false },
-            ThpPart::Cold { huge: true },
-            ThpPart::Reclaim { huge: false },
-            ThpPart::Reclaim { huge: true },
-            ThpPart::Contiguity,
-        ]
-    }
-
-    fn seed(&self) -> u64 {
-        0x7867
-    }
-
-    fn run_trial(&self, &part: &ThpPart, ctx: &mut TrialCtx) -> ThpPartOut {
+pub fn run(cfg: &ThpConfig, opts: &ExpOpts) -> ThpResult {
+    let parts = [
+        ThpPart::Cold { huge: false },
+        ThpPart::Cold { huge: true },
+        ThpPart::Reclaim { huge: false },
+        ThpPart::Reclaim { huge: true },
+        ThpPart::Contiguity,
+    ];
+    let parts = run_experiment(&parts, 1, 0x7867, opts.effective_jobs(), |&part, ctx| {
         let cost = CostModel::default();
         match part {
             ThpPart::Cold { huge } => ThpPartOut::ColdMs {
                 huge,
-                ms: cold_touch(self.cfg, huge, &cost),
+                ms: cold_touch(cfg, huge, &cost),
             },
-            ThpPart::Reclaim { huge } => ThpPartOut::Reclaim(reclaim_row(self.cfg, huge, &cost)),
+            ThpPart::Reclaim { huge } => ThpPartOut::Reclaim(reclaim_row(cfg, huge, &cost)),
             ThpPart::Contiguity => {
-                let (aged, partition) = contiguity(self.cfg, &cost, &mut ctx.rng);
+                let (aged, partition) = contiguity(cfg, &cost, &mut ctx.rng);
                 ThpPartOut::Contiguity { aged, partition }
             }
         }
-    }
-}
-
-/// Runs all three parts of the ablation.
-pub fn run(cfg: &ThpConfig) -> ThpResult {
-    run_with(cfg, &ExpOpts::default())
-}
-
-/// [`run`] with explicit engine options.
-pub fn run_with(cfg: &ThpConfig, opts: &ExpOpts) -> ThpResult {
-    let parts = run_experiment(&ThpExp { cfg }, opts.effective_jobs());
+    });
     let mut result = ThpResult {
         cold_touch_4k_ms: 0.0,
         cold_touch_2m_ms: 0.0,
@@ -188,8 +164,8 @@ fn cold_touch(cfg: &ThpConfig, huge: bool, cost: &CostModel) -> f64 {
 /// Part 2: kill one of `instances` co-resident hogs and reclaim its
 /// memory, for both backings and both methods.
 fn reclaim_row(cfg: &ThpConfig, huge: bool, cost: &CostModel) -> ReclaimRow {
-    // Vanilla: all instances share ZONE_MOVABLE; warm up round-robin so
-    // footprints interleave at chunk granularity.
+    // Vanilla: all instances share ZONE_MOVABLE; warm up interleaved so
+    // footprints mix at chunk granularity.
     let part_bytes = align_up_to_block(cfg.instance_bytes);
     let hotplug = part_bytes * cfg.instances as u64;
     let (mut vm, mut host) = plugged_vm(hotplug, cost);
@@ -202,7 +178,7 @@ fn reclaim_row(cfg: &ThpConfig, huge: bool, cost: &CostModel) -> ReclaimRow {
             Memhog::spawn(&mut vm, cfg.instance_bytes)
         });
     }
-    fill_round_robin(&mut vm, &mut host, &hogs, cost);
+    fill_interleaved(&mut vm, &mut host, &hogs, cost);
     hogs[0].kill(&mut vm).expect("alive");
     let before = *vm.guest.stats();
     let report = vm
@@ -212,7 +188,7 @@ fn reclaim_row(cfg: &ThpConfig, huge: bool, cost: &CostModel) -> ReclaimRow {
     let after = *vm.guest.stats();
 
     // Squeezy: identical layout but partitioned; unplug is instant.
-    let (mut svm, mut shost) = fresh_vm(hotplug, cost);
+    let (mut svm, mut shost) = fresh_vm(hotplug);
     let mut sq = SqueezyManager::install(
         &mut svm,
         SqueezyConfig {
@@ -234,7 +210,7 @@ fn reclaim_row(cfg: &ThpConfig, huge: bool, cost: &CostModel) -> ReclaimRow {
         sq.attach(&mut svm, hog.pid).expect("attach");
         shogs.push(hog);
     }
-    fill_round_robin(&mut svm, &mut shost, &shogs, cost);
+    fill_interleaved(&mut svm, &mut shost, &shogs, cost);
     shogs[0].kill(&mut svm).expect("alive");
     sq.detach(shogs[0].pid).expect("attached");
     let (_, sreport) = sq
@@ -284,7 +260,7 @@ fn contiguity(cfg: &ThpConfig, cost: &CostModel, rng: &mut DetRng) -> (f64, f64)
     let aged_rate = aged_out.huge_success_rate().unwrap_or(0.0);
 
     // Fresh Squeezy partition: plug and probe.
-    let (mut svm, _shost) = fresh_vm(hotplug, cost);
+    let (mut svm, _shost) = fresh_vm(hotplug);
     let mut sq = SqueezyManager::install(
         &mut svm,
         SqueezyConfig {
@@ -306,13 +282,13 @@ fn contiguity(cfg: &ThpConfig, cost: &CostModel, rng: &mut DetRng) -> (f64, f64)
 
 /// Boots a VM with `hotplug` bytes of pluggable memory and plugs it all.
 fn plugged_vm(hotplug: u64, cost: &CostModel) -> (Vm, HostMemory) {
-    let (mut vm, host) = fresh_vm(hotplug, cost);
+    let (mut vm, host) = fresh_vm(hotplug);
     vm.plug(align_up_to_block(hotplug), cost).expect("plugs");
     (vm, host)
 }
 
 /// Boots a VM with `hotplug` bytes of pluggable memory, nothing plugged.
-fn fresh_vm(hotplug: u64, _cost: &CostModel) -> (Vm, HostMemory) {
+fn fresh_vm(hotplug: u64) -> (Vm, HostMemory) {
     let hotplug = align_up_to_block(hotplug);
     let mut host = HostMemory::new(hotplug + 8 * GIB);
     let vm = Vm::boot(
@@ -329,32 +305,6 @@ fn fresh_vm(hotplug: u64, _cost: &CostModel) -> (Vm, HostMemory) {
     )
     .expect("host fits");
     (vm, host)
-}
-
-/// Warms hogs up round-robin in 16 MiB chunks (both backings).
-fn fill_round_robin(vm: &mut Vm, host: &mut HostMemory, hogs: &[Memhog], cost: &CostModel) {
-    let mut faulted = vec![0u64; hogs.len()];
-    loop {
-        let mut progressed = false;
-        for (i, hog) in hogs.iter().enumerate() {
-            let left = hog.pages - faulted[i];
-            if left == 0 {
-                continue;
-            }
-            let n = left.min(16 * MIB / PAGE_SIZE);
-            if hog.huge {
-                vm.touch_anon_huge(host, hog.pid, n / PAGES_PER_HUGE, cost)
-                    .expect("fits");
-            } else {
-                vm.touch_anon(host, hog.pid, n, cost).expect("fits");
-            }
-            faulted[i] += n;
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
-    }
 }
 
 /// Renders the ablation as text tables.
@@ -398,7 +348,7 @@ mod tests {
 
     #[test]
     fn huge_cold_touch_is_faster() {
-        let r = run(&ThpConfig::quick());
+        let r = run(&ThpConfig::quick(), &ExpOpts::serial());
         assert!(
             r.cold_touch_2m_ms * 3.0 < r.cold_touch_4k_ms,
             "2M {} vs 4K {}",
@@ -409,7 +359,7 @@ mod tests {
 
     #[test]
     fn squeezy_reclaim_indifferent_to_backing() {
-        let r = run(&ThpConfig::quick());
+        let r = run(&ThpConfig::quick(), &ExpOpts::serial());
         let base = &r.reclaim[0];
         let huge = &r.reclaim[1];
         // Squeezy: instant either way.
@@ -424,7 +374,7 @@ mod tests {
 
     #[test]
     fn partition_preserves_contiguity() {
-        let r = run(&ThpConfig::quick());
+        let r = run(&ThpConfig::quick(), &ExpOpts::serial());
         assert_eq!(r.partition_success_rate, 1.0, "fresh partition is whole");
         assert!(
             r.aged_success_rate < 0.7,
@@ -435,7 +385,7 @@ mod tests {
 
     #[test]
     fn render_mentions_all_parts() {
-        let r = run(&ThpConfig::quick());
+        let r = run(&ThpConfig::quick(), &ExpOpts::serial());
         let s = render(&r);
         assert!(s.contains("Cold touch"));
         assert!(s.contains("Huge fault success"));

@@ -16,7 +16,7 @@
 //! like the scalar format — the roundtrip property test covers list
 //! and range axes and `expect.*` lines too.
 
-use sim_core::experiment::{run_experiment, ExpOpts, Experiment, TrialCtx};
+use sim_core::experiment::{run_experiment, ExpOpts};
 
 use super::expect::{self, ExpectVerdict, Expectation};
 use super::result::{render_table, TableRow};
@@ -506,44 +506,14 @@ impl SweepSpec {
                 }
             }
         }
-        struct Exp<'a> {
-            cells: &'a [SweepCell],
-            units: &'a [(usize, BackendKind, u64)],
-            seed: u64,
-        }
-        impl Experiment for Exp<'_> {
-            type Point = (usize, BackendKind, u64);
-            type Output = Result<ScenarioOutcome, String>;
-
-            fn points(&self) -> Vec<Self::Point> {
-                self.units.to_vec()
-            }
-
-            fn trials(&self) -> u32 {
-                // The grid's trial dimension is flattened into the
-                // point, so per-cell trial counts can differ.
-                1
-            }
-
-            fn seed(&self) -> u64 {
-                self.seed
-            }
-
-            fn run_trial(
-                &self,
-                &(ci, backend, trial): &Self::Point,
-                _ctx: &mut TrialCtx,
-            ) -> Result<ScenarioOutcome, String> {
-                self.cells[ci].scenario.run_trial(backend, trial)
-            }
-        }
+        // The grid's trial dimension is flattened into the point, so
+        // per-cell trial counts can differ: the engine runs one trial.
         let grouped = run_experiment(
-            &Exp {
-                cells: &cells,
-                units: &units,
-                seed: self.base.seed,
-            },
+            &units,
+            1,
+            self.base.seed,
             opts.effective_jobs(),
+            |&(ci, backend, trial), _ctx| cells[ci].scenario.run_trial(backend, trial),
         );
         // The first failed unit in expansion order is the error, so it
         // does not depend on the job count.

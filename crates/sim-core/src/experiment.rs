@@ -4,33 +4,21 @@
 //! utilizations, backends, functions) × repeated trials. This module
 //! factors that shape out of the bench harness:
 //!
-//! * [`Experiment`] — a sweep: `points()` enumerates the grid,
-//!   `run_trial()` computes one `(point, trial)` cell from its own
-//!   deterministic [`DetRng`] stream.
-//! * [`run_experiment`] — the runner. Serial or parallel
-//!   (`std::thread::scope`, a shared cursor over a fixed unit list — no
-//!   work stealing), it always produces *bit-identical* results: each
-//!   cell's RNG stream is derived purely from `(seed, point, trial)`
-//!   and outputs are reduced in index order, so thread count and
-//!   scheduling cannot leak into results.
+//! * [`run_experiment`] — the runner. It takes the sweep points, the
+//!   trial count, a root seed and a closure computing one
+//!   `(point, trial)` cell from its own deterministic [`DetRng`]
+//!   stream. Serial or parallel (`std::thread::scope`, a shared cursor
+//!   over a fixed unit list — no work stealing), it always produces
+//!   *bit-identical* results: each cell's RNG stream is derived purely
+//!   from `(seed, point, trial)` and outputs are reduced in index
+//!   order, so thread count and scheduling cannot leak into results.
 //! * [`Summary`] — mean/stddev/min/max/percentile aggregation over
 //!   per-trial samples.
 //!
 //! ```
-//! use sim_core::experiment::{run_experiment, Experiment, TrialCtx};
+//! use sim_core::experiment::run_experiment;
 //!
-//! struct Square;
-//! impl Experiment for Square {
-//!     type Point = u64;
-//!     type Output = u64;
-//!     fn points(&self) -> Vec<u64> {
-//!         vec![1, 2, 3]
-//!     }
-//!     fn run_trial(&self, p: &u64, _ctx: &mut TrialCtx) -> u64 {
-//!         p * p
-//!     }
-//! }
-//! let out = run_experiment(&Square, 4);
+//! let out = run_experiment(&[1u64, 2, 3], 1, 0, 4, |p, _ctx| p * p);
 //! assert_eq!(out, vec![vec![1], vec![4], vec![9]]);
 //! ```
 
@@ -40,7 +28,10 @@ use std::sync::Mutex;
 use crate::rng::DetRng;
 
 /// Runner options threaded from the CLI (`repro --jobs N --trials N`)
-/// into every experiment.
+/// into every experiment: each figure's `run(cfg, opts)` passes
+/// [`ExpOpts::effective_jobs`] and its trial count to
+/// [`run_experiment`]. Tests and examples that want the reference
+/// single-threaded timing use [`ExpOpts::serial`].
 #[derive(Clone, Copy, Debug)]
 pub struct ExpOpts {
     /// Worker threads sharding the `points × trials` grid. Results are
@@ -49,8 +40,8 @@ pub struct ExpOpts {
     /// Repeated trials per sweep point. Trial `t` of point `p` always
     /// sees the stream `root.derive(p).derive(t)`, so adding trials
     /// never perturbs earlier ones. Experiments whose output is a
-    /// single deterministic artifact (timelines, tables) may clamp
-    /// this to 1.
+    /// single deterministic artifact (timelines, tables) ignore it and
+    /// run one trial.
     pub trials: u32,
 }
 
@@ -88,21 +79,8 @@ impl ExpOpts {
     }
 }
 
-impl Default for ExpOpts {
-    /// Defaults to the serial configuration: the legacy `run()` entry
-    /// points keep their single-threaded timing semantics (benches stay
-    /// comparable across machines); parallelism is an explicit opt-in
-    /// via [`ExpOpts::auto`] or [`ExpOpts::with_jobs`] (the `repro` CLI
-    /// opts in).
-    fn default() -> Self {
-        ExpOpts::serial()
-    }
-}
-
-/// Per-cell context handed to [`Experiment::run_trial`].
+/// Per-cell context handed to the [`run_experiment`] closure.
 pub struct TrialCtx {
-    /// Index of the sweep point in [`Experiment::points`] order.
-    pub point: usize,
     /// Trial number within the point (`0..trials`).
     pub trial: u64,
     /// This cell's private deterministic stream:
@@ -111,66 +89,50 @@ pub struct TrialCtx {
     pub rng: DetRng,
 }
 
-/// A sweep of independent `(point, trial)` cells.
+/// Runs every `(point, trial)` cell of the grid on up to `jobs`
+/// workers and returns, per point (in `points` order), the per-trial
+/// outputs (in trial order). Bit-identical for every `jobs` value.
 ///
-/// Implementations must be [`Sync`]: the runner shares `&self` across
-/// worker threads. All mutable state belongs in `run_trial` locals.
-pub trait Experiment: Sync {
-    /// One sweep coordinate (a size, a backend, a function, ...).
-    type Point: Send + Sync;
-    /// The structured result of one trial at one point.
-    type Output: Send;
-
-    /// Enumerates the sweep grid. Called once per run; the order
-    /// defines point indices and the order of the result vector.
-    fn points(&self) -> Vec<Self::Point>;
-
-    /// Number of repeated trials per point (defaults to one).
-    fn trials(&self) -> u32 {
-        1
-    }
-
-    /// Root seed of the experiment's RNG tree.
-    fn seed(&self) -> u64 {
-        0
-    }
-
-    /// Computes one cell. Must depend only on `point` and `ctx` (plus
-    /// `&self` config) — never on other cells' results or shared
-    /// mutable state — so that sharding is sound.
-    fn run_trial(&self, point: &Self::Point, ctx: &mut TrialCtx) -> Self::Output;
-}
-
-/// Runs the full grid on up to `jobs` workers and returns, per point
-/// (in [`Experiment::points`] order), the per-trial outputs (in trial
-/// order). Bit-identical for every `jobs` value.
-pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>> {
-    let points = exp.points();
-    let trials = exp.trials().max(1) as usize;
+/// `run_trial` must depend only on its point and context (plus
+/// captured read-only config) — never on other cells' results or
+/// shared mutable state — so that sharding is sound. `trials` is
+/// clamped to at least one.
+pub fn run_experiment<P, O, F>(
+    points: &[P],
+    trials: u32,
+    seed: u64,
+    jobs: usize,
+    run_trial: F,
+) -> Vec<Vec<O>>
+where
+    P: Sync,
+    O: Send,
+    F: Fn(&P, &mut TrialCtx) -> O + Sync,
+{
+    let trials = trials.max(1) as usize;
     let units = points.len() * trials;
-    let root = DetRng::new(exp.seed());
-    let cell = |i: usize| -> (usize, E::Output) {
+    let root = DetRng::new(seed);
+    let cell = |i: usize| -> O {
         let (p, t) = (i / trials, i % trials);
         let mut ctx = TrialCtx {
-            point: p,
             trial: t as u64,
             rng: root.derive(p as u64).derive(t as u64),
         };
-        (p, exp.run_trial(&points[p], &mut ctx))
+        run_trial(&points[p], &mut ctx)
     };
 
-    let mut flat: Vec<Option<E::Output>> = Vec::with_capacity(units);
+    let mut flat: Vec<Option<O>> = Vec::with_capacity(units);
     if jobs <= 1 || units <= 1 {
         // Serial reference path: plain loop in index order.
         for i in 0..units {
-            flat.push(Some(cell(i).1));
+            flat.push(Some(cell(i)));
         }
     } else {
         // Parallel path: a fixed unit list and a shared cursor. Each
         // worker claims the next unassigned cell and writes it into
         // its slot; no work stealing, no shared RNG, and the ordered
         // reduction below is independent of completion order.
-        let slots: Vec<Mutex<Option<E::Output>>> = (0..units).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<O>>> = (0..units).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(units) {
@@ -179,7 +141,7 @@ pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>
                     if i >= units {
                         break;
                     }
-                    let out = cell(i).1;
+                    let out = cell(i);
                     *slots[i].lock().expect("no panics while holding the slot") = Some(out);
                 });
             }
@@ -190,8 +152,8 @@ pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>
     }
 
     // Ordered reduction: regroup the flat unit list per point.
-    let mut grouped: Vec<Vec<E::Output>> = Vec::with_capacity(points.len());
-    for chunk in &mut flat.chunks_mut(trials.max(1)) {
+    let mut grouped: Vec<Vec<O>> = Vec::with_capacity(points.len());
+    for chunk in &mut flat.chunks_mut(trials) {
         grouped.push(
             chunk
                 .iter_mut()
@@ -200,14 +162,6 @@ pub fn run_experiment<E: Experiment>(exp: &E, jobs: usize) -> Vec<Vec<E::Output>
         );
     }
     grouped
-}
-
-/// Runs the grid and reduces each point's trials with `f`.
-pub fn run_reduced<E: Experiment, R, F>(exp: &E, jobs: usize, f: F) -> Vec<R>
-where
-    F: Fn(Vec<E::Output>) -> R,
-{
-    run_experiment(exp, jobs).into_iter().map(f).collect()
 }
 
 /// Mean/stddev/percentile summary of per-trial samples.
@@ -275,45 +229,25 @@ mod tests {
     /// A toy stochastic experiment: every cell draws from its private
     /// stream, so any cross-cell interference or RNG sharing would
     /// change results between serial and parallel runs.
-    struct Toy {
-        trials: u32,
-    }
-
-    impl Experiment for Toy {
-        type Point = u64;
-        type Output = Vec<u64>;
-
-        fn points(&self) -> Vec<u64> {
-            (0..7).collect()
-        }
-
-        fn trials(&self) -> u32 {
-            self.trials
-        }
-
-        fn seed(&self) -> u64 {
-            0xE47
-        }
-
-        fn run_trial(&self, point: &u64, ctx: &mut TrialCtx) -> Vec<u64> {
+    fn toy(trials: u32, jobs: usize) -> Vec<Vec<Vec<u64>>> {
+        let points: Vec<u64> = (0..7).collect();
+        run_experiment(&points, trials, 0xE47, jobs, |&point, ctx| {
             (0..64).map(|_| ctx.rng.range(0, 1 << 32) ^ point).collect()
-        }
+        })
     }
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
-        let exp = Toy { trials: 5 };
-        let serial = run_experiment(&exp, 1);
+        let serial = toy(5, 1);
         for jobs in [2, 3, 8, 64] {
-            let parallel = run_experiment(&exp, jobs);
+            let parallel = toy(5, jobs);
             assert_eq!(serial, parallel, "jobs={jobs} diverged");
         }
     }
 
     #[test]
     fn grid_shape_and_ordering() {
-        let exp = Toy { trials: 3 };
-        let out = run_experiment(&exp, 4);
+        let out = toy(3, 4);
         assert_eq!(out.len(), 7);
         assert!(out.iter().all(|trials| trials.len() == 3));
         // Distinct cells get distinct streams.
@@ -323,8 +257,8 @@ mod tests {
 
     #[test]
     fn adding_trials_preserves_earlier_ones() {
-        let three = run_experiment(&Toy { trials: 3 }, 2);
-        let five = run_experiment(&Toy { trials: 5 }, 2);
+        let three = toy(3, 2);
+        let five = toy(5, 2);
         for (p3, p5) in three.iter().zip(five.iter()) {
             assert_eq!(p3.as_slice(), &p5[..3]);
         }

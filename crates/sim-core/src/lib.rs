@@ -20,8 +20,9 @@
 //! * [`metrics`] — histograms/quantiles, time series and busy-interval
 //!   recorders used by the benchmark harness.
 //! * [`experiment`] — the multi-trial, multi-point experiment engine the
-//!   bench harness runs on: sweep grids, per-trial RNG stream derivation
-//!   and a parallel runner whose results are bit-identical to the serial
+//!   bench harness runs on: one [`run_experiment`] call maps a closure
+//!   over a `points × trials` grid, deriving each cell's RNG stream, on
+//!   a parallel runner whose results are bit-identical to the serial
 //!   path.
 //! * [`stats`] — deterministic inference for experiment comparison:
 //!   Welch's t-test, Student-t confidence intervals, and a seeded
@@ -48,7 +49,7 @@ pub use collections::IdMap;
 pub use cost::{CostModel, LatencyBreakdown};
 pub use cpu::{CpuPool, TaskId};
 pub use events::EventQueue;
-pub use experiment::{run_experiment, run_reduced, ExpOpts, Experiment, Summary, TrialCtx};
+pub use experiment::{run_experiment, ExpOpts, Summary, TrialCtx};
 pub use metrics::{fnv1a, BusyRecorder, Fnv1a, Histogram, Reservoir, TimeSeries};
 pub use rng::{nhpp_thinned_arrivals, poisson_arrivals_into, DetRng};
 pub use stats::{bootstrap_diff_ci, mean_ci, t_critical, welch, welch_ci, Welch};

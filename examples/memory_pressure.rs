@@ -5,10 +5,11 @@
 //! cargo run --release --example memory_pressure
 //! ```
 
+use sim_core::ExpOpts;
 use squeezy_bench::fig10::{run, Fig10Config};
 
 fn main() {
-    let out = run(&Fig10Config::quick());
+    let out = run(&Fig10Config::quick(), &ExpOpts::serial());
     println!("{}", squeezy_bench::fig10::render(&out));
     println!(
         "abundant-memory peak: {:.2} GiB; restricted capacity: {:.2} GiB",

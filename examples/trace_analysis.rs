@@ -6,11 +6,12 @@
 //! cargo run --release --example trace_analysis
 //! ```
 
+use sim_core::ExpOpts;
 use squeezy_bench::fig2::{run, Fig2Config};
 
 fn main() {
     let cfg = Fig2Config::paper();
-    let result = run(&cfg);
+    let result = run(&cfg, &ExpOpts::serial());
     println!("{}", squeezy_bench::fig2::render(&result));
     let avg_per_min =
         (result.total_creations() + result.total_evictions()) as f64 / (cfg.duration_s / 60.0);

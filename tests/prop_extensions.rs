@@ -5,7 +5,7 @@
 use guest_mm::{AllocPolicy, GuestMm, GuestMmConfig, PageState, PAGES_PER_HUGE};
 use mem_types::{BlockId, Gfn, GIB, MIB, PAGE_SIZE};
 use proptest::prelude::*;
-use sim_core::experiment::{run_experiment, Experiment, TrialCtx};
+use sim_core::experiment::run_experiment;
 use sim_core::DetRng;
 use squeezy::{FlexManager, PartitionId, SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
@@ -402,36 +402,16 @@ proptest! {
 /// A toy stochastic experiment for the engine's bit-identity contract:
 /// every cell mixes heavy RNG consumption with per-cell state, so any
 /// cross-thread leakage or order dependence would change its output.
-struct ShuffleSum {
-    points: u64,
-    trials: u32,
-    seed: u64,
-}
-
-impl Experiment for ShuffleSum {
-    type Point = u64;
-    type Output = (u64, Vec<u64>);
-
-    fn points(&self) -> Vec<u64> {
-        (0..self.points).collect()
-    }
-
-    fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn run_trial(&self, &p: &u64, ctx: &mut TrialCtx) -> (u64, Vec<u64>) {
+fn shuffle_sum(points: u64, trials: u32, seed: u64, jobs: usize) -> Vec<Vec<(u64, Vec<u64>)>> {
+    let points: Vec<u64> = (0..points).collect();
+    run_experiment(&points, trials, seed, jobs, |&p, ctx| {
         let mut xs: Vec<u64> = (0..256).map(|i| i * (p + 1) + ctx.trial).collect();
         ctx.rng.shuffle(&mut xs);
         let checksum = xs.iter().enumerate().fold(0u64, |acc, (i, &x)| {
             acc.wrapping_mul(31).wrapping_add(x ^ i as u64)
         });
         (checksum, xs.into_iter().take(8).collect())
-    }
+    })
 }
 
 /// Engine bit-identity: for any grid shape, seed and worker count, the
@@ -440,16 +420,11 @@ impl Experiment for ShuffleSum {
 #[test]
 fn experiment_engine_parallel_is_bit_identical_to_serial() {
     for (points, trials, seed) in [(1, 1, 0), (3, 4, 42), (7, 2, 0xDEAD), (16, 3, 9)] {
-        let exp = ShuffleSum {
-            points,
-            trials,
-            seed,
-        };
-        let serial = run_experiment(&exp, 1);
+        let serial = shuffle_sum(points, trials, seed, 1);
         for jobs in [2, 3, 5, 32] {
             assert_eq!(
                 serial,
-                run_experiment(&exp, jobs),
+                shuffle_sum(points, trials, seed, jobs),
                 "grid ({points}x{trials}, seed {seed}) diverged at jobs={jobs}"
             );
         }
