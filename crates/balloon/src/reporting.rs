@@ -227,7 +227,7 @@ mod tests {
         let pid = g.spawn_process(AllocPolicy::MovableDefault);
         let free = g.free_bytes() / 4096;
         g.fault_anon(pid, free).unwrap();
-        let held: Vec<_> = g.process(pid).unwrap().pages.clone();
+        let held: Vec<_> = g.process(pid).unwrap().pages().collect();
         for gfn in held.iter().filter(|p| p.0 % 2 == 0) {
             g.free_anon_page(pid, *gfn).unwrap();
         }

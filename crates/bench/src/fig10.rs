@@ -1,6 +1,7 @@
 //! Figure 10: end-to-end execution when host memory is restricted (the
 //! paper uses ~70 % of the abundant-memory peak; we report the ~62 %
-//! point where the paper's ordering is clearest — see EXPERIMENTS.md).
+//! point where the paper's ordering is clearest; `repro fig10` prints
+//! it, see the README's "Reproducing the paper").
 //! Scale-ups must wait for reclamation of evicted instances; slow
 //! reclaim (vanilla virtio-mem) inflates tail latency, HarvestVM-opts
 //! trades memory for speed, Squeezy keeps both bounded, and the §7

@@ -241,7 +241,7 @@ fn contiguity(cfg: &ThpConfig, cost: &CostModel, rng: &mut DetRng) -> (f64, f64)
         .expect("fits");
     let mut freed = 0u64;
     for _ in 0..cfg.aging_rounds.max(1) {
-        let held: Vec<_> = vm.guest.process(pid).unwrap().pages.clone();
+        let held: Vec<_> = vm.guest.process(pid).unwrap().pages().collect();
         for g in held {
             // Free a sixth of the resident pages per round, scattered.
             if rng.range(0, 6) == 0 {

@@ -126,10 +126,9 @@ impl TemporalInstance {
             .guest
             .process(self.pid)
             .ok_or(SqueezyError::NotAttached)?
-            .pages
-            .iter()
-            .copied()
-            .filter(|&g| vm.guest.memmap().page(g).zone == eph_zone)
+            .runs()
+            .filter(|r| vm.guest.memmap().page(r.start).zone == eph_zone)
+            .flat_map(|r| (r.start.0..r.end().0).map(Gfn))
             .collect();
         for g in scratch {
             vm.guest.free_anon_page(self.pid, g)?;

@@ -190,7 +190,7 @@ impl GuestMm {
     /// Splits the huge page at `head` into 512 independent base `Anon`
     /// pages in place (block counters are unchanged: the pages stay
     /// used-movable). The owner's bookkeeping moves from the huge set to
-    /// the base-page set.
+    /// the base-page set, appended as one 512-page run.
     pub(crate) fn split_huge(&mut self, head: Gfn) {
         let (owner, slot) = {
             let d = self.memmap.raw(head);
@@ -215,15 +215,12 @@ impl GuestMm {
         }
         // Rewrite every frame as an individual Anon page owned by the
         // same process.
-        for i in 0..PAGES_PER_HUGE {
-            let g = Gfn(head.0 + i);
-            let proc = self.procs.get_mut(&owner).expect("owner alive");
-            let base_slot = proc.pages.len() as u32;
-            proc.pages.push(g);
-            let d = self.memmap.raw_mut(g);
+        let proc = self.procs.get_mut(&owner).expect("owner alive");
+        let run = proc.base.append(head, PAGES_PER_HUGE);
+        for d in self.memmap.range_mut(FrameRange::new(head, PAGES_PER_HUGE)) {
             d.state = PageState::Anon;
             d.a = owner;
-            d.b = base_slot;
+            d.b = run;
         }
         self.stats.huge_splits += 1;
     }
@@ -302,7 +299,7 @@ mod tests {
         let frag = mm.spawn_process(AllocPolicy::PinnedZone(ZONE_MOVABLE));
         let total = mem_types::PAGES_PER_BLOCK;
         mm.fault_anon(frag, total).unwrap();
-        let held: Vec<Gfn> = mm.process(frag).unwrap().pages.clone();
+        let held: Vec<Gfn> = mm.process(frag).unwrap().pages().collect();
         for g in held.iter().filter(|g| g.0 % 2 == 0) {
             // Free even frames: every free run is 1 page long.
             mm.free_anon_page(frag, *g).unwrap();
@@ -382,7 +379,7 @@ mod tests {
         let frag = mm.spawn_process(AllocPolicy::PinnedZone(crate::ZONE_NORMAL));
         let free_now = mm.zone(crate::ZONE_NORMAL).free_pages;
         mm.fault_anon(frag, free_now).unwrap();
-        let held: Vec<Gfn> = mm.process(frag).unwrap().pages.clone();
+        let held: Vec<Gfn> = mm.process(frag).unwrap().pages().collect();
         for g in held.iter().filter(|g| g.0 % 2 == 0) {
             mm.free_anon_page(frag, *g).unwrap();
         }
@@ -394,6 +391,11 @@ mod tests {
         let p = mm.process(pid).unwrap();
         assert_eq!(p.rss_huge(), 0, "huge page demoted");
         assert_eq!(p.rss_pages(), PAGES_PER_HUGE);
+        // The split pages migrated in order, each to its own slot.
+        for (slot, g) in p.pages().enumerate() {
+            assert_ne!(g.block(), b);
+            assert_eq!(mm.page_slot(g), Some(slot as u64));
+        }
         mm.assert_consistent();
     }
 

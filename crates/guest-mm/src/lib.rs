@@ -13,7 +13,9 @@
 //!   ([`blocks::BlockTable`]): hot-add → online → offline → hot-remove;
 //! * the on-demand fault path that lazily backs process and page-cache
 //!   memory, interleaving footprints across blocks exactly as §2.2 and
-//!   Figure 3 describe;
+//!   Figure 3 describe. Each owner holds its pages as ordered frame
+//!   runs (the `runs` module), so faults, exits and migrations do
+//!   bookkeeping per run, not per page;
 //! * offline-with-migration: isolating a block's free pages, migrating
 //!   its occupied movable pages elsewhere, and the zeroing that
 //!   `init_on_alloc=1` hardening incurs along the way.
@@ -30,6 +32,7 @@ pub mod memmap;
 pub mod page;
 pub mod pagecache;
 pub mod process;
+mod runs;
 pub mod zone;
 
 use std::collections::HashMap;
@@ -42,6 +45,7 @@ pub use memmap::MemMap;
 pub use page::{PageDesc, PageState, HUGE_ORDER, MAX_ORDER, PAGES_PER_HUGE};
 pub use pagecache::{CachedFile, FileId};
 pub use process::{AllocPolicy, Pid, Process};
+use runs::RunList;
 pub use zone::{Zone, ZoneKind};
 
 /// Errors returned by memory-manager operations.
@@ -224,20 +228,23 @@ pub(crate) fn migration_zonelist(zone: u8) -> ([u8; 3], usize) {
     }
 }
 
-/// A run of frame-consecutive used base pages sharing one state and
-/// owner, gathered by [`GuestMm::offline_block`] for run-wise migration.
+/// A run of frame-consecutive used base pages sharing one state, owner
+/// and owner run, gathered by [`GuestMm::offline_block`] for run-wise
+/// migration. Its pages are therefore consecutive in the owner's order
+/// too.
 struct UsedRun {
     start: Gfn,
     len: u64,
-    /// `(state, owner)` of every page in the run.
-    key: (PageState, u32),
+    /// `(state, owner, run handle)` of every page in the run.
+    key: (PageState, u32, u32),
 }
 
 impl UsedRun {
-    /// Appends the `len` pages at `g`, whose state and owner are `d`'s,
-    /// to the last run of `runs` if they continue it, else opens a run.
+    /// Appends the `len` pages at `g`, whose state, owner and run are
+    /// `d`'s, to the last run of `runs` if they continue it, else opens a
+    /// run.
     fn push(runs: &mut Vec<UsedRun>, g: Gfn, len: u64, d: PageDesc) {
-        let key = (d.state, d.a);
+        let key = (d.state, d.a, d.b);
         match runs.last_mut() {
             Some(r) if r.key == key && r.start.0 + r.len == g.0 => r.len += len,
             _ => runs.push(UsedRun { start: g, len, key }),
@@ -253,7 +260,9 @@ pub struct GuestMm {
     blocks: BlockTable,
     procs: HashMap<u32, Process>,
     files: HashMap<u32, CachedFile>,
-    kernel_pages: Vec<Gfn>,
+    /// The kernel's unmovable pages as frame runs; `PageDesc.b` of each
+    /// page is its run's index here.
+    kernel_pages: Vec<FrameRange>,
     next_pid: u32,
     /// Policy used for page-cache allocations (Squeezy redirects this to
     /// the shared partition).
@@ -319,14 +328,8 @@ impl GuestMm {
         mm.stats.blocks_onlined = 0; // Boot onlining is not a hotplug op.
 
         // Reserve the kernel's unmovable footprint.
-        let kpages = bytes_to_pages(config.kernel_bytes);
-        for _ in 0..kpages {
-            let (g, zone) = mm
-                .alloc_from_zonelist(&[ZONE_NORMAL])
-                .expect("boot memory fits the kernel");
-            mm.claim(g, zone, PageState::Kernel, 0, mm.kernel_pages.len() as u32);
-            mm.kernel_pages.push(g);
-        }
+        mm.alloc_kernel(bytes_to_pages(config.kernel_bytes))
+            .expect("boot memory fits the kernel");
         mm
     }
 
@@ -376,9 +379,23 @@ impl GuestMm {
         self.files.get(&f.0)
     }
 
-    /// Returns the kernel's boot-time unmovable pages (the VMM populates
-    /// their host backing during guest boot).
-    pub fn kernel_pages(&self) -> &[Gfn] {
+    /// Returns the slot of anonymous or file page `g` in its owner's
+    /// order — its position in [`Process::pages`] or
+    /// [`CachedFile::pages`] — found through the run its descriptor
+    /// names, in O(runs). `None` for any other page.
+    pub fn page_slot(&self, g: Gfn) -> Option<u64> {
+        let d = self.memmap.page(g);
+        let list = match d.state {
+            PageState::Anon => &self.procs.get(&d.a)?.base,
+            PageState::File => &self.files.get(&d.a)?.pages,
+            _ => return None,
+        };
+        list.slot(d.b, g)
+    }
+
+    /// Returns the kernel's unmovable pages as frame runs (the VMM
+    /// populates their host backing during guest boot).
+    pub fn kernel_pages(&self) -> &[FrameRange] {
         &self.kernel_pages
     }
 
@@ -489,9 +506,10 @@ impl GuestMm {
     /// order-0 faults as long sequential runs, so a 200 MiB first touch
     /// becomes ~50 range operations instead of ~50 000 page operations).
     ///
-    /// Page states, process bookkeeping, allocation order and the final
-    /// buddy state are identical to the per-page path (see
-    /// [`Zone::alloc_run`]); only the bookkeeping granularity changes.
+    /// Page states, allocation order and the final buddy state are
+    /// identical to per-page order-0 allocation (see
+    /// [`Zone::alloc_run`]), and the process gains one owner run per
+    /// buddy run at most.
     pub fn fault_anon_runs(
         &mut self,
         pid: Pid,
@@ -505,9 +523,8 @@ impl GuestMm {
             match self.alloc_run_from_zonelist(&zonelist[..zones], remaining) {
                 Some((head, len, zone)) => {
                     let proc = self.procs.get_mut(&pid.0).expect("checked above");
-                    let first_slot = proc.pages.len() as u32;
-                    proc.pages.extend((head.0..head.0 + len).map(Gfn));
-                    self.claim_run(head, len, zone, PageState::Anon, pid.0, first_slot);
+                    let run = proc.base.append(head, len);
+                    self.claim_run(head, len, zone, PageState::Anon, pid.0, run);
                     runs.push(FrameRange::new(head, len));
                     remaining -= len;
                 }
@@ -522,7 +539,8 @@ impl GuestMm {
     }
 
     /// Releases the `n` most recently faulted anonymous pages of `pid`
-    /// (e.g. memhog freeing a chunk). Returns the number actually freed.
+    /// (e.g. memhog freeing a chunk), last first. Returns the number
+    /// actually freed.
     pub fn free_anon(&mut self, pid: Pid, n: u64) -> Result<u64, MmError> {
         let mut freed = 0;
         for _ in 0..n {
@@ -530,12 +548,12 @@ impl GuestMm {
                 .procs
                 .get_mut(&pid.0)
                 .ok_or(MmError::NoSuchProcess)?
-                .pages
-                .pop()
+                .base
+                .pop_back()
             else {
                 break;
             };
-            self.release_used_page(g);
+            self.release_used_run(FrameRange::new(g, 1));
             freed += 1;
         }
         Ok(freed)
@@ -543,7 +561,9 @@ impl GuestMm {
 
     /// Releases one specific anonymous page of `pid` (a page-granular
     /// `munmap`/`MADV_DONTNEED`; fragmentation workloads punch holes with
-    /// this). O(1) via the slot back-reference; the page's state is
+    /// this). The process's last page takes `g`'s place in its order, as
+    /// `Vec::swap_remove` would; `g`'s run splits, and the pages of its
+    /// shorter side are re-pointed at their new run. The page's state is
     /// resolved, so a frame inside a free chunk is refused even though
     /// its descriptor may still name its last owner.
     pub fn free_anon_page(&mut self, pid: Pid, g: Gfn) -> Result<(), MmError> {
@@ -551,14 +571,17 @@ impl GuestMm {
         if d.state != PageState::Anon || d.a != pid.0 {
             return Err(MmError::NotOwner);
         }
-        let slot = d.b;
         let proc = self.procs.get_mut(&pid.0).ok_or(MmError::NoSuchProcess)?;
-        debug_assert_eq!(proc.pages[slot as usize], g);
-        proc.pages.swap_remove(slot as usize);
-        if let Some(&moved) = proc.pages.get(slot as usize) {
-            self.memmap.raw_mut(moved).b = slot;
+        let out = proc.base.swap_remove(d.b, g);
+        if let Some((moved, run)) = out.moved {
+            self.memmap.raw_mut(moved).b = run;
         }
-        self.release_used_page(g);
+        if let Some((split, run)) = out.split {
+            for d in self.memmap.range_mut(split) {
+                d.b = run;
+            }
+        }
+        self.release_used_run(FrameRange::new(g, 1));
         Ok(())
     }
 
@@ -570,18 +593,23 @@ impl GuestMm {
     /// release (or repurpose) their host backing.
     pub fn swap_out_anon(&mut self, pid: Pid, n: u64) -> Result<Vec<Gfn>, MmError> {
         let proc = self.procs.get_mut(&pid.0).ok_or(MmError::NoSuchProcess)?;
-        let take = (n.min(proc.pages.len() as u64)) as usize;
-        let victims: Vec<Gfn> = proc.pages.drain(..take).collect();
-        proc.swapped += victims.len() as u64;
-        // Draining the front shifted every remaining slot: repair the
-        // back-references.
-        for (slot, &g) in proc.pages.iter().enumerate() {
-            self.memmap.raw_mut(g).b = slot as u32;
+        let take = n.min(proc.base.len());
+        proc.swapped += take;
+        let mut victims = Vec::with_capacity(take as usize);
+        while (victims.len() as u64) < take {
+            // The remaining pages keep their runs, so no back-reference
+            // changes; freeing a run equals freeing its pages in order.
+            let run = self
+                .procs
+                .get_mut(&pid.0)
+                .expect("checked above")
+                .base
+                .pop_front(take - victims.len() as u64)
+                .expect("take is at most the resident count");
+            victims.extend(run.iter());
+            self.release_used_run(run);
         }
-        for &g in &victims {
-            self.release_used_page(g);
-        }
-        self.stats.swap_outs += victims.len() as u64;
+        self.stats.swap_outs += take;
         Ok(victims)
     }
 
@@ -595,11 +623,11 @@ impl GuestMm {
     pub fn swap_in_anon(&mut self, pid: Pid, n: u64) -> Result<Vec<Gfn>, MmError> {
         let (avail, before) = {
             let proc = self.procs.get(&pid.0).ok_or(MmError::NoSuchProcess)?;
-            (proc.swapped.min(n), proc.pages.len() as u64)
+            (proc.swapped.min(n), proc.base.len())
         };
         let result = self.fault_anon(pid, avail);
         let proc = self.procs.get_mut(&pid.0).expect("checked above");
-        let faulted = proc.pages.len() as u64 - before;
+        let faulted = proc.base.len() - before;
         proc.swapped -= faulted;
         self.stats.swap_ins += faulted;
         result
@@ -612,62 +640,28 @@ impl GuestMm {
     /// freed.
     pub fn drop_anon(&mut self, pid: Pid) -> Result<u64, MmError> {
         let proc = self.procs.get_mut(&pid.0).ok_or(MmError::NoSuchProcess)?;
-        let pages = std::mem::take(&mut proc.pages);
+        let base = std::mem::take(&mut proc.base);
         let huge = std::mem::take(&mut proc.huge_pages);
-        let n = pages.len() as u64 + huge.len() as u64 * PAGES_PER_HUGE;
-        for g in pages {
-            self.release_used_page(g);
-        }
-        for h in huge {
-            self.release_huge(h);
-        }
-        Ok(n)
+        Ok(self.release_anon(&base, huge))
     }
 
     /// Terminates `pid`, freeing its whole anonymous resident set (base
     /// and huge). Returns the number of 4 KiB pages freed.
     pub fn exit_process(&mut self, pid: Pid) -> Result<u64, MmError> {
         let proc = self.procs.remove(&pid.0).ok_or(MmError::NoSuchProcess)?;
-        let n = proc.pages.len() as u64 + proc.huge_pages.len() as u64 * PAGES_PER_HUGE;
-        // Pages were claimed in allocation order, so the list is a
-        // concatenation of contiguous runs: free whole runs at a time
-        // (one block-counter update per run, maximal buddy chunks)
-        // instead of page by page. Runs split at 128 MiB block
-        // boundaries so each counter update stays within one block.
-        let pages = &proc.pages;
-        let mut i = 0usize;
-        while i < pages.len() {
-            let head = pages[i];
-            // A run never leaves its block, so one section serves it.
-            let section = self
-                .memmap
-                .section(head.block())
-                .expect("process page is materialized");
-            let run = &section[head.index_in_block() as usize..];
-            let d = run[0];
-            debug_assert!(d.state.is_used(), "releasing non-used page {head:?}");
-            let mut j = i + 1;
-            while j < pages.len() && pages[j].0 == head.0 + (j - i) as u64 {
-                match run.get(j - i) {
-                    Some(nd) if nd.state == d.state && nd.zone == d.zone => j += 1,
-                    _ => break,
-                }
-            }
-            let len = (j - i) as u32;
-            let c = self.blocks.counters_mut(head.block());
-            match d.state {
-                PageState::Anon | PageState::File => c.used_movable -= len,
-                PageState::Kernel => c.used_unmovable -= len,
-                _ => unreachable!(),
-            }
-            c.free += len;
-            self.zones[d.zone as usize].free_run(&mut self.memmap, head, len as u64);
-            i = j;
+        Ok(self.release_anon(&proc.base, proc.huge_pages))
+    }
+
+    /// Frees an anonymous resident set, base runs in order and then huge
+    /// pages, returning its size in 4 KiB pages.
+    fn release_anon(&mut self, base: &RunList, huge: Vec<Gfn>) -> u64 {
+        for run in base.runs() {
+            self.release_used_run(run);
         }
-        for h in proc.huge_pages {
+        for &h in &huge {
             self.release_huge(h);
         }
-        Ok(n)
+        base.len() + huge.len() as u64 * PAGES_PER_HUGE
     }
 
     // --- Page cache -------------------------------------------------------
@@ -693,7 +687,7 @@ impl GuestMm {
         want_pages: u64,
         runs: &mut Vec<FrameRange>,
     ) -> Result<FileFaultOutcome, MmError> {
-        let resident = self.files.entry(file.0).or_default().pages.len() as u64;
+        let resident = self.files.entry(file.0).or_default().resident_pages();
         let cached = resident.min(want_pages);
         let missing = want_pages.saturating_sub(resident);
         if missing == 0 {
@@ -709,9 +703,8 @@ impl GuestMm {
                 .alloc_run_from_zonelist(&zonelist[..zones], remaining)
                 .ok_or(MmError::OutOfMemory)?;
             let entry = self.files.get_mut(&file.0).expect("created above");
-            let first_slot = entry.pages.len() as u32;
-            entry.pages.extend((head.0..head.0 + len).map(Gfn));
-            self.claim_run(head, len, zone, PageState::File, file.0, first_slot);
+            let run = entry.pages.append(head, len);
+            self.claim_run(head, len, zone, PageState::File, file.0, run);
             runs.push(FrameRange::new(head, len));
             remaining -= len;
         }
@@ -725,30 +718,32 @@ impl GuestMm {
     /// Drops every cached page of `file`, returning how many were freed.
     pub fn drop_file(&mut self, file: FileId) -> Result<u64, MmError> {
         let f = self.files.remove(&file.0).ok_or(MmError::NoSuchFile)?;
-        let n = f.pages.len() as u64;
-        for g in f.pages {
-            self.release_used_page(g);
+        for run in f.runs() {
+            self.release_used_run(run);
         }
-        Ok(n)
+        Ok(f.resident_pages())
     }
 
     // --- Kernel (unmovable) allocations ------------------------------------
 
     /// Allocates `n` unmovable kernel pages from `ZONE_NORMAL` (pins
-    /// their blocks against offlining).
+    /// their blocks against offlining), a buddy run at a time: the same
+    /// pages, in the same order, as `n` order-0 allocations (see
+    /// [`Zone::alloc_run`]). On `Err(OutOfMemory)` the pages allocated
+    /// before exhaustion stay claimed.
     pub fn alloc_kernel(&mut self, n: u64) -> Result<(), MmError> {
-        for _ in 0..n {
-            let (g, zone) = self
-                .alloc_from_zonelist(&[ZONE_NORMAL])
+        let mut remaining = n;
+        while remaining > 0 {
+            let (head, len, zone) = self
+                .alloc_run_from_zonelist(&[ZONE_NORMAL], remaining)
                 .ok_or(MmError::OutOfMemory)?;
-            self.claim(
-                g,
-                zone,
-                PageState::Kernel,
-                0,
-                self.kernel_pages.len() as u32,
-            );
-            self.kernel_pages.push(g);
+            match self.kernel_pages.last_mut() {
+                Some(last) if runs::continues(last.end().0, head) => last.count += len,
+                _ => self.kernel_pages.push(FrameRange::new(head, len)),
+            }
+            let run = self.kernel_pages.len() as u32 - 1;
+            self.claim_run(head, len, zone, PageState::Kernel, 0, run);
+            remaining -= len;
         }
         Ok(())
     }
@@ -761,7 +756,7 @@ impl GuestMm {
         let (g, zone) = self
             .alloc_from_zonelist(&[ZONE_MOVABLE, ZONE_NORMAL])
             .ok_or(MmError::OutOfMemory)?;
-        self.claim(g, zone, PageState::Kernel, u32::MAX, 0);
+        self.claim_run(g, 1, zone, PageState::Kernel, page::NIL, 0);
         Ok(g)
     }
 
@@ -772,7 +767,7 @@ impl GuestMm {
     /// Panics (debug) if the page is not an unmovable allocation.
     pub fn free_unmovable(&mut self, g: Gfn) {
         debug_assert_eq!(self.memmap.state(g), PageState::Kernel);
-        self.release_used_page(g);
+        self.release_used_run(FrameRange::new(g, 1));
     }
 
     // --- Hot(un)plug ---------------------------------------------------------
@@ -1082,60 +1077,25 @@ impl GuestMm {
         None
     }
 
-    /// Claims a page freshly allocated from `zone` (already out of the
-    /// buddy) for a user, overwriting its descriptor and updating block
-    /// counters.
-    fn claim(&mut self, g: Gfn, zone: u8, state: PageState, owner: u32, slot: u32) {
-        *self.memmap.raw_mut(g) = PageDesc {
-            state,
-            order: 0,
-            zone,
-            flags: 0,
-            a: owner,
-            b: slot,
-        };
-        let c = self.blocks.counters_mut(g.block());
-        c.free -= 1;
-        match state {
-            PageState::Anon | PageState::File => c.used_movable += 1,
-            PageState::Kernel => c.used_unmovable += 1,
-            _ => unreachable!("claim called with non-used state"),
-        }
-    }
-
     /// Claims a contiguous run freshly allocated from `zone` (already
-    /// out of the buddy) for one owner, slots numbered consecutively from
-    /// `first_slot`. Equivalent to `len` [`GuestMm::claim`] calls, but
-    /// the descriptor writes are one sequential sweep and the block
-    /// counters are updated once — a buddy run (≤ 4 MiB, size-aligned)
-    /// never straddles a 128 MiB block boundary.
-    fn claim_run(
-        &mut self,
-        head: Gfn,
-        len: u64,
-        zone: u8,
-        state: PageState,
-        owner: u32,
-        first_slot: u32,
-    ) {
+    /// out of the buddy) for one owner run: the descriptor writes are one
+    /// sequential sweep and the block counters are updated once — a
+    /// buddy run (≤ 4 MiB, size-aligned) never straddles a 128 MiB block
+    /// boundary.
+    fn claim_run(&mut self, head: Gfn, len: u64, zone: u8, state: PageState, owner: u32, run: u32) {
         debug_assert_eq!(head.block(), Gfn(head.0 + len - 1).block());
         // Whole-descriptor stores (no read-modify-write per field);
         // `order` and `flags` are meaningless outside the free lists.
-        for (i, d) in self
-            .memmap
+        self.memmap
             .range_mut(FrameRange::new(head, len))
-            .iter_mut()
-            .enumerate()
-        {
-            *d = PageDesc {
+            .fill(PageDesc {
                 state,
                 order: 0,
                 zone,
                 flags: 0,
                 a: owner,
-                b: first_slot + i as u32,
-            };
-        }
+                b: run,
+            });
         let c = self.blocks.counters_mut(head.block());
         c.free -= len as u32;
         match state {
@@ -1145,51 +1105,53 @@ impl GuestMm {
         }
     }
 
-    /// Frees a used page back to its zone's buddy, updating counters.
-    fn release_used_page(&mut self, g: Gfn) {
-        let (state, zone) = {
-            let d = self.memmap.raw(g);
-            (d.state, d.zone)
-        };
-        debug_assert!(state.is_used(), "releasing non-used page {g:?}");
-        let c = self.blocks.counters_mut(g.block());
-        match state {
-            PageState::Anon | PageState::File => c.used_movable -= 1,
-            PageState::Kernel => c.used_unmovable -= 1,
+    /// Frees a run of used pages, which never straddles a block, back to
+    /// its zone's buddy with one counter update: the same buddy state as
+    /// freeing its pages one by one in ascending order (see
+    /// [`Zone::free_run`]).
+    fn release_used_run(&mut self, run: FrameRange) {
+        let d = *self.memmap.raw(run.start);
+        debug_assert!(d.state.is_used(), "releasing non-used page {:?}", run.start);
+        let len = run.count as u32;
+        let c = self.blocks.counters_mut(run.start.block());
+        match d.state {
+            PageState::Anon | PageState::File => c.used_movable -= len,
+            PageState::Kernel => c.used_unmovable -= len,
             _ => unreachable!(),
         }
-        c.free += 1;
-        self.zones[zone as usize].free_block(&mut self.memmap, g, 0);
+        c.free += len;
+        self.zones[d.zone as usize].free_run(&mut self.memmap, run.start, run.count);
     }
 
     /// Migrates up to `want` frame-consecutive used pages starting at
-    /// `src` (inside an offlining block, all with state and owner `key`)
-    /// to one buddy run of targets, patching the owner's bookkeeping
-    /// after a single lookup. Returns how many pages moved, or `None`
-    /// when no zone in `zonelist` has a free page.
+    /// `src` (inside an offlining block, all with state, owner and owner
+    /// run `key`) to one buddy run of targets. Returns how many pages
+    /// moved, or `None` when no zone in `zonelist` has a free page.
     ///
     /// Identical to migrating the pages one at a time: the targets are
     /// the pages repeated order-0 allocations would return (see
-    /// [`Zone::alloc_run`]), each target takes its source's slot, and a
-    /// buddy run never straddles a block, so both blocks' counters move
-    /// by the run length at once.
+    /// [`Zone::alloc_run`]), and a buddy run never straddles a block, so
+    /// both blocks' counters move by the run length at once. The sources
+    /// are the front of their owner run (earlier pages of the run, all
+    /// in this block, moved out first), so the targets take their place
+    /// in the owner's order as a run linked just before it.
     fn migrate_run(
         &mut self,
         src: Gfn,
         want: u64,
-        key: (PageState, u32),
+        key: (PageState, u32, u32),
         zonelist: &[u8],
     ) -> Option<u64> {
         let (target, len, zone) = self.alloc_run_from_zonelist(zonelist, want)?;
         debug_assert_ne!(target.block(), src.block(), "isolation left frees behind");
-        let (state, owner) = key;
-        let pages = match state {
+        let (state, owner, run) = key;
+        let list = match state {
             PageState::Anon => {
                 &mut self
                     .procs
                     .get_mut(&owner)
                     .expect("anon page owned by live process")
-                    .pages
+                    .base
             }
             PageState::File => {
                 &mut self
@@ -1200,22 +1162,24 @@ impl GuestMm {
             }
             _ => unreachable!("migrating a non-movable base page"),
         };
+        debug_assert_eq!(list.run(run).start, src, "sources lead their run");
+        let moved = list.insert_before(run, target, len);
+        list.trim_front(run, len);
         let (srcs, dsts) = self
             .memmap
             .range_pair_mut(FrameRange::new(src, len), FrameRange::new(target, len));
-        for ((s, d), t) in srcs.iter_mut().zip(dsts).zip(target.0..) {
+        dsts.fill(PageDesc {
+            state,
+            order: 0,
+            zone,
+            flags: 0,
+            a: owner,
+            b: moved,
+        });
+        for s in srcs {
             // The source joins the isolated set, keeping its owner words.
-            debug_assert_eq!((s.state, s.a), key);
+            debug_assert_eq!((s.state, s.a, s.b), key);
             s.state = PageState::Isolated;
-            *d = PageDesc {
-                state,
-                order: 0,
-                zone,
-                flags: 0,
-                a: owner,
-                b: s.b,
-            };
-            pages[s.b as usize] = Gfn(t);
         }
         let c = self.blocks.counters_mut(target.block());
         c.free -= len as u32;
@@ -1275,7 +1239,8 @@ impl GuestMm {
     }
 
     /// Debug validation of all zones' free lists, the memmap's sections
-    /// and free heads, block counters and huge-page structure.
+    /// and free heads, block counters, huge-page structure and the
+    /// owned-memory ledger.
     ///
     /// # Panics
     ///
@@ -1285,6 +1250,47 @@ impl GuestMm {
         // here every raw free head must belong to a zone spanning it.
         for z in &self.zones {
             z.assert_consistent(&self.memmap);
+        }
+        // The owned-memory ledger, per block: every owner run's pages
+        // resolve to the owner's state, id and run handle, and the
+        // owners' base and huge pages, the kernel's runs and the
+        // devices' single unmovable pages (`alloc_unmovable`) add up to
+        // the block's used counters.
+        let blocks = self.blocks.len() as usize;
+        let (mut movable, mut unmovable) = (vec![0u64; blocks], vec![0u64; blocks]);
+        let tally = |counts: &mut [u64], key: (PageState, u32, u32), r: FrameRange| {
+            assert_eq!(
+                r.start.block(),
+                Gfn(r.end().0 - 1).block(),
+                "{r} straddles a block"
+            );
+            counts[r.start.block().0 as usize] += r.count;
+            for g in r.iter() {
+                let d = self.memmap.page(g);
+                assert_eq!((d.state, d.a, d.b), key, "{g:?} of owned run {r}");
+            }
+        };
+        let owned = |counts: &mut [u64], list: &RunList, state: PageState, owner: u32| {
+            list.assert_consistent();
+            for (run, r) in list.handles() {
+                tally(counts, (state, owner, run), r);
+            }
+        };
+        for proc in self.procs.values() {
+            owned(&mut movable, &proc.base, PageState::Anon, proc.pid.0);
+            for (slot, &h) in proc.huge_pages.iter().enumerate() {
+                let d = self.memmap.page(h);
+                assert_eq!(d.state, PageState::HugeHead, "huge set entry not a head");
+                assert_eq!(d.a, proc.pid.0, "huge page owner drifted");
+                assert_eq!(d.b as usize, slot, "huge page slot drifted");
+                movable[h.block().0 as usize] += PAGES_PER_HUGE;
+            }
+        }
+        for (&id, f) in &self.files {
+            owned(&mut movable, &f.pages, PageState::File, id);
+        }
+        for (run, &r) in self.kernel_pages.iter().enumerate() {
+            tally(&mut unmovable, (PageState::Kernel, 0, run as u32), r);
         }
         let mut tails_expected = 0u64;
         for bi in 0..self.blocks.len() {
@@ -1299,6 +1305,11 @@ impl GuestMm {
                 };
                 assert_eq!(self.memmap.state(b.first_frame()), reads, "block {bi} tag");
                 assert_eq!(tails_expected, 0, "huge page truncated before block {bi}");
+                assert_eq!(
+                    movable[bi as usize] + unmovable[bi as usize],
+                    0,
+                    "block {bi} owned"
+                );
                 continue;
             };
             assert!(
@@ -1316,11 +1327,12 @@ impl GuestMm {
                 }
             }
             assert_eq!(c.total(), PAGES_PER_BLOCK, "block {bi} counters drifted");
-            let mut free = 0u64;
+            let (mut free, mut device) = (0u64, 0u64);
             // Huge-page structure, from resolved states: heads
             // 512-aligned, exactly 511 tails each, no orphan tails.
             for (i, d) in (bi * PAGES_PER_BLOCK..).zip(self.memmap.block_pages(b)) {
                 free += d.state.is_free() as u64;
+                device += (d.state == PageState::Kernel && d.a == page::NIL) as u64;
                 match d.state {
                     PageState::HugeHead => {
                         assert_eq!(tails_expected, 0, "head {i:#x} inside another huge page");
@@ -1337,17 +1349,17 @@ impl GuestMm {
                 }
             }
             assert_eq!(free, c.free as u64, "block {bi} free count drifted");
+            assert_eq!(
+                movable[bi as usize], c.used_movable as u64,
+                "block {bi} owned movable pages drifted"
+            );
+            assert_eq!(
+                unmovable[bi as usize] + device,
+                c.used_unmovable as u64,
+                "block {bi} unmovable pages drifted"
+            );
         }
         assert_eq!(tails_expected, 0, "huge page truncated at end of memory");
-        // Owner back-references of huge sets.
-        for proc in self.procs.values() {
-            for (slot, &h) in proc.huge_pages.iter().enumerate() {
-                let d = self.memmap.page(h);
-                assert_eq!(d.state, PageState::HugeHead, "huge set entry not a head");
-                assert_eq!(d.a, proc.pid.0, "huge page owner drifted");
-                assert_eq!(d.b as usize, slot, "huge page slot drifted");
-            }
-        }
     }
 }
 
@@ -1666,9 +1678,10 @@ mod tests {
         assert_eq!(p.swapped, 30);
         assert_eq!(mm.used_bytes(), used0 - 30 * PAGE_SIZE);
         mm.assert_consistent();
-        // Slot back-references survived the drain (exercise free path).
-        let some = mm.process(pid).unwrap().pages[5];
+        // Run back-references survived the drain (exercise free path).
+        let some = mm.process(pid).unwrap().pages().nth(5).unwrap();
         mm.free_anon_page(pid, some).unwrap();
+        assert_eq!(mm.process(pid).unwrap().pages().nth(5), Some(got[99]));
         mm.assert_consistent();
     }
 
@@ -1857,13 +1870,35 @@ mod tests {
 /// [`GuestMm::offline_block`] is pinned to: free pages are carved out one
 /// [`Zone::take_free_page`] at a time, used pages migrate one order-0
 /// target at a time, and a rollback frees isolated pages one by one.
+/// Both guests are also held, after every operation, to a reference
+/// page order per owner kept by the per-page vector rules the run lists
+/// replace.
 #[cfg(test)]
 mod offline_twin {
     use super::*;
     use mem_types::MIB;
+    use std::collections::BTreeMap;
+
+    /// An owner of base pages: its page state (`Anon` or `File`) and id.
+    type Owner = (u8, u32);
+
+    /// What an offline did to owners' page orders, in the order it
+    /// happened (every split precedes every base-page migration).
+    #[derive(Clone, Copy, Debug)]
+    enum Moved {
+        /// A huge page of this process split into 512 base pages.
+        Split(u32, Gfn),
+        /// A base page of this owner migrated from the first frame to
+        /// the second.
+        Page(PageState, u32, Gfn, Gfn),
+    }
 
     impl GuestMm {
-        fn offline_block_per_page(&mut self, b: BlockId) -> Result<OfflineOutcome, OfflineFailure> {
+        fn offline_block_per_page(
+            &mut self,
+            b: BlockId,
+            log: &mut Vec<Moved>,
+        ) -> Result<OfflineOutcome, OfflineFailure> {
             let fail = |error| OfflineFailure {
                 error,
                 partial: OfflineOutcome::default(),
@@ -1915,6 +1950,7 @@ mod offline_twin {
                 }
             }
             for h in used_huge {
+                let owner = self.memmap.raw(h).a;
                 match self.evacuate_huge(h) {
                     huge::HugeEvacuation::Whole => {
                         out.migrated_huge += 1;
@@ -1924,13 +1960,15 @@ mod offline_twin {
                     }
                     huge::HugeEvacuation::Split => {
                         out.huge_splits += 1;
+                        log.push(Moved::Split(owner, h));
                         used.extend((h.0..h.0 + PAGES_PER_HUGE).map(Gfn));
                     }
                 }
             }
             for g in used {
                 match self.migrate_page(g, b) {
-                    Ok(()) => {
+                    Ok(moved) => {
+                        log.push(moved);
                         out.migrated += 1;
                         if zero_on_isolate {
                             out.zeroed += 1;
@@ -1955,31 +1993,29 @@ mod offline_twin {
             Ok(out)
         }
 
-        fn migrate_page(&mut self, g: Gfn, from: BlockId) -> Result<(), MmError> {
-            let (state, zone, owner, slot) = {
-                let d = self.memmap.raw(g);
-                (d.state, d.zone, d.a, d.b)
-            };
-            let (zonelist, n) = migration_zonelist(zone);
+        fn migrate_page(&mut self, g: Gfn, from: BlockId) -> Result<Moved, MmError> {
+            let d = *self.memmap.raw(g);
+            let (zonelist, n) = migration_zonelist(d.zone);
             let (target, target_zone) = self
                 .alloc_from_zonelist(&zonelist[..n])
                 .ok_or(MmError::OutOfMemory)?;
             assert_ne!(target.block(), from, "isolation left frees behind");
-            self.claim(target, target_zone, state, owner, slot);
-            match state {
-                PageState::Anon => {
-                    self.procs.get_mut(&owner).unwrap().pages[slot as usize] = target
-                }
-                PageState::File => {
-                    self.files.get_mut(&owner).unwrap().pages[slot as usize] = target
-                }
+            let list = match d.state {
+                PageState::Anon => &mut self.procs.get_mut(&d.a).unwrap().base,
+                PageState::File => &mut self.files.get_mut(&d.a).unwrap().pages,
                 _ => unreachable!(),
-            }
+            };
+            // The run's earlier pages lie lower in this block (or are
+            // split pages that joined it earlier) and migrated first.
+            assert_eq!(list.run(d.b).start, g, "migration source leads its run");
+            let run = list.insert_before(d.b, target, 1);
+            list.trim_front(d.b, 1);
+            self.claim_run(target, 1, target_zone, d.state, d.a, run);
             self.memmap.raw_mut(g).state = PageState::Isolated;
             let c = self.blocks.counters_mut(from);
             c.used_movable -= 1;
             c.isolated += 1;
-            Ok(())
+            Ok(Moved::Page(d.state, d.a, g, target))
         }
 
         fn rollback_isolation_per_page(&mut self, b: BlockId, zone: u8) {
@@ -1992,21 +2028,158 @@ mod offline_twin {
                 }
             }
         }
+
+        /// Every owner of base pages.
+        fn owners(&self) -> impl Iterator<Item = Owner> + '_ {
+            let procs = self.procs.keys().map(|&p| (PageState::Anon as u8, p));
+            procs.chain(self.files.keys().map(|&f| (PageState::File as u8, f)))
+        }
+
+        /// Owner `k`'s run list.
+        fn owned(&self, k: Owner) -> &RunList {
+            match k.0 {
+                x if x == PageState::Anon as u8 => &self.procs[&k.1].base,
+                _ => &self.files[&k.1].pages,
+            }
+        }
+    }
+
+    /// Each owner's page order as per-page vectors kept it: faults
+    /// extend, `free_anon` pops the back, `free_anon_page` swap-removes,
+    /// swap-out drains the front, a huge split appends its 512 pages and
+    /// a migration target takes its source's slot.
+    #[derive(Default)]
+    struct Orders(BTreeMap<Owner, Vec<Gfn>>);
+
+    impl Orders {
+        fn of(&mut self, state: PageState, owner: u32) -> &mut Vec<Gfn> {
+            self.0.entry((state as u8, owner)).or_default()
+        }
+
+        /// Replays an offline's splits and migrations; returns whether a
+        /// target took a slot strictly inside its owner's order.
+        fn replay(&mut self, log: &[Moved]) -> bool {
+            let mut mid = false;
+            let mut slots: BTreeMap<Owner, HashMap<Gfn, usize>> = BTreeMap::new();
+            for &m in log {
+                match m {
+                    Moved::Split(owner, head) => {
+                        assert!(slots.is_empty(), "a split after a migration");
+                        let v = self.of(PageState::Anon, owner);
+                        v.extend((head.0..head.0 + PAGES_PER_HUGE).map(Gfn));
+                    }
+                    Moved::Page(state, owner, s, t) => {
+                        let v = self
+                            .0
+                            .get_mut(&(state as u8, owner))
+                            .expect("owner has an order");
+                        let at = slots.entry((state as u8, owner)).or_insert_with(|| {
+                            v.iter().enumerate().map(|(i, &g)| (g, i)).collect()
+                        });
+                        let i = at.remove(&s).expect("source in its owner's order");
+                        at.insert(t, i);
+                        v[i] = t;
+                        mid |= i > 0 && i + 1 < v.len();
+                    }
+                }
+            }
+            mid
+        }
+
+        /// Asserts that owner `k` of `mm` holds exactly its reference
+        /// order, and that the end pages of each of its runs name the
+        /// owner and the run.
+        fn assert_owner(&self, mm: &GuestMm, k: Owner, ctx: &str) {
+            let list = mm.owners().any(|o| o == k).then(|| mm.owned(k));
+            let (list, want) = match (list, self.0.get(&k)) {
+                (None, None) => return,
+                (Some(l), Some(w)) => (l, w),
+                (l, w) => panic!(
+                    "{ctx}: {k:?} held {} vs reference {}",
+                    l.is_some(),
+                    w.is_some()
+                ),
+            };
+            let mut i = 0;
+            for (run, r) in list.handles() {
+                for g in [r.start, Gfn(r.end().0 - 1)] {
+                    let d = mm.memmap.raw(g);
+                    assert_eq!(
+                        (d.state as u8, d.a, d.b),
+                        (k.0, k.1, run),
+                        "{ctx}: {g:?} of {r}"
+                    );
+                }
+                let seg = &want[i.min(want.len())..(i + r.count as usize).min(want.len())];
+                if let Some(j) =
+                    (0..r.count as usize).find(|&j| seg.get(j) != Some(&Gfn(r.start.0 + j as u64)))
+                {
+                    panic!(
+                        "{ctx}: {k:?} order differs at slot {} of {} (reference {}): {:?} vs reference {:?}",
+                        i + j,
+                        list.len(),
+                        want.len(),
+                        Gfn(r.start.0 + j as u64),
+                        seg.get(j)
+                    );
+                }
+                i += r.count as usize;
+            }
+            assert_eq!(i, want.len(), "{ctx}: {k:?} length");
+        }
+
+        /// Asserts that `mm`'s owners hold exactly these orders.
+        fn assert_held_by(&self, mm: &GuestMm, ctx: &str) {
+            let mut owners: Vec<Owner> = mm.owners().collect();
+            owners.sort();
+            assert_eq!(
+                owners,
+                self.0.keys().copied().collect::<Vec<_>>(),
+                "{ctx}: owners"
+            );
+            for k in owners {
+                self.assert_owner(mm, k, ctx);
+            }
+        }
     }
 
     /// Asserts the two guests are indistinguishable: every frame's
-    /// resolved state and zone, the owner words of used pages and the
-    /// links and order of free heads (elsewhere `a`/`b`/`order` carry
-    /// nothing), every zone's free lists in order, block states and
-    /// counters, process and file page vectors, kernel pages and
-    /// statistics.
+    /// resolved state and zone; the owner of every used page, its place
+    /// in its owner's order (anonymous and file pages) or its raw `b`
+    /// word (huge and kernel pages); the links and order of free heads
+    /// (elsewhere `a`/`b`/`order` carry nothing); every zone's free lists
+    /// in order, block states and counters, huge sets, kernel runs and
+    /// statistics. (Owners' page orders are held to the reference orders
+    /// after every operation.)
     fn assert_twins(a: &GuestMm, b: &GuestMm) {
+        // Every owned frame's slot in its owner's order.
+        let slots = |mm: &GuestMm| {
+            let mut at = vec![u64::MAX; mm.memmap.len() as usize];
+            for k in mm.owners() {
+                let mut slot = 0;
+                for r in mm.owned(k).runs() {
+                    for s in &mut at[r.start.0 as usize..r.end().0 as usize] {
+                        *s = slot;
+                        slot += 1;
+                    }
+                }
+            }
+            at
+        };
+        let (sa, sb) = (slots(a), slots(b));
         for blk in (0..a.blocks.len()).map(BlockId) {
             let pages = a.memmap.block_pages(blk).zip(b.memmap.block_pages(blk));
             for ((x, y), i) in pages.zip(blk.frames().start.0..) {
                 assert_eq!((x.state, x.zone), (y.state, y.zone), "frame {i:#x}");
                 if x.state.is_used() || x.state == PageState::FreeHead {
-                    assert_eq!((x.a, x.b), (y.a, y.b), "frame {i:#x} words");
+                    assert_eq!(x.a, y.a, "frame {i:#x} owner word");
+                }
+                if matches!(x.state, PageState::Anon | PageState::File) {
+                    let (sa, sb) = (sa[i as usize], sb[i as usize]);
+                    assert_eq!(sa, sb, "frame {i:#x} slot");
+                    assert_ne!(sa, u64::MAX, "frame {i:#x} in no owner's order");
+                } else if x.state.is_used() || x.state == PageState::FreeHead {
+                    assert_eq!(x.b, y.b, "frame {i:#x} b word");
                 }
                 if x.state == PageState::FreeHead {
                     assert_eq!(x.order, y.order, "frame {i:#x} order");
@@ -2036,13 +2209,8 @@ mod offline_twin {
         assert_eq!(a.procs.len(), b.procs.len());
         for (pid, p) in &a.procs {
             let q = &b.procs[pid];
-            assert_eq!(p.pages, q.pages, "pid {pid} pages");
             assert_eq!(p.huge_pages, q.huge_pages, "pid {pid} huge pages");
             assert_eq!(p.swapped, q.swapped);
-        }
-        assert_eq!(a.files.len(), b.files.len());
-        for (id, f) in &a.files {
-            assert_eq!(f.pages, b.files[id].pages, "file {id} pages");
         }
         assert_eq!(a.kernel_pages, b.kernel_pages);
         assert_eq!(a.stats, b.stats);
@@ -2056,8 +2224,12 @@ mod offline_twin {
         Huge(Pid, u64),
         File(FileId, u64),
         Punch(Pid, Gfn),
+        FreeAnon(Pid, u64),
         Exit(Pid),
+        DropAnon(Pid),
+        DropFile(FileId),
         SwapOut(Pid, u64),
+        SwapIn(Pid, u64),
         Pin,
         Online(BlockId, u8),
         Offline(BlockId),
@@ -2065,31 +2237,70 @@ mod offline_twin {
         InstantOffline(BlockId),
     }
 
-    /// Applies `op`, returning the offline outcome (if any) for comparison.
-    fn apply(
-        mm: &mut GuestMm,
-        op: Op,
-        reference: bool,
-    ) -> Option<Result<OfflineOutcome, OfflineFailure>> {
+    /// What an operation returned, compared across the twins.
+    #[derive(Debug, PartialEq)]
+    enum Effect {
+        None,
+        /// Pages appended to the operated owner's order.
+        Appended(Vec<Gfn>),
+        /// Pages taken from the front of the process's order.
+        SwappedOut(Vec<Gfn>),
+        Offline(Result<OfflineOutcome, OfflineFailure>),
+    }
+
+    /// Applies `op`, logging the per-page reference offline's moves.
+    fn apply(mm: &mut GuestMm, op: Op, reference: bool, log: &mut Vec<Moved>) -> Effect {
+        // Pages a failed fault left attached are not returned; take them
+        // from the back of the order.
+        let tail = |mm: &GuestMm, pid: Pid, from: u64| -> Vec<Gfn> {
+            mm.process(pid)
+                .unwrap()
+                .pages()
+                .skip(from as usize)
+                .collect()
+        };
+        let resident = |mm: &GuestMm, pid: Pid| mm.process(pid).unwrap().base.len();
         match op {
             Op::Spawn(p) => {
                 mm.spawn_process(p);
             }
             Op::Anon(pid, n) => {
-                let _ = mm.fault_anon(pid, n);
+                let mut runs = Vec::new();
+                let _ = mm.fault_anon_runs(pid, n, &mut runs);
+                return Effect::Appended(runs.iter().flat_map(|r| r.iter()).collect());
             }
             Op::Huge(pid, n) => {
-                let _ = mm.fault_anon_huge(pid, n);
+                let before = resident(mm, pid);
+                return Effect::Appended(match mm.fault_anon_huge(pid, n) {
+                    Ok(out) => out.fallback_pages,
+                    Err(_) => tail(mm, pid, before),
+                });
             }
             Op::File(f, n) => {
-                let _ = mm.fault_file(f, n);
+                let mut runs = Vec::new();
+                let _ = mm.fault_file_runs(f, n, &mut runs);
+                return Effect::Appended(runs.iter().flat_map(|r| r.iter()).collect());
             }
             Op::Punch(pid, g) => mm.free_anon_page(pid, g).unwrap(),
+            Op::FreeAnon(pid, n) => {
+                mm.free_anon(pid, n).unwrap();
+            }
             Op::Exit(pid) => {
                 mm.exit_process(pid).unwrap();
             }
-            Op::SwapOut(pid, n) => {
-                mm.swap_out_anon(pid, n).unwrap();
+            Op::DropAnon(pid) => {
+                mm.drop_anon(pid).unwrap();
+            }
+            Op::DropFile(f) => {
+                let _ = mm.drop_file(f);
+            }
+            Op::SwapOut(pid, n) => return Effect::SwappedOut(mm.swap_out_anon(pid, n).unwrap()),
+            Op::SwapIn(pid, n) => {
+                let before = resident(mm, pid);
+                return Effect::Appended(match mm.swap_in_anon(pid, n) {
+                    Ok(pages) => pages,
+                    Err(_) => tail(mm, pid, before),
+                });
             }
             Op::Pin => {
                 let _ = mm.alloc_unmovable();
@@ -2101,20 +2312,61 @@ mod offline_twin {
                 if out.is_ok() {
                     mm.hot_remove_block(blk).unwrap();
                 }
-                return Some(out.map_err(|error| OfflineFailure {
+                return Effect::Offline(out.map_err(|error| OfflineFailure {
                     error,
                     partial: OfflineOutcome::default(),
                 }));
             }
             Op::Offline(blk) => {
-                return Some(if reference {
-                    mm.offline_block_per_page(blk)
+                return Effect::Offline(if reference {
+                    mm.offline_block_per_page(blk, log)
                 } else {
                     mm.offline_block(blk)
                 })
             }
         }
-        None
+        Effect::None
+    }
+
+    /// Replays `op`'s effect on the reference orders; returns whether a
+    /// migration target took a slot inside its owner's order.
+    fn replay(orders: &mut Orders, op: Op, effect: &Effect, log: &[Moved]) -> bool {
+        fn proc(orders: &mut Orders, pid: Pid) -> &mut Vec<Gfn> {
+            orders.of(PageState::Anon, pid.0)
+        }
+        match (op, effect) {
+            (Op::Anon(pid, _) | Op::Huge(pid, _) | Op::SwapIn(pid, _), Effect::Appended(v)) => {
+                proc(orders, pid).extend(v)
+            }
+            (Op::File(f, _), Effect::Appended(v)) => orders.of(PageState::File, f.0).extend(v),
+            (Op::Punch(pid, g), _) => {
+                let v = proc(orders, pid);
+                let i = v
+                    .iter()
+                    .position(|&x| x == g)
+                    .expect("punched page is owned");
+                v.swap_remove(i);
+            }
+            (Op::FreeAnon(pid, n), _) => {
+                let v = proc(orders, pid);
+                v.truncate(v.len().saturating_sub(n as usize));
+            }
+            (Op::Exit(pid), _) => {
+                orders.0.remove(&(PageState::Anon as u8, pid.0));
+            }
+            (Op::DropAnon(pid), _) => proc(orders, pid).clear(),
+            (Op::DropFile(f), _) => {
+                orders.0.remove(&(PageState::File as u8, f.0));
+            }
+            (Op::SwapOut(pid, _), Effect::SwappedOut(victims)) => {
+                let v = proc(orders, pid);
+                assert_eq!(victims[..], v[..victims.len()], "swap-out takes the front");
+                v.drain(..victims.len());
+            }
+            (Op::Offline(_), _) => return orders.replay(log),
+            _ => {}
+        }
+        false
     }
 
     /// Which code paths the randomized guests reached.
@@ -2129,12 +2381,17 @@ mod offline_twin {
         huge_split: bool,
         instant: bool,
         replugged: bool,
+        punch_split: bool,
+        mid_order: bool,
+        swap_in: bool,
     }
 
     /// Drives two identical guests through one seeded random history,
     /// offlining with the run-based path on one and the per-page
-    /// reference on the other, and compares them after every offline or
-    /// plug (instant offlines and plugs take the same path on both).
+    /// reference on the other. Both guests' page orders are checked
+    /// against the reference orders after every operation, and the
+    /// guests against each other after every offline or plug (instant
+    /// offlines and plugs take the same path on both).
     fn run_twins(seed: u64, cov: &mut Coverage) {
         let config = GuestMmConfig {
             boot_bytes: 256 * MIB,
@@ -2164,6 +2421,7 @@ mod offline_twin {
             }
         }
 
+        let mut orders = Orders::default();
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut rnd = move |n: u64| {
             x = x
@@ -2171,7 +2429,7 @@ mod offline_twin {
                 .wrapping_add(1442695040888963407);
             (x >> 33) % n
         };
-        for _ in 0..120 {
+        for step in 0..120 {
             let pids: Vec<Pid> = {
                 let mut v: Vec<Pid> = a.procs.keys().map(|&p| Pid(p)).collect();
                 v.sort();
@@ -2183,19 +2441,28 @@ mod offline_twin {
                     Some(z) if rnd(2) == 0 => AllocPolicy::PinnedZone(z),
                     _ => AllocPolicy::MovableDefault,
                 }),
-                (6..=39, Some(p)) => Op::Anon(p, 1 + rnd(600)),
-                (40..=45, Some(p)) => Op::Huge(p, 1 + rnd(3)),
-                (46..=53, _) => {
+                (6..=35, Some(p)) => Op::Anon(p, 1 + rnd(600)),
+                (36..=41, Some(p)) => Op::Huge(p, 1 + rnd(3)),
+                (42..=49, _) => {
                     let f = FileId(rnd(3) as u32);
                     let have = a.file(f).map_or(0, |c| c.resident_pages());
                     Op::File(f, have + 1 + rnd(400))
                 }
-                (54..=63, Some(p)) => match a.process(p).unwrap().pages.len() as u64 {
+                (50..=59, Some(p)) => match a.process(p).unwrap().base.len() {
                     0 => Op::Anon(p, 1 + rnd(50)),
-                    n => Op::Punch(p, a.process(p).unwrap().pages[rnd(n) as usize]),
+                    n => Op::Punch(
+                        p,
+                        a.process(p).unwrap().pages().nth(rnd(n) as usize).unwrap(),
+                    ),
                 },
-                (64..=66, Some(p)) => Op::Exit(p),
-                (67..=68, Some(p)) => Op::SwapOut(p, rnd(100)),
+                (60..=61, Some(p)) => Op::FreeAnon(p, 1 + rnd(300)),
+                (62..=63, Some(p)) => Op::Exit(p),
+                (64, Some(p)) => match rnd(2) {
+                    0 => Op::DropAnon(p),
+                    _ => Op::DropFile(FileId(rnd(3) as u32)),
+                },
+                (65..=66, Some(p)) => Op::SwapOut(p, rnd(100)),
+                (67..=68, Some(p)) => Op::SwapIn(p, 1 + rnd(100)),
                 (69, _) => Op::Pin,
                 (70..=73, Some(p)) => {
                     // Fill memory to within a few hundred pages so a later
@@ -2247,24 +2514,59 @@ mod offline_twin {
                         .count_in(blk.frames(), |d| d.state == PageState::File);
                     Some((own_free, files))
                 }
+                Op::Punch(p, g) => {
+                    let run = a.procs[&p.0].base.run(a.memmap.raw(g).b);
+                    cov.punch_split |= g != run.start && g.0 + 1 != run.end().0;
+                    None
+                }
                 _ => None,
             };
             let spare = a.memmap.spare_sections();
-            let got = apply(&mut a, op, false);
-            let want = apply(&mut b, op, true);
+            let mut log = Vec::new();
+            let got = apply(&mut a, op, false, &mut Vec::new());
+            let want = apply(&mut b, op, true, &mut log);
             assert_eq!(got, want, "seed {seed}: {op:?}");
-            match (op, got) {
+            if let Op::Spawn(_) = op {
+                orders.of(PageState::Anon, *a.procs.keys().max().unwrap());
+            }
+            cov.mid_order |= replay(&mut orders, op, &got, &log);
+            cov.swap_in |=
+                matches!((op, &got), (Op::SwapIn(..), Effect::Appended(v)) if !v.is_empty());
+            // An offline moves any owner's pages; every other operation
+            // changes at most the one owner it names.
+            let ctx = format!("seed {seed} step {step}: {op:?}");
+            let touched = match op {
+                Op::Spawn(_) => Some((PageState::Anon, *a.procs.keys().max().unwrap())),
+                Op::Anon(p, _)
+                | Op::Huge(p, _)
+                | Op::Punch(p, _)
+                | Op::FreeAnon(p, _)
+                | Op::Exit(p)
+                | Op::DropAnon(p)
+                | Op::SwapOut(p, _)
+                | Op::SwapIn(p, _) => Some((PageState::Anon, p.0)),
+                Op::File(f, _) | Op::DropFile(f) => Some((PageState::File, f.0)),
+                _ => None,
+            };
+            for mm in [&a, &b] {
+                match (op, touched) {
+                    (Op::Offline(_), _) => orders.assert_held_by(mm, &ctx),
+                    (_, Some((state, id))) => orders.assert_owner(mm, (state as u8, id), &ctx),
+                    _ => {}
+                }
+            }
+            match (op, &got) {
                 (Op::Plug(..), _) => {
                     cov.replugged |= spare > 0;
                     assert_twins(&a, &b);
                 }
-                (Op::InstantOffline(_), Some(out)) => {
+                (Op::InstantOffline(_), Effect::Offline(out)) => {
                     cov.instant |= out.is_ok();
                     assert_twins(&a, &b);
                 }
                 _ => {}
             }
-            if let (Some(out), Some((own_free, files))) = (got, before) {
+            if let (Effect::Offline(out), Some((own_free, files))) = (&got, before) {
                 let migrated = match out {
                     Ok(o) => {
                         cov.huge_whole |= o.migrated_huge > 0;
@@ -2287,6 +2589,7 @@ mod offline_twin {
         }
         assert_twins(&a, &b);
         a.assert_consistent();
+        b.assert_consistent();
     }
 
     #[test]
@@ -2305,6 +2608,9 @@ mod offline_twin {
             huge_split,
             instant,
             replugged,
+            punch_split,
+            mid_order,
+            swap_in,
         } = cov;
         assert!(
             migrated
@@ -2315,8 +2621,52 @@ mod offline_twin {
                 && huge_whole
                 && huge_split
                 && instant
-                && replugged,
+                && replugged
+                && punch_split
+                && mid_order
+                && swap_in,
             "randomized guests missed a path: {cov:?}"
         );
+    }
+
+    /// Boot claims the kernel a buddy run at a time; the pages, their
+    /// order and the buddy state equal per-page order-0 claims.
+    #[test]
+    fn kernel_runs_match_per_page_claims() {
+        let config = GuestMmConfig {
+            boot_bytes: 512 * MIB,
+            hotplug_bytes: 0,
+            kernel_bytes: 300 * MIB + 12 * PAGE_SIZE,
+            init_on_alloc: true,
+        };
+        let runs = GuestMm::new(config);
+        let mut pages = GuestMm::new(GuestMmConfig {
+            kernel_bytes: 0,
+            ..config
+        });
+        let mut want = Vec::new();
+        for _ in 0..bytes_to_pages(config.kernel_bytes) {
+            let (g, zone) = pages.alloc_from_zonelist(&[ZONE_NORMAL]).unwrap();
+            pages.claim_run(g, 1, zone, PageState::Kernel, 0, 0);
+            want.push(g);
+        }
+        let got: Vec<Gfn> = runs.kernel_pages().iter().flat_map(|r| r.iter()).collect();
+        assert_eq!(got, want);
+        // Boot hands the kernel whole MAX_ORDER chunks.
+        let chunks = bytes_to_pages(config.kernel_bytes).div_ceil(1 << MAX_ORDER);
+        assert_eq!(runs.kernel_pages().len() as u64, chunks);
+        for (za, zb) in runs.zones.iter().zip(&pages.zones) {
+            for o in 0..=MAX_ORDER {
+                assert_eq!(
+                    za.free_list(&runs.memmap, o),
+                    zb.free_list(&pages.memmap, o)
+                );
+            }
+        }
+        for i in 0..runs.blocks.len() {
+            let blk = BlockId(i);
+            assert_eq!(runs.blocks.counters(blk), pages.blocks.counters(blk));
+        }
+        runs.assert_consistent();
     }
 }

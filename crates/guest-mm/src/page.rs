@@ -5,7 +5,9 @@
 //! one section per 128 MiB block, mirroring the Linux `memmap` the paper
 //! discusses in §2.2. The two word fields are overloaded the way the
 //! kernel overloads `struct page`: free chunk heads use them as
-//! intrusive free-list links, allocated pages as owner back-references.
+//! intrusive free-list links, allocated pages as owner back-references
+//! (the owner's id, and the handle of the owner run holding the page —
+//! see the `runs` module).
 //! Only a free chunk's head carries state; the map resolves the state of
 //! the chunk's other frames from it.
 
@@ -37,16 +39,20 @@ pub enum PageState {
     /// Interior page of a free buddy block (its head is below it). A
     /// resolved state: the memmap derives it from the head.
     FreeTail = 3,
-    /// Anonymous page owned by a process (`owner` = pid).
+    /// Anonymous page owned by a process (`a` = pid, `b` = the handle
+    /// of its run in the process's run list).
     Anon = 4,
-    /// Page-cache page owned by a file (`owner` = file id).
+    /// Page-cache page owned by a file (`a` = file id, `b` = the handle
+    /// of its run in the file's run list).
     File = 5,
-    /// Unmovable kernel allocation.
+    /// Unmovable allocation: a kernel page (`a` = 0, `b` = its run's
+    /// index in the kernel's run table) or a device's single page
+    /// (`a` = [`NIL`]).
     Kernel = 6,
     /// Pulled out of the buddy by the offlining path; not allocatable.
     Isolated = 7,
     /// Head page of a 2 MiB anonymous transparent huge page
-    /// (`owner` = pid, `slot` = index in the process's huge-page set).
+    /// (`a` = pid, `b` = index in the process's huge-page set).
     HugeHead = 8,
     /// Interior page of a huge page; its 512-aligned head carries the
     /// mapping. Owner fields mirror the head's for O(1) lookups.
@@ -97,9 +103,11 @@ pub struct PageDesc {
     pub zone: u8,
     /// Spare flags byte (keeps the struct naturally aligned).
     pub flags: u8,
-    /// `FreeHead`: previous free-list link. `Anon`/`File`: owner id.
+    /// `FreeHead`: previous free-list link. Used pages: owner id.
     pub a: u32,
-    /// `FreeHead`: next free-list link. `Anon`/`File`: owner's slot index.
+    /// `FreeHead`: next free-list link. `Anon`/`File`: handle of the
+    /// owner run holding the page. Huge pages: index in the owner's
+    /// huge-page set.
     pub b: u32,
 }
 

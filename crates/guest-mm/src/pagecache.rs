@@ -5,20 +5,22 @@
 //! page cache holds those pages; Squeezy later redirects them into the
 //! shared partition so private partitions stay instantly reclaimable.
 
-use mem_types::Gfn;
+use mem_types::{FrameRange, Gfn};
+
+use crate::runs::RunList;
 
 /// Identifier of a cached file (rootfs layer, runtime library, model…).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FileId(pub u32);
 
-/// Pages cached for one file.
+/// Pages cached for one file, held as ordered frame runs.
 ///
-/// `PageDesc.b` of each page stores its index in `pages` so migration can
-/// patch the cache in O(1).
+/// `PageDesc.b` of each page names its run, so migration patches the
+/// cache a run at a time.
 #[derive(Default)]
 pub struct CachedFile {
     /// Resident pages of the file, in fault order.
-    pub pages: Vec<Gfn>,
+    pub(crate) pages: RunList,
     /// How many processes currently map the file (informational).
     pub mappers: u32,
 }
@@ -26,7 +28,17 @@ pub struct CachedFile {
 impl CachedFile {
     /// Returns the number of resident pages.
     pub fn resident_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.pages.len()
+    }
+
+    /// Returns the resident pages in fault order.
+    pub fn pages(&self) -> impl Iterator<Item = Gfn> + '_ {
+        self.pages.pages()
+    }
+
+    /// Returns the resident pages as frame runs, in fault order.
+    pub fn runs(&self) -> impl Iterator<Item = FrameRange> + '_ {
+        self.pages.runs()
     }
 }
 
@@ -38,8 +50,10 @@ mod tests {
     fn cached_file_counts() {
         let mut f = CachedFile::default();
         assert_eq!(f.resident_pages(), 0);
-        f.pages.push(Gfn(1));
-        f.pages.push(Gfn(2));
+        f.pages.append(Gfn(1), 1);
+        f.pages.append(Gfn(2), 1);
         assert_eq!(f.resident_pages(), 2);
+        assert_eq!(f.runs().collect::<Vec<_>>(), [FrameRange::new(Gfn(1), 2)]);
+        assert_eq!(f.pages().collect::<Vec<_>>(), [Gfn(1), Gfn(2)]);
     }
 }

@@ -1,12 +1,15 @@
 //! Process address spaces: the simulator's `mm_struct`.
 //!
-//! A process owns a set of anonymous pages (its resident set) and an
-//! allocation policy deciding which zones serve its faults — the paper's
-//! Squeezy extension adds a partition id to Linux's `mm_struct` so the
-//! fault path can "only allocate pages from the specific partition for
-//! the process" (§4.1). Here the policy enum plays that role.
+//! A process owns a set of anonymous pages (its resident set), held as
+//! ordered frame runs, and an allocation policy deciding which zones
+//! serve its faults — the paper's Squeezy extension adds a partition id
+//! to Linux's `mm_struct` so the fault path can "only allocate pages
+//! from the specific partition for the process" (§4.1). Here the policy
+//! enum plays that role.
 
-use mem_types::Gfn;
+use mem_types::{FrameRange, Gfn};
+
+use crate::runs::RunList;
 
 /// Process identifier inside one guest.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -30,11 +33,11 @@ pub struct Process {
     pub pid: Pid,
     /// Allocation policy for anonymous faults.
     pub policy: AllocPolicy,
-    /// Resident anonymous pages. `PageDesc.b` of each page stores its
-    /// index here so migration and free can update the set in O(1).
-    pub pages: Vec<Gfn>,
-    /// Head frames of resident 2 MiB transparent huge pages. As with
-    /// `pages`, `PageDesc.b` of each head stores its index here.
+    /// Resident anonymous base pages, in fault order. `PageDesc.b` of
+    /// each page names its run here.
+    pub(crate) base: RunList,
+    /// Head frames of resident 2 MiB transparent huge pages.
+    /// `PageDesc.b` of each head stores its index here.
     pub huge_pages: Vec<Gfn>,
     /// Pages currently swapped out to the host swap device (counts, not
     /// identities: swap slots live host-side).
@@ -47,16 +50,29 @@ impl Process {
         Process {
             pid,
             policy,
-            pages: Vec::new(),
+            base: RunList::new(),
             huge_pages: Vec::new(),
             swapped: 0,
         }
     }
 
+    /// Returns the resident base pages in fault order (the order that
+    /// `free_anon` pops from the back and `swap_out_anon` takes from the
+    /// front).
+    pub fn pages(&self) -> impl Iterator<Item = Gfn> + '_ {
+        self.base.pages()
+    }
+
+    /// Returns the resident base pages as frame runs, in the order of
+    /// [`Process::pages`].
+    pub fn runs(&self) -> impl Iterator<Item = FrameRange> + '_ {
+        self.base.runs()
+    }
+
     /// Returns the anonymous resident set size in 4 KiB pages (huge pages
     /// count as 512 each).
     pub fn rss_pages(&self) -> u64 {
-        self.pages.len() as u64 + self.huge_pages.len() as u64 * crate::page::PAGES_PER_HUGE
+        self.base.len() + self.huge_pages.len() as u64 * crate::page::PAGES_PER_HUGE
     }
 
     /// Returns the number of resident huge pages.
@@ -81,7 +97,7 @@ mod tests {
     #[test]
     fn huge_pages_count_512_base_pages_each() {
         let mut p = Process::new(Pid(1), AllocPolicy::MovableDefault);
-        p.pages.push(Gfn(3));
+        p.base.append(Gfn(3), 1);
         p.huge_pages.push(Gfn(512));
         p.huge_pages.push(Gfn(1024));
         assert_eq!(p.rss_pages(), 1 + 2 * 512);

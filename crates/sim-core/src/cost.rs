@@ -5,8 +5,10 @@
 //! experiments land on the absolute numbers the paper reports on its Xeon
 //! E5-2630 testbed (§6.1): balloon ≈ 5-6 s, virtio-mem ≈ 2.5 s and Squeezy
 //! ≈ 127 ms when reclaiming 2 GiB, with virtio-mem's latency split ≈ 61.5 %
-//! migration / 24 % zeroing. The calibration table lives in
-//! `EXPERIMENTS.md`; nothing else in the workspace hard-codes a duration.
+//! migration / 24 % zeroing. The `repro` sections that reproduce those
+//! figures print the model's values next to the paper's (see the
+//! README's "Reproducing the paper"); nothing else in the workspace
+//! hard-codes a duration.
 
 use crate::time::SimDuration;
 

@@ -13,8 +13,9 @@
 //! * [`rng`] — seeded random streams plus the samplers the workloads need
 //!   (exponential, Zipf, log-normal) so no extra crates are required.
 //! * [`cost`] — the calibrated cost model: every nanosecond the simulator
-//!   ever charges is a named constant here (see `EXPERIMENTS.md` for the
-//!   calibration story).
+//!   ever charges is a named constant here (the module doc gives the
+//!   calibration targets; the README's "Reproducing the paper" shows
+//!   how to regenerate them).
 //! * [`cpu`] — a generalized-processor-sharing CPU pool with per-task rate
 //!   caps; reproduces the vCPU interference effects of Figures 7 and 9.
 //! * [`metrics`] — histograms/quantiles, time series and busy-interval

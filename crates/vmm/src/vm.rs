@@ -112,9 +112,11 @@ impl Vm {
         let boot_frames = config.guest.boot_bytes / PAGE_SIZE;
         let hotplug_frames = config.guest.hotplug_bytes / PAGE_SIZE;
         let mut ept = Ept::new(boot_frames + hotplug_frames);
-        let kpages: Vec<Gfn> = guest.kernel_pages().to_vec();
-        host.reserve(kpages.len() as u64 * PAGE_SIZE)?;
-        ept.populate(&kpages);
+        let kernel = guest.kernel_pages();
+        host.reserve(kernel.iter().map(|r| r.count).sum::<u64>() * PAGE_SIZE)?;
+        for &run in kernel {
+            ept.populate_range(run);
+        }
         let region = FrameRange::new(Gfn(boot_frames), hotplug_frames);
         Ok(Vm {
             guest,

@@ -34,6 +34,6 @@ pub use source::{
     open_trace, read_trace_header, render_azure_minute, render_opendc, sample_azure_3day,
     sample_azure_rows, sample_opendc, validate_trace, Arrival, AzureMinuteSource,
     MaterializedSource, OpenDcRow, OpenDcSource, TraceError, TraceFormat, TraceHeader, TraceSource,
-    TraceStats, TRACE_MAGIC,
+    TraceStats, MAX_ROW_ARRIVALS, TRACE_MAGIC,
 };
 pub use trace::{bursty_arrivals, zipf_function_traces, BurstyTraceConfig};

@@ -54,6 +54,13 @@ const AZURE_JITTER_STREAM: u64 = 0xA21;
 /// Nanoseconds per trace minute.
 const MINUTE_NS: u64 = 60_000_000_000;
 
+/// The most arrivals one azure-minute row may carry (one tenant's
+/// invocations in one minute). A minute's rows are expanded in memory
+/// before replay, so a larger count is rejected with its line number
+/// rather than attempted; the committed 3-day trace's largest row is
+/// 432.
+pub const MAX_ROW_ARRIVALS: u64 = 1_000_000;
+
 /// One invocation pulled lazily from a trace source.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Arrival {
@@ -383,6 +390,15 @@ impl<R: BufRead> AzureMinuteSource<R> {
         let minute = parse_u64(m.trim(), line)?;
         let tenant = parse_usize(t.trim(), line)?;
         let count = parse_u64(c.trim(), line)?;
+        if count > MAX_ROW_ARRIVALS {
+            return Err(TraceError::at(
+                line,
+                format!(
+                    "row count {count} exceeds the cap of {MAX_ROW_ARRIVALS} arrivals \
+                     per minute per tenant"
+                ),
+            ));
+        }
         if tenant >= self.kinds.len() {
             return Err(TraceError::at(
                 line,
@@ -929,6 +945,14 @@ mod tests {
         let err = drain_err(&malformed);
         assert_eq!(err.line, 6, "{err}");
         assert!(err.msg.contains("malformed row"), "{err}");
+
+        let at_cap = text.replace("1,0,2", &format!("1,0,{MAX_ROW_ARRIVALS}"));
+        let mut src = AzureMinuteSource::new(at_cap.as_bytes(), 0).unwrap();
+        assert_eq!(drain(&mut src).len() as u64, 1 + MAX_ROW_ARRIVALS);
+        let huge = text.replace("1,0,2", "1,0,99999999999");
+        let err = drain_err(&huge);
+        assert_eq!(err.line, 6, "{err}");
+        assert!(err.msg.contains("exceeds the cap"), "{err}");
     }
 
     fn drain_err(text: &str) -> TraceError {

@@ -137,3 +137,18 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// A row whose count exceeds the per-row cap fails the preflight scan
+/// with an error naming its line, before anything is expanded.
+#[test]
+fn oversized_row_fails_validation_at_its_line() {
+    let text = render_azure_minute(3, &[FunctionKind::Html], &[(0, 0, 4), (1, 0, 2)])
+        .replace("1,0,2", &format!("1,0,{}", workloads::MAX_ROW_ARRIVALS + 1));
+    let path = std::env::temp_dir().join(format!("oversized-row-{}.csv", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let err = workloads::validate_trace(path.to_str().unwrap()).unwrap_err();
+    std::fs::remove_file(&path).unwrap();
+    // The rendered layout: magic, seed, tenants, header, row@5, row@6.
+    assert_eq!(err.line, 6, "{err}");
+    assert!(err.msg.contains("exceeds the cap"), "{err}");
+}

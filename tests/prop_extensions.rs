@@ -140,7 +140,7 @@ proptest! {
             if let Some(p) = mm.process(pid) {
                 prop_assert_eq!(
                     p.rss_pages(),
-                    p.pages.len() as u64 + p.huge_pages.len() as u64 * PAGES_PER_HUGE
+                    p.pages().count() as u64 + p.huge_pages.len() as u64 * PAGES_PER_HUGE
                 );
             }
         }
@@ -162,7 +162,7 @@ proptest! {
         let frag = mm.spawn_process(AllocPolicy::PinnedZone(guest_mm::ZONE_NORMAL));
         let free = mm.zone(guest_mm::ZONE_NORMAL).free_pages;
         mm.fault_anon(frag, free).unwrap();
-        let held: Vec<_> = mm.process(frag).unwrap().pages.clone();
+        let held: Vec<_> = mm.process(frag).unwrap().pages().collect();
         for g in held.iter().filter(|g| g.0 % 2 == 0) {
             mm.free_anon_page(frag, *g).unwrap();
         }
@@ -444,26 +444,27 @@ fn huge_neighbours_unaffected_by_split() {
     mm.fault_anon(a, 300).unwrap();
     mm.fault_anon_huge(h, 2).unwrap();
     mm.fault_anon(a, 300).unwrap();
-    let a_pages: Vec<_> = mm.process(a).unwrap().pages.clone();
+    let a_pages: Vec<_> = mm.process(a).unwrap().pages().collect();
 
     // Fragment the fallback so the offline splits h's huge pages.
     let frag = mm.spawn_process(AllocPolicy::PinnedZone(guest_mm::ZONE_NORMAL));
     let free = mm.zone(guest_mm::ZONE_NORMAL).free_pages;
     mm.fault_anon(frag, free - 700).unwrap();
-    let held: Vec<_> = mm.process(frag).unwrap().pages.clone();
+    let held: Vec<_> = mm.process(frag).unwrap().pages().collect();
     for g in held.iter().filter(|g| g.0 % 2 == 0) {
         mm.free_anon_page(frag, *g).unwrap();
     }
 
     mm.offline_block(b).unwrap();
-    // Process a still owns 600 pages, all Anon, slots intact.
+    // Process a still owns 600 pages, all Anon, slots intact: each
+    // page's descriptor locates it at its place in a's order.
     let a_proc = mm.process(a).unwrap();
     assert_eq!(a_proc.rss_pages(), 600);
-    for (slot, &g) in a_proc.pages.iter().enumerate() {
+    for (slot, g) in a_proc.pages().enumerate() {
         let d = mm.memmap().page(g);
         assert_eq!(d.state, PageState::Anon);
         assert_eq!(d.a, a.0);
-        assert_eq!(d.b as usize, slot);
+        assert_eq!(mm.page_slot(g), Some(slot as u64));
     }
     // h's huge pages became base pages with the same total size.
     assert_eq!(mm.process(h).unwrap().rss_pages(), 2 * PAGES_PER_HUGE);
