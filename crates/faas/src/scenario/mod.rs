@@ -54,6 +54,15 @@ pub(crate) const HOST_SEED_BASE: u64 = 0x40;
 /// promises are independent — `validate` rejects such specs.
 pub(crate) const HOST_TAG_CAP: usize = 0x20;
 
+/// The most invocations a generated workload may offer, as `rps ×
+/// duration_s` (for `diurnal`, `rps` is the peak rate, so this bounds
+/// the mean). Every arrival is generated and simulated, so a spec above
+/// it is rejected up front instead of running until it is killed. It is
+/// 25× the 2,000,000 invocations of the `repro perf` cluster. A
+/// `trace(<path>)` workload takes its arrivals from the file, whose rows
+/// are capped by [`workloads::MAX_ROW_ARRIVALS`], and is not held to it.
+pub(crate) const MAX_OFFERED_INVOCATIONS: f64 = 50_000_000.0;
+
 /// Host-seed tag of the fleet's boot template — above every valid
 /// initial host index (see [`HOST_TAG_CAP`]), so booted hosts never
 /// share an initial host's stream.
@@ -289,6 +298,15 @@ impl Scenario {
         check(
             p.zipf_exponent.is_finite() && p.zipf_exponent >= 0.0,
             format!("zipf_exponent must be ≥ 0 (got {})", p.zipf_exponent),
+        );
+        let offered = p.rps * p.duration_s;
+        check(
+            matches!(self.workload, WorkloadSpec::Trace(_)) || offered <= MAX_OFFERED_INVOCATIONS,
+            format!(
+                "rps × duration_s = {} × {} offers {offered:.3e} invocations, above the cap \
+                 of {MAX_OFFERED_INVOCATIONS:.0e}: lower rps or duration_s",
+                p.rps, p.duration_s
+            ),
         );
         if let WorkloadSpec::Trace(path) = &self.workload {
             // Same round-trip constraint as the name: the path lives
@@ -673,6 +691,55 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert!(err.contains("single-line"), "{err}");
         assert!(err.contains("max_hosts must be ≤ 32"), "{err}");
+    }
+
+    #[test]
+    fn validate_caps_offered_work() {
+        let mut s = Scenario::new("hot", Topology::Cluster(2), WorkloadKind::Churn);
+        s.params.duration_s = 30.0;
+        s.params.rps = 1e12;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("rps × duration_s"), "{err}");
+        assert!(err.contains("above the cap"), "{err}");
+        // Exactly at the cap passes; just above it fails.
+        s.params.duration_s = 100.0;
+        s.params.rps = MAX_OFFERED_INVOCATIONS / 100.0;
+        s.validate().expect("at the cap");
+        s.params.rps *= 1.0 + 1e-9;
+        assert!(s.validate().is_err());
+        // Non-finite products are caught by the positivity checks and
+        // this one alike.
+        s.params.rps = f64::INFINITY;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("rps must be positive") && err.contains("above the cap"),
+            "{err}"
+        );
+        // A trace replay's arrivals come from its file, not rps.
+        let mut t = Scenario::new("t", Topology::SingleVm, WorkloadSpec::Trace("x.csv".into()));
+        t.params.duration_s = 1e9;
+        t.validate()
+            .expect("trace workloads are not held to rps × duration_s");
+    }
+
+    #[test]
+    fn committed_specs_and_sweep_cells_validate() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios");
+        let mut specs = 0;
+        for entry in std::fs::read_dir(dir).expect("examples/scenarios is committed") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "scn") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                // Parsing a sweep validates every expanded cell.
+                let spec = SweepSpec::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                for cell in spec.cells() {
+                    let p = &cell.scenario.params;
+                    assert!(p.rps * p.duration_s <= MAX_OFFERED_INVOCATIONS, "{path:?}");
+                }
+                specs += 1;
+            }
+        }
+        assert!(specs >= 10, "found {specs} committed specs");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use mem_types::{FrameRange, Gfn};
 
+use crate::memmap::Extent;
 use crate::page::{PageDesc, PageState, HUGE_ORDER, PAGES_PER_HUGE};
 use crate::{GuestMm, MmError, Pid};
 
@@ -115,25 +116,25 @@ impl GuestMm {
     }
 
     /// Claims an order-9 block freshly allocated from `zone` (already
-    /// out of the buddy) as a huge page for `owner`, overwriting all 512
-    /// descriptors.
+    /// out of the buddy) as a huge page for `owner`: one extent, whose
+    /// tails read as the head's.
     pub(crate) fn claim_huge(&mut self, head: Gfn, zone: u8, owner: u32, slot: u32) {
         debug_assert_eq!(head.0 % PAGES_PER_HUGE, 0, "huge head misaligned");
-        let range = FrameRange::new(head, PAGES_PER_HUGE);
-        for (i, d) in self.memmap.range_mut(range).iter_mut().enumerate() {
-            *d = PageDesc {
-                state: if i == 0 {
-                    PageState::HugeHead
-                } else {
-                    PageState::HugeTail
-                },
-                order: 0,
-                zone,
-                flags: 0,
-                a: owner,
-                b: slot,
-            };
-        }
+        let d = PageDesc {
+            state: PageState::HugeHead,
+            order: 0,
+            zone,
+            flags: 0,
+            a: owner,
+            b: slot,
+        };
+        self.memmap.insert(
+            head,
+            Extent {
+                head: d,
+                len: PAGES_PER_HUGE as u32,
+            },
+        );
         // A 2 MiB huge page never straddles a 128 MiB block.
         let c = self.blocks.counters_mut(head.block());
         c.free -= PAGES_PER_HUGE as u32;
@@ -142,8 +143,9 @@ impl GuestMm {
 
     /// Frees a whole huge page back to its zone's buddy.
     pub(crate) fn release_huge(&mut self, head: Gfn) {
-        let zone = self.memmap.raw(head).zone;
-        debug_assert_eq!(self.memmap.raw(head).state, PageState::HugeHead);
+        let d = self.memmap.remove(head).head;
+        debug_assert_eq!(d.state, PageState::HugeHead);
+        let zone = d.zone;
         let c = self.blocks.counters_mut(head.block());
         c.used_movable -= PAGES_PER_HUGE as u32;
         c.free += PAGES_PER_HUGE as u32;
@@ -155,11 +157,9 @@ impl GuestMm {
     /// otherwise an in-place split (the caller migrates the resulting
     /// base pages individually).
     pub(crate) fn evacuate_huge(&mut self, head: Gfn) -> HugeEvacuation {
-        let (zone, owner, slot) = {
-            let d = self.memmap.raw(head);
-            debug_assert_eq!(d.state, PageState::HugeHead);
-            (d.zone, d.a, d.b)
-        };
+        let d = self.memmap.page(head);
+        debug_assert_eq!(d.state, PageState::HugeHead);
+        let (zone, owner, slot) = (d.zone, d.a, d.b);
         let (zonelist, n) = crate::migration_zonelist(zone);
         if let Some((target, target_zone)) =
             self.alloc_order_from_zonelist(&zonelist[..n], HUGE_ORDER)
@@ -173,9 +173,9 @@ impl GuestMm {
                 .expect("huge page owned by live process");
             proc.huge_pages[slot as usize] = target;
             let from = head.block();
-            for d in self.memmap.range_mut(FrameRange::new(head, PAGES_PER_HUGE)) {
-                d.state = PageState::Isolated;
-            }
+            self.memmap.remove(head);
+            self.memmap
+                .isolate(FrameRange::new(head, PAGES_PER_HUGE), zone);
             let c = self.blocks.counters_mut(from);
             c.used_movable -= PAGES_PER_HUGE as u32;
             c.isolated += PAGES_PER_HUGE as u32;
@@ -192,11 +192,9 @@ impl GuestMm {
     /// used-movable). The owner's bookkeeping moves from the huge set to
     /// the base-page set, appended as one 512-page run.
     pub(crate) fn split_huge(&mut self, head: Gfn) {
-        let (owner, slot) = {
-            let d = self.memmap.raw(head);
-            debug_assert_eq!(d.state, PageState::HugeHead);
-            (d.a, d.b)
-        };
+        let d = self.memmap.remove(head).head;
+        debug_assert_eq!(d.state, PageState::HugeHead);
+        let (owner, slot) = (d.a, d.b);
         // Remove from the owner's huge set (swap_remove + patch the
         // moved entry's slot, as the migration path does for base pages).
         let moved = {
@@ -209,19 +207,18 @@ impl GuestMm {
             proc.huge_pages.get(slot as usize).copied()
         };
         if let Some(m) = moved {
-            for d in self.memmap.range_mut(FrameRange::new(m, PAGES_PER_HUGE)) {
-                d.b = slot;
-            }
+            self.memmap.extent_mut(m).head.b = slot;
         }
-        // Rewrite every frame as an individual Anon page owned by the
-        // same process.
+        // The frames become base Anon pages of the same process: one run
+        // (or the growth of the run they continue).
         let proc = self.procs.get_mut(&owner).expect("owner alive");
         let run = proc.base.append(head, PAGES_PER_HUGE);
-        for d in self.memmap.range_mut(FrameRange::new(head, PAGES_PER_HUGE)) {
-            d.state = PageState::Anon;
-            d.a = owner;
-            d.b = run;
-        }
+        let base = PageDesc {
+            state: PageState::Anon,
+            b: run,
+            ..d
+        };
+        self.memmap.claim(head, PAGES_PER_HUGE, base);
         self.stats.huge_splits += 1;
     }
 

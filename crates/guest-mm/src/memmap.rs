@@ -1,79 +1,199 @@
-//! The guest memory map: the descriptors of every online guest frame,
-//! held in one section per online 128 MiB memory block.
+//! The guest memory map: the state of every online guest frame, held as
+//! extents rather than one descriptor per frame.
 //!
-//! Free buddy memory costs O(chunks), not O(frames). Like Linux's
-//! `PageBuddy` flag, only the head of a free buddy chunk carries state
-//! ([`PageState::FreeHead`], its order and zone, the free-list links);
-//! every other frame of the chunk keeps whatever its descriptor last
-//! held. A frame's real state is *resolved* by looking for an aligned
-//! free head that covers it, as the kernel's `is_free_buddy_page` does,
-//! which takes at most [`MAX_ORDER`] + 1 probes. That works because
-//! of one invariant the buddy allocator keeps: a raw descriptor whose
-//! state is `FreeHead` is always a head on its zone's free list, so
-//! every path that ends a chunk's head status overwrites the head's
-//! state.
+//! An *extent* is a head descriptor plus a length: a run of frames in
+//! one 128 MiB memory block whose states all follow from the head. The
+//! extents of an online block tile it exactly, so memory costs map
+//! entries per extent, not per frame, and every bulk path (onlining, a
+//! fault claiming a buddy run, an exit freeing one, offlining,
+//! migration) touches a few extents. The kinds are:
+//!
+//! * a free buddy chunk ([`PageState::FreeHead`], its order and zone and
+//!   the free-list links), `2^order` frames long. Like Linux's
+//!   `PageBuddy` flag, only the head is a head; the other frames
+//!   resolve as [`PageState::FreeTail`];
+//! * an owner run ([`PageState::Anon`] or [`PageState::File`]): exactly
+//!   one extent per run of the owner's run list, naming the owner and
+//!   the run's handle;
+//! * a kernel run, or a run of device drivers' unmovable pages
+//!   ([`PageState::Kernel`], owner word [`NIL`](crate::page::NIL)) that were claimed one
+//!   after another, like a balloon's;
+//! * a 2 MiB huge page ([`PageState::HugeHead`]), whose 511 tails
+//!   resolve as [`PageState::HugeTail`] with the head's owner words;
+//! * an isolated range ([`PageState::Isolated`]) inside an offlining
+//!   block. Adjacent isolated extents merge, so an offline ends with its
+//!   block as one extent.
+//!
+//! Absent and offline blocks hold no extents at all.
+//!
+//! The extents live in one hash table keyed by head frame, so the buddy
+//! allocator's exact lookups (a chunk, its buddy, its list neighbours)
+//! cost one probe each. Each online block also keeps a bitmap of its
+//! extent heads, 4 KiB against the 384 KiB a descriptor per frame would
+//! take, which finds the extent covering any frame and walks a block's
+//! extents in address order.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mem_types::{BlockId, FrameRange, Gfn, PAGES_PER_BLOCK};
 
-use crate::page::{PageDesc, PageState, MAX_ORDER};
+use crate::page::{PageDesc, PageState};
+
+/// A run of frames, within one block, that resolve from one head
+/// descriptor (see the module docs for the kinds).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Extent {
+    /// The first frame's descriptor.
+    pub head: PageDesc,
+    /// Number of frames.
+    pub len: u32,
+}
+
+impl Extent {
+    /// Returns the resolved descriptor of the frame `i` frames past the
+    /// head.
+    #[inline]
+    fn frame(&self, i: u64) -> PageDesc {
+        match self.head.state {
+            _ if i == 0 => self.head,
+            PageState::FreeHead => free_tail(self.head.zone),
+            PageState::HugeHead => PageDesc {
+                state: PageState::HugeTail,
+                ..self.head
+            },
+            _ => self.head,
+        }
+    }
+
+    /// Returns `true` if every frame reads as the head, so the extent
+    /// may be cut anywhere.
+    fn uniform(&self) -> bool {
+        !matches!(self.head.state, PageState::FreeHead | PageState::HugeHead)
+    }
+}
+
+/// Words in a block's head bitmap, one bit per frame.
+const WORDS: usize = (PAGES_PER_BLOCK / 64) as usize;
+
+/// The extent heads of one online block, one bit per frame offset.
+/// Searches read whole words, so they cost a word per 64 frames between
+/// the starting frame and the head found.
+struct Heads([u64; WORDS]);
+
+impl Heads {
+    fn new() -> Box<Self> {
+        Box::new(Heads([0; WORDS]))
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Returns the highest head offset at or below `i`.
+    #[inline]
+    fn last_at_or_below(&self, i: usize) -> Option<usize> {
+        let w = i / 64;
+        let x = self.0[w] & (u64::MAX >> (63 - i % 64));
+        let (w, x) = match x {
+            0 => (0..w)
+                .rev()
+                .map(|w| (w, self.0[w]))
+                .find(|&(_, x)| x != 0)?,
+            x => (w, x),
+        };
+        Some(w * 64 + 63 - x.leading_zeros() as usize)
+    }
+
+    /// Returns the lowest head offset in `[i, end)`.
+    #[inline]
+    fn first_in(&self, i: usize, end: usize) -> Option<usize> {
+        if i >= end {
+            return None;
+        }
+        let w = i / 64;
+        let x = self.0[w] & (u64::MAX << (i % 64));
+        let (w, x) = match x {
+            0 => (w + 1..end.div_ceil(64))
+                .map(|w| (w, self.0[w]))
+                .find(|&(_, x)| x != 0)?,
+            x => (w, x),
+        };
+        Some(w * 64 + x.trailing_zeros() as usize).filter(|&k| k < end)
+    }
+}
+
+/// Hashes a head frame for the extent table: one multiply, folded so
+/// that the low bits, which pick the bucket, depend on every key bit
+/// (heads are often aligned, so their own low bits are zero). The keys
+/// are frames the allocator picked, never input, so the table needs no
+/// protection against crafted collisions.
+#[derive(Default)]
+struct FrameHasher(u64);
+
+impl Hasher for FrameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ b as u64;
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        let m = self.0 as u128 * 0x9E37_79B9_7F4A_7C15;
+        m as u64 ^ (m >> 64) as u64
+    }
+}
 
 /// What a memory block is to the memory map.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Tag {
+enum Block {
     /// Not hot-added: every frame reads as [`PageDesc::ABSENT`].
     Absent,
     /// Hot-added but not online: every frame reads as
     /// [`PageDesc::OFFLINE`].
     Offline,
-    /// Online: the block holds a section of descriptors.
-    Online,
+    /// Online: the block's extents tile it.
+    Online(Box<Heads>),
+}
+
+impl Block {
+    fn name(&self) -> &'static str {
+        match self {
+            Block::Absent => "Absent",
+            Block::Offline => "Offline",
+            Block::Online(_) => "Online",
+        }
+    }
 }
 
 /// The simulator's `memmap`, sparse like Linux `SPARSEMEM`: the guest
 /// physical address space (boot memory plus the hot-pluggable device
-/// region) is split into 128 MiB memory blocks, and only online blocks
-/// hold a section of descriptors.
+/// region) is split into 128 MiB memory blocks, and each online block
+/// is tiled by extents.
 ///
-/// Hot-add and hot-remove only retag a block. Onlining *materializes*
-/// its section and offlining *retires* it again, so the map's
-/// footprint follows online memory rather than the address space, and
-/// a whole block moves in or out of the buddy without a per-frame
-/// write. Retired sections go on a spare list and are handed to the
-/// next online instead of being freed: re-plugging then reuses memory
-/// that is already faulted in, and the spare list never grows past the
-/// peak number of online blocks.
+/// Hot-add and hot-remove only retag a block. Onlining starts a bare
+/// block that the buddy tiles with one free extent per chunk, and
+/// offlining drops its extents, so the memory map's footprint follows
+/// the number of extents and online blocks, not the address space or
+/// the online frames.
 ///
-/// Reads of a block without a section return [`PageDesc::ABSENT`] or
-/// [`PageDesc::OFFLINE`]; writing to one is a bug and panics.
+/// Reads of a block that is not online return [`PageDesc::ABSENT`] or
+/// [`PageDesc::OFFLINE`].
 pub struct MemMap {
     frames: u64,
-    tags: Vec<Tag>,
-    /// One section per block; an empty slice (no allocation) means the
-    /// block is not online.
-    sections: Vec<Box<[PageDesc]>>,
-    /// Retired sections awaiting reuse.
-    spare: Vec<Box<[PageDesc]>>,
-}
-
-/// Splits `g` into its section index and the offset inside it.
-#[inline]
-fn locate(g: Gfn) -> (usize, usize) {
-    (
-        (g.0 / PAGES_PER_BLOCK) as usize,
-        (g.0 % PAGES_PER_BLOCK) as usize,
-    )
-}
-
-/// Returns the offset of the free chunk head covering offset `i` of
-/// `section`, or `None` if `i` is not free. Sections are block-aligned,
-/// so an offset's alignment is its frame's.
-#[inline]
-fn chunk_head(section: &[PageDesc], i: usize) -> Option<usize> {
-    (0..=MAX_ORDER).find_map(|order| {
-        let h = i & !((1usize << order) - 1);
-        let d = &section[h];
-        (d.state == PageState::FreeHead && d.order >= order).then_some(h)
-    })
+    blocks: Vec<Block>,
+    /// Every extent, by head frame.
+    extents: HashMap<u64, Extent, BuildHasherDefault<FrameHasher>>,
 }
 
 /// The resolved descriptor of a frame inside a free chunk of `zone`.
@@ -86,23 +206,33 @@ fn free_tail(zone: u8) -> PageDesc {
     }
 }
 
+/// Returns the index of `g`'s block.
+#[inline]
+fn block_of(g: u64) -> usize {
+    (g / PAGES_PER_BLOCK) as usize
+}
+
+/// Returns `g`'s offset inside its block.
+#[inline]
+fn offset(g: u64) -> usize {
+    (g % PAGES_PER_BLOCK) as usize
+}
+
 #[cold]
 #[inline(never)]
 #[track_caller]
-fn not_present(range: FrameRange) -> ! {
-    panic!("frames {range:?} are absent or leave their block's section")
+fn not_covered(g: u64) -> ! {
+    panic!("frame {g:#x} is absent or covered by no extent")
 }
 
 impl MemMap {
-    /// Creates a map covering `frames` guest frames, all absent. No
-    /// descriptor is allocated until a block is onlined.
+    /// Creates a map covering `frames` guest frames, all absent.
     pub fn new(frames: u64) -> Self {
-        let blocks = frames.div_ceil(PAGES_PER_BLOCK);
+        let blocks = frames.div_ceil(PAGES_PER_BLOCK) as usize;
         MemMap {
             frames,
-            tags: vec![Tag::Absent; blocks as usize],
-            sections: (0..blocks).map(|_| Box::default()).collect(),
-            spare: Vec::new(),
+            blocks: (0..blocks).map(|_| Block::Absent).collect(),
+            extents: HashMap::default(),
         }
     }
 
@@ -116,26 +246,63 @@ impl MemMap {
         self.frames == 0
     }
 
-    /// Returns `true` if block `b` holds a section (it is online).
-    pub fn has_section(&self, b: BlockId) -> bool {
-        !self.sections[b.0 as usize].is_empty()
+    /// Returns the number of extents held across all blocks.
+    #[cfg(test)]
+    pub(crate) fn extent_count(&self) -> usize {
+        self.extents.len()
     }
 
-    /// Returns the number of materialized sections.
-    pub fn present_sections(&self) -> usize {
-        self.sections.iter().filter(|s| !s.is_empty()).count()
+    /// Returns block `b`'s extents in address order, each as its frames
+    /// and its head's descriptor. Blocks that are not online have none.
+    pub(crate) fn extents(&self, b: BlockId) -> impl Iterator<Item = (FrameRange, PageDesc)> + '_ {
+        self.extents_from(b.first_frame().0)
+            .map(|(k, e)| (FrameRange::new(Gfn(k), e.len as u64), e.head))
     }
 
-    /// Returns the number of retired sections kept for reuse.
-    pub fn spare_sections(&self) -> usize {
-        self.spare.len()
+    /// Returns the extents of `g`'s block headed at `g` or above, in
+    /// address order.
+    fn extents_from(&self, g: u64) -> impl Iterator<Item = (u64, &Extent)> + '_ {
+        let base = g - offset(g) as u64;
+        self.heads(block_of(g))
+            .into_iter()
+            .flat_map(move |h| {
+                std::iter::successors(h.first_in(offset(g), WORDS * 64), |&j| {
+                    h.first_in(j + 1, WORDS * 64)
+                })
+            })
+            .map(move |i| {
+                let k = base + i as u64;
+                (
+                    k,
+                    self.extents.get(&k).expect("every head bit has an extent"),
+                )
+            })
     }
 
-    /// Returns block `b`'s raw descriptors, or `None` if it has no
-    /// section. Frames inside free chunks hold unspecified contents.
-    pub(crate) fn section(&self, b: BlockId) -> Option<&[PageDesc]> {
-        let s = &self.sections[b.0 as usize];
-        (!s.is_empty()).then_some(&**s)
+    fn heads(&self, s: usize) -> Option<&Heads> {
+        match self.blocks.get(s)? {
+            Block::Online(h) => Some(h),
+            _ => None,
+        }
+    }
+
+    fn heads_mut(&mut self, g: u64) -> &mut Heads {
+        match &mut self.blocks[block_of(g)] {
+            Block::Online(h) => h,
+            b => panic!("frame {g:#x} of an {} block", b.name()),
+        }
+    }
+
+    /// Moves block `b` from state `from` to `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not in state `from`.
+    fn retag(&mut self, b: BlockId, from: &'static str, to: Block) -> Block {
+        let block = &mut self.blocks[b.0 as usize];
+        let (is, to_name) = (block.name(), to.name());
+        assert_eq!(is, from, "block {b:?} cannot go from {is} to {to_name}");
+        std::mem::replace(block, to)
     }
 
     /// Hot-adds block `b`: its frames read as [`PageDesc::OFFLINE`].
@@ -144,7 +311,7 @@ impl MemMap {
     ///
     /// Panics if `b` is not absent.
     pub(crate) fn hot_add(&mut self, b: BlockId) {
-        self.retag(b, Tag::Absent, Tag::Offline);
+        self.retag(b, "Absent", Block::Offline);
     }
 
     /// Hot-removes block `b`: its frames read as [`PageDesc::ABSENT`].
@@ -153,77 +320,273 @@ impl MemMap {
     ///
     /// Panics if `b` is not hot-added and offline.
     pub(crate) fn hot_remove(&mut self, b: BlockId) {
-        self.retag(b, Tag::Offline, Tag::Absent);
+        self.retag(b, "Offline", Block::Absent);
     }
 
-    /// Onlines block `b`: materializes its section, reusing a retired
-    /// one when there is one. The section's contents are unspecified
-    /// (a reused one keeps its retired block's descriptors) but hold no
-    /// `FreeHead`, so the caller makes the block free by linking its
-    /// chunk heads alone.
+    /// Onlines block `b` with no extents; the caller tiles it by
+    /// linking its buddy chunks.
     ///
     /// # Panics
     ///
     /// Panics if `b` is not hot-added and offline.
     pub(crate) fn online(&mut self, b: BlockId) {
-        self.retag(b, Tag::Offline, Tag::Online);
-        let start = b.0 * PAGES_PER_BLOCK;
-        let len = (self.frames - start).min(PAGES_PER_BLOCK) as usize;
-        let section = match self.spare.pop() {
-            Some(s) if s.len() == len => s,
-            _ => vec![PageDesc::ABSENT; len].into_boxed_slice(),
-        };
-        self.sections[b.0 as usize] = section;
+        self.retag(b, "Offline", Block::Online(Heads::new()));
     }
 
-    /// Offlines block `b`: retires its section to the spare list, and
-    /// its frames read as [`PageDesc::OFFLINE`]. The caller has taken
-    /// every chunk of the block off the free lists first.
+    /// Offlines block `b`, dropping its extents: its frames read as
+    /// [`PageDesc::OFFLINE`]. The caller has taken every chunk of the
+    /// block off the free lists first, leaving it either bare (an
+    /// instant offline) or one isolated extent (a migrating one).
     ///
     /// # Panics
     ///
     /// Panics if `b` is not online.
     pub(crate) fn offline(&mut self, b: BlockId) {
-        self.retag(b, Tag::Online, Tag::Offline);
-        let section = std::mem::take(&mut self.sections[b.0 as usize]);
+        let Block::Online(heads) = self.retag(b, "Online", Block::Offline) else {
+            unreachable!("retag checked the block was online");
+        };
+        if let Some(e) = self.extents.remove(&b.first_frame().0) {
+            debug_assert!(
+                e.head.state == PageState::Isolated && e.len as u64 == PAGES_PER_BLOCK,
+                "block {b:?} offlined with {e:?} left"
+            );
+        }
         debug_assert!(
-            section.iter().all(|d| d.state != PageState::FreeHead),
-            "block {b:?} retired with a free chunk still linked"
+            heads.0.iter().filter(|&&w| w != 0).count() <= 1,
+            "block {b:?} offlined with extents left"
         );
-        self.spare.push(section);
     }
 
-    /// What every frame of block `s` reads as while it has no section.
+    /// What every frame of block `s` reads as while it is not online.
     fn blank(&self, s: usize) -> PageDesc {
-        match self.tags[s] {
-            Tag::Absent => PageDesc::ABSENT,
+        match self.blocks[s] {
+            Block::Absent => PageDesc::ABSENT,
             _ => PageDesc::OFFLINE,
         }
     }
 
-    fn retag(&mut self, b: BlockId, from: Tag, to: Tag) {
-        let tag = &mut self.tags[b.0 as usize];
-        assert_eq!(*tag, from, "block {b:?} cannot go from {tag:?} to {to:?}");
-        *tag = to;
+    /// Returns the head of the last extent of `g`'s block that starts at
+    /// or below `g`.
+    #[inline]
+    fn head_at_or_below(&self, g: u64) -> Option<u64> {
+        let i = self.heads(block_of(g))?.last_at_or_below(offset(g))?;
+        Some(g - (offset(g) - i) as u64)
     }
 
-    /// Returns the resolved descriptor of `g`: [`PageDesc::ABSENT`] or
-    /// [`PageDesc::OFFLINE`] if its block has no section, a `FreeTail`
-    /// of the chunk's zone if a free chunk head covers it, and the raw
-    /// descriptor otherwise.
+    /// Returns the first extent head in `[from, end)`, which lies within
+    /// one block.
+    #[inline]
+    fn head_in(&self, from: u64, end: u64) -> Option<u64> {
+        let base = from - offset(from) as u64;
+        let i = self
+            .heads(block_of(from))?
+            .first_in(offset(from), (end - base) as usize)?;
+        Some(base + i as u64)
+    }
+
+    /// Returns the head of the extent ending at `g`, if one does, with
+    /// the extent, for update.
+    #[inline]
+    fn ending_at(&mut self, g: u64) -> Option<(u64, &mut Extent)> {
+        let k = self.head_at_or_below(g.checked_sub(1).filter(|_| offset(g) > 0)?)?;
+        let e = self
+            .extents
+            .get_mut(&k)
+            .expect("every head bit has an extent");
+        (k + e.len as u64 == g).then_some((k, e))
+    }
+
+    /// Returns the extent covering `g` with its head frame, if any.
+    #[inline]
+    pub(crate) fn covering(&self, g: Gfn) -> Option<(u64, &Extent)> {
+        let k = self.head_at_or_below(g.0)?;
+        let e = self.extents.get(&k).expect("every head bit has an extent");
+        (g.0 < k + e.len as u64).then_some((k, e))
+    }
+
+    /// Returns the extent headed exactly at `head`, if any.
+    #[inline]
+    pub(crate) fn extent(&self, head: Gfn) -> Option<&Extent> {
+        self.extents.get(&head.0)
+    }
+
+    /// Returns the extent headed exactly at `head` for update.
     ///
     /// # Panics
     ///
-    /// Panics if `g` is beyond the covered address space.
+    /// Panics if no extent starts at `head`.
+    #[inline]
+    pub(crate) fn extent_mut(&mut self, head: Gfn) -> &mut Extent {
+        match self.extents.get_mut(&head.0) {
+            Some(e) => e,
+            None => not_covered(head.0),
+        }
+    }
+
+    /// Inserts an extent over the uncovered frames `[head, head + len)`
+    /// of one online block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not online, and (debug) if the extent
+    /// leaves its block or overlaps another.
+    #[inline]
+    pub(crate) fn insert(&mut self, head: Gfn, e: Extent) {
+        debug_assert!(e.len > 0);
+        debug_assert_eq!(
+            block_of(head.0),
+            block_of(head.0 + e.len as u64 - 1),
+            "extent at {head:?} leaves its block"
+        );
+        debug_assert!(
+            self.is_uncovered(FrameRange::new(head, e.len as u64)),
+            "extent at {head:?} overlaps another"
+        );
+        self.heads_mut(head.0).set(offset(head.0));
+        self.extents.insert(head.0, e);
+    }
+
+    /// Removes and returns the extent headed exactly at `head`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no extent starts at `head`.
+    #[inline]
+    pub(crate) fn remove(&mut self, head: Gfn) -> Extent {
+        let Some(e) = self.extents.remove(&head.0) else {
+            not_covered(head.0)
+        };
+        self.heads_mut(head.0).clear(offset(head.0));
+        e
+    }
+
+    /// Returns `true` if no extent covers any frame of `range`, which
+    /// lies within one block.
+    pub(crate) fn is_uncovered(&self, range: FrameRange) -> bool {
+        self.covering(range.start).is_none() && self.head_in(range.start.0, range.end().0).is_none()
+    }
+
+    /// Covers the uncovered frames `[head, head + len)` with the used
+    /// descriptor `d`, growing the extent that ends at `head` instead of
+    /// inserting one when it has the same descriptor: an owner run, a
+    /// kernel run or a run of device pages that grew.
+    pub(crate) fn claim(&mut self, head: Gfn, len: u64, d: PageDesc) {
+        debug_assert!(d.state.is_used() && d.state != PageState::HugeHead);
+        debug_assert!(self.is_uncovered(FrameRange::new(head, len)));
+        if let Some((_, e)) = self.ending_at(head.0) {
+            if (e.head.state, e.head.zone, e.head.a, e.head.b) == (d.state, d.zone, d.a, d.b) {
+                e.len += len as u32;
+                return;
+            }
+        }
+        self.insert(
+            head,
+            Extent {
+                head: d,
+                len: len as u32,
+            },
+        );
+    }
+
+    /// Covers the uncovered frames of `range`, in one block of `zone`,
+    /// as isolated, merging with isolated extents on either side.
+    pub(crate) fn isolate(&mut self, range: FrameRange, zone: u8) {
+        let (start, end) = (range.start.0, range.end().0);
+        let mut len = range.count;
+        let after = offset(end) > 0
+            && self
+                .extents
+                .get(&end)
+                .is_some_and(|e| e.head.state == PageState::Isolated);
+        if after {
+            len += self.remove(Gfn(end)).len as u64;
+        }
+        if let Some((_, e)) = self.ending_at(start) {
+            if e.head.state == PageState::Isolated {
+                e.len += len as u32;
+                return;
+            }
+        }
+        let head = PageDesc {
+            state: PageState::Isolated,
+            zone,
+            ..PageDesc::ABSENT
+        };
+        self.insert(
+            range.start,
+            Extent {
+                head,
+                len: len as u32,
+            },
+        );
+    }
+
+    /// Uncovers `range`, which lies within one block and whose first
+    /// frame is covered: extents inside it go, and one reaching past
+    /// either end is cut there. Only extents whose frames all read alike
+    /// are cut (not free chunks or huge pages). Returns the descriptor
+    /// of the extent that covered the first frame.
+    pub(crate) fn carve(&mut self, range: FrameRange) -> PageDesc {
+        let (start, end) = (range.start.0, range.end().0);
+        let k = self
+            .head_at_or_below(start)
+            .unwrap_or_else(|| not_covered(start));
+        let Entry::Occupied(mut first) = self.extents.entry(k) else {
+            unreachable!("every head bit has an extent")
+        };
+        let e = *first.get();
+        let e_end = k + e.len as u64;
+        if e_end <= start {
+            not_covered(start);
+        }
+        let mut rest = (e_end > end).then_some((e_end, e.head));
+        if k == start {
+            first.remove();
+            self.heads_mut(start).clear(offset(start));
+        } else {
+            debug_assert!(e.uniform(), "cutting {:?} at {start:#x}", e.head.state);
+            first.get_mut().len = (start - k) as u32;
+        }
+        // Extents headed inside the range go; the last may reach past it.
+        while let Some(k) = self.head_in(start, end) {
+            let e = self.remove(Gfn(k));
+            if k + e.len as u64 > end {
+                rest = Some((k + e.len as u64, e.head));
+            }
+        }
+        if let Some((e_end, head)) = rest {
+            debug_assert!(
+                Extent { head, len: 1 }.uniform(),
+                "cutting {:?} at {end:#x}",
+                head.state
+            );
+            self.insert(
+                Gfn(end),
+                Extent {
+                    head,
+                    len: (e_end - end) as u32,
+                },
+            );
+        }
+        e.head
+    }
+
+    /// Returns the resolved descriptor of `g`: [`PageDesc::ABSENT`] or
+    /// [`PageDesc::OFFLINE`] if its block is not online, and otherwise
+    /// the frame's reading of the extent covering it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is beyond the covered address space, or no extent
+    /// covers it in an online block (only mid-operation).
     #[inline]
     pub fn page(&self, g: Gfn) -> PageDesc {
-        let (s, i) = locate(g);
-        let section = &self.sections[s];
-        match section.get(i) {
-            Some(&d) if d.state == PageState::FreeHead => d,
-            Some(&d) => chunk_head(section, i).map_or(d, |h| free_tail(section[h].zone)),
-            None if section.is_empty() && g.0 < self.frames => self.blank(s),
-            None => not_present(FrameRange::new(g, 1)),
+        match self.covering(g) {
+            Some((k, e)) => e.frame(g.0 - k),
+            None if g.0 < self.frames && self.heads(block_of(g.0)).is_none() => {
+                self.blank(block_of(g.0))
+            }
+            None => not_covered(g.0),
         }
     }
 
@@ -233,133 +596,65 @@ impl MemMap {
         self.page(g).state
     }
 
-    /// Returns the raw descriptor of `g`, for pages known to be used or
-    /// free chunk heads (anything else may hold stale contents).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`'s block has no section.
-    #[inline]
-    pub(crate) fn raw(&self, g: Gfn) -> &PageDesc {
-        let (s, i) = locate(g);
-        match self.sections[s].get(i) {
-            Some(d) => d,
-            None => not_present(FrameRange::new(g, 1)),
-        }
-    }
-
-    /// Returns the mutable raw descriptor of `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g`'s block has no section.
-    #[inline]
-    pub(crate) fn raw_mut(&mut self, g: Gfn) -> &mut PageDesc {
-        let (s, i) = locate(g);
-        match self.sections[s].get_mut(i) {
-            Some(d) => d,
-            None => not_present(FrameRange::new(g, 1)),
-        }
-    }
-
-    /// Returns the raw descriptors of `range` as one mutable slice —
-    /// the bulk paths (run claims, isolation) sweep descriptors through
-    /// this instead of taking a section lookup per page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` has no section or leaves its block (buddy
-    /// chunks and process runs never straddle a block).
-    #[inline]
-    pub(crate) fn range_mut(&mut self, range: FrameRange) -> &mut [PageDesc] {
-        let (s, i) = locate(range.start);
-        match self.sections[s].get_mut(i..i + range.count as usize) {
-            Some(d) => d,
-            None => not_present(range),
-        }
-    }
-
-    /// Returns the raw descriptors of two equally long ranges in
-    /// different blocks as two mutable slices (a migration's sources and
-    /// targets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges share a block, or either has no section or
-    /// leaves its block.
-    pub(crate) fn range_pair_mut(
-        &mut self,
-        a: FrameRange,
-        b: FrameRange,
-    ) -> (&mut [PageDesc], &mut [PageDesc]) {
-        let ((sa, ia), (sb, ib)) = (locate(a.start), locate(b.start));
-        let [xa, xb] = self
-            .sections
-            .get_disjoint_mut([sa, sb])
-            .expect("ranges in distinct blocks");
-        match (
-            xa.get_mut(ia..ia + a.count as usize),
-            xb.get_mut(ib..ib + b.count as usize),
-        ) {
-            (Some(da), Some(db)) => (da, db),
-            (None, _) => not_present(a),
-            (_, None) => not_present(b),
-        }
-    }
-
     /// Returns the resolved descriptors of every frame of block `b`, in
-    /// address order. One pass over the section: a free chunk never
-    /// straddles a block, so the walk meets each one at its head and
-    /// skips its frames.
+    /// address order, expanding one extent at a time.
     pub fn block_pages(&self, b: BlockId) -> impl Iterator<Item = PageDesc> + '_ {
-        let start = b.0 * PAGES_PER_BLOCK;
-        let len = (self.frames - start).min(PAGES_PER_BLOCK) as usize;
-        let section = &*self.sections[b.0 as usize];
-        let blank = self.blank(b.0 as usize);
-        let (mut i, mut tails, mut tail) = (0, 0usize, blank);
-        std::iter::from_fn(move || {
-            if i == len {
-                return None;
-            }
-            i += 1;
-            if section.is_empty() {
-                return Some(blank);
-            }
-            if tails > 0 {
-                tails -= 1;
-                return Some(tail);
-            }
-            let d = section[i - 1];
-            if d.state == PageState::FreeHead {
-                (tails, tail) = ((1 << d.order) - 1, free_tail(d.zone));
-            }
-            Some(d)
-        })
+        let s = b.0 as usize;
+        let len = (self.frames - b.0 * PAGES_PER_BLOCK).min(PAGES_PER_BLOCK) as usize;
+        let blank = self.heads(s).is_none().then(|| self.blank(s));
+        let blank = blank
+            .into_iter()
+            .flat_map(move |d| std::iter::repeat_n(d, len));
+        let extents = self.extents_from(b.first_frame().0).flat_map(|(_, e)| {
+            std::iter::once(e.head).chain(std::iter::repeat_n(e.frame(1), e.len as usize - 1))
+        });
+        blank.chain(extents)
     }
 
-    /// Counts pages in `range` whose resolved descriptor matches `pred`.
+    /// Counts pages in `range` whose resolved descriptor matches `pred`,
+    /// testing each extent's head and tails once.
     pub fn count_in(&self, range: FrameRange, pred: impl Fn(&PageDesc) -> bool) -> u64 {
-        range.iter().filter(|&g| pred(&self.page(g))).count() as u64
+        let (start, end) = (range.start.0, range.end().0);
+        let mut n = 0;
+        let mut g = start;
+        while g < end {
+            let s = block_of(g);
+            let stop = end.min((s as u64 + 1) * PAGES_PER_BLOCK);
+            if self.heads(s).is_none() {
+                n += (stop - g) * pred(&self.blank(s)) as u64;
+                g = stop;
+                continue;
+            }
+            let first = self.covering(Gfn(g)).map_or(g, |(k, _)| k);
+            for (k, e) in self.extents_from(first).take_while(|&(k, _)| k < stop) {
+                let (from, to) = (k.max(g), (k + e.len as u64).min(stop));
+                if from == k {
+                    n += pred(&e.head) as u64;
+                }
+                let tails = to - from - (from == k) as u64;
+                if tails > 0 {
+                    n += tails * pred(&e.frame(1)) as u64;
+                }
+            }
+            g = stop;
+        }
+        n
     }
 
     /// Returns the head and order of the free buddy chunk containing
     /// `g`, or `None` if `g` is not free.
-    ///
-    /// Walks candidate heads of increasing order; at most
-    /// [`MAX_ORDER`] + 1 probes.
     pub fn free_chunk_of(&self, g: Gfn) -> Option<(Gfn, u8)> {
-        let (s, i) = locate(g);
-        let section = self.section(BlockId(s as u64))?;
-        let h = chunk_head(section.get(..=i)?, i)?;
-        Some((Gfn(g.0 - (i - h) as u64), section[h].order))
+        let (k, e) = self.covering(g)?;
+        (e.head.state == PageState::FreeHead).then_some((Gfn(k), e.head.order))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::NIL;
 
-    /// A map of `frames` frames whose first block is online.
+    /// A map of `frames` frames whose first block is online and bare.
     fn online(frames: u64) -> MemMap {
         let mut m = MemMap::new(frames);
         m.hot_add(BlockId(0));
@@ -367,13 +662,39 @@ mod tests {
         m
     }
 
-    /// Makes `[head, head + 2^order)` a free chunk of zone 3 by writing
-    /// its head alone.
+    /// An anonymous page descriptor of `owner`'s run `run` in zone 1.
+    fn anon(owner: u32, run: u32) -> PageDesc {
+        PageDesc {
+            state: PageState::Anon,
+            zone: 1,
+            a: owner,
+            b: run,
+            ..PageDesc::ABSENT
+        }
+    }
+
+    /// Covers `[head, head + 2^order)` with a free chunk of zone 3.
     fn make_free(m: &mut MemMap, head: u64, order: u8) {
-        let d = m.raw_mut(Gfn(head));
-        d.state = PageState::FreeHead;
-        d.order = order;
-        d.zone = 3;
+        let d = PageDesc {
+            state: PageState::FreeHead,
+            order,
+            zone: 3,
+            ..PageDesc::ABSENT
+        };
+        m.insert(
+            Gfn(head),
+            Extent {
+                head: d,
+                len: 1 << order,
+            },
+        );
+    }
+
+    /// Each extent of block 0 as `(start, len, state)`.
+    fn layout(m: &MemMap) -> Vec<(u64, u64, PageState)> {
+        m.extents(BlockId(0))
+            .map(|(r, d)| (r.start.0, r.count, d.state))
+            .collect()
     }
 
     #[test]
@@ -384,27 +705,36 @@ mod tests {
         for i in 0..100 {
             assert_eq!(m.state(Gfn(i)), PageState::Absent);
         }
+        assert_eq!(m.extent_count(), 0);
     }
 
     #[test]
     fn count_in_counts_matching_pages() {
         let mut m = online(16);
-        m.raw_mut(Gfn(3)).state = PageState::Anon;
-        m.raw_mut(Gfn(4)).state = PageState::Anon;
-        m.raw_mut(Gfn(5)).state = PageState::Kernel;
+        make_free(&mut m, 0, 1);
+        m.claim(Gfn(2), 1, anon(7, 0));
+        m.claim(Gfn(3), 2, anon(7, 1));
+        let kernel = PageDesc {
+            state: PageState::Kernel,
+            a: 0,
+            ..anon(0, 0)
+        };
+        m.claim(Gfn(5), 11, kernel);
         let r = FrameRange::new(Gfn(0), 16);
-        assert_eq!(m.count_in(r, |p| p.state == PageState::Anon), 2);
-        assert_eq!(m.count_in(r, |p| p.state.is_used()), 3);
+        assert_eq!(m.count_in(r, |p| p.state == PageState::Anon), 3);
+        assert_eq!(m.count_in(r, |p| p.state.is_used()), 14);
+        assert_eq!(m.count_in(r, |p| p.state.is_free()), 2);
         let r2 = FrameRange::new(Gfn(4), 2);
         assert_eq!(m.count_in(r2, |p| p.state == PageState::Anon), 1);
+        assert_eq!(
+            m.count_in(FrameRange::new(Gfn(1), 1), |p| p.state.is_free()),
+            1
+        );
     }
 
     #[test]
     fn free_chunk_of_finds_head() {
         let mut m = online(1024);
-        // Stale used descriptors inside the chunk do not matter: the
-        // head alone makes [512, 1024) a free order-9 chunk.
-        m.raw_mut(Gfn(777)).state = PageState::Anon;
         make_free(&mut m, 512, 9);
         let head = Some((Gfn(512), 9));
         assert_eq!(m.free_chunk_of(Gfn(512)), head);
@@ -423,20 +753,15 @@ mod tests {
     }
 
     #[test]
-    fn pages_resolve_through_their_chunk_head() {
+    fn pages_resolve_through_their_extent() {
         let mut m = online(64);
-        for g in 0..64 {
-            *m.raw_mut(Gfn(g)) = PageDesc {
-                state: PageState::Anon,
-                zone: 1,
-                a: 7,
-                b: g as u32,
-                ..PageDesc::ABSENT
-            };
-        }
+        m.claim(Gfn(0), 16, anon(7, 0));
         make_free(&mut m, 16, 4);
+        m.claim(Gfn(32), 1, anon(7, 1));
         make_free(&mut m, 33, 0);
+        m.claim(Gfn(34), 30, anon(7, 1));
         let resolved: Vec<PageDesc> = m.block_pages(BlockId(0)).collect();
+        assert_eq!(resolved.len(), 64);
         for g in 0..64u64 {
             let (d, want) = (m.page(Gfn(g)), resolved[g as usize]);
             assert_eq!((d.state, d.zone, d.a), (want.state, want.zone, want.a));
@@ -447,39 +772,97 @@ mod tests {
             };
             assert_eq!((d.state, d.zone), (state, zone), "frame {g}");
         }
-        // A head does not cover frames past its order.
-        assert_eq!(m.state(Gfn(32)), PageState::Anon);
-        assert_eq!(m.state(Gfn(34)), PageState::Anon);
+        // Five extents: the two runs of handle 1 are not adjacent.
+        assert_eq!(m.extent_count(), 5);
     }
 
     #[test]
-    fn blocks_read_by_their_tag_and_reuse_sections() {
+    fn claims_grow_the_extent_they_continue() {
+        let mut m = online(64);
+        m.claim(Gfn(0), 4, anon(7, 0));
+        m.claim(Gfn(4), 4, anon(7, 0));
+        m.claim(Gfn(8), 4, anon(7, 1));
+        m.claim(Gfn(12), 2, anon(8, 1));
+        let device = PageDesc {
+            state: PageState::Kernel,
+            a: NIL,
+            ..anon(0, 0)
+        };
+        m.claim(Gfn(14), 1, device);
+        m.claim(Gfn(15), 1, device);
+        m.claim(Gfn(17), 1, device);
+        assert_eq!(
+            layout(&m),
+            [
+                (0, 8, PageState::Anon),
+                (8, 4, PageState::Anon),
+                (12, 2, PageState::Anon),
+                (14, 2, PageState::Kernel),
+                (17, 1, PageState::Kernel),
+            ]
+        );
+    }
+
+    #[test]
+    fn carve_cuts_extents_at_both_ends() {
+        let mut m = online(64);
+        m.claim(Gfn(0), 10, anon(7, 0));
+        m.claim(Gfn(10), 10, anon(7, 1));
+        m.carve(FrameRange::new(Gfn(4), 2));
+        m.carve(FrameRange::new(Gfn(8), 5));
+        assert_eq!(
+            layout(&m),
+            [
+                (0, 4, PageState::Anon),
+                (6, 2, PageState::Anon),
+                (13, 7, PageState::Anon),
+            ]
+        );
+        assert_eq!((m.page(Gfn(7)).b, m.page(Gfn(13)).b), (0, 1));
+        assert!(m.is_uncovered(FrameRange::new(Gfn(8), 5)));
+        // A whole extent goes without a cut.
+        m.carve(FrameRange::new(Gfn(13), 7));
+        assert_eq!(m.extent_count(), 2);
+    }
+
+    #[test]
+    fn isolated_extents_merge_on_both_sides() {
+        let mut m = online(64);
+        m.claim(Gfn(0), 64, anon(7, 0));
+        for r in [(8, 8), (24, 8), (16, 8), (0, 8)] {
+            m.carve(FrameRange::new(Gfn(r.0), r.1));
+            m.isolate(FrameRange::new(Gfn(r.0), r.1), 1);
+        }
+        assert_eq!(
+            layout(&m),
+            [(0, 32, PageState::Isolated), (32, 32, PageState::Anon)]
+        );
+        let d = m.page(Gfn(31));
+        assert_eq!((d.zone, d.a, d.b), (1, NIL, NIL));
+    }
+
+    #[test]
+    fn blocks_read_by_their_tag_and_hold_extents_only_online() {
         let mut m = MemMap::new(3 * PAGES_PER_BLOCK);
         let g = Gfn(PAGES_PER_BLOCK);
         m.hot_add(BlockId(1));
-        assert_eq!((m.state(g), m.present_sections()), (PageState::Offline, 0));
+        assert_eq!((m.state(g), m.extent_count()), (PageState::Offline, 0));
         assert!(m
             .block_pages(BlockId(1))
             .all(|d| d.state == PageState::Offline));
         m.online(BlockId(1));
-        assert!(m.has_section(BlockId(1)));
-        assert!(m.section(BlockId(0)).is_none());
-        assert_eq!(
-            m.section(BlockId(1)).map(<[_]>::len),
-            Some(PAGES_PER_BLOCK as usize)
-        );
-        m.raw_mut(g).state = PageState::Kernel;
+        m.claim(g, PAGES_PER_BLOCK, anon(7, 0));
+        m.carve(FrameRange::new(g, PAGES_PER_BLOCK));
+        m.isolate(FrameRange::new(g, PAGES_PER_BLOCK), 1);
+        assert_eq!(m.extent_count(), 1);
         m.offline(BlockId(1));
-        assert_eq!((m.present_sections(), m.spare_sections()), (0, 1));
-        assert_eq!(m.state(g), PageState::Offline);
+        assert_eq!((m.state(g), m.extent_count()), (PageState::Offline, 0));
         m.hot_remove(BlockId(1));
         assert_eq!(m.state(g), PageState::Absent);
-        assert_eq!(m.spare_sections(), 1, "hot-add and remove keep spares");
-        // The next online takes the spare, contents and all.
-        m.hot_add(BlockId(2));
-        m.online(BlockId(2));
-        assert_eq!(m.section(BlockId(2)).unwrap()[0].state, PageState::Kernel);
-        assert_eq!((m.present_sections(), m.spare_sections()), (1, 0));
+        assert_eq!(
+            m.count_in(BlockId(1).frames(), |d| d.state == PageState::Absent),
+            PAGES_PER_BLOCK
+        );
     }
 
     #[test]
@@ -489,29 +872,21 @@ mod tests {
     }
 
     #[test]
-    fn partial_last_section_is_bounded() {
-        let mut m = MemMap::new(PAGES_PER_BLOCK + 8);
-        m.hot_add(BlockId(1));
-        m.online(BlockId(1));
-        assert_eq!(m.section(BlockId(1)).map(<[_]>::len), Some(8));
+    fn partial_last_block_is_bounded() {
+        let m = MemMap::new(PAGES_PER_BLOCK + 8);
         assert_eq!(m.block_pages(BlockId(1)).count(), 8);
         assert_eq!(m.state(Gfn(PAGES_PER_BLOCK - 1)), PageState::Absent);
     }
 
     #[test]
     #[should_panic(expected = "absent")]
-    fn page_beyond_a_partial_section_panics() {
-        online(16).page(Gfn(16));
+    fn page_beyond_the_map_panics() {
+        MemMap::new(16).page(Gfn(16));
     }
 
     #[test]
-    #[should_panic(expected = "absent")]
-    fn range_crossing_a_block_panics() {
-        let mut m = MemMap::new(2 * PAGES_PER_BLOCK);
-        for b in [BlockId(0), BlockId(1)] {
-            m.hot_add(b);
-            m.online(b);
-        }
-        m.range_mut(FrameRange::new(Gfn(PAGES_PER_BLOCK - 1), 2));
+    #[should_panic(expected = "covered by no extent")]
+    fn removing_a_missing_extent_panics() {
+        online(16).remove(Gfn(3));
     }
 }

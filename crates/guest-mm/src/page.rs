@@ -1,15 +1,14 @@
 //! Per-page metadata: the simulator's `struct page`.
 //!
-//! The guest memory map ([`crate::memmap::MemMap`]) holds a 12-byte
-//! [`PageDesc`] slot per 4 KiB frame of every online memory block, in
-//! one section per 128 MiB block, mirroring the Linux `memmap` the paper
-//! discusses in §2.2. The two word fields are overloaded the way the
-//! kernel overloads `struct page`: free chunk heads use them as
-//! intrusive free-list links, allocated pages as owner back-references
-//! (the owner's id, and the handle of the owner run holding the page —
-//! see the `runs` module).
-//! Only a free chunk's head carries state; the map resolves the state of
-//! the chunk's other frames from it.
+//! A [`PageDesc`] is what one 4 KiB frame reads as, mirroring the Linux
+//! `memmap` entry the paper discusses in §2.2. The guest memory map
+//! ([`crate::memmap::MemMap`]) stores one per *extent*, not per frame:
+//! an extent's head descriptor and length give every frame it covers
+//! ([`MemMap::page`](crate::memmap::MemMap::page) resolves them). The
+//! two word fields are overloaded the way the kernel overloads `struct
+//! page`: free chunk heads use them as intrusive free-list links, used
+//! pages as owner back-references (the owner's id, and the handle of
+//! the owner run holding the page — see the `runs` module).
 
 /// Sentinel for "no link" in intrusive free lists.
 pub const NIL: u32 = u32::MAX;
@@ -49,13 +48,15 @@ pub enum PageState {
     /// index in the kernel's run table) or a device's single page
     /// (`a` = [`NIL`]).
     Kernel = 6,
-    /// Pulled out of the buddy by the offlining path; not allocatable.
+    /// Pulled out of the buddy by the offlining path; not allocatable
+    /// and owned by nobody (`a` = `b` = [`NIL`]).
     Isolated = 7,
     /// Head page of a 2 MiB anonymous transparent huge page
     /// (`a` = pid, `b` = index in the process's huge-page set).
     HugeHead = 8,
     /// Interior page of a huge page; its 512-aligned head carries the
-    /// mapping. Owner fields mirror the head's for O(1) lookups.
+    /// mapping. A resolved state, with the head's owner fields: the
+    /// memmap derives it from the huge page's extent.
     HugeTail = 9,
 }
 
@@ -137,8 +138,7 @@ mod tests {
     fn page_desc_is_small() {
         assert!(
             core::mem::size_of::<PageDesc>() <= 12,
-            "PageDesc grew to {} bytes; every 128 MiB memmap section (and every \
-             spare one kept for reuse) would grow with it",
+            "PageDesc grew to {} bytes; every memmap extent would grow with it",
             core::mem::size_of::<PageDesc>()
         );
     }

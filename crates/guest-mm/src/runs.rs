@@ -6,16 +6,17 @@
 //! append, so a cold start that the buddy serves as long sequential
 //! chunks costs one run per chunk, and exit frees one run at a time.
 //!
-//! Each run has a stable handle, its index in the list's slab. A used
-//! page's `PageDesc.b` word names its run's handle, so a page finds its
-//! place in the order as `handle` plus its offset from the run's start.
-//! Runs are linked in order through the slab, which makes inserting or
-//! splitting a run O(1); only a run's own pages name its handle, so a
-//! split rewrites the `b` words of one side of one run.
+//! Each run has a stable handle, its index in the list's slab. The
+//! run's memmap extent names the handle in its `PageDesc.b` word, so a
+//! page finds its place in the order as `handle` plus its offset from
+//! the run's start. Runs are linked in order through the slab, which
+//! makes inserting or splitting a run O(1); a split moves one side of
+//! one run to an extent of its own.
 //!
 //! Two invariants hold for every run: its frames ascend from `start`,
 //! and it never straddles a 128 MiB memory block, so one block's
-//! counters and one memmap section serve it.
+//! counters serve it and the memmap holds it as exactly one extent
+//! (growing, cutting or moving a run here is mirrored on that extent).
 
 use mem_types::{FrameRange, Gfn, PAGES_PER_BLOCK};
 
@@ -210,17 +211,19 @@ impl RunList {
         Some(taken)
     }
 
-    /// Removes and returns the last page (`None` when empty).
-    pub(crate) fn pop_back(&mut self) -> Option<Gfn> {
+    /// Removes and returns up to `max` pages from the back of the last
+    /// run (`None` when empty).
+    pub(crate) fn pop_back(&mut self, max: u64) -> Option<FrameRange> {
         let h = self.tail;
         let r = self.slab.get_mut(h as usize)?;
-        r.len -= 1;
-        let g = Gfn(r.start + r.len as u64);
-        self.pages -= 1;
+        let n = max.min(r.len as u64);
+        r.len -= n as u32;
+        let taken = FrameRange::new(Gfn(r.start + r.len as u64), n);
+        self.pages -= n;
         if r.len == 0 {
             self.unlink(h);
         }
-        Some(g)
+        Some(taken)
     }
 
     /// Removes page `g` of run `h`, moving the last page into its place
@@ -231,7 +234,7 @@ impl RunList {
     /// cost is bounded by half of one run.
     pub(crate) fn swap_remove(&mut self, h: u32, g: Gfn) -> SwapRemoved {
         let pages = self.pages - 1;
-        let last = self.pop_back().expect("the list holds g");
+        let last = self.pop_back(1).expect("the list holds g").start;
         let mut out = SwapRemoved {
             moved: None,
             split: None,
@@ -357,12 +360,15 @@ mod tests {
         let mut l = RunList::new();
         l.append(Gfn(0), 3);
         l.append(Gfn(8), 2);
-        assert_eq!(l.pop_back(), Some(Gfn(9)));
-        assert_eq!(l.pop_back(), Some(Gfn(8)));
+        assert_eq!(l.pop_back(1), Some(FrameRange::new(Gfn(9), 1)));
+        assert_eq!(l.pop_back(5), Some(FrameRange::new(Gfn(8), 1)));
+        l.append(Gfn(5), 2);
+        assert_eq!(l.pop_back(1), Some(FrameRange::new(Gfn(6), 1)));
         assert_eq!(l.pop_front(2), Some(FrameRange::new(Gfn(0), 2)));
-        assert_eq!(flat(&l), vec![2]);
+        assert_eq!(flat(&l), vec![2, 5]);
+        assert_eq!(l.pop_back(3), Some(FrameRange::new(Gfn(5), 1)));
         assert_eq!(l.pop_front(5), Some(FrameRange::new(Gfn(2), 1)));
-        assert_eq!((l.pop_back(), l.pop_front(1)), (None, None));
+        assert_eq!((l.pop_back(1), l.pop_front(1)), (None, None));
         l.assert_consistent();
     }
 

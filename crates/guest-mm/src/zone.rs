@@ -7,16 +7,17 @@
 //! structs), similar to ZONE_MOVABLE", §4.1).
 //!
 //! Each zone owns per-order intrusive free lists threaded through the
-//! [`PageDesc`] words of free chunk heads, exactly like the kernel's
-//! `free_area[]`, giving O(1) allocation, free and buddy merging. Only
-//! a chunk's head descriptor is written when the chunk is linked, and
-//! only its state when it is unlinked; the chunk's other frames are
-//! never touched (see [`MemMap`] for how their state is resolved), so
-//! freeing, merging and onlining cost O(chunks), not O(frames).
+//! head descriptors of free chunk extents, exactly like the kernel's
+//! `free_area[]`, giving O(1) allocation, free and buddy merging up to
+//! the memory map's lookups. Linking a chunk inserts its one free extent
+//! into the [`MemMap`] and unlinking removes it, so freeing, merging and
+//! onlining cost O(chunks), not O(frames). Frames a zone hands out are
+//! left uncovered by any extent; the caller covers them when it claims
+//! them, and uncovers frames before it frees them.
 
 use mem_types::{BlockId, FrameRange, Gfn, PAGES_PER_BLOCK};
 
-use crate::memmap::MemMap;
+use crate::memmap::{Extent, MemMap};
 use crate::page::{PageDesc, PageState, MAX_ORDER, NIL};
 
 /// What a zone is used for.
@@ -75,41 +76,44 @@ impl Zone {
     }
 
     /// Unlinks free block `head` (of `order`) from its free list and
-    /// demotes its head descriptor, keeping the memmap's invariant that
-    /// only listed heads read `FreeHead`.
+    /// removes its extent, leaving its frames uncovered.
     fn unlink(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
-        let (prev, next) = {
-            let d = mm.raw_mut(head);
-            debug_assert_eq!(d.state, PageState::FreeHead);
-            debug_assert_eq!(d.order, order);
-            debug_assert_eq!(d.zone, self.id);
-            d.state = PageState::FreeTail;
-            (d.a, d.b)
-        };
+        let d = mm.remove(head).head;
+        debug_assert_eq!(d.state, PageState::FreeHead);
+        debug_assert_eq!(d.order, order);
+        debug_assert_eq!(d.zone, self.id);
+        let (prev, next) = (d.a, d.b);
         if prev == NIL {
             self.free_heads[order as usize] = next;
         } else {
-            mm.raw_mut(Gfn(prev as u64)).b = next;
+            mm.extent_mut(Gfn(prev as u64)).head.b = next;
         }
         if next != NIL {
-            mm.raw_mut(Gfn(next as u64)).a = prev;
+            mm.extent_mut(Gfn(next as u64)).head.a = prev;
         }
     }
 
-    /// Links `head` as a free block of `order` at the front of its list,
-    /// writing its head descriptor alone.
+    /// Links the uncovered frames at `head` as a free block of `order` at
+    /// the front of its list, as one free extent.
     fn link(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         let old = self.free_heads[order as usize];
-        {
-            let d = mm.raw_mut(head);
-            d.state = PageState::FreeHead;
-            d.order = order;
-            d.zone = self.id;
-            d.a = NIL;
-            d.b = old;
-        }
+        let d = PageDesc {
+            state: PageState::FreeHead,
+            order,
+            zone: self.id,
+            flags: 0,
+            a: NIL,
+            b: old,
+        };
+        mm.insert(
+            head,
+            Extent {
+                head: d,
+                len: 1 << order,
+            },
+        );
         if old != NIL {
-            mm.raw_mut(Gfn(old as u64)).a = head.0 as u32;
+            mm.extent_mut(Gfn(old as u64)).head.a = head.0 as u32;
         }
         self.free_heads[order as usize] = head.0 as u32;
     }
@@ -117,26 +121,20 @@ impl Zone {
     /// Frees the 2^`order` pages starting at `head` into the buddy,
     /// merging with free buddies as far as possible.
     ///
-    /// All pages in the range must currently be non-free (just-released
-    /// allocations, isolated pages being rolled back, or pages being
-    /// onlined). Only the final merged head's descriptor and the heads
-    /// of merged buddies are written; the range's other descriptors keep
-    /// their contents.
+    /// No extent may cover the range: the caller has uncovered a
+    /// released allocation or a rolled-back isolated range, or is
+    /// onlining fresh frames. Merged buddies' extents give way to one
+    /// extent for the merged chunk.
     ///
     /// # Panics
     ///
     /// Panics (debug) if `head` is not `order`-aligned or a page of the
-    /// range is already free.
+    /// range is covered.
     pub fn free_block(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         debug_assert_eq!(head.0 & ((1 << order) - 1), 0, "misaligned free");
         debug_assert!(order <= MAX_ORDER);
-        // A free chunk overlapping the range either covers its head or
-        // has its own head inside it.
         debug_assert!(
-            mm.free_chunk_of(head).is_none()
-                && FrameRange::new(head, 1 << order)
-                    .iter()
-                    .all(|g| mm.raw(g).state != PageState::FreeHead),
+            mm.is_uncovered(FrameRange::new(head, 1 << order)),
             "double free near {head:?}"
         );
         self.free_pages += 1 << order;
@@ -149,8 +147,11 @@ impl Zone {
                 break;
             }
             // Below MAX_ORDER a buddy shares its block, which is online.
-            let bd = *mm.raw(buddy);
-            if bd.state != PageState::FreeHead || bd.order != order || bd.zone != self.id {
+            let free = mm.extent(buddy).is_some_and(|e| {
+                let d = e.head;
+                d.state == PageState::FreeHead && d.order == order && d.zone == self.id
+            });
+            if !free {
                 break;
             }
             self.unlink(mm, buddy, order);
@@ -187,10 +188,36 @@ impl Zone {
         }
     }
 
+    /// Frees the `len` contiguous pages starting at `head` as
+    /// [`Zone::free_run`] does, but in descending address order: exactly
+    /// equivalent to `len` sequential order-0 [`Zone::free_block`] calls
+    /// from `head+len-1` down to `head`.
+    ///
+    /// The run is cut from the top into naturally-aligned chunks. Freed
+    /// downwards, a chunk's pages merge only with each other (every
+    /// buddy below the chunk's order lies inside it) until its lowest
+    /// page completes it; the partial chunks linked on the way are all
+    /// unlinked again, which leaves every other list entry in place. So
+    /// freeing each chunk whole, in the order they complete, is the same.
+    pub fn free_run_rev(&mut self, mm: &mut MemMap, head: Gfn, len: u64) {
+        let mut g = head.0 + len;
+        while g > head.0 {
+            let align = if g == 0 {
+                MAX_ORDER
+            } else {
+                (g.trailing_zeros() as u8).min(MAX_ORDER)
+            };
+            let fit = (63 - (g - head.0).leading_zeros()) as u8;
+            let order = align.min(fit);
+            g -= 1 << order;
+            self.free_block(mm, Gfn(g), order);
+        }
+    }
+
     /// Allocates a contiguous 2^`order` block, splitting larger blocks as
-    /// needed. Returns the head frame, with every page's descriptor left
-    /// for the caller to overwrite when it claims the block, or `None`
-    /// if the zone cannot satisfy the request.
+    /// needed. Returns the head frame, with the block's frames left
+    /// uncovered for the caller to claim, or `None` if the zone cannot
+    /// satisfy the request.
     pub fn alloc_block(&mut self, mm: &mut MemMap, order: u8) -> Option<Gfn> {
         let mut have = None;
         for o in order..=MAX_ORDER {
@@ -213,9 +240,9 @@ impl Zone {
     }
 
     /// Allocates a contiguous run of up to `want` pages with one buddy
-    /// operation. Returns the head frame and run length, with every
-    /// page's descriptor left for the caller to overwrite, or `None` if
-    /// the zone is empty.
+    /// operation. Returns the head frame and run length, with the run's
+    /// frames left uncovered for the caller to claim, or `None` if the
+    /// zone is empty.
     ///
     /// Exactly equivalent to draining the run via repeated
     /// `alloc_block(mm, 0)` calls: order-0 allocation always consumes
@@ -247,8 +274,8 @@ impl Zone {
     }
 
     /// Carves a specific free page `g` out of the buddy (the isolation
-    /// primitive used by the offlining path). The page's descriptor is
-    /// left for the caller to overwrite.
+    /// primitive of a per-page offline). The page is left uncovered for
+    /// the caller to cover.
     ///
     /// # Panics
     ///
@@ -257,7 +284,10 @@ impl Zone {
         let (head, order) = mm
             .free_chunk_of(g)
             .unwrap_or_else(|| panic!("page {g:?} is not free"));
-        debug_assert_eq!(mm.raw(head).zone, self.id, "page in wrong zone");
+        debug_assert!(
+            mm.extent(head).is_some_and(|e| e.head.zone == self.id),
+            "page in wrong zone"
+        );
         self.unlink(mm, head, order);
         // Repeatedly halve, keeping the half containing `g` out of the
         // lists and freeing the other half.
@@ -278,9 +308,9 @@ impl Zone {
     }
 
     /// Takes an entirely-free page range off the free lists a whole
-    /// buddy chunk at a time, writing only the chunk heads — the
-    /// isolation of an instant offline, whose caller retires the
-    /// range's section next.
+    /// buddy chunk at a time, removing one extent per chunk — the
+    /// isolation of an instant offline, whose caller offlines the bare
+    /// block next.
     ///
     /// `range` must be MAX_ORDER-aligned at both ends and contain only
     /// free pages of this zone; buddy chunks never straddle such a
@@ -294,7 +324,7 @@ impl Zone {
         debug_assert_eq!(range.count & ((1 << MAX_ORDER) - 1), 0);
         let mut g = range.start;
         while g.0 < range.end().0 {
-            let order = mm.raw(g).order;
+            let order = mm.extent(g).expect("a free chunk head").head.order;
             self.unlink(mm, g, order);
             self.free_pages -= 1 << order;
             g.0 += 1 << order;
@@ -302,8 +332,8 @@ impl Zone {
     }
 
     /// Isolates the whole free buddy chunk headed by `head`: unlinks it
-    /// and marks every page [`PageState::Isolated`] in one descriptor
-    /// sweep. Returns the chunk's length in pages.
+    /// and covers it with an isolated extent, merged with its isolated
+    /// neighbours. Returns the chunk's length in pages.
     ///
     /// Equivalent to [`Zone::take_free_page`] on each of its pages in
     /// ascending order: the first take unlinks the chunk and pushes the
@@ -313,21 +343,13 @@ impl Zone {
     ///
     /// # Panics
     ///
-    /// Panics (debug) if `head` is not a free chunk head of this zone.
+    /// Panics if `head` is not a free chunk head, and (debug) if it is
+    /// not of this zone.
     pub(crate) fn isolate_free_chunk(&mut self, mm: &mut MemMap, head: Gfn) -> u64 {
-        let d = *mm.raw(head);
-        debug_assert_eq!(d.state, PageState::FreeHead, "free walk off a chunk head");
-        debug_assert_eq!(d.zone, self.id, "page in wrong zone");
-        let len = 1u64 << d.order;
-        self.unlink(mm, head, d.order);
-        mm.range_mut(FrameRange::new(head, len)).fill(PageDesc {
-            state: PageState::Isolated,
-            order: 0,
-            zone: self.id,
-            flags: 0,
-            a: NIL,
-            b: NIL,
-        });
+        let order = mm.extent(head).expect("a free chunk head").head.order;
+        let len = 1u64 << order;
+        self.unlink(mm, head, order);
+        mm.isolate(FrameRange::new(head, len), self.id);
         self.free_pages -= len;
         len
     }
@@ -339,7 +361,7 @@ impl Zone {
         let mut cur = self.free_heads[order as usize];
         while cur != NIL {
             n += 1;
-            cur = mm.raw(Gfn(cur as u64)).b;
+            cur = next_link(mm, cur);
         }
         n
     }
@@ -352,7 +374,7 @@ impl Zone {
         let mut cur = self.free_heads[order as usize];
         while cur != NIL {
             out.push(Gfn(cur as u64));
-            cur = mm.raw(Gfn(cur as u64)).b;
+            cur = next_link(mm, cur);
         }
         out
     }
@@ -366,7 +388,7 @@ impl Zone {
             let mut cur = self.free_heads[order as usize];
             while cur != NIL {
                 out.push((Gfn(cur as u64), order));
-                cur = mm.raw(Gfn(cur as u64)).b;
+                cur = next_link(mm, cur);
             }
         }
         out.sort_unstable_by_key(|&(g, _)| g.0);
@@ -374,7 +396,7 @@ impl Zone {
     }
 
     /// Debug validation: walks every free list and checks link integrity,
-    /// head state, the free-page count, and that every raw `FreeHead` of
+    /// head state, the free-page count, and that every free extent of
     /// this zone in its span is on a list.
     ///
     /// # Panics
@@ -387,8 +409,10 @@ impl Zone {
             let mut cur = self.free_heads[order as usize];
             while cur != NIL {
                 let g = Gfn(cur as u64);
-                let d = mm.raw(g);
+                let e = mm.extent(g).expect("list node has an extent");
+                let d = e.head;
                 assert_eq!(d.state, PageState::FreeHead, "list node not a head");
+                assert_eq!(e.len, 1 << order, "chunk extent length");
                 assert_eq!(d.order, order, "order mismatch");
                 assert_eq!(d.zone, self.id, "zone mismatch");
                 assert_eq!(d.a, prev, "broken prev link");
@@ -401,23 +425,25 @@ impl Zone {
         }
         assert_eq!(counted, self.free_pages, "free_pages count drifted");
         let blocks = self.span.start.block().0..self.span.end().0.div_ceil(PAGES_PER_BLOCK);
-        let heads: usize = blocks
-            .filter_map(|b| mm.section(BlockId(b)))
-            .map(|s| {
-                s.iter()
-                    .filter(|d| d.state == PageState::FreeHead && d.zone == self.id)
-                    .count()
-            })
-            .sum();
-        assert_eq!(heads, listed, "a raw FreeHead is not on a free list");
+        let heads = blocks
+            .flat_map(|b| mm.extents(BlockId(b)))
+            .filter(|(_, d)| d.state == PageState::FreeHead && d.zone == self.id)
+            .count();
+        assert_eq!(heads, listed, "a free extent is not on a free list");
     }
+}
+
+/// Returns the next link of the free chunk headed at frame `cur`.
+fn next_link(mm: &MemMap, cur: u32) -> u32 {
+    mm.extent(Gfn(cur as u64)).expect("a listed chunk").head.b
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem_types::BlockId;
 
+    /// A zone over a fresh online block. The tests leave the pages they
+    /// allocate uncovered, as the zone reads free extents alone.
     fn make(span_pages: u64) -> (MemMap, Zone) {
         let mut mm = MemMap::new(span_pages);
         mm.hot_add(BlockId(0));
@@ -432,7 +458,7 @@ mod tests {
         let chunk = 1u64 << MAX_ORDER;
         let mut g = 0;
         while g < pages {
-            // free_block writes the chunk head alone.
+            // free_block covers the chunk with one extent.
             zone.free_block(mm, Gfn(g), MAX_ORDER);
             g += chunk;
         }
@@ -448,10 +474,8 @@ mod tests {
 
         let p = zone.alloc_block(&mut mm, 0).unwrap();
         assert_eq!(zone.free_pages, 2047);
-        mm.raw_mut(p).state = PageState::Anon;
         zone.assert_consistent(&mm);
 
-        mm.raw_mut(p).state = PageState::Isolated; // any non-free state
         zone.free_block(&mut mm, p, 0);
         assert_eq!(zone.free_pages, 2048);
         zone.assert_consistent(&mm);
@@ -481,8 +505,7 @@ mod tests {
         let (mut mm, mut zone) = make(1024);
         fill(&mut mm, &mut zone, 1024);
         for _ in 0..1024 {
-            let g = zone.alloc_block(&mut mm, 0).unwrap();
-            mm.raw_mut(g).state = PageState::Anon;
+            zone.alloc_block(&mut mm, 0).unwrap();
         }
         assert_eq!(zone.free_pages, 0);
         assert!(zone.alloc_block(&mut mm, 0).is_none());
@@ -506,8 +529,7 @@ mod tests {
         let target = Gfn(777);
         zone.take_free_page(&mut mm, target);
         assert_eq!(zone.free_pages, 1023);
-        assert!(!mm.state(target).is_free());
-        mm.raw_mut(target).state = PageState::Isolated;
+        assert_eq!(mm.free_chunk_of(target), None);
         zone.assert_consistent(&mm);
         // Freeing it back restores full merge.
         zone.free_block(&mut mm, target, 0);
@@ -522,7 +544,6 @@ mod tests {
         fill(&mut mm, &mut zone, 1024);
         for g in 0..1024 {
             zone.take_free_page(&mut mm, Gfn(g));
-            mm.raw_mut(Gfn(g)).state = PageState::Isolated;
         }
         assert_eq!(zone.free_pages, 0);
         assert!(zone.buddy_is_empty());
@@ -541,7 +562,6 @@ mod tests {
         // An order-0 allocation splits one chunk: the order-9 remainder
         // appears, the order-10 count drops.
         let g = zone.alloc_block(&mut mm, 0).unwrap();
-        mm.raw_mut(g).state = PageState::Anon;
         let chunks = zone.free_chunks(&mm, 9);
         assert_eq!(chunks.iter().filter(|&&(_, o)| o == MAX_ORDER).count(), 3);
         assert_eq!(chunks.iter().filter(|&&(_, o)| o == 9).count(), 1);
@@ -572,7 +592,6 @@ mod tests {
         let (mut mm, mut zone) = make(1024);
         fill(&mut mm, &mut zone, 1024);
         let g = zone.alloc_block(&mut mm, 0).unwrap();
-        mm.raw_mut(g).state = PageState::Anon;
         zone.take_free_page(&mut mm, g);
     }
 
@@ -604,18 +623,11 @@ mod tests {
                 let Some((head, len)) = za.alloc_run(&mut mm_a, want) else {
                     break;
                 };
-                for g in head.0..head.0 + len {
-                    mm_a.raw_mut(Gfn(g)).state = PageState::Anon;
-                    run_pages.push(Gfn(g));
-                }
+                run_pages.extend((head.0..head.0 + len).map(Gfn));
                 want -= len;
             }
             let seq_pages: Vec<Gfn> = (0..run_pages.len())
-                .map(|_| {
-                    let g = zb.alloc_block(&mut mm_b, 0).unwrap();
-                    mm_b.raw_mut(g).state = PageState::Anon;
-                    g
-                })
+                .map(|_| zb.alloc_block(&mut mm_b, 0).unwrap())
                 .collect();
             assert_eq!(run_pages, seq_pages, "allocation sequence must match");
             held.extend(run_pages);
@@ -662,10 +674,6 @@ mod tests {
             if let Some((head, len)) = za.alloc_run(&mut mm_a, want) {
                 let (hb, lb) = zb.alloc_run(&mut mm_b, want).unwrap();
                 assert_eq!((head, len), (hb, lb));
-                for g in head.0..head.0 + len {
-                    mm_a.raw_mut(Gfn(g)).state = PageState::Anon;
-                    mm_b.raw_mut(Gfn(g)).state = PageState::Anon;
-                }
                 held.push((head, len));
             }
         }
@@ -683,6 +691,56 @@ mod tests {
             assert_eq!(
                 za.free_chunks(&mm_a, o),
                 zb.free_chunks(&mm_b, o),
+                "order {o} free list diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn free_run_rev_matches_descending_order_zero_frees() {
+        // As above, with every run freed from its last page down.
+        let (mut mm_a, mut za) = make(4096);
+        let (mut mm_b, mut zb) = make(4096);
+        fill(&mut mm_a, &mut za, 4096);
+        fill(&mut mm_b, &mut zb, 4096);
+        let mut x = 0x0DD_BA11u64;
+        let mut held: Vec<(Gfn, u64)> = Vec::new();
+        for _ in 0..300 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            if x.is_multiple_of(3) && !held.is_empty() {
+                let idx = (x as usize / 5) % held.len();
+                let (head, len) = held.swap_remove(idx);
+                // Free a random-length tail, keeping the rest held.
+                let n = 1 + (x / 7) % len;
+                let tail = Gfn(head.0 + len - n);
+                za.free_run_rev(&mut mm_a, tail, n);
+                for g in (tail.0..tail.0 + n).rev() {
+                    zb.free_block(&mut mm_b, Gfn(g), 0);
+                }
+                if n < len {
+                    held.push((head, len - n));
+                }
+                continue;
+            }
+            let want = 1 + (x / 3) % 200;
+            if let Some((head, len)) = za.alloc_run(&mut mm_a, want) {
+                assert_eq!(zb.alloc_run(&mut mm_b, want), Some((head, len)));
+                held.push((head, len));
+            }
+        }
+        for (head, len) in held {
+            za.free_run_rev(&mut mm_a, head, len);
+            for g in (head.0..head.0 + len).rev() {
+                zb.free_block(&mut mm_b, Gfn(g), 0);
+            }
+        }
+        assert_eq!(za.free_pages, 4096);
+        za.assert_consistent(&mm_a);
+        zb.assert_consistent(&mm_b);
+        for o in 0..=MAX_ORDER {
+            assert_eq!(
+                za.free_list(&mm_a, o),
+                zb.free_list(&mm_b, o),
                 "order {o} free list diverged"
             );
         }
@@ -707,8 +765,6 @@ mod tests {
                 zb.alloc_block(&mut mm_b, 0).unwrap(),
             );
             assert_eq!(ga, gb);
-            mm_a.raw_mut(ga).state = PageState::Anon;
-            mm_b.raw_mut(gb).state = PageState::Anon;
             if (2048..4096).contains(&ga.0) {
                 // Give the page back if it landed in the target range.
                 za.free_block(&mut mm_a, ga, 0);
@@ -722,7 +778,6 @@ mod tests {
         za.isolate_free_range(&mut mm_a, range);
         for g in range.iter() {
             zb.take_free_page(&mut mm_b, g);
-            mm_b.raw_mut(g).state = PageState::Isolated;
         }
         assert_eq!(za.free_pages, zb.free_pages);
         za.assert_consistent(&mm_a);
@@ -747,7 +802,6 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             if !x.is_multiple_of(3) || held.is_empty() {
                 if let Some(g) = zone.alloc_block(&mut mm, 0) {
-                    mm.raw_mut(g).state = PageState::Anon;
                     held.push(g);
                 }
             } else {

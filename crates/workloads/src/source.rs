@@ -54,11 +54,13 @@ const AZURE_JITTER_STREAM: u64 = 0xA21;
 /// Nanoseconds per trace minute.
 const MINUTE_NS: u64 = 60_000_000_000;
 
-/// The most arrivals one azure-minute row may carry (one tenant's
-/// invocations in one minute). A minute's rows are expanded in memory
-/// before replay, so a larger count is rejected with its line number
-/// rather than attempted; the committed 3-day trace's largest row is
-/// 432.
+/// The most arrivals one trace row may carry, in either format: an
+/// azure-minute row's count (one tenant's invocations in one minute) or
+/// an opendc row's `invocations` (one tenant's invocations at one
+/// timestamp). A larger count is rejected with its line number rather
+/// than attempted: a minute's rows are expanded in memory before
+/// replay, and validating a trace walks every arrival. The committed
+/// 3-day trace's largest row is 432.
 pub const MAX_ROW_ARRIVALS: u64 = 1_000_000;
 
 /// One invocation pulled lazily from a trace source.
@@ -558,6 +560,15 @@ impl<R: BufRead> OpenDcSource<R> {
         let invocations = parse_u64(invocations.trim(), line)?;
         let avg_exec_ms = parse_f64(exec.trim(), line)?;
         let memory_mb = parse_u64(mem.trim(), line)?;
+        if invocations > MAX_ROW_ARRIVALS {
+            return Err(TraceError::at(
+                line,
+                format!(
+                    "row invocation count {invocations} exceeds the cap of \
+                     {MAX_ROW_ARRIVALS} arrivals per row"
+                ),
+            ));
+        }
         if tenant >= self.kinds.len() {
             return Err(TraceError::at(
                 line,
@@ -1034,6 +1045,41 @@ mod tests {
         let err = src.next_arrival().unwrap_err();
         assert_eq!(err.line, 5, "{err}");
         assert!(err.msg.contains("out-of-order timestamp"), "{err}");
+    }
+
+    #[test]
+    fn opendc_errors_carry_line_numbers() {
+        let text = "# squeezy-trace v1 opendc\n# tenants = html\n\
+                    timestamp_ms,tenant,invocations,avg_exec_ms,memory_mb\n\
+                    0,0,1,50.0,64\n1000,0,2,50.0,64\n";
+        let count = |text: &str| {
+            let mut src = OpenDcSource::new(text.as_bytes()).expect("header ok");
+            let mut n = 0u64;
+            loop {
+                match src.next_arrival() {
+                    Ok(Some(_)) => n += 1,
+                    Ok(None) => return Ok(n),
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        assert_eq!(count(text).unwrap(), 3);
+        let row = "1000,0,2,50.0,64";
+        let at_cap = text.replace(row, &format!("1000,0,{MAX_ROW_ARRIVALS},50.0,64"));
+        assert_eq!(count(&at_cap).unwrap(), 1 + MAX_ROW_ARRIVALS);
+        // The layout: magic, tenants, header, row@4, row@5.
+        let over = format!("1000,0,{},50.0,64", MAX_ROW_ARRIVALS + 1);
+        for (bad, msg) in [
+            (over.as_str(), "exceeds the cap"),
+            ("1000,0,99999999999,50.0,64", "exceeds the cap"),
+            ("1000,0,two,50.0,64", "bad integer"),
+            ("1000,7,2,50.0,64", "out of range"),
+            ("1000,0,2,-1.0,64", "negative avg_exec_ms"),
+        ] {
+            let err = count(&text.replace(row, bad)).unwrap_err();
+            assert_eq!(err.line, 5, "{bad}: {err}");
+            assert!(err.msg.contains(msg), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -139,16 +139,31 @@ proptest! {
 }
 
 /// A row whose count exceeds the per-row cap fails the preflight scan
-/// with an error naming its line, before anything is expanded.
+/// with an error naming its line, before anything is expanded — in
+/// either trace format.
 #[test]
 fn oversized_row_fails_validation_at_its_line() {
-    let text = render_azure_minute(3, &[FunctionKind::Html], &[(0, 0, 4), (1, 0, 2)])
-        .replace("1,0,2", &format!("1,0,{}", workloads::MAX_ROW_ARRIVALS + 1));
-    let path = std::env::temp_dir().join(format!("oversized-row-{}.csv", std::process::id()));
-    std::fs::write(&path, text).unwrap();
-    let err = workloads::validate_trace(path.to_str().unwrap()).unwrap_err();
-    std::fs::remove_file(&path).unwrap();
-    // The rendered layout: magic, seed, tenants, header, row@5, row@6.
-    assert_eq!(err.line, 6, "{err}");
-    assert!(err.msg.contains("exceeds the cap"), "{err}");
+    let over = workloads::MAX_ROW_ARRIVALS + 1;
+    let azure = render_azure_minute(3, &[FunctionKind::Html], &[(0, 0, 4), (1, 0, 2)])
+        .replace("1,0,2", &format!("1,0,{over}"));
+    let row = |invocations| OpenDcRow {
+        timestamp_ms: 1000,
+        tenant: 0,
+        invocations,
+        avg_exec_ms: 50.0,
+        memory_mb: 64,
+    };
+    let opendc = render_opendc(&[FunctionKind::Html], &[row(1), row(2)])
+        .replace("1000,0,2,", &format!("1000,0,{over},"));
+    // The rendered layouts: magic, seed, tenants, header, row@5, row@6
+    // (azure-minute); magic, tenants, header, row@4, row@5 (opendc).
+    for (name, text, line) in [("azure", azure, 6), ("opendc", opendc, 5)] {
+        let path =
+            std::env::temp_dir().join(format!("oversized-row-{name}-{}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let err = workloads::validate_trace(path.to_str().unwrap()).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(err.line, line, "{name}: {err}");
+        assert!(err.msg.contains("exceeds the cap"), "{name}: {err}");
+    }
 }
