@@ -54,11 +54,11 @@ pub(crate) const HOST_SEED_BASE: u64 = 0x40;
 /// promises are independent — `validate` rejects such specs.
 pub(crate) const HOST_TAG_CAP: usize = 0x20;
 
-/// The most invocations a generated workload may offer, as `rps ×
-/// duration_s` (for `diurnal`, `rps` is the peak rate, so this bounds
-/// the mean). Every arrival is generated and simulated, so a spec above
-/// it is rejected up front instead of running until it is killed. It is
-/// 25× the 2,000,000 invocations of the `repro perf` cluster. A
+/// The most arrivals a generated workload may draw: its generator's
+/// highest rate times `duration_s` (see [`Scenario::arrival_envelope`]).
+/// Every arrival is drawn, and nearly every one simulated, so a spec
+/// above it is rejected up front instead of running until it is killed.
+/// It is 25× the 2,000,000 invocations of the `repro perf` cluster. A
 /// `trace(<path>)` workload takes its arrivals from the file, whose rows
 /// are capped by [`workloads::MAX_ROW_ARRIVALS`], and is not held to it.
 pub(crate) const MAX_OFFERED_INVOCATIONS: f64 = 50_000_000.0;
@@ -254,6 +254,25 @@ impl Scenario {
         }
     }
 
+    /// Returns the most arrivals the generated workload may draw, with
+    /// the rate that bounds them: its generator's highest rate times
+    /// `duration_s`. Churn and memhog draw at `rps`; azure-trace and
+    /// zipf-cluster tenants burst at 4× their share of it; diurnal draws
+    /// candidates at the peak times `burst_factor` and thins them.
+    /// `None` for a trace replay, whose arrivals come from its file.
+    pub(crate) fn arrival_envelope(&self) -> Option<(f64, &'static str)> {
+        let p = &self.params;
+        let (factor, rate) = match &self.workload {
+            WorkloadSpec::Trace(_) => return None,
+            WorkloadSpec::Named(WorkloadKind::Churn | WorkloadKind::Memhog) => (1.0, "rps"),
+            WorkloadSpec::Named(WorkloadKind::AzureTrace | WorkloadKind::ZipfCluster) => {
+                (4.0, "4 × rps")
+            }
+            WorkloadSpec::Named(WorkloadKind::Diurnal) => (p.burst_factor, "rps × burst_factor"),
+        };
+        Some((p.rps * factor * p.duration_s, rate))
+    }
+
     /// Validates the spec up front; `Err` lists *every* problem, one
     /// per line, so a spec file is fixed in one pass.
     pub fn validate(&self) -> Result<(), String> {
@@ -299,15 +318,17 @@ impl Scenario {
             p.zipf_exponent.is_finite() && p.zipf_exponent >= 0.0,
             format!("zipf_exponent must be ≥ 0 (got {})", p.zipf_exponent),
         );
-        let offered = p.rps * p.duration_s;
-        check(
-            matches!(self.workload, WorkloadSpec::Trace(_)) || offered <= MAX_OFFERED_INVOCATIONS,
-            format!(
-                "rps × duration_s = {} × {} offers {offered:.3e} invocations, above the cap \
-                 of {MAX_OFFERED_INVOCATIONS:.0e}: lower rps or duration_s",
-                p.rps, p.duration_s
-            ),
-        );
+        if let Some((drawn, rate)) = self.arrival_envelope() {
+            check(
+                drawn <= MAX_OFFERED_INVOCATIONS,
+                format!(
+                    "{rate} × duration_s draws up to {drawn:.3e} arrivals (rps = {}, \
+                     duration_s = {}), above the cap of {MAX_OFFERED_INVOCATIONS:.0e}: \
+                     lower one of its factors",
+                    p.rps, p.duration_s
+                ),
+            );
+        }
         if let WorkloadSpec::Trace(path) = &self.workload {
             // Same round-trip constraint as the name: the path lives
             // inside one `workload = trace(<path>)` line.
@@ -695,6 +716,25 @@ mod tests {
 
     #[test]
     fn validate_caps_offered_work() {
+        // Diurnal draws candidates at rps × burst_factor and thins them.
+        let mut d = Scenario::new("d", Topology::Cluster(2), WorkloadKind::Diurnal);
+        d.params.rps = 1.0;
+        d.params.trough_rps = 0.5;
+        d.params.duration_s = 30.0;
+        d.params.burst_factor = 1e12;
+        let err = d.validate().unwrap_err();
+        assert!(err.contains("rps × burst_factor × duration_s"), "{err}");
+        assert!(err.contains("above the cap"), "{err}");
+        // Azure-trace and zipf-cluster tenants burst at 4× their share.
+        for kind in [WorkloadKind::AzureTrace, WorkloadKind::ZipfCluster] {
+            let mut a = Scenario::new("a", Topology::Cluster(2), kind);
+            a.params.duration_s = 100.0;
+            a.params.rps = MAX_OFFERED_INVOCATIONS / 400.0;
+            a.validate().expect("at the cap");
+            a.params.rps = MAX_OFFERED_INVOCATIONS / 100.0;
+            let err = a.validate().unwrap_err();
+            assert!(err.contains("4 × rps × duration_s"), "{err}");
+        }
         let mut s = Scenario::new("hot", Topology::Cluster(2), WorkloadKind::Churn);
         s.params.duration_s = 30.0;
         s.params.rps = 1e12;
@@ -733,8 +773,8 @@ mod tests {
                 // Parsing a sweep validates every expanded cell.
                 let spec = SweepSpec::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
                 for cell in spec.cells() {
-                    let p = &cell.scenario.params;
-                    assert!(p.rps * p.duration_s <= MAX_OFFERED_INVOCATIONS, "{path:?}");
+                    let drawn = cell.scenario.arrival_envelope().map_or(0.0, |(n, _)| n);
+                    assert!(drawn <= MAX_OFFERED_INVOCATIONS, "{path:?}");
                 }
                 specs += 1;
             }

@@ -969,9 +969,9 @@ impl GuestMm {
         let mut out = OfflineOutcome::default();
         // The block is entirely free: take it off the free lists a chunk
         // at a time rather than a page at a time (the per-page splits
-        // are pure overhead when every page is being taken), removing
-        // one extent per chunk and leaving the block bare.
-        self.zones[zone as usize].isolate_free_range(&mut self.memmap, b.frames());
+        // are pure overhead when every page is being taken). Its chunks'
+        // extents go with its table when it is offlined.
+        self.zones[zone as usize].unlink_block(&mut self.memmap, b);
         out.isolated_free = PAGES_PER_BLOCK;
         if self.config.init_on_alloc && !self.unplug_aware_zeroing_skip {
             out.zeroed = out.isolated_free;

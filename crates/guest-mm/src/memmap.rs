@@ -26,14 +26,14 @@
 //!
 //! Absent and offline blocks hold no extents at all.
 //!
-//! The extents live in one hash table keyed by head frame, so the buddy
-//! allocator's exact lookups (a chunk, its buddy, its list neighbours)
-//! cost one probe each. Each online block also keeps a bitmap of its
-//! extent heads, 4 KiB against the 384 KiB a descriptor per frame would
-//! take, which finds the extent covering any frame and walks a block's
-//! extents in address order.
+//! Each online block keeps its extents in a table of its own: a hash
+//! table keyed by head frame, so the buddy allocator's exact lookups (a
+//! chunk, its buddy, its list neighbours) cost one probe each, and a
+//! bitmap of the extent heads, 4 KiB against the 384 KiB a descriptor
+//! per frame would take, which finds the extent covering any frame and
+//! walks the block's extents in address order. Offlining a block drops
+//! its table whole.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -77,39 +77,72 @@ impl Extent {
 /// Words in a block's head bitmap, one bit per frame.
 const WORDS: usize = (PAGES_PER_BLOCK / 64) as usize;
 
-/// The extent heads of one online block, one bit per frame offset.
-/// Searches read whole words, so they cost a word per 64 frames between
-/// the starting frame and the head found.
-struct Heads([u64; WORDS]);
+/// Words in the summary of a block's head bitmap, one bit per word.
+const SUMMARY: usize = WORDS.div_ceil(64);
 
-impl Heads {
+/// One online block's extents: by head frame, and as a bitmap of
+/// their heads, one bit per frame offset. Forward searches read whole
+/// words, a word per 64 frames between the starting frame and the head
+/// found. Backward searches, which find the extent covering a frame,
+/// skip empty words through a summary with a bit per nonzero word, as a
+/// block may hold a single extent 32,768 frames long.
+struct Table {
+    summary: [u64; SUMMARY],
+    heads: [u64; WORDS],
+    extents: HashMap<u64, Extent, BuildHasherDefault<FrameHasher>>,
+}
+
+/// Free chunks per block when onlined: the block in MAX_ORDER chunks.
+const ONLINE_CHUNKS: usize = (PAGES_PER_BLOCK >> crate::page::MAX_ORDER) as usize;
+
+impl Table {
     fn new() -> Box<Self> {
-        Box::new(Heads([0; WORDS]))
+        Box::new(Table {
+            summary: [0; SUMMARY],
+            heads: [0; WORDS],
+            extents: HashMap::with_capacity_and_hasher(ONLINE_CHUNKS, Default::default()),
+        })
     }
 
     #[inline]
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
+    fn insert(&mut self, head: u64, e: Extent) {
+        let i = offset(head);
+        self.heads[i / 64] |= 1 << (i % 64);
+        self.summary[i / 4096] |= 1 << (i / 64 % 64);
+        self.extents.insert(head, e);
     }
 
     #[inline]
-    fn clear(&mut self, i: usize) {
-        self.0[i / 64] &= !(1 << (i % 64));
+    fn remove(&mut self, head: u64) -> Option<Extent> {
+        let e = self.extents.remove(&head)?;
+        let i = offset(head);
+        self.heads[i / 64] &= !(1 << (i % 64));
+        if self.heads[i / 64] == 0 {
+            self.summary[i / 4096] &= !(1 << (i / 64 % 64));
+        }
+        Some(e)
+    }
+
+    /// Returns the extent headed at frame `k`, whose head bit is set.
+    #[inline]
+    fn at(&self, k: u64) -> &Extent {
+        self.extents.get(&k).expect("every head bit has an extent")
     }
 
     /// Returns the highest head offset at or below `i`.
     #[inline]
     fn last_at_or_below(&self, i: usize) -> Option<usize> {
         let w = i / 64;
-        let x = self.0[w] & (u64::MAX >> (63 - i % 64));
-        let (w, x) = match x {
-            0 => (0..w)
-                .rev()
-                .map(|w| (w, self.0[w]))
-                .find(|&(_, x)| x != 0)?,
-            x => (w, x),
-        };
-        Some(w * 64 + 63 - x.leading_zeros() as usize)
+        if let Some(b) = highest_at_or_below(self.heads[w], i % 64) {
+            return Some(w * 64 + b);
+        }
+        // The nearest nonzero word below `w`, through the summary.
+        let w = w.checked_sub(1)?;
+        let w = (0..=w / 64).rev().find_map(|s| {
+            let top = if s == w / 64 { w % 64 } else { 63 };
+            highest_at_or_below(self.summary[s], top).map(|b| s * 64 + b)
+        })?;
+        Some(w * 64 + 63 - self.heads[w].leading_zeros() as usize)
     }
 
     /// Returns the lowest head offset in `[i, end)`.
@@ -119,10 +152,10 @@ impl Heads {
             return None;
         }
         let w = i / 64;
-        let x = self.0[w] & (u64::MAX << (i % 64));
+        let x = self.heads[w] & (u64::MAX << (i % 64));
         let (w, x) = match x {
             0 => (w + 1..end.div_ceil(64))
-                .map(|w| (w, self.0[w]))
+                .map(|w| (w, self.heads[w]))
                 .find(|&(_, x)| x != 0)?,
             x => (w, x),
         };
@@ -155,6 +188,13 @@ impl Hasher for FrameHasher {
     }
 }
 
+/// Returns the highest set bit of `x` at or below bit `i`.
+#[inline]
+fn highest_at_or_below(x: u64, i: usize) -> Option<usize> {
+    let m = x & (u64::MAX >> (63 - i));
+    (m != 0).then(|| 63 - m.leading_zeros() as usize)
+}
+
 /// What a memory block is to the memory map.
 enum Block {
     /// Not hot-added: every frame reads as [`PageDesc::ABSENT`].
@@ -163,7 +203,7 @@ enum Block {
     /// [`PageDesc::OFFLINE`].
     Offline,
     /// Online: the block's extents tile it.
-    Online(Box<Heads>),
+    Online(Box<Table>),
 }
 
 impl Block {
@@ -192,8 +232,6 @@ impl Block {
 pub struct MemMap {
     frames: u64,
     blocks: Vec<Block>,
-    /// Every extent, by head frame.
-    extents: HashMap<u64, Extent, BuildHasherDefault<FrameHasher>>,
 }
 
 /// The resolved descriptor of a frame inside a free chunk of `zone`.
@@ -232,7 +270,6 @@ impl MemMap {
         MemMap {
             frames,
             blocks: (0..blocks).map(|_| Block::Absent).collect(),
-            extents: HashMap::default(),
         }
     }
 
@@ -249,7 +286,10 @@ impl MemMap {
     /// Returns the number of extents held across all blocks.
     #[cfg(test)]
     pub(crate) fn extent_count(&self) -> usize {
-        self.extents.len()
+        (0..self.blocks.len())
+            .filter_map(|s| self.table(s))
+            .map(|t| t.extents.len())
+            .sum()
     }
 
     /// Returns block `b`'s extents in address order, each as its frames
@@ -263,33 +303,33 @@ impl MemMap {
     /// address order.
     fn extents_from(&self, g: u64) -> impl Iterator<Item = (u64, &Extent)> + '_ {
         let base = g - offset(g) as u64;
-        self.heads(block_of(g))
-            .into_iter()
-            .flat_map(move |h| {
-                std::iter::successors(h.first_in(offset(g), WORDS * 64), |&j| {
-                    h.first_in(j + 1, WORDS * 64)
-                })
+        self.table(block_of(g)).into_iter().flat_map(move |t| {
+            std::iter::successors(t.first_in(offset(g), WORDS * 64), |&j| {
+                t.first_in(j + 1, WORDS * 64)
             })
-            .map(move |i| {
-                let k = base + i as u64;
-                (
-                    k,
-                    self.extents.get(&k).expect("every head bit has an extent"),
-                )
-            })
+            .map(move |i| (base + i as u64, t.at(base + i as u64)))
+        })
     }
 
-    fn heads(&self, s: usize) -> Option<&Heads> {
+    /// Returns block `s`'s table if it is online.
+    #[inline]
+    fn table(&self, s: usize) -> Option<&Table> {
         match self.blocks.get(s)? {
-            Block::Online(h) => Some(h),
+            Block::Online(t) => Some(t),
             _ => None,
         }
     }
 
-    fn heads_mut(&mut self, g: u64) -> &mut Heads {
-        match &mut self.blocks[block_of(g)] {
-            Block::Online(h) => h,
-            b => panic!("frame {g:#x} of an {} block", b.name()),
+    /// Returns the table of `g`'s block for update.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not online.
+    #[inline]
+    fn table_mut(&mut self, g: u64) -> &mut Table {
+        match self.blocks.get_mut(block_of(g)) {
+            Some(Block::Online(t)) => t,
+            _ => not_covered(g),
         }
     }
 
@@ -330,31 +370,36 @@ impl MemMap {
     ///
     /// Panics if `b` is not hot-added and offline.
     pub(crate) fn online(&mut self, b: BlockId) {
-        self.retag(b, "Offline", Block::Online(Heads::new()));
+        self.retag(b, "Offline", Block::Online(Table::new()));
     }
 
-    /// Offlines block `b`, dropping its extents: its frames read as
+    /// Offlines block `b`, dropping its table whole: its frames read as
     /// [`PageDesc::OFFLINE`]. The caller has taken every chunk of the
-    /// block off the free lists first, leaving it either bare (an
-    /// instant offline) or one isolated extent (a migrating one).
+    /// block off the free lists first, leaving the block tiled either by
+    /// one isolated extent (a migrating offline) or by free chunks that
+    /// are on no list (an instant one, see [`Zone::unlink_block`]).
+    ///
+    /// [`Zone::unlink_block`]: crate::zone::Zone::unlink_block
     ///
     /// # Panics
     ///
-    /// Panics if `b` is not online.
+    /// Panics if `b` is not online, and (debug) if its extents are not
+    /// one of those two tilings.
     pub(crate) fn offline(&mut self, b: BlockId) {
-        let Block::Online(heads) = self.retag(b, "Online", Block::Offline) else {
+        let Block::Online(t) = self.retag(b, "Online", Block::Offline) else {
             unreachable!("retag checked the block was online");
         };
-        if let Some(e) = self.extents.remove(&b.first_frame().0) {
-            debug_assert!(
-                e.head.state == PageState::Isolated && e.len as u64 == PAGES_PER_BLOCK,
-                "block {b:?} offlined with {e:?} left"
+        if cfg!(debug_assertions) {
+            let heads: u32 = t.heads.iter().map(|w| w.count_ones()).sum();
+            let frames: u64 = t.extents.values().map(|e| e.len as u64).sum();
+            let all = |s| t.extents.values().all(|e| e.head.state == s);
+            assert_eq!(heads as usize, t.extents.len(), "block {b:?}: head bits");
+            assert_eq!(frames, PAGES_PER_BLOCK, "block {b:?} offlined untiled");
+            assert!(
+                all(PageState::FreeHead) || (all(PageState::Isolated) && t.extents.len() == 1),
+                "block {b:?} offlined with used or mixed extents left"
             );
         }
-        debug_assert!(
-            heads.0.iter().filter(|&&w| w != 0).count() <= 1,
-            "block {b:?} offlined with extents left"
-        );
     }
 
     /// What every frame of block `s` reads as while it is not online.
@@ -369,7 +414,7 @@ impl MemMap {
     /// or below `g`.
     #[inline]
     fn head_at_or_below(&self, g: u64) -> Option<u64> {
-        let i = self.heads(block_of(g))?.last_at_or_below(offset(g))?;
+        let i = self.table(block_of(g))?.last_at_or_below(offset(g))?;
         Some(g - (offset(g) - i) as u64)
     }
 
@@ -379,7 +424,7 @@ impl MemMap {
     fn head_in(&self, from: u64, end: u64) -> Option<u64> {
         let base = from - offset(from) as u64;
         let i = self
-            .heads(block_of(from))?
+            .table(block_of(from))?
             .first_in(offset(from), (end - base) as usize)?;
         Some(base + i as u64)
     }
@@ -390,6 +435,7 @@ impl MemMap {
     fn ending_at(&mut self, g: u64) -> Option<(u64, &mut Extent)> {
         let k = self.head_at_or_below(g.checked_sub(1).filter(|_| offset(g) > 0)?)?;
         let e = self
+            .table_mut(k)
             .extents
             .get_mut(&k)
             .expect("every head bit has an extent");
@@ -399,15 +445,16 @@ impl MemMap {
     /// Returns the extent covering `g` with its head frame, if any.
     #[inline]
     pub(crate) fn covering(&self, g: Gfn) -> Option<(u64, &Extent)> {
-        let k = self.head_at_or_below(g.0)?;
-        let e = self.extents.get(&k).expect("every head bit has an extent");
+        let t = self.table(block_of(g.0))?;
+        let k = g.0 - (offset(g.0) - t.last_at_or_below(offset(g.0))?) as u64;
+        let e = t.at(k);
         (g.0 < k + e.len as u64).then_some((k, e))
     }
 
     /// Returns the extent headed exactly at `head`, if any.
     #[inline]
     pub(crate) fn extent(&self, head: Gfn) -> Option<&Extent> {
-        self.extents.get(&head.0)
+        self.table(block_of(head.0))?.extents.get(&head.0)
     }
 
     /// Returns the extent headed exactly at `head` for update.
@@ -417,7 +464,7 @@ impl MemMap {
     /// Panics if no extent starts at `head`.
     #[inline]
     pub(crate) fn extent_mut(&mut self, head: Gfn) -> &mut Extent {
-        match self.extents.get_mut(&head.0) {
+        match self.table_mut(head.0).extents.get_mut(&head.0) {
             Some(e) => e,
             None => not_covered(head.0),
         }
@@ -442,8 +489,7 @@ impl MemMap {
             self.is_uncovered(FrameRange::new(head, e.len as u64)),
             "extent at {head:?} overlaps another"
         );
-        self.heads_mut(head.0).set(offset(head.0));
-        self.extents.insert(head.0, e);
+        self.table_mut(head.0).insert(head.0, e);
     }
 
     /// Removes and returns the extent headed exactly at `head`.
@@ -453,11 +499,10 @@ impl MemMap {
     /// Panics if no extent starts at `head`.
     #[inline]
     pub(crate) fn remove(&mut self, head: Gfn) -> Extent {
-        let Some(e) = self.extents.remove(&head.0) else {
-            not_covered(head.0)
-        };
-        self.heads_mut(head.0).clear(offset(head.0));
-        e
+        match self.table_mut(head.0).remove(head.0) {
+            Some(e) => e,
+            None => not_covered(head.0),
+        }
     }
 
     /// Returns `true` if no extent covers any frame of `range`, which
@@ -495,8 +540,7 @@ impl MemMap {
         let mut len = range.count;
         let after = offset(end) > 0
             && self
-                .extents
-                .get(&end)
+                .extent(Gfn(end))
                 .is_some_and(|e| e.head.state == PageState::Isolated);
         if after {
             len += self.remove(Gfn(end)).len as u64;
@@ -531,21 +575,18 @@ impl MemMap {
         let k = self
             .head_at_or_below(start)
             .unwrap_or_else(|| not_covered(start));
-        let Entry::Occupied(mut first) = self.extents.entry(k) else {
-            unreachable!("every head bit has an extent")
-        };
-        let e = *first.get();
+        let t = self.table_mut(start);
+        let e = *t.at(k);
         let e_end = k + e.len as u64;
         if e_end <= start {
             not_covered(start);
         }
         let mut rest = (e_end > end).then_some((e_end, e.head));
         if k == start {
-            first.remove();
-            self.heads_mut(start).clear(offset(start));
+            t.remove(k);
         } else {
             debug_assert!(e.uniform(), "cutting {:?} at {start:#x}", e.head.state);
-            first.get_mut().len = (start - k) as u32;
+            t.extents.get_mut(&k).expect("just read").len = (start - k) as u32;
         }
         // Extents headed inside the range go; the last may reach past it.
         while let Some(k) = self.head_in(start, end) {
@@ -583,7 +624,7 @@ impl MemMap {
     pub fn page(&self, g: Gfn) -> PageDesc {
         match self.covering(g) {
             Some((k, e)) => e.frame(g.0 - k),
-            None if g.0 < self.frames && self.heads(block_of(g.0)).is_none() => {
+            None if g.0 < self.frames && self.table(block_of(g.0)).is_none() => {
                 self.blank(block_of(g.0))
             }
             None => not_covered(g.0),
@@ -601,7 +642,7 @@ impl MemMap {
     pub fn block_pages(&self, b: BlockId) -> impl Iterator<Item = PageDesc> + '_ {
         let s = b.0 as usize;
         let len = (self.frames - b.0 * PAGES_PER_BLOCK).min(PAGES_PER_BLOCK) as usize;
-        let blank = self.heads(s).is_none().then(|| self.blank(s));
+        let blank = self.table(s).is_none().then(|| self.blank(s));
         let blank = blank
             .into_iter()
             .flat_map(move |d| std::iter::repeat_n(d, len));
@@ -620,7 +661,7 @@ impl MemMap {
         while g < end {
             let s = block_of(g);
             let stop = end.min((s as u64 + 1) * PAGES_PER_BLOCK);
-            if self.heads(s).is_none() {
+            if self.table(s).is_none() {
                 n += (stop - g) * pred(&self.blank(s)) as u64;
                 g = stop;
                 continue;
@@ -777,6 +818,28 @@ mod tests {
     }
 
     #[test]
+    fn covering_finds_heads_across_the_bitmap() {
+        // The searches cross empty bitmap words and empty summary words
+        // (4,096 frames each) on their way down to the head.
+        let mut m = online(PAGES_PER_BLOCK);
+        m.claim(Gfn(0), 5000, anon(7, 0));
+        m.claim(Gfn(5000), PAGES_PER_BLOCK - 5000, anon(7, 1));
+        let head = |m: &MemMap, g| m.covering(Gfn(g)).map(|(k, _)| k);
+        for g in [0, 63, 64, 4095, 4096, 4999] {
+            assert_eq!(head(&m, g), Some(0), "frame {g}");
+        }
+        for g in [5000, 8191, 8192, PAGES_PER_BLOCK - 1] {
+            assert_eq!(head(&m, g), Some(5000), "frame {g}");
+        }
+        // Removed heads leave no summary bit behind.
+        m.carve(FrameRange::new(Gfn(0), 5000));
+        assert_eq!(head(&m, 4999), None);
+        assert_eq!(head(&m, PAGES_PER_BLOCK - 1), Some(5000));
+        m.carve(FrameRange::new(Gfn(5000), PAGES_PER_BLOCK - 5000));
+        assert_eq!(head(&m, PAGES_PER_BLOCK - 1), None);
+    }
+
+    #[test]
     fn claims_grow_the_extent_they_continue() {
         let mut m = online(64);
         m.claim(Gfn(0), 4, anon(7, 0));
@@ -863,6 +926,24 @@ mod tests {
             m.count_in(BlockId(1).frames(), |d| d.state == PageState::Absent),
             PAGES_PER_BLOCK
         );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "used or mixed extents")]
+    fn offlining_a_block_with_used_extents_panics() {
+        let mut m = online(PAGES_PER_BLOCK);
+        m.claim(Gfn(0), PAGES_PER_BLOCK, anon(7, 0));
+        m.offline(BlockId(0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "offlined untiled")]
+    fn offlining_a_block_with_a_stray_extent_panics() {
+        let mut m = online(PAGES_PER_BLOCK);
+        m.isolate(FrameRange::new(Gfn(64), 64), 1);
+        m.offline(BlockId(0));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! `free_area[]`, giving O(1) allocation, free and buddy merging up to
 //! the memory map's lookups. Linking a chunk inserts its one free extent
 //! into the [`MemMap`] and unlinking removes it, so freeing, merging and
-//! onlining cost O(chunks), not O(frames). Frames a zone hands out are
+//! onlining cost O(chunks), not O(frames); an instant offline only joins
+//! its chunks' list neighbours and leaves their extents for the memory
+//! map to drop with the block. Frames a zone hands out are
 //! left uncovered by any extent; the caller covers them when it claims
 //! them, and uncovers frames before it frees them.
 
@@ -79,12 +81,18 @@ impl Zone {
     /// removes its extent, leaving its frames uncovered.
     fn unlink(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         let d = mm.remove(head).head;
-        debug_assert_eq!(d.state, PageState::FreeHead);
         debug_assert_eq!(d.order, order);
+        self.splice_out(mm, d);
+    }
+
+    /// Joins the free-list neighbours of the chunk whose head descriptor
+    /// is `d`, taking the chunk off its list.
+    fn splice_out(&mut self, mm: &mut MemMap, d: PageDesc) {
+        debug_assert_eq!(d.state, PageState::FreeHead);
         debug_assert_eq!(d.zone, self.id);
         let (prev, next) = (d.a, d.b);
         if prev == NIL {
-            self.free_heads[order as usize] = next;
+            self.free_heads[d.order as usize] = next;
         } else {
             mm.extent_mut(Gfn(prev as u64)).head.b = next;
         }
@@ -307,27 +315,23 @@ impl Zone {
         self.free_pages -= 1;
     }
 
-    /// Takes an entirely-free page range off the free lists a whole
-    /// buddy chunk at a time, removing one extent per chunk — the
-    /// isolation of an instant offline, whose caller offlines the bare
-    /// block next.
+    /// Takes every chunk of the entirely free block `b` off the free
+    /// lists, leaving their extents for [`MemMap::offline`] to drop with
+    /// the block's table: the isolation of an instant offline, whose
+    /// caller offlines `b` next.
     ///
-    /// `range` must be MAX_ORDER-aligned at both ends and contain only
-    /// free pages of this zone; buddy chunks never straddle such a
-    /// boundary, so the walk meets each one at its head. Equivalent to
-    /// [`Zone::take_free_page`] on every page (the per-page path's
-    /// intermediate splits only ever link and unlink chunks inside the
-    /// range, all of which are gone at the end, so the surviving free
-    /// lists match exactly).
-    pub fn isolate_free_range(&mut self, mm: &mut MemMap, range: FrameRange) {
-        debug_assert_eq!(range.start.0 & ((1 << MAX_ORDER) - 1), 0);
-        debug_assert_eq!(range.count & ((1 << MAX_ORDER) - 1), 0);
+    /// Equivalent to [`Zone::take_free_page`] on every page of `b`: the
+    /// per-page path's intermediate splits only ever link and unlink
+    /// chunks inside the block, all of which are gone at the end, so the
+    /// surviving free lists match exactly.
+    pub(crate) fn unlink_block(&mut self, mm: &mut MemMap, b: BlockId) {
+        let range = b.frames();
         let mut g = range.start;
         while g.0 < range.end().0 {
-            let order = mm.extent(g).expect("a free chunk head").head.order;
-            self.unlink(mm, g, order);
-            self.free_pages -= 1 << order;
-            g.0 += 1 << order;
+            let d = mm.extent(g).expect("a free chunk head").head;
+            self.splice_out(mm, d);
+            self.free_pages -= 1 << d.order;
+            g.0 += 1 << d.order;
         }
     }
 
@@ -747,17 +751,27 @@ mod tests {
     }
 
     #[test]
-    fn isolate_free_range_matches_per_page_takes() {
-        // Fragment two identical zones the same way, then isolate the
-        // same fully-free MAX_ORDER-aligned range: bulk chunk unlinking
-        // must leave the same free lists as per-page carving.
-        let (mut mm_a, mut za) = make(8192);
-        let (mut mm_b, mut zb) = make(8192);
-        fill(&mut mm_a, &mut za, 8192);
-        fill(&mut mm_b, &mut zb, 8192);
+    fn unlink_block_matches_per_page_takes() {
+        // Fragment two identical two-block zones the same way, then take
+        // the same entirely free block off the lists: unlinking its
+        // chunks in place must leave the same free lists, in the same
+        // order, as per-page carving.
+        let twin = || {
+            let mut mm = MemMap::new(2 * PAGES_PER_BLOCK);
+            for b in [BlockId(0), BlockId(1)] {
+                mm.hot_add(b);
+                mm.online(b);
+            }
+            let span = FrameRange::new(Gfn(0), 2 * PAGES_PER_BLOCK);
+            let mut zone = Zone::new(0, ZoneKind::Normal, span);
+            fill(&mut mm, &mut zone, 2 * PAGES_PER_BLOCK);
+            (mm, zone)
+        };
+        let (mut mm_a, mut za) = twin();
+        let (mut mm_b, mut zb) = twin();
         let mut x = 0x5EED_5EEDu64;
-        // Allocate scattered pages outside [2048, 4096) so the target
-        // range stays free but the surrounding buddy state is ragged.
+        // Allocate scattered pages outside block 0 so it stays free but
+        // the surrounding buddy state is ragged.
         for _ in 0..600 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let (ga, gb) = (
@@ -765,29 +779,26 @@ mod tests {
                 zb.alloc_block(&mut mm_b, 0).unwrap(),
             );
             assert_eq!(ga, gb);
-            if (2048..4096).contains(&ga.0) {
-                // Give the page back if it landed in the target range.
-                za.free_block(&mut mm_a, ga, 0);
-                zb.free_block(&mut mm_b, gb, 0);
-            } else if x.is_multiple_of(5) {
+            if ga.0 < PAGES_PER_BLOCK || x.is_multiple_of(5) {
                 za.free_block(&mut mm_a, ga, 0);
                 zb.free_block(&mut mm_b, gb, 0);
             }
         }
-        let range = FrameRange::new(Gfn(2048), 2048);
-        za.isolate_free_range(&mut mm_a, range);
-        for g in range.iter() {
+        let block = BlockId(0);
+        za.unlink_block(&mut mm_a, block);
+        mm_a.offline(block);
+        for g in block.frames().iter() {
             zb.take_free_page(&mut mm_b, g);
         }
+        mm_b.isolate(block.frames(), 0);
+        mm_b.offline(block);
         assert_eq!(za.free_pages, zb.free_pages);
         za.assert_consistent(&mm_a);
         zb.assert_consistent(&mm_b);
         for o in 0..=MAX_ORDER {
-            assert_eq!(
-                za.free_chunks(&mm_a, o),
-                zb.free_chunks(&mm_b, o),
-                "order {o} free list diverged"
-            );
+            let list = za.free_list(&mm_a, o);
+            assert_eq!(list, zb.free_list(&mm_b, o), "order {o} free list diverged");
+            assert!(list.iter().all(|g| g.0 >= PAGES_PER_BLOCK));
         }
     }
 

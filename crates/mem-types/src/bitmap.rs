@@ -88,22 +88,11 @@ impl Bitmap {
     ///
     /// Panics if the range runs past the end of the map.
     pub fn set_range(&mut self, start: usize, n: usize) -> usize {
-        assert!(
-            start + n <= self.len,
-            "range {start}+{n} out of {}",
-            self.len
-        );
-        let mut newly = 0;
-        let mut i = start;
-        let end = start + n;
-        while i < end {
-            let take = (64 - i % 64).min(end - i);
-            let mask = (u64::MAX >> (64 - take)) << (i % 64);
-            let word = &mut self.words[i / 64];
-            newly += (mask & !*word).count_ones() as usize;
+        let newly = self.update_range(start, n, |word, mask| {
+            let newly = (mask & !*word).count_ones();
             *word |= mask;
-            i += take;
-        }
+            newly
+        });
         self.ones += newly;
         newly
     }
@@ -116,24 +105,42 @@ impl Bitmap {
     ///
     /// Panics if the range runs past the end of the map.
     pub fn clear_range(&mut self, start: usize, n: usize) -> usize {
+        let dropped = self.update_range(start, n, |word, mask| {
+            let dropped = (mask & *word).count_ones();
+            *word &= !mask;
+            dropped
+        });
+        self.ones -= dropped;
+        dropped
+    }
+
+    /// Calls `f` on every word that `[start, start + n)` overlaps, with
+    /// the mask of the range's bits in it, and sums what it returns. The
+    /// whole words between the first and the last take a constant mask
+    /// in a plain slice loop, which the compiler vectorizes.
+    #[inline]
+    fn update_range(&mut self, start: usize, n: usize, f: impl Fn(&mut u64, u64) -> u32) -> usize {
         assert!(
             start + n <= self.len,
             "range {start}+{n} out of {}",
             self.len
         );
-        let mut dropped = 0;
-        let mut i = start;
-        let end = start + n;
-        while i < end {
-            let take = (64 - i % 64).min(end - i);
-            let mask = (u64::MAX >> (64 - take)) << (i % 64);
-            let word = &mut self.words[i / 64];
-            dropped += (mask & *word).count_ones() as usize;
-            *word &= !mask;
-            i += take;
+        if n == 0 {
+            return 0;
         }
-        self.ones -= dropped;
-        dropped
+        let end = start + n;
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            return f(&mut self.words[first], head & tail) as usize;
+        }
+        let mut sum = f(&mut self.words[first], head) as usize;
+        sum += f(&mut self.words[last], tail) as usize;
+        for word in &mut self.words[first + 1..last] {
+            sum += f(word, u64::MAX) as usize;
+        }
+        sum
     }
 
     /// Counts clear bits in `[start, start + n)`.
