@@ -546,7 +546,8 @@ fn to_json(
         s.push_str(&format!(
             "  \"perf\": {{\"hosts\": {}, \"invocations\": {}, \"completed\": {}, \
              \"events_processed\": {}, \"peak_queue_depth\": {}, \"peak_rss_mib\": {}, \
-             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
+             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}, \
+             \"invocations_per_sec\": {:.0}}},\n",
             p.hosts,
             p.invocations,
             p.completed,
@@ -555,7 +556,8 @@ fn to_json(
             json_rss(p.peak_rss_mib),
             p.setup_s,
             p.run_s,
-            p.events_per_sec
+            p.events_per_sec,
+            p.invocations_per_sec
         ));
     }
     if let Some(p) = perf_trace {
@@ -563,7 +565,8 @@ fn to_json(
             "  \"perf_trace\": {{\"hosts\": {}, \"minutes\": {}, \"invocations\": {}, \
              \"completed\": {}, \"events_processed\": {}, \"peak_queue_depth\": {}, \
              \"reservoir_len\": {}, \"max_func_samples\": {}, \"peak_rss_mib\": {}, \
-             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
+             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}, \
+             \"invocations_per_sec\": {:.0}}},\n",
             p.hosts,
             p.minutes,
             p.invocations,
@@ -575,7 +578,8 @@ fn to_json(
             json_rss(p.peak_rss_mib),
             p.setup_s,
             p.run_s,
-            p.events_per_sec
+            p.events_per_sec,
+            p.invocations_per_sec
         ));
     }
     if !verdicts.is_empty() {

@@ -23,7 +23,6 @@
 //! granularity.
 
 use guest_mm::{AllocPolicy, Pid};
-use mem_types::Gfn;
 use sim_core::CostModel;
 use virtio_mem::{PlugReport, UnplugReport};
 use vmm::{HostMemory, Vm};
@@ -121,18 +120,24 @@ impl TemporalInstance {
             .ok_or(SqueezyError::NoReclaimablePartition)?
             .zone;
         // Drop the invocation's scratch: every page of the process that
-        // lives in the ephemeral zone.
-        let scratch: Vec<Gfn> = vm
+        // lives in the ephemeral zone. The invocation faulted them all
+        // while pinned there, so they are the tail of the process.
+        let (mut scratch, mut tail) = (0, 0);
+        for r in vm
             .guest
             .process(self.pid)
             .ok_or(SqueezyError::NotAttached)?
             .runs()
-            .filter(|r| vm.guest.memmap().page(r.start).zone == eph_zone)
-            .flat_map(|r| (r.start.0..r.end().0).map(Gfn))
-            .collect();
-        for g in scratch {
-            vm.guest.free_anon_page(self.pid, g)?;
+        {
+            if vm.guest.memmap().page(r.start).zone == eph_zone {
+                scratch += r.count;
+                tail += r.count;
+            } else {
+                tail = 0;
+            }
         }
+        debug_assert_eq!(scratch, tail, "scratch pages are the process's tail");
+        vm.guest.free_anon_tail(self.pid, scratch)?;
         // Faults go back to base memory between invocations.
         let pers_zone = flex
             .partition(self.persistent)

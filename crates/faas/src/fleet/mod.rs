@@ -247,6 +247,8 @@ enum FleetEvent {
 struct HostSink<'a> {
     q: &'a mut EventQueue<FleetEvent>,
     host: usize,
+    /// The host's first CPU-timer key (see [`Slot::cpu_timers`]).
+    cpu_timers: usize,
 }
 
 impl EventSink for HostSink<'_> {
@@ -259,17 +261,55 @@ impl EventSink for HostSink<'_> {
             },
         );
     }
+
+    fn push_after(&mut self, now: SimTime, delay: SimDuration, ev: Event) {
+        self.q.push_after(
+            now,
+            delay,
+            FleetEvent::Host {
+                host: self.host,
+                ev,
+            },
+        );
+    }
+
+    fn set_cpu_timer(&mut self, vm: usize, at: Option<SimTime>) {
+        let ev = FleetEvent::Host {
+            host: self.host,
+            ev: Event::CpuDone { vm },
+        };
+        self.q.set_timer(self.cpu_timers + vm, at, ev);
+    }
 }
 
 /// One host's slot in the fleet.
 struct Slot {
     sim: HostSim,
+    /// First of the host's queue timer keys, one per VM: VM `v`'s CPU
+    /// completion timer is key `cpu_timers + v`.
+    cpu_timers: usize,
     state: HostState,
     boot_at: SimTime,
     stop_at: Option<SimTime>,
 }
 
 impl Slot {
+    /// A slot for `sim`, with its CPU timer keys reserved in `events`.
+    fn new(
+        sim: HostSim,
+        events: &mut EventQueue<FleetEvent>,
+        state: HostState,
+        boot_at: SimTime,
+    ) -> Slot {
+        Slot {
+            cpu_timers: events.timer_keys(sim.config.vms.len()),
+            sim,
+            state,
+            boot_at,
+            stop_at: None,
+        }
+    }
+
     /// Still processes its own events (Booting hosts have none yet).
     fn is_live(&self) -> bool {
         matches!(
@@ -521,21 +561,21 @@ impl FleetSim {
         let reservoir_rng = DetRng::new(config.seed).derive(RESERVOIR_STREAM);
         let mut injector = FailureInjector::new(DetRng::new(config.seed).derive(FAILURE_STREAM));
 
+        let mut events = EventQueue::new();
         let mut hosts = Vec::new();
         for cfg in config.initial_hosts {
             let mut sim = HostSim::new(cfg)?;
             if bounded_metrics {
                 sim.enable_bounded_metrics();
             }
-            hosts.push(Slot {
+            hosts.push(Slot::new(
                 sim,
-                state: HostState::Active,
-                boot_at: SimTime::ZERO,
-                stop_at: None,
-            });
+                &mut events,
+                HostState::Active,
+                SimTime::ZERO,
+            ));
         }
 
-        let mut events = EventQueue::new();
         for host in 0..hosts.len() {
             events.push(
                 SimTime::ZERO,
@@ -548,8 +588,9 @@ impl FleetSim {
         if let Some(period) = policy.period_s() {
             assert!(period > 0.0, "control period must be positive");
             if period <= duration_s {
-                events.push(
-                    SimTime::ZERO + SimDuration::from_secs_f64(period),
+                events.push_after(
+                    SimTime::ZERO,
+                    SimDuration::from_secs_f64(period),
                     FleetEvent::Control,
                 );
             }
@@ -615,43 +656,20 @@ impl FleetSim {
         // moment they are due (ties go to the arrival — fed arrivals
         // always sorted before same-tick queue events in the pre-push
         // era, whose total order this loop reproduces byte-for-byte),
-        // everything else pops from the queue in batched (time, seq)
-        // order. Deferral retries and crash requeues still travel as
-        // queued [`FleetEvent::Incoming`] events.
-        let mut batch = Vec::new();
+        // everything else pops from the queue one event at a time in
+        // (time, seq) order. Deferral retries and crash requeues still
+        // travel as queued [`FleetEvent::Incoming`] events.
         loop {
-            let arrival_next = match (self.feed.peek(), self.events.peek_time()) {
-                (Some((at, _)), Some(qt)) => at <= qt,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
+            let due = match self.feed.peek() {
+                Some((at, _)) => self.events.pop_before(at),
+                None => self.events.pop(),
             };
-            if arrival_next {
-                let (at, tenant) = self.feed.pop().expect("peeked");
-                self.on_incoming(at, tenant);
-            } else if let Some(now) = self.events.pop_batch(&mut batch) {
-                for ev in batch.drain(..) {
-                    match ev {
-                        FleetEvent::Incoming { tenant } => self.on_incoming(now, tenant),
-                        FleetEvent::Host { host, ev } => {
-                            // Retired and failed hosts are gone: their residual
-                            // events (keep-alives, sample chains) evaporate.
-                            if !self.hosts[host].is_live() {
-                                continue;
-                            }
-                            let mut sink = HostSink {
-                                q: &mut self.events,
-                                host,
-                            };
-                            self.hosts[host].sim.handle(now, ev, &mut sink);
-                            self.drain_tap(host);
-                            self.maybe_retire(now, host);
-                        }
-                        FleetEvent::Control => self.on_control(now),
-                        FleetEvent::HostReady { host } => self.on_host_ready(now, host),
-                        FleetEvent::Crash => self.on_crash(now),
-                    }
-                }
+            match due {
+                Some((now, ev)) => self.on_event(now, ev),
+                None => match self.feed.pop() {
+                    Some((at, tenant)) => self.on_incoming(at, tenant),
+                    None => break,
+                },
             }
         }
         let injected = self.feed.injected();
@@ -695,6 +713,35 @@ impl FleetSim {
 
     // --- Data plane --------------------------------------------------------
 
+    fn on_event(&mut self, now: SimTime, ev: FleetEvent) {
+        match ev {
+            FleetEvent::Incoming { tenant } => self.on_incoming(now, tenant),
+            FleetEvent::Host { host, ev } => {
+                // Retired and failed hosts are gone: their residual
+                // events (keep-alives, sample chains) evaporate.
+                if self.hosts[host].is_live() {
+                    self.dispatch(now, host, ev);
+                    self.drain_tap(host);
+                    self.maybe_retire(now, host);
+                }
+            }
+            FleetEvent::Control => self.on_control(now),
+            FleetEvent::HostReady { host } => self.on_host_ready(now, host),
+            FleetEvent::Crash => self.on_crash(now),
+        }
+    }
+
+    /// Hands `ev` to host `host`, with a sink into the shared queue.
+    fn dispatch(&mut self, now: SimTime, host: usize, ev: Event) {
+        let slot = &mut self.hosts[host];
+        let mut sink = HostSink {
+            q: &mut self.events,
+            host,
+            cpu_timers: slot.cpu_timers,
+        };
+        slot.sim.handle(now, ev, &mut sink);
+    }
+
     fn on_incoming(&mut self, now: SimTime, tenant: usize) {
         debug_assert!(
             self.active.iter().copied().eq(self
@@ -713,8 +760,9 @@ impl FleetSim {
             let loop_alive = self.control_loop && now.as_secs_f64() < self.duration_s;
             if provisioning || loop_alive {
                 self.deferred += 1;
-                self.events.push(
-                    now + SimDuration::from_secs_f64(DEFER_RETRY_S),
+                self.events.push_after(
+                    now,
+                    SimDuration::from_secs_f64(DEFER_RETRY_S),
                     FleetEvent::Incoming { tenant },
                 );
             } else {
@@ -751,13 +799,7 @@ impl FleetSim {
         let h = self.active[r];
         self.routed[h][tenant] += 1;
         let (vm, dep) = (t.vm, t.dep);
-        let mut sink = HostSink {
-            q: &mut self.events,
-            host: h,
-        };
-        self.hosts[h]
-            .sim
-            .handle(now, Event::Arrival { vm, dep }, &mut sink);
+        self.dispatch(now, h, Event::Arrival { vm, dep });
         self.drain_tap(h);
     }
 
@@ -825,9 +867,9 @@ impl FleetSim {
         }
 
         if let Some(period) = self.policy.period_s() {
-            let next = now + SimDuration::from_secs_f64(period);
-            if next.as_secs_f64() <= self.duration_s {
-                self.events.push(next, FleetEvent::Control);
+            let period = SimDuration::from_secs_f64(period);
+            if (now + period).as_secs_f64() <= self.duration_s {
+                self.events.push_after(now, period, FleetEvent::Control);
             }
         }
     }
@@ -864,16 +906,13 @@ impl FleetSim {
             if self.bounded_metrics {
                 sim.enable_bounded_metrics();
             }
-            self.hosts.push(Slot {
-                sim,
-                state: HostState::Booting,
-                boot_at: now,
-                stop_at: None,
-            });
+            let slot = Slot::new(sim, &mut self.events, HostState::Booting, now);
+            self.hosts.push(slot);
             self.routed.push(vec![0; self.tenants.len()]);
             let host = self.hosts.len() - 1;
-            self.events.push(
-                now + SimDuration::from_secs_f64(self.opts.boot_delay_s),
+            self.events.push_after(
+                now,
+                SimDuration::from_secs_f64(self.opts.boot_delay_s),
                 FleetEvent::HostReady { host },
             );
             self.scale_ups += 1;
@@ -913,11 +952,13 @@ impl FleetSim {
         let at = self.active.partition_point(|&i| i < host);
         self.active.insert(at, host);
         // Start the host's metrics sample chain.
-        let mut sink = HostSink {
-            q: &mut self.events,
-            host,
-        };
-        sink.push(now, Event::Sample);
+        self.events.push(
+            now,
+            FleetEvent::Host {
+                host,
+                ev: Event::Sample,
+            },
+        );
         self.push_active_count(now);
     }
 

@@ -2,19 +2,19 @@
 //! schedule into.
 //!
 //! Handlers never own the queue: the fleet engine hands them a sink
-//! that tags each event with its host and pushes it onto the one shared
-//! queue, so a host's scheduling order is the queue's FIFO tie-break
-//! order.
+//! that tags each event with its host and schedules it on the one
+//! shared queue, so a host's scheduling order is the queue's FIFO
+//! tie-break order.
 
-use sim_core::SimTime;
+use sim_core::{SimDuration, SimTime};
 
 /// Events driving one host's simulation.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Event {
     /// A request for deployment `dep` on VM `vm` arrives.
     Arrival { vm: usize, dep: usize },
-    /// A CPU-pool completion may have occurred on VM `vm`.
-    CpuDone { vm: usize, gen: u64 },
+    /// The earliest predicted CPU-pool completion on VM `vm` is due.
+    CpuDone { vm: usize },
     /// The memory plug for instance `inst` finished.
     PlugDone { vm: usize, inst: u64 },
     /// Keep-alive check for instance `inst`.
@@ -40,4 +40,9 @@ pub(crate) enum Work {
 pub(crate) trait EventSink {
     /// Schedules `ev` at absolute time `at`.
     fn push(&mut self, at: SimTime, ev: Event);
+    /// Schedules `ev` one fixed `delay` after the handler's `now`.
+    fn push_after(&mut self, now: SimTime, delay: SimDuration, ev: Event);
+    /// Arms VM `vm`'s one CPU-completion timer at `at`, replacing its
+    /// pending prediction; `None` disarms it.
+    fn set_cpu_timer(&mut self, vm: usize, at: Option<SimTime>);
 }

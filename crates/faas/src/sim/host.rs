@@ -38,7 +38,6 @@ const METRICS_STREAM: u64 = 0xB0D5;
 pub(crate) struct VmRt {
     pub vm: Vm,
     pub pool: CpuPool,
-    pub pool_gen: u64,
     pub work: IdMap<TaskId, Work>,
     pub instances: IdMap<u64, Instance>,
     /// Per-deployment FIFO of queued request arrival times.
@@ -168,7 +167,6 @@ impl HostSim {
             vms.push(VmRt {
                 vm,
                 pool: CpuPool::new(spec.effective_vcpus()),
-                pool_gen: 0,
                 work: IdMap::new(),
                 instances: IdMap::new(),
                 queues: vec![VecDeque::new(); ndeps],
@@ -248,8 +246,8 @@ impl HostSim {
     pub fn handle(&mut self, now: SimTime, ev: Event, q: &mut dyn EventSink) {
         match ev {
             Event::Arrival { vm, dep } => self.on_arrival(now, vm, dep, q),
-            Event::CpuDone { vm, gen } => {
-                self.on_cpu_done(now, vm, gen, q);
+            Event::CpuDone { vm } => {
+                self.on_cpu_done(now, vm, q);
             }
             Event::PlugDone { vm, inst } => {
                 self.on_plug_done(now, vm, inst, q);
@@ -435,10 +433,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_cpu_done(&mut self, now: SimTime, vm: usize, gen: u64, q: &mut dyn EventSink) {
-        if self.vms[vm].pool_gen != gen {
-            return; // Stale completion prediction.
-        }
+    fn on_cpu_done(&mut self, now: SimTime, vm: usize, q: &mut dyn EventSink) {
         self.sync_pool(vm, now);
         // Collect finished tasks into the reusable scratch buffer.
         let mut finished = std::mem::take(&mut self.finished_scratch);
@@ -532,8 +527,9 @@ impl HostSim {
                 // in the background (the paper's reclamation timeouts:
                 // the memory is not available when the scale-up needs
                 // it, but the VM recovers eventually).
-                q.push(
-                    now + SimDuration::secs(5),
+                q.push_after(
+                    now,
+                    SimDuration::secs(5),
                     Event::RetryReclaim {
                         vm,
                         bytes: p.shortfall_bytes,
@@ -575,9 +571,9 @@ impl HostSim {
                 v.inst_series.push(now, v.instances.len() as f64);
             }
         }
-        let next = now + SimDuration::from_secs_f64(self.config.sample_period_s);
-        if next.as_secs_f64() <= self.config.duration_s {
-            q.push(next, Event::Sample);
+        let period = SimDuration::from_secs_f64(self.config.sample_period_s);
+        if (now + period).as_secs_f64() <= self.config.duration_s {
+            q.push_after(now, period, Event::Sample);
         }
     }
 
@@ -934,8 +930,8 @@ impl HostSim {
     }
 
     fn schedule_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
-        let at = now + SimDuration::from_secs_f64(self.config.keepalive_s);
-        q.push(at, Event::KeepAlive { vm, inst });
+        let keepalive = SimDuration::from_secs_f64(self.config.keepalive_s);
+        q.push_after(now, keepalive, Event::KeepAlive { vm, inst });
     }
 
     /// A newly idle instance reports to the backend (soft memory offers
@@ -1046,12 +1042,10 @@ impl HostSim {
         }
     }
 
+    /// Re-arms the VM's CPU-completion timer at the pool's earliest
+    /// predicted completion, or disarms it when the pool is idle.
     fn reschedule_cpu(&mut self, vm: usize, now: SimTime, q: &mut dyn EventSink) {
-        self.vms[vm].pool_gen += 1;
-        let gen = self.vms[vm].pool_gen;
-        if let Some((_, t)) = self.vms[vm].pool.next_completion() {
-            let at = t.max(now);
-            q.push(at, Event::CpuDone { vm, gen });
-        }
+        let at = self.vms[vm].pool.next_completion().map(|(_, t)| t.max(now));
+        q.set_cpu_timer(vm, at);
     }
 }

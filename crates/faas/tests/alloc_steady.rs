@@ -2,9 +2,9 @@
 //!
 //! The perf tentpole's contract: once a host is warmed up, the
 //! per-event path — arrival, dispatch, CPU completion, keep-alive —
-//! performs no heap allocation. Timer-wheel slots, the flat `IdMap`s,
-//! the CPU pool's water-filling scratch and the latency tap all reuse
-//! capacity, so the only allocations left are amortized buffer growth
+//! performs no heap allocation. The event queue's lanes and heaps, the
+//! flat `IdMap`s, the CPU pool's water-filling scratch and the latency
+//! tap all reuse capacity, so the only allocations left are amortized buffer growth
 //! (logarithmic in run length) and per-sample metrics appends.
 //!
 //! The test pins that by differencing: two identical drumbeat runs, one

@@ -559,6 +559,34 @@ impl GuestMm {
         Ok(freed)
     }
 
+    /// Releases the last `n` anonymous base pages of `pid` in process
+    /// order, first of them first, a run at a time. Identical to `n`
+    /// [`GuestMm::free_anon_page`] calls over those pages in order: each
+    /// such call only swaps a later page of the tail into the freed
+    /// slot, so the pages before the tail keep their order, and freeing
+    /// a run equals freeing its pages in ascending order (see
+    /// [`Zone::free_run`]). Returns the number actually freed.
+    pub fn free_anon_tail(&mut self, pid: Pid, n: u64) -> Result<u64, MmError> {
+        let base = &mut self
+            .procs
+            .get_mut(&pid.0)
+            .ok_or(MmError::NoSuchProcess)?
+            .base;
+        let mut tail = Vec::new();
+        let mut left = n;
+        while let Some(run) = base.pop_back(left) {
+            left -= run.count;
+            tail.push(run);
+            if left == 0 {
+                break;
+            }
+        }
+        for &run in tail.iter().rev() {
+            self.release_used_run(run);
+        }
+        Ok(n - left)
+    }
+
     /// Releases one specific anonymous page of `pid` (a page-granular
     /// `munmap`/`MADV_DONTNEED`; fragmentation workloads punch holes with
     /// this). The process's last page takes `g`'s place in its order, as
@@ -2255,6 +2283,7 @@ mod offline_twin {
         File(FileId, u64),
         Punch(Pid, Gfn),
         FreeAnon(Pid, u64),
+        FreeTail(Pid, u64),
         Exit(Pid),
         DropAnon(Pid),
         DropFile(FileId),
@@ -2314,6 +2343,15 @@ mod offline_twin {
             Op::Punch(pid, g) => mm.free_anon_page(pid, g).unwrap(),
             Op::FreeAnon(pid, n) => {
                 mm.free_anon(pid, n).unwrap();
+            }
+            Op::FreeTail(pid, n) if reference => {
+                let len = resident(mm, pid);
+                for g in tail(mm, pid, len.saturating_sub(n)) {
+                    mm.free_anon_page(pid, g).unwrap();
+                }
+            }
+            Op::FreeTail(pid, n) => {
+                mm.free_anon_tail(pid, n).unwrap();
             }
             Op::Exit(pid) => {
                 mm.exit_process(pid).unwrap();
@@ -2377,7 +2415,7 @@ mod offline_twin {
                     .expect("punched page is owned");
                 v.swap_remove(i);
             }
-            (Op::FreeAnon(pid, n), _) => {
+            (Op::FreeAnon(pid, n) | Op::FreeTail(pid, n), _) => {
                 let v = proc(orders, pid);
                 v.truncate(v.len().saturating_sub(n as usize));
             }
@@ -2414,14 +2452,16 @@ mod offline_twin {
         punch_split: bool,
         mid_order: bool,
         swap_in: bool,
+        multi_run_tail: bool,
     }
 
     /// Drives two identical guests through one seeded random history,
-    /// offlining with the run-based path on one and the per-page
-    /// reference on the other. Both guests' page orders are checked
-    /// against the reference orders after every operation, and the
-    /// guests against each other after every offline or plug (instant
-    /// offlines and plugs take the same path on both).
+    /// offlining and freeing process tails with the run-based path on
+    /// one and the per-page reference on the other. Both guests' page
+    /// orders are checked against the reference orders after every
+    /// operation, and the guests against each other after every
+    /// offline, tail free or plug (instant offlines and plugs take the
+    /// same path on both).
     fn run_twins(seed: u64, cov: &mut Coverage) {
         let config = GuestMmConfig {
             boot_bytes: 256 * MIB,
@@ -2485,7 +2525,8 @@ mod offline_twin {
                         a.process(p).unwrap().pages().nth(rnd(n) as usize).unwrap(),
                     ),
                 },
-                (60..=61, Some(p)) => Op::FreeAnon(p, 1 + rnd(300)),
+                (60, Some(p)) => Op::FreeAnon(p, 1 + rnd(300)),
+                (61, Some(p)) => Op::FreeTail(p, 1 + rnd(300)),
                 (62..=63, Some(p)) => Op::Exit(p),
                 (64, Some(p)) => match rnd(2) {
                     0 => Op::DropAnon(p),
@@ -2549,6 +2590,11 @@ mod offline_twin {
                     cov.punch_split |= g != run.start && g.0 + 1 != run.end().0;
                     None
                 }
+                Op::FreeTail(p, n) => {
+                    let last = a.procs[&p.0].base.runs().last();
+                    cov.multi_run_tail |= last.is_some_and(|r| r.count < n);
+                    None
+                }
                 _ => None,
             };
             let offlined = a.stats.blocks_offlined > 0;
@@ -2571,6 +2617,7 @@ mod offline_twin {
                 | Op::Huge(p, _)
                 | Op::Punch(p, _)
                 | Op::FreeAnon(p, _)
+                | Op::FreeTail(p, _)
                 | Op::Exit(p)
                 | Op::DropAnon(p)
                 | Op::SwapOut(p, _)
@@ -2594,6 +2641,7 @@ mod offline_twin {
                     cov.instant |= out.is_ok();
                     assert_twins(&a, &b);
                 }
+                (Op::FreeTail(..), _) => assert_twins(&a, &b),
                 _ => {}
             }
             if let (Effect::Offline(out), Some((own_free, files))) = (&got, before) {
@@ -2641,6 +2689,7 @@ mod offline_twin {
             punch_split,
             mid_order,
             swap_in,
+            multi_run_tail,
         } = cov;
         assert!(
             migrated
@@ -2654,7 +2703,8 @@ mod offline_twin {
                 && replugged
                 && punch_split
                 && mid_order
-                && swap_in,
+                && swap_in
+                && multi_run_tail,
             "randomized guests missed a path: {cov:?}"
         );
     }

@@ -1,39 +1,168 @@
 //! A deterministic event queue.
 //!
-//! [`EventQueue<E>`] is a time-ordered priority queue with a monotonic
-//! sequence number breaking ties, so that two events scheduled for the
-//! same instant pop in the order they were pushed. This FIFO tie-break is
-//! what makes whole-system runs reproducible.
+//! [`EventQueue<E>`] pops events in `(time, seq)` order: earliest
+//! instant first, and among events at one instant, the one scheduled
+//! first. Every way of scheduling draws `seq` from one counter, so this
+//! FIFO tie-break holds across the whole queue, and it is what makes
+//! whole-system runs reproducible.
 //!
-//! The implementation is a hierarchical timer wheel (a calendar queue):
-//! eleven levels of 64 slots each cover the full `u64` nanosecond
-//! timeline, so push and pop are O(1) amortized regardless of how many
-//! events are pending — a simulation that pre-schedules millions of
-//! arrivals pays nothing per operation for the backlog, where a binary
-//! heap pays O(log n) sift on every touch. Far-future timers rest in the
-//! upper levels and cascade down lazily as the clock reaches them; each
-//! event cascades at most ten times over its whole lifetime.
+//! Pending events live in three sources, chosen by how they are timed,
+//! because two of the three kinds never need sorting:
 //!
-//! Determinism is structural, not incidental: events land in slot
-//! vectors in push order, cascades only ever refile into *empty* lower
-//! levels (the wheel position below a cascading slot has been fully
-//! drained), so every slot vector stays sequence-ordered and the wheel
-//! pops in exactly the (time, seq) order of a reference binary heap —
-//! a property the differential tests in `tests/wheel_order.rs` pin.
+//! * **Fixed-delay lanes** ([`EventQueue::push_after`]): one FIFO per
+//!   distinct delay. Handlers run at non-decreasing instants, so
+//!   `now + delay` for a constant delay arrives in time order and each
+//!   lane is sorted by construction — a push is an append, a pop takes
+//!   the front. Keep-alive checks, sample chains and periodic retries
+//!   are all of this form.
+//! * **Re-armable timers** ([`EventQueue::set_timer`]): at most one
+//!   pending entry per key, replaced or cancelled in place (Linux's
+//!   `mod_timer`), in an indexed binary heap over the armed keys. A
+//!   re-arm takes the next sequence number exactly as a fresh push
+//!   would, so it orders like one; the superseded entry is gone rather
+//!   than left to pop stale.
+//! * **A binary heap** ([`EventQueue::push`]) for everything else.
+//!
+//! A pop takes the smallest `(time, seq)` among the lane fronts, the
+//! timer heap's root and the heap's root, so the queue pops in exactly
+//! the order of one reference binary heap — a property the differential
+//! tests in `tests/queue_order.rs` pin.
 
-use std::mem;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
-/// log2 of the wheel fan-out: 64 slots per level.
-const SLOT_BITS: usize = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Levels needed so `LEVELS * SLOT_BITS >= 64` covers every `u64`
-/// deadline with no separate overflow structure.
-const LEVELS: usize = 11;
+/// Marks a disarmed key in [`Timers::pos`].
+const DISARMED: usize = usize::MAX;
 
-/// A time-ordered, deterministic event queue (hierarchical timer wheel).
+/// One pending event of the lanes or the heap.
+struct Entry<E> {
+    at: u64,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (u64, u64) {
+        (self.at, self.seq)
+    }
+}
+
+// Reversed, so the max-heap `BinaryHeap` pops the smallest (at, seq).
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+/// The events pushed one fixed `delay` after their push instant, in
+/// push (= time) order.
+struct Lane<E> {
+    delay: u64,
+    fifo: VecDeque<Entry<E>>,
+}
+
+/// Re-armable timers: an indexed binary min-heap over the armed keys.
+struct Timers<E> {
+    /// `(at, seq, key)` of every armed timer, heap-ordered on `(at, seq)`.
+    heap: Vec<(u64, u64, usize)>,
+    /// Per key: its index in `heap`, or [`DISARMED`].
+    pos: Vec<usize>,
+    /// Per key: the armed timer's event.
+    events: Vec<Option<E>>,
+}
+
+impl<E> Timers<E> {
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        self.pos[self.heap[i].2] = i;
+        self.pos[self.heap[j].2] = j;
+    }
+
+    fn less(&self, i: usize, j: usize) -> bool {
+        let (a, b) = (&self.heap[i], &self.heap[j]);
+        (a.0, a.1) < (b.0, b.1)
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.less(i, parent) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let (l, r) = (2 * i + 1, 2 * i + 2);
+            let mut min = i;
+            if l < self.heap.len() && self.less(l, min) {
+                min = l;
+            }
+            if r < self.heap.len() && self.less(r, min) {
+                min = r;
+            }
+            if min == i {
+                return;
+            }
+            self.swap(i, min);
+            i = min;
+        }
+    }
+
+    /// Moves heap node `i` to where its (changed) key belongs.
+    fn fix(&mut self, i: usize) {
+        if i > 0 && self.less(i, (i - 1) / 2) {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    /// Disarms the timer at heap index `i`, returning its `(at, event)`.
+    fn remove_at(&mut self, i: usize) -> (u64, E) {
+        let last = self.heap.len() - 1;
+        self.swap(i, last);
+        let (at, _, key) = self.heap.pop().expect("i is a heap index");
+        self.pos[key] = DISARMED;
+        if i < self.heap.len() {
+            self.fix(i);
+        }
+        (
+            at,
+            self.events[key].take().expect("armed timers hold an event"),
+        )
+    }
+}
+
+/// Where the next event to pop waits.
+#[derive(Clone, Copy)]
+enum Source {
+    Heap,
+    Timer,
+    Lane(usize),
+}
+
+/// A time-ordered, deterministic event queue: fixed-delay lanes,
+/// re-armable timers and a binary heap behind one `(time, seq)` order.
 ///
 /// # Examples
 ///
@@ -41,31 +170,21 @@ const LEVELS: usize = 11;
 /// use sim_core::{EventQueue, SimDuration, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::ZERO + SimDuration::millis(2), "late");
-/// q.push(SimTime::ZERO + SimDuration::millis(1), "early");
-/// assert_eq!(q.pop().unwrap().1, "early");
-/// assert_eq!(q.pop().unwrap().1, "late");
+/// let cpu = q.timer_keys(1);
+/// q.push(SimTime::ZERO + SimDuration::millis(3), "plug done");
+/// q.push_after(SimTime::ZERO, SimDuration::millis(2), "keep-alive");
+/// q.set_timer(cpu, Some(SimTime::ZERO + SimDuration::millis(4)), "cpu");
+/// // Re-armed earlier: the 4 ms prediction is replaced, not left stale.
+/// q.set_timer(cpu, Some(SimTime::ZERO + SimDuration::millis(1)), "cpu");
+/// assert_eq!(q.pop().unwrap().1, "cpu");
+/// assert_eq!(q.pop().unwrap().1, "keep-alive");
+/// assert_eq!(q.pop().unwrap().1, "plug done");
+/// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    /// `LEVELS × SLOTS` slot vectors, indexed `level * SLOTS + slot`.
-    /// Each entry is `(at, seq, event)`; every vector is in push
-    /// (= sequence) order. Cleared vectors keep their capacity, so the
-    /// steady state allocates nothing.
-    slots: Vec<Vec<(u64, u64, E)>>,
-    /// Per-level occupancy bitmaps: bit `s` set ⇔ slot `s` non-empty.
-    occupancy: [u64; LEVELS],
-    /// The wheel's internal clock. Every pending event satisfies
-    /// `at >= elapsed`, and at level `l` its slot index is `>=` the
-    /// wheel's current position — slot indexes never wrap within a
-    /// level, which is what lets `trailing_zeros` find the next slot.
-    elapsed: u64,
-    /// The level-0 slot currently being drained, in *reverse* sequence
-    /// order so the front pops from the back in O(1). All entries share
-    /// one instant (`drain_at`).
-    drain: Vec<(u64, u64, E)>,
-    drain_at: u64,
-    /// Scratch buffer for cascading a slot (reused, keeps capacity).
-    cascade: Vec<(u64, u64, E)>,
+    heap: BinaryHeap<Entry<E>>,
+    timers: Timers<E>,
+    lanes: Vec<Lane<E>>,
     next_seq: u64,
     now: SimTime,
     len: usize,
@@ -83,12 +202,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupancy: [0; LEVELS],
-            elapsed: 0,
-            drain: Vec::new(),
-            drain_at: 0,
-            cascade: Vec::new(),
+            heap: BinaryHeap::new(),
+            timers: Timers {
+                heap: Vec::new(),
+                pos: Vec::new(),
+                events: Vec::new(),
+            },
+            lanes: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
@@ -103,159 +223,178 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn push(&mut self, at: SimTime, event: E) {
+    fn check_not_past(&self, at: SimTime) {
         assert!(
             at >= self.now,
             "cannot schedule in the past: {at} < now {}",
             self.now
         );
+    }
+
+    fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.file(at.0, seq, event);
+        seq
+    }
+
+    fn grew(&mut self) {
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
         }
     }
 
-    /// Files one event into the wheel relative to `elapsed`. The level
-    /// is the highest 6-bit digit where `at` differs from the wheel
-    /// clock (level 0 when equal); within it, the slot is `at`'s digit.
-    /// Requires `at >= self.elapsed`, which `push` guarantees because
-    /// `elapsed` never passes `now` between calls.
-    fn file(&mut self, at: u64, seq: u64, event: E) {
-        debug_assert!(at >= self.elapsed);
-        let x = at ^ self.elapsed;
-        let level = if x == 0 {
-            0
-        } else {
-            (63 - x.leading_zeros() as usize) / SLOT_BITS
-        };
-        let slot = ((at >> (SLOT_BITS * level)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push((at, seq, event));
-        self.occupancy[level] |= 1u64 << slot;
+    /// Schedules `event` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn push(&mut self, at: SimTime, event: E) {
+        self.check_not_past(at);
+        let seq = self.take_seq();
+        self.heap.push(Entry {
+            at: at.0,
+            seq,
+            event,
+        });
+        self.grew();
     }
 
-    /// Brings the earliest pending instant into the drain buffer:
-    /// cascades upper-level slots downward until level 0 is occupied,
-    /// then swaps the earliest level-0 slot out (reversed, so pops come
-    /// off the back). Requires `len > 0`; no-op if a drain is already
-    /// in progress.
-    fn advance(&mut self) {
-        if !self.drain.is_empty() {
+    /// Schedules `event` at `now + delay` on the FIFO lane of `delay`.
+    ///
+    /// `now` is the caller's current instant. Calls for one `delay`
+    /// must come at non-decreasing `now` — true of any handler, since
+    /// handlers run in time order — which keeps each lane sorted with
+    /// no comparison but the one this method asserts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is in the past, or is earlier than the `now` of
+    /// a pending push on the same lane.
+    pub fn push_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
+        self.check_not_past(now);
+        let at = (now + delay).0;
+        let seq = self.take_seq();
+        let lane = match self.lanes.iter().position(|l| l.delay == delay.0) {
+            Some(i) => i,
+            None => {
+                self.lanes.push(Lane {
+                    delay: delay.0,
+                    fifo: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+        };
+        let fifo = &mut self.lanes[lane].fifo;
+        assert!(
+            fifo.back().is_none_or(|b| b.at <= at),
+            "fixed-delay pushes must come in time order"
+        );
+        fifo.push_back(Entry { at, seq, event });
+        self.grew();
+    }
+
+    /// Reserves `n` fresh timer keys, disarmed, and returns the first:
+    /// the keys are `first..first + n`.
+    pub fn timer_keys(&mut self, n: usize) -> usize {
+        let first = self.timers.pos.len();
+        self.timers.pos.resize(first + n, DISARMED);
+        self.timers.events.resize_with(first + n, || None);
+        first
+    }
+
+    /// Arms timer `key` to deliver `event` at `at`, replacing its
+    /// pending entry if it has one; `None` disarms it and drops
+    /// `event`. An armed entry takes the next sequence number, so it
+    /// orders exactly as a fresh [`Self::push`] at `at` would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was not reserved by [`Self::timer_keys`] or `at`
+    /// is in the past.
+    pub fn set_timer(&mut self, key: usize, at: Option<SimTime>, event: E) {
+        let i = self.timers.pos[key];
+        let Some(at) = at else {
+            if i != DISARMED {
+                self.timers.remove_at(i);
+                self.len -= 1;
+            }
             return;
+        };
+        self.check_not_past(at);
+        let seq = self.take_seq();
+        self.timers.events[key] = Some(event);
+        if i == DISARMED {
+            let i = self.timers.heap.len();
+            self.timers.heap.push((at.0, seq, key));
+            self.timers.pos[key] = i;
+            self.timers.sift_up(i);
+            self.grew();
+        } else {
+            self.timers.heap[i] = (at.0, seq, key);
+            self.timers.fix(i);
         }
-        loop {
-            let level = self
-                .occupancy
-                .iter()
-                .position(|&b| b != 0)
-                .expect("len > 0 implies an occupied level");
-            let slot = self.occupancy[level].trailing_zeros() as usize;
-            let idx = level * SLOTS + slot;
-            if level == 0 {
-                // A level-0 slot holds exactly one instant: every entry
-                // agrees with `elapsed` above the low digit and has the
-                // slot index as its low digit.
-                self.elapsed = (self.elapsed >> SLOT_BITS << SLOT_BITS) | slot as u64;
-                self.occupancy[0] &= !(1u64 << slot);
-                mem::swap(&mut self.slots[idx], &mut self.drain);
-                self.drain.reverse();
-                self.drain_at = self.elapsed;
-                debug_assert!(self.drain.iter().all(|e| e.0 == self.drain_at));
-                return;
+    }
+
+    /// The source holding the smallest pending `(time, seq)`, and its
+    /// time.
+    fn next(&self) -> Option<(u64, Source)> {
+        let mut best = self.heap.peek().map(|e| (e.key(), Source::Heap));
+        if let Some(&(at, seq, _)) = self.timers.heap.first() {
+            if best.is_none_or(|(k, _)| (at, seq) < k) {
+                best = Some(((at, seq), Source::Timer));
             }
-            // Cascade: advance the wheel clock to the slot's base
-            // (zeroing the digits below — everything below this slot
-            // has already drained) and refile its events, which now
-            // land strictly below `level`.
-            let shift = SLOT_BITS * level;
-            let above = if shift + SLOT_BITS >= 64 {
-                0
-            } else {
-                !0u64 << (shift + SLOT_BITS)
-            };
-            self.elapsed = (self.elapsed & above) | ((slot as u64) << shift);
-            self.occupancy[level] &= !(1u64 << slot);
-            debug_assert!(self.cascade.is_empty());
-            mem::swap(&mut self.slots[idx], &mut self.cascade);
-            let mut buf = mem::take(&mut self.cascade);
-            for (at, seq, event) in buf.drain(..) {
-                self.file(at, seq, event);
-            }
-            self.cascade = buf;
         }
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(e) = lane.fifo.front() {
+                if best.is_none_or(|(k, _)| e.key() < k) {
+                    best = Some((e.key(), Source::Lane(i)));
+                }
+            }
+        }
+        best.map(|((at, _), src)| (at, src))
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.advance();
-        let (at, _seq, event) = self.drain.pop().expect("advance fills the drain");
+        let (_, src) = self.next()?;
+        Some(self.take(src))
+    }
+
+    /// Pops the earliest event if it is due strictly before `limit`, as
+    /// [`Self::pop`] does; otherwise leaves the queue as it is. One
+    /// search where [`Self::peek_time`] and a pop would take two.
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let (at, src) = self.next()?;
+        (at < limit.0).then(|| self.take(src))
+    }
+
+    /// Removes the front event of `src` and advances the clock to it.
+    fn take(&mut self, src: Source) -> (SimTime, E) {
+        let (at, event) = match src {
+            Source::Heap => {
+                let e = self.heap.pop().expect("peeked");
+                (e.at, e.event)
+            }
+            Source::Timer => self.timers.remove_at(0),
+            Source::Lane(i) => {
+                let e = self.lanes[i].fifo.pop_front().expect("peeked");
+                (e.at, e.event)
+            }
+        };
         self.len -= 1;
         self.processed += 1;
         debug_assert!(at >= self.now.0);
         self.now = SimTime(at);
-        Some((self.now, event))
-    }
-
-    /// Pops *every* event pending at the earliest instant into `out`
-    /// (appended in FIFO order) and advances the clock to it.
-    ///
-    /// Handling a batch in order is equivalent to popping sequentially:
-    /// events a handler schedules at the same instant carry higher
-    /// sequence numbers than everything already pending there, so a
-    /// sequential loop would also drain the current batch first — the
-    /// newly scheduled events simply form the next batch at the same
-    /// timestamp.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        self.advance();
-        let at = SimTime(self.drain_at);
-        let k = self.drain.len();
-        out.extend(self.drain.drain(..).rev().map(|(_, _, e)| e));
-        self.len -= k;
-        self.processed += k as u64;
-        debug_assert!(at >= self.now);
-        self.now = at;
-        Some(at)
+        (self.now, event)
     }
 
     /// Returns the timestamp of the next event without popping it.
-    ///
-    /// O(1) except when the next event sits in an upper wheel level,
-    /// where the first occupied slot is scanned for its minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(&(at, _, _)) = self.drain.last() {
-            return Some(SimTime(at));
-        }
-        let level = self
-            .occupancy
-            .iter()
-            .position(|&b| b != 0)
-            .expect("len > 0 implies an occupied level");
-        let slot = self.occupancy[level].trailing_zeros() as usize;
-        let v = &self.slots[level * SLOTS + slot];
-        if level == 0 {
-            Some(SimTime(v[0].0))
-        } else {
-            Some(SimTime(v.iter().map(|e| e.0).min().expect("slot occupied")))
-        }
+        self.next().map(|(at, _)| SimTime(at))
     }
 
-    /// Returns the number of pending events.
+    /// Returns the number of pending events (armed timers included).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -266,7 +405,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Total events popped over the queue's lifetime (the events/sec
-    /// numerator of `repro perf`).
+    /// numerator of `repro perf`). Re-armed and disarmed timer entries
+    /// never pop, so they are not counted.
     pub fn processed(&self) -> u64 {
         self.processed
     }
@@ -280,7 +420,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -324,6 +463,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot schedule in the past")]
+    fn rejects_past_timers() {
+        let mut q = EventQueue::new();
+        let k = q.timer_keys(1);
+        q.push(SimTime(100), ());
+        q.pop();
+        q.set_timer(k, Some(SimTime(50)), ());
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed-delay pushes must come in time order")]
+    fn rejects_out_of_order_lane_pushes() {
+        let mut q = EventQueue::new();
+        q.push_after(SimTime(10), SimDuration(5), ());
+        q.push_after(SimTime(9), SimDuration(5), ());
+    }
+
+    #[test]
     fn peek_and_len() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
@@ -335,30 +492,13 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cascade_through_every_level() {
-        // One event per wheel level, including the topmost digits of
-        // the u64 timeline; they must come back in time order.
-        let mut q = EventQueue::new();
-        let times: Vec<u64> = (0..LEVELS).map(|l| 1u64 << (SLOT_BITS * l)).collect();
-        for &t in times.iter().rev() {
-            q.push(SimTime(t), t);
-        }
-        q.push(SimTime(u64::MAX), u64::MAX);
-        for &t in &times {
-            assert_eq!(q.pop(), Some((SimTime(t), t)));
-        }
-        assert_eq!(q.pop(), Some((SimTime(u64::MAX), u64::MAX)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn same_instant_pushes_during_a_drain_pop_after_it() {
+    fn same_instant_push_after_a_pop_goes_behind_pending() {
         let mut q = EventQueue::new();
         q.push(SimTime(7), 0);
         q.push(SimTime(7), 1);
         assert_eq!(q.pop(), Some((SimTime(7), 0)));
-        // Mid-drain push at the live instant: pops after the pending
-        // batch (it carries a higher sequence number).
+        // A push at the live instant carries a higher sequence number
+        // than everything already pending there.
         q.push(SimTime(7), 2);
         assert_eq!(q.pop(), Some((SimTime(7), 1)));
         assert_eq!(q.pop(), Some((SimTime(7), 2)));
@@ -366,25 +506,69 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_one_instant() {
+    fn ties_across_sources_pop_in_push_order() {
+        let mut q = EventQueue::new();
+        let k = q.timer_keys(2);
+        q.push_after(SimTime(2), SimDuration(5), 0);
+        q.set_timer(k, Some(SimTime(7)), 1);
+        q.push(SimTime(7), 2);
+        q.push_after(SimTime(7), SimDuration::ZERO, 3);
+        // Re-arming at the same instant moves the timer behind the rest.
+        q.set_timer(k + 1, Some(SimTime(7)), 4);
+        q.set_timer(k, Some(SimTime(7)), 5);
+        assert_eq!(q.len(), 5);
+        for tag in [0, 2, 3, 4, 5] {
+            assert_eq!(q.pop(), Some((SimTime(7), tag)));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn disarmed_and_superseded_timers_never_pop() {
+        let mut q = EventQueue::new();
+        let k = q.timer_keys(3);
+        for key in k..k + 3 {
+            q.set_timer(key, Some(SimTime(10 + key as u64)), key);
+        }
+        q.set_timer(k + 1, None, 0);
+        q.set_timer(k + 2, Some(SimTime(3)), k + 2);
+        q.set_timer(k + 2, Some(SimTime(30)), k + 2);
+        // Disarming a disarmed key is a no-op.
+        q.set_timer(k + 1, None, 0);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime(10), k)));
+        assert_eq!(q.pop(), Some((SimTime(30), k + 2)));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.processed(), 2);
+        // A fired timer is disarmed and can be armed again.
+        q.set_timer(k, Some(SimTime(40)), k);
+        assert_eq!(q.pop(), Some((SimTime(40), k)));
+    }
+
+    #[test]
+    fn far_future_events_pop_last_from_every_source() {
+        let mut q = EventQueue::new();
+        let k = q.timer_keys(1);
+        q.set_timer(k, Some(SimTime(u64::MAX)), 2);
+        q.push(SimTime(u64::MAX), 1);
+        q.push_after(SimTime(1 << 40), SimDuration(1 << 62), 0);
+        assert_eq!(q.pop(), Some((SimTime((1 << 40) + (1 << 62)), 0)));
+        assert_eq!(q.pop(), Some((SimTime(u64::MAX), 2)));
+        assert_eq!(q.pop(), Some((SimTime(u64::MAX), 1)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_before_leaves_events_at_or_after_the_limit() {
         let mut q = EventQueue::new();
         q.push(SimTime(5), 'a');
-        q.push(SimTime(5), 'b');
-        q.push(SimTime(9), 'c');
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(5)));
-        assert_eq!(out, vec!['a', 'b']);
-        assert_eq!(q.now(), SimTime(5));
-        // A same-instant push after the batch forms the *next* batch at
-        // the same timestamp — exactly what sequential pops would do.
-        q.push(SimTime(5), 'd');
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(5)));
-        assert_eq!(out, vec!['d']);
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), Some(SimTime(9)));
-        assert_eq!(out, vec!['c']);
-        assert_eq!(q.pop_batch(&mut out), None);
+        q.push_after(SimTime(0), SimDuration(9), 'b');
+        assert_eq!(q.pop_before(SimTime(5)), None);
+        assert_eq!(q.pop_before(SimTime(6)), Some((SimTime(5), 'a')));
+        assert_eq!(q.pop_before(SimTime(9)), None);
+        assert_eq!((q.len(), q.now()), (1, SimTime(5)));
+        assert_eq!(q.pop_before(SimTime(u64::MAX)), Some((SimTime(9), 'b')));
+        assert_eq!(q.pop_before(SimTime(u64::MAX)), None);
     }
 
     #[test]

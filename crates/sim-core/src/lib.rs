@@ -5,8 +5,9 @@
 //! deterministic simulator:
 //!
 //! * [`time`] — virtual nanosecond clock ([`SimTime`], [`SimDuration`]).
-//! * [`events`] — a deterministic hierarchical-timer-wheel event queue
-//!   with FIFO tie-breaking (plus the reference binary-heap queue).
+//! * [`events`] — a deterministic event queue with FIFO tie-breaking:
+//!   fixed-delay FIFO lanes, re-armable timers and a binary heap behind
+//!   one `(time, seq)` order.
 //! * [`collections`] — flat sorted-`Vec` maps ([`IdMap`]) for the
 //!   per-event hot paths; `BTreeMap` iteration order without the
 //!   per-node allocation.
