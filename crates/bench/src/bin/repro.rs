@@ -26,9 +26,13 @@
 //! * `repro run --compare a.scn b.scn` — run exactly two single-cell
 //!   specs and append a significance-aware diff table (Welch's t-test
 //!   plus a seeded bootstrap CI per metric; see `faas::scenario`).
-//! * `repro perf --trace` — the streaming-replay benchmark: a frozen
-//!   fleet pulls a multi-day azure-minute trace lazily off disk and the
-//!   run asserts every tracked-sample accumulator stays under its cap.
+//! * `repro perf` — time the committed
+//!   `examples/scenarios/perf_cluster.scn` (1000 hosts; 32 at the same
+//!   per-host rate with `--quick`); `--trace` times
+//!   `examples/scenarios/trace_replay.scn` instead (3 days streamed
+//!   lazily off disk; its first 4 hours with `--quick`), asserting every
+//!   tracked-sample accumulator stays under its cap. See
+//!   `squeezy_bench::perf`.
 //! * `repro gen-trace` — (re)write the committed example traces under
 //!   `examples/traces/` from their pinned generators, byte-identically.
 //! * `repro scenarios` — list the scenario registry (workloads,
@@ -141,8 +145,8 @@ struct Args {
     /// Spec files following the `run` target.
     files: Vec<String>,
     quick: bool,
-    /// `perf --trace`: run the streaming-replay benchmark instead of
-    /// the drumbeat cluster.
+    /// `perf --trace`: time the streamed replay spec instead of the
+    /// drumbeat cluster spec.
     trace: bool,
     /// `run --compare`: diff exactly two single-cell specs with
     /// significance tests.
@@ -364,40 +368,20 @@ fn main() {
     // so it is NOT part of `all` — the `all` report stays byte-stable
     // across machines. The cell is captured for the JSON summary.
     let perf_cell: Arc<Mutex<Option<bench::perf::PerfCell>>> = Arc::new(Mutex::new(None));
-    if args.what == "perf" && !args.trace {
+    if args.what == "perf" {
+        let rel = if args.trace {
+            bench::perf::TRACE_SPEC
+        } else {
+            bench::perf::CLUSTER_SPEC
+        };
+        let spec = bench::perf::load(rel, quick).unwrap_or_else(|e| die(&e));
         let perf_cell = perf_cell.clone();
         report.push((
-            "Perf".to_string(),
+            rel.to_string(),
             Box::new(move || {
-                let cfg = pick(
-                    quick,
-                    bench::perf::PerfConfig::quick,
-                    bench::perf::PerfConfig::paper,
-                );
-                let cell = bench::perf::run(&cfg);
+                let cell = bench::perf::run(&spec);
                 let text = bench::perf::render(&cell);
                 *perf_cell.lock().expect("perf cell lock") = Some(cell);
-                text
-            }),
-        ));
-    }
-    // The streaming-replay variant (`perf --trace`): wall-time numbers
-    // vary by machine like the drumbeat benchmark, and the cell lands
-    // in the JSON summary the same way.
-    let trace_cell: Arc<Mutex<Option<bench::perf::TracePerfCell>>> = Arc::new(Mutex::new(None));
-    if args.what == "perf" && args.trace {
-        let trace_cell = trace_cell.clone();
-        report.push((
-            "Perf (trace replay)".to_string(),
-            Box::new(move || {
-                let cfg = pick(
-                    quick,
-                    bench::perf::TracePerfConfig::quick,
-                    bench::perf::TracePerfConfig::paper,
-                );
-                let cell = bench::perf::run_trace(&cfg);
-                let text = bench::perf::render_trace(&cell);
-                *trace_cell.lock().expect("trace cell lock") = Some(cell);
                 text
             }),
         ));
@@ -468,14 +452,15 @@ fn main() {
         .collect();
     if let Some(path) = args.json {
         let perf = perf_cell.lock().expect("perf cell lock");
-        let trace = trace_cell.lock().expect("trace cell lock");
+        // CI reads the cluster tier's cell as `perf`, the replay's as
+        // `perf_trace`.
+        let perf_key = if args.trace { "perf_trace" } else { "perf" };
         let json = to_json(
             &sections,
             total_s,
             quick,
             &opts,
-            perf.as_ref(),
-            trace.as_ref(),
+            perf.as_ref().map(|cell| (perf_key, cell)),
             &verdicts,
             compare.as_ref(),
         );
@@ -525,14 +510,12 @@ fn json_rss(mib: Option<f64>) -> String {
 /// Serializes the run summary (no external crates: the schema is flat
 /// and the only free-form strings — section names, cell labels — are
 /// escaped).
-#[allow(clippy::too_many_arguments)]
 fn to_json(
     sections: &[Section],
     total_s: f64,
     quick: bool,
     opts: &ExpOpts,
-    perf: Option<&bench::perf::PerfCell>,
-    perf_trace: Option<&bench::perf::TracePerfCell>,
+    perf: Option<(&str, &bench::perf::PerfCell)>,
     verdicts: &[&ExpectVerdict],
     compare: Option<&CompareReport>,
 ) -> String {
@@ -542,33 +525,16 @@ fn to_json(
     s.push_str(&format!("  \"jobs\": {},\n", opts.effective_jobs()));
     s.push_str(&format!("  \"trials\": {},\n", opts.trials));
     s.push_str(&format!("  \"total_wall_s\": {total_s:.3},\n"));
-    if let Some(p) = perf {
+    if let Some((key, p)) = perf {
         s.push_str(&format!(
-            "  \"perf\": {{\"hosts\": {}, \"invocations\": {}, \"completed\": {}, \
-             \"events_processed\": {}, \"peak_queue_depth\": {}, \"peak_rss_mib\": {}, \
-             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}, \
-             \"invocations_per_sec\": {:.0}}},\n",
+            "  \"{key}\": {{\"spec\": \"{}\", \"hosts\": {}, \"duration_s\": {}, \
+             \"invocations\": {}, \"completed\": {}, \"events_processed\": {}, \
+             \"peak_queue_depth\": {}, \"reservoir_len\": {}, \"max_func_samples\": {}, \
+             \"peak_rss_mib\": {}, \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \
+             \"events_per_sec\": {:.0}, \"invocations_per_sec\": {:.0}}},\n",
+            json_escape(&p.name),
             p.hosts,
-            p.invocations,
-            p.completed,
-            p.events,
-            p.peak_depth,
-            json_rss(p.peak_rss_mib),
-            p.setup_s,
-            p.run_s,
-            p.events_per_sec,
-            p.invocations_per_sec
-        ));
-    }
-    if let Some(p) = perf_trace {
-        s.push_str(&format!(
-            "  \"perf_trace\": {{\"hosts\": {}, \"minutes\": {}, \"invocations\": {}, \
-             \"completed\": {}, \"events_processed\": {}, \"peak_queue_depth\": {}, \
-             \"reservoir_len\": {}, \"max_func_samples\": {}, \"peak_rss_mib\": {}, \
-             \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \"events_per_sec\": {:.0}, \
-             \"invocations_per_sec\": {:.0}}},\n",
-            p.hosts,
-            p.minutes,
+            json_f64(p.duration_s),
             p.invocations,
             p.completed,
             p.events,

@@ -174,7 +174,6 @@ fn build_config(
         host_capacity: capacity,
         keepalive_s: cfg.keepalive_s,
         duration_s: cfg.duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: cfg.unplug_deadline_ms,
         // The figure reports aggregate percentiles only: skip the
         // per-request points in the heaviest simulations.

@@ -147,7 +147,6 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
         host_capacity: u64::MAX / 2,
         keepalive_s: cfg.keepalive_s,
         duration_s: cfg.duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 30_000,
         // Figure 9 is a time-resolved plot: it needs the per-request
         // latency points.

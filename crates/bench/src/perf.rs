@@ -1,300 +1,110 @@
-//! The pinned event-engine throughput benchmark (`repro perf`).
+//! The end-to-end throughput benchmark (`repro perf`): a wall clock
+//! around a committed scenario spec.
 //!
-//! One large, fully deterministic cluster — many identical hosts, a
-//! steady all-warm drumbeat of invocations round-robined across them —
-//! run single-threaded and timed with a wall clock. The figure of merit
-//! is **events/sec** through the shared engine, reported next to
-//! **invocations/sec**: the event count depends on how the engine
-//! schedules (a re-armed CPU timer is one event, not one per
-//! prediction), so only invocations/sec compares across engine
-//! changes. The simulation outcome (completions, events processed,
-//! peak queue depth) is byte-stable across machines, only the wall
-//! time varies. This is the permanent
-//! perf baseline later PRs diff against, so the scenario must never
-//! change: `paper()` and `quick()` are pinned.
+//! * `repro perf` runs [`CLUSTER_SPEC`] (`perf_cluster.scn`): 1000
+//!   Squeezy hosts under a deterministic all-warm Html drumbeat, 2M
+//!   invocations round-robined so that after the first round of cold
+//!   starts every invocation takes the steady-state dispatch/complete
+//!   path.
+//! * `repro perf --trace` runs [`TRACE_SPEC`] (`trace_replay.scn`): the
+//!   committed 3-day azure-minute trace streamed lazily off disk
+//!   through a frozen 4-host fleet. Its figure of merit is that a
+//!   multi-million-invocation replay finishes with every per-function
+//!   accumulator under its reservoir cap and the event queue tracking
+//!   in-flight work only; [`run`] asserts that contract.
 //!
-//! The workload is deliberately warm-path heavy: per-host per-tenant
-//! gaps sit far below the keep-alive window, so after the first round
-//! of cold starts every invocation exercises the steady-state
-//! dispatch/complete path the engine optimizations target.
+//! The spec runs once, single-threaded, at trial 0, booted through the
+//! same calls the scenario layer makes. Only the wall time varies by
+//! machine: the outcome (completions, events, peak queue depth) is
+//! byte-stable. Events/sec counts what the engine pops, which depends
+//! on how it schedules (a re-armed CPU timer is one event, not one per
+//! prediction), so only invocations/sec compares across engine changes.
 
+use std::path::Path;
 use std::time::Instant;
 
-use faas::cluster::{ClusterConfig, ClusterSim, RoundRobin, TenantTrace, LATENCY_RESERVOIR_CAP};
-use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
-use faas::fleet::{FixedFleet, FleetConfig, FleetSim};
-use sim_core::{DetRng, TextTable};
-use workloads::FunctionKind;
+use faas::{
+    ClusterConfig, ClusterResult, ClusterSim, FleetConfig, FleetResult, FleetSim, Scenario,
+    SimResult, Topology, WorkloadSpec, LATENCY_RESERVOIR_CAP,
+};
+use sim_core::TextTable;
 
-/// Root seed of the pinned scenario's per-host jitter streams.
-const PERF_SEED: u64 = 0x9EF0;
+/// The drumbeat cluster `repro perf` times, repo-relative.
+pub const CLUSTER_SPEC: &str = "examples/scenarios/perf_cluster.scn";
 
-/// Experiment scale. The rates are fixed; only the host count differs
-/// between the pinned tiers, so quick runs exercise the same per-host
-/// dynamics as the full one.
-#[derive(Clone, Debug)]
-pub struct PerfConfig {
-    /// Hosts in the cluster.
-    pub hosts: usize,
-    /// Offered request rate per host (requests/sec).
-    pub per_host_rps: f64,
-    /// Trace length in seconds.
-    pub duration_s: f64,
-    /// Tenant functions (one deployment slot each on every host's VM).
-    pub tenants: usize,
+/// The streamed replay `repro perf --trace` times, repo-relative.
+pub const TRACE_SPEC: &str = "examples/scenarios/trace_replay.scn";
+
+/// Hosts in the `--quick` tier of a cluster spec, at the full tier's
+/// per-host rate.
+const QUICK_HOSTS: usize = 32;
+
+/// Simulated seconds of the `--quick` tier of a trace replay: the
+/// trace's first 4 hours.
+const QUICK_TRACE_S: f64 = 4.0 * 3600.0;
+
+/// The repository root, anchored on the crate manifest so the specs
+/// and the trace files they name resolve whatever the working
+/// directory.
+const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+/// Loads and validates a committed spec (`rel` is repo-relative, as is
+/// a relative trace path inside it). `quick` picks the CI tier: a
+/// cluster shrinks to 32 hosts at the same per-host rate, a trace
+/// replay to its first 4 hours.
+pub fn load(rel: &str, quick: bool) -> Result<Scenario, String> {
+    let root = Path::new(REPO_ROOT);
+    let path = root.join(rel);
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut spec = Scenario::parse(&text).map_err(|e| format!("{rel}: {e}"))?;
+    if let WorkloadSpec::Trace(trace) = &mut spec.workload {
+        *trace = root.join(&*trace).display().to_string();
+    }
+    if quick {
+        match (&spec.workload, spec.topology) {
+            (WorkloadSpec::Trace(_), _) => {
+                spec.params.duration_s = spec.params.duration_s.min(QUICK_TRACE_S);
+            }
+            (_, Topology::Cluster(n)) if n > QUICK_HOSTS => {
+                spec.params.rps = spec.params.rps * QUICK_HOSTS as f64 / n as f64;
+                spec.topology = Topology::Cluster(QUICK_HOSTS);
+            }
+            _ => {}
+        }
+    }
+    Ok(spec)
 }
 
-impl PerfConfig {
-    /// Full scale: ~1000 hosts, ~2M invocations.
-    pub fn paper() -> Self {
-        PerfConfig {
-            hosts: 1000,
-            per_host_rps: 5.0,
-            duration_s: 400.0,
-            tenants: 4,
-        }
-    }
-
-    /// CI scale: 32 hosts, ~64K invocations.
-    pub fn quick() -> Self {
-        PerfConfig {
-            hosts: 32,
-            per_host_rps: 5.0,
-            duration_s: 400.0,
-            tenants: 4,
-        }
-    }
-
-    /// The hand-built cluster the benchmark runs (the scenario layer
-    /// caps cluster sizes well below 1000 hosts, so the perf scenario
-    /// assembles its `ClusterConfig` directly).
-    pub fn cluster(&self) -> ClusterConfig {
-        let host = |seed: u64| SimConfig {
-            backend: BackendKind::Squeezy,
-            harvest: HarvestConfig::default(),
-            vms: vec![VmSpec {
-                deployments: (0..self.tenants)
-                    .map(|_| Deployment {
-                        kind: FunctionKind::Html,
-                        concurrency: 2,
-                        arrivals: Vec::new(),
-                    })
-                    .collect(),
-                vcpus: Some(4.0),
-            }],
-            host_capacity: u64::MAX / 2,
-            keepalive_s: 60.0,
-            duration_s: self.duration_s,
-            sample_period_s: 1.0,
-            unplug_deadline_ms: 5_000,
-            record_latency_points: false,
-            seed,
-            trial: 0,
-        };
-        // A deterministic drumbeat: fixed per-tenant cadence with a
-        // phase offset so tenants never fire simultaneously. Round-robin
-        // routing then spreads each tenant evenly over the hosts,
-        // keeping every per-host instance inside its keep-alive window.
-        let per_tenant_rps = self.hosts as f64 * self.per_host_rps / self.tenants as f64;
-        let tenants = (0..self.tenants)
-            .map(|ti| {
-                let gap = 1.0 / per_tenant_rps;
-                let phase = gap * (ti as f64 + 0.5) / self.tenants as f64;
-                let mut arrivals = Vec::new();
-                let mut t = phase;
-                while t < self.duration_s {
-                    arrivals.push(t);
-                    t += gap;
-                }
-                TenantTrace {
-                    vm: 0,
-                    dep: ti,
-                    arrivals,
-                }
-            })
-            .collect();
-        ClusterConfig {
-            hosts: (0..self.hosts)
-                .map(|h| host(DetRng::new(PERF_SEED).derive(h as u64).seed()))
-                .collect(),
-            tenants,
-        }
-    }
-}
-
-/// One timed run of the pinned scenario.
+/// One timed run of a spec.
 #[derive(Clone, Debug)]
 pub struct PerfCell {
+    /// The spec's name.
+    pub name: String,
     pub hosts: usize,
-    /// Invocations offered by the traces.
+    /// Simulated duration in seconds.
+    pub duration_s: f64,
+    /// Arrivals the feed injected.
     pub invocations: u64,
     /// Invocations completed (sanity: must equal offered).
     pub completed: u64,
     /// Events popped by the shared engine.
     pub events: u64,
-    /// High-water mark of the event queue.
+    /// High-water mark of the event queue: O(in-flight), not O(trace).
     pub peak_depth: usize,
+    /// Run-wide latency reservoir size (≤ [`LATENCY_RESERVOIR_CAP`]).
+    pub reservoir_len: usize,
+    /// Largest per-function latency sample count on any host (≤ the
+    /// cap on streamed runs).
+    pub max_func_samples: usize,
     /// Process peak RSS (`VmHWM`) in MiB, where the platform exposes it.
     pub peak_rss_mib: Option<f64>,
     /// Wall time to boot the hosts (not part of the throughput figure).
     pub setup_s: f64,
     /// Wall time of the event loop + result assembly.
     pub run_s: f64,
-    /// The North Star: `events / run_s`.
+    /// `events / run_s`.
     pub events_per_sec: f64,
     /// `invocations / run_s`, comparable across engine changes.
-    pub invocations_per_sec: f64,
-}
-
-/// Runs the pinned scenario once, single-threaded, and times it.
-pub fn run(cfg: &PerfConfig) -> PerfCell {
-    let cluster = cfg.cluster();
-    let invocations: u64 = cluster
-        .tenants
-        .iter()
-        .map(|t| t.arrivals.len() as u64)
-        .sum();
-    let t0 = Instant::now();
-    let sim = ClusterSim::new(cluster, Box::new(RoundRobin::default())).expect("hosts boot");
-    let setup_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let out = sim.run();
-    let run_s = t1.elapsed().as_secs_f64();
-    PerfCell {
-        hosts: cfg.hosts,
-        invocations,
-        completed: out.completed,
-        events: out.events_processed,
-        peak_depth: out.peak_queue_depth,
-        peak_rss_mib: peak_rss_mib(),
-        setup_s,
-        run_s,
-        events_per_sec: out.events_processed as f64 / run_s,
-        invocations_per_sec: invocations as f64 / run_s,
-    }
-}
-
-/// Formats an optional peak RSS as a table cell.
-fn rss_cell(mib: Option<f64>) -> String {
-    mib.map_or_else(|| "n/a".to_string(), |m| format!("{m:.0}"))
-}
-
-/// Renders the perf summary. Wall-time figures vary by machine, so this
-/// section is excluded from the digest-stable `repro all` report.
-pub fn render(c: &PerfCell) -> String {
-    let mut t = TextTable::new(&[
-        "Hosts",
-        "Invocations",
-        "Completed",
-        "Events",
-        "PeakQ",
-        "PeakRSS(MiB)",
-        "Setup(s)",
-        "Run(s)",
-        "Events/s",
-        "Invocations/s",
-    ]);
-    t.row(vec![
-        format!("{}", c.hosts),
-        format!("{}", c.invocations),
-        format!("{}", c.completed),
-        format!("{}", c.events),
-        format!("{}", c.peak_depth),
-        rss_cell(c.peak_rss_mib),
-        format!("{:.2}", c.setup_s),
-        format!("{:.2}", c.run_s),
-        format!("{:.0}", c.events_per_sec),
-        format!("{:.0}", c.invocations_per_sec),
-    ]);
-    let mut out = String::from(
-        "Perf: pinned event-engine throughput scenario (single-core, single-thread)\n",
-    );
-    out.push_str(&t.render());
-    out.push_str(
-        "Events/s is the engine North Star; Invocations/s compares across \
-         engine changes. The simulation outcome is deterministic, only wall \
-         time varies by machine.\n",
-    );
-    out
-}
-
-/// Scale of the streaming-replay benchmark (`repro perf --trace`): a
-/// fixed fleet fed lazily from an on-disk azure-minute trace. Unlike
-/// the drumbeat scenario above, the arrivals are never materialized —
-/// the figure of merit is that a multi-day, multi-million-invocation
-/// replay finishes with every per-function accumulator still under its
-/// reservoir cap and the event queue tracking in-flight work only.
-#[derive(Clone, Debug)]
-pub struct TracePerfConfig {
-    /// Trace length in minutes (the simulated duration is `minutes *
-    /// 60` seconds).
-    pub minutes: u64,
-    /// Hosts in the frozen fleet.
-    pub hosts: usize,
-    /// Peak of the diurnal per-minute invocation envelope.
-    pub peak_per_minute: f64,
-}
-
-impl TracePerfConfig {
-    /// Full scale: the committed 3-day trace (~2.1M invocations). The
-    /// rendered text is byte-identical to
-    /// [`workloads::sample_azure_3day`] — i.e. to
-    /// `examples/traces/azure_3day.csv` — which a test pins.
-    pub fn paper() -> Self {
-        TracePerfConfig {
-            minutes: 3 * 1440,
-            hosts: 4,
-            peak_per_minute: 900.0,
-        }
-    }
-
-    /// CI scale: the first 4 hours of the same envelope (~100K
-    /// invocations), same per-minute dynamics.
-    pub fn quick() -> Self {
-        TracePerfConfig {
-            minutes: 240,
-            hosts: 4,
-            peak_per_minute: 900.0,
-        }
-    }
-
-    /// Renders the trace text (azure-minute format, same seed and
-    /// tenant mix as the committed sample at every scale).
-    fn trace_text(&self) -> String {
-        let kinds = [
-            FunctionKind::Html,
-            FunctionKind::Cnn,
-            FunctionKind::Bfs,
-            FunctionKind::Bert,
-        ];
-        workloads::render_azure_minute(
-            0xA2_2026,
-            &kinds,
-            &workloads::sample_azure_rows(self.minutes, kinds.len(), self.peak_per_minute),
-        )
-    }
-}
-
-/// One timed streaming replay.
-#[derive(Clone, Debug)]
-pub struct TracePerfCell {
-    pub hosts: usize,
-    pub minutes: u64,
-    /// Arrivals the feed expanded out of the trace file.
-    pub invocations: u64,
-    pub completed: u64,
-    pub events: u64,
-    /// High-water mark of the event queue — O(in-flight), not O(trace).
-    pub peak_depth: usize,
-    /// Fleet-wide latency reservoir size (≤ [`LATENCY_RESERVOIR_CAP`]).
-    pub reservoir_len: usize,
-    /// Largest per-function latency sample count on any host (≤ cap).
-    pub max_func_samples: usize,
-    /// Process peak RSS (`VmHWM`) in MiB, where the platform exposes it.
-    pub peak_rss_mib: Option<f64>,
-    pub setup_s: f64,
-    pub run_s: f64,
-    pub events_per_sec: f64,
     pub invocations_per_sec: f64,
 }
 
@@ -306,118 +116,146 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Writes the trace, replays it through a frozen fleet pulling arrivals
-/// lazily off disk, and asserts the memory-boundedness contract: capped
-/// reservoirs, no time series, queue depth independent of trace length.
-pub fn run_trace(cfg: &TracePerfConfig) -> TracePerfCell {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/perf-traces");
-    std::fs::create_dir_all(dir).expect("create perf trace dir");
-    let path = format!("{dir}/azure_{}m.csv", cfg.minutes);
-    std::fs::write(&path, cfg.trace_text()).expect("write perf trace");
-
-    let header = workloads::read_trace_header(&path).expect("trace header");
-    let duration_s = cfg.minutes as f64 * 60.0;
-    let host = |seed: u64| SimConfig {
-        backend: BackendKind::Squeezy,
-        harvest: HarvestConfig::default(),
-        vms: vec![VmSpec {
-            deployments: header
-                .kinds
-                .iter()
-                .map(|&kind| Deployment {
-                    kind,
-                    concurrency: 8,
-                    arrivals: Vec::new(),
-                })
-                .collect(),
-            vcpus: Some(8.0),
-        }],
-        host_capacity: u64::MAX / 2,
-        keepalive_s: 60.0,
-        duration_s,
-        sample_period_s: 1.0,
-        unplug_deadline_ms: 5_000,
-        record_latency_points: false,
-        seed,
-        trial: 0,
-    };
-    let cluster = ClusterConfig {
-        hosts: (0..cfg.hosts)
-            .map(|h| host(DetRng::new(PERF_SEED).derive(0x7A).derive(h as u64).seed()))
-            .collect(),
-        tenants: header
-            .kinds
-            .iter()
-            .enumerate()
-            .map(|(ti, _)| TenantTrace {
-                vm: 0,
-                dep: ti,
-                arrivals: Vec::new(),
-            })
-            .collect(),
-    };
-
+/// Times `boot` (the set-up) and `run` (the event loop) apart.
+fn timed<S, R>(boot: impl FnOnce() -> S, run: impl FnOnce(S) -> R) -> (f64, f64, R) {
     let t0 = Instant::now();
-    let source = workloads::open_trace(&path, 0).expect("trace opens");
-    let sim = FleetSim::with_source(
-        FleetConfig::fixed(cluster, PERF_SEED),
-        Box::new(RoundRobin::default()),
-        Box::new(FixedFleet),
-        source,
-        &path,
-    )
-    .expect("hosts boot");
+    let sim = boot();
     let setup_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let out = sim.run();
-    let run_s = t1.elapsed().as_secs_f64();
+    let out = run(sim);
+    (setup_s, t1.elapsed().as_secs_f64(), out)
+}
 
-    // Boundedness is the whole point of this benchmark: fail loudly if
-    // any accumulator ever grows with the trace again.
-    assert!(
-        out.latency_over_time.len() <= LATENCY_RESERVOIR_CAP,
-        "fleet reservoir exceeded its cap"
-    );
-    let max_func_samples = out
+/// What a timed run reports, from either simulator's result.
+struct Tally {
+    injected: u64,
+    completed: u64,
+    events: u64,
+    peak_depth: usize,
+    reservoir_len: usize,
+    hosts: Vec<SimResult>,
+}
+
+impl From<ClusterResult> for Tally {
+    fn from(out: ClusterResult) -> Tally {
+        Tally {
+            injected: out.injected,
+            completed: out.completed,
+            events: out.events_processed,
+            peak_depth: out.peak_queue_depth,
+            reservoir_len: out.latency_over_time.len(),
+            hosts: out.hosts,
+        }
+    }
+}
+
+impl From<FleetResult> for Tally {
+    fn from(out: FleetResult) -> Tally {
+        Tally {
+            injected: out.injected,
+            completed: out.completed,
+            events: out.events_processed,
+            peak_depth: out.peak_queue_depth,
+            reservoir_len: out.latency_over_time.len(),
+            hosts: out.hosts.into_iter().map(|h| h.result).collect(),
+        }
+    }
+}
+
+/// Runs trial 0 of `spec` on its first backend and times it. A named
+/// workload runs on a `cluster(n)` topology; a `trace(<path>)` workload
+/// streams through the spec's fleet and must stay bounded: capped
+/// reservoirs, no time series, nothing lost or deferred.
+///
+/// # Panics
+///
+/// Panics if the hosts do not boot, the trace does not open, a named
+/// workload's topology is not `cluster(n)`, or a streamed run breaks
+/// its bounds.
+pub fn run(spec: &Scenario) -> PerfCell {
+    let backend = spec.backends[0];
+    let router = spec.router.build(spec.router_seed(0));
+    let (setup_s, run_s, tally) = match &spec.workload {
+        WorkloadSpec::Named(_) => {
+            let cfg = ClusterConfig::from_scenario(spec, backend, 0);
+            timed(
+                || ClusterSim::new(cfg, router).expect("hosts boot"),
+                |sim| Tally::from(sim.run()),
+            )
+        }
+        WorkloadSpec::Trace(path) => {
+            let cfg = FleetConfig::from_scenario(spec, backend, 0);
+            timed(
+                || {
+                    let source = workloads::open_trace(path, 0).expect("trace opens");
+                    FleetSim::with_source(cfg, router, spec.policy.build(), source, path)
+                        .expect("hosts boot")
+                },
+                |sim| {
+                    let out = sim.run();
+                    assert_eq!((out.lost, out.deferred), (0, 0), "unsaturated frozen fleet");
+                    Tally::from(out)
+                },
+            )
+        }
+    };
+    let max_func_samples = tally
         .hosts
         .iter()
-        .flat_map(|h| h.result.per_func.values().map(|m| m.latency.count()))
+        .flat_map(|h| h.per_func.values().map(|m| m.latency.count()))
         .max()
         .unwrap_or(0);
-    assert!(
-        max_func_samples <= LATENCY_RESERVOIR_CAP,
-        "a per-function histogram exceeded its cap"
-    );
-    for h in &out.hosts {
-        assert!(
-            h.result.host_usage.points().is_empty(),
-            "streamed replays must not record usage series"
-        );
+    if matches!(spec.workload, WorkloadSpec::Trace(_)) {
+        assert_bounded(&tally.hosts, tally.reservoir_len, max_func_samples);
     }
-    assert_eq!((out.lost, out.deferred), (0, 0), "unsaturated frozen fleet");
-
-    TracePerfCell {
-        hosts: cfg.hosts,
-        minutes: cfg.minutes,
-        invocations: out.injected,
-        completed: out.completed,
-        events: out.events_processed,
-        peak_depth: out.peak_queue_depth,
-        reservoir_len: out.latency_over_time.len(),
+    PerfCell {
+        name: spec.name.clone(),
+        hosts: tally.hosts.len(),
+        duration_s: spec.params.duration_s,
+        invocations: tally.injected,
+        completed: tally.completed,
+        events: tally.events,
+        peak_depth: tally.peak_depth,
+        reservoir_len: tally.reservoir_len,
         max_func_samples,
         peak_rss_mib: peak_rss_mib(),
         setup_s,
         run_s,
-        events_per_sec: out.events_processed as f64 / run_s,
-        invocations_per_sec: out.injected as f64 / run_s,
+        events_per_sec: tally.events as f64 / run_s,
+        invocations_per_sec: tally.injected as f64 / run_s,
     }
 }
 
-/// Renders the streaming-replay summary.
-pub fn render_trace(c: &TracePerfCell) -> String {
+/// Boundedness is the whole point of a streamed replay: fail loudly
+/// if any accumulator ever grows with the trace again.
+fn assert_bounded(hosts: &[SimResult], reservoir_len: usize, max_func_samples: usize) {
+    assert!(
+        reservoir_len <= LATENCY_RESERVOIR_CAP,
+        "fleet reservoir exceeded its cap"
+    );
+    assert!(
+        max_func_samples <= LATENCY_RESERVOIR_CAP,
+        "a per-function histogram exceeded its cap"
+    );
+    for h in hosts {
+        assert!(
+            h.host_usage.points().is_empty(),
+            "streamed replays must not record usage series"
+        );
+    }
+}
+
+/// Formats an optional peak RSS as a table cell.
+fn rss_cell(mib: Option<f64>) -> String {
+    mib.map_or_else(|| "n/a".to_string(), |m| format!("{m:.0}"))
+}
+
+/// Renders the perf summary. Wall-time figures vary by machine, so
+/// this section is excluded from the digest-stable `repro all` report.
+pub fn render(c: &PerfCell) -> String {
     let mut t = TextTable::new(&[
         "Hosts",
-        "Minutes",
+        "Sim(s)",
         "Invocations",
         "Completed",
         "Events",
@@ -432,28 +270,27 @@ pub fn render_trace(c: &TracePerfCell) -> String {
     ]);
     t.row(vec![
         format!("{}", c.hosts),
-        format!("{}", c.minutes),
+        format!("{}", c.duration_s),
         format!("{}", c.invocations),
         format!("{}", c.completed),
         format!("{}", c.events),
         format!("{}", c.peak_depth),
-        format!("{}/{}", c.reservoir_len, LATENCY_RESERVOIR_CAP),
-        format!("{}/{}", c.max_func_samples, LATENCY_RESERVOIR_CAP),
+        format!("{}", c.reservoir_len),
+        format!("{}", c.max_func_samples),
         rss_cell(c.peak_rss_mib),
         format!("{:.2}", c.setup_s),
         format!("{:.2}", c.run_s),
         format!("{:.0}", c.events_per_sec),
         format!("{:.0}", c.invocations_per_sec),
     ]);
-    let mut out = String::from(
-        "Perf (trace replay): streamed multi-day fleet replay, arrivals pulled \
-         lazily off disk\n",
-    );
+    let mut out = format!("Perf: {} timed single-core, single-thread\n", c.name);
     out.push_str(&t.render());
-    out.push_str(
-        "Reservoir/MaxFunc are hard caps: tracked samples stay bounded no \
-         matter how many invocations the trace expands to.\n",
-    );
+    out.push_str(&format!(
+        "Invocations/s compares across engine changes; Events/s counts what the \
+         engine pops. The simulation outcome is deterministic, only wall time \
+         varies by machine. A streamed replay holds Reservoir and MaxFunc at or \
+         under {LATENCY_RESERVOIR_CAP} samples however long the trace.\n"
+    ));
     out
 }
 
@@ -461,14 +298,15 @@ pub fn render_trace(c: &TracePerfCell) -> String {
 mod tests {
     use super::*;
 
-    /// A test-sized pinned scenario (same construction, tiny scale).
-    fn tiny() -> PerfConfig {
-        PerfConfig {
-            hosts: 2,
-            per_host_rps: 2.0,
-            duration_s: 30.0,
-            tenants: 2,
-        }
+    /// The committed cluster spec at test scale: 2 hosts at 2
+    /// requests/s each, 2 tenants, 30 s.
+    fn tiny() -> Scenario {
+        let mut s = load(CLUSTER_SPEC, false).expect("committed spec loads");
+        s.topology = Topology::Cluster(2);
+        s.params.tenants = 2;
+        s.params.rps = 4.0;
+        s.params.duration_s = 30.0;
+        s
     }
 
     #[test]
@@ -495,20 +333,33 @@ mod tests {
         assert_eq!(a.peak_depth, b.peak_depth);
     }
 
-    /// A test-sized trace replay (same construction, ~20 minutes of
-    /// trace at a low peak).
-    fn tiny_trace() -> TracePerfConfig {
-        TracePerfConfig {
-            minutes: 20,
-            hosts: 2,
-            peak_per_minute: 120.0,
-        }
+    #[test]
+    fn quick_keeps_the_per_host_rate() {
+        let full = load(CLUSTER_SPEC, false).expect("loads");
+        let quick = load(CLUSTER_SPEC, true).expect("loads");
+        assert_eq!(full.topology, Topology::Cluster(1000));
+        assert_eq!(quick.topology, Topology::Cluster(QUICK_HOSTS));
+        assert_eq!(full.params.rps / 1000.0, quick.params.rps / 32.0);
+        assert_eq!(quick.params.duration_s, full.params.duration_s);
+        let trace = load(TRACE_SPEC, true).expect("loads");
+        assert_eq!(trace.params.duration_s, QUICK_TRACE_S);
+        assert_eq!(trace.max_hosts, 4);
+    }
+
+    /// The committed replay at test scale: its first 20 minutes on 2
+    /// hosts.
+    fn tiny_trace() -> Scenario {
+        let mut s = load(TRACE_SPEC, false).expect("committed spec loads");
+        s.params.duration_s = 20.0 * 60.0;
+        s.min_hosts = 2;
+        s.max_hosts = 2;
+        s
     }
 
     #[test]
     fn trace_replay_is_bounded_and_deterministic() {
-        let a = run_trace(&tiny_trace());
-        let b = run_trace(&tiny_trace());
+        let a = run(&tiny_trace());
+        let b = run(&tiny_trace());
         assert!(a.invocations > 0);
         assert_eq!(a.completed, a.invocations, "unsaturated fleet serves all");
         assert_eq!(a.invocations, b.invocations);
@@ -518,28 +369,18 @@ mod tests {
         assert_eq!(a.reservoir_len, b.reservoir_len);
     }
 
-    #[test]
-    fn paper_trace_text_is_the_committed_sample() {
-        // `repro gen-trace` writes `workloads::sample_azure_3day()`;
-        // the paper-scale replay must benchmark that exact file.
-        assert_eq!(
-            TracePerfConfig::paper().trace_text(),
-            workloads::sample_azure_3day()
-        );
-    }
-
-    /// The reservoir-bound audit at full scale: a multi-day replay
-    /// expanding to 2M+ invocations, every tracked-sample accumulator
-    /// still under its cap and the queue high-water mark independent of
-    /// trace length. The `run_trace` asserts do the enforcement; this
-    /// test supplies the scale.
+    /// The reservoir-bound audit at full scale: the committed 3-day
+    /// replay expanding to 2M+ invocations, every tracked-sample
+    /// accumulator still under its cap and the queue high-water mark
+    /// independent of trace length. The `run` asserts do the
+    /// enforcement; this test supplies the scale.
     #[test]
     #[cfg_attr(
         not(feature = "slow-tests"),
         ignore = "heavy simulation; enable with --features slow-tests"
     )]
     fn full_scale_trace_replay_stays_bounded() {
-        let cell = run_trace(&TracePerfConfig::paper());
+        let cell = run(&load(TRACE_SPEC, false).expect("committed spec loads"));
         assert!(
             cell.invocations >= 2_000_000,
             "the 3-day trace expands to 2M+ invocations (got {})",

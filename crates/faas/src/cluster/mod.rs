@@ -79,15 +79,15 @@ impl ClusterConfig {
         let tenants = spec.tenant_loads(trial);
         ClusterConfig {
             hosts: (0..n)
-                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h as u64), trial))
+                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h), trial))
                 .collect(),
             tenants: tenants
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(ti, t)| TenantTrace {
                     vm: 0,
                     dep: ti,
-                    arrivals: t.arrivals.clone(),
+                    arrivals: t.arrivals,
                 })
                 .collect(),
         }
@@ -258,7 +258,6 @@ mod tests {
             host_capacity: u64::MAX / 2,
             keepalive_s: 20.0,
             duration_s: 60.0,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,

@@ -136,8 +136,6 @@ pub struct SimConfig {
     pub keepalive_s: f64,
     /// Simulated duration (arrivals past this are ignored).
     pub duration_s: f64,
-    /// Metrics sampling period.
-    pub sample_period_s: f64,
     /// virtio-mem unplug deadline (reclaim timeout) in milliseconds.
     pub unplug_deadline_ms: u64,
     /// Record one `(arrival, latency)` point per completed request in
@@ -194,7 +192,6 @@ impl SimConfig {
             host_capacity: u64::MAX / 2,
             keepalive_s: 120.0,
             duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: true,
             seed: 42,

@@ -178,7 +178,6 @@ impl FleetConfig {
         trial: u64,
     ) -> FleetConfig {
         use crate::fleet::policy::PolicyKind;
-        use crate::scenario::TEMPLATE_TAG;
         let tenants = spec.tenant_loads(trial);
         let initial = if spec.policy == PolicyKind::Fixed {
             spec.max_hosts
@@ -187,9 +186,9 @@ impl FleetConfig {
         };
         FleetConfig {
             initial_hosts: (0..initial)
-                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h as u64), trial))
+                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h), trial))
                 .collect(),
-            template: spec.host_config(&tenants, backend, spec.host_seed(TEMPLATE_TAG), trial),
+            template: spec.host_config(&tenants, backend, spec.template_seed(), trial),
             slo: spec.effective_slos(tenants.iter().map(|t| t.kind)),
             tenants: tenants
                 .into_iter()
@@ -1036,7 +1035,6 @@ mod tests {
             host_capacity: u64::MAX / 2,
             keepalive_s: 15.0,
             duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,

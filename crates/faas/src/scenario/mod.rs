@@ -45,14 +45,27 @@ use crate::sim::single_host;
 /// `(seed, trial)` only, never on the backend or router under test.
 pub(crate) const TRACE_STREAM: u64 = 0x77;
 
-/// Base tag of per-host jitter seeds (`host_seed(h) = seed → 0x40+h`).
+/// Base tag of the flat host jitter seeds: host `h` below
+/// [`FLAT_HOSTS`] derives `seed → 0x40 + h`, and the fleet's boot
+/// template `seed → 0x40 + TEMPLATE_TAG` (see [`Scenario::host_seed`]).
 pub(crate) const HOST_SEED_BASE: u64 = 0x40;
 
-/// Largest host count a spec may ask for. Host indices above this
-/// would push `0x40 + h` into the reserved tags ([`TEMPLATE_TAG`]'s
-/// `0x40 + 0x3E` and [`TRACE_STREAM`]), aliasing streams the design
-/// promises are independent — `validate` rejects such specs.
-pub(crate) const HOST_TAG_CAP: usize = 0x20;
+/// Hosts below this index keep the flat tags `0x40 + h`, which every
+/// spec of at most 32 hosts has always used. A flat tag for a higher
+/// index would reach [`TEMPLATE_TAG`]'s `0x40 + 0x3E` and then
+/// [`TRACE_STREAM`], aliasing streams that must stay independent.
+const FLAT_HOSTS: usize = 0x20;
+
+/// Derivation tag of the nested stream that seeds hosts from index
+/// [`FLAT_HOSTS`] up: host `h` derives `seed → HOST_STREAM → h`.
+const HOST_STREAM: u64 = 0x4057;
+
+/// Largest host count a spec may ask for (`cluster(n)`, `max_hosts`).
+/// A sanity bound, not a seeding limit: every host boots up front and
+/// the 1000-host `perf_cluster.scn` peaks near 330 MiB, so this keeps
+/// a typo like `cluster(1000000000)` a validation error instead of an
+/// allocation that runs until the process is killed.
+pub(crate) const MAX_HOSTS: usize = 4096;
 
 /// The most arrivals a generated workload may draw: its generator's
 /// highest rate times `duration_s` (see [`Scenario::arrival_envelope`]).
@@ -63,10 +76,10 @@ pub(crate) const HOST_TAG_CAP: usize = 0x20;
 /// are capped by [`workloads::MAX_ROW_ARRIVALS`], and is not held to it.
 pub(crate) const MAX_OFFERED_INVOCATIONS: f64 = 50_000_000.0;
 
-/// Host-seed tag of the fleet's boot template — above every valid
-/// initial host index (see [`HOST_TAG_CAP`]), so booted hosts never
-/// share an initial host's stream.
-pub(crate) const TEMPLATE_TAG: u64 = 0x3E;
+/// Flat host-seed tag of the fleet's boot template (`seed → 0x40 +
+/// 0x3E`), above every flat host index (see [`FLAT_HOSTS`]), so booted
+/// hosts never share an initial host's stream.
+const TEMPLATE_TAG: u64 = 0x3E;
 
 /// Derivation tag of the fleet's own streams (crash plan, reservoir).
 pub(crate) const FLEET_STREAM: u64 = 0xF1EE;
@@ -256,15 +269,18 @@ impl Scenario {
 
     /// Returns the most arrivals the generated workload may draw, with
     /// the rate that bounds them: its generator's highest rate times
-    /// `duration_s`. Churn and memhog draw at `rps`; azure-trace and
-    /// zipf-cluster tenants burst at 4× their share of it; diurnal draws
-    /// candidates at the peak times `burst_factor` and thins them.
+    /// `duration_s`. Churn, memhog and drumbeat draw at `rps`;
+    /// azure-trace and zipf-cluster tenants burst at 4× their share of
+    /// it; diurnal draws candidates at the peak times `burst_factor` and
+    /// thins them.
     /// `None` for a trace replay, whose arrivals come from its file.
     pub(crate) fn arrival_envelope(&self) -> Option<(f64, &'static str)> {
         let p = &self.params;
         let (factor, rate) = match &self.workload {
             WorkloadSpec::Trace(_) => return None,
-            WorkloadSpec::Named(WorkloadKind::Churn | WorkloadKind::Memhog) => (1.0, "rps"),
+            WorkloadSpec::Named(
+                WorkloadKind::Churn | WorkloadKind::Memhog | WorkloadKind::Drumbeat,
+            ) => (1.0, "rps"),
             WorkloadSpec::Named(WorkloadKind::AzureTrace | WorkloadKind::ZipfCluster) => {
                 (4.0, "4 × rps")
             }
@@ -378,8 +394,8 @@ impl Scenario {
         if let Topology::Cluster(n) = self.topology {
             check(n >= 1, format!("cluster size must be ≥ 1 (got {n})"));
             check(
-                n <= HOST_TAG_CAP,
-                format!("cluster size must be ≤ {HOST_TAG_CAP} (got {n}): host seed tags live below the reserved stream tags"),
+                n <= MAX_HOSTS,
+                format!("topology cluster({n}): cluster size must be ≤ {MAX_HOSTS}"),
             );
         }
         if self.topology == Topology::Fleet {
@@ -395,8 +411,8 @@ impl Scenario {
                 ),
             );
             check(
-                self.max_hosts <= HOST_TAG_CAP,
-                format!("max_hosts must be ≤ {HOST_TAG_CAP} (got {}): host seed tags live below the reserved stream tags", self.max_hosts),
+                self.max_hosts <= MAX_HOSTS,
+                format!("max_hosts must be ≤ {MAX_HOSTS} (got {})", self.max_hosts),
             );
             check(
                 positive(self.boot_delay_s),
@@ -478,9 +494,22 @@ impl Scenario {
         }
     }
 
-    /// Jitter seed of host `tag` (host index, or [`TEMPLATE_TAG`]).
-    pub(crate) fn host_seed(&self, tag: u64) -> u64 {
-        DetRng::new(self.seed).derive(HOST_SEED_BASE + tag).seed()
+    /// Jitter seed of host `h`: the flat tag `0x40 + h` below
+    /// [`FLAT_HOSTS`], the nested stream `HOST_STREAM → h` from there up.
+    pub(crate) fn host_seed(&self, h: usize) -> u64 {
+        let root = DetRng::new(self.seed);
+        if h < FLAT_HOSTS {
+            root.derive(HOST_SEED_BASE + h as u64).seed()
+        } else {
+            root.derive(HOST_STREAM).derive(h as u64).seed()
+        }
+    }
+
+    /// Jitter seed of the fleet's boot template.
+    pub(crate) fn template_seed(&self) -> u64 {
+        DetRng::new(self.seed)
+            .derive(HOST_SEED_BASE + TEMPLATE_TAG)
+            .seed()
     }
 
     /// Seed of the router's probe stream for one trial.
@@ -524,7 +553,6 @@ impl Scenario {
             host_capacity: self.host_capacity,
             keepalive_s: self.keepalive_s,
             duration_s: self.params.duration_s,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: false,
             seed,
@@ -702,16 +730,65 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_unroundtrippable_names_and_tag_collisions() {
-        let mut s = Scenario::new(" padded ", Topology::Cluster(56), WorkloadKind::ZipfCluster);
+    fn validate_rejects_unroundtrippable_names_and_host_counts_above_the_bound() {
+        let mut s = Scenario::new(
+            " padded ",
+            Topology::Cluster(MAX_HOSTS + 1),
+            WorkloadKind::ZipfCluster,
+        );
         let err = s.validate().unwrap_err();
         assert!(err.contains("without leading/trailing whitespace"), "{err}");
-        assert!(err.contains("cluster size must be ≤ 32"), "{err}");
+        assert!(
+            err.contains(&format!("topology cluster({})", MAX_HOSTS + 1)),
+            "{err}"
+        );
         s = Scenario::new("multi\nline", Topology::Fleet, WorkloadKind::Diurnal);
-        s.max_hosts = 63;
+        s.max_hosts = MAX_HOSTS + 1;
         let err = s.validate().unwrap_err();
         assert!(err.contains("single-line"), "{err}");
-        assert!(err.contains("max_hosts must be ≤ 32"), "{err}");
+        assert!(
+            err.contains(&format!("max_hosts must be ≤ {MAX_HOSTS}")),
+            "{err}"
+        );
+        s.max_hosts = MAX_HOSTS;
+        s.name = "ok".to_string();
+        s.validate().expect("max_hosts at the bound");
+    }
+
+    #[test]
+    fn a_thousand_host_cluster_validates() {
+        let mut s = Scenario::new("big", Topology::Cluster(1000), WorkloadKind::Drumbeat);
+        s.validate().expect("1000 hosts are within the bound");
+        s.topology = Topology::Cluster(MAX_HOSTS);
+        s.validate().expect("at the bound");
+    }
+
+    #[test]
+    fn flat_host_seeds_keep_their_tags() {
+        let s = Scenario::new("seeds", Topology::Cluster(32), WorkloadKind::Churn);
+        for h in 0..32 {
+            assert_eq!(
+                s.host_seed(h),
+                DetRng::new(42).derive(0x40 + h as u64).seed()
+            );
+        }
+        assert_eq!(s.template_seed(), DetRng::new(42).derive(0x7E).seed());
+    }
+
+    #[test]
+    fn no_two_host_or_stream_seeds_coincide() {
+        let s = Scenario::new("seeds", Topology::Cluster(2), WorkloadKind::Churn);
+        let root = DetRng::new(s.seed);
+        let mut seeds: Vec<u64> = (0..MAX_HOSTS).map(|h| s.host_seed(h)).collect();
+        seeds.extend([
+            s.template_seed(),
+            root.derive(TRACE_STREAM).seed(),
+            root.derive(FLEET_STREAM).seed(),
+        ]);
+        let n = seeds.len();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), n, "a host seed aliases another stream");
     }
 
     #[test]

@@ -798,12 +798,12 @@ mod tests {
 
     #[test]
     fn invalid_cells_fail_with_errors() {
-        // hosts above the stream-tag cap is rejected per cell, up front.
+        // hosts above the sanity bound is rejected per cell, up front.
         let err = SweepSpec::parse(
-            "name = x\ntopology = fleet\nworkload = diurnal\nhosts = 16..64 step 2x\n",
+            "name = x\ntopology = fleet\nworkload = diurnal\nhosts = 2048..8192 step 2x\n",
         )
         .unwrap_err();
-        assert!(err.contains("max_hosts must be ≤ 32"), "{err}");
+        assert!(err.contains("max_hosts must be ≤ 4096 (got 8192)"), "{err}");
         // Hosts too small to boot their VMs fail the run with an error
         // naming the key, not a panic.
         let spec = SweepSpec::parse(

@@ -29,6 +29,10 @@ use crate::sim::instance::{InstState, Instance, PendingReclaim};
 
 const EPS_CPU: f64 = 1e-9;
 
+/// Period of the host's metrics sample chain (usage series, or the
+/// usage integral of a streamed replay).
+const SAMPLE_PERIOD: SimDuration = SimDuration::secs(1);
+
 /// Derivation tag of the bounded-metrics histogram streams (from the
 /// host config's seed), distinct from the jitter/trace/reservoir tags.
 const METRICS_STREAM: u64 = 0xB0D5;
@@ -571,9 +575,8 @@ impl HostSim {
                 v.inst_series.push(now, v.instances.len() as f64);
             }
         }
-        let period = SimDuration::from_secs_f64(self.config.sample_period_s);
-        if (now + period).as_secs_f64() <= self.config.duration_s {
-            q.push_after(now, period, Event::Sample);
+        if (now + SAMPLE_PERIOD).as_secs_f64() <= self.config.duration_s {
+            q.push_after(now, SAMPLE_PERIOD, Event::Sample);
         }
     }
 

@@ -117,7 +117,6 @@ mod tests {
             host_capacity: u64::MAX / 2,
             keepalive_s: 20.0,
             duration_s: 120.0,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: true,
             seed: 1,
@@ -298,7 +297,6 @@ mod tests {
             host_capacity: 4 * GIB + 512 * (1 << 20),
             keepalive_s: 300.0, // Longer than the run: no evictions.
             duration_s: 120.0,
-            sample_period_s: 1.0,
             unplug_deadline_ms: 5_000,
             record_latency_points: true,
             seed: 1,

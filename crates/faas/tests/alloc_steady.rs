@@ -72,7 +72,6 @@ fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
         host_capacity: u64::MAX / 2,
         keepalive_s: 60.0,
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed: 0x57EAD,

@@ -31,7 +31,6 @@ fn ample(backend: BackendKind) -> SimConfig {
         host_capacity: u64::MAX / 2,
         keepalive_s: 20.0,
         duration_s: 120.0,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: true,
         seed: 1,
@@ -67,7 +66,6 @@ fn tight(backend: BackendKind) -> SimConfig {
         host_capacity: 1536 * MIB,
         keepalive_s: 300.0,
         duration_s: 120.0,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: true,
         seed: 7,

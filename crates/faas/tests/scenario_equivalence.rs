@@ -58,7 +58,6 @@ fn hand_host_config(
         host_capacity: spec.host_capacity,
         keepalive_s: spec.keepalive_s,
         duration_s: spec.params.duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed,

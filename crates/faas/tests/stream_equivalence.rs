@@ -59,7 +59,6 @@ fn host_cfg(tenants: &[TenantLoad], seed: u64, duration_s: f64) -> SimConfig {
         host_capacity: 6 * mem_types::GIB,
         keepalive_s: 15.0,
         duration_s,
-        sample_period_s: 1.0,
         unplug_deadline_ms: 5_000,
         record_latency_points: false,
         seed,

@@ -70,11 +70,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration sample in milliseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
     /// Returns the raw samples in insertion order (or sorted order if a
     /// quantile has been taken since the last insert).
     pub fn samples(&self) -> &[f64] {

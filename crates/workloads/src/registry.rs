@@ -72,6 +72,10 @@ pub enum WorkloadKind {
     /// function invoked on a fixed deterministic cadence, keeping
     /// footprints resident and the host's reclaim path busy.
     Memhog,
+    /// The same fixed cadence with Html tenants: a light, all-warm
+    /// drumbeat that loads the event engine and warm dispatch (the
+    /// `repro perf` cluster, `examples/scenarios/perf_cluster.scn`).
+    Drumbeat,
     /// Instance-churn stress: sparse independent Poisson arrivals so
     /// warm instances keep expiring between requests (Figure-2-style
     /// create/evict churn).
@@ -80,11 +84,12 @@ pub enum WorkloadKind {
 
 impl WorkloadKind {
     /// All registered workloads, in listing order.
-    pub const ALL: [WorkloadKind; 5] = [
+    pub const ALL: [WorkloadKind; 6] = [
         WorkloadKind::AzureTrace,
         WorkloadKind::ZipfCluster,
         WorkloadKind::Diurnal,
         WorkloadKind::Memhog,
+        WorkloadKind::Drumbeat,
         WorkloadKind::Churn,
     ];
 
@@ -95,6 +100,7 @@ impl WorkloadKind {
             WorkloadKind::ZipfCluster => "zipf-cluster",
             WorkloadKind::Diurnal => "diurnal",
             WorkloadKind::Memhog => "memhog",
+            WorkloadKind::Drumbeat => "drumbeat",
             WorkloadKind::Churn => "churn",
         }
     }
@@ -106,6 +112,7 @@ impl WorkloadKind {
             WorkloadKind::ZipfCluster => "Zipf-skewed bursty multi-tenant mix",
             WorkloadKind::Diurnal => "day/night tide x Zipf x bursts (NHPP thinning)",
             WorkloadKind::Memhog => "deterministic memory-stress drumbeat (all-BFS)",
+            WorkloadKind::Drumbeat => "deterministic all-warm drumbeat (all-Html)",
             WorkloadKind::Churn => "sparse Poisson arrivals, cold-start/eviction churn",
         }
     }
@@ -167,11 +174,11 @@ impl WorkloadKind {
                 },
                 rng,
             ),
-            WorkloadKind::Memhog => (0..n)
+            WorkloadKind::Memhog | WorkloadKind::Drumbeat => (0..n)
                 .map(|rank| {
                     // Fixed cadence with a per-tenant phase offset so
                     // tenants never fire simultaneously: a deterministic
-                    // drumbeat of the anonymous-heavy function.
+                    // drumbeat of one function kind.
                     let gap = 1.0 / per_tenant;
                     let phase = gap * (rank as f64 + 0.5) / n as f64;
                     let mut arrivals = Vec::new();
@@ -181,7 +188,11 @@ impl WorkloadKind {
                         t += gap;
                     }
                     TenantLoad {
-                        kind: FunctionKind::Bfs,
+                        kind: if self == WorkloadKind::Memhog {
+                            FunctionKind::Bfs
+                        } else {
+                            FunctionKind::Html
+                        },
                         arrivals,
                     }
                 })
@@ -293,5 +304,16 @@ mod tests {
             .map(|w| w[1] - w[0])
             .collect();
         assert!(gaps.windows(2).all(|g| (g[0] - g[1]).abs() < 1e-9));
+    }
+
+    #[test]
+    fn drumbeat_is_memhog_with_html_tenants() {
+        let memhog = WorkloadKind::Memhog.generate(&params(), &mut DetRng::new(1));
+        let drumbeat = WorkloadKind::Drumbeat.generate(&params(), &mut DetRng::new(1));
+        assert_eq!(drumbeat.len(), memhog.len());
+        for (d, m) in drumbeat.iter().zip(&memhog) {
+            assert_eq!(d.kind, FunctionKind::Html);
+            assert_eq!(d.arrivals, m.arrivals, "same cadence and phases");
+        }
     }
 }

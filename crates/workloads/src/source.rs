@@ -17,7 +17,7 @@
 //! * [`OpenDcSource`] — OpenDC-style rows carrying exact timestamps
 //!   plus duration/memory hints (memory: one row).
 //! * [`MaterializedSource`] — an adapter wrapping the existing
-//!   materialized generators ([`WorkloadKind::generate`]), so all
+//!   materialized generators ([`crate::WorkloadKind::generate`]), so all
 //!   workloads flow through the one interface.
 //!
 //! The container that grows this repo is offline, so committed sample
@@ -39,7 +39,6 @@ use std::io::{BufRead, BufReader};
 use sim_core::{DetRng, SimDuration};
 
 use crate::functions::FunctionKind;
-use crate::registry::{WorkloadKind, WorkloadParams};
 use crate::TenantLoad;
 
 /// Magic prefix of the first line of every trace file; the rest of the
@@ -338,14 +337,6 @@ pub struct AzureMinuteSource<R: BufRead> {
     done: bool,
 }
 
-impl AzureMinuteSource<BufReader<File>> {
-    /// Opens a trace file (must be azure-minute format).
-    pub fn from_path(path: &str, trial: u64) -> Result<Self, TraceError> {
-        let f = File::open(path).map_err(|e| TraceError::at(0, format!("{path}: {e}")))?;
-        Self::new(BufReader::new(f), trial)
-    }
-}
-
 impl<R: BufRead> AzureMinuteSource<R> {
     /// Parses the header and prepares to stream rows.
     pub fn new(reader: R, trial: u64) -> Result<Self, TraceError> {
@@ -509,14 +500,6 @@ pub struct OpenDcSource<R: BufRead> {
     done: bool,
 }
 
-impl OpenDcSource<BufReader<File>> {
-    /// Opens a trace file (must be opendc format).
-    pub fn from_path(path: &str) -> Result<Self, TraceError> {
-        let f = File::open(path).map_err(|e| TraceError::at(0, format!("{path}: {e}")))?;
-        Self::new(BufReader::new(f))
-    }
-}
-
 impl<R: BufRead> OpenDcSource<R> {
     /// Parses the header and prepares to stream rows.
     pub fn new(reader: R) -> Result<Self, TraceError> {
@@ -648,13 +631,6 @@ impl MaterializedSource {
             cursors: vec![0; loads.len()],
             arrivals: loads.into_iter().map(|t| t.arrivals).collect(),
         }
-    }
-
-    /// Generates a named workload and wraps it — the adapter that puts
-    /// azure-trace/zipf-cluster/diurnal (and the rest of the registry)
-    /// behind the streaming interface.
-    pub fn from_workload(kind: WorkloadKind, params: &WorkloadParams, rng: &mut DetRng) -> Self {
-        MaterializedSource::new(kind.generate(params, rng))
     }
 }
 
