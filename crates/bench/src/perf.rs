@@ -13,8 +13,9 @@
 //!   accumulator under its reservoir cap and the event queue tracking
 //!   in-flight work only; [`run`] asserts that contract.
 //!
-//! The spec runs once, single-threaded, at trial 0, booted through the
-//! same calls the scenario layer makes. Only the wall time varies by
+//! The spec runs once, single-threaded, at trial 0, built and booted
+//! through the same [`Scenario::fleet_plan`] and [`Scenario::boot`]
+//! calls every scenario run makes. Only the wall time varies by
 //! machine: the outcome (completions, events, peak queue depth) is
 //! byte-stable. Events/sec counts what the engine pops, which depends
 //! on how it schedules (a re-armed CPU timer is one event, not one per
@@ -23,10 +24,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use faas::{
-    ClusterConfig, ClusterResult, ClusterSim, FleetConfig, FleetResult, FleetSim, Scenario,
-    SimResult, Topology, WorkloadSpec, LATENCY_RESERVOIR_CAP,
-};
+use faas::{Scenario, Topology, WorkloadSpec, LATENCY_RESERVOIR_CAP};
 use sim_core::TextTable;
 
 /// The drumbeat cluster `repro perf` times, repo-relative.
@@ -116,132 +114,60 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Times `boot` (the set-up) and `run` (the event loop) apart.
-fn timed<S, R>(boot: impl FnOnce() -> S, run: impl FnOnce(S) -> R) -> (f64, f64, R) {
-    let t0 = Instant::now();
-    let sim = boot();
-    let setup_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let out = run(sim);
-    (setup_s, t1.elapsed().as_secs_f64(), out)
-}
-
-/// What a timed run reports, from either simulator's result.
-struct Tally {
-    injected: u64,
-    completed: u64,
-    events: u64,
-    peak_depth: usize,
-    reservoir_len: usize,
-    hosts: Vec<SimResult>,
-}
-
-impl From<ClusterResult> for Tally {
-    fn from(out: ClusterResult) -> Tally {
-        Tally {
-            injected: out.injected,
-            completed: out.completed,
-            events: out.events_processed,
-            peak_depth: out.peak_queue_depth,
-            reservoir_len: out.latency_over_time.len(),
-            hosts: out.hosts,
-        }
-    }
-}
-
-impl From<FleetResult> for Tally {
-    fn from(out: FleetResult) -> Tally {
-        Tally {
-            injected: out.injected,
-            completed: out.completed,
-            events: out.events_processed,
-            peak_depth: out.peak_queue_depth,
-            reservoir_len: out.latency_over_time.len(),
-            hosts: out.hosts.into_iter().map(|h| h.result).collect(),
-        }
-    }
-}
-
-/// Runs trial 0 of `spec` on its first backend and times it. A named
-/// workload runs on a `cluster(n)` topology; a `trace(<path>)` workload
-/// streams through the spec's fleet and must stay bounded: capped
-/// reservoirs, no time series, nothing lost or deferred.
+/// Runs trial 0 of `spec` on its first backend and times it: the boot
+/// (and the trace open) is the set-up, the event loop and result
+/// assembly the run. The fleet plan is built, and a named workload's
+/// arrivals generated, before the clock starts. A `trace(<path>)`
+/// workload must stay bounded: capped reservoirs, no time series,
+/// nothing lost or deferred.
 ///
 /// # Panics
 ///
-/// Panics if the hosts do not boot, the trace does not open, a named
-/// workload's topology is not `cluster(n)`, or a streamed run breaks
-/// its bounds.
+/// Panics if the hosts do not boot, the trace does not open, or a
+/// streamed run breaks its bounds.
 pub fn run(spec: &Scenario) -> PerfCell {
-    let backend = spec.backends[0];
-    let router = spec.router.build(spec.router_seed(0));
-    let (setup_s, run_s, tally) = match &spec.workload {
-        WorkloadSpec::Named(_) => {
-            let cfg = ClusterConfig::from_scenario(spec, backend, 0);
-            timed(
-                || ClusterSim::new(cfg, router).expect("hosts boot"),
-                |sim| Tally::from(sim.run()),
-            )
-        }
-        WorkloadSpec::Trace(path) => {
-            let cfg = FleetConfig::from_scenario(spec, backend, 0);
-            timed(
-                || {
-                    let source = workloads::open_trace(path, 0).expect("trace opens");
-                    FleetSim::with_source(cfg, router, spec.policy.build(), source, path)
-                        .expect("hosts boot")
-                },
-                |sim| {
-                    let out = sim.run();
-                    assert_eq!((out.lost, out.deferred), (0, 0), "unsaturated frozen fleet");
-                    Tally::from(out)
-                },
-            )
-        }
-    };
-    let max_func_samples = tally
-        .hosts
-        .iter()
+    let plan = spec.fleet_plan(spec.backends[0], 0);
+    let t0 = Instant::now();
+    let sim = spec.boot(plan, 0).unwrap_or_else(|e| panic!("{e}"));
+    let setup_s = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    let out = sim.run();
+    let run_s = t1.elapsed().as_secs_f64();
+    let hosts = || out.hosts.iter().map(|h| &h.result);
+    let max_func_samples = hosts()
         .flat_map(|h| h.per_func.values().map(|m| m.latency.count()))
         .max()
         .unwrap_or(0);
     if matches!(spec.workload, WorkloadSpec::Trace(_)) {
-        assert_bounded(&tally.hosts, tally.reservoir_len, max_func_samples);
+        assert_eq!((out.lost, out.deferred), (0, 0), "unsaturated frozen fleet");
+        assert!(
+            out.latency_over_time.len() <= LATENCY_RESERVOIR_CAP,
+            "fleet reservoir exceeded its cap"
+        );
+        assert!(
+            max_func_samples <= LATENCY_RESERVOIR_CAP,
+            "a per-function histogram exceeded its cap"
+        );
+        assert!(
+            hosts().all(|h| h.host_usage.points().is_empty()),
+            "streamed replays must not record usage series"
+        );
     }
     PerfCell {
         name: spec.name.clone(),
-        hosts: tally.hosts.len(),
+        hosts: out.hosts.len(),
         duration_s: spec.params.duration_s,
-        invocations: tally.injected,
-        completed: tally.completed,
-        events: tally.events,
-        peak_depth: tally.peak_depth,
-        reservoir_len: tally.reservoir_len,
+        invocations: out.injected,
+        completed: out.completed,
+        events: out.events_processed,
+        peak_depth: out.peak_queue_depth,
+        reservoir_len: out.latency_over_time.len(),
         max_func_samples,
         peak_rss_mib: peak_rss_mib(),
         setup_s,
         run_s,
-        events_per_sec: tally.events as f64 / run_s,
-        invocations_per_sec: tally.injected as f64 / run_s,
-    }
-}
-
-/// Boundedness is the whole point of a streamed replay: fail loudly
-/// if any accumulator ever grows with the trace again.
-fn assert_bounded(hosts: &[SimResult], reservoir_len: usize, max_func_samples: usize) {
-    assert!(
-        reservoir_len <= LATENCY_RESERVOIR_CAP,
-        "fleet reservoir exceeded its cap"
-    );
-    assert!(
-        max_func_samples <= LATENCY_RESERVOIR_CAP,
-        "a per-function histogram exceeded its cap"
-    );
-    for h in hosts {
-        assert!(
-            h.host_usage.points().is_empty(),
-            "streamed replays must not record usage series"
-        );
+        events_per_sec: out.events_processed as f64 / run_s,
+        invocations_per_sec: out.injected as f64 / run_s,
     }
 }
 

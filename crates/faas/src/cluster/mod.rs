@@ -1,13 +1,16 @@
 //! The multi-host cluster: N hosts with a fixed host set, a pluggable
 //! [`Router`] and the tenant traces it spreads over them.
 //!
-//! [`ClusterSim`] runs on the crate's one event engine,
-//! [`crate::FleetSim`]: it wraps the [`ClusterConfig`] into a frozen
-//! fleet ([`FleetConfig::fixed`], no autoscaling, no failures) and
-//! projects the [`crate::FleetResult`] onto a [`ClusterResult`]. The
-//! router assigns each arriving request to a host at pop time, so
+//! The router assigns each arriving request to a host at pop time, so
 //! dynamic policies (least-loaded, warm-affinity) see real-time load,
-//! not a static partition of the trace.
+//! not a static partition of the trace. A `cluster(n)` scenario runs
+//! as a frozen fleet ([`FleetConfig::fixed`], no autoscaling, no
+//! failures) built by
+//! [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan).
+//! [`ClusterSim`] is a shell that runs a hand-built [`ClusterConfig`]
+//! the same way on [`crate::FleetSim`] and projects the
+//! [`crate::FleetResult`] onto a [`ClusterResult`]; it remains for the
+//! benchmark harness and the tests.
 
 mod router;
 
@@ -20,7 +23,7 @@ use std::collections::BTreeMap;
 
 use sim_core::{Histogram, Reservoir};
 use vmm::VmmError;
-use workloads::{FunctionKind, TraceSource};
+use workloads::FunctionKind;
 
 use crate::config::SimConfig;
 use crate::fleet::{FixedFleet, FleetConfig, FleetResult, FleetSim};
@@ -53,14 +56,10 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Builds the cluster a
-    /// [`Topology::Cluster`](crate::scenario::Topology::Cluster)
-    /// scenario runs: `n` identical hosts on derived jitter seeds, the
-    /// scenario's tenant traces routed across them.
-    ///
-    /// Part of the scenario front door — the `scenario_equivalence`
-    /// test pins `Scenario::run_trial` byte-identical to
-    /// `ClusterSim::new(ClusterConfig::from_scenario(..), ..).run()`.
+    /// The hosts and tenant traces of a `cluster(n)` scenario: a view
+    /// of [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan),
+    /// the one builder every spec-driven run goes through. It is kept
+    /// for the benchmark harness, which boots a [`ClusterSim`] itself.
     ///
     /// # Panics
     ///
@@ -70,26 +69,15 @@ impl ClusterConfig {
         backend: crate::config::BackendKind,
         trial: u64,
     ) -> ClusterConfig {
-        let crate::scenario::Topology::Cluster(n) = spec.topology else {
-            panic!(
-                "ClusterConfig::from_scenario needs a cluster(n) topology, got {}",
-                spec.topology.key()
-            );
-        };
-        let tenants = spec.tenant_loads(trial);
+        assert!(
+            matches!(spec.topology, crate::scenario::Topology::Cluster(_)),
+            "ClusterConfig::from_scenario needs a cluster(n) topology, got {}",
+            spec.topology.key()
+        );
+        let fleet = spec.fleet_plan(backend, trial).config;
         ClusterConfig {
-            hosts: (0..n)
-                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h), trial))
-                .collect(),
-            tenants: tenants
-                .into_iter()
-                .enumerate()
-                .map(|(ti, t)| TenantTrace {
-                    vm: 0,
-                    dep: ti,
-                    arrivals: t.arrivals,
-                })
-                .collect(),
+            hosts: fleet.initial_hosts,
+            tenants: fleet.tenants,
         }
     }
 
@@ -205,28 +193,6 @@ impl ClusterSim {
     /// queue up front.
     pub fn new(config: ClusterConfig, router: Box<dyn Router>) -> Result<ClusterSim, VmmError> {
         let fleet = FleetSim::new(config.into_fixed_fleet(), router, Box::new(FixedFleet))?;
-        Ok(ClusterSim { fleet })
-    }
-
-    /// Boots every host and streams arrivals from a trace source:
-    /// tenant `i` of the trace addresses `config.tenants[i]`'s
-    /// `(vm, dep)` slot (any materialized arrivals in the config are
-    /// ignored). Hosts run in bounded-metrics mode so memory stays
-    /// constant over multi-million-invocation replays. `origin` names
-    /// the trace in diagnostics.
-    pub fn with_source(
-        config: ClusterConfig,
-        router: Box<dyn Router>,
-        source: Box<dyn TraceSource>,
-        origin: &str,
-    ) -> Result<ClusterSim, VmmError> {
-        let fleet = FleetSim::with_source(
-            config.into_fixed_fleet(),
-            router,
-            Box::new(FixedFleet),
-            source,
-            origin,
-        )?;
         Ok(ClusterSim { fleet })
     }
 

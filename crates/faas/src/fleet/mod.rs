@@ -2,10 +2,14 @@
 //! host set.
 //!
 //! [`FleetSim`] merges the arrival feed with one shared [`EventQueue`]
-//! and dispatches every host's events; [`crate::FaasSim`] (one host)
-//! and [`crate::ClusterSim`] (N hosts) are shells that run it as a
-//! fixed fleet. On top of that data plane it runs the control plane a
-//! real serverless fleet has:
+//! and dispatches every host's events. Every scenario topology boots
+//! one through
+//! [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan) and
+//! [`Scenario::boot`](crate::scenario::Scenario::boot); the
+//! [`crate::FaasSim`] (one host) and [`crate::ClusterSim`] (N hosts)
+//! shells run hand-built configs on it as a fixed fleet, for the figure
+//! modules and the benchmark harness. On top of that data plane it
+//! runs the control plane a real serverless fleet has:
 //!
 //! * **Host lifecycle** — every host moves through
 //!   [`HostState::Booting`] → [`HostState::Active`] →
@@ -53,7 +57,7 @@ use crate::cluster::{ClusterConfig, HostLoad, Router, TenantTrace, LATENCY_RESER
 use crate::config::SimConfig;
 use crate::feed::ArrivalFeed;
 use crate::metrics::{self, SimResult};
-use crate::sim::events::{Event, EventSink};
+use crate::sim::events::Event;
 use crate::sim::host::HostSim;
 use failure::FailureInjector;
 
@@ -141,8 +145,8 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// Wraps a [`ClusterConfig`] into a frozen fleet: same hosts, same
     /// tenants, autoscaling, failures and SLO accounting off. Run with
-    /// the [`FixedFleet`] policy, this is how [`crate::ClusterSim`]
-    /// runs a cluster.
+    /// the [`FixedFleet`] policy, this is how single-vm and `cluster(n)`
+    /// scenarios and the [`crate::ClusterSim`] shell run.
     pub fn fixed(cluster: ClusterConfig, seed: u64) -> FleetConfig {
         let template = cluster.hosts[0].clone();
         let n = cluster.hosts.len();
@@ -161,59 +165,16 @@ impl FleetConfig {
         }
     }
 
-    /// Builds the fleet a
-    /// [`Topology::Fleet`](crate::scenario::Topology::Fleet) scenario
-    /// runs: the `fixed` policy provisions `max_hosts` up front (the
-    /// static peak-capacity baseline), every other policy starts at
-    /// `min_hosts` and earns its capacity; the boot template sits on
-    /// its own seed tag so autoscaler-booted hosts never share an
-    /// initial host's jitter stream.
-    ///
-    /// Part of the scenario front door — the `scenario_equivalence`
-    /// test pins `Scenario::run_trial` byte-identical to
-    /// `FleetSim::new(FleetConfig::from_scenario(..), ..).run()`.
+    /// The fleet config of a scenario: a view of
+    /// [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan),
+    /// the one builder every spec-driven run goes through. It is kept
+    /// for the benchmark harness, which boots a [`FleetSim`] itself.
     pub fn from_scenario(
         spec: &crate::scenario::Scenario,
         backend: crate::config::BackendKind,
         trial: u64,
     ) -> FleetConfig {
-        use crate::fleet::policy::PolicyKind;
-        let tenants = spec.tenant_loads(trial);
-        let initial = if spec.policy == PolicyKind::Fixed {
-            spec.max_hosts
-        } else {
-            spec.min_hosts
-        };
-        FleetConfig {
-            initial_hosts: (0..initial)
-                .map(|h| spec.host_config(&tenants, backend, spec.host_seed(h), trial))
-                .collect(),
-            template: spec.host_config(&tenants, backend, spec.template_seed(), trial),
-            slo: spec.effective_slos(tenants.iter().map(|t| t.kind)),
-            tenants: tenants
-                .into_iter()
-                .enumerate()
-                .map(|(ti, t)| TenantTrace {
-                    vm: 0,
-                    dep: ti,
-                    arrivals: t.arrivals,
-                })
-                .collect(),
-            autoscale: AutoscaleOpts {
-                min_hosts: if spec.policy == PolicyKind::Fixed {
-                    spec.max_hosts
-                } else {
-                    spec.min_hosts
-                },
-                max_hosts: spec.max_hosts,
-                boot_delay_s: spec.boot_delay_s,
-                cooldown_s: spec.cooldown_s,
-            },
-            failures: FailureConfig {
-                mtbf_s: spec.mtbf_s,
-            },
-            seed: spec.fleet_seed(trial),
-        }
+        spec.fleet_plan(backend, trial).config
     }
 
     /// Instance slots per host (Σ deployment concurrency of the
@@ -242,16 +203,19 @@ enum FleetEvent {
     Crash,
 }
 
-/// Adapter tagging one host's scheduled events into the shared queue.
-struct HostSink<'a> {
+/// Where one host's handlers schedule future events: the sink tags
+/// each event with its host and schedules it on the one shared queue,
+/// so a host's scheduling order is the queue's FIFO tie-break order.
+pub(crate) struct HostSink<'a> {
     q: &'a mut EventQueue<FleetEvent>,
     host: usize,
     /// The host's first CPU-timer key (see [`Slot::cpu_timers`]).
     cpu_timers: usize,
 }
 
-impl EventSink for HostSink<'_> {
-    fn push(&mut self, at: SimTime, ev: Event) {
+impl HostSink<'_> {
+    /// Schedules `ev` at absolute time `at`.
+    pub(crate) fn push(&mut self, at: SimTime, ev: Event) {
         self.q.push(
             at,
             FleetEvent::Host {
@@ -261,7 +225,8 @@ impl EventSink for HostSink<'_> {
         );
     }
 
-    fn push_after(&mut self, now: SimTime, delay: SimDuration, ev: Event) {
+    /// Schedules `ev` one fixed `delay` after the handler's `now`.
+    pub(crate) fn push_after(&mut self, now: SimTime, delay: SimDuration, ev: Event) {
         self.q.push_after(
             now,
             delay,
@@ -272,7 +237,9 @@ impl EventSink for HostSink<'_> {
         );
     }
 
-    fn set_cpu_timer(&mut self, vm: usize, at: Option<SimTime>) {
+    /// Arms VM `vm`'s one CPU-completion timer at `at`, replacing its
+    /// pending prediction; `None` disarms it.
+    pub(crate) fn set_cpu_timer(&mut self, vm: usize, at: Option<SimTime>) {
         let ev = FleetEvent::Host {
             host: self.host,
             ev: Event::CpuDone { vm },

@@ -18,14 +18,14 @@
 //! host footprint and VM count — who wins, and where the crossovers
 //! fall, as burst size sweeps past N.
 
-use guest_mm::{AllocPolicy, GuestMmConfig};
-use mem_types::{align_up_to_block, MIB};
+use guest_mm::AllocPolicy;
+use mem_types::MIB;
 use sim_core::{CostModel, SimDuration};
-use squeezy::{SqueezyConfig, SqueezyManager};
-use vmm::{HostMemory, Vm, VmConfig, VmmError};
+use squeezy::SqueezyManager;
+use vmm::{HostMemory, Vm, VmmError};
 use workloads::FunctionKind;
 
-use crate::microvm::MICROVM_OS_BYTES;
+use crate::microvm::{boot_microvm, boot_squeezy_vm};
 
 /// Scale-up strategy under comparison.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -167,30 +167,7 @@ fn boot_n_vm(
     cost: &CostModel,
 ) -> Result<NVm, VmmError> {
     let profile = kind.profile();
-    let part_bytes = align_up_to_block(profile.memory_limit.bytes());
-    let shared_bytes = align_up_to_block(profile.deps_bytes + profile.rootfs_bytes + 64 * MIB);
-    let mut vm = Vm::boot(
-        VmConfig {
-            guest: GuestMmConfig {
-                boot_bytes: 1 << 30,
-                hotplug_bytes: shared_bytes + part_bytes * n as u64,
-                kernel_bytes: 192 * MIB,
-                init_on_alloc: true,
-            },
-            vcpus: n as f64,
-        },
-        host,
-    )?;
-    let sq = SqueezyManager::install(
-        &mut vm,
-        SqueezyConfig {
-            partition_bytes: part_bytes,
-            shared_bytes,
-            concurrency: n,
-        },
-        cost,
-    )
-    .expect("region sized for the layout");
+    let (mut vm, sq) = boot_squeezy_vm(kind, n, n as f64, host, cost)?;
     if warm {
         vm.touch_file(host, kind.rootfs_file(), profile.rootfs_pages(), cost)?;
         vm.touch_file(host, kind.deps_file(), profile.deps_pages(), cost)?;
@@ -239,21 +216,7 @@ fn one_to_one_start(
     cost: &CostModel,
 ) -> Result<(SimDuration, u64), VmmError> {
     let profile = kind.profile();
-    let boot = align_up_to_block(profile.memory_limit.bytes() + MICROVM_OS_BYTES);
-    let mut vm = Vm::boot(
-        VmConfig {
-            guest: GuestMmConfig {
-                boot_bytes: boot,
-                hotplug_bytes: 0,
-                kernel_bytes: MICROVM_OS_BYTES,
-                init_on_alloc: true,
-            },
-            vcpus: 1.0,
-        },
-        host,
-    )?;
-    let mut lat = SimDuration::nanos(cost.microvm_boot_fixed_ns)
-        + cost.ept_faults(MICROVM_OS_BYTES / mem_types::PAGE_SIZE);
+    let (mut vm, mut lat) = boot_microvm(kind, host, cost)?;
     let pid = vm.guest.spawn_process(AllocPolicy::MovableDefault);
     let rootfs = vm.touch_file(host, kind.rootfs_file(), profile.rootfs_pages(), cost)?;
     let deps = vm.touch_file(host, kind.deps_file(), profile.deps_pages(), cost)?;

@@ -12,28 +12,32 @@
 //!   handlers — a controller routes invocations to per-VM agents that
 //!   reuse warm instances, scale up with memory plugs, keep idle
 //!   instances alive and scale down with memory reclamation.
-//!   [`FaasSim`] runs a single host, the paper's deployment.
-//! * **Cluster layer** ([`cluster`]): [`ClusterSim`] runs N hosts with
-//!   a pluggable [`Router`] (round-robin, least-loaded, warm-affinity,
-//!   power-of-two-choices).
+//! * **Cluster layer** ([`cluster`]): the pluggable [`Router`]s
+//!   (round-robin, least-loaded, warm-affinity, power-of-two-choices)
+//!   and the multi-host [`ClusterConfig`].
 //! * **Fleet layer** ([`fleet`]): [`FleetSim`] is the crate's one event
 //!   engine. It merges the arrival feed with one shared queue, routes
 //!   requests at pop time, and runs a control plane over the hosts —
 //!   host lifecycle (Booting → Active → Draining → Retired, plus
 //!   injected Failed), pluggable [`AutoscalePolicy`]s
 //!   (target-utilization, queue-depth, SLAM-style SLO-aware), graceful
-//!   drains and seeded failure injection. [`FaasSim`] and
-//!   [`ClusterSim`] are shells that run a fixed fleet on it (one host
-//!   under [`cluster::SingleHost`], or N hosts under the caller's
-//!   router) and project its result.
+//!   drains and seeded failure injection.
 //!
 //! The **scenario front door** ([`scenario`]) sits above all four:
 //! a declarative, serializable [`Scenario`] spec names a workload, a
 //! topology, backends, a router, a policy and SLOs, and
-//! [`SweepSpec::run`] runs it (or a grid of it) on the fleet engine —
-//! every layer
-//! gains a `from_scenario` constructor and every experiment becomes a
-//! data change.
+//! [`SweepSpec::run`] runs it (or a grid of it). Every topology takes
+//! one path to the engine: [`Scenario::fleet_plan`] builds the
+//! [`FleetConfig`], router and policy, [`Scenario::boot`] boots one
+//! [`FleetSim`], and its one [`FleetResult`] projects onto a
+//! [`ScenarioOutcome`]. Every experiment is a data change.
+//!
+//! [`FaasSim`] (one host) and [`ClusterSim`] (N hosts under a caller's
+//! router) are shells that run a hand-built [`SimConfig`] or
+//! [`ClusterConfig`] as a fixed fleet on the same engine and project
+//! its result. No spec-driven path uses them: they remain for the
+//! figure modules that hand-build a host config, for the benchmark
+//! harness and for their tests.
 //!
 //! Also provides the 1:1 microVM cold-start model for the Figure-11
 //! comparison.
@@ -64,7 +68,7 @@ pub use metrics::{FuncMetrics, ReclaimTotals, SimResult};
 pub use microvm::{microvm_cold_start, n_to_one_cold_start, ColdStartBreakdown};
 pub use scenario::{
     compare_results, render_verdicts, AxisValues, CompareReport, ExpectKind, ExpectVerdict,
-    Expectation, FleetStats, GridOutcome, MetricDiff, Scenario, ScenarioOutcome, ScenarioResult,
-    SweepAxis, SweepCell, SweepSpec, Topology, WorkloadSpec,
+    Expectation, FleetPlan, FleetStats, GridOutcome, MetricDiff, Scenario, ScenarioOutcome,
+    ScenarioResult, SweepAxis, SweepCell, SweepSpec, Topology, WorkloadSpec,
 };
 pub use sim::FaasSim;

@@ -45,6 +45,72 @@ impl ColdStartBreakdown {
     }
 }
 
+/// Boots a dedicated 1:1 microVM for one instance of `kind` on
+/// `host`, with the minimum memory for one instance (§6.3): the
+/// Table-1 limit plus the guest OS footprint. Returns the VM and its
+/// VMM cold delay: fixed boot work plus faulting the guest kernel's
+/// working set into fresh host memory.
+pub(crate) fn boot_microvm(
+    kind: FunctionKind,
+    host: &mut HostMemory,
+    cost: &CostModel,
+) -> Result<(Vm, SimDuration), VmmError> {
+    let boot = align_up_to_block(kind.profile().memory_limit.bytes() + MICROVM_OS_BYTES);
+    let vm = Vm::boot(
+        VmConfig {
+            guest: GuestMmConfig {
+                boot_bytes: boot,
+                hotplug_bytes: 0,
+                kernel_bytes: MICROVM_OS_BYTES,
+                init_on_alloc: true,
+            },
+            vcpus: 1.0,
+        },
+        host,
+    )?;
+    let delay = SimDuration::nanos(cost.microvm_boot_fixed_ns)
+        + cost.ept_faults(MICROVM_OS_BYTES / mem_types::PAGE_SIZE);
+    Ok((vm, delay))
+}
+
+/// Boots an N:1 Squeezy VM on `host` with `n` partition slots sized
+/// for `kind` and `vcpus` vCPUs, and installs its manager. The shared
+/// partition holds the dependencies, the rootfs and 64 MiB of slack.
+pub(crate) fn boot_squeezy_vm(
+    kind: FunctionKind,
+    n: u32,
+    vcpus: f64,
+    host: &mut HostMemory,
+    cost: &CostModel,
+) -> Result<(Vm, SqueezyManager), VmmError> {
+    let profile = kind.profile();
+    let part_bytes = align_up_to_block(profile.memory_limit.bytes());
+    let shared_bytes = align_up_to_block(profile.deps_bytes + profile.rootfs_bytes + 64 * MIB);
+    let mut vm = Vm::boot(
+        VmConfig {
+            guest: GuestMmConfig {
+                boot_bytes: 1 << 30,
+                hotplug_bytes: shared_bytes + part_bytes * n as u64,
+                kernel_bytes: 192 * MIB,
+                init_on_alloc: true,
+            },
+            vcpus,
+        },
+        host,
+    )?;
+    let sq = SqueezyManager::install(
+        &mut vm,
+        SqueezyConfig {
+            partition_bytes: part_bytes,
+            shared_bytes,
+            concurrency: n,
+        },
+        cost,
+    )
+    .expect("region sized for the layout");
+    Ok((vm, sq))
+}
+
 /// Runs one cold start on a fresh 1:1 microVM.
 ///
 /// Returns the latency breakdown and the instance's host memory
@@ -56,27 +122,9 @@ pub fn microvm_cold_start(
 ) -> Result<(ColdStartBreakdown, u64), VmmError> {
     let profile = kind.profile();
     let mut host = HostMemory::new(u64::MAX / 2);
-    // The microVM is booted with the minimum memory for one instance
-    // (§6.3): the Table-1 limit plus the guest OS footprint.
-    let boot = align_up_to_block(profile.memory_limit.bytes() + MICROVM_OS_BYTES);
-    let mut vm = Vm::boot(
-        VmConfig {
-            guest: GuestMmConfig {
-                boot_bytes: boot,
-                hotplug_bytes: 0,
-                kernel_bytes: MICROVM_OS_BYTES,
-                init_on_alloc: true,
-            },
-            vcpus: 1.0,
-        },
-        &mut host,
-    )?;
-
-    // VMM cold delays: fixed boot work plus faulting the guest kernel's
-    // working set into fresh host memory.
+    let (mut vm, vmm_delay) = boot_microvm(kind, &mut host, cost)?;
     let mut b = ColdStartBreakdown {
-        vmm_delay: SimDuration::nanos(cost.microvm_boot_fixed_ns)
-            + cost.ept_faults(MICROVM_OS_BYTES / mem_types::PAGE_SIZE),
+        vmm_delay,
         ..ColdStartBreakdown::default()
     };
 
@@ -120,30 +168,7 @@ pub fn n_to_one_cold_start(
 ) -> Result<(ColdStartBreakdown, u64), VmmError> {
     let profile = kind.profile();
     let mut host = HostMemory::new(u64::MAX / 2);
-    let part_bytes = align_up_to_block(profile.memory_limit.bytes());
-    let shared_bytes = align_up_to_block(profile.deps_bytes + profile.rootfs_bytes + 64 * MIB);
-    let mut vm = Vm::boot(
-        VmConfig {
-            guest: GuestMmConfig {
-                boot_bytes: 1 << 30,
-                hotplug_bytes: shared_bytes + 4 * part_bytes,
-                kernel_bytes: 192 * MIB,
-                init_on_alloc: true,
-            },
-            vcpus: 2.0,
-        },
-        &mut host,
-    )?;
-    let mut sq = SqueezyManager::install(
-        &mut vm,
-        SqueezyConfig {
-            partition_bytes: part_bytes,
-            shared_bytes,
-            concurrency: 4,
-        },
-        cost,
-    )
-    .expect("region sized for the layout");
+    let (mut vm, mut sq) = boot_squeezy_vm(kind, 4, 2.0, &mut host, cost)?;
 
     // Warm-up instance: populates the shared partition's page cache.
     {

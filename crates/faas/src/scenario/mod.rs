@@ -21,6 +21,12 @@
 //! * `Scenario::run_trial` is byte-identical to a hand-built
 //!   `SimConfig`/`ClusterConfig`/`FleetConfig` — the
 //!   `scenario_equivalence` tests pin all three topologies.
+//!
+//! Every topology reaches the engine through one path:
+//! [`Scenario::fleet_plan`] builds the fleet config, router and policy,
+//! [`Scenario::boot`] boots one [`FleetSim`], and
+//! [`Scenario::run_trial`] projects its one result onto a
+//! [`ScenarioOutcome`].
 
 mod compare;
 mod expect;
@@ -36,10 +42,12 @@ pub use sweep::{AxisValues, GridOutcome, SweepAxis, SweepCell, SweepSpec, MAX_CE
 use sim_core::DetRng;
 use workloads::{FunctionKind, TenantLoad, WorkloadKind, WorkloadParams};
 
-use crate::cluster::{ClusterConfig, ClusterResult, Router, RouterKind, SingleHost};
+use crate::cluster::{ClusterConfig, Router, RouterKind, SingleHost, TenantTrace};
 use crate::config::{BackendKind, HarvestConfig, SimConfig};
-use crate::fleet::{default_slos, AutoscalePolicy, FixedFleet, FleetConfig, FleetSim, PolicyKind};
-use crate::sim::single_host;
+use crate::fleet::{
+    default_slos, AutoscaleOpts, AutoscalePolicy, FailureConfig, FixedFleet, FleetConfig, FleetSim,
+    PolicyKind,
+};
 
 /// Derivation tag of the tenant-trace stream: traces depend on
 /// `(seed, trial)` only, never on the backend or router under test.
@@ -145,14 +153,14 @@ impl PartialEq<WorkloadKind> for WorkloadSpec {
     }
 }
 
-/// Which simulator a scenario runs on.
+/// The host set a scenario runs on the fleet engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Topology {
-    /// One host driven by [`crate::FaasSim`] (the paper's deployment).
+    /// One host (the paper's deployment).
     SingleVm,
-    /// `n` hosts under one event engine ([`crate::ClusterSim`]).
+    /// `n` hosts under a router, a frozen fleet.
     Cluster(usize),
-    /// An elastic host set with a control plane ([`crate::FleetSim`]).
+    /// An elastic host set with a control plane.
     Fleet,
 }
 
@@ -187,7 +195,7 @@ impl Topology {
 }
 
 /// A declarative experiment specification — the single public entry
-/// point to the single-VM, cluster and fleet simulators.
+/// point to the single-VM, cluster and fleet topologies.
 ///
 /// Build one in code (start from [`Scenario::new`] and set fields) or
 /// load one from a spec file with [`Scenario::parse`]. Fields that a
@@ -576,39 +584,95 @@ impl Scenario {
         slos
     }
 
-    /// Runs one `(backend, trial)` cell on the topology's simulator —
-    /// the unit [`SweepSpec::run`] shards over the experiment engine.
+    /// Builds what one `(backend, trial)` cell runs on the fleet
+    /// engine, whatever the topology — the one spec-to-engine builder:
     ///
-    /// Every topology runs on the fleet engine: the topology picks the
-    /// fleet config, the router and the projection of the result; the
-    /// workload picks a materialized or a streamed (`trace(<path>)`)
-    /// feed. Streamed arrivals are never materialized, and their
-    /// metrics are bounded. `offered` is the number of arrivals the
-    /// feed injected within the duration.
+    /// * `single-vm` is `cluster(1)` under the [`SingleHost`] router,
+    ///   recording exact per-request latency points (the
+    ///   Figure-9-style time-resolved view; multi-host topologies use
+    ///   the bounded reservoir instead);
+    /// * `cluster(n)` is a frozen fleet ([`FleetConfig::fixed`]) of `n`
+    ///   identical hosts on derived jitter seeds, whose reservoir
+    ///   stream derives from the first host's seed;
+    /// * `fleet` provisions `max_hosts` up front under the `fixed`
+    ///   policy (the static peak-capacity baseline) and `min_hosts`
+    ///   under every other policy, which earns its capacity; the boot
+    ///   template sits on its own seed tag so autoscaler-booted hosts
+    ///   never share an initial host's jitter stream.
+    pub fn fleet_plan(&self, backend: BackendKind, trial: u64) -> FleetPlan {
+        let loads = self.tenant_loads(trial);
+        let n = match self.topology {
+            Topology::SingleVm => 1,
+            Topology::Cluster(n) => n,
+            Topology::Fleet if self.policy == PolicyKind::Fixed => self.max_hosts,
+            Topology::Fleet => self.min_hosts,
+        };
+        let mut hosts: Vec<SimConfig> = (0..n)
+            .map(|h| self.host_config(&loads, backend, self.host_seed(h), trial))
+            .collect();
+        hosts[0].record_latency_points = self.topology == Topology::SingleVm;
+        let template = self.host_config(&loads, backend, self.template_seed(), trial);
+        let slo = self.effective_slos(loads.iter().map(|t| t.kind));
+        let tenants = loads
+            .into_iter()
+            .enumerate()
+            .map(|(ti, t)| TenantTrace {
+                vm: 0,
+                dep: ti,
+                arrivals: t.arrivals,
+            })
+            .collect();
+        let cluster = ClusterConfig { hosts, tenants };
+        let router = || self.router.build(self.router_seed(trial));
+        match self.topology {
+            Topology::SingleVm => FleetPlan {
+                config: cluster.into_fixed_fleet(),
+                router: Box::new(SingleHost),
+                policy: Box::new(FixedFleet),
+            },
+            Topology::Cluster(_) => FleetPlan {
+                config: cluster.into_fixed_fleet(),
+                router: router(),
+                policy: Box::new(FixedFleet),
+            },
+            Topology::Fleet => FleetPlan {
+                config: FleetConfig {
+                    initial_hosts: cluster.hosts,
+                    template,
+                    tenants: cluster.tenants,
+                    autoscale: AutoscaleOpts {
+                        min_hosts: n,
+                        max_hosts: self.max_hosts,
+                        boot_delay_s: self.boot_delay_s,
+                        cooldown_s: self.cooldown_s,
+                    },
+                    failures: FailureConfig {
+                        mtbf_s: self.mtbf_s,
+                    },
+                    slo,
+                    seed: self.fleet_seed(trial),
+                },
+                router: router(),
+                policy: self.policy.build(),
+            },
+        }
+    }
+
+    /// Boots `plan` on the fleet engine: a named workload's arrivals
+    /// feed from its materialized lists ([`FleetSim::new`]), a
+    /// `trace(<path>)` workload streams trial `trial` of the file
+    /// ([`FleetSim::with_source`]).
     ///
     /// `Err` names `host_capacity` and carries the VMM error when the
     /// hosts cannot boot (e.g. a capacity below the VMs' boot memory),
     /// or names the trace file when it cannot be opened.
-    pub fn run_trial(&self, backend: BackendKind, trial: u64) -> Result<ScenarioOutcome, String> {
-        let (config, router, policy): (FleetConfig, Box<dyn Router>, Box<dyn AutoscalePolicy>) =
-            match self.topology {
-                Topology::SingleVm => (
-                    ClusterConfig::from_single(SimConfig::from_scenario(self, backend, trial))
-                        .into_fixed_fleet(),
-                    Box::new(SingleHost),
-                    Box::new(FixedFleet),
-                ),
-                Topology::Cluster(_) => (
-                    ClusterConfig::from_scenario(self, backend, trial).into_fixed_fleet(),
-                    self.router.build(self.router_seed(trial)),
-                    Box::new(FixedFleet),
-                ),
-                Topology::Fleet => (
-                    FleetConfig::from_scenario(self, backend, trial),
-                    self.router.build(self.router_seed(trial)),
-                    self.policy.build(),
-                ),
-            };
+    pub fn boot(&self, plan: FleetPlan, trial: u64) -> Result<FleetSim, String> {
+        let FleetPlan {
+            config,
+            router,
+            policy,
+        } = plan;
+        let backend = config.template.backend;
         let sim = match &self.workload {
             WorkloadSpec::Named(_) => FleetSim::new(config, router, policy),
             WorkloadSpec::Trace(path) => {
@@ -617,30 +681,39 @@ impl Scenario {
                 FleetSim::with_source(config, router, policy, source, path)
             }
         };
-        let result = sim
-            .map_err(|e| {
-                format!(
-                    "scenario {:?}: hosts do not boot with host_capacity = {} ({} backend): {e}",
-                    self.name,
-                    format::render_bytes(self.host_capacity),
-                    backend.key()
-                )
-            })?
-            .run();
-        let offered = result.injected;
-        Ok(match self.topology {
-            Topology::SingleVm => {
-                ScenarioOutcome::from_sim(backend, trial, offered, single_host(result))
-            }
-            Topology::Cluster(_) => ScenarioOutcome::from_cluster(
-                backend,
-                trial,
-                offered,
-                ClusterResult::from_fleet(result),
-            ),
-            Topology::Fleet => ScenarioOutcome::from_fleet(backend, trial, offered, result),
+        sim.map_err(|e| {
+            format!(
+                "scenario {:?}: hosts do not boot with host_capacity = {} ({} backend): {e}",
+                self.name,
+                format::render_bytes(self.host_capacity),
+                backend.key()
+            )
         })
     }
+
+    /// Runs one `(backend, trial)` cell — the unit [`SweepSpec::run`]
+    /// shards over the experiment engine: builds its
+    /// [`Scenario::fleet_plan`], boots it, runs it and projects the
+    /// result onto the topology's [`ScenarioOutcome`]. Streamed
+    /// arrivals are never materialized, and their metrics are bounded.
+    ///
+    /// `Err` is [`Scenario::boot`]'s.
+    pub fn run_trial(&self, backend: BackendKind, trial: u64) -> Result<ScenarioOutcome, String> {
+        let result = self.boot(self.fleet_plan(backend, trial), trial)?.run();
+        Ok(ScenarioOutcome::new(self.topology, backend, trial, result))
+    }
+}
+
+/// What one scenario cell runs on the fleet engine, as
+/// [`Scenario::fleet_plan`] builds it and [`Scenario::boot`] boots it.
+pub struct FleetPlan {
+    /// The hosts, tenant traces and control-plane knobs.
+    pub config: FleetConfig,
+    /// Routes each arrival to a host.
+    pub router: Box<dyn Router>,
+    /// Grows and shrinks the fleet ([`FixedFleet`] outside the fleet
+    /// topology).
+    pub policy: Box<dyn AutoscalePolicy>,
 }
 
 /// The registry listing `repro scenarios` prints: every name the spec

@@ -1,12 +1,10 @@
-//! The event vocabulary of the host runtime and the sink the handlers
-//! schedule into.
+//! The event vocabulary of the host runtime.
 //!
-//! Handlers never own the queue: the fleet engine hands them a sink
-//! that tags each event with its host and schedules it on the one
-//! shared queue, so a host's scheduling order is the queue's FIFO
-//! tie-break order.
+//! Handlers never own the queue: the fleet engine hands them a
+//! [`HostSink`](crate::fleet::HostSink) that tags each event with its
+//! host and schedules it on the one shared queue.
 
-use sim_core::{SimDuration, SimTime};
+use sim_core::SimTime;
 
 /// Events driving one host's simulation.
 #[derive(Clone, Copy, Debug)]
@@ -34,15 +32,4 @@ pub(crate) enum Work {
     FunctionInit { inst: u64 },
     Exec { inst: u64, arrival: SimTime },
     ReclaimKthread { token: u64 },
-}
-
-/// Where host handlers schedule future events.
-pub(crate) trait EventSink {
-    /// Schedules `ev` at absolute time `at`.
-    fn push(&mut self, at: SimTime, ev: Event);
-    /// Schedules `ev` one fixed `delay` after the handler's `now`.
-    fn push_after(&mut self, now: SimTime, delay: SimDuration, ev: Event);
-    /// Arms VM `vm`'s one CPU-completion timer at `at`, replacing its
-    /// pending prediction; `None` disarms it.
-    fn set_cpu_timer(&mut self, vm: usize, at: Option<SimTime>);
 }

@@ -23,8 +23,9 @@ use workloads::FunctionKind;
 use crate::backend::{self, ElasticityBackend, PlugStart, RebuildStart, ReclaimStart};
 use crate::cluster::HostLoad;
 use crate::config::SimConfig;
+use crate::fleet::HostSink;
 use crate::metrics::{FuncMetrics, ReclaimTotals, SimResult};
-use crate::sim::events::{Event, EventSink, Work};
+use crate::sim::events::{Event, Work};
 use crate::sim::instance::{InstState, Instance, PendingReclaim};
 
 const EPS_CPU: f64 = 1e-9;
@@ -247,7 +248,7 @@ impl HostSim {
     }
 
     /// Handles one event at time `now`, scheduling follow-ups into `q`.
-    pub fn handle(&mut self, now: SimTime, ev: Event, q: &mut dyn EventSink) {
+    pub fn handle(&mut self, now: SimTime, ev: Event, q: &mut HostSink<'_>) {
         match ev {
             Event::Arrival { vm, dep } => self.on_arrival(now, vm, dep, q),
             Event::CpuDone { vm } => {
@@ -423,7 +424,7 @@ impl HostSim {
 
     // --- Event handlers ---------------------------------------------------
 
-    fn on_arrival(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) {
+    fn on_arrival(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         let kind = self.dep_kind(vm, dep);
         if let Some(inst) = self.vms[vm].idle_instance_of(dep) {
@@ -437,7 +438,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_cpu_done(&mut self, now: SimTime, vm: usize, q: &mut dyn EventSink) {
+    fn on_cpu_done(&mut self, now: SimTime, vm: usize, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         // Collect finished tasks into the reusable scratch buffer.
         let mut finished = std::mem::take(&mut self.finished_scratch);
@@ -476,7 +477,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_plug_done(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn on_plug_done(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         let res = self
             .backend
@@ -490,7 +491,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn on_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         let expired = match self.vms[vm].instances.get(&inst) {
             Some(i) => {
@@ -522,7 +523,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_reclaim_done(&mut self, now: SimTime, vm: usize, token: u64, q: &mut dyn EventSink) {
+    fn on_reclaim_done(&mut self, now: SimTime, vm: usize, token: u64, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
         if let Some(p) = self.pending_reclaims.remove(&(vm, token)) {
             self.host.release(p.host_bytes);
@@ -556,7 +557,7 @@ impl HostSim {
         self.reschedule_cpu(vm, now, q);
     }
 
-    fn on_sample(&mut self, now: SimTime, q: &mut dyn EventSink) {
+    fn on_sample(&mut self, now: SimTime, q: &mut HostSink<'_>) {
         // Safety net for queues whose deployment has no instance left and
         // no reclaim in flight: retry their scale-ups periodically.
         self.retry_scale_ups(now, q);
@@ -582,7 +583,7 @@ impl HostSim {
 
     // --- Scale-up path ------------------------------------------------------
 
-    fn maybe_scale_up(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) {
+    fn maybe_scale_up(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) {
         loop {
             let queued = self.vms[vm].queues[dep].len();
             let starting = self.vms[vm].starting_of(dep);
@@ -614,7 +615,7 @@ impl HostSim {
 
     /// Wakes a hollow (soft-revoked) instance through the backend's
     /// rebuild hook.
-    fn rebuild_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn rebuild_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let pid = self.vms[vm].instances[&inst].pid;
         match self.backend.rebuild(vm, &mut self.vms[vm], pid, &self.cost) {
             RebuildStart::Replug { latency } => {
@@ -639,7 +640,7 @@ impl HostSim {
     /// carry "the memory size pre-defined by the user"). May trigger
     /// backend revocations or evictions and return `false` (the
     /// scale-up is retried on reclaim completions).
-    fn admit(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) -> bool {
+    fn admit(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) -> bool {
         let estimate = align_up_to_block(self.dep_kind(vm, dep).profile().memory_limit.bytes());
         // Backend-held reserves (HarvestVM's slack buffer) first.
         if self.backend.admit_from_reserve(&mut self.host, estimate) {
@@ -696,7 +697,7 @@ impl HostSim {
         best.map(|(v, id, _)| (v, id))
     }
 
-    fn retry_scale_ups(&mut self, now: SimTime, q: &mut dyn EventSink) {
+    fn retry_scale_ups(&mut self, now: SimTime, q: &mut HostSink<'_>) {
         for vi in 0..self.vms.len() {
             self.sync_pool(vi, now);
             for di in 0..self.vms[vi].queues.len() {
@@ -718,7 +719,7 @@ impl HostSim {
         now: SimTime,
         vm: usize,
         dep: usize,
-        q: &mut dyn EventSink,
+        q: &mut HostSink<'_>,
     ) -> bool {
         let kind = self.dep_kind(vm, dep);
         let profile = kind.profile();
@@ -830,7 +831,7 @@ impl HostSim {
         self.vms[vm].work.insert(tid, Work::FunctionInit { inst });
     }
 
-    fn on_instance_warm(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn on_instance_warm(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let dep = {
             let Some(i) = self.vms[vm].instances.get_mut(&inst) else {
                 return;
@@ -903,7 +904,7 @@ impl HostSim {
         vm: usize,
         inst: u64,
         arrival: SimTime,
-        q: &mut dyn EventSink,
+        q: &mut HostSink<'_>,
     ) {
         let dep = {
             let i = self.vms[vm].instances.get_mut(&inst).expect("exec owner");
@@ -932,7 +933,7 @@ impl HostSim {
         }
     }
 
-    fn schedule_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn schedule_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let keepalive = SimDuration::from_secs_f64(self.config.keepalive_s);
         q.push_after(now, keepalive, Event::KeepAlive { vm, inst });
     }
@@ -947,7 +948,7 @@ impl HostSim {
     // --- Scale-down path ------------------------------------------------------
 
     /// Evicts one instance and starts the backend's reclaim.
-    fn evict_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut dyn EventSink) {
+    fn evict_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let Some(i) = self.vms[vm].instances.remove(&inst) else {
             return;
         };
@@ -976,7 +977,7 @@ impl HostSim {
     }
 
     /// Launches the backend reclaim for one evicted instance of `dep`.
-    fn start_reclaim(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut dyn EventSink) {
+    fn start_reclaim(&mut self, now: SimTime, vm: usize, dep: usize, q: &mut HostSink<'_>) {
         let kind = self.dep_kind(vm, dep);
         // The runtime resizes by "the function memory requirements
         // (Table 1)" (§6.2): plug and unplug requests are both
@@ -1003,7 +1004,7 @@ impl HostSim {
         now: SimTime,
         vm: usize,
         start: ReclaimStart,
-        q: &mut dyn EventSink,
+        q: &mut HostSink<'_>,
     ) {
         match start {
             ReclaimStart::None => {}
@@ -1047,7 +1048,7 @@ impl HostSim {
 
     /// Re-arms the VM's CPU-completion timer at the pool's earliest
     /// predicted completion, or disarms it when the pool is idle.
-    fn reschedule_cpu(&mut self, vm: usize, now: SimTime, q: &mut dyn EventSink) {
+    fn reschedule_cpu(&mut self, vm: usize, now: SimTime, q: &mut HostSink<'_>) {
         let at = self.vms[vm].pool.next_completion().map(|(_, t)| t.max(now));
         q.set_cpu_timer(vm, at);
     }

@@ -11,14 +11,16 @@
 //!
 //! The module is split by concern:
 //!
-//! * [`events`] — the event vocabulary and the sink handlers schedule
-//!   into;
+//! * [`events`] — the event vocabulary;
 //! * [`instance`] — per-instance lifecycle state;
 //! * [`host`] — one host's event handlers (`HostSim`), backend agnostic.
 //!
-//! [`FaasSim`] runs a single host — the paper's deployment — as a
-//! one-host fixed fleet on [`crate::FleetSim`], the crate's one event
-//! engine.
+//! Every host runs on [`crate::FleetSim`], the crate's one event
+//! engine; a `single-vm` scenario is a one-host fixed fleet built by
+//! [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan).
+//! [`FaasSim`] is a shell that runs a hand-built [`SimConfig`] the same
+//! way; it remains for the figure modules that hand-build a host
+//! config, and for the tests.
 //!
 //! Time is event-driven; CPU contention inside each VM is the fluid
 //! model of [`sim_core::CpuPool`], so a virtio-mem driver kthread
@@ -30,11 +32,10 @@ pub(crate) mod host;
 pub(crate) mod instance;
 
 use vmm::VmmError;
-use workloads::TraceSource;
 
 use crate::cluster::{ClusterConfig, SingleHost};
 use crate::config::SimConfig;
-use crate::fleet::{FixedFleet, FleetResult, FleetSim};
+use crate::fleet::{FixedFleet, FleetSim};
 use crate::metrics::SimResult;
 
 /// The single-host FaaS runtime simulator.
@@ -54,45 +55,11 @@ impl FaasSim {
         Ok(FaasSim { fleet })
     }
 
-    /// Builds a simulation fed by a streaming trace source instead of
-    /// materialized arrival lists: tenant `i` of the trace addresses
-    /// the host's `i`-th deployment slot (flattened `(vm, dep)` order).
-    /// Metrics run in bounded mode — per-request accumulators are
-    /// capped reservoirs and time series are replaced by streaming
-    /// integrals — so memory stays constant over multi-million-
-    /// invocation replays. `origin` names the trace in diagnostics.
-    pub fn with_source(
-        config: SimConfig,
-        source: Box<dyn TraceSource>,
-        origin: &str,
-    ) -> Result<FaasSim, VmmError> {
-        let fleet = FleetSim::with_source(
-            ClusterConfig::from_single(config).into_fixed_fleet(),
-            Box::new(SingleHost),
-            Box::new(FixedFleet),
-            source,
-            origin,
-        )?;
-        Ok(FaasSim { fleet })
-    }
-
     /// Runs the simulation to completion and returns the results.
     pub fn run(self) -> SimResult {
-        self.run_counted().0
-    }
-
-    /// Like [`Self::run`], also returning how many arrivals the feed
-    /// injected (the offered-load count for trace-driven runs).
-    pub fn run_counted(self) -> (SimResult, u64) {
         let fleet = self.fleet.run();
-        let injected = fleet.injected;
-        (single_host(fleet), injected)
+        fleet.hosts.into_iter().next().expect("one host").result
     }
-}
-
-/// Projects a one-host fleet's result onto its only host.
-pub(crate) fn single_host(fleet: FleetResult) -> SimResult {
-    fleet.hosts.into_iter().next().expect("one host").result
 }
 
 #[cfg(test)]

@@ -20,12 +20,13 @@ use std::fs;
 use std::path::PathBuf;
 
 use faas::{
-    ClusterConfig, ClusterSim, FaasSim, FixedFleet, FleetConfig, FleetSim, RoundRobin, SimConfig,
-    TenantTrace, LATENCY_RESERVOIR_CAP,
+    ClusterConfig, ClusterSim, FaasSim, FixedFleet, FleetConfig, FleetResult, FleetSim, RoundRobin,
+    Router, SimConfig, SingleHost, TenantTrace, LATENCY_RESERVOIR_CAP,
 };
 use sim_core::DetRng;
 use workloads::{
-    render_opendc, MaterializedSource, OpenDcRow, TenantLoad, WorkloadKind, WorkloadParams,
+    render_opendc, MaterializedSource, OpenDcRow, TenantLoad, TraceSource, WorkloadKind,
+    WorkloadParams,
 };
 
 /// A small multi-tenant workload on the documented trace stream.
@@ -85,6 +86,26 @@ fn cluster_cfg(tenants: &[TenantLoad], with_arrivals: bool) -> ClusterConfig {
     }
 }
 
+/// Streams `source` through the fixed fleet `cluster` runs as under
+/// `ClusterSim` (reservoir seeded from the first host's seed).
+fn stream_cluster(
+    cluster: ClusterConfig,
+    router: Box<dyn Router>,
+    source: Box<dyn TraceSource>,
+    origin: &str,
+) -> FleetResult {
+    let seed = cluster.hosts[0].seed;
+    FleetSim::with_source(
+        FleetConfig::fixed(cluster, seed),
+        router,
+        Box::new(FixedFleet),
+        source,
+        origin,
+    )
+    .expect("boot")
+    .run()
+}
+
 #[test]
 fn cluster_streamed_replay_matches_the_materialized_path() {
     let tenants = loads(0x5C);
@@ -96,14 +117,12 @@ fn cluster_streamed_replay_matches_the_materialized_path() {
     let legacy = ClusterSim::new(cluster_cfg(&tenants, true), Box::new(RoundRobin::default()))
         .expect("boot")
         .run();
-    let streamed = ClusterSim::with_source(
+    let streamed = stream_cluster(
         cluster_cfg(&tenants, false),
         Box::new(RoundRobin::default()),
         Box::new(MaterializedSource::new(tenants.clone())),
         "materialized",
-    )
-    .expect("boot")
-    .run();
+    );
 
     assert_eq!(streamed.injected, offered as u64, "feed replays the trace");
     assert_eq!(streamed.completed, legacy.completed);
@@ -117,7 +136,7 @@ fn cluster_streamed_replay_matches_the_materialized_path() {
         legacy.latency_over_time.sorted_points(),
         "the reservoir timeline sees identical completions in identical order"
     );
-    for (s, l) in streamed.hosts.iter().zip(&legacy.hosts) {
+    for (s, l) in streamed.hosts.iter().map(|h| &h.result).zip(&legacy.hosts) {
         assert_eq!(s.completed, l.completed);
         assert!(
             s.host_usage.points().is_empty(),
@@ -196,13 +215,14 @@ fn single_vm_streamed_replay_matches_the_materialized_path() {
         dep.arrivals = t.arrivals.clone();
     }
     let legacy = FaasSim::new(cfg).expect("boot").run();
-    let (streamed, injected) = FaasSim::with_source(
-        host_cfg(&tenants, 0xAB, 90.0),
+    let fleet = stream_cluster(
+        ClusterConfig::from_single(host_cfg(&tenants, 0xAB, 90.0)),
+        Box::new(SingleHost),
         Box::new(MaterializedSource::new(tenants.clone())),
         "materialized",
-    )
-    .expect("boot")
-    .run_counted();
+    );
+    let injected = fleet.injected;
+    let streamed = fleet.hosts.into_iter().next().expect("one host").result;
 
     let offered: usize = tenants
         .iter()
@@ -265,25 +285,25 @@ fn file_streamed_run_is_byte_identical_to_memory_streamed() {
     }
 
     let tenants = loads.clone();
-    let from_file = ClusterSim::with_source(
+    let from_file = stream_cluster(
         cluster_cfg(&tenants, false),
         Box::new(RoundRobin::default()),
         workloads::open_trace(&path, 0).expect("trace opens"),
         &path,
-    )
-    .expect("boot")
-    .run();
-    let from_memory = ClusterSim::with_source(
+    );
+    let from_memory = stream_cluster(
         cluster_cfg(&tenants, false),
         Box::new(RoundRobin::default()),
         Box::new(MaterializedSource::new(loads)),
         "materialized",
-    )
-    .expect("boot")
-    .run();
+    );
 
-    let df: Vec<u64> = from_file.hosts.iter().map(|h| h.digest()).collect();
-    let dm: Vec<u64> = from_memory.hosts.iter().map(|h| h.digest()).collect();
+    let df: Vec<u64> = from_file.hosts.iter().map(|h| h.result.digest()).collect();
+    let dm: Vec<u64> = from_memory
+        .hosts
+        .iter()
+        .map(|h| h.result.digest())
+        .collect();
     assert_eq!(df, dm, "file and memory streams replay byte-identically");
     assert_eq!(from_file.injected, from_memory.injected);
     assert_eq!(from_file.routed, from_memory.routed);
