@@ -1,16 +1,23 @@
 //! The pluggable memory-elasticity backend layer.
 //!
-//! Each backend of §5.2 lives in its own module and implements
-//! [`ElasticityBackend`]: how guest memory is sized, plugged on
-//! scale-up, reclaimed on evict, and (for §7 soft memory) revoked under
-//! host pressure. The host runtime (`crate::sim::host`) is backend
-//! agnostic — it drives these hooks and never dispatches on
-//! [`BackendKind`]; the only `BackendKind` match in the runtime is the
-//! [`make`] factory below.
+//! Each reclamation mechanism of §5.2 lives in its own module and
+//! implements [`ElasticityBackend`]: how guest memory is sized, plugged
+//! on scale-up, reclaimed on evict, and (for §7 soft memory) revoked
+//! under host pressure. There are three mechanisms for the five
+//! [`BackendKind`]s:
+//!
+//! * `statik` — everything plugged at boot, nothing reclaimed;
+//! * `virtio_mem` — deadline-bounded unplug with page migrations;
+//!   HarvestVM-opts is the same backend with a slack buffer and
+//!   proactive eviction;
+//! * `squeezy` — instant partition unplug; Squeezy+soft is the same
+//!   backend with soft marking of idle partitions on.
+//!
+//! The host runtime (`crate::sim::host`) is backend agnostic — it
+//! drives these hooks and never dispatches on [`BackendKind`]; the only
+//! `BackendKind` match in the runtime is the [`make`] factory below.
 
-pub(crate) mod harvest;
 pub(crate) mod squeezy;
-pub(crate) mod squeezy_soft;
 pub(crate) mod statik;
 pub(crate) mod virtio_mem;
 
@@ -20,7 +27,7 @@ use mem_types::align_up_to_block;
 use sim_core::{CostModel, SimDuration, SimTime};
 use vmm::{HostMemory, Vm};
 
-use crate::config::{BackendKind, SimConfig, VmSpec};
+use crate::config::{BackendKind, HarvestConfig, SimConfig, VmSpec};
 use crate::sim::host::VmRt;
 use crate::sim::instance::PendingReclaim;
 
@@ -74,30 +81,38 @@ pub(crate) enum RebuildStart {
 /// One memory-elasticity backend driving a host's VMs.
 ///
 /// Hooks with defaults are optional behaviors (reserve buffers,
-/// soft-memory revocation); the required hooks are the plug/reclaim
+/// soft-memory revocation) or the behavior shared by the
+/// non-partitioned backends; the required hooks are the plug/reclaim
 /// paths every backend must define. Implementations own all their
 /// backend-specific state (Squeezy managers, slack buffers) — the host
 /// loop holds none.
 pub(crate) trait ElasticityBackend {
-    /// Hotplug-region size for a VM hosting `spec`'s deployments.
+    /// Hotplug-region size for a VM hosting `spec`'s deployments. The
+    /// default is the non-partitioned sizing: extra device headroom
+    /// because reclaim shortfalls leave blocks plugged and the VM must
+    /// keep growing past them (the paper's virtio-mem "uses the maximum
+    /// memory available").
     fn hotplug_bytes(
         &self,
-        spec: &VmSpec,
+        _spec: &VmSpec,
         total_limit: u64,
         shared_bytes: u64,
         max_limit: u64,
-    ) -> u64;
+    ) -> u64 {
+        align_up_to_block(total_limit + shared_bytes + 256 * (1 << 20) + 2 * max_limit)
+    }
 
     /// Called once per VM right after boot: install managers, perform
     /// boot-time plugs.
     fn install_vm(
         &mut self,
-        vm: &mut Vm,
-        spec: &VmSpec,
-        shared_bytes: u64,
-        hotplug_bytes: u64,
-        cost: &CostModel,
-    );
+        _vm: &mut Vm,
+        _spec: &VmSpec,
+        _shared_bytes: u64,
+        _hotplug_bytes: u64,
+        _cost: &CostModel,
+    ) {
+    }
 
     /// Called once after every VM has booted (e.g. reserve the
     /// HarvestVM slack buffer).
@@ -143,14 +158,23 @@ pub(crate) trait ElasticityBackend {
     ) -> PlugStart;
 
     /// A `PlugDone` event fired for instance `inst`: mark completed
-    /// plugs (and bind partitions to waiters).
+    /// plugs (and bind partitions to waiters). The default marks
+    /// `inst`'s plug done and lets its init proceed.
     fn finish_plug(
         &mut self,
-        vm_idx: usize,
+        _vm_idx: usize,
         v: &mut VmRt,
         inst: u64,
-        cost: &CostModel,
-    ) -> PlugResolution;
+        _cost: &CostModel,
+    ) -> PlugResolution {
+        if let Some(i) = v.instances.get_mut(&inst) {
+            i.plug_done = true;
+        }
+        PlugResolution {
+            ready: vec![inst],
+            replug: None,
+        }
+    }
 
     /// A request was dispatched to `pid` (soft memory firms the
     /// partition up).
@@ -204,22 +228,18 @@ pub(crate) trait ElasticityBackend {
     }
 }
 
-/// The hotplug sizing shared by all non-partitioned backends: extra
-/// device headroom because reclaim shortfalls leave blocks plugged and
-/// the VM must keep growing past them (the paper's virtio-mem "uses the
-/// maximum memory available").
-pub(crate) fn default_hotplug_bytes(total_limit: u64, shared_bytes: u64, max_limit: u64) -> u64 {
-    align_up_to_block(total_limit + shared_bytes + 256 * (1 << 20) + 2 * max_limit)
-}
-
 /// Instantiates the configured backend — the one `BackendKind` dispatch
 /// in the runtime.
 pub(crate) fn make(config: &SimConfig) -> Box<dyn ElasticityBackend> {
     match config.backend {
         BackendKind::Static => Box::new(statik::StaticBackend),
-        BackendKind::VirtioMem => Box::new(virtio_mem::VirtioMemBackend),
-        BackendKind::HarvestOpts => Box::new(harvest::HarvestBackend::new(config.harvest)),
-        BackendKind::Squeezy => Box::new(squeezy::SqueezyBackend::default()),
-        BackendKind::SqueezySoft => Box::new(squeezy_soft::SqueezySoftBackend::default()),
+        // Vanilla virtio-mem: no slack buffer, no proactive eviction.
+        BackendKind::VirtioMem => Box::new(virtio_mem::VirtioMemBackend::new(HarvestConfig {
+            buffer_bytes: 0,
+            proactive_evictions: 0,
+        })),
+        BackendKind::HarvestOpts => Box::new(virtio_mem::VirtioMemBackend::new(config.harvest)),
+        BackendKind::Squeezy => Box::new(squeezy::SqueezyBackend::new(false)),
+        BackendKind::SqueezySoft => Box::new(squeezy::SqueezyBackend::new(true)),
     }
 }

@@ -1,12 +1,14 @@
 //! Squeezy: partitioned guest memory with instant, migration-free
-//! partition unplug (§4-§5).
+//! partition unplug (§4-§5), optionally with §7 soft memory.
 //!
-//! [`SqueezyCore`] holds the per-VM [`SqueezyManager`]s and implements
-//! the partition-aware plug/reclaim paths; [`SqueezyBackend`] is the
-//! plain backend and `squeezy_soft` layers the §7 soft-memory hooks on
-//! the same core.
+//! With `soft` on, idle instances mark their partitions soft, so the
+//! host can revoke them under pressure without evicting the instances;
+//! revoked ("hollow") instances re-plug and rebuild on their next
+//! request — the soft-cold start that stays cheaper than a full cold
+//! start. With `soft` off nothing is ever marked soft, so there is
+//! nothing to revoke and no instance goes hollow.
 
-use ::squeezy::{AttachOutcome, SqueezyConfig, SqueezyManager};
+use ::squeezy::{AttachOutcome, SoftWake, SqueezyConfig, SqueezyManager};
 use guest_mm::Pid;
 use mem_types::align_up_to_block;
 use sim_core::{CostModel, SimDuration, SimTime};
@@ -16,28 +18,50 @@ use crate::config::VmSpec;
 use crate::sim::host::VmRt;
 use crate::sim::instance::{InstState, PendingReclaim};
 
-use super::{ElasticityBackend, PlugResolution, PlugStart, ReclaimStart};
+use super::{ElasticityBackend, PlugResolution, PlugStart, RebuildStart, ReclaimStart};
 
-/// Shared state and behavior of the Squeezy-family backends: one
-/// [`SqueezyManager`] per VM, installed at boot.
-#[derive(Default)]
-pub(crate) struct SqueezyCore {
-    pub managers: Vec<SqueezyManager>,
+/// One [`SqueezyManager`] per VM, installed at boot.
+pub(crate) struct SqueezyBackend {
+    managers: Vec<SqueezyManager>,
+    /// §7 soft memory: idle instances offer their partitions back.
+    soft: bool,
 }
 
-impl SqueezyCore {
+impl SqueezyBackend {
+    pub(crate) fn new(soft: bool) -> Self {
+        SqueezyBackend {
+            managers: Vec::new(),
+            soft,
+        }
+    }
+}
+
+impl ElasticityBackend for SqueezyBackend {
     /// Partitioned region: the shared slab plus one partition per
     /// admitted instance — no headroom needed, unplug never falls
     /// short. Partitions are uniformly sized at the VM's largest
     /// hosted limit, so a heterogeneous tenant mix needs
     /// `max_limit × Σ concurrency` (for homogeneous limits this equals
     /// the plain per-deployment sum).
-    pub fn hotplug_bytes(&self, spec: &VmSpec, shared_bytes: u64, max_limit: u64) -> u64 {
+    fn hotplug_bytes(
+        &self,
+        spec: &VmSpec,
+        _total_limit: u64,
+        shared_bytes: u64,
+        max_limit: u64,
+    ) -> u64 {
         let n: u64 = spec.deployments.iter().map(|d| d.concurrency as u64).sum();
         shared_bytes + max_limit * n
     }
 
-    pub fn install_vm(&mut self, vm: &mut Vm, spec: &VmSpec, shared_bytes: u64, cost: &CostModel) {
+    fn install_vm(
+        &mut self,
+        vm: &mut Vm,
+        spec: &VmSpec,
+        shared_bytes: u64,
+        _hotplug_bytes: u64,
+        cost: &CostModel,
+    ) {
         // One partition size per VM: the largest hosted limit
         // (co-located functions share limits in the paper's
         // co-location experiment).
@@ -62,11 +86,12 @@ impl SqueezyCore {
         );
     }
 
-    pub fn begin_plug(
+    fn begin_plug(
         &mut self,
         vm_idx: usize,
         v: &mut VmRt,
         pid: Pid,
+        _bytes: u64,
         cost: &CostModel,
     ) -> PlugStart {
         let sq = &mut self.managers[vm_idx];
@@ -92,7 +117,7 @@ impl SqueezyCore {
     /// concurrent scale-up may have reused the partition this plug
     /// populated; binding goes FIFO and an instance left unbound
     /// re-plugs.
-    pub fn finish_plug(
+    fn finish_plug(
         &mut self,
         vm_idx: usize,
         v: &mut VmRt,
@@ -139,12 +164,32 @@ impl SqueezyCore {
         PlugResolution { ready, replug }
     }
 
-    pub fn reclaim_on_evict(
+    fn on_dispatch(&mut self, vm_idx: usize, pid: Pid) {
+        // Firm the partition up while the instance works.
+        if self.soft {
+            let _ = self.managers[vm_idx].mark_firm(pid);
+        }
+    }
+
+    fn on_idle(&mut self, vm_idx: usize, pid: Pid) {
+        // Newly idle instances offer their partition back.
+        if self.soft {
+            let _ = self.managers[vm_idx].mark_soft(pid);
+        }
+    }
+
+    fn on_exit(&mut self, vm_idx: usize, pid: Pid) {
+        let _ = self.managers[vm_idx].detach(pid);
+    }
+
+    fn reclaim_on_evict(
         &mut self,
         vm_idx: usize,
         v: &mut VmRt,
         host: &mut HostMemory,
+        _bytes: u64,
         now: SimTime,
+        _deadline: SimDuration,
         cost: &CostModel,
     ) -> ReclaimStart {
         let sq = &mut self.managers[vm_idx];
@@ -174,74 +219,60 @@ impl SqueezyCore {
         }
     }
 
-    pub fn on_exit(&mut self, vm_idx: usize, pid: Pid) {
-        let _ = self.managers[vm_idx].detach(pid);
-    }
-}
-
-/// The plain Squeezy backend (no soft memory).
-#[derive(Default)]
-pub(crate) struct SqueezyBackend {
-    core: SqueezyCore,
-}
-
-impl ElasticityBackend for SqueezyBackend {
-    fn hotplug_bytes(
-        &self,
-        spec: &VmSpec,
-        _total_limit: u64,
-        shared_bytes: u64,
-        max_limit: u64,
-    ) -> u64 {
-        self.core.hotplug_bytes(spec, shared_bytes, max_limit)
-    }
-
-    fn install_vm(
+    /// Pressure valve: revoke soft partitions of idle instances
+    /// (without evicting them) until `deficit` host bytes are covered
+    /// or nothing soft is left. Revoked instances go hollow.
+    fn revoke_for_pressure(
         &mut self,
-        vm: &mut Vm,
-        spec: &VmSpec,
-        shared_bytes: u64,
-        _hotplug_bytes: u64,
+        vms: &mut [VmRt],
+        host: &mut HostMemory,
+        deficit: u64,
         cost: &CostModel,
     ) {
-        self.core.install_vm(vm, spec, shared_bytes, cost);
+        let mut released = 0u64;
+        for (sq, v) in self.managers.iter_mut().zip(vms.iter_mut()) {
+            while released < deficit {
+                let used_before = host.used_bytes();
+                let revoked = sq.revoke_soft(&mut v.vm, host, 1, cost).unwrap_or_default();
+                let Some((part, report)) = revoked.into_iter().next() else {
+                    break;
+                };
+                released += used_before - host.used_bytes();
+                // The partition's instance goes hollow.
+                if let Some((&id, _)) = v
+                    .instances
+                    .iter()
+                    .find(|(_, i)| i.partition == Some(part) && i.state == InstState::Warm)
+                {
+                    v.instances.get_mut(&id).expect("exists").state = InstState::Hollow;
+                }
+                let r = &mut v.reclaim;
+                r.bytes += report.bytes();
+                r.wall += report.latency();
+                r.ops += 1;
+            }
+            if released >= deficit {
+                break;
+            }
+        }
     }
 
-    fn begin_plug(
-        &mut self,
-        vm_idx: usize,
-        v: &mut VmRt,
-        pid: Pid,
-        _bytes: u64,
-        cost: &CostModel,
-    ) -> PlugStart {
-        self.core.begin_plug(vm_idx, v, pid, cost)
-    }
-
-    fn finish_plug(
-        &mut self,
-        vm_idx: usize,
-        v: &mut VmRt,
-        inst: u64,
-        cost: &CostModel,
-    ) -> PlugResolution {
-        self.core.finish_plug(vm_idx, v, inst, cost)
-    }
-
-    fn on_exit(&mut self, vm_idx: usize, pid: Pid) {
-        self.core.on_exit(vm_idx, pid);
-    }
-
-    fn reclaim_on_evict(
-        &mut self,
-        vm_idx: usize,
-        v: &mut VmRt,
-        host: &mut HostMemory,
-        _bytes: u64,
-        now: SimTime,
-        _deadline: SimDuration,
-        cost: &CostModel,
-    ) -> ReclaimStart {
-        self.core.reclaim_on_evict(vm_idx, v, host, now, cost)
+    /// Re-plugs a hollow (soft-revoked) instance: the container and
+    /// runtime survived, so only the partition plug and the
+    /// working-set rebuild are paid (the §7 soft-cold start).
+    fn rebuild(&mut self, vm_idx: usize, v: &mut VmRt, pid: Pid, cost: &CostModel) -> RebuildStart {
+        let sq = &mut self.managers[vm_idx];
+        match sq.mark_firm(pid).expect("hollow instance is attached") {
+            SoftWake::NeedsReplug => {
+                let report = sq.replug(&mut v.vm, pid, cost).expect("revoked");
+                RebuildStart::Replug {
+                    latency: report.latency(),
+                }
+            }
+            SoftWake::Warm => {
+                // The partition was never unplugged after all.
+                RebuildStart::Warm
+            }
+        }
     }
 }

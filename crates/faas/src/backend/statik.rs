@@ -10,21 +10,11 @@ use vmm::{HostMemory, Vm};
 use crate::config::VmSpec;
 use crate::sim::host::VmRt;
 
-use super::{default_hotplug_bytes, ElasticityBackend, PlugResolution, PlugStart, ReclaimStart};
+use super::{ElasticityBackend, PlugStart, ReclaimStart};
 
 pub(crate) struct StaticBackend;
 
 impl ElasticityBackend for StaticBackend {
-    fn hotplug_bytes(
-        &self,
-        _spec: &VmSpec,
-        total_limit: u64,
-        shared_bytes: u64,
-        max_limit: u64,
-    ) -> u64 {
-        default_hotplug_bytes(total_limit, shared_bytes, max_limit)
-    }
-
     fn install_vm(
         &mut self,
         vm: &mut Vm,
@@ -46,26 +36,8 @@ impl ElasticityBackend for StaticBackend {
         _bytes: u64,
         _cost: &CostModel,
     ) -> PlugStart {
-        // Memory is already there.
+        // Memory is already there; no `PlugDone` is ever scheduled.
         PlugStart::Ready { partition: None }
-    }
-
-    fn finish_plug(
-        &mut self,
-        _vm_idx: usize,
-        v: &mut VmRt,
-        inst: u64,
-        _cost: &CostModel,
-    ) -> PlugResolution {
-        // Unreachable in practice (static never schedules a PlugDone),
-        // but harmless: mark the instance and let init proceed.
-        if let Some(i) = v.instances.get_mut(&inst) {
-            i.plug_done = true;
-        }
-        PlugResolution {
-            ready: vec![inst],
-            replug: None,
-        }
     }
 
     fn reclaim_on_evict(

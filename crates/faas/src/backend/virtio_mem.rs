@@ -1,26 +1,43 @@
-//! Vanilla virtio-mem hot-unplug with page migrations.
+//! virtio-mem hot-unplug with page migrations, optionally with the
+//! HarvestVM optimizations (§6.2.2).
 //!
 //! Scale-ups plug limit-sized chunks asynchronously; scale-downs unplug
 //! under a deadline, migrating interleaved pages on the guest's vCPUs
 //! (the Figure-9 interference) and retrying shortfalls in the
 //! background like the real driver's ongoing requests.
+//!
+//! HarvestVM-opts adds a reserved slack buffer for instant scale-ups,
+//! refilled by proactive eviction of idle instances — the
+//! memory-for-latency trade the paper compares against. Vanilla
+//! virtio-mem is the same backend with a zero buffer and no proactive
+//! evictions: every buffer hook then reduces to the host's own free
+//! check.
 
 use guest_mm::Pid;
 use sim_core::{CostModel, SimDuration, SimTime};
-use vmm::{HostMemory, Vm};
+use vmm::HostMemory;
 
-use crate::config::VmSpec;
+use crate::config::HarvestConfig;
 use crate::sim::host::VmRt;
 use crate::sim::instance::PendingReclaim;
 
-use super::{default_hotplug_bytes, ElasticityBackend, PlugResolution, PlugStart, ReclaimStart};
+use super::{ElasticityBackend, PlugStart, ReclaimStart};
 
-pub(crate) struct VirtioMemBackend;
+pub(crate) struct VirtioMemBackend {
+    cfg: HarvestConfig,
+    /// Slack buffer currently held (host bytes reserved).
+    buffer: u64,
+}
+
+impl VirtioMemBackend {
+    pub(crate) fn new(cfg: HarvestConfig) -> Self {
+        VirtioMemBackend { cfg, buffer: 0 }
+    }
+}
 
 /// One deadline-bounded virtio-mem unplug of `bytes`, with `retries`
 /// more background attempts for whatever the deadline leaves behind.
-/// Shared by the vanilla and HarvestVM-opts backends.
-pub(crate) fn virtio_reclaim(
+fn unplug(
     v: &mut VmRt,
     host: &mut HostMemory,
     bytes: u64,
@@ -54,48 +71,55 @@ pub(crate) fn virtio_reclaim(
     }
 }
 
-/// The async limit-sized plug shared by the virtio-family backends.
-pub(crate) fn virtio_plug(v: &mut VmRt, bytes: u64, cost: &CostModel) -> PlugStart {
-    match v.vm.plug(bytes, cost) {
-        Ok(report) => PlugStart::Scheduled {
-            latency: report.latency(),
-        },
-        // Region exhausted (reclaim shortfalls): the request stays
-        // queued for a warm instance.
-        Err(_) => PlugStart::Failed,
-    }
-}
-
-/// The trivial plug completion shared by every non-partitioned backend.
-pub(crate) fn mark_plug_done(v: &mut VmRt, inst: u64) -> PlugResolution {
-    if let Some(i) = v.instances.get_mut(&inst) {
-        i.plug_done = true;
-    }
-    PlugResolution {
-        ready: vec![inst],
-        replug: None,
-    }
-}
-
 impl ElasticityBackend for VirtioMemBackend {
-    fn hotplug_bytes(
-        &self,
-        _spec: &VmSpec,
-        total_limit: u64,
-        shared_bytes: u64,
-        max_limit: u64,
-    ) -> u64 {
-        default_hotplug_bytes(total_limit, shared_bytes, max_limit)
+    fn after_boot(&mut self, host: &mut HostMemory) {
+        // The slack buffer is reserved up front — idle memory traded
+        // for instant scale-ups (§6.2.2).
+        let want = self.cfg.buffer_bytes.min(host.free_bytes());
+        host.reserve(want).expect("checked free");
+        self.buffer = want;
     }
 
-    fn install_vm(
-        &mut self,
-        _vm: &mut Vm,
-        _spec: &VmSpec,
-        _shared_bytes: u64,
-        _hotplug_bytes: u64,
-        _cost: &CostModel,
-    ) {
+    fn admit_from_reserve(&mut self, host: &mut HostMemory, estimate: u64) -> bool {
+        if self.buffer >= estimate {
+            // Draw from the slack buffer: memory is already reserved;
+            // hand it to the VM by releasing it for its faults.
+            self.buffer -= estimate;
+            host.release(estimate);
+            return true;
+        }
+        if self.buffer + host.free_bytes() >= estimate {
+            // Drain what the buffer has and cover the rest from the
+            // free pool.
+            host.release(self.buffer);
+            self.buffer = 0;
+            return true;
+        }
+        false
+    }
+
+    fn proactive_eviction_quota(&self) -> u32 {
+        // Refill the slack buffer by evicting extra idle instances —
+        // the "aggressive reclamation" that penalizes their functions
+        // later.
+        if self.buffer < self.cfg.buffer_bytes {
+            self.cfg.proactive_evictions
+        } else {
+            0
+        }
+    }
+
+    fn on_reclaim_complete(&mut self, host: &mut HostMemory) {
+        // Siphon freed memory into the slack buffer.
+        let want = self
+            .cfg
+            .buffer_bytes
+            .saturating_sub(self.buffer)
+            .min(host.free_bytes());
+        if want > 0 {
+            host.reserve(want).expect("checked free");
+            self.buffer += want;
+        }
     }
 
     fn begin_plug(
@@ -106,17 +130,14 @@ impl ElasticityBackend for VirtioMemBackend {
         bytes: u64,
         cost: &CostModel,
     ) -> PlugStart {
-        virtio_plug(v, bytes, cost)
-    }
-
-    fn finish_plug(
-        &mut self,
-        _vm_idx: usize,
-        v: &mut VmRt,
-        inst: u64,
-        _cost: &CostModel,
-    ) -> PlugResolution {
-        mark_plug_done(v, inst)
+        match v.vm.plug(bytes, cost) {
+            Ok(report) => PlugStart::Scheduled {
+                latency: report.latency(),
+            },
+            // Region exhausted (reclaim shortfalls): the request stays
+            // queued for a warm instance.
+            Err(_) => PlugStart::Failed,
+        }
     }
 
     fn reclaim_on_evict(
@@ -129,7 +150,7 @@ impl ElasticityBackend for VirtioMemBackend {
         deadline: SimDuration,
         cost: &CostModel,
     ) -> ReclaimStart {
-        virtio_reclaim(v, host, bytes, deadline, 1, now, cost)
+        unplug(v, host, bytes, deadline, 1, now, cost)
     }
 
     fn retry_reclaim(
@@ -143,6 +164,6 @@ impl ElasticityBackend for VirtioMemBackend {
         deadline: SimDuration,
         cost: &CostModel,
     ) -> ReclaimStart {
-        virtio_reclaim(v, host, bytes, deadline, retries, now, cost)
+        unplug(v, host, bytes, deadline, retries, now, cost)
     }
 }

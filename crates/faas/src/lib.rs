@@ -3,11 +3,13 @@
 //! Reproduces the paper's deployment (§4.2, §5) in four explicit
 //! layers:
 //!
-//! * **Backend layer** ([`backend`], internal): the pluggable
-//!   [`BackendKind`] elasticity backends — Static, vanilla virtio-mem,
-//!   HarvestVM-opts, Squeezy, Squeezy+soft — each in its own module
-//!   behind one `ElasticityBackend` trait (plug/scale-up cost,
-//!   reclaim-on-evict, pressure/revocation hooks).
+//! * **Backend layer** (`backend`, internal): the five [`BackendKind`]s
+//!   run on three elasticity backends, one module per reclamation
+//!   mechanism, behind one `ElasticityBackend` trait (plug/scale-up
+//!   cost, reclaim-on-evict, pressure/revocation hooks): Static;
+//!   virtio-mem, which with a slack buffer and proactive eviction is
+//!   HarvestVM-opts; and Squeezy, which with soft marking on is
+//!   Squeezy+soft.
 //! * **Host layer** ([`sim`]): one host's backend-agnostic event
 //!   handlers — a controller routes invocations to per-VM agents that
 //!   reuse warm instances, scale up with memory plugs, keep idle

@@ -86,20 +86,17 @@ pub struct SimResult {
     pub completed: u64,
     /// Simulated end time.
     pub end: SimTime,
-    /// Exact host-usage integral in bytes·s, accumulated in streaming
-    /// fashion when the host ran in bounded-metrics mode (where
-    /// `host_usage` stays empty). `None` for ordinary runs — and not
-    /// part of [`Self::digest`], so legacy digests are unchanged.
-    pub exact_host_usage_integral: Option<f64>,
+    /// Host-usage integral in bytes·s over `[first sample, end]`, the
+    /// step function of the host samples, accumulated while the run
+    /// samples (so bounded-metrics runs, whose `host_usage` stays
+    /// empty, have it too). Not part of [`Self::digest`].
+    pub host_usage_integral: f64,
 }
 
 impl SimResult {
     /// Integrated host memory footprint in GiB·s (Figure 10 right).
     pub fn gib_seconds(&self) -> f64 {
-        let bytes_s = self
-            .exact_host_usage_integral
-            .unwrap_or_else(|| self.host_usage.integral_until(self.end));
-        bytes_s / (1u64 << 30) as f64
+        self.host_usage_integral / (1u64 << 30) as f64
     }
 
     /// P99 latency (ms) for one function.
@@ -251,17 +248,16 @@ mod tests {
 
     #[test]
     fn gib_seconds_integration() {
-        let mut host_usage = TimeSeries::new();
-        host_usage.push(SimTime::ZERO, (2u64 << 30) as f64);
+        // 2 GiB held for 10 s.
         let result = SimResult {
             per_func: BTreeMap::new(),
-            host_usage,
+            host_usage: TimeSeries::new(),
             guest_usage: vec![],
             instance_counts: vec![],
             reclaims: vec![],
             completed: 0,
             end: SimTime::ZERO + SimDuration::secs(10),
-            exact_host_usage_integral: None,
+            host_usage_integral: (2u64 << 30) as f64 * 10.0,
         };
         assert!((result.gib_seconds() - 20.0).abs() < 1e-9);
     }

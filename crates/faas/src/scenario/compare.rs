@@ -11,7 +11,8 @@
 //! runs and job counts. With single-trial runs there is no variance to
 //! test against; the table still shows the deltas and says so.
 
-use sim_core::stats::{bootstrap_diff_ci, mean, welch, welch_ci, Welch};
+use sim_core::metrics::mean;
+use sim_core::stats::{bootstrap_diff_ci, welch, welch_ci, Welch};
 use sim_core::{DetRng, TextTable};
 
 use super::{ScenarioOutcome, ScenarioResult};

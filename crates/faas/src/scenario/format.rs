@@ -197,7 +197,7 @@ pub(crate) fn build_scenario(
 
 impl Scenario {
     /// Renders the spec in the canonical `key = value` form:
-    /// every key, in [`KEYS`] order, plus one `slo.<function>` line per
+    /// every key, in `KEYS` order, plus one `slo.<function>` line per
     /// override. `parse(render(s)) == s` for every valid scenario.
     pub fn render(&self) -> String {
         let p = &self.params;

@@ -84,6 +84,14 @@ pub(crate) const MAX_HOSTS: usize = 4096;
 /// are capped by [`workloads::MAX_ROW_ARRIVALS`], and is not held to it.
 pub(crate) const MAX_OFFERED_INVOCATIONS: f64 = 50_000_000.0;
 
+/// Longest span any time-valued key may take, in seconds (about 31.7
+/// years). Simulated time is whole nanoseconds in a `u64`, which ends
+/// near 1.8e10 s; this cap keeps every key — and a sum of a few of
+/// them — well inside it, so a value like `keepalive_s = 1e12` is a
+/// validation error naming its key instead of a deadline past the end
+/// of time.
+pub(crate) const MAX_TIME_S: f64 = 1e9;
+
 /// Flat host-seed tag of the fleet's boot template (`seed → 0x40 +
 /// 0x3E`), above every flat host index (see [`FLAT_HOSTS`]), so booted
 /// hosts never share an initial host's stream.
@@ -433,6 +441,20 @@ impl Scenario {
             check(
                 self.mtbf_s.is_finite() && self.mtbf_s >= 0.0,
                 format!("mtbf_s must be ≥ 0 (got {}; 0 disables)", self.mtbf_s),
+            );
+        }
+        for (key, v) in [
+            ("duration_s", p.duration_s),
+            ("period_s", p.period_s),
+            ("keepalive_s", self.keepalive_s),
+            ("boot_delay_s", self.boot_delay_s),
+            ("cooldown_s", self.cooldown_s),
+            ("mtbf_s", self.mtbf_s),
+        ] {
+            // Non-finite values are reported by the checks above.
+            check(
+                !v.is_finite() || v <= MAX_TIME_S,
+                format!("{key} must be ≤ {MAX_TIME_S:.0e} s (got {v})"),
             );
         }
         for (i, &(kind, target)) in self.slo.iter().enumerate() {
@@ -910,6 +932,55 @@ mod tests {
         t.params.duration_s = 1e9;
         t.validate()
             .expect("trace workloads are not held to rps × duration_s");
+    }
+
+    #[test]
+    fn validate_caps_every_time_valued_key() {
+        // A rate low enough that `duration_s` at the cap stays under
+        // the arrival cap.
+        let fleet = || {
+            let mut s = Scenario::new("f", Topology::Fleet, WorkloadKind::Diurnal);
+            s.params.rps = 1e-3;
+            s.params.trough_rps = 1e-3;
+            s
+        };
+        fleet().validate().expect("defaults are valid");
+        let set = |s: &mut Scenario, key: &str, v: f64| match key {
+            "duration_s" => s.params.duration_s = v,
+            "period_s" => s.params.period_s = v,
+            "keepalive_s" => s.keepalive_s = v,
+            "boot_delay_s" => s.boot_delay_s = v,
+            "cooldown_s" => s.cooldown_s = v,
+            "mtbf_s" => s.mtbf_s = v,
+            _ => unreachable!("{key}"),
+        };
+        for key in [
+            "duration_s",
+            "period_s",
+            "keepalive_s",
+            "boot_delay_s",
+            "cooldown_s",
+            "mtbf_s",
+        ] {
+            let mut s = fleet();
+            set(&mut s, key, MAX_TIME_S);
+            s.validate()
+                .unwrap_or_else(|e| panic!("{key} at the cap: {e}"));
+            set(&mut s, key, 1e12);
+            let err = s.validate().unwrap_err();
+            assert!(err.contains(&format!("{key} must be ≤ 1e9 s")), "{err}");
+        }
+        // The committed spec with a keep-alive past the end of time is
+        // rejected at parse time, naming the key.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/scenarios/fleet_slam.scn"
+        );
+        let text = std::fs::read_to_string(path).expect("committed spec");
+        assert!(text.contains("keepalive_s = 20.0\n"));
+        let text = text.replace("keepalive_s = 20.0\n", "keepalive_s = 1e12\n");
+        let err = SweepSpec::parse(&text).unwrap_err();
+        assert!(err.contains("keepalive_s must be ≤ 1e9 s"), "{err}");
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl ScenarioResult {
     }
 
     /// Renders the scenario header and the backend-comparison table
-    /// (see [`render_table`]).
+    /// (see `render_table`).
     pub fn render(&self) -> String {
         let spec = &self.spec;
         let trials = self.cells.first().map(|(_, t)| t.len()).unwrap_or(0);

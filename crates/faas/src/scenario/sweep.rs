@@ -176,7 +176,7 @@ impl AxisValues {
 /// One sweep axis: a sweepable key and its values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SweepAxis {
-    /// The spec key being swept (must be in [`SWEEPABLE`]).
+    /// The spec key being swept (must be in `SWEEPABLE`).
     pub key: String,
     /// The values it takes, one grid dimension.
     pub values: AxisValues,
@@ -193,7 +193,7 @@ pub struct SweepAxis {
 pub struct SweepSpec {
     /// The cell-0 scenario every cell is cloned from.
     pub base: Scenario,
-    /// Grid axes in canonical ([`SWEEPABLE`]) order.
+    /// Grid axes in canonical (`SWEEPABLE`) order.
     pub axes: Vec<SweepAxis>,
     /// Behavioral gates, in [`expect::ExpectKind::ALL`] order.
     pub expect: Vec<Expectation>,

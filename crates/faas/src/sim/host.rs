@@ -112,11 +112,11 @@ pub(crate) struct HostSim {
     recent_latencies: Vec<(FunctionKind, f64, f64)>,
     /// Bounded-metrics mode (streamed trace replays): per-function
     /// histograms become capped reservoirs and the memory/instance
-    /// time series stay empty, with the host-usage integral tracked
-    /// exactly by streaming accumulation instead.
+    /// time series stay empty.
     bounded_metrics: bool,
-    /// Streaming host-usage integral (bytes·s): `(last sample time,
-    /// last sample value)` plus the area accumulated so far.
+    /// Streaming host-usage integral (bytes·s), accumulated on every
+    /// run: `(last sample time, last sample value)` plus the area
+    /// accumulated so far.
     usage_last: Option<(SimTime, f64)>,
     usage_acc: f64,
 }
@@ -221,9 +221,9 @@ impl HostSim {
     /// * per-function latency histograms become capped reservoirs
     ///   (exact count and mean, sampled quantiles) on seeded streams
     ///   derived from the config seed under [`METRICS_STREAM`];
-    /// * the host/guest/instance time series stay empty, with the
-    ///   host-usage integral (the `gib_seconds` numerator) accumulated
-    ///   exactly in streaming fashion instead.
+    /// * the host/guest/instance time series stay empty; the
+    ///   host-usage integral (the `gib_seconds` numerator) does not
+    ///   need them, as it is accumulated while the run samples.
     ///
     /// Must be called before any event is handled.
     pub fn enable_bounded_metrics(&mut self) {
@@ -294,19 +294,14 @@ impl HostSim {
                 per_func.insert(FunctionKind::ALL[i], m);
             }
         }
-        // Bounded mode: close out the streaming host-usage integral
-        // with the final step's tail, exactly like `integral_until`.
-        let exact_host_usage_integral = if self.bounded_metrics {
-            let mut acc = self.usage_acc;
-            if let Some((t0, v0)) = self.usage_last {
-                if end > t0 {
-                    acc += v0 * end.since(t0).as_secs_f64();
-                }
+        // Close out the streaming host-usage integral with the final
+        // step's tail.
+        let mut host_usage_integral = self.usage_acc;
+        if let Some((t0, v0)) = self.usage_last {
+            if end > t0 {
+                host_usage_integral += v0 * end.since(t0).as_secs_f64();
             }
-            Some(acc)
-        } else {
-            None
-        };
+        }
         SimResult {
             per_func,
             host_usage: self.host_series,
@@ -315,7 +310,7 @@ impl HostSim {
             reclaims: self.vms.iter().map(|v| v.reclaim).collect(),
             completed: self.completed,
             end,
-            exact_host_usage_integral,
+            host_usage_integral,
         }
     }
 
@@ -561,16 +556,15 @@ impl HostSim {
         // Safety net for queues whose deployment has no instance left and
         // no reclaim in flight: retry their scale-ups periodically.
         self.retry_scale_ups(now, q);
-        if self.bounded_metrics {
-            // Streamed replays: no per-sample points, just the exact
-            // host-usage integral (step function, like the series).
-            let v = self.host.used_bytes() as f64;
-            if let Some((t0, v0)) = self.usage_last {
-                self.usage_acc += v0 * now.since(t0).as_secs_f64();
-            }
-            self.usage_last = Some((now, v));
-        } else {
-            self.host_series.push(now, self.host.used_bytes() as f64);
+        // The host-usage integral, as a step function over the samples.
+        let used = self.host.used_bytes() as f64;
+        if let Some((t0, v0)) = self.usage_last {
+            self.usage_acc += v0 * now.since(t0).as_secs_f64();
+        }
+        self.usage_last = Some((now, used));
+        // Streamed replays keep no per-sample points.
+        if !self.bounded_metrics {
+            self.host_series.push(now, used);
             for v in &mut self.vms {
                 v.guest_series.push(now, v.vm.guest.used_bytes() as f64);
                 v.inst_series.push(now, v.instances.len() as f64);

@@ -7,13 +7,13 @@
 //! (evict + reclaim) when the window expires. The elasticity backend —
 //! Static, vanilla virtio-mem, HarvestVM-opts, Squeezy, or Squeezy with
 //! §7 soft memory — decides how guest memory is plugged and reclaimed
-//! and at what cost, through the [`crate::backend`] hook layer.
+//! and at what cost, through the crate-internal `backend` hook layer.
 //!
 //! The module is split by concern:
 //!
-//! * [`events`] — the event vocabulary;
-//! * [`instance`] — per-instance lifecycle state;
-//! * [`host`] — one host's event handlers (`HostSim`), backend agnostic.
+//! * `events` — the event vocabulary;
+//! * `instance` — per-instance lifecycle state;
+//! * `host` — one host's event handlers (`HostSim`), backend agnostic.
 //!
 //! Every host runs on [`crate::FleetSim`], the crate's one event
 //! engine; a `single-vm` scenario is a one-host fixed fleet built by
@@ -213,6 +213,27 @@ mod tests {
         let peak = result.host_usage.max_value();
         let last = pts.last().unwrap().1;
         assert_eq!(last, peak, "host memory stays at peak");
+    }
+
+    #[test]
+    fn host_usage_integral_is_the_step_integral_of_the_samples() {
+        for backend in BackendKind::ALL {
+            let mut cfg = simple_config(backend, vec![1.0, 1.05, 80.0, 80.05]);
+            cfg.keepalive_s = 10.0;
+            let result = FaasSim::new(cfg).unwrap().run();
+            // Each sample's value holds until the next sample, the last
+            // one until the end of the run.
+            let pts = result.host_usage.points();
+            assert!(pts.len() > 2, "{backend:?}");
+            let mut expect = 0.0;
+            for (i, &(t0, v0)) in pts.iter().enumerate() {
+                let t1 = pts.get(i + 1).map_or(result.end, |&(t, _)| t);
+                if t1 > t0 {
+                    expect += v0 * t1.since(t0).as_secs_f64();
+                }
+            }
+            assert_eq!(result.host_usage_integral, expect, "{backend:?}");
+        }
     }
 
     #[test]

@@ -201,27 +201,6 @@ impl TimeSeries {
         self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
     }
 
-    /// Integrates the series as a step function from the first point to
-    /// `end` (units: value × seconds). Used for the paper's GiB·s memory
-    /// footprint accounting (Figure 10).
-    pub fn integral_until(&self, end: SimTime) -> f64 {
-        let mut acc = 0.0;
-        for w in self.points.windows(2) {
-            let (t0, v0) = w[0];
-            let (t1, _) = w[1];
-            let stop = t1.min(end);
-            if stop > t0 {
-                acc += v0 * stop.since(t0).as_secs_f64();
-            }
-        }
-        if let Some(&(tl, vl)) = self.points.last() {
-            if end > tl {
-                acc += vl * end.since(tl).as_secs_f64();
-            }
-        }
-        acc
-    }
-
     /// Returns the step-function value at `t` (last point at or before
     /// `t`), or `None` before the first point.
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
@@ -551,16 +530,6 @@ mod tests {
         assert_eq!(h.p50(), 5.0);
         h.record(1.0);
         assert_eq!(h.p50(), 1.0, "re-sorts after new samples");
-    }
-
-    #[test]
-    fn time_series_integral() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::ZERO, 2.0);
-        ts.push(SimTime(2_000_000_000), 4.0);
-        // 2.0 for 2 s, then 4.0 for 3 s = 4 + 12 = 16 value-seconds.
-        let integral = ts.integral_until(SimTime(5_000_000_000));
-        assert!((integral - 16.0).abs() < 1e-9);
     }
 
     #[test]

@@ -18,15 +18,8 @@
 //! closed-form special cases (`df = 1` is Cauchy, `df = 2` has an
 //! elementary CDF) and classic critical values.
 
+use crate::metrics::mean;
 use crate::rng::DetRng;
-
-/// Arithmetic mean (0 when empty).
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
 
 /// Unbiased sample variance (`n - 1` denominator; 0 when `n < 2`).
 pub fn sample_variance(xs: &[f64]) -> f64 {
@@ -317,10 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_variance_match_hand_computation() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[3.0]), 3.0);
-        assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+    fn sample_variance_matches_hand_computation() {
         assert_eq!(sample_variance(&[5.0]), 0.0);
         // var([1,2,3,4]) with n-1 = (2.25+0.25+0.25+2.25)/3 = 5/3.
         assert!(close(

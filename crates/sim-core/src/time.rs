@@ -89,17 +89,19 @@ impl SimDuration {
     }
 }
 
+/// Saturates at the end of time (`u64::MAX` ns, about 584 years): a
+/// deadline past it never fires, instead of wrapping to before `now`.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
     fn add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0 + d.0)
+        SimTime(self.0.saturating_add(d.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, d: SimDuration) {
-        self.0 += d.0;
+        self.0 = self.0.saturating_add(d.0);
     }
 }
 
@@ -195,6 +197,21 @@ mod tests {
         assert_eq!(t.0, 5_000_000);
         assert_eq!(t.since(SimTime::ZERO), SimDuration::millis(5));
         assert_eq!(t - SimDuration::millis(2), SimTime(3_000_000));
+    }
+
+    #[test]
+    fn time_add_saturates_instead_of_wrapping() {
+        // `from_secs_f64` saturates a huge span at u64::MAX ns; adding
+        // it to a later instant must not wrap to before that instant.
+        let now = SimTime(5_000_000_000);
+        let huge = SimDuration::from_secs_f64(1e12);
+        assert_eq!(huge, SimDuration(u64::MAX));
+        let deadline = now + huge;
+        assert_eq!(deadline, SimTime(u64::MAX));
+        assert!(deadline.since(now) > SimDuration::secs(1));
+        let mut t = now;
+        t += huge;
+        assert_eq!(t, SimTime(u64::MAX));
     }
 
     #[test]
