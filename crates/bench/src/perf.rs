@@ -133,6 +133,9 @@ pub fn run(spec: &Scenario) -> PerfCell {
     let t1 = Instant::now();
     let out = sim.run();
     let run_s = t1.elapsed().as_secs_f64();
+    if let Some(e) = &out.trace_error {
+        panic!("{e}");
+    }
     let hosts = || out.hosts.iter().map(|h| &h.result);
     let max_func_samples = hosts()
         .flat_map(|h| h.per_func.values().map(|m| m.latency.count()))

@@ -177,6 +177,16 @@ impl SimConfig {
     pub fn jitter_rng(&self) -> sim_core::DetRng {
         sim_core::DetRng::new(self.seed).derive(self.trial)
     }
+
+    /// Instance slots of the host: Σ deployment concurrency, the most
+    /// instances it ever holds at once.
+    pub fn instance_slots(&self) -> usize {
+        self.vms
+            .iter()
+            .flat_map(|v| &v.deployments)
+            .map(|d| d.concurrency as usize)
+            .sum()
+    }
 }
 
 #[cfg(test)]

@@ -36,13 +36,13 @@ pub(crate) struct ArrivalFeed {
     next: Option<(SimTime, usize)>,
     primed: bool,
     injected: u64,
+    error: Option<String>,
 }
 
 impl ArrivalFeed {
     /// A feed over a trace source, cut off at `duration_s`. `origin`
-    /// names the trace (its path) in mid-run parse panics; traces are
-    /// expected to be validated up front, so an error here means the
-    /// file changed underneath the run.
+    /// names the trace (its path) in a mid-run read failure
+    /// ([`Self::error`]).
     pub fn new(
         source: Box<dyn TraceSource>,
         duration_s: f64,
@@ -55,6 +55,7 @@ impl ArrivalFeed {
             next: None,
             primed: false,
             injected: 0,
+            error: None,
         }
     }
 
@@ -84,24 +85,25 @@ impl ArrivalFeed {
         self.injected
     }
 
+    /// The read failure that ended the feed early, naming the trace
+    /// and the offending line. A run preflights its trace, so this is
+    /// set only when the file was not checked or changed during the
+    /// run; the arrivals before the bad row were still fed.
+    pub fn error(&self) -> Option<&str> {
+        self.error.as_deref()
+    }
+
     fn refill(&mut self) {
-        match self.source.next_arrival() {
-            Ok(Some(a)) => {
-                // Trace times are non-decreasing, so the first arrival
-                // past the horizon ends the feed.
-                if a.t_ns < self.duration_ns {
-                    self.next = Some((SimTime(a.t_ns), a.tenant));
-                } else {
-                    self.next = None;
-                }
+        self.next = match self.source.next_arrival() {
+            // Trace times are non-decreasing, so the first arrival past
+            // the horizon ends the feed.
+            Ok(Some(a)) => (a.t_ns < self.duration_ns).then_some((SimTime(a.t_ns), a.tenant)),
+            Ok(None) => None,
+            Err(e) => {
+                self.error = Some(format!("trace {}: {e} (read during the run)", self.origin));
+                None
             }
-            Ok(None) => self.next = None,
-            Err(e) => panic!(
-                "trace {}: {e} (mid-run parse failure — the trace was \
-                 validated before the run, so the file changed underneath it)",
-                self.origin
-            ),
-        }
+        };
     }
 }
 
@@ -158,5 +160,42 @@ mod tests {
         }]);
         let feed = ArrivalFeed::new(Box::new(source), 5.0, "test");
         assert_eq!(drain(feed), vec![(1_000_000_000, 0)]);
+    }
+
+    struct FailingSource(u64);
+
+    impl TraceSource for FailingSource {
+        fn kinds(&self) -> &[FunctionKind] {
+            &[FunctionKind::Html]
+        }
+
+        fn next_arrival(&mut self) -> Result<Option<Arrival>, TraceError> {
+            self.0 += 1;
+            if self.0 == 3 {
+                return Err(TraceError {
+                    line: 7,
+                    msg: "bad count".to_string(),
+                });
+            }
+            Ok(Some(Arrival {
+                t_ns: self.0,
+                function: FunctionKind::Html,
+                tenant: 0,
+                duration_s: None,
+                memory_bytes: None,
+            }))
+        }
+    }
+
+    #[test]
+    fn a_read_failure_ends_the_feed_and_is_recorded() {
+        let mut feed = ArrivalFeed::new(Box::new(FailingSource(0)), 2.0, "t.csv");
+        assert_eq!(feed.pop(), Some((SimTime(1), 0)));
+        assert_eq!(feed.error(), None);
+        assert_eq!(feed.pop(), Some((SimTime(2), 0)));
+        assert_eq!(feed.pop(), None);
+        assert_eq!(feed.injected(), 2);
+        let e = feed.error().expect("recorded");
+        assert!(e.starts_with("trace t.csv: line 7: bad count"), "{e}");
     }
 }

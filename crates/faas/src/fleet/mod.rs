@@ -180,12 +180,7 @@ impl FleetConfig {
     /// Instance slots per host (Σ deployment concurrency of the
     /// template) — the autoscaler's capacity unit.
     pub fn slots_per_host(&self) -> usize {
-        self.template
-            .vms
-            .iter()
-            .flat_map(|v| &v.deployments)
-            .map(|d| d.concurrency as usize)
-            .sum()
+        self.template.instance_slots()
     }
 }
 
@@ -211,6 +206,9 @@ pub(crate) struct HostSink<'a> {
     host: usize,
     /// The host's first CPU-timer key (see [`Slot::cpu_timers`]).
     cpu_timers: usize,
+    /// The host's first keep-alive timer key (see
+    /// [`Slot::keepalive_timers`]).
+    keepalive_timers: usize,
 }
 
 impl HostSink<'_> {
@@ -218,18 +216,6 @@ impl HostSink<'_> {
     pub(crate) fn push(&mut self, at: SimTime, ev: Event) {
         self.q.push(
             at,
-            FleetEvent::Host {
-                host: self.host,
-                ev,
-            },
-        );
-    }
-
-    /// Schedules `ev` one fixed `delay` after the handler's `now`.
-    pub(crate) fn push_after(&mut self, now: SimTime, delay: SimDuration, ev: Event) {
-        self.q.push_after(
-            now,
-            delay,
             FleetEvent::Host {
                 host: self.host,
                 ev,
@@ -246,21 +232,43 @@ impl HostSink<'_> {
         };
         self.q.set_timer(self.cpu_timers + vm, at, ev);
     }
+
+    /// Arms keep-alive timer `key` (one of the host's instance slots)
+    /// to check instance `inst` of VM `vm` at `at`, replacing its
+    /// pending check; `None` disarms it.
+    pub(crate) fn set_keepalive_timer(
+        &mut self,
+        key: usize,
+        at: Option<SimTime>,
+        vm: usize,
+        inst: u64,
+    ) {
+        let ev = FleetEvent::Host {
+            host: self.host,
+            ev: Event::KeepAlive { vm, inst },
+        };
+        self.q.set_timer(self.keepalive_timers + key, at, ev);
+    }
 }
 
 /// One host's slot in the fleet.
 struct Slot {
     sim: HostSim,
-    /// First of the host's queue timer keys, one per VM: VM `v`'s CPU
+    /// First of the host's CPU timer keys, one per VM: VM `v`'s CPU
     /// completion timer is key `cpu_timers + v`.
     cpu_timers: usize,
+    /// First of the host's keep-alive timer keys, one per instance
+    /// slot ([`SimConfig::instance_slots`]); the host hands them out
+    /// to its live instances.
+    keepalive_timers: usize,
     state: HostState,
     boot_at: SimTime,
     stop_at: Option<SimTime>,
 }
 
 impl Slot {
-    /// A slot for `sim`, with its CPU timer keys reserved in `events`.
+    /// A slot for `sim`, with its CPU and keep-alive timer keys
+    /// reserved in `events`.
     fn new(
         sim: HostSim,
         events: &mut EventQueue<FleetEvent>,
@@ -269,6 +277,7 @@ impl Slot {
     ) -> Slot {
         Slot {
             cpu_timers: events.timer_keys(sim.config.vms.len()),
+            keepalive_timers: events.timer_keys(sim.config.instance_slots()),
             sim,
             state,
             boot_at,
@@ -338,6 +347,9 @@ pub struct FleetResult {
     pub injected: u64,
     /// Simulated end time.
     pub end: SimTime,
+    /// A trace read failure that ended the arrival feed early, naming
+    /// the file and line; the run covers only the arrivals before it.
+    pub trace_error: Option<String>,
 }
 
 impl FleetResult {
@@ -554,9 +566,8 @@ impl FleetSim {
         if let Some(period) = policy.period_s() {
             assert!(period > 0.0, "control period must be positive");
             if period <= duration_s {
-                events.push_after(
-                    SimTime::ZERO,
-                    SimDuration::from_secs_f64(period),
+                events.push(
+                    SimTime::ZERO + SimDuration::from_secs_f64(period),
                     FleetEvent::Control,
                 );
             }
@@ -639,6 +650,7 @@ impl FleetSim {
             }
         }
         let injected = self.feed.injected();
+        let trace_error = self.feed.error().map(str::to_string);
         let events_processed = self.events.processed() + injected;
         let peak_queue_depth = self.events.peak_len();
         let end = SimTime::ZERO + SimDuration::from_secs_f64(self.duration_s);
@@ -674,6 +686,7 @@ impl FleetSim {
             peak_queue_depth,
             injected,
             end,
+            trace_error,
         }
     }
 
@@ -704,6 +717,7 @@ impl FleetSim {
             q: &mut self.events,
             host,
             cpu_timers: slot.cpu_timers,
+            keepalive_timers: slot.keepalive_timers,
         };
         slot.sim.handle(now, ev, &mut sink);
     }
@@ -726,9 +740,8 @@ impl FleetSim {
             let loop_alive = self.control_loop && now.as_secs_f64() < self.duration_s;
             if provisioning || loop_alive {
                 self.deferred += 1;
-                self.events.push_after(
-                    now,
-                    SimDuration::from_secs_f64(DEFER_RETRY_S),
+                self.events.push(
+                    now + SimDuration::from_secs_f64(DEFER_RETRY_S),
                     FleetEvent::Incoming { tenant },
                 );
             } else {
@@ -835,7 +848,7 @@ impl FleetSim {
         if let Some(period) = self.policy.period_s() {
             let period = SimDuration::from_secs_f64(period);
             if (now + period).as_secs_f64() <= self.duration_s {
-                self.events.push_after(now, period, FleetEvent::Control);
+                self.events.push(now + period, FleetEvent::Control);
             }
         }
     }
@@ -876,9 +889,8 @@ impl FleetSim {
             self.hosts.push(slot);
             self.routed.push(vec![0; self.tenants.len()]);
             let host = self.hosts.len() - 1;
-            self.events.push_after(
-                now,
-                SimDuration::from_secs_f64(self.opts.boot_delay_s),
+            self.events.push(
+                now + SimDuration::from_secs_f64(self.opts.boot_delay_s),
                 FleetEvent::HostReady { host },
             );
             self.scale_ups += 1;

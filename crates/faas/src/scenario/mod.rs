@@ -719,9 +719,14 @@ impl Scenario {
     /// result onto the topology's [`ScenarioOutcome`]. Streamed
     /// arrivals are never materialized, and their metrics are bounded.
     ///
-    /// `Err` is [`Scenario::boot`]'s.
+    /// `Err` is [`Scenario::boot`]'s, or names the trace file and line
+    /// when a row fails to read mid-run
+    /// ([`FleetResult::trace_error`](crate::FleetResult::trace_error)).
     pub fn run_trial(&self, backend: BackendKind, trial: u64) -> Result<ScenarioOutcome, String> {
-        let result = self.boot(self.fleet_plan(backend, trial), trial)?.run();
+        let mut result = self.boot(self.fleet_plan(backend, trial), trial)?.run();
+        if let Some(e) = result.trace_error.take() {
+            return Err(e);
+        }
         Ok(ScenarioOutcome::new(self.topology, backend, trial, result))
     }
 }
@@ -1027,6 +1032,29 @@ mod tests {
         small.params.duration_s = 60.0;
         small.params.period_s = 60.0;
         assert_eq!(small.quick(), small);
+    }
+
+    #[test]
+    fn a_trace_row_that_fails_mid_run_ends_the_trial_with_an_error() {
+        // Four good minutes, then a malformed row on line 9. Driving
+        // `run_trial` directly skips the preflight `SweepSpec::run`
+        // does, as a file changed during the run would.
+        let mut text = String::from(
+            "# squeezy-trace v1 azure-minute\n# seed = 0x1\n# tenants = html\nminute,tenant,count\n",
+        );
+        for minute in 0..4 {
+            text.push_str(&format!("{minute},0,3\n"));
+        }
+        text.push_str("4,0,three\n");
+        let path = std::env::temp_dir().join(format!("bad-row-{}.csv", std::process::id()));
+        std::fs::write(&path, text).expect("write trace");
+        let path = path.to_string_lossy().into_owned();
+        let mut s = Scenario::new("bad", Topology::SingleVm, WorkloadSpec::Trace(path.clone()));
+        s.params.duration_s = 600.0;
+        let err = s.run_trial(BackendKind::Squeezy, 0).err();
+        std::fs::remove_file(&path).expect("remove trace");
+        let err = err.expect("the bad row is an error");
+        assert!(err.contains(&format!("trace {path}: line 9:")), "{err}");
     }
 
     #[test]

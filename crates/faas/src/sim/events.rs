@@ -15,7 +15,8 @@ pub(crate) enum Event {
     CpuDone { vm: usize },
     /// The memory plug for instance `inst` finished.
     PlugDone { vm: usize, inst: u64 },
-    /// Keep-alive check for instance `inst`.
+    /// Instance `inst`'s keep-alive timer fired: evict it if it sat
+    /// idle for the whole window.
     KeepAlive { vm: usize, inst: u64 },
     /// A reclaim operation completed; release its host memory.
     ReclaimDone { vm: usize, token: u64 },

@@ -30,8 +30,10 @@ use crate::sim::instance::{InstState, Instance, PendingReclaim};
 
 const EPS_CPU: f64 = 1e-9;
 
-/// Period of the host's metrics sample chain (usage series, or the
-/// usage integral of a streamed replay).
+/// Period of the host's metrics sample chain: each `Sample` pushes the
+/// next one `SAMPLE_PERIOD` later, up to the end of the run. Samples
+/// feed the usage series (kept only outside streamed replays), the
+/// host-usage integral and the scale-up safety net.
 const SAMPLE_PERIOD: SimDuration = SimDuration::secs(1);
 
 /// Derivation tag of the bounded-metrics histogram streams (from the
@@ -100,6 +102,10 @@ pub(crate) struct HostSim {
     /// monotonic, so the flat map is both deterministic (key-ordered,
     /// unlike the `HashMap` it replaced) and append-cheap.
     pending_reclaims: IdMap<(usize, u64), PendingReclaim>,
+    /// Keep-alive timer keys not held by a live instance: one per
+    /// instance slot ([`SimConfig::instance_slots`]), the cap
+    /// `maybe_scale_up` enforces, so a new instance always finds one.
+    keepalive_free: Vec<usize>,
     next_inst: u64,
     next_token: u64,
     completed: u64,
@@ -192,6 +198,7 @@ impl HostSim {
         backend.after_boot(&mut host);
 
         let rng = config.jitter_rng();
+        let keepalive_free = (0..config.instance_slots()).rev().collect();
         Ok(HostSim {
             config,
             cost,
@@ -202,6 +209,7 @@ impl HostSim {
             per_func_live,
             host_series: TimeSeries::new(),
             pending_reclaims: IdMap::new(),
+            keepalive_free,
             next_inst: 0,
             next_token: 0,
             completed: 0,
@@ -459,7 +467,7 @@ impl HostSim {
                     if let Some(i) = self.vms[vm].instances.get_mut(&inst) {
                         i.container_done = true;
                     }
-                    self.check_init_ready(now, vm, inst);
+                    self.check_init_ready(vm, inst, q);
                 }
                 Work::FunctionInit { inst } => self.on_instance_warm(now, vm, inst, q),
                 Work::Exec { inst, arrival } => self.on_exec_done(now, vm, inst, arrival, q),
@@ -481,40 +489,41 @@ impl HostSim {
             q.push(now + latency, Event::PlugDone { vm, inst });
         }
         for id in res.ready {
-            self.check_init_ready(now, vm, id);
+            self.check_init_ready(vm, id, q);
         }
         self.reschedule_cpu(vm, now, q);
     }
 
+    /// The instance's keep-alive timer fired: evict it if it has sat
+    /// idle for the whole window. It has not when it is busy, or was
+    /// woken from hollow without re-arming (`rebuild_instance`).
     fn on_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
-        self.sync_pool(vm, now);
-        let expired = match self.vms[vm].instances.get(&inst) {
-            Some(i) => {
-                matches!(i.state, InstState::Warm | InstState::Hollow)
-                    && now.since(i.last_used).as_secs_f64() + 1e-6 >= self.config.keepalive_s
-            }
-            None => false,
-        };
-        if expired {
-            self.evict_instance(now, vm, inst, q);
-            // Proactive scale-down (HarvestVM-opts): evict extra idle
-            // instances to refill the slack buffer (§6.2.2) — the
-            // "aggressive reclamation" that penalizes their functions
-            // later.
-            for _ in 0..self.backend.proactive_eviction_quota() {
-                let extra = self.vms[vm]
-                    .instances
-                    .iter()
-                    .filter(|(_, i)| i.state == InstState::Warm)
-                    .min_by_key(|(_, i)| i.last_used)
-                    .map(|(&id, _)| id);
-                match extra {
-                    Some(id) => self.evict_instance(now, vm, id, q),
-                    None => break,
-                }
-            }
-            self.retry_scale_ups(now, q);
+        let expired = self.vms[vm].instances.get(&inst).is_some_and(|i| {
+            matches!(i.state, InstState::Warm | InstState::Hollow)
+                && now.since(i.last_used).as_secs_f64() + 1e-6 >= self.config.keepalive_s
+        });
+        if !expired {
+            return;
         }
+        self.sync_pool(vm, now);
+        self.evict_instance(now, vm, inst, q);
+        // Proactive scale-down (HarvestVM-opts): evict extra idle
+        // instances to refill the slack buffer (§6.2.2) — the
+        // "aggressive reclamation" that penalizes their functions
+        // later.
+        for _ in 0..self.backend.proactive_eviction_quota() {
+            let extra = self.vms[vm]
+                .instances
+                .iter()
+                .filter(|(_, i)| i.state == InstState::Warm)
+                .min_by_key(|(_, i)| i.last_used)
+                .map(|(&id, _)| id);
+            match extra {
+                Some(id) => self.evict_instance(now, vm, id, q),
+                None => break,
+            }
+        }
+        self.retry_scale_ups(now, q);
         self.reschedule_cpu(vm, now, q);
     }
 
@@ -527,9 +536,8 @@ impl HostSim {
                 // in the background (the paper's reclamation timeouts:
                 // the memory is not available when the scale-up needs
                 // it, but the VM recovers eventually).
-                q.push_after(
-                    now,
-                    SimDuration::secs(5),
+                q.push(
+                    now + SimDuration::secs(5),
                     Event::RetryReclaim {
                         vm,
                         bytes: p.shortfall_bytes,
@@ -571,7 +579,7 @@ impl HostSim {
             }
         }
         if (now + SAMPLE_PERIOD).as_secs_f64() <= self.config.duration_s {
-            q.push_after(now, SAMPLE_PERIOD, Event::Sample);
+            q.push(now + SAMPLE_PERIOD, Event::Sample);
         }
     }
 
@@ -727,6 +735,10 @@ impl HostSim {
         let mut inst = Instance {
             dep,
             pid,
+            keepalive: self
+                .keepalive_free
+                .pop()
+                .expect("maybe_scale_up caps live instances at the slot count"),
             state: InstState::Starting,
             last_used: now,
             started_at: now,
@@ -753,6 +765,7 @@ impl HostSim {
             }
             PlugStart::Failed => {
                 let _ = self.vms[vm].vm.guest.exit_process(pid);
+                self.keepalive_free.push(inst.keepalive);
                 return false;
             }
         }
@@ -779,7 +792,7 @@ impl HostSim {
         true
     }
 
-    fn check_init_ready(&mut self, now: SimTime, vm: usize, inst: u64) {
+    fn check_init_ready(&mut self, vm: usize, inst: u64, q: &mut HostSink<'_>) {
         let ready = match self.vms[vm].instances.get(&inst) {
             Some(i) => i.state == InstState::Starting && i.plug_done && i.container_done,
             None => false,
@@ -815,7 +828,7 @@ impl HostSim {
                 Ok(c) => extra += c.latency.as_secs_f64(),
                 Err(_) => {
                     // OOM (partition or host): the instance dies.
-                    self.kill_instance(now, vm, inst);
+                    self.kill_instance(vm, inst, q);
                     return;
                 }
             }
@@ -927,9 +940,12 @@ impl HostSim {
         }
     }
 
+    /// Re-arms the instance's keep-alive timer one window after `now`,
+    /// superseding its pending check.
     fn schedule_keepalive(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
-        let keepalive = SimDuration::from_secs_f64(self.config.keepalive_s);
-        q.push_after(now, keepalive, Event::KeepAlive { vm, inst });
+        let key = self.vms[vm].instances[&inst].keepalive;
+        let at = now + SimDuration::from_secs_f64(self.config.keepalive_s);
+        q.set_keepalive_timer(key, Some(at), vm, inst);
     }
 
     /// A newly idle instance reports to the backend (soft memory offers
@@ -943,7 +959,7 @@ impl HostSim {
 
     /// Evicts one instance and starts the backend's reclaim.
     fn evict_instance(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
-        let Some(i) = self.vms[vm].instances.remove(&inst) else {
+        let Some(i) = self.remove_instance(vm, inst, q) else {
             return;
         };
         debug_assert_ne!(i.state, InstState::Busy, "never evict busy instances");
@@ -961,13 +977,21 @@ impl HostSim {
     }
 
     /// An instance died mid-init (OOM): clean up without reclaim.
-    fn kill_instance(&mut self, now: SimTime, vm: usize, inst: u64) {
-        let Some(i) = self.vms[vm].instances.remove(&inst) else {
+    fn kill_instance(&mut self, vm: usize, inst: u64, q: &mut HostSink<'_>) {
+        let Some(i) = self.remove_instance(vm, inst, q) else {
             return;
         };
         let _ = self.vms[vm].vm.guest.exit_process(i.pid);
         self.backend.on_exit(vm, i.pid);
-        let _ = now;
+    }
+
+    /// Removes a live instance, disarming its keep-alive timer and
+    /// returning the key to the free list.
+    fn remove_instance(&mut self, vm: usize, inst: u64, q: &mut HostSink<'_>) -> Option<Instance> {
+        let i = self.vms[vm].instances.remove(&inst)?;
+        q.set_keepalive_timer(i.keepalive, None, vm, inst);
+        self.keepalive_free.push(i.keepalive);
+        Some(i)
     }
 
     /// Launches the backend reclaim for one evicted instance of `dep`.

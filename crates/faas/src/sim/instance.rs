@@ -17,6 +17,9 @@ pub(crate) enum InstState {
 pub(crate) struct Instance {
     pub dep: usize,
     pub pid: Pid,
+    /// The instance's keep-alive timer key, host-local: held while it
+    /// lives, returned to the host's free list when it is removed.
+    pub keepalive: usize,
     pub state: InstState,
     pub last_used: SimTime,
     pub started_at: SimTime,

@@ -166,6 +166,53 @@ mod tests {
     }
 
     #[test]
+    fn keepalive_checks_do_not_pile_up_under_a_warm_drumbeat() {
+        // A burst of three arrivals every second, 1,002 in all, inside
+        // one 400 s keep-alive window: the same three instances serve
+        // every burst, and each completion re-arms its instance's
+        // keep-alive timer instead of queueing one more check.
+        let arrivals: Vec<f64> = (0..1_002)
+            .map(|i| 1.0 + (i / 3) as f64 + (i % 3) as f64 * 1e-3)
+            .collect();
+        let mut cfg = simple_config(BackendKind::Squeezy, arrivals);
+        cfg.keepalive_s = 400.0;
+        cfg.duration_s = 800.0;
+        let bound = 1 + cfg.vms.len() + 2 * cfg.instance_slots();
+        let fleet = FleetSim::new(
+            ClusterConfig::from_single(cfg).into_fixed_fleet(),
+            Box::new(SingleHost),
+            Box::new(FixedFleet),
+        )
+        .unwrap()
+        .run();
+        // The sample chain, one CPU timer per VM, and per instance slot
+        // one keep-alive timer plus one plug or reclaim completion.
+        assert!(
+            fleet.peak_queue_depth <= bound,
+            "peak queue depth {} > {bound}",
+            fleet.peak_queue_depth
+        );
+        let result = &fleet.hosts[0].result;
+        assert_eq!(result.completed, 1_002);
+        // The last burst is served near 334.3 s by three instances, so
+        // they expire one window later, near 734.3 s, and are reclaimed
+        // then; a fourth, started while the first ones initialised,
+        // went idle early and expired before them.
+        let alive_at = |t: f64| {
+            let pts = result.instance_counts[0].points();
+            pts.iter()
+                .rev()
+                .find(|&&(at, _)| at.as_secs_f64() <= t)
+                .expect("sampled from zero")
+                .1
+        };
+        assert_eq!(alive_at(734.0), 3.0, "no instance expires early");
+        assert_eq!(alive_at(735.0), 0.0, "every instance expires on time");
+        let started = result.instance_counts[0].max_value();
+        assert_eq!(result.total_reclaims().ops as f64, started);
+    }
+
+    #[test]
     fn virtio_reclaim_migrates_under_colocation() {
         // Two staggered instances: the second keeps running while the
         // first is evicted, so its pages interleave with the victim's

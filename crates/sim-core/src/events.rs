@@ -2,41 +2,36 @@
 //!
 //! [`EventQueue<E>`] pops events in `(time, seq)` order: earliest
 //! instant first, and among events at one instant, the one scheduled
-//! first. Every way of scheduling draws `seq` from one counter, so this
+//! first. Both ways of scheduling draw `seq` from one counter, so this
 //! FIFO tie-break holds across the whole queue, and it is what makes
 //! whole-system runs reproducible.
 //!
-//! Pending events live in three sources, chosen by how they are timed,
-//! because two of the three kinds never need sorting:
+//! Pending events live in two sources, chosen by how they are timed:
 //!
-//! * **Fixed-delay lanes** ([`EventQueue::push_after`]): one FIFO per
-//!   distinct delay. Handlers run at non-decreasing instants, so
-//!   `now + delay` for a constant delay arrives in time order and each
-//!   lane is sorted by construction — a push is an append, a pop takes
-//!   the front. Keep-alive checks, sample chains and periodic retries
-//!   are all of this form.
 //! * **Re-armable timers** ([`EventQueue::set_timer`]): at most one
 //!   pending entry per key, replaced or cancelled in place (Linux's
 //!   `mod_timer`), in an indexed binary heap over the armed keys. A
 //!   re-arm takes the next sequence number exactly as a fresh push
 //!   would, so it orders like one; the superseded entry is gone rather
-//!   than left to pop stale.
+//!   than left to pop stale. A prediction that later events keep
+//!   moving — a VM's next CPU completion, an idle instance's
+//!   keep-alive expiry — is a timer.
 //! * **A binary heap** ([`EventQueue::push`]) for everything else.
 //!
-//! A pop takes the smallest `(time, seq)` among the lane fronts, the
-//! timer heap's root and the heap's root, so the queue pops in exactly
-//! the order of one reference binary heap — a property the differential
-//! tests in `tests/queue_order.rs` pin.
+//! A pop takes the smaller `(time, seq)` of the timer heap's root and
+//! the heap's root, so the queue pops in exactly the order of one
+//! reference binary heap — a property the differential tests in
+//! `tests/queue_order.rs` pin.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Marks a disarmed key in [`Timers::pos`].
 const DISARMED: usize = usize::MAX;
 
-/// One pending event of the lanes or the heap.
+/// One pending event of the heap.
 struct Entry<E> {
     at: u64,
     seq: u64,
@@ -69,13 +64,6 @@ impl<E> PartialEq for Entry<E> {
 }
 
 impl<E> Eq for Entry<E> {}
-
-/// The events pushed one fixed `delay` after their push instant, in
-/// push (= time) order.
-struct Lane<E> {
-    delay: u64,
-    fifo: VecDeque<Entry<E>>,
-}
 
 /// Re-armable timers: an indexed binary min-heap over the armed keys.
 struct Timers<E> {
@@ -158,11 +146,10 @@ impl<E> Timers<E> {
 enum Source {
     Heap,
     Timer,
-    Lane(usize),
 }
 
-/// A time-ordered, deterministic event queue: fixed-delay lanes,
-/// re-armable timers and a binary heap behind one `(time, seq)` order.
+/// A time-ordered, deterministic event queue: re-armable timers and a
+/// binary heap behind one `(time, seq)` order.
 ///
 /// # Examples
 ///
@@ -172,19 +159,18 @@ enum Source {
 /// let mut q = EventQueue::new();
 /// let cpu = q.timer_keys(1);
 /// q.push(SimTime::ZERO + SimDuration::millis(3), "plug done");
-/// q.push_after(SimTime::ZERO, SimDuration::millis(2), "keep-alive");
+/// q.push(SimTime::ZERO + SimDuration::millis(2), "sample");
 /// q.set_timer(cpu, Some(SimTime::ZERO + SimDuration::millis(4)), "cpu");
 /// // Re-armed earlier: the 4 ms prediction is replaced, not left stale.
 /// q.set_timer(cpu, Some(SimTime::ZERO + SimDuration::millis(1)), "cpu");
 /// assert_eq!(q.pop().unwrap().1, "cpu");
-/// assert_eq!(q.pop().unwrap().1, "keep-alive");
+/// assert_eq!(q.pop().unwrap().1, "sample");
 /// assert_eq!(q.pop().unwrap().1, "plug done");
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     timers: Timers<E>,
-    lanes: Vec<Lane<E>>,
     next_seq: u64,
     now: SimTime,
     len: usize,
@@ -208,7 +194,6 @@ impl<E> EventQueue<E> {
                 pos: Vec::new(),
                 events: Vec::new(),
             },
-            lanes: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
@@ -260,40 +245,6 @@ impl<E> EventQueue<E> {
         self.grew();
     }
 
-    /// Schedules `event` at `now + delay` on the FIFO lane of `delay`.
-    ///
-    /// `now` is the caller's current instant. Calls for one `delay`
-    /// must come at non-decreasing `now` — true of any handler, since
-    /// handlers run in time order — which keeps each lane sorted with
-    /// no comparison but the one this method asserts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` is in the past, or is earlier than the `now` of
-    /// a pending push on the same lane.
-    pub fn push_after(&mut self, now: SimTime, delay: SimDuration, event: E) {
-        self.check_not_past(now);
-        let at = (now + delay).0;
-        let seq = self.take_seq();
-        let lane = match self.lanes.iter().position(|l| l.delay == delay.0) {
-            Some(i) => i,
-            None => {
-                self.lanes.push(Lane {
-                    delay: delay.0,
-                    fifo: VecDeque::new(),
-                });
-                self.lanes.len() - 1
-            }
-        };
-        let fifo = &mut self.lanes[lane].fifo;
-        assert!(
-            fifo.back().is_none_or(|b| b.at <= at),
-            "fixed-delay pushes must come in time order"
-        );
-        fifo.push_back(Entry { at, seq, event });
-        self.grew();
-    }
-
     /// Reserves `n` fresh timer keys, disarmed, and returns the first:
     /// the keys are `first..first + n`.
     pub fn timer_keys(&mut self, n: usize) -> usize {
@@ -336,20 +287,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The source holding the smallest pending `(time, seq)`, and its
+    /// The source holding the smaller pending `(time, seq)`, and its
     /// time.
     fn next(&self) -> Option<(u64, Source)> {
         let mut best = self.heap.peek().map(|e| (e.key(), Source::Heap));
         if let Some(&(at, seq, _)) = self.timers.heap.first() {
             if best.is_none_or(|(k, _)| (at, seq) < k) {
                 best = Some(((at, seq), Source::Timer));
-            }
-        }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(e) = lane.fifo.front() {
-                if best.is_none_or(|(k, _)| e.key() < k) {
-                    best = Some((e.key(), Source::Lane(i)));
-                }
             }
         }
         best.map(|((at, _), src)| (at, src))
@@ -377,10 +321,6 @@ impl<E> EventQueue<E> {
                 (e.at, e.event)
             }
             Source::Timer => self.timers.remove_at(0),
-            Source::Lane(i) => {
-                let e = self.lanes[i].fifo.pop_front().expect("peeked");
-                (e.at, e.event)
-            }
         };
         self.len -= 1;
         self.processed += 1;
@@ -420,6 +360,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -473,14 +414,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fixed-delay pushes must come in time order")]
-    fn rejects_out_of_order_lane_pushes() {
-        let mut q = EventQueue::new();
-        q.push_after(SimTime(10), SimDuration(5), ());
-        q.push_after(SimTime(9), SimDuration(5), ());
-    }
-
-    #[test]
     fn peek_and_len() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
@@ -492,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_push_after_a_pop_goes_behind_pending() {
+    fn same_instant_push_following_a_pop_goes_behind_pending() {
         let mut q = EventQueue::new();
         q.push(SimTime(7), 0);
         q.push(SimTime(7), 1);
@@ -509,13 +442,13 @@ mod tests {
     fn ties_across_sources_pop_in_push_order() {
         let mut q = EventQueue::new();
         let k = q.timer_keys(2);
-        q.push_after(SimTime(2), SimDuration(5), 0);
+        q.push(SimTime(7), 0);
         q.set_timer(k, Some(SimTime(7)), 1);
         q.push(SimTime(7), 2);
-        q.push_after(SimTime(7), SimDuration::ZERO, 3);
+        q.set_timer(k + 1, Some(SimTime(7)), 3);
         // Re-arming at the same instant moves the timer behind the rest.
-        q.set_timer(k + 1, Some(SimTime(7)), 4);
-        q.set_timer(k, Some(SimTime(7)), 5);
+        q.set_timer(k, Some(SimTime(7)), 4);
+        q.push(SimTime(7), 5);
         assert_eq!(q.len(), 5);
         for tag in [0, 2, 3, 4, 5] {
             assert_eq!(q.pop(), Some((SimTime(7), tag)));
@@ -546,15 +479,18 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_pop_last_from_every_source() {
+    fn far_future_events_pop_last_from_both_sources() {
         let mut q = EventQueue::new();
-        let k = q.timer_keys(1);
+        let k = q.timer_keys(2);
         q.set_timer(k, Some(SimTime(u64::MAX)), 2);
         q.push(SimTime(u64::MAX), 1);
-        q.push_after(SimTime(1 << 40), SimDuration(1 << 62), 0);
+        q.push(SimTime(1 << 40) + SimDuration(1 << 62), 0);
+        // A delay past the end of time saturates at `u64::MAX`.
+        q.set_timer(k + 1, Some(SimTime(1 << 40) + SimDuration(u64::MAX)), 3);
         assert_eq!(q.pop(), Some((SimTime((1 << 40) + (1 << 62)), 0)));
         assert_eq!(q.pop(), Some((SimTime(u64::MAX), 2)));
         assert_eq!(q.pop(), Some((SimTime(u64::MAX), 1)));
+        assert_eq!(q.pop(), Some((SimTime(u64::MAX), 3)));
         assert!(q.is_empty());
     }
 
@@ -562,7 +498,7 @@ mod tests {
     fn pop_before_leaves_events_at_or_after_the_limit() {
         let mut q = EventQueue::new();
         q.push(SimTime(5), 'a');
-        q.push_after(SimTime(0), SimDuration(9), 'b');
+        q.push(SimTime(9), 'b');
         assert_eq!(q.pop_before(SimTime(5)), None);
         assert_eq!(q.pop_before(SimTime(6)), Some((SimTime(5), 'a')));
         assert_eq!(q.pop_before(SimTime(9)), None);

@@ -6,8 +6,8 @@
 //!
 //! * [`time`] — virtual nanosecond clock ([`SimTime`], [`SimDuration`]).
 //! * [`events`] — a deterministic event queue with FIFO tie-breaking:
-//!   fixed-delay FIFO lanes, re-armable timers and a binary heap behind
-//!   one `(time, seq)` order.
+//!   re-armable timers and a binary heap behind one `(time, seq)`
+//!   order.
 //! * [`collections`] — flat sorted-`Vec` maps ([`IdMap`]) for the
 //!   per-event hot paths; `BTreeMap` iteration order without the
 //!   per-node allocation.

@@ -5,9 +5,9 @@
 //!
 //! A pool's `remaining` demand is path-dependent at the ulp level (each
 //! advance subtracts `rate × dt` in floating point), so a host that
-//! syncs its pool at an extra instant — a keep-alive check that does
-//! not expire, say — could in principle move a later completion. This
-//! test pins that it does not, over fixed seeded random pools: the
+//! syncs its pool at an extra instant — as a keep-alive check that did
+//! not expire once did — could in principle move a later completion.
+//! This test pins that it does not, over fixed seeded random pools: the
 //! extra sync may be dropped without changing any simulated time.
 
 use sim_core::{CpuPool, DetRng, SimDuration, SimTime};

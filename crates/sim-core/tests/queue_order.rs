@@ -1,15 +1,16 @@
-//! Property: [`EventQueue`] — fixed-delay lanes, re-armable timers and
-//! a binary heap behind one (time, seq) order — pops in exactly the
-//! order of a reference binary heap over arbitrary interleavings of
-//! plain pushes, fixed-delay pushes, timer arms/re-arms/disarms and
-//! pops (unconditional and bounded), including same-instant ties across all three sources and
-//! far-future events up to `u64::MAX`.
+//! Property: [`EventQueue`] — re-armable timers and a binary heap
+//! behind one (time, seq) order — pops in exactly the order of a
+//! reference binary heap over arbitrary interleavings of pushes, timer
+//! arms/re-arms/disarms and pops (unconditional and bounded), including
+//! same-instant ties across both sources, far-future events up to
+//! `u64::MAX`, and keep-alive-shaped traffic: many keys re-armed one
+//! fixed window ahead, some disarmed before they fire.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use sim_core::{DetRng, EventQueue, SimDuration, SimTime};
+use sim_core::{DetRng, EventQueue, SimTime};
 
 /// The straightforward event queue the real one is pinned to: a binary
 /// heap ordered by (time, push sequence), O(log n) per operation. A
@@ -73,29 +74,23 @@ impl<E: Ord> BinaryHeapQueue<E> {
 
 /// Timer keys the interleavings drive.
 const KEYS: usize = 4;
-/// The fixed delays of the lanes, zero included.
-const DELAYS: [u64; 5] = [0, 7, 1 << 10, 1 << 20, 1 << 40];
 
-/// The queue under test and its reference, driven in lockstep. `clock`
-/// is the handler's instant: never behind the queue, never decreasing
-/// — the contract of [`EventQueue::push_after`].
+/// The queue under test and its reference, driven in lockstep.
 struct Pair {
     q: EventQueue<u32>,
     r: BinaryHeapQueue<u32>,
     keys: usize,
-    clock: SimTime,
     tag: u32,
 }
 
 impl Pair {
-    fn new() -> Pair {
+    fn new(timer_keys: usize) -> Pair {
         let mut q = EventQueue::new();
-        let keys = q.timer_keys(KEYS);
+        let keys = q.timer_keys(timer_keys);
         Pair {
             q,
-            r: BinaryHeapQueue::new(KEYS),
+            r: BinaryHeapQueue::new(timer_keys),
             keys,
-            clock: SimTime::ZERO,
             tag: 0,
         }
     }
@@ -110,14 +105,6 @@ impl Pair {
         let tag = self.next_tag();
         self.q.push(at, tag);
         self.r.push(at, tag);
-    }
-
-    /// A fixed-delay push from a handler `advance` past the last one.
-    fn push_after(&mut self, advance: u64, delay: u64) {
-        self.clock = SimTime(self.clock.0.max(self.q.now().0) + advance);
-        let tag = self.next_tag();
-        self.q.push_after(self.clock, SimDuration(delay), tag);
-        self.r.push(SimTime(self.clock.0 + delay), tag);
     }
 
     fn set_timer(&mut self, key: usize, dt: Option<u64>) {
@@ -166,20 +153,12 @@ fn step(p: &mut Pair, kind: u8, raw: u64) {
         _ => raw % (1 << 52),
     };
     match kind {
-        0..=2 => p.push(dt),
-        3..=5 => {
-            let advance = if raw.is_multiple_of(3) {
-                0
-            } else {
-                raw % (1 << 8)
-            };
-            p.push_after(advance, DELAYS[(raw >> 8) as usize % DELAYS.len()]);
-        }
-        6 | 7 => {
+        0..=3 => p.push(dt),
+        4..=6 => {
             let armed = !raw.is_multiple_of(5);
             p.set_timer((raw >> 4) as usize % KEYS, armed.then_some(dt));
         }
-        8 | 9 => {
+        7 | 8 => {
             p.pop();
         }
         _ => p.pop_before(dt),
@@ -190,9 +169,9 @@ fn step(p: &mut Pair, kind: u8, raw: u64) {
 proptest! {
     #[test]
     fn queue_pops_in_reference_heap_order(
-        ops in proptest::collection::vec((0u8..11, 0u64..u64::MAX), 0..500)
+        ops in proptest::collection::vec((0u8..10, 0u64..u64::MAX), 0..500)
     ) {
-        let mut p = Pair::new();
+        let mut p = Pair::new(KEYS);
         for &(kind, raw) in &ops {
             step(&mut p, kind, raw);
         }
@@ -207,9 +186,9 @@ proptest! {
 fn queue_matches_reference_heap_on_random_interleavings() {
     for seed in 0..8 {
         let mut rng = DetRng::new(0xE0E0 + seed);
-        let mut p = Pair::new();
+        let mut p = Pair::new(KEYS);
         for _ in 0..4_000 {
-            let kind = rng.range(0, 11) as u8;
+            let kind = rng.range(0, 10) as u8;
             let raw = rng.range(0, u64::MAX);
             step(&mut p, kind, raw);
         }
@@ -217,42 +196,66 @@ fn queue_matches_reference_heap_on_random_interleavings() {
     }
 }
 
-/// Every source holds events at one instant: they pop in the order they
+/// Both sources hold events at one instant: they pop in the order they
 /// were scheduled, a re-arm counting as a fresh schedule.
 #[test]
 fn equal_instant_ties_across_sources_pop_in_schedule_order() {
-    let mut p = Pair::new();
+    let mut p = Pair::new(KEYS);
     p.push(100);
     p.set_timer(0, Some(100));
-    p.push_after(0, 100);
-    p.push_after(90, 10);
     p.set_timer(1, Some(100));
     p.push(100);
     p.set_timer(0, Some(100));
-    p.push_after(100, 0);
     p.set_timer(2, Some(100));
     p.set_timer(2, None);
+    p.push(100);
     p.check();
     p.drain();
 }
 
-/// Far-future events on every source — one per 6-bit digit of the u64
+/// Far-future events on both sources — one per 6-bit digit of the u64
 /// timeline, plus `u64::MAX` itself — come back in time order.
 #[test]
-fn far_future_events_pop_in_time_order_from_every_source() {
-    let mut p = Pair::new();
+fn far_future_events_pop_in_time_order_from_both_sources() {
+    let mut p = Pair::new(5);
     let times: Vec<u64> = (0..11).map(|l| 1u64 << (6 * l)).collect();
     for (i, &t) in times.iter().enumerate().rev() {
-        match i % 3 {
-            0 => p.push(t),
-            1 => p.set_timer(i / 3, Some(t)),
-            _ => p.push_after(0, t),
+        if i % 2 == 0 {
+            p.push(t);
+        } else {
+            p.set_timer(i / 2, Some(t));
         }
     }
     p.push(u64::MAX);
-    // Key 3 holds the 2^60 timer: re-arm it to the end of time.
+    // Key 3 holds the 2^42 timer: re-arm it to the end of time.
     p.set_timer(3, Some(u64::MAX));
-    p.push_after(0, u64::MAX);
     p.check();
+    p.drain();
+}
+
+/// Keep-alive-shaped traffic: a drumbeat of completions, each re-arming
+/// its instance's key one fixed window `K` ahead (superseding the
+/// pending expiry), some instances removed before they expire (a
+/// disarm), interleaved with short-delay pushes and pops. The queue's
+/// length tracks the reference's — one entry per armed key, however
+/// often it was re-armed — and it pops in reference order.
+#[test]
+fn keepalive_rearms_and_disarms_match_reference_heap() {
+    const INSTANCES: usize = 64;
+    const K: u64 = 1 << 20;
+    let mut p = Pair::new(INSTANCES);
+    let mut rng = DetRng::new(0x4A11);
+    for _ in 0..20_000 {
+        let key = rng.range(0, INSTANCES as u64) as usize;
+        match rng.range(0, 10) {
+            0..=5 => p.set_timer(key, Some(K)),
+            6 => p.set_timer(key, None),
+            7 => p.push(rng.range(0, K)),
+            _ => {
+                p.pop();
+            }
+        }
+        p.check();
+    }
     p.drain();
 }
