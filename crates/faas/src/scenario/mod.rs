@@ -504,8 +504,9 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if a trace file's header cannot be read — [`SweepSpec::run`]
-    /// preflights the whole file first, so this only fires when
-    /// `run_trial` is driven directly against a bad path.
+    /// preflights the whole file and [`Scenario::run_trial`] checks the
+    /// header first, so this only fires when [`Scenario::fleet_plan`] is
+    /// called directly on a bad path.
     pub fn tenant_loads(&self, trial: u64) -> Vec<TenantLoad> {
         match &self.workload {
             WorkloadSpec::Named(kind) => {
@@ -719,10 +720,14 @@ impl Scenario {
     /// result onto the topology's [`ScenarioOutcome`]. Streamed
     /// arrivals are never materialized, and their metrics are bounded.
     ///
-    /// `Err` is [`Scenario::boot`]'s, or names the trace file and line
-    /// when a row fails to read mid-run
+    /// `Err` names the trace file when its header cannot be read, is
+    /// [`Scenario::boot`]'s, or names the trace file and line when a row
+    /// fails to read mid-run
     /// ([`FleetResult::trace_error`](crate::FleetResult::trace_error)).
     pub fn run_trial(&self, backend: BackendKind, trial: u64) -> Result<ScenarioOutcome, String> {
+        if let WorkloadSpec::Trace(path) = &self.workload {
+            workloads::read_trace_header(path).map_err(|e| format!("trace {path}: {e}"))?;
+        }
         let mut result = self.boot(self.fleet_plan(backend, trial), trial)?.run();
         if let Some(e) = result.trace_error.take() {
             return Err(e);
@@ -1055,6 +1060,15 @@ mod tests {
         std::fs::remove_file(&path).expect("remove trace");
         let err = err.expect("the bad row is an error");
         assert!(err.contains(&format!("trace {path}: line 9:")), "{err}");
+    }
+
+    #[test]
+    fn a_missing_trace_file_is_an_error_not_a_panic() {
+        let path = "/nonexistent/x.csv";
+        let s = Scenario::new("gone", Topology::SingleVm, WorkloadSpec::Trace(path.into()));
+        let err = s.run_trial(BackendKind::Squeezy, 0).err();
+        let err = err.expect("a missing trace is an error");
+        assert!(err.starts_with(&format!("trace {path}: ")), "{err}");
     }
 
     #[test]

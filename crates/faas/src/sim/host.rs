@@ -14,9 +14,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mem_types::align_up_to_block;
-use sim_core::{
-    CostModel, CpuPool, DetRng, Histogram, IdMap, SimDuration, SimTime, TaskId, TimeSeries,
-};
+use sim_core::{CostModel, CpuPool, DetRng, Histogram, IdMap, SimDuration, SimTime, TimeSeries};
 use vmm::{HostMemory, Vm, VmConfig, VmmError};
 use workloads::FunctionKind;
 
@@ -40,12 +38,11 @@ const SAMPLE_PERIOD: SimDuration = SimDuration::secs(1);
 /// host config's seed), distinct from the jitter/trace/reservoir tags.
 const METRICS_STREAM: u64 = 0xB0D5;
 
-/// Per-VM agent state: the booted VM, its CPU pool, live instances and
-/// request queues.
+/// Per-VM agent state: the booted VM, its CPU pool (each task carrying
+/// the [`Work`] it is for), live instances and request queues.
 pub(crate) struct VmRt {
     pub vm: Vm,
-    pub pool: CpuPool,
-    pub work: IdMap<TaskId, Work>,
+    pub pool: CpuPool<Work>,
     pub instances: IdMap<u64, Instance>,
     /// Per-deployment FIFO of queued request arrival times.
     pub queues: Vec<VecDeque<SimTime>>,
@@ -111,7 +108,7 @@ pub(crate) struct HostSim {
     completed: u64,
     /// Scratch for `on_cpu_done`'s finished-task sweep (reused so the
     /// steady-state completion path does not allocate).
-    finished_scratch: Vec<(TaskId, Work)>,
+    finished_scratch: Vec<Work>,
     rng: DetRng,
     /// Latency tap: completed requests since the engine last drained
     /// it, as `(kind, arrival_s, latency_ms)`.
@@ -178,7 +175,6 @@ impl HostSim {
             vms.push(VmRt {
                 vm,
                 pool: CpuPool::new(spec.effective_vcpus()),
-                work: IdMap::new(),
                 instances: IdMap::new(),
                 queues: vec![VecDeque::new(); ndeps],
                 reclaim: ReclaimTotals::default(),
@@ -396,7 +392,7 @@ impl HostSim {
         self.pending_reclaims.is_empty()
             && self.vms.iter().all(|v| {
                 v.instances.is_empty()
-                    && v.work.is_empty()
+                    && v.pool.is_empty()
                     && v.queues.iter().all(VecDeque::is_empty)
             })
     }
@@ -443,25 +439,12 @@ impl HostSim {
 
     fn on_cpu_done(&mut self, now: SimTime, vm: usize, q: &mut HostSink<'_>) {
         self.sync_pool(vm, now);
-        // Collect finished tasks into the reusable scratch buffer.
+        // Take every finished task up front: no time passes in this
+        // handler, and the pool's rates depend on its task set alone, so
+        // tasks the handlers below add end in the same pool.
         let mut finished = std::mem::take(&mut self.finished_scratch);
-        finished.clear();
-        finished.extend(
-            self.vms[vm]
-                .work
-                .iter()
-                .filter(|(tid, _)| {
-                    self.vms[vm]
-                        .pool
-                        .remaining(**tid)
-                        .map(|r| r <= EPS_CPU)
-                        .unwrap_or(false)
-                })
-                .map(|(&tid, &w)| (tid, w)),
-        );
-        for (tid, work) in finished.drain(..) {
-            self.vms[vm].pool.remove(tid);
-            self.vms[vm].work.remove(&tid);
+        self.vms[vm].pool.take_finished(EPS_CPU, &mut finished);
+        for work in finished.drain(..) {
             match work {
                 Work::ContainerInit { inst } => {
                     if let Some(i) = self.vms[vm].instances.get_mut(&inst) {
@@ -785,10 +768,9 @@ impl HostSim {
             }
         };
         let demand = (profile.container_init_cpu_s + rootfs_latency).max(1e-6);
-        let tid = self.vms[vm].pool.add_task(demand, 1.0, 1.0);
         self.vms[vm]
-            .work
-            .insert(tid, Work::ContainerInit { inst: id });
+            .pool
+            .add_task(demand, 1.0, 1.0, Work::ContainerInit { inst: id });
         true
     }
 
@@ -834,8 +816,9 @@ impl HostSim {
             }
         }
         let demand = (profile.function_init_cpu_s + extra).max(1e-6);
-        let tid = self.vms[vm].pool.add_task(demand, 1.0, 1.0);
-        self.vms[vm].work.insert(tid, Work::FunctionInit { inst });
+        self.vms[vm]
+            .pool
+            .add_task(demand, 1.0, 1.0, Work::FunctionInit { inst });
     }
 
     fn on_instance_warm(&mut self, now: SimTime, vm: usize, inst: u64, q: &mut HostSink<'_>) {
@@ -898,10 +881,12 @@ impl HostSim {
         }
         let jitter = self.rng.log_normal(0.0, 0.08);
         let demand = (profile.exec_cpu_s * jitter + extra).max(1e-6);
-        let tid = self.vms[vm]
-            .pool
-            .add_task(demand, profile.vcpu_shares, profile.vcpu_shares);
-        self.vms[vm].work.insert(tid, Work::Exec { inst, arrival });
+        self.vms[vm].pool.add_task(
+            demand,
+            profile.vcpu_shares,
+            profile.vcpu_shares,
+            Work::Exec { inst, arrival },
+        );
         let _ = now; // Dispatch itself is instantaneous at `now`.
     }
 
@@ -1039,10 +1024,9 @@ impl HostSim {
                 // The driver kthread migrates pages on the VM's vCPUs —
                 // the Figure-9 interference.
                 let demand = cpu_s.max(1e-6);
-                let tid = self.vms[vm].pool.add_task(demand, 1.0, 1.0);
                 self.vms[vm]
-                    .work
-                    .insert(tid, Work::ReclaimKthread { token });
+                    .pool
+                    .add_task(demand, 1.0, 1.0, Work::ReclaimKthread { token });
             }
         }
     }

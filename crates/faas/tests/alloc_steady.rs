@@ -2,10 +2,11 @@
 //!
 //! The perf tentpole's contract: once a host is warmed up, the
 //! per-event path — arrival, dispatch, CPU completion, keep-alive —
-//! performs no heap allocation. The event queue's lanes and heaps, the
-//! flat `IdMap`s, the CPU pool's water-filling scratch and the latency
-//! tap all reuse capacity, so the only allocations left are amortized buffer growth
-//! (logarithmic in run length) and per-sample metrics appends.
+//! performs no heap allocation. The event queue's heap and key free
+//! list, the flat `IdMap`s, the CPU pool's task set and water-filling
+//! scratch, and the latency tap all reuse capacity, so the only
+//! allocations left are amortized buffer growth (logarithmic in run
+//! length) and per-sample metrics appends.
 //!
 //! The test pins that by differencing: two identical drumbeat runs, one
 //! twice as long as the other. The extra invocations ride entirely on

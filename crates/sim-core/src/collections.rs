@@ -136,6 +136,15 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 
+    /// Removes the entries for which `f` returns `true`, yielding them in
+    /// key order; entries the iterator does not reach stay.
+    pub fn extract_if<'a>(
+        &'a mut self,
+        mut f: impl FnMut(&K, &mut V) -> bool + 'a,
+    ) -> impl Iterator<Item = (K, V)> + 'a {
+        self.entries.extract_if(.., move |(k, v)| f(k, v))
+    }
+
     /// Keeps only the entries for which `f` returns `true`.
     pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| f(k, v));

@@ -9,6 +9,11 @@
 //! subject to each task's rate cap (the container CPU-share limit of
 //! Table 1). Rates only change when the runnable set changes, so the
 //! simulation advances in O(changes), not in ticks.
+//!
+//! Each task carries its caller's payload `W` — what the work is for —
+//! so the pool is the one owner of pending CPU work: a caller takes the
+//! finished tasks' payloads back in one [`CpuPool::take_finished`]
+//! sweep instead of keeping a map beside the pool.
 
 use crate::collections::IdMap;
 use crate::time::{SimDuration, SimTime};
@@ -18,7 +23,7 @@ use crate::time::{SimDuration, SimTime};
 pub struct TaskId(u64);
 
 #[derive(Clone, Debug)]
-struct Task {
+struct Task<W> {
     /// Remaining service demand in cpu-seconds (`f64::INFINITY` for
     /// background tasks that never finish on their own).
     remaining: f64,
@@ -30,13 +35,16 @@ struct Task {
     rate: f64,
     /// Total cpu-seconds consumed so far.
     consumed: f64,
+    /// The caller's payload.
+    work: W,
 }
 
-/// A pool of vCPUs shared by tasks under capped processor sharing.
-pub struct CpuPool {
+/// A pool of vCPUs shared by tasks under capped processor sharing; each
+/// task carries a payload `W`.
+pub struct CpuPool<W = ()> {
     capacity: f64,
     now: SimTime,
-    tasks: IdMap<TaskId, Task>,
+    tasks: IdMap<TaskId, Task<W>>,
     next_id: u64,
     total_consumed: f64,
     /// Water-filling scratch buffers, reused across recomputations so
@@ -45,7 +53,7 @@ pub struct CpuPool {
     still: Vec<TaskId>,
 }
 
-impl CpuPool {
+impl<W> CpuPool<W> {
     /// Creates a pool with `capacity` vCPUs starting at time zero.
     ///
     /// # Panics
@@ -84,7 +92,7 @@ impl CpuPool {
         self.tasks.is_empty()
     }
 
-    /// Adds a runnable task at the current instant.
+    /// Adds a runnable task carrying `work` at the current instant.
     ///
     /// `demand` is the total service demand in cpu-seconds
     /// (`f64::INFINITY` for open-ended background load); `cap` is the
@@ -93,7 +101,7 @@ impl CpuPool {
     /// # Panics
     ///
     /// Panics if `demand < 0`, `cap <= 0` or `weight <= 0`.
-    pub fn add_task(&mut self, demand: f64, cap: f64, weight: f64) -> TaskId {
+    pub fn add_task(&mut self, demand: f64, cap: f64, weight: f64, work: W) -> TaskId {
         assert!(demand >= 0.0, "negative demand");
         assert!(cap > 0.0, "cap must be positive");
         assert!(weight > 0.0, "weight must be positive");
@@ -107,6 +115,7 @@ impl CpuPool {
                 weight,
                 rate: 0.0,
                 consumed: 0.0,
+                work,
             },
         );
         self.recompute_rates();
@@ -132,6 +141,23 @@ impl CpuPool {
         let t = self.tasks.remove(&id).expect("no such task");
         self.recompute_rates();
         t.consumed
+    }
+
+    /// Removes every task with at most `eps` cpu-seconds of demand left,
+    /// appending their payloads to `out` in task order, and recomputes
+    /// the survivors' rates once. The pool ends as a [`Self::remove`] of
+    /// each such task in turn would leave it: rates are a function of
+    /// the task set alone.
+    pub fn take_finished(&mut self, eps: f64, out: &mut Vec<W>) {
+        let before = out.len();
+        out.extend(
+            self.tasks
+                .extract_if(|_, t| t.remaining <= eps)
+                .map(|(_, t)| t.work),
+        );
+        if out.len() > before {
+            self.recompute_rates();
+        }
     }
 
     /// Returns the current rate of `id` in vCPUs, or `None` if absent.
@@ -265,6 +291,7 @@ impl CpuPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");
@@ -273,7 +300,7 @@ mod tests {
     #[test]
     fn single_task_runs_at_cap() {
         let mut pool = CpuPool::new(4.0);
-        let t = pool.add_task(1.0, 0.25, 1.0);
+        let t = pool.add_task(1.0, 0.25, 1.0, ());
         assert_close(pool.rate_of(t).unwrap(), 0.25);
         let (id, when) = pool.next_completion().unwrap();
         assert_eq!(id, t);
@@ -283,9 +310,9 @@ mod tests {
     #[test]
     fn uncontended_tasks_all_run_at_cap() {
         let mut pool = CpuPool::new(4.0);
-        let a = pool.add_task(f64::INFINITY, 1.0, 1.0);
-        let b = pool.add_task(f64::INFINITY, 1.0, 1.0);
-        let c = pool.add_task(f64::INFINITY, 0.25, 1.0);
+        let a = pool.add_task(f64::INFINITY, 1.0, 1.0, ());
+        let b = pool.add_task(f64::INFINITY, 1.0, 1.0, ());
+        let c = pool.add_task(f64::INFINITY, 0.25, 1.0, ());
         assert_close(pool.rate_of(a).unwrap(), 1.0);
         assert_close(pool.rate_of(b).unwrap(), 1.0);
         assert_close(pool.rate_of(c).unwrap(), 0.25);
@@ -296,7 +323,7 @@ mod tests {
     fn contended_tasks_share_fairly() {
         let mut pool = CpuPool::new(2.0);
         let ids: Vec<_> = (0..4)
-            .map(|_| pool.add_task(f64::INFINITY, 1.0, 1.0))
+            .map(|_| pool.add_task(f64::INFINITY, 1.0, 1.0, ()))
             .collect();
         for id in &ids {
             assert_close(pool.rate_of(*id).unwrap(), 0.5);
@@ -309,8 +336,8 @@ mod tests {
         // task should get min(1.75, its cap=2.0) = 1.75... but caps are
         // per-vCPU, so cap it at 1.0.
         let mut pool = CpuPool::new(2.0);
-        let small = pool.add_task(f64::INFINITY, 0.25, 1.0);
-        let big = pool.add_task(f64::INFINITY, 1.0, 1.0);
+        let small = pool.add_task(f64::INFINITY, 0.25, 1.0, ());
+        let big = pool.add_task(f64::INFINITY, 1.0, 1.0, ());
         assert_close(pool.rate_of(small).unwrap(), 0.25);
         assert_close(pool.rate_of(big).unwrap(), 1.0);
     }
@@ -318,8 +345,8 @@ mod tests {
     #[test]
     fn overload_respects_weights() {
         let mut pool = CpuPool::new(1.0);
-        let heavy = pool.add_task(f64::INFINITY, 1.0, 3.0);
-        let light = pool.add_task(f64::INFINITY, 1.0, 1.0);
+        let heavy = pool.add_task(f64::INFINITY, 1.0, 3.0, ());
+        let light = pool.add_task(f64::INFINITY, 1.0, 1.0, ());
         assert_close(pool.rate_of(heavy).unwrap(), 0.75);
         assert_close(pool.rate_of(light).unwrap(), 0.25);
     }
@@ -327,8 +354,8 @@ mod tests {
     #[test]
     fn advance_consumes_and_completes() {
         let mut pool = CpuPool::new(1.0);
-        let a = pool.add_task(0.5, 1.0, 1.0);
-        let b = pool.add_task(f64::INFINITY, 1.0, 1.0);
+        let a = pool.add_task(0.5, 1.0, 1.0, ());
+        let b = pool.add_task(f64::INFINITY, 1.0, 1.0, ());
         // Both run at 0.5; `a` finishes after 1 s.
         let (id, when) = pool.next_completion().unwrap();
         assert_eq!(id, a);
@@ -346,7 +373,7 @@ mod tests {
     #[test]
     fn add_demand_extends_task() {
         let mut pool = CpuPool::new(1.0);
-        let a = pool.add_task(1.0, 1.0, 1.0);
+        let a = pool.add_task(1.0, 1.0, 1.0, ());
         pool.add_demand(a, 1.0);
         let (_, when) = pool.next_completion().unwrap();
         assert_close(when.as_secs_f64(), 2.0);
@@ -358,9 +385,9 @@ mod tests {
         // equal weight arrives: the function drops to 0.5 vCPU, doubling
         // its completion time — the Figure 9 effect in miniature.
         let mut pool = CpuPool::new(1.0);
-        let func = pool.add_task(1.0, 1.0, 1.0);
+        let func = pool.add_task(1.0, 1.0, 1.0, ());
         assert_close(pool.next_completion().unwrap().1.as_secs_f64(), 1.0);
-        let kthread = pool.add_task(f64::INFINITY, 1.0, 1.0);
+        let kthread = pool.add_task(f64::INFINITY, 1.0, 1.0, ());
         assert_close(pool.rate_of(func).unwrap(), 0.5);
         let (_, when) = pool.next_completion().unwrap();
         assert_close(when.as_secs_f64(), 2.0);
@@ -370,16 +397,75 @@ mod tests {
 
     #[test]
     fn empty_pool_has_no_completion() {
-        let pool = CpuPool::new(1.0);
+        let pool: CpuPool = CpuPool::new(1.0);
         assert!(pool.next_completion().is_none());
         assert!(pool.is_empty());
+    }
+
+    /// Over seeded random pools, one `take_finished` sweep hands back
+    /// the finished payloads in task order and leaves every survivor's
+    /// rate and the next completion bit-identical to removing the same
+    /// tasks one by one.
+    #[test]
+    fn take_finished_matches_one_by_one_removal() {
+        const POOLS: u64 = 2_000;
+        let build = |case: u64| {
+            let mut rng = DetRng::new(0x7A5C).derive(case);
+            let mut pool = CpuPool::new(rng.range_f64(0.5, 4.0));
+            let mut ids = Vec::new();
+            for tag in 0..rng.range(1, 12) {
+                let demand = if rng.chance(0.1) {
+                    f64::INFINITY
+                } else {
+                    rng.range_f64(1e-3, 2.0)
+                };
+                let (cap, weight) = (rng.range_f64(0.1, 2.0), rng.range_f64(0.5, 2.0));
+                ids.push(pool.add_task(demand, cap, weight, tag));
+            }
+            if let Some((_, first)) = pool.next_completion() {
+                pool.advance_to(first);
+            }
+            (pool, ids, rng.range_f64(0.0, 1.0))
+        };
+        let rates = |pool: &CpuPool<u64>, ids: &[TaskId]| -> Vec<Option<u64>> {
+            ids.iter()
+                .map(|&id| pool.rate_of(id).map(f64::to_bits))
+                .collect()
+        };
+        let mut moved = 0;
+        for case in 0..POOLS {
+            let (mut batch, ids, eps) = build(case);
+            let (mut single, _, _) = build(case);
+            let before = rates(&single, &ids);
+            let mut taken = Vec::new();
+            batch.take_finished(eps, &mut taken);
+            let mut expect = Vec::new();
+            for (tag, &id) in ids.iter().enumerate() {
+                if single.remaining(id).is_some_and(|r| r <= eps) {
+                    single.remove(id);
+                    expect.push(tag as u64);
+                }
+            }
+            assert_eq!(taken, expect, "pool {case}");
+            let after = rates(&single, &ids);
+            assert_eq!(rates(&batch, &ids), after, "pool {case}");
+            assert_eq!(batch.next_completion(), single.next_completion());
+            let survivor_moved = before
+                .iter()
+                .zip(&after)
+                .any(|(b, a)| a.is_some() && a != b);
+            moved += u64::from(survivor_moved);
+        }
+        // Removals often change the survivors' shares, so a sweep that
+        // skipped the recompute would fail above.
+        assert!(moved > POOLS / 10, "survivor rates moved in {moved} pools");
     }
 
     #[test]
     #[should_panic(expected = "no such task")]
     fn remove_unknown_task_panics() {
         let mut pool = CpuPool::new(1.0);
-        let t = pool.add_task(1.0, 1.0, 1.0);
+        let t = pool.add_task(1.0, 1.0, 1.0, ());
         pool.remove(t);
         pool.remove(t);
     }

@@ -6,150 +6,31 @@
 //! FIFO tie-break holds across the whole queue, and it is what makes
 //! whole-system runs reproducible.
 //!
-//! Pending events live in two sources, chosen by how they are timed:
+//! Every pending event sits in one indexed binary min-heap on
+//! `(time, seq)`, under a key. A key is scheduled one of two ways:
 //!
-//! * **Re-armable timers** ([`EventQueue::set_timer`]): at most one
-//!   pending entry per key, replaced or cancelled in place (Linux's
-//!   `mod_timer`), in an indexed binary heap over the armed keys. A
-//!   re-arm takes the next sequence number exactly as a fresh push
-//!   would, so it orders like one; the superseded entry is gone rather
-//!   than left to pop stale. A prediction that later events keep
-//!   moving — a VM's next CPU completion, an idle instance's
-//!   keep-alive expiry — is a timer.
-//! * **A binary heap** ([`EventQueue::push`]) for everything else.
+//! * **Re-armable timers** ([`EventQueue::set_timer`]): a key reserved
+//!   by [`EventQueue::timer_keys`] holds at most one pending event,
+//!   replaced or cancelled in place (Linux's `mod_timer`). A re-arm
+//!   takes the next sequence number exactly as a fresh push would, so
+//!   it orders like one; the superseded entry is gone rather than left
+//!   to pop stale. A prediction that later events keep moving — a VM's
+//!   next CPU completion, an idle instance's keep-alive expiry — is a
+//!   timer.
+//! * **One-shot events** ([`EventQueue::push`]) for everything else: a
+//!   push takes a key from a free list and arms it as a timer; the key
+//!   goes back to the list when its event pops.
 //!
-//! A pop takes the smaller `(time, seq)` of the timer heap's root and
-//! the heap's root, so the queue pops in exactly the order of one
-//! reference binary heap — a property the differential tests in
-//! `tests/queue_order.rs` pin.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! So the queue pops in exactly the order of one reference binary heap
+//! — a property the differential tests in `tests/queue_order.rs` pin.
 
 use crate::time::SimTime;
 
-/// Marks a disarmed key in [`Timers::pos`].
+/// Marks a disarmed key in [`EventQueue::pos`].
 const DISARMED: usize = usize::MAX;
 
-/// One pending event of the heap.
-struct Entry<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
-    }
-}
-
-// Reversed, so the max-heap `BinaryHeap` pops the smallest (at, seq).
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key().cmp(&self.key())
-    }
-}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-/// Re-armable timers: an indexed binary min-heap over the armed keys.
-struct Timers<E> {
-    /// `(at, seq, key)` of every armed timer, heap-ordered on `(at, seq)`.
-    heap: Vec<(u64, u64, usize)>,
-    /// Per key: its index in `heap`, or [`DISARMED`].
-    pos: Vec<usize>,
-    /// Per key: the armed timer's event.
-    events: Vec<Option<E>>,
-}
-
-impl<E> Timers<E> {
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i].2] = i;
-        self.pos[self.heap[j].2] = j;
-    }
-
-    fn less(&self, i: usize, j: usize) -> bool {
-        let (a, b) = (&self.heap[i], &self.heap[j]);
-        (a.0, a.1) < (b.0, b.1)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if !self.less(i, parent) {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut min = i;
-            if l < self.heap.len() && self.less(l, min) {
-                min = l;
-            }
-            if r < self.heap.len() && self.less(r, min) {
-                min = r;
-            }
-            if min == i {
-                return;
-            }
-            self.swap(i, min);
-            i = min;
-        }
-    }
-
-    /// Moves heap node `i` to where its (changed) key belongs.
-    fn fix(&mut self, i: usize) {
-        if i > 0 && self.less(i, (i - 1) / 2) {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
-        }
-    }
-
-    /// Disarms the timer at heap index `i`, returning its `(at, event)`.
-    fn remove_at(&mut self, i: usize) -> (u64, E) {
-        let last = self.heap.len() - 1;
-        self.swap(i, last);
-        let (at, _, key) = self.heap.pop().expect("i is a heap index");
-        self.pos[key] = DISARMED;
-        if i < self.heap.len() {
-            self.fix(i);
-        }
-        (
-            at,
-            self.events[key].take().expect("armed timers hold an event"),
-        )
-    }
-}
-
-/// Where the next event to pop waits.
-#[derive(Clone, Copy)]
-enum Source {
-    Heap,
-    Timer,
-}
-
-/// A time-ordered, deterministic event queue: re-armable timers and a
-/// binary heap behind one `(time, seq)` order.
+/// A time-ordered, deterministic event queue: re-armable timers and
+/// one-shot events in one indexed heap behind one `(time, seq)` order.
 ///
 /// # Examples
 ///
@@ -169,11 +50,19 @@ enum Source {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    timers: Timers<E>,
+    /// `(at, seq, key)` of every pending event, heap-ordered on
+    /// `(at, seq)`.
+    heap: Vec<(u64, u64, usize)>,
+    /// Per key: its index in `heap`, or [`DISARMED`].
+    pos: Vec<usize>,
+    /// Per key: its pending event.
+    events: Vec<Option<E>>,
+    /// Per key: `true` for a one-shot key of [`Self::push`].
+    one_shot: Vec<bool>,
+    /// One-shot keys holding no event.
+    free: Vec<usize>,
     next_seq: u64,
     now: SimTime,
-    len: usize,
     processed: u64,
     peak_len: usize,
 }
@@ -188,15 +77,13 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            timers: Timers {
-                heap: Vec::new(),
-                pos: Vec::new(),
-                events: Vec::new(),
-            },
+            heap: Vec::new(),
+            pos: Vec::new(),
+            events: Vec::new(),
+            one_shot: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            len: 0,
             processed: 0,
             peak_len: 0,
         }
@@ -216,19 +103,6 @@ impl<E> EventQueue<E> {
         );
     }
 
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    fn grew(&mut self) {
-        self.len += 1;
-        if self.len > self.peak_len {
-            self.peak_len = self.len;
-        }
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -236,21 +110,22 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the past.
     pub fn push(&mut self, at: SimTime, event: E) {
         self.check_not_past(at);
-        let seq = self.take_seq();
-        self.heap.push(Entry {
-            at: at.0,
-            seq,
-            event,
+        let key = self.free.pop().unwrap_or_else(|| {
+            let key = self.timer_keys(1);
+            self.one_shot[key] = true;
+            key
         });
-        self.grew();
+        self.events[key] = Some(event);
+        self.arm(key, at);
     }
 
     /// Reserves `n` fresh timer keys, disarmed, and returns the first:
     /// the keys are `first..first + n`.
     pub fn timer_keys(&mut self, n: usize) -> usize {
-        let first = self.timers.pos.len();
-        self.timers.pos.resize(first + n, DISARMED);
-        self.timers.events.resize_with(first + n, || None);
+        let first = self.pos.len();
+        self.pos.resize(first + n, DISARMED);
+        self.events.resize_with(first + n, || None);
+        self.one_shot.resize(first + n, false);
         first
     }
 
@@ -264,65 +139,58 @@ impl<E> EventQueue<E> {
     /// Panics if `key` was not reserved by [`Self::timer_keys`] or `at`
     /// is in the past.
     pub fn set_timer(&mut self, key: usize, at: Option<SimTime>, event: E) {
-        let i = self.timers.pos[key];
+        assert!(!self.one_shot[key], "key {key} is not a timer key");
         let Some(at) = at else {
+            let i = self.pos[key];
             if i != DISARMED {
-                self.timers.remove_at(i);
-                self.len -= 1;
+                self.remove_at(i);
+                self.events[key] = None;
             }
             return;
         };
         self.check_not_past(at);
-        let seq = self.take_seq();
-        self.timers.events[key] = Some(event);
-        if i == DISARMED {
-            let i = self.timers.heap.len();
-            self.timers.heap.push((at.0, seq, key));
-            self.timers.pos[key] = i;
-            self.timers.sift_up(i);
-            self.grew();
-        } else {
-            self.timers.heap[i] = (at.0, seq, key);
-            self.timers.fix(i);
-        }
+        self.events[key] = Some(event);
+        self.arm(key, at);
     }
 
-    /// The source holding the smaller pending `(time, seq)`, and its
-    /// time.
-    fn next(&self) -> Option<(u64, Source)> {
-        let mut best = self.heap.peek().map(|e| (e.key(), Source::Heap));
-        if let Some(&(at, seq, _)) = self.timers.heap.first() {
-            if best.is_none_or(|(k, _)| (at, seq) < k) {
-                best = Some(((at, seq), Source::Timer));
-            }
+    /// Schedules `key`'s event at `at` under the next sequence number,
+    /// moving its heap entry if it has one.
+    fn arm(&mut self, key: usize, at: SimTime) {
+        let entry = (at.0, self.next_seq, key);
+        self.next_seq += 1;
+        let i = self.pos[key];
+        if i == DISARMED {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+            self.peak_len = self.peak_len.max(self.heap.len());
+        } else {
+            self.heap[i] = entry;
+            self.fix(i);
         }
-        best.map(|((at, _), src)| (at, src))
     }
 
     /// Pops the earliest event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (_, src) = self.next()?;
-        Some(self.take(src))
+        (!self.heap.is_empty()).then(|| self.take_front())
     }
 
     /// Pops the earliest event if it is due strictly before `limit`, as
     /// [`Self::pop`] does; otherwise leaves the queue as it is. One
-    /// search where [`Self::peek_time`] and a pop would take two.
+    /// look at the heap's root where [`Self::peek_time`] and a pop would
+    /// take two.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let (at, src) = self.next()?;
-        (at < limit.0).then(|| self.take(src))
+        let &(at, _, _) = self.heap.first()?;
+        (at < limit.0).then(|| self.take_front())
     }
 
-    /// Removes the front event of `src` and advances the clock to it.
-    fn take(&mut self, src: Source) -> (SimTime, E) {
-        let (at, event) = match src {
-            Source::Heap => {
-                let e = self.heap.pop().expect("peeked");
-                (e.at, e.event)
-            }
-            Source::Timer => self.timers.remove_at(0),
-        };
-        self.len -= 1;
+    /// Removes the heap's root, frees its key if it is one-shot and
+    /// advances the clock to it.
+    fn take_front(&mut self) -> (SimTime, E) {
+        let (at, key) = self.remove_at(0);
+        let event = self.events[key].take().expect("armed keys hold an event");
+        if self.one_shot[key] {
+            self.free.push(key);
+        }
         self.processed += 1;
         debug_assert!(at >= self.now.0);
         self.now = SimTime(at);
@@ -331,17 +199,17 @@ impl<E> EventQueue<E> {
 
     /// Returns the timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next().map(|(at, _)| SimTime(at))
+        self.heap.first().map(|&(at, _, _)| SimTime(at))
     }
 
     /// Returns the number of pending events (armed timers included).
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Total events popped over the queue's lifetime (the events/sec
@@ -354,6 +222,78 @@ impl<E> EventQueue<E> {
     /// High-water mark of pending events.
     pub fn peak_len(&self) -> usize {
         self.peak_len
+    }
+
+    // --- The indexed heap ---------------------------------------------------
+
+    /// The `(at, seq)` order of heap node `i`.
+    fn order(&self, i: usize) -> (u64, u64) {
+        let (at, seq, _) = self.heap[i];
+        (at, seq)
+    }
+
+    /// Puts `entry` at heap index `i`, recording its position.
+    fn place(&mut self, i: usize, entry: (u64, u64, usize)) {
+        self.heap[i] = entry;
+        self.pos[entry.2] = i;
+    }
+
+    /// Moves heap node `i` towards the root, shifting each later parent
+    /// it passes down a level.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if (entry.0, entry.1) >= self.order(parent) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    /// Moves heap node `i` towards the leaves, shifting each earlier
+    /// child it passes up a level.
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.heap.len() {
+                break;
+            }
+            if child + 1 < self.heap.len() && self.order(child + 1) < self.order(child) {
+                child += 1;
+            }
+            if (entry.0, entry.1) <= self.order(child) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+
+    /// Moves heap node `i` to where its (changed) entry belongs.
+    fn fix(&mut self, i: usize) {
+        if i > 0 && self.order(i) < self.order((i - 1) / 2) {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    /// Unlinks heap node `i` and disarms its key, returning its
+    /// `(at, key)`; the key's event stays for the caller.
+    fn remove_at(&mut self, i: usize) -> (u64, usize) {
+        let (at, _, key) = self.heap[i];
+        let last = self.heap.pop().expect("i is a heap index");
+        self.pos[key] = DISARMED;
+        if i < self.heap.len() {
+            self.place(i, last);
+            self.fix(i);
+        }
+        (at, key)
     }
 }
 
@@ -505,6 +445,38 @@ mod tests {
         assert_eq!((q.len(), q.now()), (1, SimTime(5)));
         assert_eq!(q.pop_before(SimTime(u64::MAX)), Some((SimTime(9), 'b')));
         assert_eq!(q.pop_before(SimTime(u64::MAX)), None);
+    }
+
+    /// A long hold model — every pop followed by a push, so the pending
+    /// count stays fixed, with timers re-armed and disarmed in between —
+    /// must recycle popped one-shot keys: the key space never grows
+    /// beyond the peak pending count plus the reserved timer keys.
+    #[test]
+    fn hold_model_recycles_one_shot_keys() {
+        const DEPTH: u64 = 128;
+        const TIMERS: usize = 8;
+        let mut q = EventQueue::new();
+        let k = q.timer_keys(TIMERS);
+        for i in 0..DEPTH {
+            q.push(SimTime(i * 7 % 97), None);
+        }
+        for i in 0..100_000u64 {
+            let (now, timer) = q.pop().expect("the hold model keeps events pending");
+            if timer.is_none() {
+                q.push(now + SimDuration(1 + i * 31 % 1_000), None);
+            }
+            let key = k + (i as usize % TIMERS);
+            let at = (i % 5 != 0).then(|| now + SimDuration(i * 17 % 2_000));
+            q.set_timer(key, at, Some(key));
+            assert!(
+                q.pos.len() <= q.peak_len() + TIMERS,
+                "{} keys for a peak of {} pending",
+                q.pos.len(),
+                q.peak_len()
+            );
+        }
+        // The pushes never held more than `DEPTH` one-shot keys at once.
+        assert_eq!(q.pos.len(), DEPTH as usize + TIMERS);
     }
 
     #[test]

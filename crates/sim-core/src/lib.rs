@@ -6,8 +6,8 @@
 //!
 //! * [`time`] — virtual nanosecond clock ([`SimTime`], [`SimDuration`]).
 //! * [`events`] — a deterministic event queue with FIFO tie-breaking:
-//!   re-armable timers and a binary heap behind one `(time, seq)`
-//!   order.
+//!   one indexed heap on `(time, seq)` holding re-armable timers and
+//!   one-shot pushes alike.
 //! * [`collections`] — flat sorted-`Vec` maps ([`IdMap`]) for the
 //!   per-event hot paths; `BTreeMap` iteration order without the
 //!   per-node allocation.
@@ -18,7 +18,8 @@
 //!   calibration targets; the README's "Reproducing the paper" shows
 //!   how to regenerate them).
 //! * [`cpu`] — a generalized-processor-sharing CPU pool with per-task rate
-//!   caps; reproduces the vCPU interference effects of Figures 7 and 9.
+//!   caps, each task carrying its caller's payload; reproduces the vCPU
+//!   interference effects of Figures 7 and 9.
 //! * [`metrics`] — histograms/quantiles, time series and busy-interval
 //!   recorders used by the benchmark harness.
 //! * [`experiment`] — the multi-trial, multi-point experiment engine the

@@ -23,7 +23,7 @@ fn add_random_task(pool: &mut CpuPool, rng: &mut DetRng) {
     } else {
         rng.range_f64(1e-3, 5.0)
     };
-    pool.add_task(demand, rng.range_f64(0.1, 2.0), rng.range_f64(0.5, 2.0));
+    pool.add_task(demand, rng.range_f64(0.1, 2.0), rng.range_f64(0.5, 2.0), ());
 }
 
 /// An instant a fraction `f` of the way from `from` to `to`, in whole

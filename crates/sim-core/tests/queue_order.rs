@@ -1,10 +1,11 @@
-//! Property: [`EventQueue`] — re-armable timers and a binary heap
-//! behind one (time, seq) order — pops in exactly the order of a
-//! reference binary heap over arbitrary interleavings of pushes, timer
-//! arms/re-arms/disarms and pops (unconditional and bounded), including
-//! same-instant ties across both sources, far-future events up to
-//! `u64::MAX`, and keep-alive-shaped traffic: many keys re-armed one
-//! fixed window ahead, some disarmed before they fire.
+//! Property: [`EventQueue`] — re-armable timers and one-shot pushes in
+//! one indexed heap behind one (time, seq) order — pops in exactly the
+//! order of a reference binary heap over arbitrary interleavings of
+//! pushes, timer arms/re-arms/disarms and pops (unconditional and
+//! bounded), including same-instant ties between timers and pushes,
+//! far-future events up to `u64::MAX`, and keep-alive-shaped traffic:
+//! many keys re-armed one fixed window ahead, some disarmed before they
+//! fire.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -196,7 +197,7 @@ fn queue_matches_reference_heap_on_random_interleavings() {
     }
 }
 
-/// Both sources hold events at one instant: they pop in the order they
+/// Timers and pushes hold events at one instant: they pop in the order they
 /// were scheduled, a re-arm counting as a fresh schedule.
 #[test]
 fn equal_instant_ties_across_sources_pop_in_schedule_order() {
@@ -213,7 +214,7 @@ fn equal_instant_ties_across_sources_pop_in_schedule_order() {
     p.drain();
 }
 
-/// Far-future events on both sources — one per 6-bit digit of the u64
+/// Far-future timers and pushes — one per 6-bit digit of the u64
 /// timeline, plus `u64::MAX` itself — come back in time order.
 #[test]
 fn far_future_events_pop_in_time_order_from_both_sources() {

@@ -129,7 +129,7 @@ proptest! {
         let n = demands.len().min(caps.len());
         let mut pool = CpuPool::new(2.0);
         let ids: Vec<_> = (0..n)
-            .map(|i| pool.add_task(demands[i], caps[i], 1.0))
+            .map(|i| pool.add_task(demands[i], caps[i], 1.0, ()))
             .collect();
         for &id in &ids {
             let rate = pool.rate_of(id).unwrap();
