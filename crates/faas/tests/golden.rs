@@ -73,6 +73,43 @@ fn tight(backend: BackendKind) -> SimConfig {
     }
 }
 
+/// A host with two VMs, one deployment each (tenants at `(0,0)` and
+/// `(1,0)`): per-VM CPU pools, keep-alive timers and backend
+/// reclaims interleave on one 2 GiB host. All five backends produce
+/// distinct digests here; Static, which never reclaims, strands part
+/// of the load.
+fn two_vms(backend: BackendKind) -> SimConfig {
+    SimConfig {
+        backend,
+        harvest: HarvestConfig::default(),
+        vms: vec![
+            VmSpec {
+                deployments: vec![Deployment {
+                    kind: FunctionKind::Html,
+                    concurrency: 3,
+                    arrivals: vec![1.0, 1.05, 1.1, 25.0, 60.0, 60.02, 61.0],
+                }],
+                vcpus: Some(2.0),
+            },
+            VmSpec {
+                deployments: vec![Deployment {
+                    kind: FunctionKind::Cnn,
+                    concurrency: 2,
+                    arrivals: vec![2.0, 2.5, 30.0, 31.0, 70.0],
+                }],
+                vcpus: None,
+            },
+        ],
+        host_capacity: 2 * GIB,
+        keepalive_s: 15.0,
+        duration_s: 120.0,
+        unplug_deadline_ms: 5_000,
+        record_latency_points: true,
+        seed: 11,
+        trial: 1,
+    }
+}
+
 fn digest_table(make: fn(BackendKind) -> SimConfig) -> String {
     BackendKind::ALL
         .iter()
@@ -108,6 +145,17 @@ HarvestOpts:b5a0c188fd7acc44
 Squeezy:ab9c7a5de56b014c
 SqueezySoft:3c607dcfac0b4aa0";
     assert_eq!(digest_table(tight), expected);
+}
+
+#[test]
+fn two_vm_host_digests_are_pinned() {
+    let expected = "\
+Static:48b64429e1d43dd6
+VirtioMem:86de834a3df09828
+HarvestOpts:ab0e23d47a999ab1
+Squeezy:f9810fc96cfc1118
+SqueezySoft:9bf1976446fa4a75";
+    assert_eq!(digest_table(two_vms), expected);
 }
 
 /// Two identical runs digest equal; different seeds digest differently
