@@ -2,7 +2,7 @@
 //! bursty trace; guest memory usage tracks the instance count, but the
 //! host keeps the peak allocated because nothing reclaims it.
 
-use faas::{BackendKind, Deployment, FaasSim, SimConfig, SimResult, VmSpec};
+use faas::{BackendKind, Deployment, HarvestConfig, SimConfig, SimResult, VmSpec};
 use sim_core::experiment::{run_experiment, ExpOpts, TrialCtx};
 use sim_core::{SimDuration, TextTable};
 use workloads::{bursty_arrivals, BurstyTraceConfig, FunctionKind};
@@ -83,28 +83,25 @@ fn run_trial(cfg: &Fig1Config, ctx: &mut TrialCtx) -> SimResult {
     );
     arrivals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
 
-    let sim_cfg = SimConfig {
-        keepalive_s: cfg.keepalive_s,
-        seed: cfg.seed,
-        trial: ctx.trial,
-        ..SimConfig::single_vm(
-            BackendKind::Static,
-            Deployment {
+    let host = SimConfig {
+        backend: BackendKind::Static,
+        harvest: HarvestConfig::default(),
+        vms: vec![VmSpec {
+            deployments: vec![Deployment {
                 kind: FunctionKind::Html,
                 concurrency: cfg.concurrency,
-                arrivals,
-            },
-            cfg.duration_s,
-        )
-    };
-    let sim_cfg = SimConfig {
-        vms: vec![VmSpec {
-            deployments: sim_cfg.vms[0].deployments.clone(),
+            }],
             vcpus: Some((cfg.concurrency as f64 * 0.25).ceil().max(2.0)),
         }],
-        ..sim_cfg
+        host_capacity: u64::MAX / 2,
+        keepalive_s: cfg.keepalive_s,
+        duration_s: cfg.duration_s,
+        unplug_deadline_ms: 5_000,
+        record_latency_points: true,
+        seed: cfg.seed,
+        trial: ctx.trial,
     };
-    FaasSim::new(sim_cfg).expect("boot").run()
+    crate::setup::run_host(host, vec![(0, 0, arrivals)])
 }
 
 /// Renders guest/host usage and instance count over time.

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use faas::{BackendKind, Deployment, FaasSim, HarvestConfig, SimConfig, SimResult, VmSpec};
+use faas::{BackendKind, Deployment, HarvestConfig, SimConfig, SimResult, VmSpec};
 use sim_core::experiment::{mean_over, run_experiment, ExpOpts};
 use sim_core::metrics::geomean;
 use sim_core::{DetRng, TextTable};
@@ -162,11 +162,10 @@ fn build_config(
         },
         vms: traces
             .iter()
-            .map(|(kind, arrivals)| VmSpec {
+            .map(|(kind, _)| VmSpec {
                 deployments: vec![Deployment {
                     kind: *kind,
                     concurrency: cfg.concurrency,
-                    arrivals: arrivals.clone(),
                 }],
                 vcpus: None,
             })
@@ -191,8 +190,14 @@ fn run_one(
     tr: &[(FunctionKind, Vec<f64>)],
     trial: u64,
 ) -> Fig10Run {
-    let sim = FaasSim::new(build_config(backend, capacity, cfg, tr, trial)).expect("boot");
-    let mut result = sim.run();
+    // One VM per function: each trace drives its VM's one deployment.
+    let tenants = tr
+        .iter()
+        .enumerate()
+        .map(|(vm, (_, arrivals))| (vm, 0, arrivals.clone()))
+        .collect();
+    let host = build_config(backend, capacity, cfg, tr, trial);
+    let mut result = crate::setup::run_host(host, tenants);
     let p99: BTreeMap<FunctionKind, f64> = FunctionKind::ALL
         .iter()
         .map(|&k| (k, result.p99_ms(k)))

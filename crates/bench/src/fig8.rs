@@ -2,7 +2,7 @@
 //! runtime evicts function instances under realistic bursty load —
 //! vanilla virtio-mem vs Squeezy, per function plus geomean.
 
-use faas::{BackendKind, Deployment, FaasSim, SimConfig};
+use faas::{BackendKind, Deployment, SimConfig};
 use sim_core::experiment::{mean_over, run_experiment, ExpOpts};
 use sim_core::metrics::geomean;
 use sim_core::{DetRng, TextTable};
@@ -103,7 +103,7 @@ fn run_one(
         },
         rng,
     );
-    let sim_cfg = SimConfig {
+    let host = SimConfig {
         keepalive_s: cfg.keepalive_s,
         seed: cfg.seed,
         trial,
@@ -112,12 +112,11 @@ fn run_one(
             Deployment {
                 kind,
                 concurrency: cfg.concurrency,
-                arrivals,
             },
             cfg.duration_s,
         )
     };
-    let result = FaasSim::new(sim_cfg).expect("boot").run();
+    let result = crate::setup::run_host(host, vec![(0, 0, arrivals)]);
     result.total_reclaims().throughput_mibs()
 }
 

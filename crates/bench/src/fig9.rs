@@ -2,7 +2,7 @@
 //! same VM. Vanilla virtio-mem's migrations run on shared vCPUs and more
 //! than double CNN latency; Squeezy does not interfere.
 
-use faas::{BackendKind, Deployment, FaasSim, SimConfig, VmSpec};
+use faas::{BackendKind, Deployment, SimConfig, VmSpec};
 use sim_core::experiment::{run_experiment, ExpOpts};
 use sim_core::{DetRng, TextTable};
 use workloads::FunctionKind;
@@ -126,7 +126,7 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
         t += 1.0 / cfg.cnn_rps;
     }
 
-    let sim_cfg = SimConfig {
+    let host = SimConfig {
         backend,
         harvest: faas::HarvestConfig::default(),
         vms: vec![VmSpec {
@@ -134,12 +134,10 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
                 Deployment {
                     kind: FunctionKind::Cnn,
                     concurrency: 8,
-                    arrivals: cnn,
                 },
                 Deployment {
                     kind: FunctionKind::Html,
                     concurrency: cfg.html_instances,
-                    arrivals: html,
                 },
             ],
             vcpus: Some(cfg.vcpus),
@@ -154,7 +152,7 @@ fn run_one(backend: BackendKind, cfg: &Fig9Config, rng: &mut DetRng) -> Fig9Seri
         seed: cfg.seed,
         trial: 0,
     };
-    let result = FaasSim::new(sim_cfg).expect("boot").run();
+    let result = crate::setup::run_host(host, vec![(0, 0, cnn), (0, 1, html)]);
     let m = &result.per_func[&FunctionKind::Cnn];
     let mut per_second = Vec::new();
     let mut s = 20.0;

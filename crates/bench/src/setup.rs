@@ -1,11 +1,31 @@
-//! Shared experiment scaffolding: memhog farms on differently-backed VMs.
+//! Shared experiment scaffolding: memhog farms on differently-backed
+//! VMs, and the one-host runner of the FaaS figures.
 
+use faas::{ClusterConfig, ClusterSim, SimConfig, SimResult, SingleHost, TenantTrace};
 use guest_mm::{GuestMmConfig, PAGES_PER_HUGE};
 use mem_types::{align_up_to_block, GIB, MIB, PAGE_SIZE};
 use sim_core::{CostModel, DetRng};
 use squeezy::{SqueezyConfig, SqueezyManager};
 use vmm::{HostMemory, Vm, VmConfig};
 use workloads::Memhog;
+
+/// Runs one hand-built host beside its `(vm, dep, arrivals)` tenant
+/// traces (a one-host cluster under the [`SingleHost`] router) and
+/// returns its result.
+pub(crate) fn run_host(host: SimConfig, tenants: Vec<(usize, usize, Vec<f64>)>) -> SimResult {
+    let tenants = tenants
+        .into_iter()
+        .map(|(vm, dep, arrivals)| TenantTrace { vm, dep, arrivals })
+        .collect();
+    let cluster = ClusterConfig {
+        hosts: vec![host],
+        tenants,
+    };
+    let mut result = ClusterSim::new(cluster, Box::new(SingleHost))
+        .expect("boot")
+        .run();
+    result.hosts.remove(0)
+}
 
 /// A VM fully loaded with memhog instances, ready for kill/reclaim steps.
 pub struct MemhogFarm {

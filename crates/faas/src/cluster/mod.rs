@@ -10,7 +10,8 @@
 //! [`ClusterSim`] is a shell that runs a hand-built [`ClusterConfig`]
 //! the same way on [`crate::FleetSim`] and projects the
 //! [`crate::FleetResult`] onto a [`ClusterResult`]; it remains for the
-//! benchmark harness and the tests.
+//! benchmark harness, the figure modules that hand-build one host
+//! (run under the [`SingleHost`] router) and the tests.
 
 mod router;
 
@@ -44,9 +45,9 @@ pub struct TenantTrace {
 /// A cluster: per-host simulation configs plus the tenant traces the
 /// router spreads over them.
 ///
-/// Every host must expose each tenant's `(vm, dep)` deployment slot;
-/// arrival lists inside the host configs are ignored (the cluster owns
-/// the traces). Hosts share `duration_s`.
+/// Every host must expose each tenant's `(vm, dep)` deployment slot.
+/// Hosts share `duration_s`. A hand-built single host is a one-host
+/// cluster run with the [`SingleHost`] router.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Per-host simulation configs.
@@ -78,32 +79,6 @@ impl ClusterConfig {
         ClusterConfig {
             hosts: fleet.initial_hosts,
             tenants: fleet.tenants,
-        }
-    }
-
-    /// Wraps a single-host config into a one-host cluster: its
-    /// deployments' arrival traces move into the tenant traces, in
-    /// flattened `(vm, dep)` order. Run with the [`SingleHost`] router,
-    /// this is how [`crate::FaasSim`] runs a host.
-    pub fn from_single(mut cfg: SimConfig) -> ClusterConfig {
-        let tenants = cfg
-            .vms
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(vi, spec)| {
-                spec.deployments
-                    .iter_mut()
-                    .enumerate()
-                    .map(move |(di, d)| TenantTrace {
-                        vm: vi,
-                        dep: di,
-                        arrivals: std::mem::take(&mut d.arrivals),
-                    })
-            })
-            .collect();
-        ClusterConfig {
-            hosts: vec![cfg],
-            tenants,
         }
     }
 
@@ -216,7 +191,6 @@ mod tests {
                     .map(|_| Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: Some(2.0),

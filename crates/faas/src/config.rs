@@ -84,7 +84,8 @@ impl Default for HarvestConfig {
     }
 }
 
-/// One function deployed on a VM, with its invocation trace.
+/// One function deployed on a VM. Its traffic is not part of the host
+/// config: a [`crate::TenantTrace`] addresses it by `(vm, dep)` slot.
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// The function (Table 1).
@@ -92,8 +93,6 @@ pub struct Deployment {
     /// Max concurrent instances of this function on its VM (the paper
     /// calibrates N to the trace's peak concurrency, 9-36).
     pub concurrency: u32,
-    /// Sorted arrival times in seconds.
-    pub arrivals: Vec<f64>,
 }
 
 /// One N:1 VM hosting one or more deployments (Figure 9 co-locates two).
@@ -120,7 +119,9 @@ impl VmSpec {
     }
 }
 
-/// Whole-simulation configuration.
+/// One host's configuration: its VMs and their deployments, the
+/// elasticity backend, and the host's limits and streams. The traffic
+/// it serves travels beside it as [`crate::TenantTrace`]s.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Elasticity backend driven by the runtime.
@@ -199,7 +200,6 @@ mod tests {
             deployments: vec![Deployment {
                 kind: FunctionKind::Html, // 0.25 shares
                 concurrency: 10,
-                arrivals: vec![],
             }],
             vcpus: None,
         };
@@ -224,7 +224,6 @@ mod tests {
             Deployment {
                 kind: FunctionKind::Html,
                 concurrency: 1,
-                arrivals: vec![],
             },
             10.0,
         );
@@ -242,7 +241,6 @@ mod tests {
             Deployment {
                 kind: FunctionKind::Cnn,
                 concurrency: 4,
-                arrivals: vec![1.0],
             },
             100.0,
         );

@@ -6,10 +6,11 @@
 //! one through
 //! [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan) and
 //! [`Scenario::boot`](crate::scenario::Scenario::boot); the
-//! [`crate::FaasSim`] (one host) and [`crate::ClusterSim`] (N hosts)
-//! shells run hand-built configs on it as a fixed fleet, for the figure
-//! modules and the benchmark harness. On top of that data plane it
-//! runs the control plane a real serverless fleet has:
+//! [`crate::ClusterSim`] shell runs hand-built host configs and tenant
+//! traces on it as a fixed fleet, for the figure modules (one host
+//! under [`crate::SingleHost`]) and the benchmark harness. On top of
+//! that data plane it runs the control plane a real serverless fleet
+//! has:
 //!
 //! * **Host lifecycle** — every host moves through
 //!   [`HostState::Booting`] → [`HostState::Active`] →
@@ -198,11 +199,46 @@ enum FleetEvent {
     Crash,
 }
 
-/// Where one host's handlers schedule future events: the sink tags
-/// each event with its host and schedules it on the one shared queue,
-/// so a host's scheduling order is the queue's FIFO tie-break order.
+/// The fleet's completion accounting. Hosts record each request here
+/// through their [`HostSink`] the moment it completes, so reservoir
+/// offers follow completion order.
+struct Completions {
+    /// Per-function latency targets in milliseconds.
+    slo: Vec<(FunctionKind, f64)>,
+    /// Bounded uniform sample of `(arrival_s, latency_ms)`.
+    latency_over_time: Reservoir,
+    /// Completions that breached their function's SLO target.
+    slo_violations: u64,
+    /// Completions with an SLO target.
+    slo_total: u64,
+    /// Completions since the last control tick (the policy's window).
+    window: Vec<LatencyObs>,
+    /// Whether `window` is fed: only when the control loop runs.
+    window_on: bool,
+}
+
+impl Completions {
+    fn record(&mut self, kind: FunctionKind, arrival_s: f64, latency_ms: f64) {
+        self.latency_over_time.offer(arrival_s, latency_ms);
+        if let Some(&(_, target)) = self.slo.iter().find(|(k, _)| *k == kind) {
+            self.slo_total += 1;
+            if latency_ms > target {
+                self.slo_violations += 1;
+            }
+        }
+        if self.window_on {
+            self.window.push((kind, latency_ms));
+        }
+    }
+}
+
+/// Where one host's handlers schedule future events and record
+/// completions: the sink tags each event with its host and schedules
+/// it on the one shared queue, so a host's scheduling order is the
+/// queue's FIFO tie-break order.
 pub(crate) struct HostSink<'a> {
     q: &'a mut EventQueue<FleetEvent>,
+    completions: &'a mut Completions,
     host: usize,
     /// The host's first CPU-timer key (see [`Slot::cpu_timers`]).
     cpu_timers: usize,
@@ -248,6 +284,17 @@ impl HostSink<'_> {
             ev: Event::KeepAlive { vm, inst },
         };
         self.q.set_timer(self.keepalive_timers + key, at, ev);
+    }
+
+    /// Records a completed request of function `kind` that arrived at
+    /// `arrival_s` seconds and took `latency_ms`.
+    pub(crate) fn record_completion(
+        &mut self,
+        kind: FunctionKind,
+        arrival_s: f64,
+        latency_ms: f64,
+    ) {
+        self.completions.record(kind, arrival_s, latency_ms);
     }
 }
 
@@ -420,11 +467,7 @@ pub struct FleetSim {
     /// placeholder entries are resized only when `active` changes size.
     route_loads: Vec<HostLoad>,
     policy: Box<dyn AutoscalePolicy>,
-    /// Cached `policy.period_s().is_some()`: whether the control loop
-    /// runs at all.
-    control_loop: bool,
     opts: AutoscaleOpts,
-    slo: Vec<(FunctionKind, f64)>,
     slots_per_host: usize,
     hosts: Vec<Slot>,
     events: EventQueue<FleetEvent>,
@@ -434,11 +477,8 @@ pub struct FleetSim {
     bounded_metrics: bool,
     routed: Vec<Vec<u64>>,
     injector: FailureInjector,
-    /// Completions since the last control tick (policy window);
-    /// only fed when the control loop is on.
-    recent_window: Vec<LatencyObs>,
+    completions: Completions,
     last_action_at: Option<SimTime>,
-    latency_over_time: Reservoir,
     active_hosts_over_time: TimeSeries,
     scale_ups: u64,
     scale_downs: u64,
@@ -446,8 +486,6 @@ pub struct FleetSim {
     requeued: u64,
     lost: u64,
     deferred: u64,
-    slo_violations: u64,
-    slo_total: u64,
 }
 
 impl FleetSim {
@@ -601,10 +639,16 @@ impl FleetSim {
             router,
             active: (0..hosts.len()).collect(),
             route_loads: Vec::new(),
-            control_loop: policy.period_s().is_some(),
+            completions: Completions {
+                slo: config.slo,
+                latency_over_time: Reservoir::new(LATENCY_RESERVOIR_CAP, reservoir_rng),
+                slo_violations: 0,
+                slo_total: 0,
+                window: Vec::new(),
+                window_on: policy.period_s().is_some(),
+            },
             policy,
             opts: config.autoscale,
-            slo: config.slo,
             slots_per_host,
             hosts,
             events,
@@ -612,9 +656,7 @@ impl FleetSim {
             bounded_metrics,
             routed,
             injector,
-            recent_window: Vec::new(),
             last_action_at: None,
-            latency_over_time: Reservoir::new(LATENCY_RESERVOIR_CAP, reservoir_rng),
             active_hosts_over_time,
             scale_ups: 0,
             scale_downs: 0,
@@ -622,8 +664,6 @@ impl FleetSim {
             requeued: 0,
             lost: 0,
             deferred: 0,
-            slo_violations: 0,
-            slo_total: 0,
         })
     }
 
@@ -678,9 +718,9 @@ impl FleetSim {
             requeued: self.requeued,
             lost: self.lost,
             deferred: self.deferred,
-            slo_violations: self.slo_violations,
-            slo_total: self.slo_total,
-            latency_over_time: self.latency_over_time,
+            slo_violations: self.completions.slo_violations,
+            slo_total: self.completions.slo_total,
+            latency_over_time: self.completions.latency_over_time,
             active_hosts_over_time: self.active_hosts_over_time,
             events_processed,
             peak_queue_depth,
@@ -700,7 +740,6 @@ impl FleetSim {
                 // events (keep-alives, sample chains) evaporate.
                 if self.hosts[host].is_live() {
                     self.dispatch(now, host, ev);
-                    self.drain_tap(host);
                     self.maybe_retire(now, host);
                 }
             }
@@ -715,6 +754,7 @@ impl FleetSim {
         let slot = &mut self.hosts[host];
         let mut sink = HostSink {
             q: &mut self.events,
+            completions: &mut self.completions,
             host,
             cpu_timers: slot.cpu_timers,
             keepalive_timers: slot.keepalive_timers,
@@ -737,7 +777,8 @@ impl FleetSim {
             // control loop is still alive to provision some — park the
             // request briefly; otherwise it is genuinely unservable.
             let provisioning = self.hosts.iter().any(|s| s.state == HostState::Booting);
-            let loop_alive = self.control_loop && now.as_secs_f64() < self.duration_s;
+            let loop_alive =
+                self.policy.period_s().is_some() && now.as_secs_f64() < self.duration_s;
             if provisioning || loop_alive {
                 self.deferred += 1;
                 self.events.push(
@@ -779,27 +820,6 @@ impl FleetSim {
         self.routed[h][tenant] += 1;
         let (vm, dep) = (t.vm, t.dep);
         self.dispatch(now, h, Event::Arrival { vm, dep });
-        self.drain_tap(h);
-    }
-
-    /// Moves the host's freshly recorded completions into the fleet's
-    /// reservoir, SLO counters and (when the control loop is on) the
-    /// policy's latency window.
-    fn drain_tap(&mut self, host: usize) {
-        let window_on = self.control_loop;
-        for &(kind, arrival_s, latency_ms) in self.hosts[host].sim.recent_latencies() {
-            self.latency_over_time.offer(arrival_s, latency_ms);
-            if let Some(&(_, target)) = self.slo.iter().find(|(k, _)| *k == kind) {
-                self.slo_total += 1;
-                if latency_ms > target {
-                    self.slo_violations += 1;
-                }
-            }
-            if window_on {
-                self.recent_window.push((kind, latency_ms));
-            }
-        }
-        self.hosts[host].sim.clear_recent_latencies();
     }
 
     // --- Control plane -----------------------------------------------------
@@ -828,11 +848,11 @@ impl FleetSim {
             booting,
             draining,
             slots_per_host: self.slots_per_host,
-            recent: &self.recent_window,
-            slo: &self.slo,
+            recent: &self.completions.window,
+            slo: &self.completions.slo,
         };
         let decision = self.policy.decide(&view);
-        self.recent_window.clear();
+        self.completions.window.clear();
 
         let in_cooldown = self
             .last_action_at
@@ -963,8 +983,6 @@ impl FleetSim {
         let Some(victim) = self.injector.pick_victim(&candidates) else {
             return;
         };
-        // Flush completions that happened before the crash.
-        self.drain_tap(victim);
         self.active.retain(|&i| i != victim);
         let slot = &mut self.hosts[victim];
         slot.state = HostState::Failed;
@@ -1006,7 +1024,6 @@ mod tests {
                     .map(|_| Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: Some(2.0),
@@ -1070,6 +1087,31 @@ mod tests {
                 ScaleDecision::Down(1)
             } else {
                 ScaleDecision::Hold
+            }
+        }
+    }
+
+    /// Churn test policy: boots a host on odd ticks and drains one on
+    /// even ticks, so hosts drain while they still hold work.
+    struct Seesaw {
+        ticks: u32,
+    }
+
+    impl AutoscalePolicy for Seesaw {
+        fn name(&self) -> &'static str {
+            "seesaw"
+        }
+
+        fn period_s(&self) -> Option<f64> {
+            Some(4.0)
+        }
+
+        fn decide(&mut self, _view: &FleetView) -> ScaleDecision {
+            self.ticks += 1;
+            if self.ticks % 2 == 1 {
+                ScaleDecision::Up(1)
+            } else {
+                ScaleDecision::Down(1)
             }
         }
     }
@@ -1335,6 +1377,43 @@ mod tests {
         let da: Vec<u64> = a.hosts.iter().map(|h| h.result.digest()).collect();
         let db: Vec<u64> = b.hosts.iter().map(|h| h.result.digest()).collect();
         assert_eq!(da, db);
+    }
+
+    #[test]
+    fn every_completion_is_accounted_once_through_crashes_and_drains() {
+        // Steady load on two tenants while the fleet boots and drains
+        // a host every other tick (draining hosts finish their work
+        // while draining) and injected crashes kill hosts mid-run.
+        // Each completion, on whichever host and in whichever state,
+        // must reach the reservoir and the SLO counters exactly once.
+        let mut tenants = burst_tenants(1_000, 1.0, 0.25);
+        tenants.push(TenantTrace {
+            vm: 0,
+            dep: 1,
+            arrivals: (0..500).map(|i| 1.1 + i as f64 * 0.5).collect(),
+        });
+        let mut cfg = fleet_cfg(
+            2,
+            tenants,
+            300.0,
+            AutoscaleOpts {
+                min_hosts: 1,
+                max_hosts: 5,
+                boot_delay_s: 5.0,
+                cooldown_s: 1.0,
+            },
+        );
+        cfg.failures = FailureConfig { mtbf_s: 45.0 };
+        let r = FleetSim::new(cfg, Box::new(LeastLoaded), Box::new(Seesaw { ticks: 0 }))
+            .expect("boot")
+            .run();
+        assert!(r.crashes >= 1, "crashes: {}", r.crashes);
+        assert!(r.scale_ups >= 1, "scale-ups: {}", r.scale_ups);
+        assert!(r.scale_downs >= 1, "scale-downs: {}", r.scale_downs);
+        assert_eq!(r.completed + r.lost, r.injected, "nothing left unfinished");
+        // Every function has an SLO target, so every completion counts.
+        assert_eq!(r.latency_over_time.seen(), r.completed);
+        assert_eq!(r.slo_total, r.completed);
     }
 
     #[test]

@@ -34,12 +34,14 @@
 //! [`FleetSim`], and its one [`FleetResult`] projects onto a
 //! [`ScenarioOutcome`]. Every experiment is a data change.
 //!
-//! [`FaasSim`] (one host) and [`ClusterSim`] (N hosts under a caller's
-//! router) are shells that run a hand-built [`SimConfig`] or
-//! [`ClusterConfig`] as a fixed fleet on the same engine and project
-//! its result. No spec-driven path uses them: they remain for the
-//! figure modules that hand-build a host config, for the benchmark
-//! harness and for their tests.
+//! A [`SimConfig`] describes one host (its VMs, deployments, backend
+//! and limits), never its traffic: [`TenantTrace`]s beside it address
+//! its deployment slots. [`ClusterSim`] is a shell that runs a
+//! hand-built [`ClusterConfig`] (host configs plus tenant traces) as a
+//! fixed fleet on the same engine and projects its result. No
+//! spec-driven path uses it: it remains for the benchmark harness, for
+//! the figure modules that hand-build one host (a one-host cluster
+//! under the [`SingleHost`] router) and for the tests.
 //!
 //! Also provides the 1:1 microVM cold-start model for the Figure-11
 //! comparison.
@@ -73,4 +75,3 @@ pub use scenario::{
     Expectation, FleetPlan, FleetStats, GridOutcome, MetricDiff, Scenario, ScenarioOutcome,
     ScenarioResult, SweepAxis, SweepCell, SweepSpec, Topology, WorkloadSpec,
 };
-pub use sim::FaasSim;

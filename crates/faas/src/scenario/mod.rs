@@ -208,9 +208,8 @@ impl Topology {
 /// Build one in code (start from [`Scenario::new`] and set fields) or
 /// load one from a spec file with [`Scenario::parse`]. Fields that a
 /// topology does not use are simply ignored by it (`policy` on a
-/// cluster, `router` on a single VM), the same way host configs inside
-/// a [`ClusterConfig`] ignore their arrival lists; [`Scenario::validate`]
-/// checks values and cross-field consistency up front with real error
+/// cluster, `router` on a single VM); [`Scenario::validate`] checks
+/// values and cross-field consistency up front with real error
 /// messages.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
@@ -557,9 +556,8 @@ impl Scenario {
             .seed()
     }
 
-    /// The per-host base config every multi-host topology clones:
-    /// deployment slots for each tenant, arrivals left empty (the
-    /// cluster/fleet owns the traces).
+    /// The per-host base config every topology clones: one deployment
+    /// slot per tenant (the fleet owns the traces).
     pub(crate) fn host_config(
         &self,
         tenants: &[TenantLoad],
@@ -576,7 +574,6 @@ impl Scenario {
                     .map(|t| crate::config::Deployment {
                         kind: t.kind,
                         concurrency: self.concurrency,
-                        arrivals: Vec::new(),
                     })
                     .collect(),
                 vcpus: None,

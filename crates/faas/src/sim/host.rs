@@ -8,8 +8,8 @@
 //! through the [`ElasticityBackend`] hooks.
 //!
 //! The handlers are driven externally: [`crate::FleetSim`], the
-//! crate's one event engine, hands each host its events and drains its
-//! latency tap.
+//! crate's one event engine, hands each host its events with a sink
+//! that schedules follow-ups and records each completion.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -110,9 +110,6 @@ pub(crate) struct HostSim {
     /// steady-state completion path does not allocate).
     finished_scratch: Vec<Work>,
     rng: DetRng,
-    /// Latency tap: completed requests since the engine last drained
-    /// it, as `(kind, arrival_s, latency_ms)`.
-    recent_latencies: Vec<(FunctionKind, f64, f64)>,
     /// Bounded-metrics mode (streamed trace replays): per-function
     /// histograms become capped reservoirs and the memory/instance
     /// time series stay empty.
@@ -211,7 +208,6 @@ impl HostSim {
             completed: 0,
             finished_scratch: Vec::new(),
             rng,
-            recent_latencies: Vec::new(),
             bounded_metrics: false,
             usage_last: None,
             usage_acc: 0.0,
@@ -370,20 +366,6 @@ impl HostSim {
     }
 
     // --- Fleet lifecycle hooks --------------------------------------------
-
-    /// The `(kind, arrival_s, latency_ms)` completions recorded since
-    /// the last drain. The engine feeds them to its reservoir and SLO
-    /// accounting; the tap is not part of [`SimResult`], so it never
-    /// perturbs digests.
-    pub fn recent_latencies(&self) -> &[(FunctionKind, f64, f64)] {
-        &self.recent_latencies
-    }
-
-    /// Forgets the drained latencies, keeping the buffer's capacity so
-    /// the steady-state completion path never reallocates it.
-    pub fn clear_recent_latencies(&mut self) {
-        self.recent_latencies.clear();
-    }
 
     /// `true` when the host holds no queued requests, no instances, no
     /// CPU work and no in-flight reclaims — a draining host in this
@@ -907,8 +889,7 @@ impl HostSim {
         self.mark_idle(vm, inst);
         let kind = self.dep_kind(vm, dep);
         let latency_ms = now.since(arrival).as_millis_f64();
-        self.recent_latencies
-            .push((kind, arrival.as_secs_f64(), latency_ms));
+        q.record_completion(kind, arrival.as_secs_f64(), latency_ms);
         let record_points = self.config.record_latency_points;
         let m = self.metrics(kind);
         m.latency.record(latency_ms);

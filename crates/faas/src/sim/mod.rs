@@ -17,10 +17,10 @@
 //!
 //! Every host runs on [`crate::FleetSim`], the crate's one event
 //! engine; a `single-vm` scenario is a one-host fixed fleet built by
-//! [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan).
-//! [`FaasSim`] is a shell that runs a hand-built [`SimConfig`] the same
-//! way; it remains for the figure modules that hand-build a host
-//! config, and for the tests.
+//! [`Scenario::fleet_plan`](crate::scenario::Scenario::fleet_plan). A
+//! hand-built host config ([`crate::SimConfig`]) runs the same way as
+//! a one-host [`crate::ClusterConfig`] beside its tenant traces, under
+//! the [`crate::SingleHost`] router.
 //!
 //! Time is event-driven; CPU contention inside each VM is the fluid
 //! model of [`sim_core::CpuPool`], so a virtio-mem driver kthread
@@ -31,45 +31,16 @@ pub(crate) mod events;
 pub(crate) mod host;
 pub(crate) mod instance;
 
-use vmm::VmmError;
-
-use crate::cluster::{ClusterConfig, SingleHost};
-use crate::config::SimConfig;
-use crate::fleet::{FixedFleet, FleetSim};
-use crate::metrics::SimResult;
-
-/// The single-host FaaS runtime simulator.
-pub struct FaasSim {
-    fleet: FleetSim,
-}
-
-impl FaasSim {
-    /// Builds a simulation: boots the VMs, installs the backend, and
-    /// takes the configured arrival traces into a lazy feed.
-    pub fn new(config: SimConfig) -> Result<FaasSim, VmmError> {
-        let fleet = FleetSim::new(
-            ClusterConfig::from_single(config).into_fixed_fleet(),
-            Box::new(SingleHost),
-            Box::new(FixedFleet),
-        )?;
-        Ok(FaasSim { fleet })
-    }
-
-    /// Runs the simulation to completion and returns the results.
-    pub fn run(self) -> SimResult {
-        let fleet = self.fleet.run();
-        fleet.hosts.into_iter().next().expect("one host").result
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::{BackendKind, Deployment, HarvestConfig, VmSpec};
+    use crate::cluster::{ClusterConfig, ClusterSim, SingleHost, TenantTrace};
+    use crate::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
+    use crate::fleet::{FixedFleet, FleetSim};
+    use crate::metrics::SimResult;
     use mem_types::GIB;
     use workloads::FunctionKind;
 
-    fn simple_config(backend: BackendKind, arrivals: Vec<f64>) -> SimConfig {
+    fn simple_config(backend: BackendKind) -> SimConfig {
         SimConfig {
             backend,
             harvest: HarvestConfig::default(),
@@ -77,7 +48,6 @@ mod tests {
                 deployments: vec![Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 4,
-                    arrivals,
                 }],
                 vcpus: Some(2.0),
             }],
@@ -91,6 +61,27 @@ mod tests {
         }
     }
 
+    /// One tenant on the host's only deployment slot.
+    fn tenant(arrivals: Vec<f64>) -> Vec<TenantTrace> {
+        vec![TenantTrace {
+            vm: 0,
+            dep: 0,
+            arrivals,
+        }]
+    }
+
+    /// Runs one host as a one-host cluster and returns its result.
+    fn run(host: SimConfig, tenants: Vec<TenantTrace>) -> SimResult {
+        let cluster = ClusterConfig {
+            hosts: vec![host],
+            tenants,
+        };
+        let mut result = ClusterSim::new(cluster, Box::new(SingleHost))
+            .unwrap()
+            .run();
+        result.hosts.remove(0)
+    }
+
     #[test]
     fn single_request_completes() {
         for backend in [
@@ -100,8 +91,7 @@ mod tests {
             BackendKind::HarvestOpts,
             BackendKind::SqueezySoft,
         ] {
-            let sim = FaasSim::new(simple_config(backend, vec![1.0])).unwrap();
-            let mut result = sim.run();
+            let mut result = run(simple_config(backend), tenant(vec![1.0]));
             assert_eq!(result.completed, 1, "{backend:?}");
             let p99 = result.p99_ms(FunctionKind::Html);
             assert!(p99 > 0.0, "{backend:?} latency recorded");
@@ -113,8 +103,7 @@ mod tests {
     #[test]
     fn warm_requests_are_fast() {
         // Two requests 5 s apart: the second reuses the warm instance.
-        let sim = FaasSim::new(simple_config(BackendKind::Squeezy, vec![1.0, 6.0])).unwrap();
-        let result = sim.run();
+        let result = run(simple_config(BackendKind::Squeezy), tenant(vec![1.0, 6.0]));
         assert_eq!(result.completed, 2);
         let m = &result.per_func[&FunctionKind::Html];
         assert_eq!(m.warm_starts, 1);
@@ -137,12 +126,12 @@ mod tests {
         // With recording off, memory stays bounded by the histogram
         // sample count and the points vector never grows — but the
         // aggregate latency metrics are unaffected.
-        let mut on = simple_config(BackendKind::Squeezy, vec![1.0, 6.0, 7.0]);
+        let mut on = simple_config(BackendKind::Squeezy);
         on.record_latency_points = true;
         let mut off = on.clone();
         off.record_latency_points = false;
-        let r_on = FaasSim::new(on).unwrap().run();
-        let r_off = FaasSim::new(off).unwrap().run();
+        let r_on = run(on, tenant(vec![1.0, 6.0, 7.0]));
+        let r_off = run(off, tenant(vec![1.0, 6.0, 7.0]));
         let m_on = &r_on.per_func[&FunctionKind::Html];
         let m_off = &r_off.per_func[&FunctionKind::Html];
         assert_eq!(m_on.latency_points.len(), 3);
@@ -157,8 +146,7 @@ mod tests {
 
     #[test]
     fn keepalive_evicts_and_squeezy_reclaims() {
-        let sim = FaasSim::new(simple_config(BackendKind::Squeezy, vec![1.0])).unwrap();
-        let result = sim.run();
+        let result = run(simple_config(BackendKind::Squeezy), tenant(vec![1.0]));
         let r = result.total_reclaims();
         assert_eq!(r.ops, 1, "one eviction-driven reclaim");
         assert!(r.bytes >= 768 << 20, "whole partition unplugged");
@@ -174,12 +162,16 @@ mod tests {
         let arrivals: Vec<f64> = (0..1_002)
             .map(|i| 1.0 + (i / 3) as f64 + (i % 3) as f64 * 1e-3)
             .collect();
-        let mut cfg = simple_config(BackendKind::Squeezy, arrivals);
+        let mut cfg = simple_config(BackendKind::Squeezy);
         cfg.keepalive_s = 400.0;
         cfg.duration_s = 800.0;
         let bound = 1 + cfg.vms.len() + 2 * cfg.instance_slots();
         let fleet = FleetSim::new(
-            ClusterConfig::from_single(cfg).into_fixed_fleet(),
+            ClusterConfig {
+                hosts: vec![cfg],
+                tenants: tenant(arrivals),
+            }
+            .into_fixed_fleet(),
             Box::new(SingleHost),
             Box::new(FixedFleet),
         )
@@ -217,12 +209,10 @@ mod tests {
         // Two staggered instances: the second keeps running while the
         // first is evicted, so its pages interleave with the victim's
         // blocks and must be migrated.
-        let sim = FaasSim::new(simple_config(
-            BackendKind::VirtioMem,
-            vec![1.0, 1.1, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0],
-        ))
-        .unwrap();
-        let result = sim.run();
+        let result = run(
+            simple_config(BackendKind::VirtioMem),
+            tenant(vec![1.0, 1.1, 30.0, 35.0, 40.0, 45.0, 50.0, 55.0, 60.0]),
+        );
         assert!(result.completed >= 9);
         let r = result.total_reclaims();
         assert!(r.ops >= 1);
@@ -235,12 +225,11 @@ mod tests {
     #[test]
     fn squeezy_reclaim_throughput_beats_virtio() {
         let arrivals: Vec<f64> = vec![1.0, 1.05, 1.1, 1.15]; // 4 concurrent cold starts
-        let sq = FaasSim::new(simple_config(BackendKind::Squeezy, arrivals.clone()))
-            .unwrap()
-            .run();
-        let vt = FaasSim::new(simple_config(BackendKind::VirtioMem, arrivals))
-            .unwrap()
-            .run();
+        let sq = run(
+            simple_config(BackendKind::Squeezy),
+            tenant(arrivals.clone()),
+        );
+        let vt = run(simple_config(BackendKind::VirtioMem), tenant(arrivals));
         let sq_tp = sq.total_reclaims().throughput_mibs();
         let vt_tp = vt.total_reclaims().throughput_mibs();
         assert!(sq_tp > 0.0 && vt_tp > 0.0);
@@ -252,8 +241,7 @@ mod tests {
 
     #[test]
     fn static_backend_never_releases_host_memory() {
-        let sim = FaasSim::new(simple_config(BackendKind::Static, vec![1.0])).unwrap();
-        let result = sim.run();
+        let result = run(simple_config(BackendKind::Static), tenant(vec![1.0]));
         assert_eq!(result.total_reclaims().ops, 0);
         // Host usage never decreases (Figure 1's flat host line).
         let pts = result.host_usage.points();
@@ -265,9 +253,9 @@ mod tests {
     #[test]
     fn host_usage_integral_is_the_step_integral_of_the_samples() {
         for backend in BackendKind::ALL {
-            let mut cfg = simple_config(backend, vec![1.0, 1.05, 80.0, 80.05]);
+            let mut cfg = simple_config(backend);
             cfg.keepalive_s = 10.0;
-            let result = FaasSim::new(cfg).unwrap().run();
+            let result = run(cfg, tenant(vec![1.0, 1.05, 80.0, 80.05]));
             // Each sample's value holds until the next sample, the last
             // one until the end of the run.
             let pts = result.host_usage.points();
@@ -287,8 +275,7 @@ mod tests {
     fn concurrency_limit_caps_instances() {
         // 10 simultaneous arrivals but concurrency 4.
         let arrivals: Vec<f64> = (0..10).map(|i| 1.0 + i as f64 * 0.01).collect();
-        let sim = FaasSim::new(simple_config(BackendKind::Squeezy, arrivals)).unwrap();
-        let result = sim.run();
+        let result = run(simple_config(BackendKind::Squeezy), tenant(arrivals));
         assert_eq!(result.completed, 10, "all requests eventually served");
         let peak_instances = result.instance_counts[0].max_value();
         assert!(peak_instances <= 4.0, "peak {peak_instances} ≤ N");
@@ -298,11 +285,10 @@ mod tests {
     fn restricted_host_forces_evictions() {
         // Host fits the VM boot + ~2 instances; 4 sequential bursts force
         // evict-to-scale cycles.
-        let mut cfg = simple_config(BackendKind::Squeezy, vec![1.0, 1.05, 80.0, 80.05]);
+        let mut cfg = simple_config(BackendKind::Squeezy);
         cfg.keepalive_s = 10.0;
         cfg.host_capacity = 3 * GIB;
-        let sim = FaasSim::new(cfg).unwrap();
-        let result = sim.run();
+        let result = run(cfg, tenant(vec![1.0, 1.05, 80.0, 80.05]));
         assert_eq!(result.completed, 4, "all served despite pressure");
     }
 
@@ -319,12 +305,10 @@ mod tests {
                     Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: vec![1.0, 1.05],
                     },
                     Deployment {
                         kind: FunctionKind::Html,
                         concurrency: 2,
-                        arrivals: vec![40.0, 40.05],
                     },
                 ],
                 vcpus: Some(2.0),
@@ -340,8 +324,19 @@ mod tests {
         // Calibrate the host so the second burst cannot fit without
         // reclaiming the first burst's idle memory.
         cfg.host_capacity = 3 * GIB;
-        let sim = FaasSim::new(cfg).unwrap();
-        let result = sim.run();
+        let tenants = vec![
+            TenantTrace {
+                vm: 0,
+                dep: 0,
+                arrivals: vec![1.0, 1.05],
+            },
+            TenantTrace {
+                vm: 0,
+                dep: 1,
+                arrivals: vec![40.0, 40.05],
+            },
+        ];
+        let result = run(cfg, tenants);
         assert_eq!(result.completed, 4, "all served under pressure");
         let r = result.total_reclaims();
         assert!(r.ops >= 1, "soft revocations reclaimed idle memory");
@@ -353,11 +348,10 @@ mod tests {
         // Same function, two bursts; pressure between them revokes the
         // idle instances, and the second burst rebuilds them (soft-cold
         // start) rather than paying full cold starts.
-        let mut cfg = simple_config(BackendKind::SqueezySoft, vec![1.0, 1.05, 60.0, 60.05]);
+        let mut cfg = simple_config(BackendKind::SqueezySoft);
         cfg.keepalive_s = 300.0;
         cfg.host_capacity = 3 * GIB;
-        let sim = FaasSim::new(cfg).unwrap();
-        let result = sim.run();
+        let result = run(cfg, tenant(vec![1.0, 1.05, 60.0, 60.05]));
         assert_eq!(result.completed, 4);
         let m = &result.per_func[&FunctionKind::Html];
         // The second burst found the instances alive (hollow or warm):
@@ -367,12 +361,11 @@ mod tests {
 
     #[test]
     fn soft_backend_without_pressure_behaves_like_squeezy() {
-        let soft = FaasSim::new(simple_config(BackendKind::SqueezySoft, vec![1.0, 6.0]))
-            .unwrap()
-            .run();
-        let base = FaasSim::new(simple_config(BackendKind::Squeezy, vec![1.0, 6.0]))
-            .unwrap()
-            .run();
+        let soft = run(
+            simple_config(BackendKind::SqueezySoft),
+            tenant(vec![1.0, 6.0]),
+        );
+        let base = run(simple_config(BackendKind::Squeezy), tenant(vec![1.0, 6.0]));
         assert_eq!(soft.completed, base.completed);
         let ls = soft.per_func[&FunctionKind::Html].latency_points[1].1;
         let lb = base.per_func[&FunctionKind::Html].latency_points[1].1;
@@ -385,12 +378,14 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = FaasSim::new(simple_config(BackendKind::VirtioMem, vec![1.0, 2.0, 3.0]))
-            .unwrap()
-            .run();
-        let b = FaasSim::new(simple_config(BackendKind::VirtioMem, vec![1.0, 2.0, 3.0]))
-            .unwrap()
-            .run();
+        let a = run(
+            simple_config(BackendKind::VirtioMem),
+            tenant(vec![1.0, 2.0, 3.0]),
+        );
+        let b = run(
+            simple_config(BackendKind::VirtioMem),
+            tenant(vec![1.0, 2.0, 3.0]),
+        );
         assert_eq!(a.completed, b.completed);
         let la: Vec<_> = a.per_func[&FunctionKind::Html]
             .latency_points

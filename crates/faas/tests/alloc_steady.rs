@@ -3,8 +3,8 @@
 //! The perf tentpole's contract: once a host is warmed up, the
 //! per-event path — arrival, dispatch, CPU completion, keep-alive —
 //! performs no heap allocation. The event queue's heap and key free
-//! list, the flat `IdMap`s, the CPU pool's task set and water-filling
-//! scratch, and the latency tap all reuse capacity, so the only
+//! list, the flat `IdMap`s and the CPU pool's task set and
+//! water-filling scratch all reuse capacity, so the only
 //! allocations left are amortized buffer growth (logarithmic in run
 //! length) and per-sample metrics appends.
 //!
@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use faas::config::{BackendKind, Deployment, HarvestConfig, SimConfig, VmSpec};
-use faas::{ClusterConfig, ClusterSim, FaasSim, LeastLoaded};
+use faas::{ClusterConfig, ClusterSim, LeastLoaded, Router, SingleHost, TenantTrace};
 use workloads::FunctionKind;
 
 /// A pass-through allocator that counts allocation calls.
@@ -50,7 +50,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// A warm drumbeat: fixed-cadence arrivals on one Html deployment, far
 /// inside the keep-alive window, so after the first cold start every
 /// invocation runs the steady-state dispatch/complete path.
-fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
+fn drumbeat(duration_s: f64) -> (ClusterConfig, u64) {
     let gap = 0.1;
     let mut arrivals = Vec::new();
     let mut t = 0.05;
@@ -66,7 +66,6 @@ fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
             deployments: vec![Deployment {
                 kind: FunctionKind::Html,
                 concurrency: 2,
-                arrivals,
             }],
             vcpus: Some(4.0),
         }],
@@ -78,33 +77,38 @@ fn drumbeat(duration_s: f64) -> (SimConfig, u64) {
         seed: 0x57EAD,
         trial: 0,
     };
-    (cfg, n)
+    let cluster = ClusterConfig {
+        hosts: vec![cfg],
+        tenants: vec![TenantTrace {
+            vm: 0,
+            dep: 0,
+            arrivals,
+        }],
+    };
+    (cluster, n)
 }
 
 /// Allocation calls spent inside `run()` for a drumbeat of `duration_s`
 /// on `hosts` hosts (setup is excluded: booting VMs legitimately
-/// allocates). One host runs as `FaasSim`; more run as a least-loaded
-/// `ClusterSim`, the drumbeat's deployment on every host.
+/// allocates). One host runs under the single-host router; more run
+/// as a least-loaded cluster, the drumbeat's deployment on every host.
 fn allocs_for(duration_s: f64, hosts: u64) -> (u64, u64) {
-    let (cfg, n) = drumbeat(duration_s);
-    let (spent, completed) = if hosts == 1 {
-        let sim = FaasSim::new(cfg).expect("host boots");
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let result = sim.run();
-        (ALLOCS.load(Ordering::Relaxed) - before, result.completed)
+    let (mut cluster, n) = drumbeat(duration_s);
+    let router: Box<dyn Router> = if hosts == 1 {
+        Box::new(SingleHost)
     } else {
-        let mut cluster = ClusterConfig::from_single(cfg);
         let template = cluster.hosts[0].clone();
         cluster.hosts.extend((1..hosts).map(|h| SimConfig {
             seed: template.seed + h,
             ..template.clone()
         }));
-        let sim = ClusterSim::new(cluster, Box::new(LeastLoaded)).expect("hosts boot");
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let result = sim.run();
-        (ALLOCS.load(Ordering::Relaxed) - before, result.completed)
+        Box::new(LeastLoaded)
     };
-    assert_eq!(completed, n, "drumbeat must be fully served");
+    let sim = ClusterSim::new(cluster, router).expect("hosts boot");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let result = sim.run();
+    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(result.completed, n, "drumbeat must be fully served");
     (spent, n)
 }
 

@@ -10,21 +10,23 @@
 //! re-derived once when `SimResult::digest` switched to hashing
 //! histogram samples in sorted (query-order-independent) order.
 
-use faas::{BackendKind, Deployment, FaasSim, HarvestConfig, SimConfig, VmSpec};
+use faas::{
+    BackendKind, ClusterConfig, ClusterSim, Deployment, HarvestConfig, SimConfig, SimResult,
+    SingleHost, TenantTrace, VmSpec,
+};
 use mem_types::{GIB, MIB};
 use workloads::FunctionKind;
 
 /// An unconstrained host: cold/warm starts, keep-alive evictions and
 /// backend reclaims, no memory pressure.
-fn ample(backend: BackendKind) -> SimConfig {
-    SimConfig {
+fn ample(backend: BackendKind) -> ClusterConfig {
+    let host = SimConfig {
         backend,
         harvest: HarvestConfig::default(),
         vms: vec![VmSpec {
             deployments: vec![Deployment {
                 kind: FunctionKind::Html,
                 concurrency: 4,
-                arrivals: vec![1.0, 1.05, 1.1, 6.0, 30.0, 30.05],
             }],
             vcpus: Some(2.0),
         }],
@@ -35,14 +37,15 @@ fn ample(backend: BackendKind) -> SimConfig {
         record_latency_points: true,
         seed: 1,
         trial: 0,
-    }
+    };
+    one_host(host, vec![(0, 0, vec![1.0, 1.05, 1.1, 6.0, 30.0, 30.05])])
 }
 
 /// A tight host (1.5 GiB): admission pressure, evict-to-scale cycles
 /// and — for SqueezySoft — soft revocation plus hollow-instance
 /// rebuilds. All five backends produce distinct digests here.
-fn tight(backend: BackendKind) -> SimConfig {
-    SimConfig {
+fn tight(backend: BackendKind) -> ClusterConfig {
+    let host = SimConfig {
         backend,
         harvest: HarvestConfig {
             buffer_bytes: GIB,
@@ -53,12 +56,10 @@ fn tight(backend: BackendKind) -> SimConfig {
                 Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 2,
-                    arrivals: vec![1.0, 1.05, 80.0, 80.05],
                 },
                 Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 2,
-                    arrivals: vec![40.0, 40.05],
                 },
             ],
             vcpus: Some(2.0),
@@ -70,7 +71,14 @@ fn tight(backend: BackendKind) -> SimConfig {
         record_latency_points: true,
         seed: 7,
         trial: 2,
-    }
+    };
+    one_host(
+        host,
+        vec![
+            (0, 0, vec![1.0, 1.05, 80.0, 80.05]),
+            (0, 1, vec![40.0, 40.05]),
+        ],
+    )
 }
 
 /// A host with two VMs, one deployment each (tenants at `(0,0)` and
@@ -78,8 +86,8 @@ fn tight(backend: BackendKind) -> SimConfig {
 /// reclaims interleave on one 2 GiB host. All five backends produce
 /// distinct digests here; Static, which never reclaims, strands part
 /// of the load.
-fn two_vms(backend: BackendKind) -> SimConfig {
-    SimConfig {
+fn two_vms(backend: BackendKind) -> ClusterConfig {
+    let host = SimConfig {
         backend,
         harvest: HarvestConfig::default(),
         vms: vec![
@@ -87,7 +95,6 @@ fn two_vms(backend: BackendKind) -> SimConfig {
                 deployments: vec![Deployment {
                     kind: FunctionKind::Html,
                     concurrency: 3,
-                    arrivals: vec![1.0, 1.05, 1.1, 25.0, 60.0, 60.02, 61.0],
                 }],
                 vcpus: Some(2.0),
             },
@@ -95,7 +102,6 @@ fn two_vms(backend: BackendKind) -> SimConfig {
                 deployments: vec![Deployment {
                     kind: FunctionKind::Cnn,
                     concurrency: 2,
-                    arrivals: vec![2.0, 2.5, 30.0, 31.0, 70.0],
                 }],
                 vcpus: None,
             },
@@ -107,14 +113,42 @@ fn two_vms(backend: BackendKind) -> SimConfig {
         record_latency_points: true,
         seed: 11,
         trial: 1,
+    };
+    one_host(
+        host,
+        vec![
+            (0, 0, vec![1.0, 1.05, 1.1, 25.0, 60.0, 60.02, 61.0]),
+            (1, 0, vec![2.0, 2.5, 30.0, 31.0, 70.0]),
+        ],
+    )
+}
+
+/// A one-host cluster: `host` beside its `(vm, dep, arrivals)` tenant
+/// traces.
+fn one_host(host: SimConfig, tenants: Vec<(usize, usize, Vec<f64>)>) -> ClusterConfig {
+    ClusterConfig {
+        hosts: vec![host],
+        tenants: tenants
+            .into_iter()
+            .map(|(vm, dep, arrivals)| TenantTrace { vm, dep, arrivals })
+            .collect(),
     }
 }
 
-fn digest_table(make: fn(BackendKind) -> SimConfig) -> String {
+/// Runs a one-host cluster under the single-host router.
+fn run(cluster: ClusterConfig) -> SimResult {
+    ClusterSim::new(cluster, Box::new(SingleHost))
+        .expect("boot")
+        .run()
+        .hosts
+        .remove(0)
+}
+
+fn digest_table(make: fn(BackendKind) -> ClusterConfig) -> String {
     BackendKind::ALL
         .iter()
         .map(|&b| {
-            let result = FaasSim::new(make(b)).expect("boot").run();
+            let result = run(make(b));
             format!("{b:?}:{:016x}", result.digest())
         })
         .collect::<Vec<_>>()
@@ -164,17 +198,12 @@ SqueezySoft:9bf1976446fa4a75";
 /// the digest.
 #[test]
 fn digest_discriminates_and_is_query_order_independent() {
-    let a = FaasSim::new(ample(BackendKind::Squeezy))
-        .expect("boot")
-        .run()
-        .digest();
-    let mut b = FaasSim::new(ample(BackendKind::Squeezy))
-        .expect("boot")
-        .run();
+    let a = run(ample(BackendKind::Squeezy)).digest();
+    let mut b = run(ample(BackendKind::Squeezy));
     let _ = b.p99_ms(FunctionKind::Html);
     assert_eq!(a, b.digest(), "quantile queries don't perturb the digest");
     let mut cfg = ample(BackendKind::Squeezy);
-    cfg.seed = 2;
-    let c = FaasSim::new(cfg).expect("boot").run().digest();
+    cfg.hosts[0].seed = 2;
+    let c = run(cfg).digest();
     assert_ne!(a, c);
 }

@@ -10,9 +10,9 @@
 //! digests catch it.
 
 use faas::{
-    default_slos, AutoscaleOpts, BackendKind, ClusterConfig, ClusterSim, Deployment, FaasSim,
-    FailureConfig, FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind,
-    Scenario, SimConfig, SimResult, SlamSlo, SweepSpec, TenantTrace, Topology, VmSpec,
+    default_slos, AutoscaleOpts, BackendKind, ClusterConfig, ClusterSim, Deployment, FailureConfig,
+    FleetConfig, FleetSim, HarvestConfig, PolicyKind, PowerOfTwoChoices, RouterKind, Scenario,
+    SimConfig, SimResult, SingleHost, SlamSlo, SweepSpec, TenantTrace, Topology, VmSpec,
     WarmAffinity,
 };
 use mem_types::GIB;
@@ -50,7 +50,6 @@ fn hand_host_config(
                 .map(|t| Deployment {
                     kind: t.kind,
                     concurrency: spec.concurrency,
-                    arrivals: Vec::new(),
                 })
                 .collect(),
             vcpus: None,
@@ -94,16 +93,21 @@ fn single_vm_scenario_is_byte_identical_to_hand_built_sim_config() {
     for backend in [BackendKind::Static, BackendKind::Squeezy] {
         for trial in [0u64, 1] {
             // Hand-built: generate the traces on the documented stream
-            // and wire them into a single-host SimConfig directly.
+            // and run them beside a single-host SimConfig directly.
             let tenants =
                 WorkloadKind::AzureTrace.generate(&spec.params, &mut trace_rng(spec.seed, trial));
             let mut cfg =
                 hand_host_config(&spec, &tenants, backend, host_seed(spec.seed, 0), trial);
-            for (dep, t) in cfg.vms[0].deployments.iter_mut().zip(&tenants) {
-                dep.arrivals = t.arrivals.clone();
-            }
             cfg.record_latency_points = true;
-            let hand = FaasSim::new(cfg).expect("boot").run();
+            let cluster = ClusterConfig {
+                hosts: vec![cfg],
+                tenants: tenant_traces(&tenants),
+            };
+            let hand = ClusterSim::new(cluster, Box::new(SingleHost))
+                .expect("boot")
+                .run()
+                .hosts
+                .remove(0);
 
             let out = spec.run_trial(backend, trial).expect("hosts boot");
             assert_eq!(

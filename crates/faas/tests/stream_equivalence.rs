@@ -20,8 +20,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use faas::{
-    ClusterConfig, ClusterSim, FaasSim, FixedFleet, FleetConfig, FleetResult, FleetSim, RoundRobin,
-    Router, SimConfig, SingleHost, TenantTrace, LATENCY_RESERVOIR_CAP,
+    ClusterConfig, ClusterSim, FixedFleet, FleetConfig, FleetResult, FleetSim, RoundRobin, Router,
+    SimConfig, SingleHost, TenantTrace, LATENCY_RESERVOIR_CAP,
 };
 use sim_core::DetRng;
 use workloads::{
@@ -52,7 +52,6 @@ fn host_cfg(tenants: &[TenantLoad], seed: u64, duration_s: f64) -> SimConfig {
                 .map(|t| Deployment {
                     kind: t.kind,
                     concurrency: 2,
-                    arrivals: Vec::new(),
                 })
                 .collect(),
             vcpus: Some(2.0),
@@ -67,22 +66,27 @@ fn host_cfg(tenants: &[TenantLoad], seed: u64, duration_s: f64) -> SimConfig {
     }
 }
 
+/// One tenant trace per deployment slot of the host's one VM.
+fn tenant_traces(tenants: &[TenantLoad], with_arrivals: bool) -> Vec<TenantTrace> {
+    tenants
+        .iter()
+        .enumerate()
+        .map(|(ti, t)| TenantTrace {
+            vm: 0,
+            dep: ti,
+            arrivals: if with_arrivals {
+                t.arrivals.clone()
+            } else {
+                Vec::new()
+            },
+        })
+        .collect()
+}
+
 fn cluster_cfg(tenants: &[TenantLoad], with_arrivals: bool) -> ClusterConfig {
     ClusterConfig {
         hosts: (0..2).map(|h| host_cfg(tenants, 0xE0 + h, 90.0)).collect(),
-        tenants: tenants
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| TenantTrace {
-                vm: 0,
-                dep: ti,
-                arrivals: if with_arrivals {
-                    t.arrivals.clone()
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect(),
+        tenants: tenant_traces(tenants, with_arrivals),
     }
 }
 
@@ -210,13 +214,17 @@ fn fleet_streamed_replay_matches_the_materialized_path() {
 #[test]
 fn single_vm_streamed_replay_matches_the_materialized_path() {
     let tenants = loads(0x51);
-    let mut cfg = host_cfg(&tenants, 0xAB, 90.0);
-    for (dep, t) in cfg.vms[0].deployments.iter_mut().zip(&tenants) {
-        dep.arrivals = t.arrivals.clone();
-    }
-    let legacy = FaasSim::new(cfg).expect("boot").run();
+    let single_host = |with_arrivals| ClusterConfig {
+        hosts: vec![host_cfg(&tenants, 0xAB, 90.0)],
+        tenants: tenant_traces(&tenants, with_arrivals),
+    };
+    let legacy = ClusterSim::new(single_host(true), Box::new(SingleHost))
+        .expect("boot")
+        .run()
+        .hosts
+        .remove(0);
     let fleet = stream_cluster(
-        ClusterConfig::from_single(host_cfg(&tenants, 0xAB, 90.0)),
+        single_host(false),
         Box::new(SingleHost),
         Box::new(MaterializedSource::new(tenants.clone())),
         "materialized",

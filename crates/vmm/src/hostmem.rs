@@ -6,9 +6,6 @@
 //! host bytes are committed to VMs; EPT populate operations reserve from
 //! it and unplug/madvise releases back into it.
 
-use sim_core::SimTime;
-use sim_core::TimeSeries;
-
 /// Errors from host memory operations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HostMemError {
@@ -24,21 +21,16 @@ impl core::fmt::Display for HostMemError {
 
 impl std::error::Error for HostMemError {}
 
-/// Host physical memory: capacity, usage, and a usage time series.
+/// Host physical memory: capacity and usage.
 pub struct HostMemory {
     capacity: u64,
     used: u64,
-    usage: TimeSeries,
 }
 
 impl HostMemory {
     /// Creates a host with `capacity` bytes (`u64::MAX` ≈ unlimited).
     pub fn new(capacity: u64) -> Self {
-        HostMemory {
-            capacity,
-            used: 0,
-            usage: TimeSeries::new(),
-        }
+        HostMemory { capacity, used: 0 }
     }
 
     /// Returns the host capacity in bytes.
@@ -74,16 +66,6 @@ impl HostMemory {
         assert!(bytes <= self.used, "releasing {bytes} > used {}", self.used);
         self.used -= bytes;
     }
-
-    /// Records the current usage at `t` into the usage time series.
-    pub fn sample(&mut self, t: SimTime) {
-        self.usage.push(t, self.used as f64);
-    }
-
-    /// Returns the recorded usage time series (bytes over time).
-    pub fn usage_series(&self) -> &TimeSeries {
-        &self.usage
-    }
 }
 
 #[cfg(test)]
@@ -115,17 +97,5 @@ mod tests {
     fn over_release_panics() {
         let mut h = HostMemory::new(100);
         h.release(1);
-    }
-
-    #[test]
-    fn usage_series_records() {
-        let mut h = HostMemory::new(1000);
-        h.sample(SimTime(0));
-        h.reserve(500).unwrap();
-        h.sample(SimTime(10));
-        let pts = h.usage_series().points();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].1, 0.0);
-        assert_eq!(pts[1].1, 500.0);
     }
 }

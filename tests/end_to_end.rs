@@ -1,7 +1,10 @@
 //! Cross-crate integration tests: the paper's headline claims exercised
 //! through the full stack (guest mm + devices + VMM + Squeezy + FaaS).
 
-use faas::{BackendKind, Deployment, FaasSim, SimConfig};
+use faas::{
+    BackendKind, ClusterConfig, ClusterSim, Deployment, SimConfig, SimResult, SingleHost,
+    TenantTrace,
+};
 use guest_mm::{AllocPolicy, GuestMmConfig};
 use mem_types::{GIB, MIB, PAGES_PER_BLOCK};
 use sim_core::CostModel;
@@ -138,6 +141,23 @@ fn host_accounting_consistent_through_lifecycle() {
     vm.guest.assert_consistent();
 }
 
+/// Runs a one-VM, one-deployment host with `arrivals` on its one slot.
+fn run_single_vm(cfg: SimConfig, arrivals: Vec<f64>) -> SimResult {
+    let cluster = ClusterConfig {
+        hosts: vec![cfg],
+        tenants: vec![TenantTrace {
+            vm: 0,
+            dep: 0,
+            arrivals,
+        }],
+    };
+    ClusterSim::new(cluster, Box::new(SingleHost))
+        .expect("boot")
+        .run()
+        .hosts
+        .remove(0)
+}
+
 /// The FaaS runtime keeps every invariant across backends: every request
 /// completes and the host never leaks memory.
 #[test]
@@ -156,12 +176,11 @@ fn faas_runtime_serves_all_backends() {
                 Deployment {
                     kind: FunctionKind::Bfs,
                     concurrency: 4,
-                    arrivals: arrivals.clone(),
                 },
                 120.0,
             )
         };
-        let result = FaasSim::new(cfg).expect("boot").run();
+        let result = run_single_vm(cfg, arrivals.clone());
         assert_eq!(result.completed, 30, "{backend:?} served everything");
     }
 }
@@ -215,11 +234,10 @@ fn dynamic_resize_cold_start_tax_is_bounded() {
             Deployment {
                 kind: FunctionKind::Cnn,
                 concurrency: 2,
-                arrivals: arrivals.clone(),
             },
             60.0,
         );
-        let result = FaasSim::new(cfg).expect("boot").run();
+        let result = run_single_vm(cfg, arrivals.clone());
         results.push(result.per_func[&FunctionKind::Cnn].latency_points[0].1);
     }
     let (static_ms, squeezy_ms) = (results[0], results[1]);
