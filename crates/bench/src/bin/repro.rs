@@ -25,7 +25,7 @@
 //!   exit 1 after the per-cell verdict table prints.
 //! * `repro run --compare a.scn b.scn` — run exactly two single-cell
 //!   specs and append a significance-aware diff table (Welch's t-test
-//!   plus a seeded bootstrap CI per metric; see `faas::scenario`).
+//!   and its Student-t CI per metric; see `faas::scenario`).
 //! * `repro perf` — time the committed
 //!   `examples/scenarios/perf_cluster.scn` (1000 hosts; 32 at the same
 //!   per-host rate with `--quick`); `--trace` times

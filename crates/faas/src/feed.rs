@@ -138,13 +138,7 @@ mod tests {
 
     #[test]
     fn stream_feed_cuts_off_at_the_horizon() {
-        let mk = |t_ns: u64, tenant: usize| Arrival {
-            t_ns,
-            function: FunctionKind::Html,
-            tenant,
-            duration_s: None,
-            memory_bytes: None,
-        };
+        let mk = |t_ns: u64, tenant: usize| Arrival { t_ns, tenant };
         let source = FakeSource {
             kinds: vec![FunctionKind::Html],
             arrivals: vec![mk(5, 0), mk(7, 1), mk(2_000_000_000, 0)].into_iter(),
@@ -179,10 +173,7 @@ mod tests {
             }
             Ok(Some(Arrival {
                 t_ns: self.0,
-                function: FunctionKind::Html,
                 tenant: 0,
-                duration_s: None,
-                memory_bytes: None,
             }))
         }
     }

@@ -48,9 +48,7 @@ pub use policy::{
     ScaleDecision, SlamSlo, TargetUtilization,
 };
 
-use std::collections::BTreeMap;
-
-use sim_core::{DetRng, EventQueue, Histogram, Reservoir, SimDuration, SimTime, TimeSeries};
+use sim_core::{DetRng, EventQueue, Reservoir, SimDuration, SimTime};
 use vmm::VmmError;
 use workloads::{FunctionKind, MaterializedSource, TenantLoad, TraceSource};
 
@@ -383,8 +381,10 @@ pub struct FleetResult {
     /// Bounded uniform sample of `(arrival_s, latency_ms)` across the
     /// fleet (see [`LATENCY_RESERVOIR_CAP`]).
     pub latency_over_time: Reservoir,
-    /// Active (routable) host count over time.
-    pub active_hosts_over_time: TimeSeries,
+    /// Smallest number of simultaneously active (routable) hosts.
+    pub min_active: usize,
+    /// Largest number of simultaneously active (routable) hosts.
+    pub peak_active: usize,
     /// Total events handled: queue pops plus fed arrivals.
     pub events_processed: u64,
     /// High-water mark of the pending event queue — with arrivals fed
@@ -392,8 +392,6 @@ pub struct FleetResult {
     pub peak_queue_depth: usize,
     /// Arrivals injected from the feed (trace or materialized).
     pub injected: u64,
-    /// Simulated end time.
-    pub end: SimTime,
     /// A trace read failure that ended the arrival feed early, naming
     /// the file and line; the run covers only the arrivals before it.
     pub trace_error: Option<String>,
@@ -408,31 +406,6 @@ impl FleetResult {
             .map(|h| (h.stop_s - h.boot_s).max(0.0))
             .sum::<f64>()
             / 3600.0
-    }
-
-    /// Largest number of simultaneously active hosts.
-    pub fn peak_active(&self) -> usize {
-        self.active_hosts_over_time.max_value() as usize
-    }
-
-    /// Smallest number of simultaneously active hosts.
-    pub fn min_active(&self) -> usize {
-        self.active_hosts_over_time
-            .points()
-            .iter()
-            .map(|&(_, v)| v as usize)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Fraction of SLO-tracked completions that breached their target.
-    pub fn slo_violation_rate(&self) -> f64 {
-        self.slo_violations as f64 / self.slo_total.max(1) as f64
-    }
-
-    /// Fleet-wide request-latency histograms, merged per function.
-    pub fn merged_latency(&self) -> BTreeMap<FunctionKind, Histogram> {
-        metrics::merged_latency(self.hosts.iter().map(|h| &h.result))
     }
 
     /// Fleet-wide cold and warm start counts.
@@ -479,7 +452,9 @@ pub struct FleetSim {
     injector: FailureInjector,
     completions: Completions,
     last_action_at: Option<SimTime>,
-    active_hosts_over_time: TimeSeries,
+    /// Running extremes of `active.len()`.
+    min_active: usize,
+    peak_active: usize,
     scale_ups: u64,
     scale_downs: u64,
     crashes: u64,
@@ -628,8 +603,6 @@ impl FleetSim {
             tenant_of_slot[t.vm][t.dep] = ti;
         }
         let routed = vec![vec![0; config.tenants.len()]; hosts.len()];
-        let mut active_hosts_over_time = TimeSeries::new();
-        active_hosts_over_time.push(SimTime::ZERO, hosts.len() as f64);
         Ok(FleetSim {
             duration_s,
             template: config.template,
@@ -638,6 +611,8 @@ impl FleetSim {
             router_needs_loads: router.needs_loads(),
             router,
             active: (0..hosts.len()).collect(),
+            min_active: hosts.len(),
+            peak_active: hosts.len(),
             route_loads: Vec::new(),
             completions: Completions {
                 slo: config.slo,
@@ -657,7 +632,6 @@ impl FleetSim {
             routed,
             injector,
             last_action_at: None,
-            active_hosts_over_time,
             scale_ups: 0,
             scale_downs: 0,
             crashes: 0,
@@ -693,7 +667,6 @@ impl FleetSim {
         let trace_error = self.feed.error().map(str::to_string);
         let events_processed = self.events.processed() + injected;
         let peak_queue_depth = self.events.peak_len();
-        let end = SimTime::ZERO + SimDuration::from_secs_f64(self.duration_s);
         let hosts: Vec<HostOutcome> = self
             .hosts
             .into_iter()
@@ -721,11 +694,11 @@ impl FleetSim {
             slo_violations: self.completions.slo_violations,
             slo_total: self.completions.slo_total,
             latency_over_time: self.completions.latency_over_time,
-            active_hosts_over_time: self.active_hosts_over_time,
+            min_active: self.min_active,
+            peak_active: self.peak_active,
             events_processed,
             peak_queue_depth,
             injected,
-            end,
             trace_error,
         }
     }
@@ -939,7 +912,7 @@ impl FleetSim {
             self.maybe_retire(now, host);
         }
         self.last_action_at = Some(now);
-        self.push_active_count(now);
+        self.track_active_count();
     }
 
     fn on_host_ready(&mut self, now: SimTime, host: usize) {
@@ -957,7 +930,7 @@ impl FleetSim {
                 ev: Event::Sample,
             },
         );
-        self.push_active_count(now);
+        self.track_active_count();
     }
 
     /// Retires a draining host once it has nothing left to do.
@@ -998,14 +971,14 @@ impl FleetSim {
             self.requeued += 1;
             self.events.push(now, FleetEvent::Incoming { tenant });
         }
-        self.push_active_count(now);
+        self.track_active_count();
     }
 
     // --- Accounting --------------------------------------------------------
 
-    fn push_active_count(&mut self, now: SimTime) {
-        self.active_hosts_over_time
-            .push(now, self.active.len() as f64);
+    fn track_active_count(&mut self) {
+        self.min_active = self.min_active.min(self.active.len());
+        self.peak_active = self.peak_active.max(self.active.len());
     }
 }
 
@@ -1146,8 +1119,8 @@ mod tests {
                 "{name}: a fixed fleet takes no control action"
             );
             assert_eq!(r.completed, 8);
-            assert_eq!(r.peak_active(), 2);
-            assert_eq!(r.min_active(), 2);
+            assert_eq!(r.peak_active, 2);
+            assert_eq!(r.min_active, 2);
             assert!(r.hosts.iter().all(|h| h.final_state == HostState::Active));
             assert_eq!(
                 r.latency_over_time.seen(),
@@ -1187,7 +1160,7 @@ mod tests {
             "backlog triggered growth: {}",
             r.scale_ups
         );
-        assert!(r.peak_active() >= 2, "peak {}", r.peak_active());
+        assert!(r.peak_active >= 2, "peak {}", r.peak_active);
         assert_eq!(r.completed, 30, "every request eventually served");
         assert_eq!(r.lost, 0);
         // Booted hosts were not routable before the delay: the first
@@ -1233,7 +1206,7 @@ mod tests {
             "idle fleet shed hosts: {}",
             r.scale_downs
         );
-        assert_eq!(r.min_active(), 1, "never below the floor");
+        assert_eq!(r.min_active, 1, "never below the floor");
         let retired = r
             .hosts
             .iter()

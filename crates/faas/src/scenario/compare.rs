@@ -3,17 +3,15 @@
 //! `repro run --compare a.scn b.scn` (and the within-grid baseline
 //! table) answers "did B actually regress over A, or is that noise?"
 //! with inference over per-trial samples instead of eyeballed means:
-//! Welch's unequal-variance t-test per metric, a Student-t confidence
-//! interval on the difference, and a seeded percentile bootstrap as
-//! the distribution-free second opinion. Everything is deterministic
-//! — the bootstrap resamples through a [`DetRng`] stream derived from
-//! the baseline's seed — so compare tables are byte-identical across
-//! runs and job counts. With single-trial runs there is no variance to
-//! test against; the table still shows the deltas and says so.
+//! Welch's unequal-variance t-test per metric and a Student-t
+//! confidence interval on the difference. Both are closed-form over the
+//! trial samples, so compare tables are byte-identical across runs and
+//! job counts. With single-trial runs there is no variance to test
+//! against; the table still shows the deltas and says so.
 
 use sim_core::metrics::mean;
-use sim_core::stats::{bootstrap_diff_ci, welch, welch_ci, Welch};
-use sim_core::{DetRng, TextTable};
+use sim_core::stats::{welch, welch_ci, Welch};
+use sim_core::TextTable;
 
 use super::{ScenarioOutcome, ScenarioResult};
 use crate::config::BackendKind;
@@ -24,22 +22,9 @@ pub const ALPHA: f64 = 0.05;
 /// Confidence of the reported intervals.
 const CONF: f64 = 0.95;
 
-/// Bootstrap resamples per metric.
-const BOOT_ITERS: usize = 1000;
-
-/// Derivation tag of the bootstrap resampling stream — outside every
-/// simulation stream tag, so comparison never perturbs results.
-const BOOT_STREAM: u64 = 0xB007;
-
 /// Metrics compared per backend: name, higher-is-worse, per-trial
 /// samples. Fleet metrics appear only when every trial carries them.
 fn metric_samples(trials: &[ScenarioOutcome]) -> Vec<(&'static str, bool, Vec<f64>)> {
-    let quantiles = |q: f64| -> Vec<f64> {
-        trials
-            .iter()
-            .map(|t| t.merged_latency().quantile(q))
-            .collect()
-    };
     let mut out = vec![
         (
             "served",
@@ -49,8 +34,8 @@ fn metric_samples(trials: &[ScenarioOutcome]) -> Vec<(&'static str, bool, Vec<f6
                 .map(|t| t.completed as f64)
                 .collect::<Vec<f64>>(),
         ),
-        ("p50_ms", true, quantiles(0.5)),
-        ("p99_ms", true, quantiles(0.99)),
+        ("p50_ms", true, trials.iter().map(|t| t.p50_ms).collect()),
+        ("p99_ms", true, trials.iter().map(|t| t.p99_ms).collect()),
         (
             "cold_pct",
             true,
@@ -91,8 +76,6 @@ pub struct MetricDiff {
     pub welch: Option<Welch>,
     /// 95% Student-t confidence interval of `mean_b - mean_a`.
     pub ci: Option<(f64, f64)>,
-    /// 95% seeded percentile-bootstrap interval of the same difference.
-    pub boot_ci: Option<(f64, f64)>,
 }
 
 impl MetricDiff {
@@ -149,20 +132,14 @@ pub struct CompareReport {
 fn diff_samples(
     sa: &[(&'static str, bool, Vec<f64>)],
     sb: &[(&'static str, bool, Vec<f64>)],
-    rng: &DetRng,
 ) -> Vec<MetricDiff> {
     let mut diffs = Vec::new();
-    for (mi, &(name, higher_is_worse, ref xs)) in sa.iter().enumerate() {
+    for &(name, higher_is_worse, ref xs) in sa {
         let Some((_, _, ys)) = sb.iter().find(|&&(n, _, _)| n == name) else {
             continue;
         };
         let w = welch(xs, ys);
         let ci = w.as_ref().map(|w| welch_ci(w, CONF));
-        let boot_ci = if xs.len() >= 2 && ys.len() >= 2 {
-            bootstrap_diff_ci(xs, ys, BOOT_ITERS, CONF, &mut rng.derive(mi as u64))
-        } else {
-            None
-        };
         diffs.push(MetricDiff {
             metric: name,
             higher_is_worse,
@@ -170,7 +147,6 @@ fn diff_samples(
             mean_b: mean(ys),
             welch: w,
             ci,
-            boot_ci,
         });
     }
     diffs
@@ -185,14 +161,11 @@ pub fn compare_results(
     b: &ScenarioResult,
 ) -> CompareReport {
     let mut rows = Vec::new();
-    for (bi, (backend, trials_a)) in a.cells.iter().enumerate() {
+    for (backend, trials_a) in &a.cells {
         let Some((_, trials_b)) = b.cells.iter().find(|(bk, _)| bk == backend) else {
             continue;
         };
-        let rng = DetRng::new(a.spec.seed)
-            .derive(BOOT_STREAM)
-            .derive(bi as u64);
-        let diffs = diff_samples(&metric_samples(trials_a), &metric_samples(trials_b), &rng);
+        let diffs = diff_samples(&metric_samples(trials_a), &metric_samples(trials_b));
         rows.push((*backend, diffs));
     }
     CompareReport {
@@ -282,16 +255,11 @@ pub(crate) fn render_grid_baseline(cells: &[(String, ScenarioResult)], prefix: &
     let mut header = vec!["Cell"];
     header.extend(&shown);
     let mut table = TextTable::new(&header);
-    let rng = DetRng::new(base.spec.seed).derive(BOOT_STREAM);
-    for (ci, (name, result)) in rest.iter().enumerate() {
+    for (name, result) in rest {
         let Some((_, trials)) = result.cells.first() else {
             continue;
         };
-        let diffs = diff_samples(
-            &base_samples,
-            &metric_samples(trials),
-            &rng.derive(ci as u64),
-        );
+        let diffs = diff_samples(&base_samples, &metric_samples(trials));
         let mut row = vec![short(name)];
         for n in &shown {
             row.push(match diffs.iter().find(|d| d.metric == *n) {
@@ -324,7 +292,6 @@ mod tests {
             mean_b,
             welch,
             ci: None,
-            boot_ci: None,
         }
     }
 

@@ -89,18 +89,11 @@ impl ExpectKind {
     }
 
     /// The actual value of this gate's metric over one cell's trials
-    /// (latencies from per-trial merged histograms, shares in percent).
+    /// (latencies are per-trial percentiles, shares in percent).
     fn actual(self, trials: &[ScenarioOutcome]) -> f64 {
-        let quantile_mean = |q: f64| {
-            let qs: Vec<f64> = trials
-                .iter()
-                .map(|t| t.merged_latency().quantile(q))
-                .collect();
-            sim_core::metrics::mean(&qs)
-        };
         match self {
-            ExpectKind::P50Max => quantile_mean(0.5),
-            ExpectKind::P99Max => quantile_mean(0.99),
+            ExpectKind::P50Max => mean_over(trials, |t| t.p50_ms),
+            ExpectKind::P99Max => mean_over(trials, |t| t.p99_ms),
             ExpectKind::ColdRateMax => 100.0 * mean_over(trials, |t| t.cold_ratio()),
             ExpectKind::CompletionMin => {
                 100.0 * mean_over(trials, |t| t.completed as f64 / t.offered.max(1) as f64)

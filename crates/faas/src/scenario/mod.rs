@@ -92,6 +92,23 @@ pub(crate) const MAX_OFFERED_INVOCATIONS: f64 = 50_000_000.0;
 /// of time.
 pub(crate) const MAX_TIME_S: f64 = 1e9;
 
+/// The most instance slots (Σ concurrency) one Squeezy VM can hold.
+/// Every slot is a partition with its own guest zone, beside the two
+/// boot zones and the shared partition's zone, and zone ids are `u8`s
+/// below [`guest_mm::page::NO_ZONE`]: 255 − 2 − 1 = 252. Every tenant
+/// of a spec deploys into one VM, so `tenants × concurrency` is held to
+/// it under the squeezy backends.
+pub(crate) const MAX_SQUEEZY_SLOTS: u64 =
+    guest_mm::page::NO_ZONE as u64 - (guest_mm::ZONE_MOVABLE as u64 + 1) - 1;
+
+/// The most host crashes a fleet spec may expect, `duration_s /
+/// mtbf_s`. The fleet samples every crash instant and queues it before
+/// the first event, so the plan's memory and set-up time grow with this
+/// ratio (`mtbf_s = 1e-9` would never finish sampling). A fleet that
+/// loses a host every few seconds already does little but reboot; the
+/// committed specs expect 2.
+pub(crate) const MAX_EXPECTED_CRASHES: f64 = 100_000.0;
+
 /// Flat host-seed tag of the fleet's boot template (`seed → 0x40 +
 /// 0x3E`), above every flat host index (see [`FLAT_HOSTS`]), so booted
 /// hosts never share an initial host's stream.
@@ -398,6 +415,10 @@ impl Scenario {
             self.concurrency >= 1,
             format!("concurrency must be ≥ 1 (got {})", self.concurrency),
         );
+        // A trace's tenants come from its header, checked in `run_trial`.
+        if let (WorkloadSpec::Named(_), Err(e)) = (&self.workload, self.check_slots(p.tenants)) {
+            check(false, e);
+        }
         check(
             self.keepalive_s.is_finite() && self.keepalive_s >= 0.0,
             format!("keepalive_s must be ≥ 0 (got {})", self.keepalive_s),
@@ -441,6 +462,20 @@ impl Scenario {
                 self.mtbf_s.is_finite() && self.mtbf_s >= 0.0,
                 format!("mtbf_s must be ≥ 0 (got {}; 0 disables)", self.mtbf_s),
             );
+            let crashes = if self.mtbf_s > 0.0 {
+                p.duration_s / self.mtbf_s
+            } else {
+                0.0
+            };
+            check(
+                crashes <= MAX_EXPECTED_CRASHES,
+                format!(
+                    "duration_s / mtbf_s expects {crashes:.3e} host crashes (duration_s = {}, \
+                     mtbf_s = {}), above the cap of {MAX_EXPECTED_CRASHES:.0e}: raise mtbf_s \
+                     or lower duration_s",
+                    p.duration_s, self.mtbf_s
+                ),
+            );
         }
         for (key, v) in [
             ("duration_s", p.duration_s),
@@ -479,6 +514,21 @@ impl Scenario {
                 errs.join("\n  - ")
             ))
         }
+    }
+
+    /// `Err` naming `tenants` and `concurrency` when `tenants` of them
+    /// overflow a Squeezy VM's zone table under a squeezy backend of
+    /// this spec (see [`MAX_SQUEEZY_SLOTS`]).
+    fn check_slots(&self, tenants: usize) -> Result<(), String> {
+        let slots = (tenants as u64).saturating_mul(u64::from(self.concurrency));
+        if slots <= MAX_SQUEEZY_SLOTS || !self.backends.iter().any(|b| b.is_squeezy()) {
+            return Ok(());
+        }
+        Err(format!(
+            "tenants × concurrency = {tenants} × {} = {slots} instance slots in one Squeezy VM, \
+             above the {MAX_SQUEEZY_SLOTS} its guest zone table holds: lower tenants or concurrency",
+            self.concurrency
+        ))
     }
 
     /// A CI-scale variant: duration capped at 120 simulated seconds,
@@ -717,13 +767,17 @@ impl Scenario {
     /// result onto the topology's [`ScenarioOutcome`]. Streamed
     /// arrivals are never materialized, and their metrics are bounded.
     ///
-    /// `Err` names the trace file when its header cannot be read, is
+    /// `Err` names the trace file when its header cannot be read or
+    /// declares more tenants than a Squeezy VM's zone table holds, is
     /// [`Scenario::boot`]'s, or names the trace file and line when a row
     /// fails to read mid-run
     /// ([`FleetResult::trace_error`](crate::FleetResult::trace_error)).
     pub fn run_trial(&self, backend: BackendKind, trial: u64) -> Result<ScenarioOutcome, String> {
         if let WorkloadSpec::Trace(path) = &self.workload {
-            workloads::read_trace_header(path).map_err(|e| format!("trace {path}: {e}"))?;
+            let header =
+                workloads::read_trace_header(path).map_err(|e| format!("trace {path}: {e}"))?;
+            self.check_slots(header.kinds.len())
+                .map_err(|e| format!("trace {path}: {e}"))?;
         }
         let mut result = self.boot(self.fleet_plan(backend, trial), trial)?.run();
         if let Some(e) = result.trace_error.take() {
@@ -988,6 +1042,62 @@ mod tests {
         let text = text.replace("keepalive_s = 20.0\n", "keepalive_s = 1e12\n");
         let err = SweepSpec::parse(&text).unwrap_err();
         assert!(err.contains("keepalive_s must be ≤ 1e9 s"), "{err}");
+    }
+
+    #[test]
+    fn validate_caps_squeezy_slots_per_vm() {
+        assert_eq!(MAX_SQUEEZY_SLOTS, 252);
+        let mut s = Scenario::new("z", Topology::Fleet, WorkloadKind::Diurnal);
+        s.concurrency = 2;
+        for backend in [BackendKind::Squeezy, BackendKind::SqueezySoft] {
+            s.backends = vec![BackendKind::VirtioMem, backend];
+            s.params.tenants = 126;
+            s.validate().expect("252 slots fit");
+            s.params.tenants = 127;
+            let err = s.validate().unwrap_err();
+            assert!(
+                err.contains("tenants × concurrency = 127 × 2 = 254"),
+                "{err}"
+            );
+        }
+        s.backends = vec![BackendKind::VirtioMem];
+        s.validate().expect("virtio-mem has no per-slot zones");
+        // A trace declares its tenants in its header.
+        let kinds = vec!["html"; 127].join(", ");
+        let text = format!(
+            "# squeezy-trace v1 azure-minute\n# seed = 0x1\n# tenants = {kinds}\nminute,tenant,count\n0,0,1\n"
+        );
+        let path = std::env::temp_dir().join(format!("wide-{}.csv", std::process::id()));
+        std::fs::write(&path, text).expect("write trace");
+        let path = path.to_string_lossy().into_owned();
+        let t = Scenario::new(
+            "wide",
+            Topology::SingleVm,
+            WorkloadSpec::Trace(path.clone()),
+        );
+        t.validate().expect("the header is read at run time");
+        let err = t.run_trial(BackendKind::Squeezy, 0).err();
+        std::fs::remove_file(&path).expect("remove trace");
+        let err = err.expect("127 tenants overflow the zone table");
+        assert!(err.contains("tenants × concurrency = 127 × 2"), "{err}");
+    }
+
+    #[test]
+    fn validate_caps_the_expected_crash_count() {
+        let mut s = Scenario::new("c", Topology::Fleet, WorkloadKind::Diurnal);
+        s.params.duration_s = 300.0;
+        s.mtbf_s = 300.0 / MAX_EXPECTED_CRASHES;
+        s.validate().expect("at the cap");
+        s.mtbf_s = 1e-9;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("duration_s / mtbf_s expects 3.000e11"),
+            "{err}"
+        );
+        assert!(err.contains("mtbf_s = 0.000000001"), "{err}");
+        // Outside the fleet topology nothing crashes.
+        s.topology = Topology::Cluster(2);
+        s.validate().expect("crashes are a fleet feature");
     }
 
     #[test]

@@ -2,17 +2,14 @@
 //! ran it.
 //!
 //! One [`ScenarioOutcome`] per `(backend, trial)` cell: request
-//! accounting, merged latency histograms, memory footprint, and the
+//! accounting, latency percentiles, memory footprint, and the
 //! layer-specific extras as `Option`s — a field a topology doesn't
 //! produce reports as absent, never as a zero that could be mistaken
 //! for a measurement. [`ScenarioResult`] groups the cells per backend
 //! and renders the comparison table.
 
-use std::collections::BTreeMap;
-
 use sim_core::experiment::mean_over;
 use sim_core::{Fnv1a, Histogram, Reservoir, TextTable};
-use workloads::FunctionKind;
 
 use super::{Scenario, Topology};
 use crate::config::BackendKind;
@@ -68,8 +65,11 @@ pub struct ScenarioOutcome {
     pub warm_starts: u64,
     /// Integrated host memory footprint (GiB·s) across all hosts.
     pub gib_seconds: f64,
-    /// Request-latency histograms, merged per function across hosts.
-    pub latency: BTreeMap<FunctionKind, Histogram>,
+    /// Median request latency in ms over every host and function.
+    pub p50_ms: f64,
+    /// 99th-percentile request latency in ms over every host and
+    /// function.
+    pub p99_ms: f64,
     /// Bounded `(arrival_s, latency_ms)` reservoir — the time-resolved
     /// latency timeline. Absent for a single VM (the single-host
     /// simulator records exact per-request points instead).
@@ -88,7 +88,9 @@ impl ScenarioOutcome {
     /// the outcome of its topology: a single VM reports no routing and
     /// no reservoir (it records exact per-request points instead), and
     /// only the fleet topology reports control-plane numbers. The
-    /// offered load is the number of arrivals the feed injected.
+    /// offered load is the number of arrivals the feed injected, and
+    /// the percentiles come from one histogram merged over every host
+    /// and function.
     pub(crate) fn new(
         topology: Topology,
         backend: BackendKind,
@@ -97,6 +99,10 @@ impl ScenarioOutcome {
     ) -> ScenarioOutcome {
         let multi_host = topology != Topology::SingleVm;
         let (cold, warm) = result.cold_warm_starts();
+        let mut latency = Histogram::new();
+        for m in result.hosts.iter().flat_map(|h| h.result.per_func.values()) {
+            latency.merge(&m.latency);
+        }
         let fleet = (topology == Topology::Fleet).then(|| FleetStats {
             host_hours: result.host_hours(),
             slo_violations: result.slo_violations,
@@ -107,8 +113,8 @@ impl ScenarioOutcome {
             requeued: result.requeued,
             lost: result.lost,
             deferred: result.deferred,
-            min_active: result.min_active(),
-            peak_active: result.peak_active(),
+            min_active: result.min_active,
+            peak_active: result.peak_active,
         });
         ScenarioOutcome {
             backend,
@@ -118,7 +124,8 @@ impl ScenarioOutcome {
             cold_starts: cold,
             warm_starts: warm,
             gib_seconds: result.total_gib_seconds(),
-            latency: result.merged_latency(),
+            p50_ms: latency.p50(),
+            p99_ms: latency.p99(),
             routed_per_host: multi_host.then(|| {
                 result
                     .routed
@@ -130,15 +137,6 @@ impl ScenarioOutcome {
             latency_over_time: multi_host.then_some(result.latency_over_time),
             fleet,
         }
-    }
-
-    /// All functions' latencies merged into one histogram.
-    pub fn merged_latency(&self) -> Histogram {
-        let mut all = Histogram::new();
-        for h in self.latency.values() {
-            all.merge(h);
-        }
-        all
     }
 
     /// Fraction of requests that triggered a cold start.
@@ -298,13 +296,6 @@ pub(super) fn render_table(first: &str, topology: Topology, rows: &[TableRow]) -
     }
     let mut table = TextTable::new(&header);
     for (label, _, trials) in rows {
-        // One merge pass per trial serves both percentiles.
-        let mut merged: Vec<Histogram> =
-            trials.iter().map(ScenarioOutcome::merged_latency).collect();
-        let quantile_mean = |merged: &mut [Histogram], q: f64| {
-            let qs: Vec<f64> = merged.iter_mut().map(|h| h.quantile(q)).collect();
-            sim_core::metrics::mean(&qs)
-        };
         let mut row = vec![
             label.clone(),
             format!(
@@ -312,8 +303,8 @@ pub(super) fn render_table(first: &str, topology: Topology, rows: &[TableRow]) -
                 mean_over(trials, |t| t.completed as f64),
                 mean_over(trials, |t| t.offered as f64)
             ),
-            format!("{:.0}", quantile_mean(&mut merged, 0.5)),
-            format!("{:.0}", quantile_mean(&mut merged, 0.99)),
+            format!("{:.0}", mean_over(trials, |t| t.p50_ms)),
+            format!("{:.0}", mean_over(trials, |t| t.p99_ms)),
             format!("{:.1}", 100.0 * mean_over(trials, |t| t.cold_ratio())),
             format!("{:.1}", mean_over(trials, |t| t.gib_seconds)),
         ];

@@ -91,7 +91,8 @@ fn passing_gates_leave_the_grid_green() {
 fn compare_is_deterministic_and_marks_direction() {
     // Two scalar specs differing only in keepalive; paired seeds make
     // the diff meaningful, and two runs must render identically
-    // (the bootstrap stream is seeded, not ambient).
+    // (Welch's test and its interval are closed-form over the seeded
+    // trials).
     let mut a = Scenario::new("a", faas::Topology::Cluster(2), WorkloadKind::ZipfCluster);
     a.params.tenants = 2;
     a.params.duration_s = 30.0;
@@ -209,8 +210,7 @@ fn cluster_grid_serves_the_offered_load() {
             completed,
             offered
         );
-        let mut latency = c.merged_latency();
-        assert!(latency.p99() >= latency.p50());
+        assert!(c.p99_ms >= c.p50_ms);
     }
     let cold = |r: RouterKind| {
         cells

@@ -28,8 +28,7 @@
 //!   a parallel runner whose results are bit-identical to the serial
 //!   path.
 //! * [`stats`] — deterministic inference for experiment comparison:
-//!   Welch's t-test, Student-t confidence intervals, and a seeded
-//!   percentile bootstrap over [`DetRng`].
+//!   Welch's t-test and its Student-t confidence interval.
 //! * [`table`] — aligned plain-text tables for experiment reports.
 //!
 //! Each simulation is single-threaded and fully deterministic: the same
@@ -55,6 +54,6 @@ pub use events::EventQueue;
 pub use experiment::{run_experiment, ExpOpts, Summary, TrialCtx};
 pub use metrics::{fnv1a, BusyRecorder, Fnv1a, Histogram, Reservoir, TimeSeries};
 pub use rng::{nhpp_thinned_arrivals, poisson_arrivals_into, DetRng};
-pub use stats::{bootstrap_diff_ci, mean_ci, t_critical, welch, welch_ci, Welch};
+pub use stats::{t_critical, welch, welch_ci, Welch};
 pub use table::TextTable;
 pub use time::{SimDuration, SimTime};

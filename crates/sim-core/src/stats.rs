@@ -3,14 +3,11 @@
 //!
 //! `repro run --compare` judges a metric difference between two
 //! scenario runs on per-trial samples, so it needs real inference, not
-//! just means: Welch's unequal-variance t-test ([`welch`]), confidence
-//! intervals from the Student t distribution ([`welch_ci`],
-//! [`mean_ci`]) and a seeded percentile bootstrap
-//! ([`bootstrap_diff_ci`]) for when distributional assumptions feel
-//! too brave. Everything here is closed-form or fixed-iteration
-//! numerics over `f64` — no RNG except the bootstrap's explicit
-//! [`DetRng`], so compare tables are byte-identical across runs and
-//! job counts.
+//! just means: Welch's unequal-variance t-test ([`welch`]) and the
+//! Student-t confidence interval of the difference ([`welch_ci`]).
+//! Everything here is closed-form or fixed-iteration numerics over
+//! `f64` — no RNG — so compare tables are byte-identical across runs
+//! and job counts.
 //!
 //! The t CDF is computed through the regularized incomplete beta
 //! function (continued fraction per Numerical Recipes §6.4); the
@@ -19,7 +16,6 @@
 //! elementary CDF) and classic critical values.
 
 use crate::metrics::mean;
-use crate::rng::DetRng;
 
 /// Unbiased sample variance (`n - 1` denominator; 0 when `n < 2`).
 pub fn sample_variance(xs: &[f64]) -> f64 {
@@ -244,63 +240,6 @@ pub fn welch_ci(w: &Welch, conf: f64) -> (f64, f64) {
     (w.diff - half, w.diff + half)
 }
 
-/// t-distribution confidence interval of a single sample mean; `None`
-/// when `n < 2`.
-pub fn mean_ci(xs: &[f64], conf: f64) -> Option<(f64, f64)> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let m = mean(xs);
-    let se = (sample_variance(xs) / n).sqrt();
-    if se == 0.0 {
-        return Some((m, m));
-    }
-    let half = t_critical(conf, n - 1.0) * se;
-    Some((m - half, m + half))
-}
-
-/// Percentile-bootstrap confidence interval of `mean(b) - mean(a)`
-/// from `iters` seeded resamples; `None` when either sample is empty.
-///
-/// Resampling is fully deterministic in `rng` (one
-/// [`DetRng::range`] draw per resampled element, B after A within each
-/// iteration), so a compare table quoting bootstrap intervals is
-/// byte-identical across runs.
-pub fn bootstrap_diff_ci(
-    a: &[f64],
-    b: &[f64],
-    iters: usize,
-    conf: f64,
-    rng: &mut DetRng,
-) -> Option<(f64, f64)> {
-    if a.is_empty() || b.is_empty() || iters == 0 {
-        return None;
-    }
-    let resample_mean = |xs: &[f64], rng: &mut DetRng| -> f64 {
-        let mut acc = 0.0;
-        for _ in 0..xs.len() {
-            acc += xs[rng.range(0, xs.len() as u64) as usize];
-        }
-        acc / xs.len() as f64
-    };
-    let mut diffs: Vec<f64> = (0..iters)
-        .map(|_| {
-            let ma = resample_mean(a, rng);
-            let mb = resample_mean(b, rng);
-            mb - ma
-        })
-        .collect();
-    diffs.sort_by(|x, y| x.partial_cmp(y).expect("bootstrap means are finite"));
-    let alpha = 1.0 - conf;
-    let rank = |q: f64| {
-        diffs[((iters as f64 * q).ceil() as usize)
-            .saturating_sub(1)
-            .min(iters - 1)]
-    };
-    Some((rank(alpha / 2.0), rank(1.0 - alpha / 2.0)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,12 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn welch_ci_and_mean_ci_match_hand_computation() {
-        // mean_ci([1,2,3], 95%): 2 ± 4.3027·(1/√3) = 2 ± 2.4841.
-        let (lo, hi) = mean_ci(&[1.0, 2.0, 3.0], 0.95).unwrap();
-        assert!(close(lo, 2.0 - 2.4841, 1e-3), "lo = {lo}");
-        assert!(close(hi, 2.0 + 2.4841, 1e-3), "hi = {hi}");
-        assert!(mean_ci(&[1.0], 0.95).is_none());
+    fn welch_ci_brackets_the_difference() {
         // Welch CI covers the true difference for its own samples.
         let w = welch(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]).unwrap();
         let (lo, hi) = welch_ci(&w, 0.95);
@@ -393,21 +327,5 @@ mod tests {
         // Tighter confidence gives a narrower interval.
         let (l2, h2) = welch_ci(&w, 0.5);
         assert!(h2 - l2 < hi - lo);
-    }
-
-    #[test]
-    fn bootstrap_is_seeded_and_sane() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let b = [11.0, 12.0, 13.0, 14.0, 15.0];
-        let ci1 = bootstrap_diff_ci(&a, &b, 500, 0.95, &mut DetRng::new(7)).unwrap();
-        let ci2 = bootstrap_diff_ci(&a, &b, 500, 0.95, &mut DetRng::new(7)).unwrap();
-        assert_eq!(ci1, ci2, "same seed, same interval");
-        let ci3 = bootstrap_diff_ci(&a, &b, 500, 0.95, &mut DetRng::new(8)).unwrap();
-        assert_ne!(ci1, ci3, "different seed resamples differently");
-        // The interval brackets the true difference of 10 and stays
-        // within the extreme resample range.
-        assert!(ci1.0 < 10.0 && 10.0 < ci1.1, "{ci1:?}");
-        assert!(ci1.0 > 6.0 && ci1.1 < 14.0, "{ci1:?}");
-        assert!(bootstrap_diff_ci(&[], &b, 100, 0.95, &mut DetRng::new(1)).is_none());
     }
 }

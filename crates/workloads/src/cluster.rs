@@ -132,11 +132,19 @@ pub fn diurnal_workload(cfg: &DiurnalConfig, rng: &mut DetRng) -> Vec<TenantLoad
     let zipf = Zipf::new(cfg.tenants, cfg.zipf_exponent);
     (0..cfg.tenants)
         .map(|rank| {
+            let kind = FunctionKind::ALL[rank % FunctionKind::ALL.len()];
             let share = zipf.pmf(rank);
             let mut trng = rng.derive(rank as u64 + 1);
             // Envelope for thinning: the tenant's peak rate with the
             // burst multiplier always applied.
             let lambda_max = share * cfg.peak_rps * cfg.burst_factor;
+            if lambda_max == 0.0 {
+                // A tail share that underflows to zero draws nothing.
+                return TenantLoad {
+                    kind,
+                    arrivals: Vec::new(),
+                };
+            }
             // On/off burst phases, like `bursty_arrivals`: mean burst
             // 10 s, mean gap sized to hit `burst_duty`.
             let mean_burst_s = 10.0;
@@ -164,10 +172,7 @@ pub fn diurnal_workload(cfg: &DiurnalConfig, rng: &mut DetRng) -> Vec<TenantLoad
                 let burst = if bursting { cfg.burst_factor } else { 1.0 };
                 share * diurnal_rate(cfg, t) * burst
             });
-            TenantLoad {
-                kind: FunctionKind::ALL[rank % FunctionKind::ALL.len()],
-                arrivals,
-            }
+            TenantLoad { kind, arrivals }
         })
         .collect()
 }
@@ -276,6 +281,22 @@ mod tests {
             a[0].arrivals.len(),
             a[5].arrivals.len()
         );
+    }
+
+    #[test]
+    fn a_tenant_whose_share_underflows_draws_nothing() {
+        // At exponent 1e300 every rank past the first weighs 1/∞ = 0.
+        let c = DiurnalConfig {
+            zipf_exponent: 1e300,
+            ..dcfg()
+        };
+        let tenants = diurnal_workload(&c, &mut DetRng::new(4));
+        assert_eq!(tenants.len(), 6);
+        assert!(tenants[1..].iter().all(|t| t.arrivals.is_empty()));
+        // The head tenant draws exactly what it draws alone.
+        let alone = diurnal_workload(&DiurnalConfig { tenants: 1, ..c }, &mut DetRng::new(4));
+        assert!(!alone[0].arrivals.is_empty());
+        assert_eq!(tenants[0].arrivals, alone[0].arrivals);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   expanded to arrivals on the fly with seeded within-minute jitter
 //!   (memory: one minute of arrivals).
 //! * [`OpenDcSource`] — OpenDC-style rows carrying exact timestamps
-//!   plus duration/memory hints (memory: one row).
+//!   (memory: one row).
 //! * [`MaterializedSource`] — an adapter wrapping the existing
 //!   materialized generators ([`crate::WorkloadKind::generate`]), so all
 //!   workloads flow through the one interface.
@@ -67,15 +67,9 @@ pub const MAX_ROW_ARRIVALS: u64 = 1_000_000;
 pub struct Arrival {
     /// Arrival time in nanoseconds since the trace origin.
     pub t_ns: u64,
-    /// The function the invocation runs.
-    pub function: FunctionKind,
-    /// Tenant (deployment-slot) index, `< kinds().len()`.
+    /// Tenant (deployment-slot) index, `< kinds().len()`; its function
+    /// is `kinds()[tenant]`.
     pub tenant: usize,
-    /// Trace-recorded execution-time hint in seconds, when the format
-    /// carries one (OpenDC); `None` means "use the function model".
-    pub duration_s: Option<f64>,
-    /// Trace-recorded memory hint in bytes, when the format carries one.
-    pub memory_bytes: Option<u64>,
 }
 
 /// A parse or validation error, tied to the offending line.
@@ -451,10 +445,7 @@ impl<R: BufRead> AzureMinuteSource<R> {
                 let offset = rng.range_f64(0.0, 60.0);
                 self.buf.push(Arrival {
                     t_ns: minute * MINUTE_NS + SimDuration::from_secs_f64(offset).as_nanos(),
-                    function: self.kinds[tenant],
                     tenant,
-                    duration_s: None,
-                    memory_bytes: None,
                 });
             }
             row = self.parse_row()?;
@@ -489,8 +480,9 @@ impl<R: BufRead> TraceSource for AzureMinuteSource<R> {
 ///
 /// Body rows are `timestamp_ms,tenant,invocations,avg_exec_ms,memory_mb`
 /// with non-decreasing timestamps; each row yields `invocations`
-/// arrivals at exactly its timestamp, carrying duration and memory
-/// hints. Trial-invariant (no jitter).
+/// arrivals at exactly its timestamp. The duration and memory columns
+/// are parsed and checked, but the function model decides both.
+/// Trial-invariant (no jitter).
 pub struct OpenDcSource<R: BufRead> {
     kinds: Vec<FunctionKind>,
     reader: LineReader<R>,
@@ -542,7 +534,7 @@ impl<R: BufRead> OpenDcSource<R> {
         let tenant = parse_usize(tenant.trim(), line)?;
         let invocations = parse_u64(invocations.trim(), line)?;
         let avg_exec_ms = parse_f64(exec.trim(), line)?;
-        let memory_mb = parse_u64(mem.trim(), line)?;
+        parse_u64(mem.trim(), line)?;
         if invocations > MAX_ROW_ARRIVALS {
             return Err(TraceError::at(
                 line,
@@ -578,10 +570,7 @@ impl<R: BufRead> OpenDcSource<R> {
         self.last_ts = Some(ts_ms);
         let arrival = Arrival {
             t_ns: ts_ms * 1_000_000,
-            function: self.kinds[tenant],
             tenant,
-            duration_s: Some(avg_exec_ms / 1e3),
-            memory_bytes: Some(memory_mb * mem_types::MIB),
         };
         Ok(Some((arrival, invocations)))
     }
@@ -651,13 +640,7 @@ impl TraceSource for MaterializedSource {
         }
         Ok(best.map(|(t_ns, tenant)| {
             self.cursors[tenant] += 1;
-            Arrival {
-                t_ns,
-                function: self.kinds[tenant],
-                tenant,
-                duration_s: None,
-                memory_bytes: None,
-            }
+            Arrival { t_ns, tenant }
         }))
     }
 }
@@ -881,10 +864,7 @@ mod tests {
                 let off = rng.range_f64(0.0, 60.0);
                 expect.push(Arrival {
                     t_ns: minute * MINUTE_NS + SimDuration::from_secs_f64(off).as_nanos(),
-                    function: kinds[tenant],
                     tenant,
-                    duration_s: None,
-                    memory_bytes: None,
                 });
             }
         }
@@ -1006,9 +986,7 @@ mod tests {
         assert_eq!(got[0].t_ns, 0);
         assert_eq!(got[1].t_ns, 0, "both invocations at the row timestamp");
         assert_eq!(got[2].t_ns, 1_500_000_000);
-        assert_eq!(got[0].duration_s, Some(0.1255));
-        assert_eq!(got[0].memory_bytes, Some(256 * mem_types::MIB));
-        assert_eq!(got[2].function, FunctionKind::Cnn);
+        assert_eq!(got[2].tenant, 1);
     }
 
     #[test]

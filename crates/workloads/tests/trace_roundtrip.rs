@@ -22,12 +22,7 @@ fn drain(src: &mut dyn TraceSource) -> Vec<Arrival> {
 /// The documented azure-minute expansion, computed independently of the
 /// parser: jitter from `seed → 0xA21 → trial → minute → tenant`, sorted
 /// by `(t_ns, tenant)` within each minute.
-fn expand_azure(
-    seed: u64,
-    kinds: &[FunctionKind],
-    rows: &[(u64, usize, u64)],
-    trial: u64,
-) -> Vec<Arrival> {
+fn expand_azure(seed: u64, rows: &[(u64, usize, u64)], trial: u64) -> Vec<Arrival> {
     let mut out = Vec::new();
     let mut minute_buf: Vec<Arrival> = Vec::new();
     let mut cur = None;
@@ -46,10 +41,7 @@ fn expand_azure(
             let off = rng.range_f64(0.0, 60.0);
             minute_buf.push(Arrival {
                 t_ns: minute * 60_000_000_000 + SimDuration::from_secs_f64(off).as_nanos(),
-                function: kinds[tenant],
                 tenant,
-                duration_s: None,
-                memory_bytes: None,
             });
         }
     }
@@ -93,7 +85,7 @@ proptest! {
         let mut src = AzureMinuteSource::new(text.as_bytes(), trial).expect("parses");
         prop_assert_eq!(src.kinds(), kinds.as_slice());
         let got = drain(&mut src);
-        let want = expand_azure(seed, &kinds, &rows, trial);
+        let want = expand_azure(seed, &rows, trial);
         prop_assert_eq!(got, want);
     }
 
@@ -125,10 +117,7 @@ proptest! {
                 std::iter::repeat_n(
                     Arrival {
                         t_ns: r.timestamp_ms * 1_000_000,
-                        function: kinds[r.tenant],
                         tenant: r.tenant,
-                        duration_s: Some(r.avg_exec_ms / 1e3),
-                        memory_bytes: Some(r.memory_mb * mem_types::MIB),
                     },
                     r.invocations as usize,
                 )

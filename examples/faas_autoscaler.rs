@@ -47,7 +47,7 @@ fn main() {
             out.cold_starts,
             out.warm_starts,
             out.gib_seconds,
-            out.merged_latency().p99(),
+            out.p99_ms,
         );
     }
 }
