@@ -248,7 +248,7 @@ impl ScenarioResult {
                 spec.min_hosts,
                 spec.max_hosts,
                 if spec.mtbf_s > 0.0 {
-                    format!("{:.0}s", spec.mtbf_s)
+                    format!("{}s", spec.mtbf_s)
                 } else {
                     "off".to_string()
                 },
@@ -370,4 +370,32 @@ pub(super) fn render_table(first: &str, topology: Topology, rows: &[TableRow]) -
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::WorkloadKind;
+
+    #[test]
+    fn fleet_header_prints_the_mtbf_as_given() {
+        let header = |mtbf_s: f64| {
+            let mut spec = Scenario::new("h", Topology::Fleet, WorkloadKind::Diurnal);
+            spec.mtbf_s = mtbf_s;
+            let text = ScenarioResult {
+                spec,
+                cells: Vec::new(),
+            }
+            .render();
+            text.lines().nth(1).unwrap().to_string()
+        };
+        for (mtbf_s, want) in [
+            (0.003, "mtbf 0.003s"),
+            (150.0, "mtbf 150s"),
+            (0.0, "mtbf off"),
+        ] {
+            let h = header(mtbf_s);
+            assert!(h.ends_with(want), "{h}");
+        }
+    }
 }

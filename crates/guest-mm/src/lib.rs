@@ -502,9 +502,11 @@ impl GuestMm {
 
     /// Run-based variant of [`GuestMm::fault_anon`]: appends the faulted
     /// frames to `runs` as contiguous ranges instead of building
-    /// a per-page list — the cold-start fast path (a fresh buddy serves
-    /// order-0 faults as long sequential runs, so a 200 MiB first touch
-    /// becomes ~50 range operations instead of ~50 000 page operations).
+    /// a per-page list — the cold-start fast path. Each step takes the
+    /// smallest free chunk whole, or as many pages as are still wanted
+    /// from its front, so a 200 MiB first touch on a fresh buddy is ~50
+    /// range operations instead of ~50 000 page operations, and a fault
+    /// shorter than the chunk it lands in is one.
     ///
     /// Page states, allocation order and the final buddy state are
     /// identical to per-page order-0 allocation (see
@@ -751,8 +753,9 @@ impl GuestMm {
     // --- Kernel (unmovable) allocations ------------------------------------
 
     /// Allocates `n` unmovable kernel pages from `ZONE_NORMAL` (pins
-    /// their blocks against offlining), a buddy run at a time: the same
-    /// pages, in the same order, as `n` order-0 allocations (see
+    /// their blocks against offlining), a buddy run at a time — a whole
+    /// smallest free chunk, or the front of one for the last pages: the
+    /// same pages, in the same order, as `n` order-0 allocations (see
     /// [`Zone::alloc_run`]). On `Err(OutOfMemory)` the pages allocated
     /// before exhaustion stay claimed.
     pub fn alloc_kernel(&mut self, n: u64) -> Result<(), MmError> {
@@ -1139,9 +1142,11 @@ impl GuestMm {
 
     /// Migrates up to `want` frame-consecutive used pages starting at
     /// `src` (inside an offlining block of `zone`, all with state, owner
-    /// and owner run `key`) to one buddy run of targets. Returns how
-    /// many pages moved, or `None` when no zone the pages may migrate to
-    /// has a free page.
+    /// and owner run `key`) to one run of targets: the smallest free
+    /// chunk of the first zone that has one, whole, or its first `want`
+    /// pages when it is longer, so a source run that fits in that chunk
+    /// moves in one step. Returns how many pages moved, or `None` when
+    /// no zone the pages may migrate to has a free page.
     ///
     /// Identical to migrating the pages one at a time: the targets are
     /// the pages repeated order-0 allocations would return (see
@@ -2453,6 +2458,9 @@ mod offline_twin {
         mid_order: bool,
         swap_in: bool,
         multi_run_tail: bool,
+        /// A migration's source run was shorter than the smallest free
+        /// target chunk, so its targets were cut from that chunk's front.
+        split_target: bool,
     }
 
     /// Drives two identical guests through one seeded random history,
@@ -2598,6 +2606,8 @@ mod offline_twin {
                 _ => None,
             };
             let offlined = a.stats.blocks_offlined > 0;
+            let split_runs = |mm: &GuestMm| mm.zones.iter().map(|z| z.split_runs).sum::<u64>();
+            let splits = split_runs(&a);
             let mut log = Vec::new();
             let got = apply(&mut a, op, false, &mut Vec::new());
             let want = apply(&mut b, op, true, &mut log);
@@ -2662,6 +2672,8 @@ mod offline_twin {
                 cov.migrated |= migrated > 0;
                 cov.file_migrated |= migrated > 0 && files > 0;
                 cov.cross_zone |= migrated > own_free;
+                // During an offline only base-page migrations allocate runs.
+                cov.split_target |= split_runs(&a) > splits;
                 assert_twins(&a, &b);
             }
         }
@@ -2672,8 +2684,22 @@ mod offline_twin {
 
     #[test]
     fn run_based_offline_matches_per_page_reference() {
+        run_seeds(0..12);
+    }
+
+    /// The twin run over many more seeds, for release builds:
+    /// `cargo test --release -p guest-mm -- --ignored`.
+    #[test]
+    #[ignore = "slow; run in release"]
+    fn run_based_offline_matches_per_page_reference_many_seeds() {
+        run_seeds(0..96);
+    }
+
+    /// Runs the twins over `seeds` and asserts that the randomized
+    /// guests reached every path.
+    fn run_seeds(seeds: std::ops::Range<u64>) {
         let mut cov = Coverage::default();
-        for seed in 0..12 {
+        for seed in seeds {
             run_twins(seed, &mut cov);
         }
         let Coverage {
@@ -2690,6 +2716,7 @@ mod offline_twin {
             mid_order,
             swap_in,
             multi_run_tail,
+            split_target,
         } = cov;
         assert!(
             migrated
@@ -2704,7 +2731,8 @@ mod offline_twin {
                 && punch_split
                 && mid_order
                 && swap_in
-                && multi_run_tail,
+                && multi_run_tail
+                && split_target,
             "randomized guests missed a path: {cov:?}"
         );
     }

@@ -52,6 +52,10 @@ pub struct Zone {
     pub free_pages: u64,
     /// Number of pages currently onlined into this zone.
     pub managed_pages: u64,
+    /// Runs [`Zone::alloc_run`] cut from the front of a bigger chunk
+    /// (the twin tests check that an offline reaches this path).
+    #[cfg(test)]
+    pub(crate) split_runs: u64,
 }
 
 impl Zone {
@@ -64,6 +68,8 @@ impl Zone {
             free_heads: [NIL; MAX_ORDER as usize + 1],
             free_pages: 0,
             managed_pages: 0,
+            #[cfg(test)]
+            split_runs: 0,
         }
     }
 
@@ -257,11 +263,14 @@ impl Zone {
     /// the smallest free block, and because splitting links the upper
     /// halves into the (empty) lower-order lists, it consumes that block
     /// *sequentially* — head, head+1, … — before touching any other
-    /// block. Taking the whole block at once therefore yields the same
-    /// pages in the same order and the same final free-list state, while
-    /// skipping the per-page split/link churn. A block bigger than
-    /// `want` is consumed one page at a time (the ordinary split path),
-    /// so partial consumption also matches the sequential sequence.
+    /// block. A block no bigger than `want` is therefore taken whole. Of
+    /// a bigger block (order `o`) the run is its first `want` pages, and
+    /// the rest is linked as the aligned power-of-two pieces that `want`
+    /// per-page allocations leave: every list below `o` was empty, so
+    /// each piece is alone on its list and the order-`o` list lost only
+    /// its head. Either way the pages, their order and every free list,
+    /// down to list order, match the per-page path, without its
+    /// split/link churn.
     pub fn alloc_run(&mut self, mm: &mut MemMap, want: u64) -> Option<(Gfn, u64)> {
         debug_assert!(want > 0);
         let mut have = None;
@@ -272,13 +281,24 @@ impl Zone {
             }
         }
         let o = have?;
-        if (1u64 << o) > want {
-            return self.alloc_block(mm, 0).map(|g| (g, 1));
-        }
         let head = Gfn(self.free_heads[o as usize] as u64);
         self.unlink(mm, head, o);
-        self.free_pages -= 1 << o;
-        Some((head, 1 << o))
+        let len = want.min(1 << o);
+        #[cfg(test)]
+        if len < 1 << o {
+            self.split_runs += 1;
+        }
+        // The tail [head+len, head+2^o): at each offset the largest
+        // piece its alignment allows, which always fits below the end.
+        let end = head.0 + (1 << o);
+        let mut g = head.0 + len;
+        while g < end {
+            let order = (g - head.0).trailing_zeros() as u8;
+            self.link(mm, Gfn(g), order);
+            g += 1 << order;
+        }
+        self.free_pages -= len;
+        Some((head, len))
     }
 
     /// Carves a specific free page `g` out of the buddy (the isolation
@@ -603,25 +623,33 @@ mod tests {
     fn alloc_run_matches_sequential_order_zero_allocs() {
         // Drive two identical zones through mixed run/free traffic; the
         // run path must produce the same page sequence and the same
-        // buddy state as repeated order-0 allocation.
-        let (mut mm_a, mut za) = make(4096);
-        let (mut mm_b, mut zb) = make(4096);
-        fill(&mut mm_a, &mut za, 4096);
-        fill(&mut mm_b, &mut zb, 4096);
+        // buddy state as repeated order-0 allocation. Wants reach past
+        // a MAX_ORDER chunk, and frees scatter pages so that runs end
+        // both inside and at the end of chunks of every order.
+        let (mut mm_a, mut za) = make(16384);
+        let (mut mm_b, mut zb) = make(16384);
+        fill(&mut mm_a, &mut za, 16384);
+        fill(&mut mm_b, &mut zb, 16384);
         let mut x = 0xDEAD_BEEFu64;
         let mut held: Vec<Gfn> = Vec::new();
         for _ in 0..200 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             if x.is_multiple_of(4) && !held.is_empty() {
-                // Free a pseudo-random page from both zones alike.
-                let idx = (x as usize / 5) % held.len();
-                let g = held.swap_remove(idx);
-                za.free_block(&mut mm_a, g, 0);
-                zb.free_block(&mut mm_b, g, 0);
+                // Free pseudo-random pages from both zones alike.
+                for _ in 0..1 + (x / 7) % 3000 {
+                    if held.is_empty() {
+                        break;
+                    }
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let idx = (x >> 33) as usize % held.len();
+                    let g = held.swap_remove(idx);
+                    za.free_block(&mut mm_a, g, 0);
+                    zb.free_block(&mut mm_b, g, 0);
+                }
                 continue;
             }
-            // Allocate a run of 1..=100 pages via both paths.
-            let mut want = 1 + (x / 3) % 100;
+            // Allocate a run of 1..=3000 pages via both paths.
+            let mut want = 1 + (x / 3) % 3000;
             let mut run_pages = Vec::new();
             while want > 0 {
                 let Some((head, len)) = za.alloc_run(&mut mm_a, want) else {
@@ -636,18 +664,42 @@ mod tests {
             assert_eq!(run_pages, seq_pages, "allocation sequence must match");
             held.extend(run_pages);
         }
+        assert!(za.split_runs > 0, "no run was cut from a bigger chunk");
         assert_eq!(za.free_pages, zb.free_pages);
         za.assert_consistent(&mm_a);
         zb.assert_consistent(&mm_b);
-        // Identical free-list structure, not just counts.
+        // Identical free lists, down to list order.
         for o in 0..=MAX_ORDER {
             assert_eq!(
-                za.free_list_len(&mm_a, o),
-                zb.free_list_len(&mm_b, o),
+                za.free_list(&mm_a, o),
+                zb.free_list(&mm_b, o),
                 "order {o} free list diverged"
             );
         }
-        assert_eq!(za.free_chunks(&mm_a, 0), zb.free_chunks(&mm_b, 0));
+    }
+
+    #[test]
+    fn alloc_run_takes_a_short_run_from_the_front_of_a_bigger_chunk() {
+        // One order-10 chunk and a want of 600: the run is the chunk's
+        // first 600 pages, and its tail is left as the aligned pieces
+        // 600 order-0 allocations leave, one per list.
+        let (mut mm_a, mut za) = make(1024);
+        let (mut mm_b, mut zb) = make(1024);
+        fill(&mut mm_a, &mut za, 1024);
+        fill(&mut mm_b, &mut zb, 1024);
+        assert_eq!(za.alloc_run(&mut mm_a, 600), Some((Gfn(0), 600)));
+        let seq: Vec<Gfn> = (0..600)
+            .map(|_| zb.alloc_block(&mut mm_b, 0).unwrap())
+            .collect();
+        assert_eq!(seq, (0..600).map(Gfn).collect::<Vec<_>>());
+        let tail = vec![(Gfn(600), 3), (Gfn(608), 5), (Gfn(640), 7), (Gfn(768), 8)];
+        assert_eq!(za.free_chunks(&mm_a, 0), tail);
+        assert_eq!(zb.free_chunks(&mm_b, 0), tail);
+        for o in 0..=MAX_ORDER {
+            assert_eq!(za.free_list(&mm_a, o), zb.free_list(&mm_b, o), "order {o}");
+        }
+        assert_eq!((za.free_pages, zb.free_pages), (424, 424));
+        za.assert_consistent(&mm_a);
     }
 
     #[test]
