@@ -36,12 +36,14 @@ mod runs;
 pub mod zone;
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use mem_types::{bytes_to_pages, BlockId, FrameRange, Gfn, PAGES_PER_BLOCK, PAGE_SIZE};
 
 pub use blocks::{BlockState, BlockTable};
 pub use huge::HugeFaultOutcome;
 pub use memmap::MemMap;
+use memmap::{Extent, FrameHasher};
 pub use page::{PageDesc, PageState, HUGE_ORDER, MAX_ORDER, PAGES_PER_HUGE};
 pub use pagecache::{CachedFile, FileId};
 pub use process::{AllocPolicy, Pid, Process};
@@ -258,8 +260,8 @@ pub struct GuestMm {
     memmap: MemMap,
     zones: Vec<Zone>,
     blocks: BlockTable,
-    procs: HashMap<u32, Process>,
-    files: HashMap<u32, CachedFile>,
+    procs: HashMap<u32, Process, BuildHasherDefault<FrameHasher>>,
+    files: HashMap<u32, CachedFile, BuildHasherDefault<FrameHasher>>,
     /// The kernel's unmovable pages as frame runs; `PageDesc.b` of each
     /// page is its run's index here.
     kernel_pages: Vec<FrameRange>,
@@ -311,8 +313,8 @@ impl GuestMm {
                 ),
             ],
             blocks: BlockTable::new(boot_blocks + hotplug_blocks),
-            procs: HashMap::new(),
-            files: HashMap::new(),
+            procs: HashMap::default(),
+            files: HashMap::default(),
             kernel_pages: Vec::new(),
             next_pid: 1,
             file_policy: AllocPolicy::MovableDefault,
@@ -882,21 +884,21 @@ impl GuestMm {
         };
         let zero_on_isolate = self.config.init_on_alloc && !self.unplug_aware_zeroing_skip;
 
-        // Phase 1: isolate every free page of the block out of the buddy
+        // Phase 1: take every free chunk of the block out of the buddy
         // so nothing new is allocated inside it. One ascending walk of
         // the block's extents gathers its free buddy chunks, its huge
         // heads and its owner runs, each of which is one `UsedRun` for
-        // phase 2b. Isolating a chunk then replaces only that chunk's
-        // extent and free-list links, none of which the walk read, so
-        // isolating after the walk leaves what isolating during it would
-        // (see `Zone::isolate_free_chunk`).
-        let mut free_heads: Vec<Gfn> = Vec::new();
+        // phase 2b. Taking a chunk off its list rewrites only its list
+        // neighbours' links, none of which the walk read, so doing it
+        // after the walk leaves what doing it during the walk would (see
+        // `Zone::unlist_free_chunk`). The chunks keep their extents.
+        let mut free: Vec<FrameRange> = Vec::new();
         let mut used: Vec<UsedRun> = Vec::new();
         let mut used_huge: Vec<Gfn> = Vec::new();
         let mut blocker = None;
         for (r, d) in self.memmap.extents(b) {
             match d.state {
-                PageState::FreeHead => free_heads.push(r.start),
+                PageState::FreeHead => free.push(r),
                 PageState::HugeHead => used_huge.push(r.start),
                 PageState::Anon | PageState::File => UsedRun::push(&mut used, r.start, r.count, d),
                 PageState::Kernel => {
@@ -909,8 +911,8 @@ impl GuestMm {
                 }
             }
         }
-        for g in free_heads {
-            let n = self.zones[zone as usize].isolate_free_chunk(&mut self.memmap, g);
+        for r in &free {
+            let n = self.zones[zone as usize].unlist_free_chunk(&mut self.memmap, r.start);
             let c = self.blocks.counters_mut(b);
             c.free -= n as u32;
             c.isolated += n as u32;
@@ -920,7 +922,7 @@ impl GuestMm {
             }
         }
         if let Some(error) = blocker {
-            self.rollback_isolation(b, zone);
+            self.abort_offline(b, zone, free);
             return Err(OfflineFailure {
                 error,
                 partial: out,
@@ -949,8 +951,8 @@ impl GuestMm {
         }
 
         // Phase 2b: migrate the occupied movable base pages elsewhere, a
-        // run at a time.
-        for run in used {
+        // run at a time. The sources keep their extents.
+        for (i, run) in used.iter().enumerate() {
             let mut done = 0;
             while done < run.len {
                 let src = Gfn(run.start.0 + done);
@@ -958,7 +960,9 @@ impl GuestMm {
                     // Out of targets: roll isolated pages back into the
                     // buddy; pages that already migrated stay migrated
                     // (partial progress, as in the kernel).
-                    self.rollback_isolation(b, zone);
+                    let moved = used[..i].iter().map(|r| FrameRange::new(r.start, r.len));
+                    let moved = moved.chain([FrameRange::new(run.start, done)]);
+                    self.abort_offline(b, zone, free.into_iter().chain(moved));
                     self.stats.offline_failures += 1;
                     self.stats.pages_migrated += out.migrated;
                     self.stats.pages_zeroed += out.zeroed;
@@ -978,7 +982,12 @@ impl GuestMm {
             }
         }
 
-        // Phase 3: the block is fully isolated; take it offline.
+        // Phase 3: the block holds no live page; take it offline, its
+        // table going whole with the stale extents of phases 1 and 2b.
+        if cfg!(debug_assertions) {
+            self.assert_evacuated(b, &free, &used);
+            self.memmap.isolate_block(b, zone);
+        }
         self.finish_offline(b, zone);
         self.stats.blocks_offlined += 1;
         self.stats.pages_migrated += out.migrated;
@@ -1154,8 +1163,9 @@ impl GuestMm {
     /// both blocks' counters move by the run length at once. The sources
     /// are the front of their owner run (earlier pages of the run, all
     /// in this block, moved out first), so the targets take their place
-    /// in the owner's order as a run linked just before it, and the
-    /// sources join the block's isolated extent.
+    /// in the owner's order as a run linked just before it. The sources
+    /// keep their extent, now stale: the offline drops it with the
+    /// block's table, or isolates it if it fails.
     fn migrate_run(
         &mut self,
         src: Gfn,
@@ -1187,12 +1197,19 @@ impl GuestMm {
         debug_assert_eq!(list.run(run).start, src, "sources lead their run");
         let moved = list.insert_before(run, target, len);
         list.trim_front(run, len);
-        let sources = FrameRange::new(src, len);
-        self.memmap
-            .claim(target, len, used_page(state, target_zone, owner, moved));
-        let d = self.memmap.carve(sources);
-        debug_assert_eq!((d.state, d.a, d.b), key, "sources are one owner run");
-        self.memmap.isolate(sources, zone);
+        // The targets are the run `moved`, new or continued, whose
+        // extent is its own.
+        let head = list.run(moved).start;
+        if head == target {
+            let head = used_page(state, target_zone, owner, moved);
+            let e = Extent {
+                head,
+                len: len as u32,
+            };
+            self.memmap.insert(target, e);
+        } else {
+            self.memmap.extent_mut(head).len += len as u32;
+        }
         let c = self.blocks.counters_mut(target.block());
         c.free -= len as u32;
         c.used_movable += len as u32;
@@ -1200,6 +1217,41 @@ impl GuestMm {
         c.used_movable -= len as u32;
         c.isolated += len as u32;
         Some(len)
+    }
+
+    /// Rolls back a failed offline of `b`: isolates `taken`, the free
+    /// chunks it took off the free lists and the pages that migrated
+    /// away, whose extents it left in place, then returns every isolated
+    /// page to the buddy.
+    fn abort_offline(&mut self, b: BlockId, zone: u8, taken: impl IntoIterator<Item = FrameRange>) {
+        for r in taken.into_iter().filter(|r| r.count > 0) {
+            self.memmap.carve(r);
+            self.memmap.isolate(r, zone);
+        }
+        self.rollback_isolation(b, zone);
+    }
+
+    /// Debug check before a migrating offline drops `b`'s table: every
+    /// frame is isolated, in one of the chunks `free` that phase 1 took
+    /// off the free lists, or in the sources of `used`, all of which
+    /// migrated, under their owner run's key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any other frame is left: memory still in use.
+    fn assert_evacuated(&self, b: BlockId, free: &[FrameRange], used: &[UsedRun]) {
+        let mm = &self.memmap;
+        let chunks = free.iter().map(|&r| mm.count_in(r, |d| d.state.is_free()));
+        let sources = used.iter().map(|u| {
+            let r = FrameRange::new(u.start, u.len);
+            mm.count_in(r, |d| (d.state, d.a, d.b) == u.key)
+        });
+        let isolated = mm.count_in(b.frames(), |d| d.state == PageState::Isolated);
+        let evacuated = chunks.chain(sources).sum::<u64>() + isolated;
+        assert_eq!(
+            evacuated, PAGES_PER_BLOCK,
+            "block {b:?} offlined with live pages left"
+        );
     }
 
     /// Returns all isolated pages of `b` to the buddy (offline failure),
@@ -1560,6 +1612,40 @@ mod tests {
         mm.rollback_isolation(b, ZONE_MOVABLE);
         assert_eq!(*mm.blocks().counters(b), counters);
         mm.assert_consistent();
+    }
+
+    #[test]
+    #[should_panic(expected = "offlined with live pages left")]
+    fn evacuation_check_refuses_a_used_run_not_migrated() {
+        let mut mm = GuestMm::new(small_config());
+        let b = BlockId(2);
+        mm.hot_add_block(b).unwrap();
+        mm.online_block(b, ZONE_MOVABLE).unwrap();
+        let (p, q) = (
+            mm.spawn_process(AllocPolicy::MovableDefault),
+            mm.spawn_process(AllocPolicy::MovableDefault),
+        );
+        mm.fault_anon(p, 100).unwrap();
+        mm.fault_anon(q, 100).unwrap();
+        let free: Vec<FrameRange> = mm
+            .memmap
+            .extents(b)
+            .filter(|(_, d)| d.state == PageState::FreeHead)
+            .map(|(r, _)| r)
+            .collect();
+        let runs = |pids: &[Pid]| {
+            let mut used = Vec::new();
+            for (r, d) in mm.memmap.extents(b) {
+                if d.state == PageState::Anon && pids.contains(&Pid(d.a)) {
+                    UsedRun::push(&mut used, r.start, r.count, d);
+                }
+            }
+            used
+        };
+        // Both processes' runs migrated: the block holds nothing live.
+        mm.assert_evacuated(b, &free, &runs(&[p, q]));
+        // `q`'s run did not.
+        mm.assert_evacuated(b, &free, &runs(&[p]));
     }
 
     #[test]
@@ -2461,6 +2547,13 @@ mod offline_twin {
         /// A migration's source run was shorter than the smallest free
         /// target chunk, so its targets were cut from that chunk's front.
         split_target: bool,
+        /// A target run of an offline reused the handle of a source run
+        /// that migrated whole, so that run's stale extent named a live
+        /// run.
+        handle_reused: bool,
+        /// An offline ran out of targets after a whole source run and
+        /// the front of another had moved, so its rollback isolated both.
+        rollback_after_full_run: bool,
     }
 
     /// Drives two identical guests through one seeded random history,
@@ -2591,7 +2684,13 @@ mod offline_twin {
                     let files = a
                         .memmap
                         .count_in(blk.frames(), |d| d.state == PageState::File);
-                    Some((own_free, files))
+                    let sources: Vec<(FrameRange, Owner, u32)> = a
+                        .memmap
+                        .extents(blk)
+                        .filter(|(_, d)| matches!(d.state, PageState::Anon | PageState::File))
+                        .map(|(r, d)| (r, (d.state as u8, d.a), d.b))
+                        .collect();
+                    Some((blk, own_free, files, sources))
                 }
                 Op::Punch(p, g) => {
                     let run = a.procs[&p.0].base.run(a.memmap.page(g).b);
@@ -2654,7 +2753,7 @@ mod offline_twin {
                 (Op::FreeTail(..), _) => assert_twins(&a, &b),
                 _ => {}
             }
-            if let (Effect::Offline(out), Some((own_free, files))) = (&got, before) {
+            if let (Effect::Offline(out), Some((blk, own_free, files, sources))) = (&got, before) {
                 let migrated = match out {
                     Ok(o) => {
                         cov.huge_whole |= o.migrated_huge > 0;
@@ -2674,6 +2773,21 @@ mod offline_twin {
                 cov.cross_zone |= migrated > own_free;
                 // During an offline only base-page migrations allocate runs.
                 cov.split_target |= split_runs(&a) > splits;
+                // A source run's handle now names a run outside the block.
+                cov.handle_reused |= sources.iter().any(|&(_, k, h)| {
+                    a.owners().any(|o| o == k)
+                        && a.owned(k)
+                            .handles()
+                            .any(|(x, r)| x == h && r.start.block() != blk)
+                });
+                if matches!(out, Err(f) if f.error == MmError::OutOfMemory) {
+                    let used = |r| a.memmap.count_in(r, |d| d.state.is_used());
+                    let whole = sources.iter().any(|&(r, ..)| used(r) == 0);
+                    let front = sources
+                        .iter()
+                        .any(|&(r, ..)| !a.memmap.state(r.start).is_used() && used(r) > 0);
+                    cov.rollback_after_full_run |= whole && front;
+                }
                 assert_twins(&a, &b);
             }
         }
@@ -2717,6 +2831,8 @@ mod offline_twin {
             swap_in,
             multi_run_tail,
             split_target,
+            handle_reused,
+            rollback_after_full_run,
         } = cov;
         assert!(
             migrated
@@ -2732,7 +2848,9 @@ mod offline_twin {
                 && mid_order
                 && swap_in
                 && multi_run_tail
-                && split_target,
+                && split_target
+                && handle_reused
+                && rollback_after_full_run,
             "randomized guests missed a path: {cov:?}"
         );
     }

@@ -21,8 +21,7 @@
 //! * a 2 MiB huge page ([`PageState::HugeHead`]), whose 511 tails
 //!   resolve as [`PageState::HugeTail`] with the head's owner words;
 //! * an isolated range ([`PageState::Isolated`]) inside an offlining
-//!   block. Adjacent isolated extents merge, so an offline ends with its
-//!   block as one extent.
+//!   block. Adjacent isolated extents merge.
 //!
 //! Absent and offline blocks hold no extents at all.
 //!
@@ -32,7 +31,10 @@
 //! bitmap of the extent heads, 4 KiB against the 384 KiB a descriptor
 //! per frame would take, which finds the extent covering any frame and
 //! walks the block's extents in address order. Offlining a block drops
-//! its table whole.
+//! its table whole, so a migrating offline leaves the extents of the
+//! free chunks it takes and of the pages it migrates as they were,
+//! rather than isolating them for a table about to go; only a failed
+//! offline isolates them, to hand them back to the buddy.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -163,19 +165,24 @@ impl Table {
     }
 }
 
-/// Hashes a head frame for the extent table: one multiply, folded so
-/// that the low bits, which pick the bucket, depend on every key bit
-/// (heads are often aligned, so their own low bits are zero). The keys
-/// are frames the allocator picked, never input, so the table needs no
+/// Hashes a head frame for the extent table, or an owner id for the
+/// guest's owner maps: one multiply, folded so that the low bits, which
+/// pick the bucket, depend on every key bit (heads are often aligned, so
+/// their own low bits are zero). The keys are frames the allocator
+/// picked or ids the guest issued, never input, so the tables need no
 /// protection against crafted collisions.
 #[derive(Default)]
-struct FrameHasher(u64);
+pub(crate) struct FrameHasher(u64);
 
 impl Hasher for FrameHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = self.0.rotate_left(8) ^ b as u64;
         }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = n as u64;
     }
 
     fn write_u64(&mut self, n: u64) {
@@ -376,8 +383,10 @@ impl MemMap {
     /// Offlines block `b`, dropping its table whole: its frames read as
     /// [`PageDesc::OFFLINE`]. The caller has taken every chunk of the
     /// block off the free lists first, leaving the block tiled either by
-    /// one isolated extent (a migrating offline) or by free chunks that
-    /// are on no list (an instant one, see [`Zone::unlink_block`]).
+    /// free chunks that are on no list (an instant offline, see
+    /// [`Zone::unlink_block`]) or, for a migrating one, also by the stale
+    /// extents of the pages it migrated, which its debug check collapses
+    /// to one isolated extent before calling this.
     ///
     /// [`Zone::unlink_block`]: crate::zone::Zone::unlink_block
     ///
@@ -400,6 +409,17 @@ impl MemMap {
                 "block {b:?} offlined with used or mixed extents left"
             );
         }
+    }
+
+    /// Replaces the extents of the online block `b` with one isolated
+    /// extent of `zone` over the whole block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not online.
+    pub(crate) fn isolate_block(&mut self, b: BlockId, zone: u8) {
+        self.retag(b, "Online", Block::Online(Table::new()));
+        self.isolate(b.frames(), zone);
     }
 
     /// What every frame of block `s` reads as while it is not online.

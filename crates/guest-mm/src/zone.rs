@@ -11,11 +11,11 @@
 //! `free_area[]`, giving O(1) allocation, free and buddy merging up to
 //! the memory map's lookups. Linking a chunk inserts its one free extent
 //! into the [`MemMap`] and unlinking removes it, so freeing, merging and
-//! onlining cost O(chunks), not O(frames); an instant offline only joins
-//! its chunks' list neighbours and leaves their extents for the memory
-//! map to drop with the block. Frames a zone hands out are
-//! left uncovered by any extent; the caller covers them when it claims
-//! them, and uncovers frames before it frees them.
+//! onlining cost O(chunks), not O(frames); an offline only joins its
+//! chunks' list neighbours and leaves their extents for the memory map
+//! to drop with the block. Frames a zone hands out are left uncovered by
+//! any extent; the caller covers them when it claims them, and uncovers
+//! frames before it frees them.
 
 use mem_types::{BlockId, FrameRange, Gfn, PAGES_PER_BLOCK};
 
@@ -348,16 +348,15 @@ impl Zone {
         let range = b.frames();
         let mut g = range.start;
         while g.0 < range.end().0 {
-            let d = mm.extent(g).expect("a free chunk head").head;
-            self.splice_out(mm, d);
-            self.free_pages -= 1 << d.order;
-            g.0 += 1 << d.order;
+            g.0 += self.unlist_free_chunk(mm, g);
         }
     }
 
-    /// Isolates the whole free buddy chunk headed by `head`: unlinks it
-    /// and covers it with an isolated extent, merged with its isolated
-    /// neighbours. Returns the chunk's length in pages.
+    /// Takes the whole free buddy chunk headed by `head` off its free
+    /// list, leaving its extent in place, off every list: the isolation
+    /// of a migrating offline, which drops the extent with the block's
+    /// table or, if the offline fails, isolates it before rolling back.
+    /// Returns the chunk's length in pages.
     ///
     /// Equivalent to [`Zone::take_free_page`] on each of its pages in
     /// ascending order: the first take unlinks the chunk and pushes the
@@ -369,13 +368,11 @@ impl Zone {
     ///
     /// Panics if `head` is not a free chunk head, and (debug) if it is
     /// not of this zone.
-    pub(crate) fn isolate_free_chunk(&mut self, mm: &mut MemMap, head: Gfn) -> u64 {
-        let order = mm.extent(head).expect("a free chunk head").head.order;
-        let len = 1u64 << order;
-        self.unlink(mm, head, order);
-        mm.isolate(FrameRange::new(head, len), self.id);
-        self.free_pages -= len;
-        len
+    pub(crate) fn unlist_free_chunk(&mut self, mm: &mut MemMap, head: Gfn) -> u64 {
+        let d = mm.extent(head).expect("a free chunk head").head;
+        self.splice_out(mm, d);
+        self.free_pages -= 1 << d.order;
+        1 << d.order
     }
 
     /// Returns the number of free blocks currently on the `order` list
