@@ -848,13 +848,8 @@ impl GuestMm {
     /// buddy as one free extent per MAX_ORDER chunk, and marks the block
     /// online.
     fn online_pages_of(&mut self, b: BlockId, z: u8) {
-        self.memmap.online(b);
-        let chunk = 1u64 << MAX_ORDER;
-        let start = b.first_frame().0;
         let zone = &mut self.zones[z as usize];
-        for c in (start..start + PAGES_PER_BLOCK).step_by(chunk as usize) {
-            zone.free_block(&mut self.memmap, Gfn(c), MAX_ORDER);
-        }
+        zone.link_block(&mut self.memmap, b);
         zone.managed_pages += PAGES_PER_BLOCK;
         self.blocks.mark_online(b, z);
         self.stats.blocks_onlined += 1;
@@ -998,7 +993,88 @@ impl GuestMm {
     /// Squeezy's fast path: offline a block that is *known empty* (no
     /// used pages), isolating its free pages without any migration and —
     /// with the allocator fix — without zeroing.
+    ///
+    /// The block is entirely free, so its chunks leave the free lists a
+    /// chunk at a time rather than a page at a time (the per-page splits
+    /// are pure overhead when every page is being taken), and their
+    /// extents go with the block's table when it is offlined. If it is
+    /// its zone's only block, the zone's lists are emptied whole (see
+    /// [`GuestMm::offline_blocks_instant`]).
     pub fn offline_block_instant(&mut self, b: BlockId) -> Result<OfflineOutcome, MmError> {
+        self.offline_blocks_instant(&[b])
+    }
+
+    /// Instantly offlines every block of `blocks`, in order, as
+    /// [`GuestMm::offline_block_instant`] would one at a time, and
+    /// returns the outcome of one block, which is that of each.
+    ///
+    /// Every block is checked before any is changed: if one is not
+    /// online ([`MmError::BadBlockState`], as is a block listed twice)
+    /// or holds a used page ([`MmError::BlockNotEmpty`]), the call
+    /// fails and the guest is as it was.
+    ///
+    /// A run of consecutive blocks of one zone that holds all of the
+    /// zone's managed pages — a Squeezy partition — holds every chunk
+    /// on the zone's free lists, so the lists are emptied whole in
+    /// O(MAX_ORDER) instead of splicing out each block's chunks; their
+    /// links die with the blocks' tables. Any other run takes its
+    /// blocks' chunks off the lists one by one.
+    /// Either way the zone, block and memory-map state equal the
+    /// one-at-a-time offlines'.
+    pub fn offline_blocks_instant(
+        &mut self,
+        blocks: &[BlockId],
+    ) -> Result<OfflineOutcome, MmError> {
+        for &b in blocks {
+            self.instant_offline_zone(b)?;
+        }
+        let distinct = blocks.windows(2).all(|w| w[0] < w[1]) || {
+            let mut sorted = blocks.to_vec();
+            sorted.sort_unstable();
+            sorted.windows(2).all(|w| w[0] != w[1])
+        };
+        if !distinct {
+            return Err(MmError::BadBlockState);
+        }
+        let mut out = OfflineOutcome {
+            isolated_free: PAGES_PER_BLOCK,
+            ..OfflineOutcome::default()
+        };
+        if self.config.init_on_alloc && !self.unplug_aware_zeroing_skip {
+            out.zeroed = out.isolated_free;
+        }
+        let mut rest = blocks;
+        while let Some(&first) = rest.first() {
+            let zone = self.instant_offline_zone(first).expect("checked above");
+            let n = rest
+                .iter()
+                .take_while(|&&b| self.blocks.state(b) == BlockState::Online { zone })
+                .count();
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            let z = &mut self.zones[zone as usize];
+            if n as u64 * PAGES_PER_BLOCK == z.managed_pages {
+                z.unlist_all();
+            } else {
+                for &b in run {
+                    z.unlink_block(&mut self.memmap, b);
+                }
+            }
+            for &b in run {
+                let c = self.blocks.counters_mut(b);
+                c.isolated += c.free;
+                c.free = 0;
+                self.finish_offline(b, zone);
+            }
+        }
+        self.stats.blocks_offlined += blocks.len() as u64;
+        self.stats.pages_zeroed += out.zeroed * blocks.len() as u64;
+        Ok(out)
+    }
+
+    /// Returns the zone of block `b` if an instant offline may take it:
+    /// it is online and holds no used page.
+    fn instant_offline_zone(&self, b: BlockId) -> Result<u8, MmError> {
         let BlockState::Online { zone } = self.blocks.state(b) else {
             return Err(MmError::BadBlockState);
         };
@@ -1006,25 +1082,7 @@ impl GuestMm {
         if c.used_movable > 0 || c.used_unmovable > 0 {
             return Err(MmError::BlockNotEmpty);
         }
-        let mut out = OfflineOutcome::default();
-        // The block is entirely free: take it off the free lists a chunk
-        // at a time rather than a page at a time (the per-page splits
-        // are pure overhead when every page is being taken). Its chunks'
-        // extents go with its table when it is offlined.
-        self.zones[zone as usize].unlink_block(&mut self.memmap, b);
-        out.isolated_free = PAGES_PER_BLOCK;
-        if self.config.init_on_alloc && !self.unplug_aware_zeroing_skip {
-            out.zeroed = out.isolated_free;
-            self.stats.pages_zeroed += out.zeroed;
-        }
-        {
-            let c = self.blocks.counters_mut(b);
-            c.isolated += c.free;
-            c.free = 0;
-        }
-        self.finish_offline(b, zone);
-        self.stats.blocks_offlined += 1;
-        Ok(out)
+        Ok(zone)
     }
 
     /// Hot-removes block `b` (offline → absent).
@@ -2166,6 +2224,31 @@ mod offline_twin {
             Ok(Moved::Page(d.state, d.a, g, target))
         }
 
+        /// The instant offline a block at a time, each block's chunks
+        /// spliced off their lists: the reference for the batch's
+        /// whole-zone path.
+        fn offline_blocks_instant_per_block(
+            &mut self,
+            blocks: &[BlockId],
+        ) -> Result<OfflineOutcome, MmError> {
+            let mut out = OfflineOutcome::default();
+            for &b in blocks {
+                let zone = self.instant_offline_zone(b)?;
+                self.zones[zone as usize].unlink_block(&mut self.memmap, b);
+                out.isolated_free = PAGES_PER_BLOCK;
+                if self.config.init_on_alloc && !self.unplug_aware_zeroing_skip {
+                    out.zeroed = out.isolated_free;
+                    self.stats.pages_zeroed += out.zeroed;
+                }
+                let c = self.blocks.counters_mut(b);
+                c.isolated += c.free;
+                c.free = 0;
+                self.finish_offline(b, zone);
+                self.stats.blocks_offlined += 1;
+            }
+            Ok(out)
+        }
+
         fn rollback_isolation_per_page(&mut self, b: BlockId, zone: u8) {
             for g in b.frames().iter() {
                 if self.memmap.state(g) == PageState::Isolated {
@@ -2467,7 +2550,11 @@ mod offline_twin {
             Op::Online(blk, z) => mm.online_block(blk, z).unwrap(),
             Op::Plug(blk, z) => mm.hot_add_online_block(blk, z).unwrap(),
             Op::InstantOffline(blk) => {
-                let out = mm.offline_block_instant(blk);
+                let out = if reference {
+                    mm.offline_blocks_instant_per_block(&[blk])
+                } else {
+                    mm.offline_block_instant(blk)
+                };
                 if out.is_ok() {
                     mm.hot_remove_block(blk).unwrap();
                 }
@@ -2853,6 +2940,176 @@ mod offline_twin {
                 && rollback_after_full_run,
             "randomized guests missed a path: {cov:?}"
         );
+    }
+
+    /// Twin guests with two two-block partition zones (blocks 4–5 and
+    /// 6–7), each zone's free lists scrambled by pinned processes that
+    /// fault and free in random order and then exit.
+    fn scrambled_partitions(seed: u64) -> (GuestMm, GuestMm, [u8; 2]) {
+        let config = GuestMmConfig {
+            boot_bytes: 256 * MIB,
+            hotplug_bytes: 768 * MIB,
+            kernel_bytes: 32 * MIB,
+            init_on_alloc: seed.is_multiple_of(2),
+        };
+        let (mut a, mut b) = (GuestMm::new(config), GuestMm::new(config));
+        let mut zones = [0; 2];
+        for (i, z) in zones.iter_mut().enumerate() {
+            let span = FrameRange::new(
+                Gfn((4 + 2 * i as u64) * PAGES_PER_BLOCK),
+                2 * PAGES_PER_BLOCK,
+            );
+            let kind = ZoneKind::SqueezyPrivate {
+                partition: i as u32,
+            };
+            for mm in [&mut a, &mut b] {
+                *z = mm.create_zone(kind, span);
+                for blk in span.start.block().0..span.end().block().0 {
+                    mm.hot_add_online_block(BlockId(blk), *z).unwrap();
+                }
+            }
+        }
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rnd = move |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for mm in [&mut a, &mut b] {
+            mm.unplug_aware_zeroing_skip = seed % 4 == 3;
+        }
+        let mut pids: Vec<Pid> = Vec::new();
+        for _ in 0..400 {
+            let op = rnd(8);
+            if pids.is_empty() || op == 0 {
+                let z = zones[rnd(2) as usize];
+                let pid = a.spawn_process(AllocPolicy::PinnedZone(z));
+                assert_eq!(b.spawn_process(AllocPolicy::PinnedZone(z)), pid);
+                pids.push(pid);
+                continue;
+            }
+            let i = rnd(pids.len() as u64) as usize;
+            let pid = pids[i];
+            let rss = a.process(pid).unwrap().rss_pages();
+            let cap = 1 + rnd(4096);
+            let n = 1 + rnd(cap);
+            for mm in [&mut a, &mut b] {
+                match op {
+                    1..=3 => {
+                        let _ = mm.fault_anon(pid, n);
+                    }
+                    4 => {
+                        mm.free_anon(pid, n.min(rss)).unwrap();
+                    }
+                    5 => {
+                        mm.free_anon_tail(pid, n.min(rss)).unwrap();
+                    }
+                    6 => {
+                        let g = mm
+                            .process(pid)
+                            .unwrap()
+                            .pages()
+                            .nth((n % rss.max(1)) as usize);
+                        if let Some(g) = g {
+                            mm.free_anon_page(pid, g).unwrap();
+                        }
+                    }
+                    _ => {
+                        mm.exit_process(pid).unwrap();
+                    }
+                }
+            }
+            if op == 7 {
+                pids.swap_remove(i);
+            }
+        }
+        for pid in pids {
+            a.exit_process(pid).unwrap();
+            b.exit_process(pid).unwrap();
+        }
+        assert_twins(&a, &b);
+        (a, b, zones)
+    }
+
+    /// Instantly offlines `batch` in both twins, the first through the
+    /// batch path and the second a block at a time; compares them,
+    /// re-plugs the blocks and compares again, free lists in list order
+    /// included. Returns how many zones the batch emptied whole.
+    fn batch_twins(seed: u64, batch: &[BlockId]) -> u64 {
+        let (mut a, mut b, _) = scrambled_partitions(seed);
+        let zones: Vec<u8> = batch
+            .iter()
+            .map(|&blk| match a.blocks.state(blk) {
+                BlockState::Online { zone } => zone,
+                s => panic!("block {blk:?} is {s:?}"),
+            })
+            .collect();
+        let emptied = |mm: &GuestMm| mm.zones.iter().map(|z| z.lists_emptied).sum::<u64>();
+        let before = emptied(&a);
+        assert_eq!(
+            a.offline_blocks_instant(batch),
+            b.offline_blocks_instant_per_block(batch)
+        );
+        let whole = emptied(&a) - before;
+        for mm in [&mut a, &mut b] {
+            for &blk in batch {
+                mm.hot_remove_block(blk).unwrap();
+            }
+        }
+        assert_twins(&a, &b);
+        for mm in [&mut a, &mut b] {
+            for (&blk, &z) in batch.iter().zip(&zones) {
+                mm.hot_add_online_block(blk, z).unwrap();
+            }
+            mm.assert_consistent();
+        }
+        assert_twins(&a, &b);
+        whole
+    }
+
+    /// The whole-zone path of a batch instant offline leaves the state
+    /// a block-at-a-time offline does, and a batch that is not whole
+    /// zones takes the fallback.
+    #[test]
+    fn whole_zone_instant_offline_matches_per_block() {
+        let [b4, b5, b6, b7] = [4, 5, 6, 7].map(BlockId);
+        for seed in 0..4 {
+            // One partition, and two in one batch.
+            assert_eq!(batch_twins(seed, &[b4, b5]), 1, "seed {seed}");
+            assert_eq!(batch_twins(seed, &[b5, b4, b6, b7]), 2, "seed {seed}");
+            // Half a partition: the fallback.
+            assert_eq!(batch_twins(seed, &[b5]), 0, "seed {seed}");
+            // Interleaved zones: runs of one block, the first of each
+            // zone a fallback and the second then its zone's last.
+            assert_eq!(batch_twins(seed, &[b4, b6, b5, b7]), 2, "seed {seed}");
+        }
+    }
+
+    /// A batch with a used, offline or repeated block fails before it
+    /// offlines any block.
+    #[test]
+    fn a_failed_batch_instant_offline_changes_nothing() {
+        let (mut a, mut b, [z, _]) = scrambled_partitions(1);
+        let mut pid = Pid(0);
+        for mm in [&mut a, &mut b] {
+            pid = mm.spawn_process(AllocPolicy::PinnedZone(z));
+            mm.fault_anon(pid, 1).unwrap();
+        }
+        let used = a.process(pid).unwrap().pages().next().unwrap().block();
+        let other = BlockId(9 - used.0);
+        assert_eq!(
+            a.offline_blocks_instant(&[other, used]),
+            Err(MmError::BlockNotEmpty)
+        );
+        assert_twins(&a, &b);
+        for mm in [&mut a, &mut b] {
+            mm.exit_process(pid).unwrap();
+        }
+        for batch in [&[BlockId(4), BlockId(4)][..], &[BlockId(5), BlockId(3)]] {
+            assert_eq!(a.offline_blocks_instant(batch), Err(MmError::BadBlockState));
+        }
+        assert_twins(&a, &b);
     }
 
     /// Boot claims the kernel a buddy run at a time; the pages, their

@@ -26,11 +26,16 @@
 //! Absent and offline blocks hold no extents at all.
 //!
 //! Each online block keeps its extents in a table of its own: a hash
-//! table keyed by head frame, so the buddy allocator's exact lookups (a
-//! chunk, its buddy, its list neighbours) cost one probe each, and a
-//! bitmap of the extent heads, 4 KiB against the 384 KiB a descriptor
-//! per frame would take, which finds the extent covering any frame and
-//! walks the block's extents in address order. Offlining a block drops
+//! table keyed by the head's offset in the block, so the buddy
+//! allocator's exact lookups (a chunk, its buddy, its list neighbours)
+//! cost one probe each, and a bitmap of the extent heads, 4 KiB against
+//! the 384 KiB a descriptor per frame would take, which finds the
+//! extent covering any frame and walks the block's extents in address
+//! order. A block comes online tiled by its 32 MAX_ORDER chunks, and as
+//! the keys and head bits of that tiling are the same in every block,
+//! onlining copies a table built once with them and writes only the 32
+//! descriptors, instead of zeroing a new table and inserting each
+//! chunk. Offlining a block drops
 //! its table whole, so a migrating offline leaves the extents of the
 //! free chunks it takes and of the pages it migrates as they were,
 //! rather than isolating them for a table about to go; only a failed
@@ -38,6 +43,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::LazyLock;
 
 use mem_types::{BlockId, FrameRange, Gfn, PAGES_PER_BLOCK};
 
@@ -82,16 +88,17 @@ const WORDS: usize = (PAGES_PER_BLOCK / 64) as usize;
 /// Words in the summary of a block's head bitmap, one bit per word.
 const SUMMARY: usize = WORDS.div_ceil(64);
 
-/// One online block's extents: by head frame, and as a bitmap of
-/// their heads, one bit per frame offset. Forward searches read whole
+/// One online block's extents: by their heads' offsets in the block,
+/// and as a bitmap of their heads, one bit per frame offset. Forward searches read whole
 /// words, a word per 64 frames between the starting frame and the head
 /// found. Backward searches, which find the extent covering a frame,
 /// skip empty words through a summary with a bit per nonzero word, as a
 /// block may hold a single extent 32,768 frames long.
+#[derive(Clone)]
 struct Table {
     summary: [u64; SUMMARY],
     heads: [u64; WORDS],
-    extents: HashMap<u64, Extent, BuildHasherDefault<FrameHasher>>,
+    extents: HashMap<u32, Extent, BuildHasherDefault<FrameHasher>>,
 }
 
 /// Free chunks per block when onlined: the block in MAX_ORDER chunks.
@@ -106,17 +113,38 @@ impl Table {
         })
     }
 
+    /// Returns a table tiled by the block's MAX_ORDER chunks, each a
+    /// free extent whose head descriptor `head_of` gives for the chunk's
+    /// offset: a copy of a table built once, with only the descriptors
+    /// written, rather than a chunk at a time.
+    fn in_chunks(head_of: impl Fn(u64) -> PageDesc) -> Box<Self> {
+        static CHUNKS: LazyLock<Table> = LazyLock::new(|| {
+            let mut t = *Table::new();
+            let len = (PAGES_PER_BLOCK / ONLINE_CHUNKS as u64) as u32;
+            for i in 0..ONLINE_CHUNKS as u64 {
+                let head = free_tail(0);
+                t.insert(i * len as u64, Extent { head, len });
+            }
+            t
+        });
+        let mut t = Box::new(CHUNKS.clone());
+        for (&i, e) in t.extents.iter_mut() {
+            e.head = head_of(i as u64);
+        }
+        t
+    }
+
     #[inline]
     fn insert(&mut self, head: u64, e: Extent) {
         let i = offset(head);
         self.heads[i / 64] |= 1 << (i % 64);
         self.summary[i / 4096] |= 1 << (i / 64 % 64);
-        self.extents.insert(head, e);
+        self.extents.insert(i as u32, e);
     }
 
     #[inline]
     fn remove(&mut self, head: u64) -> Option<Extent> {
-        let e = self.extents.remove(&head)?;
+        let e = self.extents.remove(&(offset(head) as u32))?;
         let i = offset(head);
         self.heads[i / 64] &= !(1 << (i % 64));
         if self.heads[i / 64] == 0 {
@@ -125,10 +153,22 @@ impl Table {
         Some(e)
     }
 
+    /// Returns the extent headed at frame `k`, if any.
+    #[inline]
+    fn get(&self, k: u64) -> Option<&Extent> {
+        self.extents.get(&(offset(k) as u32))
+    }
+
+    /// Returns the extent headed at frame `k` for update, if any.
+    #[inline]
+    fn get_mut(&mut self, k: u64) -> Option<&mut Extent> {
+        self.extents.get_mut(&(offset(k) as u32))
+    }
+
     /// Returns the extent headed at frame `k`, whose head bit is set.
     #[inline]
     fn at(&self, k: u64) -> &Extent {
-        self.extents.get(&k).expect("every head bit has an extent")
+        self.get(k).expect("every head bit has an extent")
     }
 
     /// Returns the highest head offset at or below `i`.
@@ -370,25 +410,44 @@ impl MemMap {
         self.retag(b, "Offline", Block::Absent);
     }
 
-    /// Onlines block `b` with no extents; the caller tiles it by
-    /// linking its buddy chunks.
+    /// Onlines block `b` with no extents, for a test that tiles it
+    /// itself (a block is onlined by [`Zone::link_block`]).
+    ///
+    /// [`Zone::link_block`]: crate::zone::Zone::link_block
     ///
     /// # Panics
     ///
     /// Panics if `b` is not hot-added and offline.
+    #[cfg(test)]
     pub(crate) fn online(&mut self, b: BlockId) {
         self.retag(b, "Offline", Block::Online(Table::new()));
+    }
+
+    /// Onlines block `b` tiled by its MAX_ORDER chunks, each a free
+    /// extent whose head descriptor `head_of` gives for the chunk's head
+    /// frame: what onlining a bare block and inserting each chunk leave.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not hot-added and offline.
+    pub(crate) fn online_in_chunks(&mut self, b: BlockId, head_of: impl Fn(Gfn) -> PageDesc) {
+        let base = b.first_frame().0;
+        let t = Table::in_chunks(|i| head_of(Gfn(base + i)));
+        self.retag(b, "Offline", Block::Online(t));
     }
 
     /// Offlines block `b`, dropping its table whole: its frames read as
     /// [`PageDesc::OFFLINE`]. The caller has taken every chunk of the
     /// block off the free lists first, leaving the block tiled either by
     /// free chunks that are on no list (an instant offline, see
-    /// [`Zone::unlink_block`]) or, for a migrating one, also by the stale
-    /// extents of the pages it migrated, which its debug check collapses
-    /// to one isolated extent before calling this.
+    /// [`Zone::unlink_block`], or [`Zone::unlist_all`] when the offline
+    /// takes all of a zone, whose chunks keep stale list links) or, for
+    /// a migrating one, also by the stale extents of the pages it
+    /// migrated, which its debug check collapses to one isolated extent
+    /// before calling this.
     ///
     /// [`Zone::unlink_block`]: crate::zone::Zone::unlink_block
+    /// [`Zone::unlist_all`]: crate::zone::Zone::unlist_all
     ///
     /// # Panics
     ///
@@ -456,8 +515,7 @@ impl MemMap {
         let k = self.head_at_or_below(g.checked_sub(1).filter(|_| offset(g) > 0)?)?;
         let e = self
             .table_mut(k)
-            .extents
-            .get_mut(&k)
+            .get_mut(k)
             .expect("every head bit has an extent");
         (k + e.len as u64 == g).then_some((k, e))
     }
@@ -474,7 +532,7 @@ impl MemMap {
     /// Returns the extent headed exactly at `head`, if any.
     #[inline]
     pub(crate) fn extent(&self, head: Gfn) -> Option<&Extent> {
-        self.table(block_of(head.0))?.extents.get(&head.0)
+        self.table(block_of(head.0))?.get(head.0)
     }
 
     /// Returns the extent headed exactly at `head` for update.
@@ -484,7 +542,7 @@ impl MemMap {
     /// Panics if no extent starts at `head`.
     #[inline]
     pub(crate) fn extent_mut(&mut self, head: Gfn) -> &mut Extent {
-        match self.table_mut(head.0).extents.get_mut(&head.0) {
+        match self.table_mut(head.0).get_mut(head.0) {
             Some(e) => e,
             None => not_covered(head.0),
         }
@@ -606,7 +664,7 @@ impl MemMap {
             t.remove(k);
         } else {
             debug_assert!(e.uniform(), "cutting {:?} at {start:#x}", e.head.state);
-            t.extents.get_mut(&k).expect("just read").len = (start - k) as u32;
+            t.get_mut(k).expect("just read").len = (start - k) as u32;
         }
         // Extents headed inside the range go; the last may reach past it.
         while let Some(k) = self.head_in(start, end) {
@@ -922,6 +980,49 @@ mod tests {
         );
         let d = m.page(Gfn(31));
         assert_eq!((d.zone, d.a, d.b), (1, NIL, NIL));
+    }
+
+    #[test]
+    fn onlining_in_chunks_matches_inserting_each_chunk() {
+        let d = |g: Gfn| PageDesc {
+            state: PageState::FreeHead,
+            order: crate::page::MAX_ORDER,
+            zone: 3,
+            a: g.0 as u32 + 1,
+            b: g.0 as u32 + 2,
+            ..PageDesc::ABSENT
+        };
+        let len = (PAGES_PER_BLOCK / ONLINE_CHUNKS as u64) as u32;
+        let (mut chunks, mut each) = (
+            MemMap::new(3 * PAGES_PER_BLOCK),
+            MemMap::new(3 * PAGES_PER_BLOCK),
+        );
+        for b in [BlockId(1), BlockId(2)] {
+            chunks.hot_add(b);
+            each.hot_add(b);
+            each.online(b);
+            for g in b.frames().iter().step_by(len as usize) {
+                each.insert(g, Extent { head: d(g), len });
+            }
+        }
+        let extents = |m: &MemMap, b| {
+            m.extents(b)
+                .map(|(r, d)| (r, d.state, d.order, d.zone, d.a, d.b))
+                .collect::<Vec<_>>()
+        };
+        chunks.online_in_chunks(BlockId(1), d);
+        assert_eq!(extents(&chunks, BlockId(1)).len(), ONLINE_CHUNKS);
+        assert_eq!(extents(&chunks, BlockId(1)), extents(&each, BlockId(1)));
+        for g in BlockId(1).frames().iter().step_by(333) {
+            let (x, y) = (chunks.covering(g).unwrap(), each.covering(g).unwrap());
+            assert_eq!((x.0, x.1.len), (y.0, y.1.len), "frame {g:?}");
+        }
+        // Each block gets a table of its own: changing one leaves the
+        // next block onlined whole.
+        chunks.remove(BlockId(1).first_frame());
+        chunks.online_in_chunks(BlockId(2), d);
+        assert_eq!(extents(&chunks, BlockId(2)), extents(&each, BlockId(2)));
+        assert_eq!(extents(&chunks, BlockId(1)).len(), ONLINE_CHUNKS - 1);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! into the [`MemMap`] and unlinking removes it, so freeing, merging and
 //! onlining cost O(chunks), not O(frames); an offline only joins its
 //! chunks' list neighbours and leaves their extents for the memory map
-//! to drop with the block. Frames a zone hands out are left uncovered by
-//! any extent; the caller covers them when it claims them, and uncovers
-//! frames before it frees them.
+//! to drop with the block, and an instant offline of all of a zone's
+//! blocks (a Squeezy partition) empties its lists in O(MAX_ORDER).
+//! Frames a zone hands out are left uncovered by any extent; the caller
+//! covers them when it claims them, and uncovers frames before it frees
+//! them.
 
 use mem_types::{BlockId, FrameRange, Gfn, PAGES_PER_BLOCK};
 
@@ -56,6 +58,10 @@ pub struct Zone {
     /// (the twin tests check that an offline reaches this path).
     #[cfg(test)]
     pub(crate) split_runs: u64,
+    /// Times [`Zone::unlist_all`] emptied the free lists (the twin
+    /// tests check that a batch offline reaches the whole-zone path).
+    #[cfg(test)]
+    pub(crate) lists_emptied: u64,
 }
 
 impl Zone {
@@ -70,6 +76,8 @@ impl Zone {
             managed_pages: 0,
             #[cfg(test)]
             split_runs: 0,
+            #[cfg(test)]
+            lists_emptied: 0,
         }
     }
 
@@ -173,6 +181,42 @@ impl Zone {
             order += 1;
         }
         self.link(mm, head, order);
+    }
+
+    /// Onlines block `b` in the memory map as its MAX_ORDER chunks,
+    /// linked at the front of the MAX_ORDER list, the lowest deepest:
+    /// the onlining of a block.
+    ///
+    /// Equivalent to onlining a bare block and [`Zone::free_block`] of
+    /// each chunk in ascending order (a MAX_ORDER chunk never merges),
+    /// with each chunk's final links written once, through
+    /// [`MemMap::online_in_chunks`], rather than a chunk at a time and
+    /// patched by the chunk linked after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not hot-added and offline.
+    pub(crate) fn link_block(&mut self, mm: &mut MemMap, b: BlockId) {
+        let chunk = 1u64 << MAX_ORDER;
+        let (start, end) = (b.first_frame().0, b.frames().end().0);
+        let old = self.free_heads[MAX_ORDER as usize];
+        let zone = self.id;
+        mm.online_in_chunks(b, |head| {
+            let (above, below) = (head.0 + chunk, head.0.wrapping_sub(chunk));
+            PageDesc {
+                state: PageState::FreeHead,
+                order: MAX_ORDER,
+                zone,
+                flags: 0,
+                a: if above < end { above as u32 } else { NIL },
+                b: if head.0 > start { below as u32 } else { old },
+            }
+        });
+        if old != NIL {
+            mm.extent_mut(Gfn(old as u64)).head.a = start as u32;
+        }
+        self.free_heads[MAX_ORDER as usize] = (end - chunk) as u32;
+        self.free_pages += PAGES_PER_BLOCK;
     }
 
     /// Frees the `len` contiguous pages starting at `head`, decomposed
@@ -349,6 +393,28 @@ impl Zone {
         let mut g = range.start;
         while g.0 < range.end().0 {
             g.0 += self.unlist_free_chunk(mm, g);
+        }
+    }
+
+    /// Takes every chunk off the free lists, leaving their extents and
+    /// links as they are: the isolation of an instant offline of all of
+    /// the zone's blocks, which are entirely free and whose tables go
+    /// next. Equivalent to [`Zone::unlink_block`] on each of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if a managed page of the zone is not free.
+    pub(crate) fn unlist_all(&mut self) {
+        debug_assert_eq!(
+            self.free_pages, self.managed_pages,
+            "zone {} in use",
+            self.id
+        );
+        self.free_heads = [NIL; MAX_ORDER as usize + 1];
+        self.free_pages = 0;
+        #[cfg(test)]
+        {
+            self.lists_emptied += 1;
         }
     }
 
@@ -848,6 +914,24 @@ mod tests {
             let list = za.free_list(&mm_a, o);
             assert_eq!(list, zb.free_list(&mm_b, o), "order {o} free list diverged");
             assert!(list.iter().all(|g| g.0 >= PAGES_PER_BLOCK));
+        }
+        // Onlining the block again links its chunks in front of the
+        // ragged lists as freeing them one by one does.
+        za.link_block(&mut mm_a, block);
+        mm_b.online(block);
+        for c in block.frames().iter().step_by(1 << MAX_ORDER) {
+            zb.free_block(&mut mm_b, c, MAX_ORDER);
+        }
+        za.assert_consistent(&mm_a);
+        zb.assert_consistent(&mm_b);
+        assert_eq!(za.free_pages, zb.free_pages);
+        for o in 0..=MAX_ORDER {
+            let list = za.free_list(&mm_a, o);
+            assert_eq!(
+                list,
+                zb.free_list(&mm_b, o),
+                "order {o} list after onlining"
+            );
         }
     }
 

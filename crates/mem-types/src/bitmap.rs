@@ -114,6 +114,46 @@ impl Bitmap {
         dropped
     }
 
+    /// Sets bits `[start, start + n)`, which the caller knows are all
+    /// clear: the words are written without being read or counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the map, and (debug) if
+    /// a bit of it is set.
+    pub fn set_clear_range(&mut self, start: usize, n: usize) {
+        debug_assert_eq!(
+            self.count_zeros_in(start, n),
+            n,
+            "range {start}+{n} not clear"
+        );
+        self.update_range(start, n, |word, mask| {
+            *word |= mask;
+            0
+        });
+        self.ones += n;
+    }
+
+    /// Clears bits `[start, start + n)`, of which the caller knows `ones`
+    /// are set: the words are written without being read or counted,
+    /// and not at all when `ones` is 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the map, and (debug) if
+    /// it does not hold `ones` set bits.
+    pub fn clear_counted_range(&mut self, start: usize, n: usize, ones: usize) {
+        debug_assert_eq!(n - self.count_zeros_in(start, n), ones, "range {start}+{n}");
+        if ones == 0 {
+            return;
+        }
+        self.update_range(start, n, |word, mask| {
+            *word &= !mask;
+            0
+        });
+        self.ones -= ones;
+    }
+
     /// Calls `f` on every word that `[start, start + n)` overlaps, with
     /// the mask of the range's bits in it, and sums what it returns. The
     /// whole words between the first and the last take a constant mask
@@ -154,16 +194,22 @@ impl Bitmap {
             "range {start}+{n} out of {}",
             self.len
         );
-        let mut zeros = 0;
-        let mut i = start;
-        let end = start + n;
-        while i < end {
-            let take = (64 - i % 64).min(end - i);
-            let mask = (u64::MAX >> (64 - take)) << (i % 64);
-            zeros += (mask & !self.words[i / 64]).count_ones() as usize;
-            i += take;
+        if n == 0 {
+            return 0;
         }
-        zeros
+        let end = start + n;
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        let zeros = |w: u64, mask: u64| (mask & !w).count_ones() as usize;
+        if first == last {
+            return zeros(self.words[first], head & tail);
+        }
+        let whole: usize = self.words[first + 1..last]
+            .iter()
+            .map(|w| w.count_zeros() as usize)
+            .sum();
+        zeros(self.words[first], head) + whole + zeros(self.words[last], tail)
     }
 
     /// Returns the index of the first clear bit, or `None` if all set.
@@ -303,6 +349,28 @@ mod tests {
                 assert_eq!(dropped, dropped_ref, "clear_range({start}, {n})");
                 assert_eq!(bulk, bit);
                 assert_eq!(bulk.count_zeros_in(start, n), n);
+            }
+        }
+    }
+
+    #[test]
+    fn counted_writes_match_range_ops() {
+        for start in 0..70 {
+            for n in 0..70 {
+                let mut counted = Bitmap::new(140);
+                let mut reference = Bitmap::new(140);
+                counted.set_clear_range(start, n);
+                reference.set_range(start, n);
+                assert_eq!(counted, reference, "set_clear_range({start}, {n})");
+                // Pre-set a pattern, then clear a window holding it.
+                for i in (0..140).step_by(5) {
+                    counted.set(i);
+                    reference.set(i);
+                }
+                let ones = n - counted.count_zeros_in(start, n);
+                counted.clear_counted_range(start, n, ones);
+                assert_eq!(reference.clear_range(start, n), ones);
+                assert_eq!(counted, reference, "clear_counted_range({start}, {n})");
             }
         }
     }

@@ -356,6 +356,12 @@ impl VirtioMemDevice {
     /// `madvise` still paid per range — the §8 future optimization
     /// ("batching ... to further reduce the VMexit overheads, when
     /// multiple instances need to be reclaimed concurrently").
+    ///
+    /// Every block is checked before any is unplugged: a block outside
+    /// the region or not plugged, then (through
+    /// [`GuestMm::offline_blocks_instant`], which offlines the whole
+    /// request in one call) a block the guest cannot offline instantly,
+    /// fails the request with nothing unplugged.
     pub fn unplug_blocks_instant_opts(
         &mut self,
         guest: &mut GuestMm,
@@ -363,6 +369,15 @@ impl VirtioMemDevice {
         batched: bool,
         cost: &CostModel,
     ) -> Result<UnplugReport, VirtioMemError> {
+        for &b in blocks {
+            let idx = self.block_index(b).ok_or(VirtioMemError::RegionExhausted)?;
+            if !self.plugged.get(idx) {
+                return Err(VirtioMemError::Guest(MmError::BadBlockState));
+            }
+        }
+        let outcome = guest
+            .offline_blocks_instant(blocks)
+            .map_err(VirtioMemError::Guest)?;
         let mut report = UnplugReport {
             breakdown: LatencyBreakdown {
                 rest: SimDuration::nanos(cost.resize_request_fixed_ns),
@@ -372,16 +387,10 @@ impl VirtioMemDevice {
             ..UnplugReport::default()
         };
         for &b in blocks {
-            let idx = self.block_index(b).ok_or(VirtioMemError::RegionExhausted)?;
-            if !self.plugged.get(idx) {
-                return Err(VirtioMemError::Guest(MmError::BadBlockState));
-            }
-            let outcome = guest
-                .offline_block_instant(b)
-                .map_err(VirtioMemError::Guest)?;
             self.charge_offline(&outcome, &mut report, cost);
             guest.hot_remove_block(b).map_err(VirtioMemError::Guest)?;
-            self.plugged.clear(idx);
+            self.plugged
+                .clear(self.block_index(b).expect("checked above"));
             report.outcome.accumulate(&outcome);
             report.blocks.push(b);
             if batched {

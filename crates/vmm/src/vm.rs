@@ -260,7 +260,9 @@ impl Vm {
     }
 
     /// Squeezy-style instant unplug of specific empty blocks, releasing
-    /// their host backing.
+    /// their host backing. A request with a block that cannot go fails
+    /// before any block is unplugged, so every block stays plugged and
+    /// backed.
     pub fn unplug_blocks_instant(
         &mut self,
         host: &mut HostMemory,
@@ -594,5 +596,40 @@ mod tests {
         let report = vm.unplug_blocks_instant(&mut host, &blocks, &cost).unwrap();
         assert_eq!(report.outcome.migrated, 0);
         assert_eq!(vm.host_rss(), 64 * MIB, "backing fully released");
+    }
+
+    #[test]
+    fn a_failed_instant_batch_leaves_every_block_plugged_and_backed() {
+        let mut host = HostMemory::new(8 * GIB);
+        let mut vm = Vm::boot(config(), &mut host).unwrap();
+        let cost = CostModel::default();
+        let blocks = vm.plug(512 * MIB, &cost).unwrap().blocks;
+        let pid = vm.guest.spawn_process(AllocPolicy::MovableDefault);
+        vm.touch_anon(&mut host, pid, 4 * PAGES_PER_BLOCK, &cost)
+            .unwrap();
+        vm.guest.free_anon(pid, 4 * PAGES_PER_BLOCK - 1).unwrap();
+        // The one page left is the first faulted, in the highest block:
+        // the batch's last.
+        let last = *blocks.last().unwrap();
+        assert_eq!(vm.guest.blocks().counters(last).used_movable, 1);
+        let used = host.used_bytes();
+        let err = vm
+            .unplug_blocks_instant(&mut host, &blocks, &cost)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            VmmError::Virtio(VirtioMemError::Guest(MmError::BlockNotEmpty))
+        );
+        assert_eq!(host.used_bytes(), used);
+        assert_eq!(vm.host_rss(), used);
+        for &b in &blocks {
+            assert!(vm.virtio_mem.is_plugged(b), "{b:?} unplugged");
+            assert!(matches!(
+                vm.guest.blocks().state(b),
+                guest_mm::blocks::BlockState::Online { .. }
+            ));
+            assert_eq!(vm.ept.count_unbacked(b.frames()), 0, "{b:?} lost backing");
+        }
+        vm.guest.assert_consistent();
     }
 }
