@@ -6,7 +6,7 @@
 //! ```text
 //! repro [all|table1|fig1|...|fig11|thp|soft|fpr|temporal|hybrid]
 //!       [--quick] [--jobs N] [--trials N] [--json <path>]
-//! repro perf [--trace] [--quick] [--json <path>]
+//! repro perf [--trace] [--quick] [--runs N] [--json <path>]
 //! repro run <spec.scn>... [--compare] [--quick] [--jobs N] [--trials N] [--json <path>]
 //! repro gen-trace
 //! repro scenarios
@@ -31,8 +31,9 @@
 //!   per-host rate with `--quick`); `--trace` times
 //!   `examples/scenarios/trace_replay.scn` instead (3 days streamed
 //!   lazily off disk; its first 4 hours with `--quick`), asserting every
-//!   tracked-sample accumulator stays under its cap. See
-//!   `squeezy_bench::perf`.
+//!   tracked-sample accumulator stays under its cap. `--runs N` times
+//!   N runs, each on a freshly booted fleet, and reports the medians
+//!   and quartiles (default: 1). See `squeezy_bench::perf`.
 //! * `repro gen-trace` — (re)write the committed example traces under
 //!   `examples/traces/` from their pinned generators, byte-identically.
 //! * `repro scenarios` — list the scenario registry (workloads,
@@ -148,6 +149,8 @@ struct Args {
     /// `perf --trace`: time the streamed replay spec instead of the
     /// drumbeat cluster spec.
     trace: bool,
+    /// `perf --runs N`: timed runs, reported as medians and quartiles.
+    runs: usize,
     /// `run --compare`: diff exactly two single-cell specs with
     /// significance tests.
     compare: bool,
@@ -160,6 +163,7 @@ fn parse_args() -> Args {
     let mut files: Vec<String> = Vec::new();
     let mut quick = false;
     let mut trace = false;
+    let mut runs = None;
     let mut compare = false;
     let mut opts = ExpOpts::auto();
     let mut json = None;
@@ -172,6 +176,14 @@ fn parse_args() -> Args {
             "--jobs" => {
                 let v = it.next().unwrap_or_else(|| die("--jobs needs a value"));
                 opts.jobs = v.parse().unwrap_or_else(|_| die("--jobs expects a number"));
+            }
+            "--runs" => {
+                let v = it.next().unwrap_or_else(|| die("--runs needs a value"));
+                let n: usize = v.parse().unwrap_or_else(|_| die("--runs expects a number"));
+                if n == 0 {
+                    die("--runs must be at least 1");
+                }
+                runs = Some(n);
             }
             "--trials" => {
                 let v = it.next().unwrap_or_else(|| die("--trials needs a value"));
@@ -216,6 +228,9 @@ fn parse_args() -> Args {
     if trace && what != "perf" {
         die("--trace only applies to the perf target");
     }
+    if runs.is_some() && what != "perf" {
+        die("--runs only applies to the perf target");
+    }
     if compare && what != "run" {
         die("--compare only applies to the run target");
     }
@@ -227,6 +242,7 @@ fn parse_args() -> Args {
         files,
         quick,
         trace,
+        runs: runs.unwrap_or(1),
         compare,
         opts,
         json,
@@ -376,10 +392,11 @@ fn main() {
         };
         let spec = bench::perf::load(rel, quick).unwrap_or_else(|e| die(&e));
         let perf_cell = perf_cell.clone();
+        let runs = args.runs;
         report.push((
             rel.to_string(),
             Box::new(move || {
-                let cell = bench::perf::run(&spec);
+                let cell = bench::perf::run(&spec, runs);
                 let text = bench::perf::render(&cell);
                 *perf_cell.lock().expect("perf cell lock") = Some(cell);
                 text
@@ -531,7 +548,9 @@ fn to_json(
              \"invocations\": {}, \"completed\": {}, \"events_processed\": {}, \
              \"peak_queue_depth\": {}, \"reservoir_len\": {}, \"max_func_samples\": {}, \
              \"peak_rss_mib\": {}, \"setup_wall_s\": {:.3}, \"run_wall_s\": {:.3}, \
-             \"events_per_sec\": {:.0}, \"invocations_per_sec\": {:.0}}},\n",
+             \"events_per_sec\": {:.0}, \"invocations_per_sec\": {:.0}, \"runs\": {}, \
+             \"events_per_sec_q1\": {:.0}, \"events_per_sec_q3\": {:.0}, \
+             \"invocations_per_sec_q1\": {:.0}, \"invocations_per_sec_q3\": {:.0}}},\n",
             json_escape(&p.name),
             p.hosts,
             json_f64(p.duration_s),
@@ -545,7 +564,12 @@ fn to_json(
             p.setup_s,
             p.run_s,
             p.events_per_sec,
-            p.invocations_per_sec
+            p.invocations_per_sec,
+            p.runs,
+            p.events_per_sec_iqr.0,
+            p.events_per_sec_iqr.1,
+            p.invocations_per_sec_iqr.0,
+            p.invocations_per_sec_iqr.1
         ));
     }
     if !verdicts.is_empty() {

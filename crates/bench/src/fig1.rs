@@ -121,16 +121,12 @@ pub fn render(result: &SimResult) -> String {
     }
     let guest_peak = result.guest_usage[0].max_value() / (1u64 << 30) as f64;
     let guest_last = result.guest_usage[0]
-        .points()
         .last()
-        .map(|&(_, v)| v / (1u64 << 30) as f64)
-        .unwrap_or(0.0);
+        .map_or(0.0, |(_, v)| v / (1u64 << 30) as f64);
     let host_last = result
         .host_usage
-        .points()
         .last()
-        .map(|&(_, v)| v / (1u64 << 30) as f64)
-        .unwrap_or(0.0);
+        .map_or(0.0, |(_, v)| v / (1u64 << 30) as f64);
     let mut out = String::from(
         "Figure 1: N:1 VM memory usage (guest vs host) under a bursty trace, static backend\n",
     );
@@ -153,9 +149,9 @@ mod tests {
         let guest = &result.guest_usage[0];
         let host = &result.host_usage;
         let guest_peak = guest.max_value();
-        let guest_end = guest.points().last().unwrap().1;
+        let guest_end = guest.last().unwrap().1;
         let host_peak = host.max_value();
-        let host_end = host.points().last().unwrap().1;
+        let host_end = host.last().unwrap().1;
         // Evictions shrank guest usage well below its peak…
         assert!(
             guest_end < guest_peak * 0.7,
@@ -174,7 +170,7 @@ mod tests {
         let insts = &result.instance_counts[0];
         let peak = insts.max_value();
         assert!(peak >= 3.0, "burst created instances: peak {peak}");
-        let last = insts.points().last().unwrap().1;
+        let last = insts.last().unwrap().1;
         assert!(last < peak, "keep-alive evicted idle instances");
     }
 }

@@ -13,19 +13,22 @@
 //!   accumulator under its reservoir cap and the event queue tracking
 //!   in-flight work only; [`run`] asserts that contract.
 //!
-//! The spec runs once, single-threaded, at trial 0, built and booted
-//! through the same [`Scenario::fleet_plan`] and [`Scenario::boot`]
-//! calls every scenario run makes. Only the wall time varies by
-//! machine: the outcome (completions, events, peak queue depth) is
-//! byte-stable. Events/sec counts what the engine pops, which depends
-//! on how it schedules (a re-armed CPU timer is one event, not one per
+//! The spec runs single-threaded at trial 0, built and booted through
+//! the same [`Scenario::fleet_plan`] and [`Scenario::boot`] calls every
+//! scenario run makes, once or (`repro perf --runs N`) N times, each on
+//! a freshly booted fleet; the rates reported are medians, with their
+//! quartiles. Only the wall time varies by machine: the outcome
+//! (completions, events, peak queue depth, result digest) is
+//! byte-stable, and [`run`] asserts it repeats in every run.
+//! Events/sec counts what the engine pops, which depends on how it
+//! schedules (a re-armed CPU timer is one event, not one per
 //! prediction), so only invocations/sec compares across engine changes.
 
 use std::path::Path;
 use std::time::Instant;
 
 use faas::{Scenario, Topology, WorkloadSpec, LATENCY_RESERVOIR_CAP};
-use sim_core::TextTable;
+use sim_core::{Fnv1a, Histogram, TextTable};
 
 /// The drumbeat cluster `repro perf` times, repo-relative.
 pub const CLUSTER_SPEC: &str = "examples/scenarios/perf_cluster.scn";
@@ -73,7 +76,7 @@ pub fn load(rel: &str, quick: bool) -> Result<Scenario, String> {
     Ok(spec)
 }
 
-/// One timed run of a spec.
+/// A spec timed over one or more runs.
 #[derive(Clone, Debug)]
 pub struct PerfCell {
     /// The spec's name.
@@ -94,8 +97,14 @@ pub struct PerfCell {
     /// Largest per-function latency sample count on any host (≤ the
     /// cap on streamed runs).
     pub max_func_samples: usize,
-    /// Process peak RSS (`VmHWM`) in MiB, where the platform exposes it.
+    /// Process peak RSS (`VmHWM`) in MiB at the end of the first run,
+    /// where the platform exposes it. Later runs reuse a heap the first
+    /// one fragmented, so a high-water mark over all of them would read
+    /// higher than any one run needs (456 against 256 MiB over three
+    /// full-tier runs).
     pub peak_rss_mib: Option<f64>,
+    /// Runs timed; the wall times and rates below are medians over them.
+    pub runs: usize,
     /// Wall time to boot the hosts (not part of the throughput figure).
     pub setup_s: f64,
     /// Wall time of the event loop + result assembly.
@@ -104,6 +113,10 @@ pub struct PerfCell {
     pub events_per_sec: f64,
     /// `invocations / run_s`, comparable across engine changes.
     pub invocations_per_sec: f64,
+    /// Lower and upper quartiles of `events_per_sec` over the runs.
+    pub events_per_sec_iqr: (f64, f64),
+    /// Lower and upper quartiles of `invocations_per_sec` over the runs.
+    pub invocations_per_sec_iqr: (f64, f64),
 }
 
 /// Peak resident set of this process, from `/proc/self/status`.
@@ -114,18 +127,60 @@ fn peak_rss_mib() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-/// Runs trial 0 of `spec` on its first backend and times it: the boot
-/// (and the trace open) is the set-up, the event loop and result
-/// assembly the run. The fleet plan is built, and a named workload's
-/// arrivals generated, before the clock starts. A `trace(<path>)`
-/// workload must stay bounded: capped reservoirs, no time series,
-/// nothing lost or deferred.
+/// Runs trial 0 of `spec` on its first backend `runs` times, each on a
+/// freshly booted fleet, and reports the medians and quartiles. In each
+/// run the boot (and the trace open) is the set-up, the event loop and
+/// result assembly the run. The fleet plan is built, and a named
+/// workload's arrivals generated, before the clock starts. A
+/// `trace(<path>)` workload must stay bounded: capped reservoirs, no
+/// time series, nothing lost or deferred.
 ///
 /// # Panics
 ///
-/// Panics if the hosts do not boot, the trace does not open, or a
-/// streamed run breaks its bounds.
-pub fn run(spec: &Scenario) -> PerfCell {
+/// Panics if `runs` is 0, the hosts do not boot, the trace does not
+/// open, a streamed run breaks its bounds, or two runs simulate
+/// different outcomes.
+pub fn run(spec: &Scenario, runs: usize) -> PerfCell {
+    assert!(runs >= 1, "perf needs at least one run");
+    let cells: Vec<(PerfCell, u64)> = (0..runs).map(|_| run_once(spec)).collect();
+    let outcome = |(c, digest): &(PerfCell, u64)| {
+        let counts = (c.invocations, c.completed, c.events, c.peak_depth);
+        (counts, c.reservoir_len, c.max_func_samples, *digest)
+    };
+    for (i, cell) in cells.iter().enumerate().skip(1) {
+        assert_eq!(
+            outcome(cell),
+            outcome(&cells[0]),
+            "{}: run {i} simulated a different outcome than run 0",
+            spec.name
+        );
+    }
+    let quartiles = |f: fn(&PerfCell) -> f64| {
+        let mut h = Histogram::new();
+        for (c, _) in &cells {
+            h.record(f(c));
+        }
+        (h.quantile(0.25), h.p50(), h.quantile(0.75))
+    };
+    let (events_q1, events_per_sec, events_q3) = quartiles(|c| c.events_per_sec);
+    let (inv_q1, invocations_per_sec, inv_q3) = quartiles(|c| c.invocations_per_sec);
+    let first = &cells[0].0;
+    PerfCell {
+        runs,
+        setup_s: quartiles(|c| c.setup_s).1,
+        run_s: quartiles(|c| c.run_s).1,
+        events_per_sec,
+        invocations_per_sec,
+        events_per_sec_iqr: (events_q1, events_q3),
+        invocations_per_sec_iqr: (inv_q1, inv_q3),
+        name: first.name.clone(),
+        ..*first
+    }
+}
+
+/// One timed run on a freshly booted fleet, with a digest of what it
+/// simulated.
+fn run_once(spec: &Scenario) -> (PerfCell, u64) {
     let plan = spec.fleet_plan(spec.backends[0], 0);
     let t0 = Instant::now();
     let sim = spec.boot(plan, 0).unwrap_or_else(|e| panic!("{e}"));
@@ -152,11 +207,18 @@ pub fn run(spec: &Scenario) -> PerfCell {
             "a per-function histogram exceeded its cap"
         );
         assert!(
-            hosts().all(|h| h.host_usage.points().is_empty()),
+            hosts().all(|h| h.host_usage.is_empty()),
             "streamed replays must not record usage series"
         );
     }
-    PerfCell {
+    let mut digest = Fnv1a::new();
+    for h in hosts() {
+        digest.write_u64(h.digest());
+    }
+    for n in [out.injected, out.completed, out.lost, out.deferred] {
+        digest.write_u64(n);
+    }
+    let cell = PerfCell {
         name: spec.name.clone(),
         hosts: out.hosts.len(),
         duration_s: spec.params.duration_s,
@@ -167,11 +229,15 @@ pub fn run(spec: &Scenario) -> PerfCell {
         reservoir_len: out.latency_over_time.len(),
         max_func_samples,
         peak_rss_mib: peak_rss_mib(),
+        runs: 1,
         setup_s,
         run_s,
         events_per_sec: out.events_processed as f64 / run_s,
         invocations_per_sec: out.injected as f64 / run_s,
-    }
+        events_per_sec_iqr: (0.0, 0.0),
+        invocations_per_sec_iqr: (0.0, 0.0),
+    };
+    (cell, digest.finish())
 }
 
 /// Formats an optional peak RSS as a table cell.
@@ -214,6 +280,16 @@ pub fn render(c: &PerfCell) -> String {
     ]);
     let mut out = format!("Perf: {} timed single-core, single-thread\n", c.name);
     out.push_str(&t.render());
+    if c.runs > 1 {
+        let (e1, e3) = c.events_per_sec_iqr;
+        let (i1, i3) = c.invocations_per_sec_iqr;
+        out.push_str(&format!(
+            "Setup, Run and the rates are medians of {} runs, each on a freshly booted \
+             fleet, with an identical outcome; quartiles: Events/s {e1:.0}–{e3:.0}, \
+             Invocations/s {i1:.0}–{i3:.0}.\n",
+            c.runs
+        ));
+    }
     out.push_str(&format!(
         "Invocations/s compares across engine changes; Events/s counts what the \
          engine pops. The simulation outcome is deterministic, only wall time \
@@ -240,7 +316,7 @@ mod tests {
 
     #[test]
     fn perf_scenario_serves_every_invocation() {
-        let cell = run(&tiny());
+        let cell = run(&tiny(), 1);
         assert!(cell.invocations > 0);
         assert_eq!(
             cell.completed, cell.invocations,
@@ -254,12 +330,19 @@ mod tests {
 
     #[test]
     fn perf_scenario_outcome_is_deterministic() {
-        let a = run(&tiny());
-        let b = run(&tiny());
+        let a = run(&tiny(), 1);
+        // `run` asserts the three runs simulate one outcome.
+        let b = run(&tiny(), 3);
         assert_eq!(a.invocations, b.invocations);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.events, b.events);
         assert_eq!(a.peak_depth, b.peak_depth);
+        assert_eq!(b.runs, 3);
+        let (q1, q3) = b.invocations_per_sec_iqr;
+        assert!(q1 <= b.invocations_per_sec && b.invocations_per_sec <= q3);
+        let (q1, q3) = b.events_per_sec_iqr;
+        assert!(q1 <= b.events_per_sec && b.events_per_sec <= q3);
+        assert!(render(&b).contains("medians of 3 runs"));
     }
 
     #[test]
@@ -287,8 +370,8 @@ mod tests {
 
     #[test]
     fn trace_replay_is_bounded_and_deterministic() {
-        let a = run(&tiny_trace());
-        let b = run(&tiny_trace());
+        let a = run(&tiny_trace(), 1);
+        let b = run(&tiny_trace(), 1);
         assert!(a.invocations > 0);
         assert_eq!(a.completed, a.invocations, "unsaturated fleet serves all");
         assert_eq!(a.invocations, b.invocations);
@@ -309,7 +392,7 @@ mod tests {
         ignore = "heavy simulation; enable with --features slow-tests"
     )]
     fn full_scale_trace_replay_stays_bounded() {
-        let cell = run(&load(TRACE_SPEC, false).expect("committed spec loads"));
+        let cell = run(&load(TRACE_SPEC, false).expect("committed spec loads"), 1);
         assert!(
             cell.invocations >= 2_000_000,
             "the 3-day trace expands to 2M+ invocations (got {})",

@@ -1,5 +1,11 @@
 //! Simulation metrics: request latencies, memory timelines, reclaim
 //! accounting.
+//!
+//! The timelines are 1 s samples of host memory and of each VM's guest
+//! memory and live instances. A [`TimeSeries`] stores them as runs of
+//! equal, evenly spaced samples, so a host that holds a value for
+//! minutes keeps one run, not one point per second; the digest still
+//! hashes every point.
 
 use std::collections::BTreeMap;
 
@@ -136,7 +142,7 @@ impl SimResult {
         };
         let put_series = |h: &mut Fnv1a, ts: &TimeSeries| {
             h.write_u64(ts.len() as u64);
-            for &(t, v) in ts.points() {
+            for (t, v) in ts.points() {
                 h.write_u64(t.0);
                 h.write_f64(v);
             }

@@ -39,6 +39,7 @@ pub use expect::{render_verdicts, ExpectKind, ExpectVerdict, Expectation};
 pub use result::{FleetStats, ScenarioOutcome, ScenarioResult};
 pub use sweep::{AxisValues, GridOutcome, SweepAxis, SweepCell, SweepSpec, MAX_CELLS};
 
+use mem_types::align_up_to_block;
 use sim_core::DetRng;
 use workloads::{FunctionKind, TenantLoad, WorkloadKind, WorkloadParams};
 
@@ -100,6 +101,18 @@ pub(crate) const MAX_TIME_S: f64 = 1e9;
 /// it under the squeezy backends.
 pub(crate) const MAX_SQUEEZY_SLOTS: u64 =
     guest_mm::page::NO_ZONE as u64 - (guest_mm::ZONE_MOVABLE as u64 + 1) - 1;
+
+/// The largest hotplug region one VM may reserve, Σ concurrency ×
+/// block-aligned memory limit as `HostSim::new` sizes it: 8 TiB. The
+/// per-block bookkeeping for the whole region is built at boot, before
+/// any of it is plugged (about 2.5 MiB resident per TiB), and its
+/// per-page bitmaps are reserved in full, so `concurrency = 1000000`
+/// asked for a 245 GB bitmap and aborted. The cap is not the host's
+/// capacity: virtio-mem VMs plug on demand and may reserve far more
+/// than the host holds (five tenants at concurrency 1000 and the
+/// largest limit reserve 7.3 TiB); the committed specs reserve at most
+/// 36 GiB.
+pub(crate) const MAX_HOTPLUG_BYTES: u64 = 8 << 40;
 
 /// The most host crashes a fleet spec may expect, `duration_s /
 /// mtbf_s`. The fleet samples every crash instant and queues it before
@@ -416,8 +429,17 @@ impl Scenario {
             format!("concurrency must be ≥ 1 (got {})", self.concurrency),
         );
         // A trace's tenants come from its header, checked in `run_trial`.
-        if let (WorkloadSpec::Named(_), Err(e)) = (&self.workload, self.check_slots(p.tenants)) {
-            check(false, e);
+        // A named workload picks its tenants' kinds as it generates
+        // them, so the region is bounded by the largest limit of any.
+        if let WorkloadSpec::Named(_) = &self.workload {
+            for e in [
+                self.check_slots(p.tenants),
+                self.check_hotplug(p.tenants, &FunctionKind::ALL),
+            ] {
+                if let Err(e) = e {
+                    check(false, e);
+                }
+            }
         }
         check(
             self.keepalive_s.is_finite() && self.keepalive_s >= 0.0,
@@ -528,6 +550,33 @@ impl Scenario {
             "tenants × concurrency = {tenants} × {} = {slots} instance slots in one Squeezy VM, \
              above the {MAX_SQUEEZY_SLOTS} its guest zone table holds: lower tenants or concurrency",
             self.concurrency
+        ))
+    }
+
+    /// `Err` naming `tenants`, `concurrency` and the memory limit when
+    /// `tenants` of them, each at the largest block-aligned limit of
+    /// `kinds`, would reserve a VM hotplug region above
+    /// [`MAX_HOTPLUG_BYTES`].
+    fn check_hotplug(&self, tenants: usize, kinds: &[FunctionKind]) -> Result<(), String> {
+        let limit = kinds
+            .iter()
+            .map(|k| align_up_to_block(k.profile().memory_limit.bytes()))
+            .max()
+            .unwrap_or(0);
+        let region = (tenants as u64)
+            .saturating_mul(u64::from(self.concurrency))
+            .saturating_mul(limit);
+        if region <= MAX_HOTPLUG_BYTES {
+            return Ok(());
+        }
+        const GIB: f64 = (1u64 << 30) as f64;
+        Err(format!(
+            "tenants × concurrency × memory limit = {tenants} × {} × {} MiB = {:.1} GiB of \
+             hotplug region in one VM, above the {} GiB cap: lower tenants or concurrency",
+            self.concurrency,
+            limit >> 20,
+            region as f64 / GIB,
+            MAX_HOTPLUG_BYTES >> 30
         ))
     }
 
@@ -768,7 +817,8 @@ impl Scenario {
     /// arrivals are never materialized, and their metrics are bounded.
     ///
     /// `Err` names the trace file when its header cannot be read or
-    /// declares more tenants than a Squeezy VM's zone table holds, is
+    /// declares more tenants than a Squeezy VM's zone table holds or
+    /// than fit one VM's 8 TiB hotplug region at this concurrency, is
     /// [`Scenario::boot`]'s, or names the trace file and line when a row
     /// fails to read mid-run
     /// ([`FleetResult::trace_error`](crate::FleetResult::trace_error)).
@@ -777,6 +827,7 @@ impl Scenario {
             let header =
                 workloads::read_trace_header(path).map_err(|e| format!("trace {path}: {e}"))?;
             self.check_slots(header.kinds.len())
+                .and_then(|()| self.check_hotplug(header.kinds.len(), &header.kinds))
                 .map_err(|e| format!("trace {path}: {e}"))?;
         }
         let mut result = self.boot(self.fleet_plan(backend, trial), trial)?.run();
@@ -1080,6 +1131,43 @@ mod tests {
         std::fs::remove_file(&path).expect("remove trace");
         let err = err.expect("127 tenants overflow the zone table");
         assert!(err.contains("tenants × concurrency = 127 × 2"), "{err}");
+    }
+
+    #[test]
+    fn validate_caps_the_hotplug_region_per_vm() {
+        let mut s = Scenario::new("h", Topology::Fleet, WorkloadKind::Diurnal);
+        s.backends = vec![BackendKind::VirtioMem];
+        s.params.tenants = 5;
+        // Five tenants at the largest limit (1536 MiB): 1092 fit 8 TiB.
+        s.concurrency = 1_092;
+        s.validate().expect("at the cap");
+        s.concurrency = 1_093;
+        let err = s.validate().unwrap_err();
+        assert!(
+            err.contains("tenants × concurrency × memory limit = 5 × 1093 × 1536 MiB = 8197.5 GiB"),
+            "{err}"
+        );
+        // A trace's region is sized by its header's kinds.
+        let text = "# squeezy-trace v1 azure-minute\n# seed = 0x1\n# tenants = html, cnn\n\
+                    minute,tenant,count\n0,0,1\n";
+        let path = std::env::temp_dir().join(format!("region-{}.csv", std::process::id()));
+        std::fs::write(&path, text).expect("write trace");
+        let mut t = Scenario::new(
+            "region",
+            Topology::SingleVm,
+            WorkloadSpec::Trace(path.to_string_lossy().into_owned()),
+        );
+        t.backends = vec![BackendKind::VirtioMem];
+        t.params.duration_s = 60.0;
+        t.concurrency = 5_461;
+        t.validate().expect("the header is read at run time");
+        let fits = t.run_trial(BackendKind::VirtioMem, 0).map(|o| o.completed);
+        t.concurrency = 5_462;
+        let err = t.run_trial(BackendKind::VirtioMem, 0).err();
+        std::fs::remove_file(&path).expect("remove trace");
+        assert_eq!(fits, Ok(1), "2 × 5461 × 768 MiB fit the cap");
+        let err = err.expect("2 × 5462 × 768 MiB do not");
+        assert!(err.contains("= 2 × 5462 × 768 MiB = 8193.0 GiB"), "{err}");
     }
 
     #[test]

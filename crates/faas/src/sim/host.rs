@@ -283,7 +283,7 @@ impl HostSim {
     }
 
     /// Consumes the host and produces its results.
-    pub fn finish(self) -> SimResult {
+    pub fn finish(mut self) -> SimResult {
         let end = SimTime::ZERO + SimDuration::from_secs_f64(self.config.duration_s);
         // Rebuild the result map in declaration order == `Ord` order —
         // byte-identical to the former `BTreeMap` accumulator.
@@ -305,8 +305,16 @@ impl HostSim {
         SimResult {
             per_func,
             host_usage: self.host_series,
-            guest_usage: self.vms.iter().map(|v| v.guest_series.clone()).collect(),
-            instance_counts: self.vms.iter().map(|v| v.inst_series.clone()).collect(),
+            guest_usage: self
+                .vms
+                .iter_mut()
+                .map(|v| std::mem::take(&mut v.guest_series))
+                .collect(),
+            instance_counts: self
+                .vms
+                .iter_mut()
+                .map(|v| std::mem::take(&mut v.inst_series))
+                .collect(),
             reclaims: self.vms.iter().map(|v| v.reclaim).collect(),
             completed: self.completed,
             end,

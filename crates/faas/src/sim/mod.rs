@@ -38,6 +38,7 @@ mod tests {
     use crate::fleet::{FixedFleet, FleetSim};
     use crate::metrics::SimResult;
     use mem_types::GIB;
+    use sim_core::{SimDuration, SimTime};
     use workloads::FunctionKind;
 
     fn simple_config(backend: BackendKind) -> SimConfig {
@@ -191,12 +192,9 @@ mod tests {
         // then; a fourth, started while the first ones initialised,
         // went idle early and expired before them.
         let alive_at = |t: f64| {
-            let pts = result.instance_counts[0].points();
-            pts.iter()
-                .rev()
-                .find(|&&(at, _)| at.as_secs_f64() <= t)
+            result.instance_counts[0]
+                .value_at(SimTime::ZERO + SimDuration::from_secs_f64(t))
                 .expect("sampled from zero")
-                .1
         };
         assert_eq!(alive_at(734.0), 3.0, "no instance expires early");
         assert_eq!(alive_at(735.0), 0.0, "every instance expires on time");
@@ -244,9 +242,8 @@ mod tests {
         let result = run(simple_config(BackendKind::Static), tenant(vec![1.0]));
         assert_eq!(result.total_reclaims().ops, 0);
         // Host usage never decreases (Figure 1's flat host line).
-        let pts = result.host_usage.points();
         let peak = result.host_usage.max_value();
-        let last = pts.last().unwrap().1;
+        let last = result.host_usage.last().unwrap().1;
         assert_eq!(last, peak, "host memory stays at peak");
     }
 
@@ -258,7 +255,7 @@ mod tests {
             let result = run(cfg, tenant(vec![1.0, 1.05, 80.0, 80.05]));
             // Each sample's value holds until the next sample, the last
             // one until the end of the run.
-            let pts = result.host_usage.points();
+            let pts: Vec<_> = result.host_usage.points().collect();
             assert!(pts.len() > 2, "{backend:?}");
             let mut expect = 0.0;
             for (i, &(t0, v0)) in pts.iter().enumerate() {
@@ -268,6 +265,29 @@ mod tests {
                 }
             }
             assert_eq!(result.host_usage_integral, expect, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn steady_warm_host_series_hold_a_handful_of_runs() {
+        // One request each second, half a second after each sample, on a
+        // long keep-alive: once the first cold starts are over, the
+        // host, guest and instance counts hold one value, so each
+        // 5,001-sample series is a few runs, not one entry per sample.
+        let mut cfg = simple_config(BackendKind::Squeezy);
+        cfg.duration_s = 5_000.0;
+        cfg.keepalive_s = 60.0;
+        let arrivals = (1..5_000).map(|s| s as f64 + 0.5).collect();
+        let result = run(cfg, tenant(arrivals));
+        assert_eq!(result.completed, 4_999);
+        for (name, ts) in [
+            ("host", &result.host_usage),
+            ("guest", &result.guest_usage[0]),
+            ("instances", &result.instance_counts[0]),
+        ] {
+            assert_eq!(ts.len(), 5_001, "{name}: one sample a second");
+            // 4–5 runs: the boot value, then one per cold start.
+            assert!(ts.run_count() <= 8, "{name}: {} runs", ts.run_count());
         }
     }
 

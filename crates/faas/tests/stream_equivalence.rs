@@ -142,10 +142,7 @@ fn cluster_streamed_replay_matches_the_materialized_path() {
     );
     for (s, l) in streamed.hosts.iter().map(|h| &h.result).zip(&legacy.hosts) {
         assert_eq!(s.completed, l.completed);
-        assert!(
-            s.host_usage.points().is_empty(),
-            "bounded mode records no series"
-        );
+        assert!(s.host_usage.is_empty(), "bounded mode records no series");
         assert!(
             (s.gib_seconds() - l.gib_seconds()).abs() <= 1e-9 * l.gib_seconds().abs().max(1.0),
             "streamed usage integral matches the series integral: {} vs {}",

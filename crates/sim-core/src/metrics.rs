@@ -1,5 +1,6 @@
-//! Measurement utilities: histograms, time series, busy-interval
-//! windows, bounded reservoirs.
+//! Measurement utilities: histograms, time series (stored as runs of
+//! equal, evenly spaced samples), busy-interval windows, bounded
+//! reservoirs.
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
@@ -158,9 +159,30 @@ impl Histogram {
 }
 
 /// A timestamped series of values, e.g. memory usage over time.
+///
+/// Stored as runs of bit-equal values at evenly spaced times: a host's
+/// 1 s memory samples hold one value for minutes at a time, so a
+/// series costs memory in the number of changes, not of samples.
+/// [`Self::points`] still yields every sample, in push order.
 #[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
+    runs: Vec<Run>,
+}
+
+/// `count` samples of `value` at `start`, `start + step`, … (`step` in
+/// ns; 0 while the run holds one sample, or for samples at one instant).
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: SimTime,
+    step: u64,
+    count: u64,
+    value: f64,
+}
+
+impl Run {
+    fn last_time(&self) -> SimTime {
+        SimTime(self.start.0 + self.step * (self.count - 1))
+    }
 }
 
 impl TimeSeries {
@@ -169,45 +191,74 @@ impl TimeSeries {
         TimeSeries::default()
     }
 
-    /// Appends a point; timestamps must be non-decreasing.
+    /// Appends a point; timestamps must be non-decreasing. A point
+    /// whose value is bit-equal to the last run's and whose time keeps
+    /// its spacing extends that run in O(1).
     ///
     /// # Panics
     ///
     /// Panics if `t` precedes the last recorded timestamp.
     pub fn push(&mut self, t: SimTime, v: f64) {
-        if let Some(&(last, _)) = self.points.last() {
+        if let Some(run) = self.runs.last_mut() {
+            let last = run.last_time();
             assert!(t >= last, "time series must be monotonic");
+            if v.to_bits() == run.value.to_bits() {
+                if run.count == 1 {
+                    run.step = t.0 - last.0;
+                }
+                if t.0 - last.0 == run.step {
+                    run.count += 1;
+                    return;
+                }
+            }
         }
-        self.points.push((t, v));
+        self.runs.push(Run {
+            start: t,
+            step: 0,
+            count: 1,
+            value: v,
+        });
     }
 
-    /// Returns the recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
+    /// Yields every recorded point in push order.
+    pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|r| (0..r.count).map(move |i| (SimTime(r.start.0 + r.step * i), r.value)))
+    }
+
+    /// Returns the last recorded point.
+    pub fn last(&self) -> Option<(SimTime, f64)> {
+        self.runs.last().map(|r| (r.last_time(), r.value))
     }
 
     /// Returns the number of points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.runs.iter().map(|r| r.count as usize).sum()
     }
 
     /// Returns `true` if the series has no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.runs.is_empty()
+    }
+
+    /// Returns the number of stored runs, which is what the series
+    /// costs in memory.
+    pub fn run_count(&self) -> usize {
+        self.runs.len()
     }
 
     /// Returns the maximum value, or 0 for an empty series.
     pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
+        self.runs.iter().map(|r| r.value).fold(0.0, f64::max)
     }
 
     /// Returns the step-function value at `t` (last point at or before
     /// `t`), or `None` before the first point.
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.binary_search_by(|&(pt, _)| pt.cmp(&t)) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
+        match self.runs.partition_point(|r| r.start <= t) {
+            0 => None,
+            i => Some(self.runs[i - 1].value),
         }
     }
 
@@ -215,24 +266,27 @@ impl TimeSeries {
     /// returning `(bin_start_seconds, mean)` pairs. Bins with no points
     /// carry the previous step value forward.
     pub fn downsample(&self, step: SimDuration) -> Vec<(f64, f64)> {
-        if self.points.is_empty() {
+        let Some((end, _)) = self.last() else {
             return Vec::new();
-        }
-        let end = self.points.last().expect("non-empty").0;
+        };
+        let mut points = self.points().peekable();
         let mut out = Vec::new();
         let mut t = SimTime::ZERO;
         while t <= end {
             let next = t + step;
-            let vals: Vec<f64> = self
-                .points
-                .iter()
-                .filter(|&&(pt, _)| pt >= t && pt < next)
-                .map(|&(_, v)| v)
-                .collect();
-            let v = if vals.is_empty() {
+            let mut n = 0usize;
+            // Summed point by point in push order, as a mean over the
+            // bin's sample list would be.
+            let sum: f64 = std::iter::from_fn(|| points.next_if(|&(pt, _)| pt < next))
+                .map(|(_, v)| {
+                    n += 1;
+                    v
+                })
+                .sum();
+            let v = if n == 0 {
                 self.value_at(t).unwrap_or(0.0)
             } else {
-                vals.iter().sum::<f64>() / vals.len() as f64
+                sum / n as f64
             };
             out.push((t.as_secs_f64(), v));
             t = next;

@@ -63,9 +63,11 @@ impl SimDuration {
         SimDuration(n * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, saturating at zero.
+    /// Creates a duration from fractional seconds, saturating at zero
+    /// (and at `u64::MAX` ns), rounded to the nearest nanosecond with
+    /// ties away from zero. NaN is zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_to_u64(s.max(0.0) * 1e9))
     }
 
     /// Returns the duration in fractional seconds.
@@ -178,6 +180,16 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `x.round() as u64` for `x ≥ 0` (or +∞), without the software
+/// `round` the baseline x86-64 target calls: truncate, then step up when
+/// the dropped fraction is at least one half. Below 2^52 the fraction
+/// `x - ⌊x⌋` is exact; from 2^52 on every `f64` is an integer, so it is
+/// 0 until the cast saturates, where the step saturates too.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +201,78 @@ mod tests {
         assert_eq!(SimDuration::secs(1).0, 1_000_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).0, 500_000_000);
         assert_eq!(SimDuration::from_secs_f64(-1.0).0, 0);
+    }
+
+    /// The conversion `from_secs_f64` replaced, kept as its oracle.
+    fn reference(s: f64) -> u64 {
+        (s.max(0.0) * 1e9).round() as u64
+    }
+
+    #[test]
+    fn rounding_matches_round_on_edge_values() {
+        let two52 = (1u64 << 52) as f64;
+        let two64 = 18_446_744_073_709_551_616.0_f64;
+        let xs = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+        ];
+        for x in xs {
+            // As seconds, through the multiply, and as nanoseconds.
+            for s in [x, x / 1e9, -x] {
+                assert_eq!(
+                    SimDuration::from_secs_f64(s).0,
+                    reference(s),
+                    "s = {s:e} ({:#x})",
+                    s.to_bits()
+                );
+            }
+            let x = x.max(0.0);
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn rounding_matches_round_on_random_draws() {
+        let mut rng = crate::rng::DetRng::new(0x5EC5);
+        for _ in 0..200_000 {
+            let bits = rng.range(0, u64::MAX);
+            // Any bit pattern (every exponent, NaN payloads, both
+            // signs), a time-key-sized span, and an exact tie of
+            // whole-plus-half nanoseconds below 2^52.
+            let any = f64::from_bits(bits);
+            let span = (bits >> 11) as f64 / (1u64 << 53) as f64 * 1e6;
+            let tie = (bits >> 13) as f64 + 0.5;
+            for s in [any, span] {
+                assert_eq!(SimDuration::from_secs_f64(s).0, reference(s), "s = {s:e}");
+            }
+            assert_eq!(round_to_u64(tie), tie.round() as u64, "x = {tie}");
+            assert_eq!(
+                round_to_u64(any.abs()),
+                any.abs().round() as u64,
+                "x = {any:e}"
+            );
+        }
     }
 
     #[test]
