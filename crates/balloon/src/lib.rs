@@ -82,7 +82,8 @@ impl BalloonDevice {
     }
 
     /// Returns the ballooned size in bytes.
-    pub fn held_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> u64 {
         self.held.len() as u64 * PAGE_SIZE
     }
 
@@ -92,7 +93,8 @@ impl BalloonDevice {
     }
 
     /// Returns the statistics.
-    pub fn stats(&self) -> &BalloonStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &BalloonStats {
         &self.stats
     }
 

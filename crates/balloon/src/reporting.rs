@@ -83,13 +83,9 @@ impl FreePageReporter {
         }
     }
 
-    /// Returns the reporting order.
-    pub fn order(&self) -> u8 {
-        self.order
-    }
-
     /// Returns the statistics.
-    pub fn stats(&self) -> &ReportingStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &ReportingStats {
         &self.stats
     }
 

@@ -38,11 +38,11 @@
 //!   `examples/traces/` from their pinned generators, byte-identically.
 //! * `repro scenarios` — list the scenario registry (workloads,
 //!   topologies, backends, routers, policies, spec keys).
-//! * `--jobs N` — shard each experiment grid over `N` worker threads
-//!   (default: all cores). Output is byte-identical for every value of
-//!   `N`; only wall time changes.
-//! * `--trials N` — repeat stochastic experiments `N` times on derived
-//!   RNG streams and report trial means (default: 1).
+//! * `--jobs N` — shard each experiment grid over `N` worker threads,
+//!   at most 256 (default and `0`: all cores). Output is byte-identical
+//!   for every value of `N`; only wall time changes.
+//! * `--trials N` — repeat stochastic experiments `N` times (1 to
+//!   1000) on derived RNG streams and report trial means (default: 1).
 //! * `--json <path>` — additionally write a machine-readable summary
 //!   (per-section wall time + output digest) for bench-trajectory
 //!   tracking and `--jobs` byte-identity checks.
@@ -141,6 +141,13 @@ fn pick<C>(quick: bool, quick_cfg: fn() -> C, paper_cfg: fn() -> C) -> C {
     }
 }
 
+/// Ceilings on `--jobs` and `--trials`, checked while parsing: every
+/// worker is an OS thread and every `(point, trial)` cell a result
+/// slot, so an unbounded value would ask for that many before any
+/// experiment runs.
+const MAX_JOBS: usize = 256;
+const MAX_TRIALS: u32 = 1000;
+
 struct Args {
     what: String,
     /// Spec files following the `run` target.
@@ -175,7 +182,13 @@ fn parse_args() -> Args {
             "--compare" => compare = true,
             "--jobs" => {
                 let v = it.next().unwrap_or_else(|| die("--jobs needs a value"));
-                opts.jobs = v.parse().unwrap_or_else(|_| die("--jobs expects a number"));
+                let n: usize = v.parse().unwrap_or_else(|_| die("--jobs expects a number"));
+                if n > MAX_JOBS {
+                    die(&format!(
+                        "--jobs must be at most {MAX_JOBS} (0 = all cores)"
+                    ));
+                }
+                opts.jobs = n;
             }
             "--runs" => {
                 let v = it.next().unwrap_or_else(|| die("--runs needs a value"));
@@ -190,7 +203,10 @@ fn parse_args() -> Args {
                 let t: u32 = v
                     .parse()
                     .unwrap_or_else(|_| die("--trials expects a number"));
-                opts.trials = t.max(1);
+                if !(1..=MAX_TRIALS).contains(&t) {
+                    die(&format!("--trials must be between 1 and {MAX_TRIALS}"));
+                }
+                opts.trials = t;
             }
             "--json" => {
                 json = Some(it.next().unwrap_or_else(|| die("--json needs a path")));

@@ -97,7 +97,7 @@ fn run_trial(cfg: &Fig1Config, ctx: &mut TrialCtx) -> SimResult {
         keepalive_s: cfg.keepalive_s,
         duration_s: cfg.duration_s,
         unplug_deadline_ms: 5_000,
-        record_latency_points: true,
+        record_latency_points: false,
         seed: cfg.seed,
         trial: ctx.trial,
     };

@@ -177,7 +177,7 @@ pub fn render(rows: &[Fig5Row]) -> String {
 }
 
 /// Headline ratios the paper reports in §6.1.1.
-pub fn summary(rows: &[Fig5Row]) -> String {
+pub(crate) fn summary(rows: &[Fig5Row]) -> String {
     let mut balloon_total = 0.0;
     let mut virtio_total = 0.0;
     let mut squeezy_total = 0.0;

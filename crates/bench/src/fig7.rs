@@ -62,22 +62,22 @@ pub struct Fig7Series {
 
 impl Fig7Series {
     /// Mean utilization over the experiment.
-    pub fn mean_guest(&self) -> f64 {
+    pub(crate) fn mean_guest(&self) -> f64 {
         mean(&self.guest_util)
     }
 
     /// Mean host utilization over the experiment.
-    pub fn mean_host(&self) -> f64 {
+    pub(crate) fn mean_host(&self) -> f64 {
         mean(&self.host_util)
     }
 
     /// Peak guest utilization.
-    pub fn peak_guest(&self) -> f64 {
+    pub(crate) fn peak_guest(&self) -> f64 {
         self.guest_util.iter().copied().fold(0.0, f64::max)
     }
 
     /// Peak host utilization.
-    pub fn peak_host(&self) -> f64 {
+    pub(crate) fn peak_host(&self) -> f64 {
         self.host_util.iter().copied().fold(0.0, f64::max)
     }
 }

@@ -54,7 +54,7 @@ impl Fig9Config {
     }
 
     /// The second in which evictions (the scale-down) begin.
-    pub fn scaledown_s(&self) -> f64 {
+    pub(crate) fn scaledown_s(&self) -> f64 {
         self.html_burst_end_s + self.keepalive_s
     }
 }
@@ -70,7 +70,7 @@ pub struct Fig9Series {
 
 impl Fig9Series {
     /// Mean latency over seconds in `[from, to)`.
-    pub fn window_mean(&self, from: f64, to: f64) -> f64 {
+    pub(crate) fn window_mean(&self, from: f64, to: f64) -> f64 {
         let xs: Vec<f64> = self
             .per_second
             .iter()
@@ -212,7 +212,7 @@ pub fn render(series: &[Fig9Series], cfg: &Fig9Config) -> String {
 }
 
 /// Peak per-second latency in a window.
-pub fn peak_in(series: &Fig9Series, from: f64, to: f64) -> f64 {
+pub(crate) fn peak_in(series: &Fig9Series, from: f64, to: f64) -> f64 {
     series
         .per_second
         .iter()

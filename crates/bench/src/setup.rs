@@ -78,7 +78,7 @@ impl MemhogFarm {
 
     /// [`MemhogFarm::build`] with an explicit churn stream, so repeated
     /// experiment trials scatter footprints differently.
-    pub fn build_seeded(
+    pub(crate) fn build_seeded(
         kind: FarmKind,
         instances: u32,
         hog_bytes: u64,
@@ -200,7 +200,7 @@ pub const CHURN_SEED: u64 = 0xC0FFEE;
 /// Runs `rounds` of concurrent free/refault churn over a quarter of each
 /// hog's footprint, scattering footprints the way long-running memhogs
 /// do. `rng` orders the frees and refaults, so repeated trials differ.
-pub fn churn_seeded(
+pub(crate) fn churn_seeded(
     vm: &mut Vm,
     host: &mut HostMemory,
     hogs: &[Memhog],

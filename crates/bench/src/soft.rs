@@ -52,7 +52,7 @@ impl IdlePolicy {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             IdlePolicy::KeepAliveFirm => "keep-alive",
             IdlePolicy::Evict => "evict",

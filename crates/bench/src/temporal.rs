@@ -36,7 +36,7 @@ pub enum Granularity {
 
 impl Granularity {
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Granularity::Instance => "per-instance",
             Granularity::Invocation => "per-invocation",

@@ -124,11 +124,6 @@ impl FlexManager {
         self.parts.get(&id.0)
     }
 
-    /// Returns the partition a process is attached to, if any.
-    pub fn partition_of(&self, pid: Pid) -> Option<PartitionId> {
-        self.attached.get(&pid.0).copied()
-    }
-
     /// Returns the number of live partitions.
     pub fn partition_count(&self) -> usize {
         self.parts.len()

@@ -187,8 +187,6 @@ pub struct SqueezyStats {
 
 /// The Squeezy guest memory-manager extension for one VM.
 pub struct SqueezyManager {
-    config: SqueezyConfig,
-    shared_zone: u8,
     partitions: Vec<Partition>,
     /// pid → partition for attached processes.
     attached: HashMap<u32, PartitionId>,
@@ -268,8 +266,6 @@ impl SqueezyManager {
         }
 
         Ok(SqueezyManager {
-            config,
-            shared_zone,
             partitions,
             attached: HashMap::new(),
             waitqueue: VecDeque::new(),
@@ -278,16 +274,6 @@ impl SqueezyManager {
     }
 
     // --- Accessors -------------------------------------------------------
-
-    /// Returns the boot configuration.
-    pub fn config(&self) -> &SqueezyConfig {
-        &self.config
-    }
-
-    /// Returns the shared partition's zone index.
-    pub fn shared_zone(&self) -> u8 {
-        self.shared_zone
-    }
 
     /// Returns all partitions.
     pub fn partitions(&self) -> &[Partition] {
@@ -306,12 +292,22 @@ impl SqueezyManager {
 
     /// Returns the number of populated partitions (the *effective*
     /// concurrency factor, §7).
-    pub fn populated_count(&self) -> usize {
-        self.partitions.iter().filter(|p| p.is_populated()).count()
+    #[cfg(test)]
+    pub(crate) fn populated_count(&self) -> usize {
+        self.partitions
+            .iter()
+            .filter(|p| {
+                !matches!(
+                    p.state,
+                    PartitionState::Unpopulated | PartitionState::Revoked
+                )
+            })
+            .count()
     }
 
     /// Returns the number of free populated partitions (reclaimable).
-    pub fn reclaimable_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn reclaimable_count(&self) -> usize {
         self.partitions
             .iter()
             .filter(|p| p.state == PartitionState::Free)
@@ -564,6 +560,14 @@ mod tests {
     use guest_mm::GuestMmConfig;
     use mem_types::{GIB, MIB};
 
+    /// The zone of the shared partition.
+    fn shared_zone(vm: &Vm) -> &guest_mm::Zone {
+        (0..vm.guest.zone_count())
+            .map(|z| vm.guest.zone(z))
+            .find(|z| z.kind == ZoneKind::SqueezyShared)
+            .expect("Squeezy is installed")
+    }
+
     fn setup(concurrency: u32) -> (Vm, HostMemory, SqueezyManager, CostModel) {
         let cost = CostModel::default();
         let mut host = HostMemory::new(32 * GIB);
@@ -604,7 +608,7 @@ mod tests {
         }
         // Shared partition populated at boot: 256 MiB onlined.
         assert_eq!(
-            vm.guest.zone(sq.shared_zone()).managed_pages,
+            shared_zone(&vm).managed_pages,
             256 * MIB / mem_types::PAGE_SIZE
         );
         // Partitions do not overlap.
@@ -767,11 +771,11 @@ mod tests {
         sq.attach(&mut vm, pid).unwrap();
         let f = guest_mm::FileId(9);
         vm.touch_file(&mut host, f, 1000, &cost).unwrap();
-        assert_eq!(vm.guest.zone(sq.shared_zone()).used_pages(), 1000);
+        assert_eq!(shared_zone(&vm).used_pages(), 1000);
         // A second touch of the file hits the cache: the shared
         // partition holds it once.
         vm.touch_file(&mut host, f, 1000, &cost).unwrap();
-        assert_eq!(vm.guest.zone(sq.shared_zone()).used_pages(), 1000);
+        assert_eq!(shared_zone(&vm).used_pages(), 1000);
     }
 
     #[test]

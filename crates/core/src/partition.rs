@@ -52,14 +52,6 @@ impl Partition {
     pub fn bytes(&self) -> u64 {
         self.blocks.len() as u64 * mem_types::MEM_BLOCK_SIZE
     }
-
-    /// Returns `true` if the partition is populated (plugged).
-    pub fn is_populated(&self) -> bool {
-        !matches!(
-            self.state,
-            PartitionState::Unpopulated | PartitionState::Revoked
-        )
-    }
 }
 
 #[cfg(test)]
@@ -76,6 +68,5 @@ mod tests {
             users: 0,
         };
         assert_eq!(p.bytes(), 3 * mem_types::MEM_BLOCK_SIZE);
-        assert!(!p.is_populated());
     }
 }

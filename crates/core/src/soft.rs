@@ -151,7 +151,8 @@ impl SqueezyManager {
     }
 
     /// Returns the number of partitions currently marked soft.
-    pub fn soft_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn soft_count(&self) -> usize {
         self.partitions()
             .iter()
             .filter(|p| p.state == PartitionState::Soft)
@@ -159,7 +160,8 @@ impl SqueezyManager {
     }
 
     /// Returns the number of partitions currently revoked.
-    pub fn revoked_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn revoked_count(&self) -> usize {
         self.partitions()
             .iter()
             .filter(|p| p.state == PartitionState::Revoked)

@@ -20,11 +20,8 @@ pub use router::{
     WarmAffinity,
 };
 
-use std::collections::BTreeMap;
-
-use sim_core::{Histogram, Reservoir};
+use sim_core::Reservoir;
 use vmm::VmmError;
-use workloads::FunctionKind;
 
 use crate::config::SimConfig;
 use crate::fleet::{FixedFleet, FleetConfig, FleetResult, FleetSim};
@@ -132,11 +129,6 @@ impl ClusterResult {
         }
     }
 
-    /// Cluster-wide request-latency histograms, merged per function.
-    pub fn merged_latency(&self) -> BTreeMap<FunctionKind, Histogram> {
-        metrics::merged_latency(&self.hosts)
-    }
-
     /// Cluster-wide cold and warm start counts.
     pub fn cold_warm_starts(&self) -> (u64, u64) {
         metrics::cold_warm_starts(&self.hosts)
@@ -181,6 +173,7 @@ impl ClusterSim {
 mod tests {
     use super::*;
     use crate::config::{BackendKind, Deployment, HarvestConfig, VmSpec};
+    use workloads::FunctionKind;
 
     fn host_cfg(backend: BackendKind, tenants: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -265,14 +258,6 @@ mod tests {
         let da: Vec<u64> = a.hosts.iter().map(SimResult::digest).collect();
         let db: Vec<u64> = b.hosts.iter().map(SimResult::digest).collect();
         assert_eq!(da, db);
-    }
-
-    #[test]
-    fn merged_latency_covers_all_requests() {
-        let result = two_host_cluster(Box::new(RoundRobin::default()));
-        let merged = result.merged_latency();
-        let total: usize = merged.values().map(Histogram::count).sum();
-        assert_eq!(total as u64, result.completed);
     }
 
     #[test]

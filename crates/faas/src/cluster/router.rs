@@ -26,7 +26,7 @@ pub struct HostLoad {
 
 impl HostLoad {
     /// The scalar load metric the default policies order hosts by.
-    pub fn pressure(&self) -> usize {
+    pub(crate) fn pressure(&self) -> usize {
         self.queued + self.active
     }
 }
@@ -87,7 +87,7 @@ impl RouterKind {
 
     /// Looks a router up by key; `Err` carries the full list of valid
     /// keys.
-    pub fn from_key(key: &str) -> Result<RouterKind, String> {
+    pub(crate) fn from_key(key: &str) -> Result<RouterKind, String> {
         sim_core::registry::lookup("router", &RouterKind::ALL, RouterKind::key, key)
     }
 
@@ -205,7 +205,7 @@ pub struct PowerOfTwoChoices {
 
 impl PowerOfTwoChoices {
     /// Builds the router on its own derived stream.
-    pub fn new(rng: DetRng) -> Self {
+    pub(crate) fn new(rng: DetRng) -> Self {
         PowerOfTwoChoices { rng }
     }
 

@@ -56,7 +56,7 @@ impl BackendKind {
 
     /// Looks a backend up by its registry key; `Err` carries the full
     /// list of valid keys.
-    pub fn from_key(key: &str) -> Result<BackendKind, String> {
+    pub(crate) fn from_key(key: &str) -> Result<BackendKind, String> {
         sim_core::registry::lookup("backend", &BackendKind::ALL, BackendKind::key, key)
     }
 
@@ -107,7 +107,7 @@ pub struct VmSpec {
 impl VmSpec {
     /// Derived vCPU count (§5.1: vCPUs follow the CPU shares of the
     /// target function and the max concurrency factor).
-    pub fn effective_vcpus(&self) -> f64 {
+    pub(crate) fn effective_vcpus(&self) -> f64 {
         self.vcpus.unwrap_or_else(|| {
             let total: f64 = self
                 .deployments
@@ -168,20 +168,20 @@ impl SimConfig {
             keepalive_s: 120.0,
             duration_s,
             unplug_deadline_ms: 5_000,
-            record_latency_points: true,
+            record_latency_points: false,
             seed: 42,
             trial: 0,
         }
     }
 
     /// Returns this configuration's derived jitter stream.
-    pub fn jitter_rng(&self) -> sim_core::DetRng {
+    pub(crate) fn jitter_rng(&self) -> sim_core::DetRng {
         sim_core::DetRng::new(self.seed).derive(self.trial)
     }
 
     /// Instance slots of the host: Σ deployment concurrency, the most
     /// instances it ever holds at once.
-    pub fn instance_slots(&self) -> usize {
+    pub(crate) fn instance_slots(&self) -> usize {
         self.vms
             .iter()
             .flat_map(|v| &v.deployments)
@@ -247,5 +247,6 @@ mod tests {
         assert_eq!(cfg.vms.len(), 1);
         assert_eq!(cfg.keepalive_s, 120.0);
         assert!(cfg.host_capacity > 1 << 50, "effectively unlimited");
+        assert!(!cfg.record_latency_points, "latency points are opt-in");
     }
 }

@@ -43,7 +43,7 @@ impl ArrivalFeed {
     /// A feed over a trace source, cut off at `duration_s`. `origin`
     /// names the trace (its path) in a mid-run read failure
     /// ([`Self::error`]).
-    pub fn new(
+    pub(crate) fn new(
         source: Box<dyn TraceSource>,
         duration_s: f64,
         origin: impl Into<String>,
@@ -60,7 +60,7 @@ impl ArrivalFeed {
     }
 
     /// The next arrival's `(time, slot)` without consuming it.
-    pub fn peek(&mut self) -> Option<(SimTime, usize)> {
+    pub(crate) fn peek(&mut self) -> Option<(SimTime, usize)> {
         if !self.primed {
             self.primed = true;
             self.refill();
@@ -69,7 +69,7 @@ impl ArrivalFeed {
     }
 
     /// Consumes and returns the next arrival.
-    pub fn pop(&mut self) -> Option<(SimTime, usize)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, usize)> {
         let next = self.peek();
         if next.is_some() {
             self.next = None;
@@ -81,7 +81,7 @@ impl ArrivalFeed {
 
     /// Arrivals handed to the simulator so far — the offered-load count
     /// and the feed's share of `events_processed`.
-    pub fn injected(&self) -> u64 {
+    pub(crate) fn injected(&self) -> u64 {
         self.injected
     }
 
@@ -89,7 +89,7 @@ impl ArrivalFeed {
     /// and the offending line. A run preflights its trace, so this is
     /// set only when the file was not checked or changed during the
     /// run; the arrivals before the bad row were still fed.
-    pub fn error(&self) -> Option<&str> {
+    pub(crate) fn error(&self) -> Option<&str> {
         self.error.as_deref()
     }
 

@@ -21,12 +21,12 @@ pub struct FailureConfig {
 
 impl FailureConfig {
     /// No failures.
-    pub fn off() -> Self {
+    pub(crate) fn off() -> Self {
         FailureConfig { mtbf_s: 0.0 }
     }
 
     /// Returns `true` when crashes will be injected.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.mtbf_s > 0.0
     }
 }

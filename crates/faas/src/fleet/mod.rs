@@ -178,7 +178,7 @@ impl FleetConfig {
 
     /// Instance slots per host (Σ deployment concurrency of the
     /// template) — the autoscaler's capacity unit.
-    pub fn slots_per_host(&self) -> usize {
+    pub(crate) fn slots_per_host(&self) -> usize {
         self.template.instance_slots()
     }
 }

@@ -63,31 +63,31 @@ pub struct FleetView<'a> {
 
 impl FleetView<'_> {
     /// Hosts that are (or will shortly be) serving: active + booting.
-    pub fn provisioned(&self) -> usize {
+    pub(crate) fn provisioned(&self) -> usize {
         self.active.len() + self.booting
     }
 
     /// Requests queued across the active hosts.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.active.iter().map(|h| h.queued).sum()
     }
 
     /// Busy/starting instances across the active hosts.
-    pub fn busy(&self) -> usize {
+    pub(crate) fn busy(&self) -> usize {
         self.active.iter().map(|h| h.active).sum()
     }
 
     /// Fraction of provisioned instance slots doing work (queued
     /// requests count: they represent demand the slots owe). Can
     /// exceed 1.0 under overload; 0 when nothing is provisioned.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let slots = (self.provisioned() * self.slots_per_host).max(1);
         (self.busy() + self.queued()) as f64 / slots as f64
     }
 
     /// Observed p99 (nearest-rank over the tick window) per function
     /// kind, for the kinds with at least one observation.
-    pub fn recent_p99_by_kind(&self) -> Vec<(FunctionKind, f64)> {
+    pub(crate) fn recent_p99_by_kind(&self) -> Vec<(FunctionKind, f64)> {
         let mut out: Vec<(FunctionKind, f64)> = Vec::new();
         for &(kind, _) in self.slo {
             let mut lats: Vec<f64> = self
@@ -158,7 +158,7 @@ impl PolicyKind {
 
     /// Looks a policy up by key; `Err` carries the full list of valid
     /// keys.
-    pub fn from_key(key: &str) -> Result<PolicyKind, String> {
+    pub(crate) fn from_key(key: &str) -> Result<PolicyKind, String> {
         sim_core::registry::lookup("policy", &PolicyKind::ALL, PolicyKind::key, key)
     }
 
@@ -205,7 +205,7 @@ pub struct TargetUtilization {
 
 impl TargetUtilization {
     /// The bench default: 60% target, 5 s ticks.
-    pub fn default_policy() -> Self {
+    pub(crate) fn default_policy() -> Self {
         TargetUtilization {
             target: 0.6,
             period: 5.0,
@@ -252,7 +252,7 @@ pub struct QueueDepth {
 impl QueueDepth {
     /// The bench default: grow at 2 queued/host, shrink under 30%
     /// utilization, 5 s ticks.
-    pub fn default_policy() -> Self {
+    pub(crate) fn default_policy() -> Self {
         QueueDepth {
             high: 2.0,
             idle_util: 0.3,

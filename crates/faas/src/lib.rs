@@ -71,7 +71,7 @@ pub use hybrid::{absorb_burst, BurstOutcome, ScaleStrategy};
 pub use metrics::{FuncMetrics, ReclaimTotals, SimResult};
 pub use microvm::{microvm_cold_start, n_to_one_cold_start, ColdStartBreakdown};
 pub use scenario::{
-    compare_results, render_verdicts, AxisValues, CompareReport, ExpectKind, ExpectVerdict,
-    Expectation, FleetPlan, FleetStats, GridOutcome, MetricDiff, Scenario, ScenarioOutcome,
-    ScenarioResult, SweepAxis, SweepCell, SweepSpec, Topology, WorkloadSpec,
+    compare_results, AxisValues, CompareReport, ExpectKind, ExpectVerdict, Expectation, FleetPlan,
+    FleetStats, GridOutcome, MetricDiff, Scenario, ScenarioOutcome, ScenarioResult, SweepAxis,
+    SweepCell, SweepSpec, Topology, WorkloadSpec,
 };

@@ -198,19 +198,6 @@ impl SimResult {
     }
 }
 
-/// Request-latency histograms of `hosts`, merged per function.
-pub(crate) fn merged_latency<'a>(
-    hosts: impl IntoIterator<Item = &'a SimResult>,
-) -> BTreeMap<FunctionKind, Histogram> {
-    let mut merged: BTreeMap<FunctionKind, Histogram> = BTreeMap::new();
-    for host in hosts {
-        for (&kind, m) in &host.per_func {
-            merged.entry(kind).or_default().merge(&m.latency);
-        }
-    }
-    merged
-}
-
 /// Cold and warm start counts summed over `hosts`.
 pub(crate) fn cold_warm_starts<'a>(hosts: impl IntoIterator<Item = &'a SimResult>) -> (u64, u64) {
     hosts

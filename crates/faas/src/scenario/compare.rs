@@ -86,7 +86,7 @@ impl MetricDiff {
 
     /// Relative difference in percent of the baseline mean (infinite
     /// when the baseline is zero and B is not).
-    pub fn pct(&self) -> f64 {
+    pub(crate) fn pct(&self) -> f64 {
         if self.mean_a == 0.0 && self.diff() == 0.0 {
             0.0
         } else {

@@ -61,12 +61,12 @@ impl ExpectKind {
 
     /// Parses a gate key; `Err` lists every valid gate (with a
     /// did-you-mean hint on near misses).
-    pub fn from_key(key: &str) -> Result<ExpectKind, String> {
+    pub(crate) fn from_key(key: &str) -> Result<ExpectKind, String> {
         registry::lookup("expectation", &Self::ALL, Self::key, key)
     }
 
     /// One-line help text for `repro scenarios`.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             ExpectKind::P50Max => "mean-over-trials p50 latency ≤ limit (ms)",
             ExpectKind::P99Max => "mean-over-trials p99 latency ≤ limit (ms)",
@@ -84,7 +84,7 @@ impl ExpectKind {
     }
 
     /// True when the gate is a floor (`actual ≥ limit`).
-    pub fn is_min(self) -> bool {
+    pub(crate) fn is_min(self) -> bool {
         matches!(self, ExpectKind::CompletionMin)
     }
 
@@ -209,7 +209,7 @@ pub(crate) fn evaluate(
 }
 
 /// Renders the per-cell verdict table plus a one-line summary.
-pub fn render_verdicts(verdicts: &[ExpectVerdict]) -> String {
+pub(crate) fn render_verdicts(verdicts: &[ExpectVerdict]) -> String {
     if verdicts.is_empty() {
         return String::new();
     }

@@ -35,7 +35,7 @@ mod result;
 mod sweep;
 
 pub use compare::{compare_results, CompareReport, MetricDiff, ALPHA};
-pub use expect::{render_verdicts, ExpectKind, ExpectVerdict, Expectation};
+pub use expect::{ExpectKind, ExpectVerdict, Expectation};
 pub use result::{FleetStats, ScenarioOutcome, ScenarioResult};
 pub use sweep::{AxisValues, GridOutcome, SweepAxis, SweepCell, SweepSpec, MAX_CELLS};
 
@@ -160,7 +160,7 @@ impl WorkloadSpec {
     }
 
     /// Parses a workload key; `Err` carries the valid forms.
-    pub fn from_key(key: &str) -> Result<WorkloadSpec, String> {
+    pub(crate) fn from_key(key: &str) -> Result<WorkloadSpec, String> {
         if let Some(inner) = key
             .strip_prefix("trace(")
             .and_then(|rest| rest.strip_suffix(')'))
@@ -204,7 +204,7 @@ pub enum Topology {
 
 impl Topology {
     /// Registry key used by spec files (`cluster(4)` carries its size).
-    pub fn key(self) -> String {
+    pub(crate) fn key(self) -> String {
         match self {
             Topology::SingleVm => "single-vm".to_string(),
             Topology::Cluster(n) => format!("cluster({n})"),
@@ -213,7 +213,7 @@ impl Topology {
     }
 
     /// Parses a topology key; `Err` carries the valid forms.
-    pub fn from_key(key: &str) -> Result<Topology, String> {
+    pub(crate) fn from_key(key: &str) -> Result<Topology, String> {
         match key {
             "single-vm" => Ok(Topology::SingleVm),
             "fleet" => Ok(Topology::Fleet),
@@ -583,7 +583,7 @@ impl Scenario {
     /// A CI-scale variant: duration capped at 120 simulated seconds,
     /// one trial. Deterministic, so `repro run --quick` output stays
     /// byte-identical across job counts.
-    pub fn quick(&self) -> Scenario {
+    pub(crate) fn quick(&self) -> Scenario {
         let mut s = self.clone();
         s.params.duration_s = s.params.duration_s.min(120.0);
         s.params.period_s = s.params.period_s.min(120.0);
@@ -689,7 +689,7 @@ impl Scenario {
 
     /// Effective per-function SLO targets: [`default_slos`] over the
     /// workload's function kinds, with this spec's overrides applied.
-    pub fn effective_slos(
+    pub(crate) fn effective_slos(
         &self,
         kinds: impl IntoIterator<Item = FunctionKind>,
     ) -> Vec<(FunctionKind, f64)> {

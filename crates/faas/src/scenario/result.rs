@@ -44,7 +44,7 @@ pub struct FleetStats {
 
 impl FleetStats {
     /// Fraction of SLO-tracked completions over their target.
-    pub fn slo_violation_rate(&self) -> f64 {
+    pub(crate) fn slo_violation_rate(&self) -> f64 {
         self.slo_violations as f64 / self.slo_total.max(1) as f64
     }
 }
@@ -146,7 +146,7 @@ impl ScenarioOutcome {
 
     /// Share of all routed requests landing on the hottest host
     /// (`None` for a single VM).
-    pub fn hot_share(&self) -> Option<f64> {
+    pub(crate) fn hot_share(&self) -> Option<f64> {
         let routed = self.routed_per_host.as_ref()?;
         let max = routed.iter().copied().max().unwrap_or(0) as f64;
         let total: u64 = routed.iter().sum();
@@ -157,7 +157,7 @@ impl ScenarioOutcome {
     /// digests, routing, reservoir points (in sorted order) and
     /// control-plane counters. Equal digests mean the scenario run is
     /// byte-identical to another construction of the same experiment.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.offered);
         h.write_u64(self.completed);

@@ -78,7 +78,7 @@ pub enum AxisValues {
 
 impl AxisValues {
     /// Canonical spec-file form (`a, b, c` / `lo..hi step N[x]`).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             AxisValues::List(vs) => vs.join(", "),
             AxisValues::Range {
@@ -397,8 +397,9 @@ impl SweepSpec {
         out
     }
 
-    /// The CI-scale variant: the base is capped like
-    /// [`Scenario::quick`]; axes and gates are kept as declared.
+    /// The CI-scale variant: the base's duration is capped at 120
+    /// simulated seconds and its trials at one; axes and gates are kept
+    /// as declared.
     pub fn quick(&self) -> SweepSpec {
         SweepSpec {
             base: self.base.quick(),

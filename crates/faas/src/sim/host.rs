@@ -124,7 +124,7 @@ pub(crate) struct HostSim {
 impl HostSim {
     /// Boots the VMs and installs the configured backend. Schedules
     /// nothing: the driver decides how arrivals reach [`Self::handle`].
-    pub fn new(config: SimConfig) -> Result<HostSim, VmmError> {
+    pub(crate) fn new(config: SimConfig) -> Result<HostSim, VmmError> {
         let cost = CostModel::default();
         let mut host = HostMemory::new(config.host_capacity);
         let mut backend = backend::make(&config);
@@ -226,7 +226,7 @@ impl HostSim {
     ///   need them, as it is accumulated while the run samples.
     ///
     /// Must be called before any event is handled.
-    pub fn enable_bounded_metrics(&mut self) {
+    pub(crate) fn enable_bounded_metrics(&mut self) {
         self.bounded_metrics = true;
         // Exact per-request latency points grow with the trace; the
         // reservoir timeline covers the time-resolved view instead.
@@ -248,7 +248,7 @@ impl HostSim {
     }
 
     /// Handles one event at time `now`, scheduling follow-ups into `q`.
-    pub fn handle(&mut self, now: SimTime, ev: Event, q: &mut HostSink<'_>) {
+    pub(crate) fn handle(&mut self, now: SimTime, ev: Event, q: &mut HostSink<'_>) {
         match ev {
             Event::Arrival { vm, dep } => self.on_arrival(now, vm, dep, q),
             Event::CpuDone { vm } => {
@@ -283,7 +283,7 @@ impl HostSim {
     }
 
     /// Consumes the host and produces its results.
-    pub fn finish(mut self) -> SimResult {
+    pub(crate) fn finish(mut self) -> SimResult {
         let end = SimTime::ZERO + SimDuration::from_secs_f64(self.config.duration_s);
         // Rebuild the result map in declaration order == `Ord` order —
         // byte-identical to the former `BTreeMap` accumulator.
@@ -329,7 +329,7 @@ impl HostSim {
     /// Routers (via the cluster/fleet drivers) and the fleet autoscaler
     /// (via [`Self::total_load`]) both read host load through here, so
     /// the two control planes can never disagree on what "load" means.
-    pub fn load_snapshot(&self, vm: usize, dep: usize) -> HostLoad {
+    pub(crate) fn load_snapshot(&self, vm: usize, dep: usize) -> HostLoad {
         self.snapshot_impl(Some((vm, dep)))
     }
 
@@ -337,7 +337,7 @@ impl HostSim {
     /// (`warm_idle`, `alive`) are summed across every deployment — the
     /// autoscaler's view, which cares about total warm capacity rather
     /// than any one tenant's.
-    pub fn total_load(&self) -> HostLoad {
+    pub(crate) fn total_load(&self) -> HostLoad {
         self.snapshot_impl(None)
     }
 
@@ -378,7 +378,7 @@ impl HostSim {
     /// `true` when the host holds no queued requests, no instances, no
     /// CPU work and no in-flight reclaims — a draining host in this
     /// state can retire without losing anything.
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         self.pending_reclaims.is_empty()
             && self.vms.iter().all(|v| {
                 v.instances.is_empty()
@@ -390,7 +390,7 @@ impl HostSim {
     /// Empties every request queue, returning one `(vm, dep)` entry per
     /// queued request in deterministic (vm, dep, FIFO) order. Crash
     /// handling: the fleet re-routes these to surviving hosts.
-    pub fn drain_queued_requests(&mut self) -> Vec<(usize, usize)> {
+    pub(crate) fn drain_queued_requests(&mut self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (vi, v) in self.vms.iter_mut().enumerate() {
             for (di, q) in v.queues.iter_mut().enumerate() {
@@ -403,7 +403,7 @@ impl HostSim {
 
     /// Requests currently executing (one per busy instance) — the work
     /// a host crash genuinely loses.
-    pub fn busy_instances(&self) -> usize {
+    pub(crate) fn busy_instances(&self) -> usize {
         self.vms
             .iter()
             .flat_map(|v| v.instances.values())

@@ -39,7 +39,7 @@ pub struct BlockCounters {
 
 impl BlockCounters {
     /// Total accounted pages; equals `PAGES_PER_BLOCK` while online.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.free as u64
             + self.used_movable as u64
             + self.used_unmovable as u64
@@ -55,7 +55,7 @@ pub struct BlockTable {
 
 impl BlockTable {
     /// Creates a table of `n` absent blocks.
-    pub fn new(n: u64) -> Self {
+    pub(crate) fn new(n: u64) -> Self {
         BlockTable {
             states: vec![BlockState::Absent; n as usize],
             counters: vec![BlockCounters::default(); n as usize],
@@ -78,7 +78,7 @@ impl BlockTable {
     }
 
     /// Sets the state of `b`.
-    pub fn set_state(&mut self, b: BlockId, s: BlockState) {
+    pub(crate) fn set_state(&mut self, b: BlockId, s: BlockState) {
         self.states[b.0 as usize] = s;
     }
 
@@ -88,17 +88,17 @@ impl BlockTable {
     }
 
     /// Returns the mutable counters of `b`.
-    pub fn counters_mut(&mut self, b: BlockId) -> &mut BlockCounters {
+    pub(crate) fn counters_mut(&mut self, b: BlockId) -> &mut BlockCounters {
         &mut self.counters[b.0 as usize]
     }
 
     /// Resets the counters of `b` to all-zero.
-    pub fn reset_counters(&mut self, b: BlockId) {
+    pub(crate) fn reset_counters(&mut self, b: BlockId) {
         self.counters[b.0 as usize] = BlockCounters::default();
     }
 
     /// Marks `b` online in `zone` with all pages free.
-    pub fn mark_online(&mut self, b: BlockId, zone: u8) {
+    pub(crate) fn mark_online(&mut self, b: BlockId, zone: u8) {
         self.set_state(b, BlockState::Online { zone });
         self.counters[b.0 as usize] = BlockCounters {
             free: PAGES_PER_BLOCK as u32,
@@ -107,7 +107,7 @@ impl BlockTable {
     }
 
     /// Iterates over blocks online in `zone`.
-    pub fn online_in_zone(&self, zone: u8) -> impl Iterator<Item = BlockId> + '_ {
+    pub(crate) fn online_in_zone(&self, zone: u8) -> impl Iterator<Item = BlockId> + '_ {
         self.states
             .iter()
             .enumerate()
@@ -115,12 +115,6 @@ impl BlockTable {
                 BlockState::Online { zone: z } if *z == zone => Some(BlockId(i as u64)),
                 _ => None,
             })
-    }
-
-    /// Returns `true` if the block can be offlined at all (online and
-    /// holding no unmovable pages).
-    pub fn offlineable(&self, b: BlockId) -> bool {
-        matches!(self.state(b), BlockState::Online { .. }) && self.counters(b).used_unmovable == 0
     }
 }
 
@@ -156,16 +150,6 @@ mod tests {
         assert_eq!(zone1, vec![BlockId(0), BlockId(2)]);
         let zone2: Vec<_> = t.online_in_zone(2).collect();
         assert_eq!(zone2, vec![BlockId(3)]);
-    }
-
-    #[test]
-    fn offlineable_requires_no_unmovable() {
-        let mut t = BlockTable::new(2);
-        assert!(!t.offlineable(BlockId(0)), "absent block not offlineable");
-        t.mark_online(BlockId(0), 0);
-        assert!(t.offlineable(BlockId(0)));
-        t.counters_mut(BlockId(0)).used_unmovable = 1;
-        assert!(!t.offlineable(BlockId(0)));
     }
 
     #[test]

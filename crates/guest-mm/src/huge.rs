@@ -402,9 +402,9 @@ mod tests {
         let pid = mm.spawn_process(AllocPolicy::PinnedZone(ZONE_MOVABLE));
         mm.fault_anon_huge(pid, 1).unwrap();
         let b = mm.process(pid).unwrap().huge_pages[0].block();
-        assert_eq!(mm.offline_block_instant(b), Err(MmError::BlockNotEmpty));
+        assert_eq!(mm.offline_blocks_instant(&[b]), Err(MmError::BlockNotEmpty));
         mm.exit_process(pid).unwrap();
-        assert!(mm.offline_block_instant(b).is_ok());
+        assert!(mm.offline_blocks_instant(&[b]).is_ok());
         mm.assert_consistent();
     }
 

@@ -337,11 +337,6 @@ impl GuestMm {
 
     // --- Accessors -------------------------------------------------------
 
-    /// Returns the boot configuration.
-    pub fn config(&self) -> &GuestMmConfig {
-        &self.config
-    }
-
     /// Returns the cumulative statistics.
     pub fn stats(&self) -> &MmStats {
         &self.stats
@@ -377,13 +372,14 @@ impl GuestMm {
     }
 
     /// Returns a file's cached pages, if any.
-    pub fn file(&self, f: FileId) -> Option<&CachedFile> {
+    #[cfg(test)]
+    pub(crate) fn file(&self, f: FileId) -> Option<&CachedFile> {
         self.files.get(&f.0)
     }
 
     /// Returns the slot of anonymous or file page `g` in its owner's
     /// order — its position in [`Process::pages`] or
-    /// [`CachedFile::pages`] — found through the run its descriptor
+    /// `CachedFile::pages` — found through the run its descriptor
     /// names, in O(runs). `None` for any other page.
     pub fn page_slot(&self, g: Gfn) -> Option<u64> {
         let d = self.memmap.page(g);
@@ -512,7 +508,7 @@ impl GuestMm {
     ///
     /// Page states, allocation order and the final buddy state are
     /// identical to per-page order-0 allocation (see
-    /// [`Zone::alloc_run`]), and the process gains one owner run per
+    /// `Zone::alloc_run`), and the process gains one owner run per
     /// buddy run at most.
     pub fn fault_anon_runs(
         &mut self,
@@ -544,7 +540,7 @@ impl GuestMm {
 
     /// Releases the `n` most recently faulted anonymous pages of `pid`
     /// (e.g. memhog freeing a chunk), last first, a run at a time (see
-    /// [`Zone::free_run_rev`]). Returns the number actually freed.
+    /// `Zone::free_run_rev`). Returns the number actually freed.
     pub fn free_anon(&mut self, pid: Pid, n: u64) -> Result<u64, MmError> {
         let mut freed = 0;
         while freed < n {
@@ -569,7 +565,7 @@ impl GuestMm {
     /// such call only swaps a later page of the tail into the freed
     /// slot, so the pages before the tail keep their order, and freeing
     /// a run equals freeing its pages in ascending order (see
-    /// [`Zone::free_run`]). Returns the number actually freed.
+    /// `Zone::free_run`). Returns the number actually freed.
     pub fn free_anon_tail(&mut self, pid: Pid, n: u64) -> Result<u64, MmError> {
         let base = &mut self
             .procs
@@ -744,9 +740,10 @@ impl GuestMm {
     }
 
     /// Drops every cached page of `file`, returning how many were freed.
-    pub fn drop_file(&mut self, file: FileId) -> Result<u64, MmError> {
+    #[cfg(test)]
+    pub(crate) fn drop_file(&mut self, file: FileId) -> Result<u64, MmError> {
         let f = self.files.remove(&file.0).ok_or(MmError::NoSuchFile)?;
-        for run in f.runs() {
+        for run in f.pages.runs() {
             self.release_used_run(run);
         }
         Ok(f.resident_pages())
@@ -760,7 +757,7 @@ impl GuestMm {
     /// same pages, in the same order, as `n` order-0 allocations (see
     /// [`Zone::alloc_run`]). On `Err(OutOfMemory)` the pages allocated
     /// before exhaustion stay claimed.
-    pub fn alloc_kernel(&mut self, n: u64) -> Result<(), MmError> {
+    pub(crate) fn alloc_kernel(&mut self, n: u64) -> Result<(), MmError> {
         let mut remaining = n;
         while remaining > 0 {
             let (head, len, zone) = self
@@ -990,23 +987,11 @@ impl GuestMm {
         Ok(out)
     }
 
-    /// Squeezy's fast path: offline a block that is *known empty* (no
-    /// used pages), isolating its free pages without any migration and —
-    /// with the allocator fix — without zeroing.
-    ///
-    /// The block is entirely free, so its chunks leave the free lists a
-    /// chunk at a time rather than a page at a time (the per-page splits
-    /// are pure overhead when every page is being taken), and their
-    /// extents go with the block's table when it is offlined. If it is
-    /// its zone's only block, the zone's lists are emptied whole (see
-    /// [`GuestMm::offline_blocks_instant`]).
-    pub fn offline_block_instant(&mut self, b: BlockId) -> Result<OfflineOutcome, MmError> {
-        self.offline_blocks_instant(&[b])
-    }
-
-    /// Instantly offlines every block of `blocks`, in order, as
-    /// [`GuestMm::offline_block_instant`] would one at a time, and
-    /// returns the outcome of one block, which is that of each.
+    /// Squeezy's fast path: instantly offlines every block of `blocks`,
+    /// in order, each *known empty* (no used pages), isolating its free
+    /// pages without any migration and — with the allocator fix —
+    /// without zeroing. Returns the outcome of one block, which is that
+    /// of each.
     ///
     /// Every block is checked before any is changed: if one is not
     /// online ([`MmError::BadBlockState`], as is a block listed twice)
@@ -1714,10 +1699,10 @@ mod tests {
         mm.online_block(b, ZONE_MOVABLE).unwrap();
         let pid = mm.spawn_process(AllocPolicy::MovableDefault);
         mm.fault_anon(pid, 1).unwrap();
-        assert_eq!(mm.offline_block_instant(b), Err(MmError::BlockNotEmpty));
+        assert_eq!(mm.offline_blocks_instant(&[b]), Err(MmError::BlockNotEmpty));
         mm.exit_process(pid).unwrap();
         mm.unplug_aware_zeroing_skip = true;
-        let out = mm.offline_block_instant(b).unwrap();
+        let out = mm.offline_blocks_instant(&[b]).unwrap();
         assert_eq!(out.migrated, 0);
         assert_eq!(out.zeroed, 0, "Squeezy skips zeroing");
         assert_eq!(out.isolated_free, PAGES_PER_BLOCK);
@@ -1732,7 +1717,6 @@ mod tests {
             .map(BlockId)
             .find(|&b| mm.blocks().counters(b).used_unmovable > 0)
             .expect("some boot block holds kernel pages");
-        assert!(!mm.blocks().offlineable(pinned));
         assert_eq!(
             mm.offline_block(pinned).unwrap_err().error,
             MmError::BlockPinned
@@ -1965,7 +1949,7 @@ mod tests {
         mm.assert_consistent();
         mm.exit_process(pid).unwrap();
         for &b in &partition {
-            mm.offline_block_instant(b).unwrap();
+            mm.offline_blocks_instant(&[b]).unwrap();
             mm.hot_remove_block(b).unwrap();
         }
         assert_eq!(mm.memmap().extent_count(), boot);
@@ -2553,7 +2537,7 @@ mod offline_twin {
                 let out = if reference {
                     mm.offline_blocks_instant_per_block(&[blk])
                 } else {
-                    mm.offline_block_instant(blk)
+                    mm.offline_blocks_instant(&[blk])
                 };
                 if out.is_ok() {
                     mm.hot_remove_block(blk).unwrap();

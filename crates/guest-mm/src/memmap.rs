@@ -312,7 +312,7 @@ fn not_covered(g: u64) -> ! {
 
 impl MemMap {
     /// Creates a map covering `frames` guest frames, all absent.
-    pub fn new(frames: u64) -> Self {
+    pub(crate) fn new(frames: u64) -> Self {
         let blocks = frames.div_ceil(PAGES_PER_BLOCK) as usize;
         MemMap {
             frames,
@@ -717,7 +717,8 @@ impl MemMap {
 
     /// Returns the resolved descriptors of every frame of block `b`, in
     /// address order, expanding one extent at a time.
-    pub fn block_pages(&self, b: BlockId) -> impl Iterator<Item = PageDesc> + '_ {
+    #[cfg(test)]
+    pub(crate) fn block_pages(&self, b: BlockId) -> impl Iterator<Item = PageDesc> + '_ {
         let s = b.0 as usize;
         let len = (self.frames - b.0 * PAGES_PER_BLOCK).min(PAGES_PER_BLOCK) as usize;
         let blank = self.table(s).is_none().then(|| self.blank(s));
@@ -732,7 +733,7 @@ impl MemMap {
 
     /// Counts pages in `range` whose resolved descriptor matches `pred`,
     /// testing each extent's head and tails once.
-    pub fn count_in(&self, range: FrameRange, pred: impl Fn(&PageDesc) -> bool) -> u64 {
+    pub(crate) fn count_in(&self, range: FrameRange, pred: impl Fn(&PageDesc) -> bool) -> u64 {
         let (start, end) = (range.start.0, range.end().0);
         let mut n = 0;
         let mut g = start;
@@ -762,7 +763,8 @@ impl MemMap {
 
     /// Returns the head and order of the free buddy chunk containing
     /// `g`, or `None` if `g` is not free.
-    pub fn free_chunk_of(&self, g: Gfn) -> Option<(Gfn, u8)> {
+    #[cfg(test)]
+    pub(crate) fn free_chunk_of(&self, g: Gfn) -> Option<(Gfn, u8)> {
         let (k, e) = self.covering(g)?;
         (e.head.state == PageState::FreeHead).then_some((Gfn(k), e.head.order))
     }

@@ -68,7 +68,7 @@ impl PageState {
 
     /// Returns `true` for pages holding data that must be migrated before
     /// their block can be offlined.
-    pub fn is_used(self) -> bool {
+    pub(crate) fn is_used(self) -> bool {
         matches!(
             self,
             PageState::Anon
@@ -80,16 +80,12 @@ impl PageState {
     }
 
     /// Returns `true` if the page's contents can be migrated elsewhere.
-    pub fn is_movable(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_movable(self) -> bool {
         matches!(
             self,
             PageState::Anon | PageState::File | PageState::HugeHead | PageState::HugeTail
         )
-    }
-
-    /// Returns `true` for pages belonging to a transparent huge page.
-    pub fn is_huge(self) -> bool {
-        matches!(self, PageState::HugeHead | PageState::HugeTail)
     }
 }
 
@@ -164,11 +160,7 @@ mod tests {
         assert!(PageState::HugeTail.is_used());
         assert!(PageState::HugeHead.is_movable());
         assert!(PageState::HugeTail.is_movable());
-        assert!(PageState::HugeHead.is_huge());
-        assert!(PageState::HugeTail.is_huge());
         assert!(!PageState::HugeHead.is_free());
-        assert!(!PageState::Anon.is_huge());
-        assert!(!PageState::FreeHead.is_huge());
     }
 
     #[test]

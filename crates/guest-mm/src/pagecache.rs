@@ -5,8 +5,6 @@
 //! page cache holds those pages; Squeezy later redirects them into the
 //! shared partition so private partitions stay instantly reclaimable.
 
-use mem_types::{FrameRange, Gfn};
-
 use crate::runs::RunList;
 
 /// Identifier of a cached file (rootfs layer, runtime library, model…).
@@ -27,24 +25,15 @@ pub struct CachedFile {
 
 impl CachedFile {
     /// Returns the number of resident pages.
-    pub fn resident_pages(&self) -> u64 {
+    pub(crate) fn resident_pages(&self) -> u64 {
         self.pages.len()
-    }
-
-    /// Returns the resident pages in fault order.
-    pub fn pages(&self) -> impl Iterator<Item = Gfn> + '_ {
-        self.pages.pages()
-    }
-
-    /// Returns the resident pages as frame runs, in fault order.
-    pub fn runs(&self) -> impl Iterator<Item = FrameRange> + '_ {
-        self.pages.runs()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_types::Gfn;
 
     #[test]
     fn cached_file_counts() {
@@ -53,7 +42,5 @@ mod tests {
         f.pages.append(Gfn(1), 1);
         f.pages.append(Gfn(2), 1);
         assert_eq!(f.resident_pages(), 2);
-        assert_eq!(f.runs().collect::<Vec<_>>(), [FrameRange::new(Gfn(1), 2)]);
-        assert_eq!(f.pages().collect::<Vec<_>>(), [Gfn(1), Gfn(2)]);
     }
 }

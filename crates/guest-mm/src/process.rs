@@ -46,7 +46,7 @@ pub struct Process {
 
 impl Process {
     /// Creates an empty address space.
-    pub fn new(pid: Pid, policy: AllocPolicy) -> Self {
+    pub(crate) fn new(pid: Pid, policy: AllocPolicy) -> Self {
         Process {
             pid,
             policy,

@@ -74,22 +74,22 @@ pub(crate) fn continues(end: u64, start: Gfn) -> bool {
 
 impl RunList {
     /// Creates an empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunList::default()
     }
 
     /// Returns the number of pages held.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.pages
     }
 
     /// Returns the runs in order.
-    pub fn runs(&self) -> impl Iterator<Item = FrameRange> + '_ {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = FrameRange> + '_ {
         self.handles().map(|(_, r)| r)
     }
 
     /// Returns the pages in order.
-    pub fn pages(&self) -> impl Iterator<Item = Gfn> + '_ {
+    pub(crate) fn pages(&self) -> impl Iterator<Item = Gfn> + '_ {
         self.runs()
             .flat_map(|r| (r.start.0..r.start.0 + r.count).map(Gfn))
     }

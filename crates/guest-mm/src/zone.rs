@@ -66,7 +66,7 @@ pub struct Zone {
 
 impl Zone {
     /// Creates an empty zone covering `span`.
-    pub fn new(id: u8, kind: ZoneKind, span: FrameRange) -> Self {
+    pub(crate) fn new(id: u8, kind: ZoneKind, span: FrameRange) -> Self {
         Zone {
             id,
             kind,
@@ -87,7 +87,7 @@ impl Zone {
     }
 
     /// Returns `true` if no free list holds any block.
-    pub fn buddy_is_empty(&self) -> bool {
+    pub(crate) fn buddy_is_empty(&self) -> bool {
         self.free_heads.iter().all(|&h| h == NIL)
     }
 
@@ -152,7 +152,7 @@ impl Zone {
     ///
     /// Panics (debug) if `head` is not `order`-aligned or a page of the
     /// range is covered.
-    pub fn free_block(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
+    pub(crate) fn free_block(&mut self, mm: &mut MemMap, head: Gfn, order: u8) {
         debug_assert_eq!(head.0 & ((1 << order) - 1), 0, "misaligned free");
         debug_assert!(order <= MAX_ORDER);
         debug_assert!(
@@ -230,7 +230,7 @@ impl Zone {
     /// and each chunk completes — and is therefore linked — in the same
     /// ascending order the per-page path would link it, so even the
     /// intra-list ordering matches.
-    pub fn free_run(&mut self, mm: &mut MemMap, head: Gfn, len: u64) {
+    pub(crate) fn free_run(&mut self, mm: &mut MemMap, head: Gfn, len: u64) {
         let mut g = head.0;
         let end = head.0 + len;
         while g < end {
@@ -257,7 +257,7 @@ impl Zone {
     /// page completes it; the partial chunks linked on the way are all
     /// unlinked again, which leaves every other list entry in place. So
     /// freeing each chunk whole, in the order they complete, is the same.
-    pub fn free_run_rev(&mut self, mm: &mut MemMap, head: Gfn, len: u64) {
+    pub(crate) fn free_run_rev(&mut self, mm: &mut MemMap, head: Gfn, len: u64) {
         let mut g = head.0 + len;
         while g > head.0 {
             let align = if g == 0 {
@@ -276,7 +276,7 @@ impl Zone {
     /// needed. Returns the head frame, with the block's frames left
     /// uncovered for the caller to claim, or `None` if the zone cannot
     /// satisfy the request.
-    pub fn alloc_block(&mut self, mm: &mut MemMap, order: u8) -> Option<Gfn> {
+    pub(crate) fn alloc_block(&mut self, mm: &mut MemMap, order: u8) -> Option<Gfn> {
         let mut have = None;
         for o in order..=MAX_ORDER {
             if self.free_heads[o as usize] != NIL {
@@ -315,7 +315,7 @@ impl Zone {
     /// its head. Either way the pages, their order and every free list,
     /// down to list order, match the per-page path, without its
     /// split/link churn.
-    pub fn alloc_run(&mut self, mm: &mut MemMap, want: u64) -> Option<(Gfn, u64)> {
+    pub(crate) fn alloc_run(&mut self, mm: &mut MemMap, want: u64) -> Option<(Gfn, u64)> {
         debug_assert!(want > 0);
         let mut have = None;
         for o in 0..=MAX_ORDER {
@@ -352,7 +352,8 @@ impl Zone {
     /// # Panics
     ///
     /// Panics if `g` is not currently free in this zone.
-    pub fn take_free_page(&mut self, mm: &mut MemMap, g: Gfn) {
+    #[cfg(test)]
+    pub(crate) fn take_free_page(&mut self, mm: &mut MemMap, g: Gfn) {
         let (head, order) = mm
             .free_chunk_of(g)
             .unwrap_or_else(|| panic!("page {g:?} is not free"));
@@ -443,7 +444,8 @@ impl Zone {
 
     /// Returns the number of free blocks currently on the `order` list
     /// (O(list length); used by tests and fragmentation metrics).
-    pub fn free_list_len(&self, mm: &MemMap, order: u8) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_list_len(&self, mm: &MemMap, order: u8) -> usize {
         let mut n = 0;
         let mut cur = self.free_heads[order as usize];
         while cur != NIL {
@@ -469,7 +471,7 @@ impl Zone {
     /// Returns the head frames of every free chunk of order at least
     /// `min_order`, in address order — what a free-page-reporting scan
     /// walks.
-    pub fn free_chunks(&self, mm: &MemMap, min_order: u8) -> Vec<(Gfn, u8)> {
+    pub(crate) fn free_chunks(&self, mm: &MemMap, min_order: u8) -> Vec<(Gfn, u8)> {
         let mut out = Vec::new();
         for order in min_order..=MAX_ORDER {
             let mut cur = self.free_heads[order as usize];
@@ -489,7 +491,7 @@ impl Zone {
     /// # Panics
     ///
     /// Panics on any inconsistency.
-    pub fn assert_consistent(&self, mm: &MemMap) {
+    pub(crate) fn assert_consistent(&self, mm: &MemMap) {
         let (mut counted, mut listed) = (0u64, 0usize);
         for order in 0..=MAX_ORDER {
             let mut prev = NIL;

@@ -225,43 +225,6 @@ impl Bitmap {
         }
         None
     }
-
-    /// Returns the index of the first set bit, or `None` if all clear.
-    pub fn first_one(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                let idx = wi * 64 + w.trailing_zeros() as usize;
-                if idx < self.len {
-                    return Some(idx);
-                }
-            }
-        }
-        None
-    }
-
-    /// Iterates over the indices of all set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &w)| {
-            let len = self.len;
-            let mut w = w;
-            core::iter::from_fn(move || {
-                while w != 0 {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let idx = wi * 64 + bit;
-                    if idx < len {
-                        return Some(idx);
-                    }
-                }
-                None
-            })
-        })
-    }
-
-    /// Iterates over the indices of all clear bits in ascending order.
-    pub fn iter_zeros(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| !self.get(i))
-    }
 }
 
 #[cfg(test)]
@@ -287,29 +250,13 @@ mod tests {
     #[test]
     fn first_zero_and_one() {
         let mut b = Bitmap::new(70);
-        assert_eq!(b.first_one(), None);
         assert_eq!(b.first_zero(), Some(0));
         for i in 0..70 {
             b.set(i);
         }
         assert_eq!(b.first_zero(), None);
-        assert_eq!(b.first_one(), Some(0));
         b.clear(69);
         assert_eq!(b.first_zero(), Some(69));
-    }
-
-    #[test]
-    fn iter_ones_matches_gets() {
-        let mut b = Bitmap::new(200);
-        let set = [0usize, 1, 63, 64, 65, 127, 128, 199];
-        for &i in &set {
-            b.set(i);
-        }
-        let got: Vec<_> = b.iter_ones().collect();
-        assert_eq!(got, set);
-        let zeros: Vec<_> = b.iter_zeros().collect();
-        assert_eq!(zeros.len(), 200 - set.len());
-        assert!(!zeros.contains(&64));
     }
 
     #[test]
@@ -399,6 +346,5 @@ mod tests {
         let b = Bitmap::new(0);
         assert!(b.is_empty());
         assert_eq!(b.first_zero(), None);
-        assert_eq!(b.first_one(), None);
     }
 }

@@ -45,34 +45,10 @@ pub const GIB: u64 = 1024 * MIB;
 pub struct Gfn(pub u64);
 
 impl Gfn {
-    /// Returns the guest-physical byte address of this frame.
-    #[inline]
-    pub const fn addr(self) -> u64 {
-        self.0 << PAGE_SHIFT
-    }
-
-    /// Returns the frame containing guest-physical byte address `addr`.
-    #[inline]
-    pub const fn from_addr(addr: u64) -> Self {
-        Gfn(addr >> PAGE_SHIFT)
-    }
-
     /// Returns the memory block this frame belongs to.
     #[inline]
     pub const fn block(self) -> BlockId {
         BlockId(self.0 / PAGES_PER_BLOCK)
-    }
-
-    /// Returns the frame `n` pages after this one.
-    #[inline]
-    pub const fn add(self, n: u64) -> Self {
-        Gfn(self.0 + n)
-    }
-
-    /// Returns the index of this frame within its 128 MiB block.
-    #[inline]
-    pub const fn index_in_block(self) -> u64 {
-        self.0 % PAGES_PER_BLOCK
     }
 }
 
@@ -102,12 +78,6 @@ impl BlockId {
             start: Gfn(self.0 * PAGES_PER_BLOCK),
             count: PAGES_PER_BLOCK,
         }
-    }
-
-    /// Returns the guest-physical byte address where this block starts.
-    #[inline]
-    pub const fn start_addr(self) -> u64 {
-        self.0 * MEM_BLOCK_SIZE
     }
 }
 
@@ -163,19 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn gfn_addr_roundtrip() {
-        let g = Gfn(12345);
-        assert_eq!(Gfn::from_addr(g.addr()), g);
-        assert_eq!(g.addr(), 12345 * 4096);
-    }
-
-    #[test]
     fn gfn_block_mapping() {
         assert_eq!(Gfn(0).block(), BlockId(0));
         assert_eq!(Gfn(PAGES_PER_BLOCK - 1).block(), BlockId(0));
         assert_eq!(Gfn(PAGES_PER_BLOCK).block(), BlockId(1));
-        assert_eq!(Gfn(PAGES_PER_BLOCK).index_in_block(), 0);
-        assert_eq!(Gfn(PAGES_PER_BLOCK + 7).index_in_block(), 7);
     }
 
     #[test]
@@ -184,7 +145,6 @@ mod tests {
         let r = b.frames();
         assert_eq!(r.start, Gfn(3 * PAGES_PER_BLOCK));
         assert_eq!(r.count, PAGES_PER_BLOCK);
-        assert_eq!(b.start_addr(), 3 * MEM_BLOCK_SIZE);
     }
 
     #[test]

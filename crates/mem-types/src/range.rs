@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::{Gfn, PAGE_SIZE};
+use crate::Gfn;
 
 /// A contiguous range of guest page frames `[start, start + count)`.
 ///
@@ -22,36 +22,9 @@ impl FrameRange {
         FrameRange { start, count }
     }
 
-    /// Creates a range covering `[start_addr, start_addr + bytes)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is not page-aligned.
-    pub fn from_bytes(start_addr: u64, bytes: u64) -> Self {
-        assert!(
-            start_addr.is_multiple_of(PAGE_SIZE),
-            "start not page-aligned"
-        );
-        assert!(bytes.is_multiple_of(PAGE_SIZE), "length not page-aligned");
-        FrameRange {
-            start: Gfn::from_addr(start_addr),
-            count: bytes / PAGE_SIZE,
-        }
-    }
-
     /// Returns the first frame past the end of the range.
     pub const fn end(&self) -> Gfn {
         Gfn(self.start.0 + self.count)
-    }
-
-    /// Returns the range size in bytes.
-    pub const fn bytes(&self) -> u64 {
-        self.count * PAGE_SIZE
-    }
-
-    /// Returns `true` if the range holds zero frames.
-    pub const fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Returns `true` if `g` lies within the range.
@@ -100,21 +73,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_bytes_and_back() {
-        let r = FrameRange::from_bytes(0x1000, 0x4000);
-        assert_eq!(r.start, Gfn(1));
-        assert_eq!(r.count, 4);
-        assert_eq!(r.bytes(), 0x4000);
-        assert_eq!(r.end(), Gfn(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "start not page-aligned")]
-    fn from_bytes_rejects_unaligned_start() {
-        FrameRange::from_bytes(0x100, 0x1000);
-    }
-
-    #[test]
     fn contains_and_overlaps() {
         let a = FrameRange::new(Gfn(10), 5);
         assert!(a.contains(Gfn(10)));
@@ -142,6 +100,6 @@ mod tests {
         let r = FrameRange::new(Gfn(3), 3);
         let v: Vec<_> = r.iter().collect();
         assert_eq!(v, vec![Gfn(3), Gfn(4), Gfn(5)]);
-        assert!(FrameRange::new(Gfn(0), 0).is_empty());
+        assert_eq!(r.end(), Gfn(6));
     }
 }

@@ -17,16 +17,6 @@ impl ByteSize {
         ByteSize(n * MIB)
     }
 
-    /// Constructs a size of `n` gibibytes.
-    pub const fn gib(n: u64) -> Self {
-        ByteSize(n * GIB)
-    }
-
-    /// Constructs a size of `n` kibibytes.
-    pub const fn kib(n: u64) -> Self {
-        ByteSize(n * KIB)
-    }
-
     /// Returns the raw byte count.
     pub const fn bytes(self) -> u64 {
         self.0
@@ -35,16 +25,6 @@ impl ByteSize {
     /// Returns this size expressed in whole mebibytes (truncating).
     pub const fn as_mib(self) -> u64 {
         self.0 / MIB
-    }
-
-    /// Returns this size expressed in mebibytes as a float.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
-
-    /// Returns this size expressed in gibibytes as a float.
-    pub fn as_gib_f64(self) -> f64 {
-        self.0 as f64 / GIB as f64
     }
 }
 
@@ -100,8 +80,8 @@ mod tests {
     #[test]
     fn display_picks_natural_unit() {
         assert_eq!(ByteSize::mib(512).to_string(), "512 MiB");
-        assert_eq!(ByteSize::gib(2).to_string(), "2 GiB");
-        assert_eq!(ByteSize::kib(4).to_string(), "4 KiB");
+        assert_eq!(ByteSize(2 * GIB).to_string(), "2 GiB");
+        assert_eq!(ByteSize(4 * KIB).to_string(), "4 KiB");
         assert_eq!(ByteSize(0).to_string(), "0 B");
         assert_eq!(ByteSize(100).to_string(), "100 B");
         assert_eq!(ByteSize::mib(1536).to_string(), "1536 MiB");
@@ -116,14 +96,12 @@ mod tests {
     #[test]
     fn arithmetic() {
         assert_eq!(ByteSize::mib(1) + ByteSize::mib(2), ByteSize::mib(3));
-        assert_eq!(ByteSize::gib(1) - ByteSize::mib(512), ByteSize::mib(512));
-        assert_eq!(ByteSize::mib(128) * 16, ByteSize::gib(2));
+        assert_eq!(ByteSize(GIB) - ByteSize::mib(512), ByteSize::mib(512));
+        assert_eq!(ByteSize::mib(128) * 16, ByteSize(2 * GIB));
     }
 
     #[test]
     fn conversions() {
-        assert_eq!(ByteSize::gib(2).as_mib(), 2048);
-        assert!((ByteSize::mib(1536).as_gib_f64() - 1.5).abs() < 1e-9);
-        assert!((ByteSize::kib(512).as_mib_f64() - 0.5).abs() < 1e-9);
+        assert_eq!(ByteSize(2 * GIB).as_mib(), 2048);
     }
 }

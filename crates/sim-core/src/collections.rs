@@ -41,11 +41,6 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
         self.entries.is_empty()
     }
 
-    /// Removes every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     fn position(&self, k: &K) -> Result<usize, usize> {
         // Fast paths first: hot-path keys are monotonic ids, so lookups
         // skew heavily toward the tail.
@@ -68,11 +63,6 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
             Ok(i) => Some(&mut self.entries[i].1),
             Err(_) => None,
         }
-    }
-
-    /// `true` when `k` is present.
-    pub fn contains_key(&self, k: &K) -> bool {
-        self.position(k).is_ok()
     }
 
     /// Inserts `v` under `k`, returning the previous value if any.
@@ -108,17 +98,9 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
-    /// Iterates entries in key order with mutable values.
-    #[allow(clippy::type_complexity)]
-    pub fn iter_mut(
-        &mut self,
-    ) -> std::iter::Map<std::slice::IterMut<'_, (K, V)>, fn(&mut (K, V)) -> (&K, &mut V)> {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
-    }
-
     /// Iterates keys in order.
     #[allow(clippy::type_complexity)]
-    pub fn keys(&self) -> std::iter::Map<std::slice::Iter<'_, (K, V)>, fn(&(K, V)) -> &K> {
+    pub(crate) fn keys(&self) -> std::iter::Map<std::slice::Iter<'_, (K, V)>, fn(&(K, V)) -> &K> {
         self.entries.iter().map(|(k, _)| k)
     }
 
@@ -130,7 +112,7 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
 
     /// Iterates mutable values in key order.
     #[allow(clippy::type_complexity)]
-    pub fn values_mut(
+    pub(crate) fn values_mut(
         &mut self,
     ) -> std::iter::Map<std::slice::IterMut<'_, (K, V)>, fn(&mut (K, V)) -> &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
@@ -138,16 +120,11 @@ impl<K: Ord + Copy, V> IdMap<K, V> {
 
     /// Removes the entries for which `f` returns `true`, yielding them in
     /// key order; entries the iterator does not reach stay.
-    pub fn extract_if<'a>(
+    pub(crate) fn extract_if<'a>(
         &'a mut self,
         mut f: impl FnMut(&K, &mut V) -> bool + 'a,
     ) -> impl Iterator<Item = (K, V)> + 'a {
         self.entries.extract_if(.., move |(k, v)| f(k, v))
-    }
-
-    /// Keeps only the entries for which `f` returns `true`.
-    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| f(k, v));
     }
 }
 
@@ -199,7 +176,6 @@ mod tests {
                 2 => assert_eq!(idm.remove(&k), btm.remove(&k)),
                 _ => {
                     assert_eq!(idm.get(&k), btm.get(&k));
-                    assert_eq!(idm.contains_key(&k), btm.contains_key(&k));
                 }
             }
             assert_eq!(idm.len(), btm.len());
@@ -230,16 +206,6 @@ mod tests {
             *v *= 2;
         }
         assert_eq!(m.iter().map(|(_, v)| *v).collect::<Vec<_>>(), [24, 2]);
-    }
-
-    #[test]
-    fn retain_keeps_order() {
-        let mut m = IdMap::new();
-        for k in 0..10u64 {
-            m.insert(k, k);
-        }
-        m.retain(|k, _| k % 3 == 0);
-        assert_eq!(m.keys().copied().collect::<Vec<_>>(), [0, 3, 6, 9]);
     }
 
     #[test]

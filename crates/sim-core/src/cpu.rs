@@ -72,19 +72,9 @@ impl<W> CpuPool<W> {
         }
     }
 
-    /// Returns the pool capacity in vCPUs.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Returns the time the pool was last advanced to.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Returns the number of runnable tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Returns `true` if no tasks are runnable.
@@ -120,16 +110,6 @@ impl<W> CpuPool<W> {
         );
         self.recompute_rates();
         id
-    }
-
-    /// Adds `extra` cpu-seconds of demand to an existing task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task does not exist.
-    pub fn add_demand(&mut self, id: TaskId, extra: f64) {
-        let t = self.tasks.get_mut(&id).expect("no such task");
-        t.remaining += extra;
     }
 
     /// Removes a task, returning the cpu-seconds it consumed.
@@ -168,11 +148,6 @@ impl<W> CpuPool<W> {
     /// Returns the remaining demand of `id`, or `None` if absent.
     pub fn remaining(&self, id: TaskId) -> Option<f64> {
         self.tasks.get(&id).map(|t| t.remaining)
-    }
-
-    /// Returns the cpu-seconds consumed by `id` so far, or `None`.
-    pub fn consumed(&self, id: TaskId) -> Option<f64> {
-        self.tasks.get(&id).map(|t| t.consumed)
     }
 
     /// Returns the sum of all current task rates (instantaneous pool
@@ -362,21 +337,11 @@ mod tests {
         assert_close(when.as_secs_f64(), 1.0);
         pool.advance_to(when);
         assert_close(pool.remaining(a).unwrap(), 0.0);
-        assert_close(pool.consumed(a).unwrap(), 0.5);
         let used = pool.remove(a);
         assert_close(used, 0.5);
         // `b` now gets the whole CPU.
         assert_close(pool.rate_of(b).unwrap(), 1.0);
         assert_close(pool.total_consumed(), 1.0);
-    }
-
-    #[test]
-    fn add_demand_extends_task() {
-        let mut pool = CpuPool::new(1.0);
-        let a = pool.add_task(1.0, 1.0, 1.0, ());
-        pool.add_demand(a, 1.0);
-        let (_, when) = pool.next_completion().unwrap();
-        assert_close(when.as_secs_f64(), 2.0);
     }
 
     #[test]

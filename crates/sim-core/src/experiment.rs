@@ -185,7 +185,7 @@ pub struct Summary {
 
 impl Summary {
     /// Summarizes a sample set.
-    pub fn of(samples: &[f64]) -> Summary {
+    pub(crate) fn of(samples: &[f64]) -> Summary {
         if samples.is_empty() {
             return Summary::default();
         }
@@ -211,7 +211,7 @@ impl Summary {
     }
 
     /// Summarizes one metric extracted from per-trial outputs.
-    pub fn over<O, F: Fn(&O) -> f64>(outputs: &[O], metric: F) -> Summary {
+    pub(crate) fn over<O, F: Fn(&O) -> f64>(outputs: &[O], metric: F) -> Summary {
         let samples: Vec<f64> = outputs.iter().map(metric).collect();
         Summary::of(&samples)
     }

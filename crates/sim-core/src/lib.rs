@@ -54,6 +54,6 @@ pub use events::EventQueue;
 pub use experiment::{run_experiment, ExpOpts, Summary, TrialCtx};
 pub use metrics::{fnv1a, BusyRecorder, Fnv1a, Histogram, Reservoir, TimeSeries};
 pub use rng::{nhpp_thinned_arrivals, poisson_arrivals_into, DetRng};
-pub use stats::{t_critical, welch, welch_ci, Welch};
+pub use stats::{welch, welch_ci, Welch};
 pub use table::TextTable;
 pub use time::{SimDuration, SimTime};

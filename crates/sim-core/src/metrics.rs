@@ -100,11 +100,6 @@ impl Histogram {
         self.seen
     }
 
-    /// Returns `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Returns the arithmetic mean, or 0 for an empty histogram. Exact
     /// even for bounded histograms (streaming sum over every sample).
     pub fn mean(&self) -> f64 {
@@ -120,11 +115,6 @@ impl Histogram {
         } else {
             self.samples.iter().sum::<f64>() / self.samples.len() as f64
         }
-    }
-
-    /// Returns the maximum sample, or 0 for an empty histogram.
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
     }
 
     /// Returns the `q`-quantile (`0.0..=1.0`) by nearest-rank, or 0 when
@@ -346,11 +336,6 @@ impl Reservoir {
         }
     }
 
-    /// Maximum number of retained points.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Total points offered so far (retained or not).
     pub fn seen(&self) -> u64 {
         self.seen
@@ -426,7 +411,7 @@ impl BusyRecorder {
     /// # Panics
     ///
     /// Panics if `end < start`.
-    pub fn add_interval(&mut self, start: SimTime, end: SimTime, rate: f64) {
+    pub(crate) fn add_interval(&mut self, start: SimTime, end: SimTime, rate: f64) {
         assert!(end >= start, "interval ends before it starts");
         if rate == 0.0 || end == start {
             return;
@@ -458,11 +443,6 @@ impl BusyRecorder {
         (0..n)
             .map(|i| self.windows.get(i).copied().unwrap_or(0.0) / wsecs)
             .collect()
-    }
-
-    /// Returns total cpu-seconds recorded.
-    pub fn total_cpu_seconds(&self) -> f64 {
-        self.windows.iter().sum()
     }
 }
 
@@ -566,7 +546,6 @@ mod tests {
         assert_eq!(h.quantile(1.0), 100.0);
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.mean(), 50.5);
-        assert_eq!(h.max(), 100.0);
     }
 
     #[test]
@@ -574,7 +553,7 @@ mod tests {
         let mut h = Histogram::new();
         assert_eq!(h.p99(), 0.0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
     }
 
     #[test]
@@ -616,7 +595,6 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert!((u[0] - 0.5).abs() < 1e-9);
         assert!((u[1] - 0.25).abs() < 1e-9);
-        assert!((b.total_cpu_seconds() - 0.75).abs() < 1e-9);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn lookup<T: Copy>(
 }
 
 /// Levenshtein edit distance between two keys.
-pub fn edit_distance(a: &str, b: &str) -> usize {
+pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();

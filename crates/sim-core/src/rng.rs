@@ -196,18 +196,6 @@ impl Zipf {
         let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
         self.cdf[k] - lo
     }
-
-    /// Samples a rank.
-    pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.unit();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,13 +271,8 @@ mod tests {
     #[test]
     fn zipf_rank_zero_dominates() {
         let z = Zipf::new(10, 1.0);
-        let mut rng = DetRng::new(3);
-        let mut counts = [0u32; 10];
-        for _ in 0..20_000 {
-            counts[z.sample(&mut rng)] += 1;
-        }
-        assert!(counts[0] > counts[1]);
-        assert!(counts[1] > counts[5]);
+        assert!(z.pmf(0) > z.pmf(1));
+        assert!(z.pmf(1) > z.pmf(5));
         // PMF sums to one.
         let total: f64 = (0..10).map(|k| z.pmf(k)).sum();
         assert!((total - 1.0).abs() < 1e-9);

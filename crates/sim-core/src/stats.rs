@@ -18,7 +18,7 @@
 use crate::metrics::mean;
 
 /// Unbiased sample variance (`n - 1` denominator; 0 when `n < 2`).
-pub fn sample_variance(xs: &[f64]) -> f64 {
+pub(crate) fn sample_variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -102,7 +102,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `a` or `b` is not strictly positive.
-pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "beta parameters must be positive");
     if x <= 0.0 {
         return 0.0;
@@ -125,22 +125,12 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `df` is not strictly positive.
-pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
+pub(crate) fn t_two_sided_p(t: f64, df: f64) -> f64 {
     assert!(df > 0.0, "degrees of freedom must be positive");
     if t.is_infinite() {
         return 0.0;
     }
     reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
-}
-
-/// CDF of the Student t distribution with `df` degrees of freedom.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
-    let p = t_two_sided_p(t, df);
-    if t >= 0.0 {
-        1.0 - p / 2.0
-    } else {
-        p / 2.0
-    }
 }
 
 /// The two-sided critical value `c` with `P(|T| ≤ c) = conf` —
@@ -150,7 +140,7 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `conf` is outside `(0, 1)` or `df` is not positive.
-pub fn t_critical(conf: f64, df: f64) -> f64 {
+pub(crate) fn t_critical(conf: f64, df: f64) -> f64 {
     assert!((0.0..1.0).contains(&conf) && conf > 0.0, "conf in (0, 1)");
     assert!(df > 0.0, "degrees of freedom must be positive");
     let alpha = 1.0 - conf;
@@ -260,16 +250,16 @@ mod tests {
     }
 
     #[test]
-    fn t_cdf_matches_closed_forms() {
-        // df = 1 is Cauchy: CDF(t) = 1/2 + atan(t)/π, so CDF(1) = 3/4.
-        assert!(close(t_cdf(1.0, 1.0), 0.75, 1e-10));
-        assert!(close(t_cdf(-1.0, 1.0), 0.25, 1e-10));
-        // df = 2: CDF(t) = 1/2 + t / (2·√(2 + t²)); at t = √2 this is
-        // 1/2 + √2/4.
+    fn t_tail_matches_closed_forms() {
+        // df = 1 is Cauchy: CDF(t) = 1/2 + atan(t)/π, so P(|T| > 1) = 1/2.
+        assert!(close(t_two_sided_p(1.0, 1.0), 0.5, 1e-10));
+        assert!(close(t_two_sided_p(-1.0, 1.0), 0.5, 1e-10));
+        // df = 2: CDF(t) = 1/2 + t / (2·√(2 + t²)); at t = √2 the two
+        // tails hold 1 - √2/2.
         let t = 2.0f64.sqrt();
-        assert!(close(t_cdf(t, 2.0), 0.5 + t / 4.0, 1e-10));
-        // Large df converges to the normal: Φ(1.96) ≈ 0.9750.
-        assert!(close(t_cdf(1.959_964, 1e6), 0.975, 1e-4));
+        assert!(close(t_two_sided_p(t, 2.0), 1.0 - t / 2.0, 1e-10));
+        // Large df converges to the normal: 2·(1 - Φ(1.96)) ≈ 0.05.
+        assert!(close(t_two_sided_p(1.959_964, 1e6), 0.05, 2e-4));
         assert_eq!(t_two_sided_p(f64::INFINITY, 3.0), 0.0);
         assert!(close(t_two_sided_p(0.0, 7.0), 1.0, 1e-12));
     }

@@ -32,11 +32,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Returns this instant expressed in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
 }
 
 impl SimDuration {
@@ -46,11 +41,6 @@ impl SimDuration {
     /// Creates a duration of `n` nanoseconds.
     pub const fn nanos(n: u64) -> Self {
         SimDuration(n)
-    }
-
-    /// Creates a duration of `n` microseconds.
-    pub const fn micros(n: u64) -> Self {
-        SimDuration(n * 1_000)
     }
 
     /// Creates a duration of `n` milliseconds.
@@ -86,7 +76,7 @@ impl SimDuration {
     }
 
     /// Returns `true` if the duration is zero.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 }
@@ -196,7 +186,6 @@ mod tests {
 
     #[test]
     fn constructors_scale_correctly() {
-        assert_eq!(SimDuration::micros(1).0, 1_000);
         assert_eq!(SimDuration::millis(1).0, 1_000_000);
         assert_eq!(SimDuration::secs(1).0, 1_000_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).0, 500_000_000);
@@ -317,7 +306,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(SimDuration::nanos(12).to_string(), "12ns");
-        assert_eq!(SimDuration::micros(12).to_string(), "12.000us");
+        assert_eq!(SimDuration::nanos(12_000).to_string(), "12.000us");
         assert_eq!(SimDuration::millis(12).to_string(), "12.000ms");
         assert_eq!(SimDuration::secs(2).to_string(), "2.000s");
         assert_eq!(SimTime(1_500_000_000).to_string(), "t=1.500000s");

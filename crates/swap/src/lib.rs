@@ -82,18 +82,14 @@ impl SwapDevice {
         }
     }
 
-    /// Returns the backend.
-    pub fn backend(&self) -> SwapBackend {
-        self.backend
-    }
-
     /// Returns the device statistics.
-    pub fn stats(&self) -> &SwapStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &SwapStats {
         &self.stats
     }
 
     /// Returns the pages the device currently holds for `pid`.
-    pub fn held_pages(&self, pid: Pid) -> u64 {
+    pub(crate) fn held_pages(&self, pid: Pid) -> u64 {
         self.held.get(&pid.0).copied().unwrap_or(0)
     }
 
@@ -177,19 +173,6 @@ impl SwapDevice {
             host_bytes: fresh.len() as u64 * PAGE_SIZE,
             latency: SimDuration::nanos(per_page * n) + cost.ept_faults(fresh.len() as u64),
         })
-    }
-
-    /// Drops the swap slots of an exited process (disk space or pool
-    /// bytes come back without any swap-in).
-    pub fn forget(&mut self, host: &mut HostMemory, pid: Pid) {
-        if let Some(n) = self.held.remove(&pid.0) {
-            if let SwapBackend::Compressed { retain_ratio } = self.backend {
-                let retained = (n as f64 * PAGE_SIZE as f64 * retain_ratio) as u64;
-                let give_back = retained.min(self.pool_bytes);
-                self.pool_bytes -= give_back;
-                host.release(give_back);
-            }
-        }
     }
 }
 
@@ -282,21 +265,6 @@ mod tests {
             .unwrap();
         assert!(c.latency < d.latency, "compression beats SSD writes");
         assert!(c.host_bytes < d.host_bytes, "but releases less");
-    }
-
-    #[test]
-    fn forget_returns_pool_bytes_of_dead_process() {
-        let (mut vm, mut host, cost) = setup();
-        let mut dev = SwapDevice::new(SwapBackend::Compressed { retain_ratio: 0.5 });
-        let pid = vm.guest.spawn_process(AllocPolicy::MovableDefault);
-        vm.touch_anon(&mut host, pid, 1000, &cost).unwrap();
-        dev.swap_out(&mut vm, &mut host, pid, 1000, &cost).unwrap();
-        assert!(dev.pool_bytes() > 0);
-        let used = host.used_bytes();
-        vm.guest.exit_process(pid).unwrap();
-        dev.forget(&mut host, pid);
-        assert_eq!(dev.pool_bytes(), 0);
-        assert!(host.used_bytes() < used);
     }
 
     #[test]

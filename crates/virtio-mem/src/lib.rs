@@ -162,7 +162,8 @@ impl VirtioMemDevice {
     }
 
     /// Returns the device statistics.
-    pub fn stats(&self) -> &VirtioMemStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &VirtioMemStats {
         &self.stats
     }
 

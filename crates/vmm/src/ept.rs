@@ -23,7 +23,7 @@
 //! A release from a block with no backed frame, or a populate of a fully
 //! backed one, writes no bitmap word, so the pages of an idle region's
 //! bitmap are never touched. The bitmap's count of set bits stays
-//! exact, so [`Ept::backed_pages`] is O(1).
+//! exact, so `Ept::backed_pages` is O(1).
 
 use mem_types::{Bitmap, FrameRange, Gfn, PAGES_PER_BLOCK, PAGE_SIZE};
 
@@ -51,7 +51,7 @@ fn pieces(range: FrameRange) -> impl Iterator<Item = (usize, usize, u64)> {
 
 impl Ept {
     /// Creates an EPT covering `frames` guest frames, none backed.
-    pub fn new(frames: u64) -> Self {
+    pub(crate) fn new(frames: u64) -> Self {
         Ept {
             backed: Bitmap::new(frames as usize),
             per_block: vec![0; frames.div_ceil(PAGES_PER_BLOCK) as usize],
@@ -65,12 +65,12 @@ impl Ept {
     }
 
     /// Returns the number of backed guest pages.
-    pub fn backed_pages(&self) -> u64 {
+    pub(crate) fn backed_pages(&self) -> u64 {
         self.backed.count_ones() as u64
     }
 
     /// Returns the backed bytes (the VM's host RSS).
-    pub fn backed_bytes(&self) -> u64 {
+    pub(crate) fn backed_bytes(&self) -> u64 {
         self.backed_pages() * PAGE_SIZE
     }
 
@@ -93,7 +93,7 @@ impl Ept {
     }
 
     /// Backs every frame of `range`, returning the newly backed count.
-    pub fn populate_range(&mut self, range: FrameRange) -> u64 {
+    pub(crate) fn populate_range(&mut self, range: FrameRange) -> u64 {
         let mut newly = 0;
         for (s, start, n) in pieces(range) {
             let count = self.per_block[s] as u64;
@@ -113,7 +113,7 @@ impl Ept {
 
     /// Returns how many frames of `range` currently lack host backing
     /// (what a populate of the range would need to reserve).
-    pub fn count_unbacked(&self, range: FrameRange) -> u64 {
+    pub(crate) fn count_unbacked(&self, range: FrameRange) -> u64 {
         pieces(range)
             .map(|(s, start, n)| match self.per_block[s] as u64 {
                 0 => n,

@@ -33,11 +33,6 @@ impl HostMemory {
         HostMemory { capacity, used: 0 }
     }
 
-    /// Returns the host capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Returns the bytes currently committed to VMs.
     pub fn used_bytes(&self) -> u64 {
         self.used

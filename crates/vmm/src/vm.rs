@@ -315,15 +315,6 @@ impl Vm {
         Ok(report)
     }
 
-    /// Shuts the VM down, returning all host backing.
-    pub fn shutdown(mut self, host: &mut HostMemory) {
-        let total_frames = self.guest.memmap().len();
-        let freed = self
-            .ept
-            .release_range(FrameRange::new(Gfn(0), total_frames));
-        host.release(freed * PAGE_SIZE);
-    }
-
     /// Backs `gfns` with host memory, returning the nested-fault charge.
     fn back_pages(
         &mut self,
@@ -465,18 +456,6 @@ mod tests {
         // Balloon grabbed (mostly) previously-backed free pages.
         assert!(vm.host_rss() < rss);
         assert_eq!(host.used_bytes(), vm.host_rss());
-    }
-
-    #[test]
-    fn shutdown_returns_everything() {
-        let mut host = HostMemory::new(8 * GIB);
-        let mut vm = Vm::boot(config(), &mut host).unwrap();
-        let cost = CostModel::default();
-        let pid = vm.guest.spawn_process(AllocPolicy::MovableDefault);
-        vm.touch_anon(&mut host, pid, 5000, &cost).unwrap();
-        assert!(host.used_bytes() > 0);
-        vm.shutdown(&mut host);
-        assert_eq!(host.used_bytes(), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct TenantLoad {
 /// # Panics
 ///
 /// Panics if `cfg.tenants == 0`.
-pub fn multi_tenant_workload(cfg: &MultiTenantConfig, rng: &mut DetRng) -> Vec<TenantLoad> {
+pub(crate) fn multi_tenant_workload(cfg: &MultiTenantConfig, rng: &mut DetRng) -> Vec<TenantLoad> {
     assert!(cfg.tenants > 0, "a cluster workload needs tenants");
     let traces = zipf_function_traces(
         cfg.tenants,
@@ -96,7 +96,7 @@ pub struct DiurnalConfig {
 /// The total fleet-wide rate (requests/second) at time `t` — the
 /// sinusoid the generator thins against, exposed so experiments can
 /// plot offered load against scaling decisions.
-pub fn diurnal_rate(cfg: &DiurnalConfig, t: f64) -> f64 {
+pub(crate) fn diurnal_rate(cfg: &DiurnalConfig, t: f64) -> f64 {
     let mid = (cfg.peak_rps + cfg.trough_rps) / 2.0;
     let amp = (cfg.peak_rps - cfg.trough_rps) / 2.0;
     // Starts at the trough so short runs still see a rising edge.
@@ -117,7 +117,7 @@ pub fn diurnal_rate(cfg: &DiurnalConfig, t: f64) -> f64 {
 /// Panics if `cfg.tenants == 0`, rates are not positive,
 /// `peak_rps < trough_rps`, `burst_factor < 1`, or `burst_duty` is
 /// outside `[0, 1)`.
-pub fn diurnal_workload(cfg: &DiurnalConfig, rng: &mut DetRng) -> Vec<TenantLoad> {
+pub(crate) fn diurnal_workload(cfg: &DiurnalConfig, rng: &mut DetRng) -> Vec<TenantLoad> {
     assert!(cfg.tenants > 0, "a fleet workload needs tenants");
     assert!(
         cfg.trough_rps > 0.0 && cfg.peak_rps >= cfg.trough_rps,

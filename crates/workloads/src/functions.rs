@@ -162,15 +162,6 @@ impl FunctionProfile {
     pub fn rootfs_pages(&self) -> u64 {
         self.rootfs_bytes / mem_types::PAGE_SIZE
     }
-
-    /// The instance's total private footprint must fit its limit.
-    pub fn validate(&self) {
-        assert!(
-            self.anon_bytes <= self.memory_limit.bytes(),
-            "{}: anon footprint exceeds memory limit",
-            self.kind.name()
-        );
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +187,8 @@ mod tests {
     #[test]
     fn profiles_fit_their_limits() {
         for k in FunctionKind::ALL {
-            k.profile().validate();
+            let p = k.profile();
+            assert!(p.anon_bytes <= p.memory_limit.bytes(), "{}", k.name());
         }
     }
 

@@ -23,17 +23,14 @@ pub mod source;
 pub mod trace;
 
 pub use churn::{analyze_churn, ChurnResult, MinuteChurn};
-pub use cluster::{
-    diurnal_rate, diurnal_workload, multi_tenant_workload, DiurnalConfig, MultiTenantConfig,
-    TenantLoad,
-};
+pub use cluster::{DiurnalConfig, MultiTenantConfig, TenantLoad};
 pub use functions::{FunctionKind, FunctionProfile};
 pub use memhog::Memhog;
 pub use registry::{WorkloadKind, WorkloadParams};
 pub use source::{
     open_trace, read_trace_header, render_azure_minute, render_opendc, sample_azure_3day,
-    sample_azure_rows, sample_opendc, validate_trace, Arrival, AzureMinuteSource,
-    MaterializedSource, OpenDcRow, OpenDcSource, TraceError, TraceFormat, TraceHeader, TraceSource,
-    TraceStats, MAX_ROW_ARRIVALS, TRACE_MAGIC,
+    sample_opendc, validate_trace, Arrival, AzureMinuteSource, MaterializedSource, OpenDcRow,
+    OpenDcSource, TraceError, TraceFormat, TraceHeader, TraceSource, TraceStats, MAX_ROW_ARRIVALS,
+    TRACE_MAGIC,
 };
 pub use trace::{bursty_arrivals, zipf_function_traces, BurstyTraceConfig};

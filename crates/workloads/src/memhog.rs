@@ -6,7 +6,7 @@
 //! then kill them one by one and reclaim.
 
 use guest_mm::Pid;
-use mem_types::{bytes_to_pages_ceil, PAGE_SIZE};
+use mem_types::bytes_to_pages_ceil;
 use sim_core::CostModel;
 use vmm::{FaultCharge, HostMemory, Vm, VmmError};
 
@@ -64,33 +64,9 @@ impl Memhog {
         }
     }
 
-    /// One alloc/free cycle over `chunk_bytes` (memhog's steady-state
-    /// churn): frees the chunk then faults it back.
-    pub fn cycle(
-        &self,
-        vm: &mut Vm,
-        host: &mut HostMemory,
-        chunk_bytes: u64,
-        cost: &CostModel,
-    ) -> Result<FaultCharge, VmmError> {
-        if self.huge {
-            let chunk_huge = (chunk_bytes / PAGE_SIZE).div_ceil(guest_mm::PAGES_PER_HUGE);
-            vm.guest.free_anon_huge(self.pid, chunk_huge)?;
-            return vm.touch_anon_huge(host, self.pid, chunk_huge, cost);
-        }
-        let chunk_pages = chunk_bytes / PAGE_SIZE;
-        vm.guest.free_anon(self.pid, chunk_pages)?;
-        vm.touch_anon(host, self.pid, chunk_pages, cost)
-    }
-
     /// Kills the instance, freeing its guest memory. Returns freed pages.
     pub fn kill(&self, vm: &mut Vm) -> Result<u64, VmmError> {
         Ok(vm.guest.exit_process(self.pid)?)
-    }
-
-    /// Footprint in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.pages * PAGE_SIZE
     }
 }
 
@@ -98,7 +74,7 @@ impl Memhog {
 mod tests {
     use super::*;
     use guest_mm::GuestMmConfig;
-    use mem_types::{GIB, MIB};
+    use mem_types::{GIB, MIB, PAGE_SIZE};
     use vmm::VmConfig;
 
     fn vm_and_host() -> (Vm, HostMemory) {
@@ -133,20 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_keeps_footprint_constant() {
-        let (mut vm, mut host) = vm_and_host();
-        let cost = CostModel::default();
-        let hog = Memhog::spawn(&mut vm, 64 * MIB);
-        hog.warm_up(&mut vm, &mut host, &cost).unwrap();
-        let rss0 = vm.guest.process(hog.pid).unwrap().rss_pages();
-        let c = hog.cycle(&mut vm, &mut host, 16 * MIB, &cost).unwrap();
-        assert_eq!(c.pages, 16 * MIB / PAGE_SIZE);
-        assert_eq!(vm.guest.process(hog.pid).unwrap().rss_pages(), rss0);
-        // Recycled pages were already host-backed.
-        assert_eq!(c.newly_backed, 0);
-    }
-
-    #[test]
     fn huge_memhog_maps_huge_pages() {
         let (mut vm, mut host) = vm_and_host();
         let cost = CostModel::default();
@@ -156,10 +118,6 @@ mod tests {
         let c = hog.warm_up(&mut vm, &mut host, &cost).unwrap();
         assert_eq!(c.huge_mapped, hog.pages / guest_mm::PAGES_PER_HUGE);
         assert_eq!(vm.guest.process(hog.pid).unwrap().rss_huge(), c.huge_mapped);
-        // Churn keeps the footprint and stays huge-backed.
-        let c2 = hog.cycle(&mut vm, &mut host, 16 * MIB, &cost).unwrap();
-        assert_eq!(c2.newly_backed, 0);
-        assert_eq!(vm.guest.process(hog.pid).unwrap().rss_pages(), hog.pages);
     }
 
     #[test]

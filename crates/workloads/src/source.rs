@@ -42,7 +42,7 @@ use crate::functions::FunctionKind;
 use crate::TenantLoad;
 
 /// Magic prefix of the first line of every trace file; the rest of the
-/// line names the format ([`TraceFormat::key`]).
+/// line names the format (`TraceFormat::key`).
 pub const TRACE_MAGIC: &str = "# squeezy-trace v1";
 
 /// Derivation tag of the per-row within-minute jitter streams. The
@@ -127,7 +127,7 @@ pub enum TraceFormat {
 
 impl TraceFormat {
     /// The format name carried on the magic line.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             TraceFormat::AzureMinute => "azure-minute",
             TraceFormat::OpenDc => "opendc",
@@ -771,7 +771,7 @@ pub fn render_opendc(kinds: &[FunctionKind], rows: &[OpenDcRow]) -> String {
 /// traces: a daily sinusoid (period 1440 minutes) scaled by a harmonic
 /// per-tenant popularity share. Closed-form — no RNG — so `repro
 /// gen-trace` output is byte-pinned forever.
-pub fn sample_azure_rows(
+pub(crate) fn sample_azure_rows(
     minutes: u64,
     tenants: usize,
     peak_per_minute: f64,

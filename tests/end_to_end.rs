@@ -238,7 +238,10 @@ fn dynamic_resize_cold_start_tax_is_bounded() {
             60.0,
         );
         let result = run_single_vm(cfg, arrivals.clone());
-        results.push(result.per_func[&FunctionKind::Cnn].latency_points[0].1);
+        // One request: its latency is the histogram's only sample.
+        let latency = &result.per_func[&FunctionKind::Cnn].latency;
+        assert_eq!(latency.count(), 1);
+        results.push(latency.mean());
     }
     let (static_ms, squeezy_ms) = (results[0], results[1]);
     let tax = squeezy_ms / static_ms - 1.0;
